@@ -15,7 +15,6 @@ from .cayley import (
     connection_character_sums,
     enumerate_oriented_class_unions,
     graph_to_dot,
-    idempotent,
     is_connected,
     make_connection_set,
     make_symmetric_connection_set,

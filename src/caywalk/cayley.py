@@ -19,7 +19,7 @@ from .errors import (
     OrientationError,
 )
 from .characters import CharacterTable
-from .groups import ConjugacyData, GroupTable, digits_of, subgroup_closure
+from .groups import ConjugacyData, GroupTable, subgroup_closure
 
 
 @dataclass(frozen=True)
@@ -156,36 +156,6 @@ def spectrum(graph: CayleyGraph, table: CharacterTable) -> Spectrum:
     if abs(trace) > table.tolerance * graph.order * scale:
         raise InconsistencyError("spectrum trace is nonzero; table/graph mismatch")
     return Spectrum(theta=theta, char_sums=sums)
-
-
-def abelian_residue_counts(group: GroupTable, conn: ConnectionSet,
-                           v: Sequence[int], r: int) -> np.ndarray:
-    """counts[j] = number of connection elements w with v.w = j (mod r)."""
-    n = len(v)
-    if r**n != group.order:
-        raise InvalidParameterError("digit shape does not match the group order")
-    counts = np.zeros(r, dtype=np.int64)
-    for w in conn.elements:
-        dots = sum(int(a) * b for a, b in zip(v, digits_of(w, r, n))) % r
-        counts[dots] += 1
-    return counts
-
-
-def theta_from_residue_counts(counts: np.ndarray, r: int) -> complex:
-    """2i * sum_j counts[j] sin(2 pi j / r), the abelian eigenvalue formula."""
-    j = np.arange(r)
-    return complex(2j * np.sum(counts * np.sin(2 * np.pi * j / r)))
-
-
-def idempotent(graph: CayleyGraph, table: CharacterTable, char_index: int) -> np.ndarray:
-    """Spectral projector E[g, h] = chi(h g^-1) * chi(e) / |G|."""
-    group = graph.group
-    n = group.order
-    # X[h, g] = h * g^-1, built column-by-column over g.
-    x = group.mul[:, group.inv]
-    vals = table.values[char_index]
-    deg = float(table.degrees[char_index])
-    return (deg / n) * vals[graph.conj.class_of[x]].T
 
 
 def is_connected(graph: CayleyGraph) -> bool:

@@ -166,8 +166,7 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
             raise InvalidParameterError("tolerance must be positive")
         updates["value_tol"] = args.tolerance
         updates["residual_tol"] = args.tolerance
-    for name, key in (("candidate_bound", "candidate_factor"),
-                      ("max_order", "max_order"),
+    for name, key in (("max_order", "max_order"),
                       ("oracle_max_order", "oracle_max_order"),
                       ("threads", "threads"), ("seed", "seed")):
         val = getattr(args, name, None)
@@ -352,10 +351,10 @@ def cmd_pst(args: argparse.Namespace, config: RunConfig) -> int:
                "target": z, "found": outcome.certificate is not None}
         if outcome.certificate is not None:
             cert = outcome.certificate
-            doc.update(tau=cert.tau, residual=cert.residual, k=cert.k)
+            doc.update(tau=cert.tau, residual=cert.residual)
         else:
             doc.update(near_miss_residual=outcome.near_miss_residual,
-                       near_miss_time=outcome.near_miss_time)
+                       near_miss_time=outcome.near_miss_time, reason=outcome.reason)
         _emit(doc, args.format)
         return EXIT_OK
 
@@ -582,8 +581,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="RNG seed for numerical character tables (default 42)")
     parser.add_argument("--tolerance", type=float, default=None,
                         help="override the residual/value tolerance")
-    parser.add_argument("--candidate-bound", dest="candidate_bound", type=int,
-                        default=None, help="phase winding bound factor K/|G|")
     parser.add_argument("--max-order", dest="max_order", type=int, default=None,
                         help="largest group order any constructor may build")
     parser.add_argument("--oracle-max-order", dest="oracle_max_order", type=int,

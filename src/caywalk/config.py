@@ -21,7 +21,7 @@ IDEMPOTENT_TOL = 1e-8
 EIGENVALUE_TOL = 1e-7
 # Rationality check: denominators up to MAX_DENOMINATOR, matched to RATIONAL_TOL.
 MAX_DENOMINATOR = 10**4
-RATIONAL_TOL = 1e-8
+RATIONAL_TOL = 1e-12
 # Golden-section refinement tolerance for fidelity maxima.
 SCAN_REFINE_TOL = 1e-10
 SCAN_STEPS = 2000
@@ -29,8 +29,6 @@ SCAN_STEPS = 2000
 DEFAULT_MAX_ORDER = 4096
 # Oracle verification is skipped above this many vertices unless forced.
 DEFAULT_ORACLE_MAX_ORDER = 200
-# Candidate transfer times per target: k ranges over -K..K with K = factor * |G|.
-DEFAULT_CANDIDATE_FACTOR = 4
 DEFAULT_SEED = 42
 # Numerical character tables are refused above this many classes.
 MAX_TABLE_CLASSES = 128
@@ -44,7 +42,6 @@ class RunConfig:
     value_tol: float = VALUE_TOL
     residual_tol: float = RESIDUAL_TOL
     fidelity_gap: float = FIDELITY_GAP
-    candidate_factor: int = DEFAULT_CANDIDATE_FACTOR
     max_order: int = DEFAULT_MAX_ORDER
     oracle_max_order: int = DEFAULT_ORACLE_MAX_ORDER
     seed: int = DEFAULT_SEED

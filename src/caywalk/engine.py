@@ -32,6 +32,7 @@ from .groups import (
     ConjugacyData,
     GroupTable,
     derived_series_solvable,
+    element_order,
     power,
     subgroup_closure,
 )
@@ -63,13 +64,10 @@ def parse_time(text: str | float) -> float:
 # ---------------------------------------------------------------------------
 # class-level criterion core
 
-def criterion_data(table: CharacterTable, conn_classes: Sequence[int],
-                   z_class: int) -> tuple[np.ndarray, np.ndarray]:
-    """(ratios, thetas): chi(z)/chi(e) and the adjacency eigenvalues per row."""
+def walk_thetas(table: CharacterTable, conn_classes: Sequence[int]) -> np.ndarray:
+    """theta_chi = (chi(C) - conj chi(C)) / chi(e): the adjacency eigenvalue per row."""
     sums = connection_character_sums(table, conn_classes)
-    thetas = (sums - np.conj(sums)) / table.degrees
-    ratios = table.values[:, z_class] / table.degrees
-    return ratios, thetas
+    return (sums - np.conj(sums)) / table.degrees
 
 
 def residual_at(ratios: np.ndarray, thetas: np.ndarray, t: float) -> float:
@@ -90,8 +88,8 @@ def check_transfer_classes(table: CharacterTable, conn_classes: Sequence[int],
     if int(table.class_sizes[z_class]) != 1:
         return CheckResult(accepted=False, residual=math.inf,
                            reason="target class is not central")
-    ratios, thetas = criterion_data(table, conn_classes, z_class)
-    res = residual_at(ratios, thetas, t)
+    ratios = table.values[:, z_class] / table.degrees
+    res = residual_at(ratios, walk_thetas(table, conn_classes), t)
     return CheckResult(accepted=res < tol, residual=res)
 
 
@@ -125,9 +123,6 @@ class PSTCertificate:
     z: int
     tau: float
     residual: float
-    k: int
-    phase: float = 1.0
-    provenance: str = "criterion"
 
 
 @dataclass(frozen=True)
@@ -135,66 +130,102 @@ class SolveOutcome:
     certificate: PSTCertificate | None
     near_miss_residual: float
     near_miss_time: float | None = None
+    reason: str | None = None
 
 
-def _candidate_times(ratios: np.ndarray, thetas: np.ndarray,
-                     k_bound: int) -> tuple[np.ndarray, np.ndarray]:
-    """Times solving the reference character's phase equation, k in -K..K."""
-    t_imag = thetas.imag
-    ref = int(np.argmax(np.abs(t_imag)))
-    t_ref = t_imag[ref]
-    alpha = float(np.angle(ratios[ref])) % (2.0 * math.pi)
-    ks = np.arange(-k_bound, k_bound + 1)
-    times = (alpha + 2.0 * math.pi * ks) / t_ref
-    keep = times > 1e-12
-    times, ks = times[keep], ks[keep]
-    order = np.argsort(times)  # ascending, so the first hit is minimal
-    return times[order], ks[order]
+STATIC_WALK = "the walk is static: every eigenvalue is 0"
+APERIODIC_WALK = "the spectrum is aperiodic, so the walk transfers to no vertex"
+_BLOCK_ENTRIES = 1 << 20  # bound on each (times x characters x targets) score block
+
+
+def walk_frequency(thetas: np.ndarray, value_tol: float) -> tuple[float | None, str | None]:
+    """(omega, None) when the walk is periodic at e with least period 2*pi/omega.
+
+    The y_chi = theta_chi / i are eigenvalues of the Hermitian -iA, hence
+    algebraic integers. The walk is periodic at e exactly when every y_chi^2
+    is an integer and the nonzero ones share one squarefree part Delta
+    (Godsil, EJC 18 (2011) P23; Godsil & Lato, LAA (2020)); then y_chi =
+    +-b_chi sqrt(Delta) and omega = gcd(b_chi) sqrt(Delta) = sqrt(gcd(y_chi^2)).
+    """
+    squares = thetas.imag ** 2
+    nearest = np.rint(squares)
+    # Lenient on purpose: a spectrum wrongly taken as periodic only adds
+    # candidate times, which the residual test still rejects.
+    if np.any(np.abs(squares - nearest) > value_tol * (1.0 + squares)):
+        return None, APERIODIC_WALK
+    nonzero = {int(n) for n in nearest if n > 0}
+    if not nonzero:
+        return None, STATIC_WALK
+    first = min(nonzero)  # n shares first's squarefree part iff n * first is a square
+    if any(math.isqrt(n * first) ** 2 != n * first for n in nonzero):
+        return None, APERIODIC_WALK
+    return math.sqrt(math.gcd(*nonzero)), None
+
+
+def _scan_targets(graph: CayleyGraph, table: CharacterTable, targets: Sequence[int],
+                  n: int, tol: float) -> tuple[np.ndarray, np.ndarray, str | None]:
+    """(tau, residual, reason) for each central target over the times 2*pi*j/(n*omega).
+
+    A transfer to z of order m forces exp(m * tau * theta) = 1, so when m
+    divides n, j = 1..n-1 covers every transfer within one period and the
+    first time under tol is the minimal one. Where nothing hits, tau is the
+    candidate of least residual; residual is inf where no time can work, and
+    reason says why when that holds for every target.
+    """
+    tau = np.full(len(targets), np.nan)
+    residual = np.full(len(targets), math.inf)
+    thetas = walk_thetas(table, graph.conn.class_indices)
+    omega, reason = walk_frequency(thetas, table.tolerance)
+    if omega is None:
+        return tau, residual, reason
+    times = 2.0 * math.pi * np.arange(1, n) / (n * omega)
+    waves = np.exp(np.outer(times, thetas))
+    static = np.abs(thetas.imag) <= tol
+    block = max(1, _BLOCK_ENTRIES // max(1, times.size * table.n_chars))
+    for lo in range(0, len(targets), block):
+        z_classes = graph.conj.class_of[np.asarray(targets[lo:lo + block])]
+        ratios = table.values[:, z_classes] / table.degrees[:, None]
+        scores = np.max(np.abs(ratios[None, :, :] - waves[:, :, None]), axis=1)
+        # exp(t * 0) = 1 never matches a ratio != 1, so no time can work.
+        scores[:, np.any((np.abs(ratios - 1.0) > tol) & static[:, None], axis=0)] = math.inf
+        hit = scores < tol
+        pick = np.where(hit.any(axis=0), hit.argmax(axis=0), scores.argmin(axis=0))
+        tau[lo:lo + block] = times[pick]
+        residual[lo:lo + block] = scores[pick, np.arange(pick.size)]
+    return tau, residual, None
 
 
 def solve_pst_time(graph: CayleyGraph, table: CharacterTable, z: int,
                    config: RunConfig = DEFAULT_CONFIG,
                    period_mode: bool = False) -> SolveOutcome:
-    """Minimal positive transfer time identity -> z, or a near-miss diagnostic.
+    """Minimal positive transfer time identity -> z, or a near-miss and a reason.
 
-    With period_mode the target is the identity itself and the result is the
-    least commensurable return time among the candidates (no minimality proof
-    beyond the candidate family).
+    The single-target view of the pass compute_S_e runs over all central
+    targets. With period_mode and z = identity the result is the walk's least
+    return time 2*pi/omega.
     """
     g = graph.group
     if z == g.identity and not period_mode:
         raise InvalidParameterError("z = identity needs period_mode=True")
     if z not in graph.conj.center:
         raise InvalidParameterError("target must be central")
-    z_class = int(graph.conj.class_of[z])
-    ratios, thetas = criterion_data(table, graph.conn.class_indices, z_class)
-
     tol = config.residual_tol
-    constrained = np.abs(ratios - 1.0) > tol
-    static = np.abs(thetas.imag) <= tol
-    if np.all(static):
-        return SolveOutcome(certificate=None, near_miss_residual=math.inf)
-    if np.any(constrained & static):
-        # A character that separates z from e but never moves rules out
-        # every time at once: exp(t * 0) = 1 can never equal its ratio.
-        return SolveOutcome(certificate=None, near_miss_residual=math.inf)
-
-    k_bound = config.candidate_factor * g.order
-    times, ks = _candidate_times(ratios, thetas, k_bound)
-    if times.size == 0:
-        return SolveOutcome(certificate=None, near_miss_residual=math.inf)
-
-    residuals = np.max(np.abs(ratios[None, :] - np.exp(np.outer(times, thetas))), axis=1)
-    hits = np.nonzero(residuals < tol)[0]
-    if hits.size:
-        first = int(hits[0])
-        cert = PSTCertificate(z=z, tau=float(times[first]),
-                              residual=float(residuals[first]), k=int(ks[first]))
-        return SolveOutcome(certificate=cert, near_miss_residual=float(residuals[first]),
-                            near_miss_time=float(times[first]))
-    best = int(np.argmin(residuals))
-    return SolveOutcome(certificate=None, near_miss_residual=float(residuals[best]),
-                        near_miss_time=float(times[best]))
+    if z == g.identity:
+        thetas = walk_thetas(table, graph.conn.class_indices)
+        omega, reason = walk_frequency(thetas, table.tolerance)
+        t = 2.0 * math.pi / omega if omega else math.nan
+        res = residual_at(1.0, thetas, t) if omega else math.inf
+    else:
+        taus, residuals, reason = _scan_targets(graph, table, [z], element_order(g, z), tol)
+        t, res = float(taus[0]), float(residuals[0])
+    if math.isinf(res):
+        return SolveOutcome(certificate=None, near_miss_residual=res,
+                            reason=reason or "a character separating z from e is static")
+    if res < tol:
+        cert = PSTCertificate(z=z, tau=t, residual=res)
+        return SolveOutcome(certificate=cert, near_miss_residual=res, near_miss_time=t)
+    return SolveOutcome(certificate=None, near_miss_residual=res, near_miss_time=t,
+                        reason="no candidate time meets the residual tolerance")
 
 
 # ---------------------------------------------------------------------------
@@ -221,13 +252,12 @@ def compute_S_e(graph: CayleyGraph, table: CharacterTable,
     A violation raises InvariantBreachError rather than being repaired.
     """
     g = graph.group
-    certificates: dict[int, PSTCertificate] = {}
-    for z in graph.conj.center:
-        if z == g.identity:
-            continue
-        outcome = solve_pst_time(graph, table, z, config)
-        if outcome.certificate is not None:
-            certificates[z] = outcome.certificate
+    targets = [z for z in graph.conj.center if z != g.identity]
+    taus, residuals, _ = _scan_targets(graph, table, targets,
+                                       graph.conj.center_exponent, config.residual_tol)
+    certificates = {targets[i]: PSTCertificate(z=targets[i], tau=float(taus[i]),
+                                               residual=float(residuals[i]))
+                    for i in np.flatnonzero(residuals < config.residual_tol)}
 
     if not certificates:
         return MSTReport(S_e=(g.identity,), size=1, generator=None,

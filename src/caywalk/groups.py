@@ -12,6 +12,7 @@ import json
 import math
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -431,6 +432,11 @@ class ConjugacyData:
     @property
     def sizes(self) -> np.ndarray:
         return np.array([len(c) for c in self.classes], dtype=np.int64)
+
+    @cached_property
+    def center_exponent(self) -> int:
+        """Least common multiple of the orders of the central elements."""
+        return math.lcm(*(element_order(self.group, z) for z in self.center))
 
     def class_power(self, k: int) -> tuple[int, ...]:
         """Permutation j -> class of g^k for g in class j (depends on k mod exponent)."""

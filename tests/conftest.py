@@ -11,7 +11,7 @@ import itertools
 import numpy as np
 import pytest
 
-from caywalk.groups import GroupTable
+from caywalk.groups import GroupTable, digits_of
 
 
 def permutation_group_table(n: int) -> GroupTable:
@@ -62,6 +62,65 @@ def expm_taylor(m: np.ndarray) -> np.ndarray:
     for _ in range(s):
         out = out @ out
     return out
+
+
+def abelian_residue_counts(group: GroupTable, conn, v, r: int) -> np.ndarray:
+    """counts[j] = number of connection elements w with v.w = j (mod r)."""
+    n = len(v)
+    assert r**n == group.order, "digit shape does not match the group order"
+    counts = np.zeros(r, dtype=np.int64)
+    for w in conn.elements:
+        dots = sum(int(a) * b for a, b in zip(v, digits_of(w, r, n))) % r
+        counts[dots] += 1
+    return counts
+
+
+def theta_from_residue_counts(counts: np.ndarray, r: int) -> complex:
+    """2i * sum_j counts[j] sin(2 pi j / r), the abelian eigenvalue formula."""
+    j = np.arange(r)
+    return complex(2j * np.sum(counts * np.sin(2 * np.pi * j / r)))
+
+
+def idempotent(graph, table, char_index: int) -> np.ndarray:
+    """Spectral projector E[g, h] = chi(h g^-1) * chi(e) / |G|."""
+    group = graph.group
+    # X[h, g] = h * g^-1, built column-by-column over g.
+    x = group.mul[:, group.inv]
+    deg = float(table.degrees[char_index])
+    return (deg / group.order) * table.values[char_index][graph.conj.class_of[x]].T
+
+
+def winding_search_times(graph, table, tol: float = 1e-8,
+                         candidate_factor: int = 4) -> dict[int, tuple[float, float]]:
+    """Minimal transfer time and residual per central target, by winding search.
+
+    The engine's earlier solver, kept as a structurally different reference:
+    for each target it solves one reference character's phase equation over
+    the windings k = -K..K with K = candidate_factor * |G| and takes the
+    earliest candidate time whose residual is under tol.
+    """
+    g = graph.group
+    idx = np.asarray(graph.conn.class_indices, dtype=np.int64)
+    sums = table.values[:, idx] @ table.class_sizes[idx].astype(np.float64)
+    thetas = (sums - np.conj(sums)) / table.degrees
+    static = np.abs(thetas.imag) <= tol
+    ref = int(np.argmax(np.abs(thetas.imag)))
+    ks = np.arange(-candidate_factor * g.order, candidate_factor * g.order + 1)
+    found = {}
+    for z in graph.conj.center:
+        if z == g.identity or np.all(static):
+            continue
+        ratios = table.values[:, int(graph.conj.class_of[z])] / table.degrees
+        if np.any((np.abs(ratios - 1.0) > tol) & static):
+            continue
+        alpha = float(np.angle(ratios[ref])) % (2.0 * np.pi)
+        times = (alpha + 2.0 * np.pi * ks) / thetas.imag[ref]
+        times = np.sort(times[times > 1e-12])
+        residuals = np.max(np.abs(ratios[None, :] - np.exp(np.outer(times, thetas))), axis=1)
+        hits = np.nonzero(residuals < tol)[0]
+        if hits.size:
+            found[z] = (float(times[hits[0]]), float(residuals[hits[0]]))
+    return found
 
 
 @pytest.fixture(scope="session")

@@ -6,22 +6,20 @@ from caywalk.cayley import (
     CayleyGraph,
     adjacency_matrix,
     adjacency_to_csv,
-    abelian_residue_counts,
     cayley_graph,
     connection_character_sums,
     enumerate_oriented_class_unions,
     graph_to_dot,
-    idempotent,
     is_connected,
     make_connection_set,
     make_symmetric_connection_set,
     spectrum,
     spectrum_report,
-    theta_from_residue_counts,
 )
 from caywalk.characters import abelian_character_table, character_table_for
 from caywalk.errors import InconsistencyError, InvalidParameterError, OrientationError
 from caywalk.groups import build_abelian_power, build_cyclic, build_extraspecial3, conjugacy
+from conftest import abelian_residue_counts, idempotent, theta_from_residue_counts
 
 
 def cyclic_graph(r, classes, oriented=True):

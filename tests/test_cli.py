@@ -156,6 +156,24 @@ def test_pst_solve_degenerate_reports_near_miss(capsys):
     assert "near_miss_residual" in doc
 
 
+def test_pst_solve_states_aperiodic_reason(capsys):
+    code, doc = run_json(capsys, ["pst", "solve", "--group", "z:5",
+                                  "--classes", "1,2", "--target", "1"])
+    assert code == EXIT_OK and doc["found"] is False
+    assert doc["near_miss_residual"] == math.inf
+    assert "aperiodic" in doc["reason"] and "k" not in doc
+
+
+def test_pst_mst_m2_5_transfer_at_irrational_multiple(capsys):
+    """A size-2 transfer at pi/(2 sqrt 2): the rationality check reports it, not enforces it."""
+    code, doc = run_json(capsys, ["pst", "mst", "--group", "m2:5", "--classes", "4,12"])
+    assert code == EXIT_OK
+    assert doc["S_e"] == [0, 16] and doc["size"] == 2 and doc["connected"] is False
+    assert doc["tau"] == pytest.approx(math.pi / (2 * math.sqrt(2.0)), abs=1e-12)
+    assert doc["oracle_fidelity"] == pytest.approx(1.0, abs=1e-9)
+    assert doc["tau_rational"]["ok"] is False and doc["tau_rational"]["multiplier"] == "pi"
+
+
 def test_pst_solve_period_mode(capsys):
     code, doc = run_json(capsys, ["pst", "solve", "--group", "z:3",
                                   "--classes", "1", "--target", "0", "--period"])

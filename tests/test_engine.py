@@ -1,10 +1,11 @@
 """Criterion, minimal-time solver, transfer-set structure, witnesses, claims."""
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from caywalk.cayley import cayley_graph
+from caywalk.cayley import CayleyGraph, cayley_graph, enumerate_oriented_class_unions
 from caywalk.characters import (
     abelian_character_table,
     character_table_for,
@@ -13,15 +14,17 @@ from caywalk.characters import (
     galois_stabilizers,
     import_character_table,
 )
+from caywalk.cli import parse_group_spec
 from caywalk.config import DEFAULT_CONFIG
 from caywalk.engine import (
+    APERIODIC_WALK,
+    STATIC_WALK,
     MSTReport,
     check_imported_claim,
     check_pst_at,
     check_pst_pair,
     check_transfer_classes,
     compute_S_e,
-    criterion_data,
     nonexistence_witness,
     parse_time,
     partition_into_transfer_classes,
@@ -30,15 +33,20 @@ from caywalk.engine import (
     solve_pst_time,
     time_rationality_check,
     verdict_document,
+    walk_frequency,
+    walk_thetas,
 )
 from caywalk.errors import InvalidParameterError, InvariantBreachError, SchemaError
+from caywalk.families import build_group_from_spec
 from caywalk.groups import (
+    GroupTable,
     build_abelian_power,
     build_cyclic,
     build_extraspecial3,
     conjugacy,
     index_of_digits,
 )
+from conftest import winding_search_times
 
 TAU3 = 2 * math.pi / (3 * math.sqrt(3.0))
 
@@ -165,12 +173,58 @@ def test_solver_rejects_static_separating_character():
 
 
 def test_solver_near_miss_on_cyclic5():
-    """Z_5 admits no transfer; the solver reports its best failed candidate."""
+    """Cay(Z_5, {1, 2}) has an aperiodic spectrum, so it transfers nowhere, ever."""
     graph, table = cyclic_setup(5, [1, 2])
     out = solve_pst_time(graph, table, 1)
     assert out.certificate is None
-    assert 0 < out.near_miss_residual < 2.5
-    assert out.near_miss_time is not None and out.near_miss_time > 0
+    assert out.near_miss_residual == math.inf and out.near_miss_time is None
+    assert out.reason == APERIODIC_WALK
+
+
+def test_solver_periodic_miss_keeps_finite_near_miss():
+    """Cay(Z_6, {1}) returns at 2pi/sqrt3 but never reaches 2: the best candidate is reported."""
+    graph, table = cyclic_setup(6, [1])
+    assert walk_frequency(walk_thetas(table, [1]), table.tolerance)[0] == \
+        pytest.approx(math.sqrt(3.0), abs=1e-12)
+    out = solve_pst_time(graph, table, 2)
+    assert out.certificate is None
+    assert out.near_miss_residual == pytest.approx(math.sqrt(3.0), abs=1e-9)
+    assert out.near_miss_time == pytest.approx(TAU3, abs=1e-12)
+    assert out.reason is not None
+
+
+def test_walk_frequency_verdicts():
+    assert walk_frequency(np.array([0j, 2j, -2j, 4j]), 1e-8) == (2.0, None)
+    omega, reason = walk_frequency(np.array([0j, 3j * math.sqrt(2), -math.sqrt(8) * 1j]), 1e-8)
+    assert omega == pytest.approx(math.sqrt(2.0)) and reason is None
+    # y^2 = 2 and 4 are integers with different squarefree parts
+    assert walk_frequency(np.array([math.sqrt(2) * 1j, 2j]), 1e-8) == (None, APERIODIC_WALK)
+    assert walk_frequency(np.array([math.e * 1j]), 1e-8) == (None, APERIODIC_WALK)
+    assert walk_frequency(np.array([0j, 1e-12j]), 1e-8) == (None, STATIC_WALK)
+
+
+DIFFERENTIAL_GROUPS = ("z4^2", "z:8", "z:9", "z:12", "z:13", "z3^2")
+
+
+@pytest.mark.parametrize("spec", DIFFERENTIAL_GROUPS)
+def test_one_pass_solver_matches_winding_search(spec):
+    """Every oriented set: the same transfer set and times as the earlier solver."""
+    group = build_group_from_spec(parse_group_spec(spec))
+    conj = conjugacy(group)
+    table = character_table_for(group, conj)
+    for conn in enumerate_oriented_class_unions(conj):
+        graph = CayleyGraph(group=group, conj=conj, conn=conn)
+        report = compute_S_e(graph, table)
+        want = winding_search_times(graph, table)
+        assert set(report.certificates) == set(want), conn.class_indices
+        assert report.S_e == tuple(sorted({group.identity, *want}))
+        assert report.size == len(report.S_e)
+        if want:
+            assert report.generator == min(want, key=lambda z: (want[z][0], z))
+        else:
+            assert report.generator is None
+        for z, cert in report.certificates.items():
+            assert cert.tau == pytest.approx(want[z][0], abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -198,6 +252,22 @@ def test_transfer_set_trivial_when_no_transfer():
     assert report.size == 1 and report.S_e == (0,)
     assert report.generator is None and report.minimal_time is None
     assert partition_into_transfer_classes(graph, report) is None
+
+
+def test_transfer_set_trivial_on_centerless_group():
+    """A_4 has a periodic oriented walk but no central target at all."""
+    perms = [p for p in itertools.permutations(range(4))
+             if sum(p[i] > p[j] for i in range(4) for j in range(i + 1, 4)) % 2 == 0]
+    index = {p: i for i, p in enumerate(perms)}
+    mul = np.array([[index[tuple(p[q[k]] for k in range(4))] for q in perms] for p in perms])
+    inv = np.array([index[tuple(p.index(k) for k in range(4))] for p in perms])
+    g = GroupTable(order=12, mul=mul, identity=index[(0, 1, 2, 3)], inv=inv,
+                   labels=tuple(map(str, range(12))))
+    conj = conjugacy(g)
+    three_cycles = next(i for i, c in enumerate(conj.classes) if len(c) == 4)
+    graph = cayley_graph(g, conj, [three_cycles])
+    report = compute_S_e(graph, character_table_for(g, conj))
+    assert report.S_e == (g.identity,) and report.size == 1
 
 
 def test_partition_into_equal_cosets():
@@ -234,6 +304,13 @@ def test_rationality_sqrt3_multiples():
 def test_rationality_denominator_cap():
     assert time_rationality_check(TAU3, 3, max_denominator=8).ok
     assert not time_rationality_check(0.3183 * math.pi, 2, max_denominator=8).ok
+
+
+def test_rationality_rejects_generic_reals():
+    assert not time_rationality_check(math.e, 2).ok
+    taus = np.random.default_rng(20251010).uniform(0.1, 10.0, 20_000)
+    accepted = sum(time_rationality_check(float(t), 2).ok for t in taus)
+    assert accepted <= 20  # at most 0.1%
 
 
 # ---------------------------------------------------------------------------
