@@ -5,6 +5,8 @@ independent ways: a character-theoretic criterion evaluated on exact or
 numerically recovered character tables, and a matrix-exponential oracle on
 the skew-symmetric adjacency matrix.
 """
+from types import ModuleType as _ModuleType
+
 from .cayley import (
     CayleyGraph,
     ConnectionSet,
@@ -36,6 +38,7 @@ from .characters import (
     kernel,
     load_character_table,
     rational_intersection,
+    unit_closure,
     units_mod,
 )
 from .config import DEFAULT_CONFIG, RunConfig
@@ -77,7 +80,6 @@ from .errors import (
 from .families import (
     DualReport,
     FamilyCertificate,
-    build_group_from_spec,
     dual_verify,
     family_extraspecial3,
     family_m2,
@@ -94,12 +96,14 @@ from .families import (
 )
 from .groups import (
     ConjugacyData,
+    GroupSpec,
     GroupTable,
     WreathElement,
     WreathIndexing,
     build_abelian_power,
     build_cyclic,
     build_extraspecial3,
+    build_group,
     build_modular_maximal_cyclic,
     build_wreath_sym,
     conjugacy,
@@ -110,6 +114,7 @@ from .groups import (
     group_to_json,
     group_to_json_str,
     load_group,
+    parse_group_spec,
     permutation_cycles,
     save_group,
     subgroup_closure,
@@ -129,6 +134,8 @@ from .oracle import (
     scan_pst,
 )
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# The re-exported names, without the submodules the imports above bind.
+__all__ = [name for name, value in globals().items()
+           if not name.startswith("_") and not isinstance(value, _ModuleType)]

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -208,12 +208,11 @@ def character_table_numerical(group: GroupTable, conj: ConjugacyData,
 def character_table_for(group: GroupTable, conj: ConjugacyData,
                         seed: int = DEFAULT_SEED, tol: float = VALUE_TOL) -> CharacterTable:
     """Closed form for the cyclic-power families, class algebra otherwise."""
-    tag = group.family_tag
-    if tag.startswith("z:"):
-        return abelian_character_table(int(tag[2:]), 1, tol)
-    if tag.startswith("z") and "^" in tag:
-        base, _, exp = tag[1:].partition("^")
-        return abelian_character_table(int(base), int(exp), tol)
+    spec = group.spec
+    if spec.family == "cyclic":
+        return abelian_character_table(spec.r, 1, tol)
+    if spec.family == "abelian":
+        return abelian_character_table(spec.r, spec.n, tol)
     return character_table_numerical(group, conj, seed=seed, tol=tol)
 
 
@@ -283,8 +282,10 @@ def galois_stabilizers_imported(table: CharacterTable,
     return GaloisData(exponent=m, units=units, stabilizers=stabs)
 
 
-def _unit_closure(m: int, seed: set[int]) -> set[int]:
-    """Multiplicative closure of seed (plus 1) inside the units mod m; m > 2."""
+def unit_closure(m: int, seed: Iterable[int]) -> set[int]:
+    """Multiplicative closure of seed (plus 1) inside the units mod m."""
+    if m <= 2:
+        return {1}
     out = {1}
     out.update(k % m for k in seed)
     grew = True
@@ -305,13 +306,10 @@ def rational_intersection(galois: GaloisData, char_indices: Sequence[int]) -> bo
     Equivalent statement on the Galois side: the union of their stabilizers
     generates the whole unit group mod the exponent.
     """
-    m = galois.exponent
-    if m <= 2:
-        return True
     seed: set[int] = set()
     for i in char_indices:
         seed.update(galois.stabilizers[i])
-    return _unit_closure(m, seed) == set(galois.units)
+    return unit_closure(galois.exponent, seed) == set(galois.units)
 
 
 # ---------------------------------------------------------------------------

@@ -11,10 +11,9 @@ Exit codes: 0 success, 2 validation error, 3 verification failure,
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import json
+import math
 import re
-import shlex
 import sys
 
 import numpy as np
@@ -62,12 +61,14 @@ from .errors import (
     SizeLimitError,
     VerificationFailure,
 )
-from .families import (
-    build_group_from_spec,
-    dual_verify,
-    load_fixture_certificates,
+from .families import dual_verify, load_fixture_certificates
+from .groups import (
+    build_group,
+    conjugacy,
+    group_to_json_str,
+    parse_group_spec,
+    save_group,
 )
-from .groups import conjugacy, group_to_json_str, save_group
 from .oracle import (
     build_hermitian_operator,
     build_operator,
@@ -85,79 +86,6 @@ EXIT_SIZE = 4
 DEFAULT_SWEEP_LIMIT = 16
 
 
-def parse_group_spec(text: str) -> dict:
-    """Group mini-language -> constructor spec dict.
-
-    Compact forms: z:<r>, z<r>^<n>, extraspecial3:<n>[:<exp>], m2:<n>,
-    wreath:<base>:<n>, file:<path>. Spaced forms mirror the `group build`
-    positional grammar, e.g. "extraspecial3 1 --exponent 9" or
-    "wreath --base z:3 --n 2".
-    """
-    tokens = shlex.split(text.strip())
-    if not tokens:
-        raise InvalidParameterError("empty group spec")
-    if len(tokens) == 1:
-        tok = tokens[0]
-        m = re.fullmatch(r"z:(\d+)", tok)
-        if m:
-            return {"family": "cyclic", "r": int(m.group(1))}
-        m = re.fullmatch(r"z(\d+)\^(\d+)", tok)
-        if m:
-            return {"family": "abelian", "r": int(m.group(1)), "n": int(m.group(2))}
-        m = re.fullmatch(r"extraspecial3:(\d+)(?::(\d+))?", tok)
-        if m:
-            return {"family": "extraspecial3", "n": int(m.group(1)),
-                    "exponent": int(m.group(2) or 3)}
-        m = re.fullmatch(r"m2:(\d+)", tok)
-        if m:
-            return {"family": "m2", "n": int(m.group(1))}
-        if tok.startswith("wreath:"):
-            base, _, n = tok[len("wreath:"):].rpartition(":")
-            if not base or not n.isdigit():
-                raise InvalidParameterError(f"bad wreath spec {tok!r}")
-            return {"family": "wreath", "base": parse_group_spec(base), "n": int(n)}
-        if tok.startswith("file:"):
-            return {"family": "file", "path": tok[len("file:"):]}
-        raise InvalidParameterError(f"unrecognized group spec {tok!r}")
-
-    head, rest = tokens[0], tokens[1:]
-    if head == "extraspecial3":
-        exponent = 3
-        if "--exponent" in rest:
-            i = rest.index("--exponent")
-            if i + 1 >= len(rest):
-                raise InvalidParameterError("--exponent needs a value")
-            exponent = int(rest[i + 1])
-            rest = rest[:i] + rest[i + 2:]
-        if len(rest) != 1:
-            raise InvalidParameterError("extraspecial3 takes exactly one rank argument")
-        return {"family": "extraspecial3", "n": int(rest[0]), "exponent": exponent}
-    if head == "m2":
-        if len(rest) != 1:
-            raise InvalidParameterError("m2 takes exactly one exponent argument")
-        return {"family": "m2", "n": int(rest[0])}
-    if head == "wreath":
-        base_spec = n_val = None
-        i = 0
-        while i < len(rest):
-            if rest[i] == "--base" and i + 1 < len(rest):
-                base_spec = rest[i + 1]
-                i += 2
-            elif rest[i] == "--n" and i + 1 < len(rest):
-                n_val = int(rest[i + 1])
-                i += 2
-            else:
-                raise InvalidParameterError(f"unexpected wreath argument {rest[i]!r}")
-        if base_spec is None or n_val is None:
-            raise InvalidParameterError("wreath needs --base <spec> and --n <k>")
-        return {"family": "wreath", "base": parse_group_spec(base_spec), "n": n_val}
-    if head == "file":
-        if len(rest) != 1:
-            raise InvalidParameterError("file takes exactly one path argument")
-        return {"family": "file", "path": rest[0]}
-    raise InvalidParameterError(f"unrecognized group family {head!r}")
-
-
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
     cfg = DEFAULT_CONFIG
     updates = {}
@@ -166,20 +94,17 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
             raise InvalidParameterError("tolerance must be positive")
         updates["value_tol"] = args.tolerance
         updates["residual_tol"] = args.tolerance
-    for name, key in (("max_order", "max_order"),
-                      ("oracle_max_order", "oracle_max_order"),
-                      ("threads", "threads"), ("seed", "seed")):
+    for name in ("max_order", "oracle_max_order", "seed"):
         val = getattr(args, name, None)
         if val is not None:
-            if key != "seed" and val <= 0:
+            if name != "seed" and val <= 0:
                 raise InvalidParameterError(f"--{name.replace('_', '-')} must be positive")
-            updates[key] = val
+            updates[name] = val
     return cfg.with_updates(**updates) if updates else cfg
 
 
-def _load_group(args: argparse.Namespace, config: RunConfig, spec_text: str):
-    spec = parse_group_spec(spec_text)
-    group = build_group_from_spec(spec, config.max_order)
+def _load_group(config: RunConfig, spec_text: str):
+    group = build_group(parse_group_spec(spec_text), config.max_order)
     return group, conjugacy(group)
 
 
@@ -215,17 +140,23 @@ def _resolve_element(group, text: str) -> int:
 
 def _emit(doc, fmt: str) -> None:
     if fmt == "json":
-        print(json.dumps(doc, sort_keys=True, indent=2, default=_json_default))
+        print(json.dumps(_json_ready(doc), sort_keys=True, indent=2, allow_nan=False))
     else:
         _print_text(doc)
 
 
-def _json_default(obj):
-    if isinstance(obj, (np.integer,)):
+def _json_ready(obj):
+    """numpy scalars as Python numbers; non-finite floats, which JSON cannot
+    represent, as null."""
+    if isinstance(obj, dict):
+        return {key: _json_ready(val) for key, val in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_json_ready(val) for val in obj]
+    if isinstance(obj, np.integer):
         return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    raise TypeError(f"not JSON serializable: {type(obj)!r}")
+    if isinstance(obj, (float, np.floating)):
+        return float(obj) if math.isfinite(obj) else None
+    return obj
 
 
 def _print_text(doc, indent: int = 0) -> None:
@@ -271,7 +202,7 @@ def _group_summary(group, conj) -> dict:
 
 
 def cmd_group(args: argparse.Namespace, config: RunConfig) -> int:
-    group, conj = _load_group(args, config, " ".join(args.spec))
+    group, conj = _load_group(config, args.spec)
     if args.group_cmd == "build":
         doc = _group_summary(group, conj)
         if args.out:
@@ -308,7 +239,7 @@ def cmd_group(args: argparse.Namespace, config: RunConfig) -> int:
 # pst commands
 
 def cmd_pst(args: argparse.Namespace, config: RunConfig) -> int:
-    group, conj = _load_group(args, config, args.group)
+    group, conj = _load_group(config, args.group)
 
     if args.pst_cmd == "nonexist":
         table = character_table_for(group, conj, seed=config.seed,
@@ -429,7 +360,7 @@ def _cmd_pst_oracle(args: argparse.Namespace, config: RunConfig, graph) -> int:
 # sweep
 
 def cmd_sweep(args: argparse.Namespace, config: RunConfig) -> int:
-    group, conj = _load_group(args, config, args.group)
+    group, conj = _load_group(config, args.group)
     limit = args.limit if args.limit is not None else DEFAULT_SWEEP_LIMIT
     if group.order > limit:
         raise SizeLimitError(
@@ -490,11 +421,7 @@ def cmd_verify(args: argparse.Namespace, config: RunConfig) -> int:
     if not certs:
         raise InvalidParameterError("no fixtures selected")
 
-    if config.threads > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=config.threads) as ex:
-            reports = list(ex.map(lambda c: dual_verify(c, config), certs))
-    else:
-        reports = [dual_verify(c, config) for c in certs]
+    reports = [dual_verify(c, config) for c in certs]
 
     failures = []
     json_docs = []
@@ -550,7 +477,7 @@ def cmd_verify(args: argparse.Namespace, config: RunConfig) -> int:
 # graph exports (dot / csv / spectrum)
 
 def cmd_graph(args: argparse.Namespace, config: RunConfig) -> int:
-    group, conj = _load_group(args, config, args.group)
+    group, conj = _load_group(config, args.group)
     classes = _resolve_classes(group, conj, args.classes)
     graph = cayley_graph(group, conj, classes, oriented=not args.undirected)
     if args.format == "dot":
@@ -586,8 +513,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--oracle-max-order", dest="oracle_max_order", type=int,
                         default=None,
                         help="largest order the matrix oracle will exponentiate")
-    parser.add_argument("--threads", type=int, default=None,
-                        help="worker cap for the verify command")
     parser.add_argument("--format", choices=("text", "json", "csv", "dot"),
                         default="text", help="output format")
 
@@ -604,11 +529,8 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "export":
             pg.add_argument("--characters", action="store_true",
                             help="export the character table instead of the group")
-        # REMAINDER so description-internal flags (--exponent, --base, --n)
-        # pass through; command options like --out must come first.
-        pg.add_argument("spec", nargs=argparse.REMAINDER,
-                        help="group spec, e.g. z:8, z4^2, extraspecial3 1, "
-                             "m2 5, wreath --base z:3 --n 2, file <path>")
+        pg.add_argument("spec", help="group spec, e.g. z:8, z4^2, extraspecial3:1, "
+                                     "m2:5, wreath:z:3:2, file:<path>")
 
     p_pst = sub.add_parser("pst", help="check, solve, and survey state transfer")
     psub = p_pst.add_subparsers(dest="pst_cmd", required=True)

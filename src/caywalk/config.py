@@ -45,7 +45,6 @@ class RunConfig:
     max_order: int = DEFAULT_MAX_ORDER
     oracle_max_order: int = DEFAULT_ORACLE_MAX_ORDER
     seed: int = DEFAULT_SEED
-    threads: int = 1
 
     def with_updates(self, **changes) -> "RunConfig":
         return replace(self, **changes)

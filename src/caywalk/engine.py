@@ -16,7 +16,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .cayley import CayleyGraph, connection_character_sums
-from .characters import CharacterTable, GaloisData, ImportedTable
+from .characters import CharacterTable, GaloisData, ImportedTable, unit_closure
 from .config import (
     MAX_DENOMINATOR,
     RATIONAL_TOL,
@@ -369,27 +369,11 @@ def nonexistence_witness_classes(table: CharacterTable, galois: GaloisData,
         if chosen and stab <= covered:
             continue
         chosen.append(i)
-        covered = _closure_mod(galois.exponent, covered | stab)
+        covered = unit_closure(galois.exponent, covered | stab)
         if covered == units:
             return NonexistenceWitness(z=z_label, char_indices=tuple(chosen),
                                        exponent=galois.exponent)
     return None
-
-
-def _closure_mod(m: int, seed: set[int]) -> set[int]:
-    if m <= 2:
-        return {1}
-    out = set(seed)
-    grew = True
-    while grew:
-        grew = False
-        for x in list(out):
-            for y in list(out):
-                v = (x * y) % m
-                if v not in out:
-                    out.add(v)
-                    grew = True
-    return out
 
 
 def nonexistence_witness(conj: ConjugacyData, table: CharacterTable,

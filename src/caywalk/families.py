@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 from typing import Sequence
 
@@ -33,7 +33,7 @@ from .engine import (
     time_rationality_check,
     verdict_document,
 )
-from .errors import InconsistencyError, InvalidParameterError
+from .errors import InconsistencyError, InvalidParameterError, SchemaError
 from .groups import (
     ConjugacyData,
     GroupTable,
@@ -42,6 +42,7 @@ from .groups import (
     build_abelian_power,
     build_cyclic,
     build_extraspecial3,
+    build_group,
     build_modular_maximal_cyclic,
     build_wreath_sym,
     conjugacy,
@@ -49,7 +50,7 @@ from .groups import (
     digits_of,
     element_order,
     index_of_digits,
-    load_group,
+    parse_group_spec,
     permutation_cycles,
     subgroup_closure,
 )
@@ -79,7 +80,6 @@ class FamilyCertificate:
     claims_pst: bool = True
     oriented: bool = True
     report_only: bool = False
-    group_spec: dict = field(default_factory=dict)
     notes: str = ""
 
     @property
@@ -131,7 +131,6 @@ def family_z3n(n: int, connection: Sequence) -> FamilyCertificate:
         name=f"z3_{n}", family="cyclic-3-power", group=group, conj=conj,
         connection_classes=classes, z=sigma, tau_tag="2pi/3sqrt3",
         claimed_size=3 if claims else 1, claims_pst=claims,
-        group_spec={"family": "abelian", "r": 3, "n": n},
         notes="" if claims else "zero column sum: periodic return only",
     )
 
@@ -151,7 +150,6 @@ def family_z4n(n: int, connection: Sequence) -> FamilyCertificate:
         name=f"z4_{n}", family="cyclic-4-power", group=group, conj=conj,
         connection_classes=classes, z=target, tau_tag="pi/2",
         claimed_size=2 if sigma_order_four else 1, claims_pst=sigma_order_four,
-        group_spec={"family": "abelian", "r": 4, "n": n},
         notes="size-4 transfer sets do not occur on this family",
     )
 
@@ -185,7 +183,6 @@ def family_extraspecial3(n: int, exponent_type: int = 3,
         family="extraspecial-3", group=group, conj=conj,
         connection_classes=classes, z=z, tau_tag="2pi/3sqrt3",
         claimed_size=3,
-        group_spec={"family": "extraspecial3", "n": n, "exponent": exponent_type},
     )
 
 
@@ -208,7 +205,6 @@ def family_m2(n: int) -> FamilyCertificate:
     return FamilyCertificate(
         name=f"m2_{group.order}", family="modular-2", group=group, conj=conj,
         connection_classes=classes, z=z, tau_tag="pi/4", claimed_size=4,
-        group_spec={"family": "m2", "n": n},
     )
 
 
@@ -227,7 +223,6 @@ def m2_remark_probe() -> FamilyCertificate:
         name="m2_16_probe", family="modular-2", group=group, conj=conj,
         connection_classes=classes, z=group.index_of("x^2"), tau_tag="pi/4",
         claimed_size=None, report_only=True,
-        group_spec={"family": "m2", "n": 4},
     )
 
 
@@ -239,7 +234,6 @@ def z8_certificate() -> FamilyCertificate:
     return FamilyCertificate(
         name="z8_125", family="cyclic-8", group=group, conj=conj,
         connection_classes=classes, z=2, tau_tag=Z8_TAU_TAG, claimed_size=4,
-        group_spec={"family": "cyclic", "r": 8},
     )
 
 
@@ -295,7 +289,6 @@ def wreath_lift(base_cert: FamilyCertificate, n: int) -> FamilyCertificate:
         tau_tag=base_cert.tau_tag,
         claimed_size=element_order(group, z) if base_cert.claims_pst else 1,
         claims_pst=base_cert.claims_pst, oriented=base_cert.oriented,
-        group_spec={"family": "wreath", "base": base_cert.group_spec, "n": n},
     )
 
 
@@ -308,38 +301,18 @@ def undirected_cycle4_certificate() -> FamilyCertificate:
         name="undirected_c4", family="undirected-base", group=group, conj=conj,
         connection_classes=classes, z=2, tau_tag="pi/2", claimed_size=2,
         oriented=False,
-        group_spec={"family": "cyclic", "r": 4},
         notes="oracle-only: the oriented criterion does not apply",
     )
 
 
 # ---------------------------------------------------------------------------
-# group specs and fixture files
-
-def build_group_from_spec(spec: dict, max_order: int | None = None) -> GroupTable:
-    cap = max_order if max_order is not None else DEFAULT_CONFIG.max_order
-    fam = spec.get("family")
-    if fam == "cyclic":
-        return build_cyclic(int(spec["r"]), cap)
-    if fam == "abelian":
-        return build_abelian_power(int(spec["r"]), int(spec["n"]), cap)
-    if fam == "extraspecial3":
-        return build_extraspecial3(int(spec["n"]), int(spec.get("exponent", 3)), cap)
-    if fam == "m2":
-        return build_modular_maximal_cyclic(int(spec["n"]), cap)
-    if fam == "wreath":
-        base = build_group_from_spec(spec["base"], cap)
-        return build_wreath_sym(base, int(spec["n"]), cap)
-    if fam == "file":
-        return load_group(spec["path"], cap)
-    raise InvalidParameterError(f"unknown group family {fam!r}")
-
+# fixture files
 
 def certificate_to_fixture(cert: FamilyCertificate) -> dict:
     return {
         "name": cert.name,
         "family": cert.family,
-        "group": cert.group_spec,
+        "group": str(cert.group.spec),
         "connection_classes": list(cert.connection_classes),
         "z": cert.z,
         "tau": cert.tau_tag,
@@ -352,7 +325,9 @@ def certificate_to_fixture(cert: FamilyCertificate) -> dict:
 
 
 def fixture_to_certificate(doc: dict) -> FamilyCertificate:
-    group = build_group_from_spec(doc["group"])
+    if not isinstance(doc.get("group"), str):
+        raise SchemaError(f"fixture {doc.get('name')!r}: group must be a spec string")
+    group = build_group(parse_group_spec(doc["group"]))
     conj = conjugacy(group)
     return FamilyCertificate(
         name=doc["name"], family=doc["family"], group=group, conj=conj,
@@ -362,7 +337,7 @@ def fixture_to_certificate(doc: dict) -> FamilyCertificate:
         claims_pst=bool(doc.get("claims_pst", True)),
         oriented=bool(doc.get("oriented", True)),
         report_only=bool(doc.get("report_only", False)),
-        group_spec=doc["group"], notes=doc.get("notes", ""),
+        notes=doc.get("notes", ""),
     )
 
 

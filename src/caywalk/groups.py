@@ -3,13 +3,15 @@
 Every group is a validated Cayley table over elements 0..order-1. Family
 constructors (cyclic powers, extraspecial 3-groups, modular maximal-cyclic
 2-groups, wreath products with the full symmetric group) attach generator-word
-labels and a compact family tag reused by the CLI and the fixture files.
+labels and the GroupSpec that rebuilds them. A spec's compact spelling is the
+one group grammar of the CLI, the fixture files and every printed group name.
 """
 from __future__ import annotations
 
 import itertools
 import json
 import math
+import re
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -32,6 +34,39 @@ ASSOC_SPOT_FACTOR = 10
 ASSOC_SPOT_SEED = 1729
 
 
+@dataclass(frozen=True)
+class GroupSpec:
+    """What a group is: its family and the parameters its constructor takes.
+
+    Families and their fields: cyclic (r), abelian (r, n), extraspecial3
+    (n, exponent), m2 (n), wreath (base, n), file (path), and custom for a
+    table built directly.
+    """
+
+    family: str
+    r: int = 0
+    n: int = 0
+    exponent: int = 3
+    base: GroupSpec | None = None
+    path: str = ""
+
+    def __str__(self) -> str:
+        """The group's printed name, which parse_group_spec reads back into
+        this spec; file and custom tables print their bare family."""
+        fam = self.family
+        if fam == "cyclic":
+            return f"z:{self.r}"
+        if fam == "abelian":
+            return f"z{self.r}^{self.n}"
+        if fam == "extraspecial3":
+            return f"es3:{self.n}" + (":9" if self.exponent == 9 else "")
+        if fam == "m2":
+            return f"m2:{self.n}"
+        if fam == "wreath":
+            return f"wreath:{self.base}:{self.n}"
+        return fam
+
+
 @dataclass(frozen=True, eq=False)
 class GroupTable:
     """Immutable multiplication table: mul[a, b] is the product a*b."""
@@ -41,12 +76,17 @@ class GroupTable:
     identity: int
     inv: np.ndarray
     labels: tuple[str, ...]
-    family_tag: str = "custom"
+    spec: GroupSpec = GroupSpec("custom")
 
     def __post_init__(self):
         _validate_table(self)
         self.mul.flags.writeable = False
         self.inv.flags.writeable = False
+
+    @property
+    def family_tag(self) -> str:
+        """The printed name of the group, rendered from its spec."""
+        return str(self.spec)
 
     def label_of(self, g: int) -> str:
         return self.labels[g]
@@ -99,12 +139,12 @@ def _validate_table(g: GroupTable) -> None:
             raise GroupValidationError("associativity fails on spot check")
 
 
-def _finish(mul: np.ndarray, labels: Sequence[str], family_tag: str,
+def _finish(mul: np.ndarray, labels: Sequence[str], spec: GroupSpec,
             identity: int = 0) -> GroupTable:
     mul = np.ascontiguousarray(mul, dtype=np.int32)
     inv = np.argmax(mul == identity, axis=1).astype(np.int32)
     return GroupTable(order=mul.shape[0], mul=mul, identity=identity,
-                      inv=inv, labels=tuple(labels), family_tag=family_tag)
+                      inv=inv, labels=tuple(labels), spec=spec)
 
 
 def _check_order_cap(order: int, max_order: int) -> None:
@@ -141,7 +181,7 @@ def build_cyclic(r: int, max_order: int = DEFAULT_MAX_ORDER) -> GroupTable:
     _check_order_cap(r, max_order)
     idx = np.arange(r)
     mul = (idx[:, None] + idx[None, :]) % r
-    return _finish(mul, [str(i) for i in range(r)], f"z:{r}")
+    return _finish(mul, [str(i) for i in range(r)], GroupSpec("cyclic", r=r))
 
 
 def build_abelian_power(r: int, n: int, max_order: int = DEFAULT_MAX_ORDER) -> GroupTable:
@@ -155,7 +195,7 @@ def build_abelian_power(r: int, n: int, max_order: int = DEFAULT_MAX_ORDER) -> G
     weights = r ** np.arange(n - 1, -1, -1, dtype=np.int64)
     mul = sums @ weights
     labels = ["(" + ",".join(map(str, v)) + ")" for v in vecs]
-    return _finish(mul, labels, f"z{r}^{n}")
+    return _finish(mul, labels, GroupSpec("abelian", r=r, n=n))
 
 
 def _word(parts: list[tuple[str, int]]) -> str:
@@ -192,7 +232,7 @@ def build_extraspecial3(n: int, exponent_type: int = 3,
             mul[3 * i1 + j1, 3 * i2 + j2] = 3 * i + j
         labels = [_word([("x", i), ("y", j)])
                   for i in range(9) for j in range(3)]
-        return _finish(mul, labels, f"es3:{n}:9")
+        return _finish(mul, labels, GroupSpec("extraspecial3", n=n, exponent=9))
 
     # Heisenberg model: (a, b, c) with a, b in F_3^n, c in F_3 and
     # (a1,b1,c1)(a2,b2,c2) = (a1+a2, b1+b2, c1+c2+a1.b2).
@@ -223,7 +263,7 @@ def build_extraspecial3(n: int, exponent_type: int = 3,
         parts += [(f"y{k + 1}", b[k]) for k in range(n)]
         parts.append(("z", t))
         labels.append(_word(parts))
-    return _finish(mul, labels, f"es3:{n}")
+    return _finish(mul, labels, GroupSpec("extraspecial3", n=n))
 
 
 def build_modular_maximal_cyclic(n: int, max_order: int = DEFAULT_MAX_ORDER) -> GroupTable:
@@ -247,7 +287,7 @@ def build_modular_maximal_cyclic(n: int, max_order: int = DEFAULT_MAX_ORDER) -> 
             mul[2 * i1 + j1, 2 * i2 + j2] = 2 * i + j
     labels = [_word([("x", i), ("sigma", j)])
               for i in range(half) for j in range(2)]
-    return _finish(mul, labels, f"m2:{n}")
+    return _finish(mul, labels, GroupSpec("m2", n=n))
 
 
 # ---------------------------------------------------------------------------
@@ -343,7 +383,7 @@ def build_wreath_sym(base: GroupTable, n: int,
     for el in elems:
         inner = ",".join(base.labels[c] for c in el.coords)
         labels.append(f"({inner};{_perm_label(el.perm)})")
-    return _finish(mul, labels, f"wreath:{base.family_tag}:{n}")
+    return _finish(mul, labels, GroupSpec("wreath", n=n, base=base.spec))
 
 
 def _perm_label(perm: tuple[int, ...]) -> str:
@@ -581,7 +621,7 @@ def group_from_json(doc: dict, max_order: int = DEFAULT_MAX_ORDER) -> GroupTable
         raise SchemaError("mul must be an order x order matrix")
     if len(labels) != order:
         raise SchemaError("labels length must equal order")
-    return _finish(mul, labels, "file", identity=int(doc["identity"]))
+    return _finish(mul, labels, GroupSpec("file"), identity=int(doc["identity"]))
 
 
 def load_group(path: str, max_order: int = DEFAULT_MAX_ORDER) -> GroupTable:
@@ -592,3 +632,55 @@ def load_group(path: str, max_order: int = DEFAULT_MAX_ORDER) -> GroupTable:
 def save_group(group: GroupTable, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(group_to_json_str(group))
+
+
+# ---------------------------------------------------------------------------
+# group specs
+
+def parse_group_spec(text: str) -> GroupSpec:
+    """Read the compact group grammar.
+
+    z:<r> (cyclic), z<r>^<n> (abelian power), extraspecial3:<n>[:<exp>] or
+    es3:<n>[:<exp>], m2:<n>, wreath:<base spec>:<n> and file:<path>.
+    """
+    text = text.strip()
+    if text.startswith("file:"):
+        return GroupSpec("file", path=text[len("file:"):])
+    if text.startswith("wreath:"):
+        base, _, n = text[len("wreath:"):].rpartition(":")
+        if not base or not n.isdigit():
+            raise InvalidParameterError(f"bad wreath spec {text!r}")
+        return GroupSpec("wreath", n=int(n), base=parse_group_spec(base))
+    m = re.fullmatch(r"z:(\d+)", text)
+    if m:
+        return GroupSpec("cyclic", r=int(m[1]))
+    m = re.fullmatch(r"z(\d+)\^(\d+)", text)
+    if m:
+        return GroupSpec("abelian", r=int(m[1]), n=int(m[2]))
+    m = re.fullmatch(r"(?:extraspecial3|es3):(\d+)(?::(\d+))?", text)
+    if m:
+        return GroupSpec("extraspecial3", n=int(m[1]), exponent=int(m[2] or 3))
+    m = re.fullmatch(r"m2:(\d+)", text)
+    if m:
+        return GroupSpec("m2", n=int(m[1]))
+    raise InvalidParameterError(f"unrecognized group spec {text!r}")
+
+
+def build_group(spec: GroupSpec, max_order: int = DEFAULT_MAX_ORDER) -> GroupTable:
+    """Run the constructor a spec names."""
+    # The constructors are called by their module-level names, so that
+    # anything rebinding those names (a tracer, a test double) sees each build.
+    fam = spec.family
+    if fam == "cyclic":
+        return build_cyclic(spec.r, max_order)
+    if fam == "abelian":
+        return build_abelian_power(spec.r, spec.n, max_order)
+    if fam == "extraspecial3":
+        return build_extraspecial3(spec.n, spec.exponent, max_order)
+    if fam == "m2":
+        return build_modular_maximal_cyclic(spec.n, max_order)
+    if fam == "wreath":
+        return build_wreath_sym(build_group(spec.base, max_order), spec.n, max_order)
+    if fam == "file":
+        return load_group(spec.path, max_order)
+    raise InvalidParameterError(f"no constructor for group family {fam!r}")

@@ -20,6 +20,7 @@ from .config import (
     UNITARITY_TOL,
 )
 from .errors import InvalidParameterError, NumericalFailureError
+from .groups import permutation_cycles
 
 
 @dataclass(eq=False)
@@ -136,26 +137,10 @@ def permutation_check(op: WalkOperator, t: float, tol: float = 1e-8) -> Permutat
     p_mat[perm, np.arange(n)] = 1.0
     commutes = bool(np.max(np.abs(p_mat @ op.matrix - op.matrix @ p_mat)) < tol * max(1.0, n))
     fixed_free = all(perm_t[a] != a for a in range(n))
-    order = _permutation_order(perm_t)
+    order = math.lcm(*map(len, permutation_cycles(perm_t)))
     return PermutationReport(ok=True, permutation=perm_t, max_deviation=float(deviation),
                              fixed_point_free=fixed_free, commutes_with_generator=commutes,
                              order=order)
-
-
-def _permutation_order(perm: tuple[int, ...]) -> int:
-    seen = [False] * len(perm)
-    order = 1
-    for start in range(len(perm)):
-        if seen[start]:
-            continue
-        length = 0
-        cur = start
-        while not seen[cur]:
-            seen[cur] = True
-            cur = perm[cur]
-            length += 1
-        order = math.lcm(order, length)
-    return order
 
 
 @dataclass(frozen=True)

@@ -31,7 +31,7 @@ def permutation_group_table(n: int) -> GroupTable:
         inv[i] = index[tuple(ip)]
     labels = tuple("".join(str(x) for x in p) for p in perms)
     return GroupTable(order=size, mul=mul, identity=index[tuple(range(n))],
-                      inv=inv, labels=labels, family_tag=f"sym:{n}")
+                      inv=inv, labels=labels)
 
 
 def brute_conjugacy_classes(mul: np.ndarray, inv: np.ndarray) -> list[frozenset[int]]:

@@ -2,8 +2,12 @@
 import json
 import math
 import pathlib
+import runpy
+import shlex
 import shutil
+from importlib import resources
 
+import numpy as np
 import pytest
 
 from caywalk.cli import (
@@ -12,16 +16,44 @@ from caywalk.cli import (
     EXIT_VALIDATION,
     EXIT_VERIFICATION,
     main,
-    parse_group_spec,
 )
 from caywalk.errors import InvalidParameterError
-from caywalk.groups import index_of_digits
+from caywalk.families import load_fixture_documents
+from caywalk.groups import GroupSpec, build_group, index_of_digits, parse_group_spec
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not valid JSON")
 
 
 def run_json(capsys, argv):
+    """Run a command with --format json and parse its output strictly."""
     code = main(["--format", "json", *argv])
     out = capsys.readouterr().out
-    return code, json.loads(out)
+    return code, json.loads(out, parse_constant=_reject_constant)
+
+
+def readme_commands() -> list[list[str]]:
+    """argv of every `caywalk ...` line in the README's "Command line" block."""
+    section = (ROOT / "README.md").read_text(encoding="utf-8").split("## Command line", 1)[1]
+    block = section.split("```sh", 1)[1].split("```", 1)[0]
+    return [shlex.split(line)[1:] for line in block.splitlines()
+            if line.startswith("caywalk ")]
+
+
+def group_specs_in_use() -> set[str]:
+    """Every group spec the benchmark, the README and the fixtures spell out."""
+    workloads = runpy.run_path(str(ROOT / "bench" / "workloads.py"))["WORKLOADS"]
+    argvs = [list(cmd.args) for cmds in workloads.values() for cmd in cmds]
+    specs = {doc["group"] for doc in load_fixture_documents()}
+    for argv in argvs + readme_commands():
+        if "--group" in argv:
+            specs.add(argv[argv.index("--group") + 1])
+        elif argv[0] == "group":
+            specs.add(argv[-1])
+    return specs
 
 
 # ---------------------------------------------------------------------------
@@ -29,32 +61,36 @@ def run_json(capsys, argv):
 
 
 def test_parse_group_spec_compact_forms():
-    assert parse_group_spec("z:8") == {"family": "cyclic", "r": 8}
-    assert parse_group_spec("z4^2") == {"family": "abelian", "r": 4, "n": 2}
-    assert parse_group_spec("extraspecial3:1") == {
-        "family": "extraspecial3", "n": 1, "exponent": 3}
-    assert parse_group_spec("extraspecial3:1:9") == {
-        "family": "extraspecial3", "n": 1, "exponent": 9}
-    assert parse_group_spec("m2:5") == {"family": "m2", "n": 5}
-    assert parse_group_spec("wreath:z:3:2") == {
-        "family": "wreath", "base": {"family": "cyclic", "r": 3}, "n": 2}
-    assert parse_group_spec("file:/tmp/g.json") == {"family": "file", "path": "/tmp/g.json"}
-
-
-def test_parse_group_spec_spaced_forms():
-    assert parse_group_spec("extraspecial3 1 --exponent 9") == {
-        "family": "extraspecial3", "n": 1, "exponent": 9}
-    assert parse_group_spec("m2 5") == {"family": "m2", "n": 5}
-    assert parse_group_spec("wreath --base z:3 --n 2") == {
-        "family": "wreath", "base": {"family": "cyclic", "r": 3}, "n": 2}
-    assert parse_group_spec("file /tmp/g.json") == {"family": "file", "path": "/tmp/g.json"}
+    assert parse_group_spec("z:8") == GroupSpec("cyclic", r=8)
+    assert parse_group_spec("z4^2") == GroupSpec("abelian", r=4, n=2)
+    assert parse_group_spec("extraspecial3:1") == GroupSpec("extraspecial3", n=1)
+    assert parse_group_spec("extraspecial3:1:9") == GroupSpec(
+        "extraspecial3", n=1, exponent=9)
+    assert parse_group_spec("es3:1:9") == parse_group_spec("extraspecial3:1:9")
+    assert parse_group_spec("m2:5") == GroupSpec("m2", n=5)
+    assert parse_group_spec("wreath:z:3:2") == GroupSpec(
+        "wreath", n=2, base=GroupSpec("cyclic", r=3))
+    assert parse_group_spec("file:/tmp/g.json") == GroupSpec("file", path="/tmp/g.json")
 
 
 def test_parse_group_spec_rejects_garbage():
-    for bad in ("", "q:5", "wreath:2", "extraspecial3", "m2 5 6",
-                "wreath --base z:3", "z:x"):
+    for bad in ("", "q:5", "wreath:2", "extraspecial3", "m2 5", "m2 5 6",
+                "wreath --base z:3 --n 2", "wreath:q:2", "z:x"):
         with pytest.raises(InvalidParameterError):
             parse_group_spec(bad)
+
+
+def test_group_spec_names_round_trip():
+    """A printed group name rebuilds the same table."""
+    specs = group_specs_in_use() | {"wreath:extraspecial3:1:2"}
+    assert {"z3^7", "wreath:z:3:4", "es3:2", "wreath:z3^1:2", "z:8"} <= specs
+    for text in sorted(specs):
+        group = build_group(parse_group_spec(text))
+        again = build_group(parse_group_spec(group.family_tag))
+        assert again.spec == group.spec, text
+        assert np.array_equal(again.mul, group.mul), text
+    assert build_group(parse_group_spec("wreath:extraspecial3:1:2")).family_tag == \
+        "wreath:es3:1:2"
 
 
 # ---------------------------------------------------------------------------
@@ -68,23 +104,19 @@ def test_group_build_cyclic(capsys):
     assert doc["center"] == 8 and doc["exponent"] == 8
 
 
-def test_group_build_spaced_spec_with_flags(capsys):
-    code, doc = run_json(capsys, ["group", "build", "m2", "5"])
-    assert code == EXIT_OK and doc["order"] == 32 and doc["classes"] == 20
-    code, doc = run_json(capsys, ["group", "build", "extraspecial3", "1",
-                                  "--exponent", "9"])
-    assert code == EXIT_OK and doc["order"] == 27 and doc["center"] == 3
-    code, doc = run_json(capsys, ["group", "build", "wreath",
-                                  "--base", "z:3", "--n", "2"])
-    assert code == EXIT_OK and doc["order"] == 18
-
-
 def test_group_build_saves_table(capsys, tmp_path):
     out = tmp_path / "z6.json"
     code, doc = run_json(capsys, ["group", "build", "--out", str(out), "z:6"])
     assert code == EXIT_OK and doc["saved"] == str(out)
     saved = json.loads(out.read_text())
     assert saved["order"] == 6
+
+
+def test_group_build_out_after_spec(capsys, tmp_path):
+    out = tmp_path / "m2.json"
+    code, doc = run_json(capsys, ["group", "build", "m2:5", "--out", str(out)])
+    assert code == EXIT_OK and doc["saved"] == str(out)
+    assert doc["family"] == "m2:5" and json.loads(out.read_text())["order"] == 32
 
 
 def test_group_info_fields(capsys):
@@ -110,6 +142,15 @@ def test_group_export_to_stdout(capsys):
     out = capsys.readouterr().out
     assert code == EXIT_OK
     assert json.loads(out)["order"] == 4
+
+
+def test_readme_commands_run(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    commands = readme_commands()
+    assert len(commands) == 13
+    for argv in commands:
+        assert main(argv) == EXIT_OK, argv
+    assert (tmp_path / "z8_chars.json").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +201,7 @@ def test_pst_solve_states_aperiodic_reason(capsys):
     code, doc = run_json(capsys, ["pst", "solve", "--group", "z:5",
                                   "--classes", "1,2", "--target", "1"])
     assert code == EXIT_OK and doc["found"] is False
-    assert doc["near_miss_residual"] == math.inf
+    assert doc["near_miss_residual"] is None  # infinite: JSON has no such number
     assert "aperiodic" in doc["reason"] and "k" not in doc
 
 
@@ -319,15 +360,7 @@ def test_verify_unknown_fixture_name(capsys):
     assert code == EXIT_VALIDATION
 
 
-def test_verify_threads_match_serial(capsys):
-    code, doc = run_json(capsys, ["--threads", "4", "verify"])
-    assert code == EXIT_OK and doc["ok"] is True
-    assert len(doc["certificates"]) == 14
-
-
 def test_verify_doctored_fixture_fails(capsys, tmp_path):
-    from importlib import resources
-
     src = resources.files("caywalk") / "fixtures"
     for entry in src.iterdir():
         if entry.name.endswith(".json"):
@@ -340,6 +373,17 @@ def test_verify_doctored_fixture_fails(capsys, tmp_path):
     out = capsys.readouterr().out
     assert code == EXIT_VERIFICATION
     assert "FAIL z8_125" in out
+
+
+def test_verify_rejects_fixture_group_dict(capsys, tmp_path):
+    z8 = tmp_path / "z8_125.json"
+    shutil.copyfile(str(resources.files("caywalk") / "fixtures" / "z8_125.json"), z8)
+    doc = json.loads(z8.read_text())
+    doc["group"] = {"family": "cyclic", "r": 8}
+    z8.write_text(json.dumps(doc))
+    code = main(["verify", "--fixtures", str(tmp_path)])
+    assert code == EXIT_VALIDATION
+    assert "group must be a spec string" in capsys.readouterr().err
 
 
 def exported_table_with_claim(tmp_path, capsys, time_value="2pi/3sqrt3"):

@@ -13,8 +13,8 @@ from caywalk.characters import (
     export_character_table,
     galois_stabilizers,
     import_character_table,
+    rational_intersection,
 )
-from caywalk.cli import parse_group_spec
 from caywalk.config import DEFAULT_CONFIG
 from caywalk.engine import (
     APERIODIC_WALK,
@@ -37,14 +37,15 @@ from caywalk.engine import (
     walk_thetas,
 )
 from caywalk.errors import InvalidParameterError, InvariantBreachError, SchemaError
-from caywalk.families import build_group_from_spec
 from caywalk.groups import (
     GroupTable,
     build_abelian_power,
     build_cyclic,
     build_extraspecial3,
+    build_group,
     conjugacy,
     index_of_digits,
+    parse_group_spec,
 )
 from conftest import winding_search_times
 
@@ -209,7 +210,7 @@ DIFFERENTIAL_GROUPS = ("z4^2", "z:8", "z:9", "z:12", "z:13", "z3^2")
 @pytest.mark.parametrize("spec", DIFFERENTIAL_GROUPS)
 def test_one_pass_solver_matches_winding_search(spec):
     """Every oriented set: the same transfer set and times as the earlier solver."""
-    group = build_group_from_spec(parse_group_spec(spec))
+    group = build_group(parse_group_spec(spec))
     conj = conjugacy(group)
     table = character_table_for(group, conj)
     for conn in enumerate_oriented_class_unions(conj):
@@ -350,6 +351,12 @@ def test_witness_exists_for_order4_target_in_z4_squared():
     z = index_of_digits([1, 0], 4)
     w = nonexistence_witness(conj, table, gal, z)
     assert w is not None and len(w.char_indices) >= 2
+    # the greedy search's stopping test and rational_intersection agree
+    witnesses = [nonexistence_witness(conj, table, gal, z) for z in conj.center]
+    found = [w for w in witnesses if w is not None]
+    assert len(found) == 12  # the elements of order 4
+    for w in found:
+        assert rational_intersection(gal, w.char_indices), w
 
 
 def test_witness_none_for_identity():

@@ -11,7 +11,6 @@ from caywalk.config import DEFAULT_CONFIG
 from caywalk.errors import InvalidParameterError
 from caywalk.families import (
     FamilyCertificate,
-    build_group_from_spec,
     certificate_to_fixture,
     dual_verify,
     family_extraspecial3,
@@ -27,13 +26,20 @@ from caywalk.families import (
     write_fixture_files,
     z8_certificate,
 )
-from caywalk.groups import digits_of, save_group
+from caywalk.groups import (
+    GroupSpec,
+    build_cyclic,
+    build_group,
+    digits_of,
+    parse_group_spec,
+    save_group,
+)
 
 
 def replace(cert, **kw):
     data = {f: getattr(cert, f) for f in (
         "name", "family", "group", "conj", "connection_classes", "z", "tau_tag",
-        "claimed_size", "claims_pst", "oriented", "report_only", "group_spec", "notes")}
+        "claimed_size", "claims_pst", "oriented", "report_only", "notes")}
     data.update(kw)
     return FamilyCertificate(**data)
 
@@ -236,7 +242,8 @@ def test_fixture_round_trip_preserves_fields():
         assert back.claims_pst == cert.claims_pst
         assert back.claimed_size == cert.claimed_size
         assert back.oriented == cert.oriented
-        assert back.group.order == cert.group.order
+        assert back.group.spec == cert.group.spec
+        assert np.array_equal(back.group.mul, cert.group.mul)
 
 
 def test_load_fixtures_from_directory(tmp_path):
@@ -252,15 +259,14 @@ def test_load_packaged_fixtures():
 
 
 def test_group_spec_dispatch(tmp_path):
-    assert build_group_from_spec({"family": "cyclic", "r": 8}).order == 8
-    assert build_group_from_spec({"family": "abelian", "r": 3, "n": 2}).order == 9
-    assert build_group_from_spec(
-        {"family": "wreath", "base": {"family": "cyclic", "r": 3}, "n": 2}).order == 18
+    assert build_group(parse_group_spec("z:8")).order == 8
+    assert build_group(parse_group_spec("z3^2")).order == 9
+    assert build_group(parse_group_spec("wreath:z:3:2")).order == 18
     with pytest.raises(InvalidParameterError):
-        build_group_from_spec({"family": "nonsense"})
+        build_group(GroupSpec("nonsense"))
     path = tmp_path / "g.json"
-    save_group(build_group_from_spec({"family": "cyclic", "r": 6}), str(path))
-    assert build_group_from_spec({"family": "file", "path": str(path)}).order == 6
+    save_group(build_cyclic(6), str(path))
+    assert build_group(parse_group_spec(f"file:{path}")).order == 6
 
 
 # ---------------------------------------------------------------------------

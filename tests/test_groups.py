@@ -82,7 +82,7 @@ def test_validation_rejects_broken_latin_square():
     mul[1, 1] = 3  # duplicates 3 in row 1
     with pytest.raises(GroupValidationError):
         GroupTable(order=4, mul=mul, identity=0, inv=g.inv.copy(),
-                   labels=g.labels, family_tag="broken")
+                   labels=g.labels)
 
 
 def test_validation_rejects_nonassociative_latin_square():
@@ -96,7 +96,7 @@ def test_validation_rejects_nonassociative_latin_square():
     inv = np.argmax(mul == 0, axis=1)
     with pytest.raises(GroupValidationError):
         GroupTable(order=5, mul=mul, identity=0, inv=inv,
-                   labels=g.labels, family_tag="broken")
+                   labels=g.labels)
 
 
 def test_extraspecial3_heisenberg():
