@@ -52,7 +52,7 @@ class GroupSpec:
 
     def __str__(self) -> str:
         """The group's printed name, which parse_group_spec reads back into
-        this spec; file and custom tables print their bare family."""
+        this spec; a custom table prints its bare family."""
         fam = self.family
         if fam == "cyclic":
             return f"z:{self.r}"
@@ -64,6 +64,8 @@ class GroupSpec:
             return f"m2:{self.n}"
         if fam == "wreath":
             return f"wreath:{self.base}:{self.n}"
+        if fam == "file":
+            return f"file:{self.path}"
         return fam
 
 
@@ -225,44 +227,30 @@ def build_extraspecial3(n: int, exponent_type: int = 3,
         if n != 1:
             raise InvalidParameterError("exponent 9 exists only at order 27 (n = 1)")
         # <x, y | x^9 = y^3 = e, y x y^-1 = x^4>; element x^i y^j at index 3i + j.
-        mul = np.zeros((27, 27), dtype=np.int64)
-        for i1, j1, i2, j2 in itertools.product(range(9), range(3), range(9), range(3)):
-            i = (i1 + i2 * pow(4, j1, 9)) % 9
-            j = (j1 + j2) % 3
-            mul[3 * i1 + j1, 3 * i2 + j2] = 3 * i + j
-        labels = [_word([("x", i), ("y", j)])
-                  for i in range(9) for j in range(3)]
+        i, j = np.divmod(np.arange(27), 3)
+        twist = 4**j % 9
+        mul = 3 * ((i[:, None] + i[None, :] * twist[:, None]) % 9) \
+            + (j[:, None] + j[None, :]) % 3
+        labels = [_word([("x", x), ("y", y)]) for x, y in zip(i.tolist(), j.tolist())]
         return _finish(mul, labels, GroupSpec("extraspecial3", n=n, exponent=9))
 
     # Heisenberg model: (a, b, c) with a, b in F_3^n, c in F_3 and
-    # (a1,b1,c1)(a2,b2,c2) = (a1+a2, b1+b2, c1+c2+a1.b2).
+    # (a1,b1,c1)(a2,b2,c2) = (a1+a2, b1+b2, c1+c2+a1.b2); element (a, b, c)
+    # at index (A*3^n + B)*3 + c, A and B the base-3 numbers of a and b.
     m = 3**n
+    ab, c = np.divmod(np.arange(order), 3)
+    digits = np.array([digits_of(k, 3, n) for k in range(m)], dtype=np.int64)
+    a, b = digits[ab // m], digits[ab % m]
+    mul = (c[:, None] + c[None, :] + a @ b.T) % 3
+    for k, place in enumerate(3 ** np.arange(n - 1, -1, -1)):
+        mul += (a[:, k, None] + a[None, :, k]) % 3 * (place * 3 * m)
+        mul += (b[:, k, None] + b[None, :, k]) % 3 * (place * 3)
 
-    def decode(idx: int) -> tuple[tuple[int, ...], tuple[int, ...], int]:
-        idx, c = divmod(idx, 3)
-        a, b = divmod(idx, m)
-        return digits_of(a, 3, n), digits_of(b, 3, n), c
-
-    def encode(a: Sequence[int], b: Sequence[int], c: int) -> int:
-        return (index_of_digits(a, 3) * m + index_of_digits(b, 3)) * 3 + (c % 3)
-
-    elems = [decode(i) for i in range(order)]
-    mul = np.zeros((order, order), dtype=np.int64)
-    for i, (a1, b1, c1) in enumerate(elems):
-        for j, (a2, b2, c2) in enumerate(elems):
-            a = tuple((u + v) % 3 for u, v in zip(a1, a2))
-            b = tuple((u + v) % 3 for u, v in zip(b1, b2))
-            c = (c1 + c2 + sum(u * v for u, v in zip(a1, b2))) % 3
-            mul[i, j] = encode(a, b, c)
-
-    labels = []
-    for a, b, c in elems:
-        # Normal form x^a y^b z^t with t = c - a.b.
-        t = (c - sum(u * v for u, v in zip(a, b))) % 3
-        parts = [(f"x{k + 1}", a[k]) for k in range(n)]
-        parts += [(f"y{k + 1}", b[k]) for k in range(n)]
-        parts.append(("z", t))
-        labels.append(_word(parts))
+    # Normal form x^a y^b z^t with t = c - a.b.
+    t = (c - np.sum(a * b, axis=1)) % 3
+    labels = [_word([(f"x{k + 1}", ai[k]) for k in range(n)]
+                    + [(f"y{k + 1}", bi[k]) for k in range(n)] + [("z", ti)])
+              for ai, bi, ti in zip(a.tolist(), b.tolist(), t.tolist())]
     return _finish(mul, labels, GroupSpec("extraspecial3", n=n))
 
 
@@ -279,14 +267,11 @@ def build_modular_maximal_cyclic(n: int, max_order: int = DEFAULT_MAX_ORDER) -> 
     half = 2 ** (n - 1)
     twist = 2 ** (n - 2) + 1
 
-    mul = np.zeros((order, order), dtype=np.int64)
-    for i1, j1 in itertools.product(range(half), range(2)):
-        for i2, j2 in itertools.product(range(half), range(2)):
-            i = (i1 + i2 * (twist if j1 else 1)) % half
-            j = (j1 + j2) % 2
-            mul[2 * i1 + j1, 2 * i2 + j2] = 2 * i + j
-    labels = [_word([("x", i), ("sigma", j)])
-              for i in range(half) for j in range(2)]
+    i, j = np.divmod(np.arange(order), 2)
+    twists = np.where(j == 1, twist, 1)
+    mul = 2 * ((i[:, None] + i[None, :] * twists[:, None]) % half) \
+        + (j[:, None] + j[None, :]) % 2
+    labels = [_word([("x", x), ("sigma", s)]) for x, s in zip(i.tolist(), j.tolist())]
     return _finish(mul, labels, GroupSpec("m2", n=n))
 
 
@@ -606,7 +591,8 @@ def group_to_json_str(group: GroupTable) -> str:
     return json.dumps(group_to_json(group), sort_keys=True, separators=(",", ":"))
 
 
-def group_from_json(doc: dict, max_order: int = DEFAULT_MAX_ORDER) -> GroupTable:
+def group_from_json(doc: dict, max_order: int = DEFAULT_MAX_ORDER,
+                    spec: GroupSpec = GroupSpec("custom")) -> GroupTable:
     required = {"order", "identity", "mul", "labels"}
     if not isinstance(doc, dict) or not required.issubset(doc):
         missing = required - set(doc) if isinstance(doc, dict) else required
@@ -621,12 +607,14 @@ def group_from_json(doc: dict, max_order: int = DEFAULT_MAX_ORDER) -> GroupTable
         raise SchemaError("mul must be an order x order matrix")
     if len(labels) != order:
         raise SchemaError("labels length must equal order")
-    return _finish(mul, labels, GroupSpec("file"), identity=int(doc["identity"]))
+    return _finish(mul, labels, spec, identity=int(doc["identity"]))
 
 
 def load_group(path: str, max_order: int = DEFAULT_MAX_ORDER) -> GroupTable:
+    """A table read from a JSON file; its spec is file:PATH, whatever group
+    the file holds, so it always gets the numerical character table."""
     with open(path, "r", encoding="utf-8") as fh:
-        return group_from_json(json.load(fh), max_order)
+        return group_from_json(json.load(fh), max_order, GroupSpec("file", path=path))
 
 
 def save_group(group: GroupTable, path: str) -> None:

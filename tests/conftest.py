@@ -11,7 +11,7 @@ import itertools
 import numpy as np
 import pytest
 
-from caywalk.groups import GroupTable, digits_of
+from caywalk.groups import GroupTable, _word, digits_of, index_of_digits
 
 
 def permutation_group_table(n: int) -> GroupTable:
@@ -121,6 +121,65 @@ def winding_search_times(graph, table, tol: float = 1e-8,
         if hits.size:
             found[z] = (float(times[hits[0]]), float(residuals[hits[0]]))
     return found
+
+
+def loop_extraspecial3(n: int, exponent_type: int = 3) -> tuple[np.ndarray, list[str]]:
+    """(mul, labels) of the extraspecial 3-group, by a plain double loop.
+
+    The constructor's earlier body, kept as the reference for its array form.
+    """
+    if exponent_type == 9:
+        mul = np.zeros((27, 27), dtype=np.int64)
+        for i1, j1, i2, j2 in itertools.product(range(9), range(3), range(9), range(3)):
+            i = (i1 + i2 * pow(4, j1, 9)) % 9
+            j = (j1 + j2) % 3
+            mul[3 * i1 + j1, 3 * i2 + j2] = 3 * i + j
+        labels = [_word([("x", i), ("y", j)]) for i in range(9) for j in range(3)]
+        return mul, labels
+
+    order = 3 ** (2 * n + 1)
+    m = 3**n
+
+    def decode(idx):
+        idx, c = divmod(idx, 3)
+        a, b = divmod(idx, m)
+        return digits_of(a, 3, n), digits_of(b, 3, n), c
+
+    def encode(a, b, c):
+        return (index_of_digits(a, 3) * m + index_of_digits(b, 3)) * 3 + (c % 3)
+
+    elems = [decode(i) for i in range(order)]
+    mul = np.zeros((order, order), dtype=np.int64)
+    for i, (a1, b1, c1) in enumerate(elems):
+        for j, (a2, b2, c2) in enumerate(elems):
+            a = tuple((u + v) % 3 for u, v in zip(a1, a2))
+            b = tuple((u + v) % 3 for u, v in zip(b1, b2))
+            c = (c1 + c2 + sum(u * v for u, v in zip(a1, b2))) % 3
+            mul[i, j] = encode(a, b, c)
+
+    labels = []
+    for a, b, c in elems:
+        t = (c - sum(u * v for u, v in zip(a, b))) % 3
+        parts = [(f"x{k + 1}", a[k]) for k in range(n)]
+        parts += [(f"y{k + 1}", b[k]) for k in range(n)]
+        parts.append(("z", t))
+        labels.append(_word(parts))
+    return mul, labels
+
+
+def loop_modular_maximal_cyclic(n: int) -> tuple[np.ndarray, list[str]]:
+    """(mul, labels) of M_2(n), by a plain double loop over x^i sigma^j."""
+    order = 2**n
+    half = 2 ** (n - 1)
+    twist = 2 ** (n - 2) + 1
+    mul = np.zeros((order, order), dtype=np.int64)
+    for i1, j1 in itertools.product(range(half), range(2)):
+        for i2, j2 in itertools.product(range(half), range(2)):
+            i = (i1 + i2 * (twist if j1 else 1)) % half
+            j = (j1 + j2) % 2
+            mul[2 * i1 + j1, 2 * i2 + j2] = 2 * i + j
+    labels = [_word([("x", i), ("sigma", j)]) for i in range(half) for j in range(2)]
+    return mul, labels
 
 
 @pytest.fixture(scope="session")

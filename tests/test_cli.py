@@ -19,7 +19,13 @@ from caywalk.cli import (
 )
 from caywalk.errors import InvalidParameterError
 from caywalk.families import load_fixture_documents
-from caywalk.groups import GroupSpec, build_group, index_of_digits, parse_group_spec
+from caywalk.groups import (
+    GroupSpec,
+    build_group,
+    index_of_digits,
+    parse_group_spec,
+    save_group,
+)
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -80,9 +86,11 @@ def test_parse_group_spec_rejects_garbage():
             parse_group_spec(bad)
 
 
-def test_group_spec_names_round_trip():
+def test_group_spec_names_round_trip(tmp_path):
     """A printed group name rebuilds the same table."""
-    specs = group_specs_in_use() | {"wreath:extraspecial3:1:2"}
+    saved = tmp_path / "z6.json"
+    save_group(build_group(parse_group_spec("z:6")), str(saved))
+    specs = group_specs_in_use() | {"wreath:extraspecial3:1:2", f"file:{saved}"}
     assert {"z3^7", "wreath:z:3:4", "es3:2", "wreath:z3^1:2", "z:8"} <= specs
     for text in sorted(specs):
         group = build_group(parse_group_spec(text))
@@ -91,6 +99,7 @@ def test_group_spec_names_round_trip():
         assert np.array_equal(again.mul, group.mul), text
     assert build_group(parse_group_spec("wreath:extraspecial3:1:2")).family_tag == \
         "wreath:es3:1:2"
+    assert build_group(parse_group_spec(f"file:{saved}")).family_tag == f"file:{saved}"
 
 
 # ---------------------------------------------------------------------------

@@ -37,7 +37,12 @@ from caywalk.groups import (
     wreath_type,
 )
 
-from conftest import brute_conjugacy_classes, permutation_group_table
+from conftest import (
+    brute_conjugacy_classes,
+    loop_extraspecial3,
+    loop_modular_maximal_cyclic,
+    permutation_group_table,
+)
 
 
 def test_cyclic_table():
@@ -148,6 +153,19 @@ def test_m2_structure():
 def test_m2_needs_n4():
     with pytest.raises(InvalidParameterError):
         build_modular_maximal_cyclic(3)
+
+
+@pytest.mark.parametrize("build, reference, args", [
+    (build_extraspecial3, loop_extraspecial3, (1,)),
+    (build_extraspecial3, loop_extraspecial3, (2,)),
+    (build_extraspecial3, loop_extraspecial3, (1, 9)),
+    *[(build_modular_maximal_cyclic, loop_modular_maximal_cyclic, (n,)) for n in (4, 5, 6, 7)],
+])
+def test_array_constructors_match_double_loops(build, reference, args):
+    g = build(*args)
+    mul, labels = reference(*args)
+    assert np.array_equal(g.mul, mul)
+    assert g.labels == tuple(labels)
 
 
 def test_wreath_small_is_dihedral():

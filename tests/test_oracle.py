@@ -1,13 +1,27 @@
 """Matrix-exponential oracle, checked against an independent Taylor series."""
+import json
 import math
+import pathlib
+import runpy
 
 import numpy as np
 import pytest
 
 from caywalk.cayley import adjacency_matrix, cayley_graph
+from caywalk.cli import EXIT_OK, main
+from caywalk.config import SCAN_STEPS
 from caywalk.errors import InvalidParameterError
-from caywalk.groups import build_abelian_power, build_cyclic, conjugacy, index_of_digits
+from caywalk.groups import (
+    build_abelian_power,
+    build_cyclic,
+    build_group,
+    conjugacy,
+    index_of_digits,
+    parse_group_spec,
+)
 from caywalk.oracle import (
+    _best_offdiagonal,
+    _best_offdiagonal_grid,
     build_hermitian_operator,
     build_operator,
     evolve,
@@ -20,6 +34,7 @@ from caywalk.oracle import (
 
 from conftest import expm_taylor
 
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 TAU3 = 2 * math.pi / (3 * math.sqrt(3.0))
 
 
@@ -114,6 +129,16 @@ def test_permutation_check_rejects_intermediate_time():
     op = skew_operator(8, [1, 2, 5])
     rep = permutation_check(op, math.pi / 8)
     assert not rep.ok and rep.permutation is None
+    # The array form of max_deviation gives the column loop's float exactly.
+    u = evolve(op, math.pi / 8)
+    perm = np.argmax(np.abs(u), axis=0)
+    deviation = 0.0
+    for a in range(8):
+        col = u[:, a].copy()
+        deviation = max(deviation, abs(col[perm[a]] - 1.0))
+        col[perm[a]] = 0.0
+        deviation = max(deviation, float(np.max(np.abs(col))))
+    assert rep.max_deviation == deviation > 1e-3
 
 
 def test_permutation_check_identity_at_time_zero():
@@ -150,3 +175,60 @@ def test_fidelity_series_csv_shape():
     assert len(lines) == 12
     t0, f0, _ = lines[1].split(",")
     assert float(t0) == 0.0 and float(f0) < 1e-12
+
+
+# Every scan-workload group with its connection classes, plus the README's
+# z:8 walk and an undirected walk; each is scanned from two sources.
+GRID_CASES = [
+    ("m2:7", [2, 10, 17, 18, 26, 32, 34, 42, 50, 58], True),
+    ("wreath:z:3:3", [3, 6], True),
+    ("es3:2", [1, 3, 5, 11, 29], True),
+    ("z3^6", [1, 3, 9, 27, 81, 243], True),
+    ("z:8", [1, 2, 5], True),
+    ("z:4", [1, 3], False),
+]
+
+
+@pytest.mark.parametrize("spec, classes, oriented", GRID_CASES)
+def test_blocked_grid_matches_pointwise_scan(spec, classes, oriented):
+    g = build_group(parse_group_spec(spec))
+    graph = cayley_graph(g, conjugacy(g), classes, oriented=oriented)
+    build = build_operator if oriented else build_hermitian_operator
+    op = build(adjacency_matrix(graph))
+    grid = np.linspace(0.0, 12.6, SCAN_STEPS + 1)
+    for a in (g.identity, g.order - 1):
+        targets, values = _best_offdiagonal_grid(op, grid, a)
+        for t, b_grid, f_grid in zip(grid.tolist(), targets.tolist(), values.tolist()):
+            b, f = _best_offdiagonal(op, t, a)
+            assert abs(f_grid - f) <= 1e-12, (spec, a, t)
+            if b_grid != b:
+                # Only a near-tie between best and runner-up may pick another target.
+                mags = np.abs(evolve_column(op, t, a))
+                mags[a] = -1.0
+                assert f - np.partition(mags, -2)[-2] <= 1e-9, (spec, a, t)
+
+
+def test_scan_workload_matches_reference_at_its_seed(capsys):
+    """The scan workload's es3:2 CSV and z3^6 JSON commands, run at the
+    reference seed, pass the benchmark's own checks, exact CSV targets
+    included."""
+    bench = ROOT / "bench"
+    workloads = runpy.run_path(str(bench / "workloads.py"))
+    check = runpy.run_path(str(bench / "check.py"))
+    seed = workloads["REFERENCE_SEED"]
+    refs = json.loads((bench / "reference" / "scan.json").read_text(encoding="utf-8"))
+    cmds = workloads["WORKLOADS"]["scan"]
+    picked = [i for i, cmd in enumerate(cmds) if cmd.fmt == "csv" or "z3^6" in cmd.args]
+    assert len(picked) == 2
+    for i in picked:
+        cmd, ref = cmds[i], refs["commands"][i]
+        argv = cmd.argv(seed)
+        assert argv == ref["argv"]
+        assert main(argv) == EXIT_OK
+        out = capsys.readouterr().out
+        source = workloads["scan_source"](seed, cmd.scan_order)
+        if cmd.fmt == "csv":
+            problems = check["check_csv_scan"](out, ref["stdout"], source, ref["source"])
+        else:
+            problems = check["check_scan"](json.loads(out), ref["stdout"], source)
+        assert problems == [], (argv, problems)
