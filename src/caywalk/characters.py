@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -28,11 +29,14 @@ from .errors import (
     SchemaError,
     SizeLimitError,
 )
-from .groups import ConjugacyData, GroupTable, digits_of, element_order
+from .groups import ConjugacyData, GroupTable, element_order
 
 PROVENANCE_CLOSED = "closed-form"
 PROVENANCE_NUMERICAL = "numerical"
 PROVENANCE_IMPORTED = "imported"
+
+# _stabilizers_from compares this many table entries (16 MB) at a time.
+_GALOIS_BLOCK_ENTRIES = 2**20
 
 
 @dataclass(eq=False)
@@ -96,19 +100,23 @@ def abelian_character_table(r: int, n: int, tol: float = VALUE_TOL) -> Character
     """Closed-form table of Z_r^n.
 
     Character v sends element w to exp(2*pi*i * (v.w) / r); rows and columns
-    share the digit-vector enumeration of the group elements.
+    share the digit-vector enumeration of the group elements. The exponents
+    v.w mod r are checked exactly by _closed_form_defects before use.
     """
     if r < 1 or n < 1:
         raise InvalidParameterError("need r >= 1 and n >= 1")
     order = r**n
-    vecs = np.array([digits_of(i, r, n) for i in range(order)], dtype=np.int64)
-    dots = (vecs @ vecs.T) % r
-    values = np.exp(2j * np.pi * dots / r)
-    cyclotomic = np.zeros((order, order, r), dtype=np.int64)
-    rows, cols = np.indices((order, order))
-    cyclotomic[rows, cols, dots] = 1
-    table = CharacterTable(
-        values=values,
+    dots = _pairing_matrix(r, n)
+    defects = _closed_form_defects(dots, r, n)
+    if defects:
+        raise NumericalFailureError("closed form failed validation: " + "; ".join(defects))
+    zeta = np.exp(2j * np.pi * np.arange(r) / r)
+    # cyclotomic[v, w] is the one-hot vector of dots[v, w], built as the
+    # planes dots == k and viewed as (v, w, k); 0/1 fits int8 for every r.
+    planes = dots == np.arange(r, dtype=dots.dtype)[:, None, None]
+    cyclotomic = np.moveaxis(planes, 0, -1).view(np.int8)
+    return CharacterTable(
+        values=zeta[dots],
         degrees=np.ones(order, dtype=np.int64),
         class_sizes=np.ones(order, dtype=np.int64),
         exponent=r,
@@ -116,10 +124,61 @@ def abelian_character_table(r: int, n: int, tol: float = VALUE_TOL) -> Character
         tolerance=tol,
         cyclotomic=cyclotomic,
     )
-    defects = _table_defects(values, table.degrees, table.class_sizes, tol)
-    if defects:
-        raise NumericalFailureError("closed form failed validation: " + "; ".join(defects))
-    return table
+
+
+def _pairing_matrix(r: int, n: int) -> np.ndarray:
+    """D[v, w] = v.w mod r over base-r digit vectors, most significant first.
+
+    Grown one leading digit at a time like groups.build_abelian_power:
+    D[f*m + a, g*m + b] = (f*g + D_m[a, b]) mod r for the r^k = m table D_m.
+    """
+    dtype = np.int8 if r <= 64 else np.int32  # f*g + D_m < 2r must fit
+    digit = np.arange(r, dtype=np.int64)
+    step = (np.multiply.outer(digit, digit) % r).astype(dtype)
+    dots = step
+    for _ in range(n - 1):
+        m = dots.shape[0]
+        grown = step[:, None, :, None] + dots[None, :, None, :]
+        grown %= r
+        dots = grown.reshape(m * r, m * r)
+    return dots
+
+
+def _closed_form_defects(dots: np.ndarray, r: int, n: int) -> list[str]:
+    """Exact failures of an exponent matrix as the table of Z_r^n, empty when sound.
+
+    Row v is read as the function w -> dots[v, w] into Z_r. It is a
+    homomorphism when it vanishes at 0 and, for every generator e_k and every
+    g, dots[v, g + e_k] = dots[v, g] + dots[v, e_k] mod r: every element is a
+    sum of generators from 0, so the row is then the homomorphism its
+    generator images define. Rows with pairwise distinct generator images
+    are |G| distinct linear characters of an abelian group of order |G|,
+    which is all of its irreducible characters: the check is a proof, with
+    no tolerance.
+    """
+    order = r**n
+    if dots.shape != (order, order):
+        return [f"shape {dots.shape} is not {order} x {order}"]
+    if dots.min() < 0 or dots.max() >= r:
+        return [f"an exponent lies outside 0..{r - 1}"]
+    if np.any(dots[:, 0] != 0):
+        return ["a row is nonzero at the identity"]
+    if r == 1:
+        return []  # the trivial group: its one row is the trivial character
+    gens = [r ** (n - 1 - k) for k in range(n)]
+    for k, place in enumerate(gens):
+        # Column g + e_k of row v sits one step further along digit k of g.
+        grid = dots.reshape(order, r**k, r, place)
+        diff = np.roll(grid, -1, axis=2).reshape(order, order)
+        diff -= dots
+        diff -= dots[:, place:place + 1]
+        # Every term lies in 0..r-1, so diff = 0 mod r means diff is 0 or -r.
+        if not np.all((diff == 0) | (diff == -r)):
+            return [f"a row is not additive along generator {place}"]
+    images = dots[:, gens].astype(np.int64) @ (r ** np.arange(n - 1, -1, -1, dtype=np.int64))
+    if np.unique(images).size != order:
+        return ["two rows agree on every generator"]
+    return []
 
 
 def _canonical_row_order(values: np.ndarray, degrees: np.ndarray) -> list[int]:
@@ -248,20 +307,29 @@ class GaloisData:
     units: tuple[int, ...]
     stabilizers: tuple[tuple[int, ...], ...]
 
+    @cached_property
+    def stabilizer_mask(self) -> np.ndarray:
+        """mask[i, u] is True when units[u] lies in stabilizers[i]."""
+        pos = {k: u for u, k in enumerate(self.units)}
+        mask = np.zeros((len(self.stabilizers), len(self.units)), dtype=bool)
+        for i, stab in enumerate(self.stabilizers):
+            mask[i, [pos[k] for k in stab]] = True
+        return mask
+
 
 def _stabilizers_from(table: CharacterTable,
                       power_perm: Callable[[int], Sequence[int]],
                       units: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    stabs = []
-    for i in range(table.n_chars):
-        row = table.values[i]
-        mine = []
-        for k in units:
-            perm = np.asarray(power_perm(k))
-            if np.max(np.abs(row[perm] - row)) < table.tolerance:
-                mine.append(k)
-        stabs.append(tuple(mine))
-    return tuple(stabs)
+    values = table.values
+    perms = [np.asarray(power_perm(k)) for k in units]
+    fixed = np.empty((table.n_chars, len(units)), dtype=bool)
+    block = max(1, _GALOIS_BLOCK_ENTRIES // table.n_classes)
+    for lo in range(0, table.n_chars, block):
+        rows = values[lo:lo + block]
+        for u, perm in enumerate(perms):
+            drift = np.max(np.abs(rows[:, perm] - rows), axis=1)
+            fixed[lo:lo + block, u] = drift < table.tolerance
+    return tuple(tuple(k for k, f in zip(units, row) if f) for row in fixed.tolist())
 
 
 def galois_stabilizers(table: CharacterTable, conj: ConjugacyData) -> GaloisData:

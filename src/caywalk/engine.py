@@ -350,29 +350,33 @@ class NonexistenceWitness:
     exponent: int
 
 
-def _kernel_contains(table: CharacterTable, char_index: int, z_class: int) -> bool:
-    row = table.values[char_index]
-    return bool(abs(row[z_class] - row[0]) < table.tolerance)
-
-
 def nonexistence_witness_classes(table: CharacterTable, galois: GaloisData,
                                  z_class: int,
                                  z_label: int = -1) -> NonexistenceWitness | None:
-    """Greedy witness search on class-level data."""
+    """Greedy witness search on class-level data.
+
+    Walks the characters whose kernel misses z's class in row order and keeps
+    the first one, then each one whose stabilizer has a unit outside the
+    closure of those kept, until that closure is every unit.
+    """
+    values = table.values
+    in_kernel = np.abs(values[:, z_class] - values[:, 0]) < table.tolerance
+    outside = np.flatnonzero(~in_kernel)
+    fixes = galois.stabilizer_mask[outside]
     units = set(galois.units)
     covered = {1}
     chosen: list[int] = []
-    for i in range(table.n_chars):
-        if _kernel_contains(table, i, z_class):
-            continue
-        stab = set(galois.stabilizers[i])
-        if chosen and stab <= covered:
-            continue
+    pos = 0  # position in outside of the next character to keep
+    while pos < len(outside):
+        i = int(outside[pos])
         chosen.append(i)
-        covered = unit_closure(galois.exponent, covered | stab)
+        covered = unit_closure(galois.exponent, covered | set(galois.stabilizers[i]))
         if covered == units:
             return NonexistenceWitness(z=z_label, char_indices=tuple(chosen),
                                        exponent=galois.exponent)
+        fresh = ~np.isin(galois.units, list(covered))
+        hits = np.flatnonzero((fixes[pos + 1:] & fresh).any(axis=1))
+        pos = pos + 1 + int(hits[0]) if hits.size else len(outside)
     return None
 
 

@@ -32,6 +32,8 @@ from .errors import (
 FULL_ASSOC_LIMIT = 256
 ASSOC_SPOT_FACTOR = 10
 ASSOC_SPOT_SEED = 1729
+# conjugacy forms its conjugation table this many entries (8 MB) at a time.
+_CONJ_BLOCK_ENTRIES = 2**20
 
 
 @dataclass(frozen=True)
@@ -192,11 +194,17 @@ def build_abelian_power(r: int, n: int, max_order: int = DEFAULT_MAX_ORDER) -> G
         raise InvalidParameterError("need r >= 1 and n >= 1")
     order = r**n
     _check_order_cap(order, max_order)
-    vecs = np.array([digits_of(i, r, n) for i in range(order)], dtype=np.int64)
-    sums = (vecs[:, None, :] + vecs[None, :, :]) % r
-    weights = r ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    mul = sums @ weights
-    labels = ["(" + ",".join(map(str, v)) + ")" for v in vecs]
+    # Grow the table one leading digit at a time: with T the table of the
+    # last m = r^k elements, element f*m + a times g*m + b is
+    # ((f + g) mod r)*m + T[a, b]. The result is the only O(|G|^2) array held.
+    digit = np.arange(r, dtype=np.int32)
+    step = np.add.outer(digit, digit) % r
+    mul = step
+    for _ in range(n - 1):
+        m = mul.shape[0]
+        mul = (step[:, None, :, None] * m + mul[None, :, None, :]).reshape(m * r, m * r)
+    labels = ["(" + ",".join(map(str, v)) + ")"
+              for v in itertools.product(range(r), repeat=n)]
     return _finish(mul, labels, GroupSpec("abelian", r=r, n=n))
 
 
@@ -501,36 +509,61 @@ def element_order(group: GroupTable, g: int) -> int:
 
 
 def conjugacy(group: GroupTable) -> ConjugacyData:
-    """Conjugacy classes by orbit enumeration, identity class first."""
-    n = group.order
-    mul, inv = group.mul, group.inv
-    class_of = np.full(n, -1, dtype=np.int64)
-    classes: list[tuple[int, ...]] = []
-    everyone = np.arange(n)
+    """Conjugacy classes, identity class first, the rest by minimal element.
 
-    for g in range(n):
-        if class_of[g] >= 0:
-            continue
-        orbit = np.unique(mul[mul[everyone, g], inv[everyone]])
-        idx = len(classes)
-        classes.append(tuple(int(x) for x in orbit))
-        class_of[orbit] = idx
+    Each element's class is named by its smallest conjugate. Row g of the
+    conjugation table, h^-1 g h over all h, lists g's class, so its minimum
+    names every element in it. Rows are formed for a block of still unnamed
+    elements at a time, doubling up to _CONJ_BLOCK_ENTRIES entries, so no
+    |G| x |G| array is held and a group with few classes forms few rows.
+    """
+    n = group.order
+    mul, inv, e = group.mul, group.inv, group.identity
+    rep = np.full(n, -1, dtype=np.int64)
+    pending = np.arange(n)
+    cap = max(1, _CONJ_BLOCK_ENTRIES // n)
+    block = min(64, cap)
+    while pending.size:
+        g = pending[:block]
+        # rows[i, h] = h^-1 * (g[i] * h), all conjugates of g[i].
+        rows = mul[inv[None, :], mul[g]]
+        rep[rows] = rows.min(axis=1)[:, None]
+        pending = pending[block:]
+        pending = pending[rep[pending] < 0]
+        block = min(2 * block, cap)
 
     # Canonical order: identity singleton first, the rest by minimal element.
-    order_key = sorted(range(len(classes)),
-                       key=lambda j: (classes[j][0] != group.identity, classes[j][0]))
-    classes = [classes[j] for j in order_key]
-    remap = {old: new for new, old in enumerate(order_key)}
-    class_of = np.array([remap[int(c)] for c in class_of], dtype=np.int64)
+    mins = np.unique(rep)
+    mins = np.concatenate(([e], mins[mins != e]))
+    slot = np.empty(n, dtype=np.int64)
+    slot[mins] = np.arange(len(mins))
+    class_of = slot[rep]
+    sizes = np.bincount(class_of)
+    members = np.split(np.argsort(class_of, kind="stable"), np.cumsum(sizes)[:-1])
+    classes = tuple(tuple(part.tolist()) for part in members)
 
-    class_inv = tuple(int(class_of[group.inv[cls[0]]]) for cls in classes)
-    center = tuple(int(g) for g in range(n)
-                   if np.array_equal(mul[g], mul[:, g]))
-    exponent = 1
-    for g in range(n):
-        exponent = math.lcm(exponent, element_order(group, g))
-    return ConjugacyData(group=group, classes=tuple(classes), class_of=class_of,
+    class_inv = tuple(class_of[inv[mins]].tolist())
+    # g is central exactly when its class is {g}.
+    center = tuple(np.flatnonzero(sizes[class_of] == 1).tolist())
+    exponent = math.lcm(*np.unique(_element_orders(group)).tolist())
+    return ConjugacyData(group=group, classes=classes, class_of=class_of,
                          class_inv=class_inv, center=center, exponent=exponent)
+
+
+def _element_orders(group: GroupTable) -> np.ndarray:
+    """Order of every element, by stepping all powers g^k at once."""
+    n, e = group.order, group.identity
+    orders = np.ones(n, dtype=np.int64)
+    pending = np.flatnonzero(np.arange(n) != e)
+    cur = pending.copy()
+    k = 1
+    while pending.size:
+        k += 1
+        cur = group.mul[cur, pending]
+        done = cur == e
+        orders[pending[done]] = k
+        pending, cur = pending[~done], cur[~done]
+    return orders
 
 
 # ---------------------------------------------------------------------------

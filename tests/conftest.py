@@ -7,11 +7,25 @@ library results are checked against a second, structurally different route.
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 import pytest
 
-from caywalk.groups import GroupTable, _word, digits_of, index_of_digits
+from caywalk.characters import unit_closure
+from caywalk.engine import NonexistenceWitness
+from caywalk.groups import (
+    ConjugacyData,
+    GroupTable,
+    _word,
+    digits_of,
+    element_order,
+    index_of_digits,
+)
+
+# Cyclic orders for the differential tests: every order to 64, then prime
+# powers and products up to 729 (orbit_conjugacy takes O(r^2) Python steps).
+CYCLIC_ORDERS = (*range(1, 65), 81, 100, 121, 125, 128, 243, 256, 343, 360, 512, 625, 729)
 
 
 def permutation_group_table(n: int) -> GroupTable:
@@ -123,6 +137,43 @@ def winding_search_times(graph, table, tol: float = 1e-8,
     return found
 
 
+def row_loop_stabilizers(table, power_perm, units) -> tuple[tuple[int, ...], ...]:
+    """Galois stabilizers tested one row and one unit at a time.
+
+    The earlier body of characters._stabilizers_from, kept as the reference
+    for its blocked form.
+    """
+    stabs = []
+    for row in table.values:
+        stabs.append(tuple(k for k in units
+                           if np.max(np.abs(row[np.asarray(power_perm(k))] - row))
+                           < table.tolerance))
+    return tuple(stabs)
+
+
+def row_loop_witness(table, galois, z_class: int, z_label: int = -1):
+    """Greedy nonexistence witness with one kernel test per row.
+
+    The earlier body of engine.nonexistence_witness_classes, kept as the
+    reference for its masked form.
+    """
+    units = set(galois.units)
+    covered = {1}
+    chosen: list[int] = []
+    for i, row in enumerate(table.values):
+        if abs(row[z_class] - row[0]) < table.tolerance:
+            continue
+        stab = set(galois.stabilizers[i])
+        if chosen and stab <= covered:
+            continue
+        chosen.append(i)
+        covered = unit_closure(galois.exponent, covered | stab)
+        if covered == units:
+            return NonexistenceWitness(z=z_label, char_indices=tuple(chosen),
+                                       exponent=galois.exponent)
+    return None
+
+
 def loop_extraspecial3(n: int, exponent_type: int = 3) -> tuple[np.ndarray, list[str]]:
     """(mul, labels) of the extraspecial 3-group, by a plain double loop.
 
@@ -180,6 +231,56 @@ def loop_modular_maximal_cyclic(n: int) -> tuple[np.ndarray, list[str]]:
             mul[2 * i1 + j1, 2 * i2 + j2] = 2 * i + j
     labels = [_word([("x", i), ("sigma", j)]) for i in range(half) for j in range(2)]
     return mul, labels
+
+
+def digit_sum_abelian_power(r: int, n: int) -> tuple[np.ndarray, list[str]]:
+    """(mul, labels) of Z_r^n from all pairwise digit-vector sums at once.
+
+    The constructor's earlier body, kept as the reference for its digit-by-digit
+    growth; it holds a |G| x |G| x n array.
+    """
+    order = r**n
+    vecs = np.array([digits_of(i, r, n) for i in range(order)], dtype=np.int64)
+    sums = (vecs[:, None, :] + vecs[None, :, :]) % r
+    weights = r ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    labels = ["(" + ",".join(map(str, v)) + ")" for v in vecs]
+    return sums @ weights, labels
+
+
+def orbit_conjugacy(group: GroupTable) -> ConjugacyData:
+    """Conjugacy data by enumerating one orbit per unclassified element.
+
+    The earlier body of groups.conjugacy, kept as the reference for its
+    blocked form: a Python loop over orbits, one element order at a time.
+    """
+    n = group.order
+    mul, inv = group.mul, group.inv
+    class_of = np.full(n, -1, dtype=np.int64)
+    classes: list[tuple[int, ...]] = []
+    everyone = np.arange(n)
+
+    for g in range(n):
+        if class_of[g] >= 0:
+            continue
+        orbit = np.unique(mul[mul[everyone, g], inv[everyone]])
+        idx = len(classes)
+        classes.append(tuple(int(x) for x in orbit))
+        class_of[orbit] = idx
+
+    order_key = sorted(range(len(classes)),
+                       key=lambda j: (classes[j][0] != group.identity, classes[j][0]))
+    classes = [classes[j] for j in order_key]
+    remap = {old: new for new, old in enumerate(order_key)}
+    class_of = np.array([remap[int(c)] for c in class_of], dtype=np.int64)
+
+    class_inv = tuple(int(class_of[group.inv[cls[0]]]) for cls in classes)
+    center = tuple(int(g) for g in range(n)
+                   if np.array_equal(mul[g], mul[:, g]))
+    exponent = 1
+    for g in range(n):
+        exponent = math.lcm(exponent, element_order(group, g))
+    return ConjugacyData(group=group, classes=tuple(classes), class_of=class_of,
+                         class_inv=class_inv, center=center, exponent=exponent)
 
 
 @pytest.fixture(scope="session")

@@ -1,12 +1,17 @@
 """Character tables: closed form, class-algebra numerics, Galois data, interchange."""
 import copy
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from caywalk import characters
 from caywalk.characters import (
     CorruptTableError,
+    _closed_form_defects,
+    _pairing_matrix,
+    _table_defects,
     abelian_character_table,
     character_table_for,
     character_table_numerical,
@@ -21,10 +26,10 @@ from caywalk.characters import (
     structure_constants,
     units_mod,
 )
-from caywalk.errors import SchemaError
+from caywalk.errors import NumericalFailureError, SchemaError
 from caywalk.groups import build_abelian_power, build_cyclic, build_extraspecial3, conjugacy
 
-from conftest import permutation_group_table
+from conftest import CYCLIC_ORDERS, permutation_group_table
 
 
 def rounded_rows(values, places=8):
@@ -65,6 +70,80 @@ def test_abelian_closed_form_z3_squared():
 def test_abelian_closed_form_rejects_bad_shape():
     with pytest.raises(Exception):
         abelian_character_table(0, 1)
+
+
+def closed_form_shapes(max_order: int) -> list[tuple[int, int]]:
+    """(r, n) of every closed-form table up to max_order the tests cover."""
+    shapes = [(r, 1) for r in CYCLIC_ORDERS if r <= max_order]
+    return shapes + [(r, n) for r in range(2, max_order) for n in range(2, 11)
+                     if r**n <= max_order]
+
+
+def test_closed_form_tables_pass_the_gram_checks():
+    # The exact check replaces the orthogonality checks on this path; they
+    # still hold on every closed-form table.
+    for r, n in closed_form_shapes(729):
+        t = abelian_character_table(r, n)
+        assert _table_defects(t.values, t.degrees, t.class_sizes, t.tolerance) == [], (r, n)
+
+
+def corrupt_flip(dots, r):
+    dots = dots.copy()
+    dots[5, 7] = (dots[5, 7] + 1) % r
+    return dots
+
+
+def corrupt_duplicate_row(dots, r):
+    dots = dots.copy()
+    dots[4] = dots[3]
+    return dots
+
+
+@pytest.mark.parametrize("corrupt", [corrupt_flip, corrupt_duplicate_row])
+@pytest.mark.parametrize("r, n", [(3, 2), (2, 4), (4, 3), (5, 2)])
+def test_closed_form_rejects_a_corrupted_exponent_matrix(monkeypatch, corrupt, r, n):
+    sound = _pairing_matrix(r, n)
+    assert _closed_form_defects(sound, r, n) == []
+    monkeypatch.setattr(characters, "_pairing_matrix",
+                        lambda r, n: corrupt(sound, r))
+    with pytest.raises(NumericalFailureError, match="closed form failed validation"):
+        abelian_character_table(r, n)
+
+
+def test_closed_form_check_names_each_defect():
+    dots = _pairing_matrix(3, 3)
+    for words, entry, value in [("outside 0..2", (1, 1), 3),
+                                ("nonzero at the identity", (2, 0), 1),
+                                ("not additive", (7, 13), (dots[7, 13] + 2) % 3)]:
+        bad = dots.copy()
+        bad[entry] = value
+        assert words in _closed_form_defects(bad, 3, 3)[0], words
+    assert "agree on every generator" in _closed_form_defects(
+        corrupt_duplicate_row(dots, 3), 3, 3)[0]
+    assert "shape" in _closed_form_defects(dots[:9], 3, 3)[0]
+
+
+def test_closed_form_accepts_rows_in_any_order():
+    # The proof needs distinct homomorphisms, not a particular row order.
+    dots = _pairing_matrix(3, 3)
+    assert _closed_form_defects(dots[::-1].copy(), 3, 3) == []
+
+
+def test_abelian_build_and_table_peak_memory():
+    # Peak traced allocation of the Z_3^6 group and its table, in units of
+    # |G|^2 bytes. The table keeps 16 (complex values) + 3 (one-hot exponents)
+    # and the group 4 (int32 mul); digit-vector sums over all pairs and dense
+    # Gram checks peaked near 150.
+    build_abelian_power(2, 2)
+    abelian_character_table(2, 2)
+    tracemalloc.start()
+    try:
+        group = build_abelian_power(3, 6)
+        abelian_character_table(3, 6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 * group.order**2
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,7 @@ from caywalk.engine import (
     check_transfer_classes,
     compute_S_e,
     nonexistence_witness,
+    nonexistence_witness_classes,
     parse_time,
     partition_into_transfer_classes,
     residual_at,
@@ -47,7 +48,7 @@ from caywalk.groups import (
     index_of_digits,
     parse_group_spec,
 )
-from conftest import winding_search_times
+from conftest import row_loop_stabilizers, row_loop_witness, winding_search_times
 
 TAU3 = 2 * math.pi / (3 * math.sqrt(3.0))
 
@@ -336,6 +337,26 @@ def test_witness_forbids_transfer_on_cyclic6():
     for i in w.char_indices:
         assert abs(table.values[i, 3] - table.values[i, 0]) > 0.5
     assert set(gal.stabilizers[1]) | set(gal.stabilizers[3]) == {1, 5}
+
+
+@pytest.mark.parametrize("spec, some_witness", [
+    ("z:12", True), ("z4^2", True), ("z6^2", True), ("m2:5", True),
+    ("wreath:z:3:2", True), ("wreath:z:4:2", True),
+    # exponent 3: the only real character is the trivial one
+    ("z3^4", False), ("es3:1", False), ("es3:1:9", False),
+])
+def test_witness_search_matches_row_loop_reference(spec, some_witness):
+    g = build_group(parse_group_spec(spec))
+    conj = conjugacy(g)
+    table = character_table_for(g, conj)
+    gal = galois_stabilizers(table, conj)
+    assert gal.stabilizers == row_loop_stabilizers(table, conj.class_power, gal.units)
+    found = 0
+    for j in range(table.n_classes):
+        got = nonexistence_witness_classes(table, gal, j, z_label=j)
+        assert got == row_loop_witness(table, gal, j, z_label=j), (spec, j)
+        found += got is not None
+    assert (found > 0) == some_witness
 
 
 def test_witness_absent_when_transfer_exists():

@@ -1,5 +1,6 @@
 """Group tables, family constructors, conjugacy machinery, JSON interchange."""
 import json
+import math
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from caywalk.groups import (
     build_extraspecial3,
     build_modular_maximal_cyclic,
     build_wreath_sym,
+    build_group,
     conjugacy,
     cycle_product,
     derived_series_solvable,
@@ -30,6 +32,7 @@ from caywalk.groups import (
     group_to_json,
     index_of_digits,
     load_group,
+    parse_group_spec,
     permutation_cycles,
     power,
     save_group,
@@ -38,11 +41,34 @@ from caywalk.groups import (
 )
 
 from conftest import (
+    CYCLIC_ORDERS,
     brute_conjugacy_classes,
+    digit_sum_abelian_power,
     loop_extraspecial3,
     loop_modular_maximal_cyclic,
+    orbit_conjugacy,
     permutation_group_table,
 )
+
+
+def family_members(max_order: int) -> list[str]:
+    """Specs of the family members up to max_order the differential tests cover.
+
+    Every abelian power z<r>^<n> with n >= 2, every extraspecial3 and m2
+    member, every wreath product over z:2..z:6 and es3:1 / es3:1:9, and the
+    cyclic groups of CYCLIC_ORDERS.
+    """
+    specs = [f"z:{r}" for r in CYCLIC_ORDERS if r <= max_order]
+    specs += [f"z{r}^{n}" for r in range(2, max_order) for n in range(2, 11)
+              if r**n <= max_order]
+    specs += [f"es3:{n}" for n in (1, 2, 3) if 3 ** (2 * n + 1) <= max_order]
+    specs += ["es3:1:9"] if 27 <= max_order else []
+    specs += [f"m2:{n}" for n in range(4, 13) if 2**n <= max_order]
+    for base, size in [("z:2", 2), ("z:3", 3), ("z:4", 4), ("z:5", 5), ("z:6", 6),
+                       ("es3:1", 27), ("es3:1:9", 27)]:
+        specs += [f"wreath:{base}:{n}" for n in range(1, 7)
+                  if size**n * math.factorial(n) <= max_order]
+    return specs
 
 
 def test_cyclic_table():
@@ -166,6 +192,54 @@ def test_array_constructors_match_double_loops(build, reference, args):
     mul, labels = reference(*args)
     assert np.array_equal(g.mul, mul)
     assert g.labels == tuple(labels)
+
+
+@pytest.mark.parametrize("r", (2, 3, 4))
+def test_abelian_power_matches_digit_sum_reference(r):
+    n = 1
+    while r**n <= 729:
+        g = build_abelian_power(r, n)
+        mul, labels = digit_sum_abelian_power(r, n)
+        assert np.array_equal(g.mul, mul), (r, n)
+        assert g.labels == tuple(labels), (r, n)
+        n += 1
+
+
+def assert_same_conjugacy(group: GroupTable) -> None:
+    got, want = conjugacy(group), orbit_conjugacy(group)
+    assert got.classes == want.classes
+    assert got.class_of.dtype == want.class_of.dtype
+    assert np.array_equal(got.class_of, want.class_of)
+    assert got.class_inv == want.class_inv
+    assert got.center == want.center
+    assert got.exponent == want.exponent
+
+
+def test_conjugacy_matches_orbit_reference_on_every_family_member():
+    specs = family_members(729)
+    assert {"z3^6", "z4^4", "z2^9", "es3:2", "m2:9", "wreath:z:3:3",
+            "wreath:z:2:4", "wreath:es3:1:1", "z:729"} <= set(specs)
+    for spec in specs:
+        group = build_group(parse_group_spec(spec))
+        assert group.order <= 729
+        assert_same_conjugacy(group)
+
+
+@pytest.mark.parametrize("spec", ["wreath:z:2:2", "es3:1:9", "m2:4"])
+def test_conjugacy_matches_reference_when_identity_is_not_element_0(tmp_path, spec):
+    # Relabel element i as (i + 5) mod |G|, so the identity sits at index 5.
+    g = build_group(parse_group_spec(spec))
+    shift = (np.arange(g.order) + 5) % g.order
+    mul = np.empty_like(g.mul)
+    mul[np.ix_(shift, shift)] = shift[g.mul]
+    doc = group_to_json(g)
+    doc.update(identity=int(shift[g.identity]), mul=mul.tolist())
+    path = tmp_path / "shifted.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    shifted = build_group(parse_group_spec(f"file:{path}"))
+    assert shifted.identity == 5
+    assert_same_conjugacy(shifted)
+    assert conjugacy(shifted).classes[0] == (5,)
 
 
 def test_wreath_small_is_dihedral():
