@@ -9,6 +9,7 @@ from types import ModuleType as _ModuleType
 
 from .cayley import (
     CayleyGraph,
+    ConnectionStack,
     ConnectionSet,
     Spectrum,
     adjacency_matrix,

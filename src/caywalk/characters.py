@@ -45,7 +45,9 @@ class CharacterTable:
 
     Column 0 is the identity class. `cyclotomic`, when present, stores each
     value exactly as integer coefficients over the power basis of a primitive
-    exponent-th root of unity.
+    exponent-th root of unity. `root_powers`, when present, stores each value
+    exactly as the power k of that root it equals (closed-form tables); its
+    coefficients are derived only when asked for, by cyclotomic_row.
     """
 
     values: np.ndarray
@@ -55,6 +57,16 @@ class CharacterTable:
     provenance: str
     tolerance: float = VALUE_TOL
     cyclotomic: np.ndarray | None = None
+    root_powers: np.ndarray | None = None
+
+    def cyclotomic_row(self, i: int) -> np.ndarray | None:
+        """Exact coefficients of row i, (classes x exponent), or None if not exact."""
+        if self.cyclotomic is not None:
+            return self.cyclotomic[i]
+        if self.root_powers is None:
+            return None
+        powers = self.root_powers[i]
+        return (powers[:, None] == np.arange(self.exponent, dtype=powers.dtype)).view(np.int8)
 
     @property
     def n_chars(self) -> int:
@@ -111,10 +123,6 @@ def abelian_character_table(r: int, n: int, tol: float = VALUE_TOL) -> Character
     if defects:
         raise NumericalFailureError("closed form failed validation: " + "; ".join(defects))
     zeta = np.exp(2j * np.pi * np.arange(r) / r)
-    # cyclotomic[v, w] is the one-hot vector of dots[v, w], built as the
-    # planes dots == k and viewed as (v, w, k); 0/1 fits int8 for every r.
-    planes = dots == np.arange(r, dtype=dots.dtype)[:, None, None]
-    cyclotomic = np.moveaxis(planes, 0, -1).view(np.int8)
     return CharacterTable(
         values=zeta[dots],
         degrees=np.ones(order, dtype=np.int64),
@@ -122,7 +130,7 @@ def abelian_character_table(r: int, n: int, tol: float = VALUE_TOL) -> Character
         exponent=r,
         provenance=PROVENANCE_CLOSED,
         tolerance=tol,
-        cyclotomic=cyclotomic,
+        root_powers=dots,
     )
 
 
@@ -403,8 +411,9 @@ def export_character_table(table: CharacterTable, conj: ConjugacyData) -> dict:
             "degree": int(table.degrees[i]),
             "values": [[float(v.real), float(v.imag)] for v in table.values[i]],
         }
-        if table.cyclotomic is not None:
-            entry["cyclotomic"] = table.cyclotomic[i].tolist()
+        coefficients = table.cyclotomic_row(i)
+        if coefficients is not None:
+            entry["cyclotomic"] = coefficients.tolist()
         characters.append(entry)
     return {
         "group_order": table.group_order,

@@ -19,7 +19,7 @@ import sys
 import numpy as np
 
 from .cayley import (
-    CayleyGraph,
+    ConnectionStack,
     adjacency_matrix,
     adjacency_to_csv,
     cayley_graph,
@@ -370,20 +370,20 @@ def cmd_sweep(args: argparse.Namespace, config: RunConfig) -> int:
     histogram: dict[int, int] = {}
     certificates = []
     tested = 0
-    for conn in enumerate_oriented_class_unions(conj, max_classes=args.max_classes):
-        graph = CayleyGraph(group=group, conj=conj, conn=conn)
-        if args.connected_only and not is_connected(graph):
-            continue
-        tested += 1
-        report = compute_S_e(graph, table, config)
-        histogram[report.size] = histogram.get(report.size, 0) + 1
-        if report.size > 1:
-            certificates.append({
-                "connection_classes": list(conn.class_indices),
-                "size": report.size,
-                "tau": report.minimal_time,
-                "generator": report.generator,
-            })
+    for stack in enumerate_oriented_class_unions(conj, max_classes=args.max_classes):
+        if args.connected_only:
+            keep = [is_connected(stack.graph(i)) for i in range(len(stack))]
+            stack = ConnectionStack(conj=conj, classes=stack.classes[keep])
+        tested += len(stack)
+        for classes, report in zip(stack.classes, compute_S_e(stack, table, config)):
+            histogram[report.size] = histogram.get(report.size, 0) + 1
+            if report.size > 1:
+                certificates.append({
+                    "connection_classes": classes.tolist(),
+                    "size": report.size,
+                    "tau": report.minimal_time,
+                    "generator": report.generator,
+                })
     doc = {"group": group.family_tag, "sets_tested": tested,
            "histogram": {str(k): histogram[k] for k in sorted(histogram)},
            "certificates": certificates}

@@ -15,7 +15,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .cayley import CayleyGraph, connection_character_sums
+from .cayley import CayleyGraph, ConnectionStack, connection_character_sums
 from .characters import CharacterTable, GaloisData, ImportedTable, unit_closure
 from .config import (
     MAX_DENOMINATOR,
@@ -64,8 +64,11 @@ def parse_time(text: str | float) -> float:
 # ---------------------------------------------------------------------------
 # class-level criterion core
 
-def walk_thetas(table: CharacterTable, conn_classes: Sequence[int]) -> np.ndarray:
-    """theta_chi = (chi(C) - conj chi(C)) / chi(e): the adjacency eigenvalue per row."""
+def walk_thetas(table: CharacterTable, conn_classes: Sequence[int] | np.ndarray) -> np.ndarray:
+    """theta_chi = (chi(C) - conj chi(C)) / chi(e): the adjacency eigenvalue per character.
+
+    A 2-D stack of connection sets gives one row of thetas per set.
+    """
     sums = connection_character_sums(table, conn_classes)
     return (sums - np.conj(sums)) / table.degrees
 
@@ -135,64 +138,72 @@ class SolveOutcome:
 
 STATIC_WALK = "the walk is static: every eigenvalue is 0"
 APERIODIC_WALK = "the spectrum is aperiodic, so the walk transfers to no vertex"
-_BLOCK_ENTRIES = 1 << 20  # bound on each (times x characters x targets) score block
+# Bound on each (sets x times x characters x targets) score block: 1 MB of
+# complex differences, so scoring many sets at once leaves the peak RSS alone.
+_BLOCK_ENTRIES = 1 << 16
 
 
-def walk_frequency(thetas: np.ndarray, value_tol: float) -> tuple[float | None, str | None]:
-    """(omega, None) when the walk is periodic at e with least period 2*pi/omega.
+def walk_frequency(thetas: np.ndarray, value_tol: float) -> np.ndarray:
+    """omega per row of thetas: the walk is periodic at e with least period 2*pi/omega.
 
     The y_chi = theta_chi / i are eigenvalues of the Hermitian -iA, hence
     algebraic integers. The walk is periodic at e exactly when every y_chi^2
     is an integer and the nonzero ones share one squarefree part Delta
     (Godsil, EJC 18 (2011) P23; Godsil & Lato, LAA (2020)); then y_chi =
     +-b_chi sqrt(Delta) and omega = gcd(b_chi) sqrt(Delta) = sqrt(gcd(y_chi^2)).
+    omega is 0 for a static walk (every eigenvalue 0) and nan for an aperiodic one.
     """
     squares = thetas.imag ** 2
     nearest = np.rint(squares)
     # Lenient on purpose: a spectrum wrongly taken as periodic only adds
     # candidate times, which the residual test still rejects.
-    if np.any(np.abs(squares - nearest) > value_tol * (1.0 + squares)):
-        return None, APERIODIC_WALK
-    nonzero = {int(n) for n in nearest if n > 0}
-    if not nonzero:
-        return None, STATIC_WALK
-    first = min(nonzero)  # n shares first's squarefree part iff n * first is a square
-    if any(math.isqrt(n * first) ** 2 != n * first for n in nonzero):
-        return None, APERIODIC_WALK
-    return math.sqrt(math.gcd(*nonzero)), None
+    integral = np.all(np.abs(squares - nearest) <= value_tol * (1.0 + squares), axis=-1)
+    ints = nearest.astype(np.int64)
+    # n shares first's squarefree part iff n * first is a square; the float
+    # root of n * first < 2^63 rounds to the integer root whenever there is one.
+    first = np.where(ints > 0, ints, np.iinfo(np.int64).max).min(axis=-1, keepdims=True)
+    products = np.where(ints > 0, ints * first, 0)
+    roots = np.rint(np.sqrt(products)).astype(np.int64)
+    shared = np.all(roots * roots == products, axis=-1)
+    return np.where(integral & shared, np.sqrt(np.gcd.reduce(ints, axis=-1)), np.nan)
 
 
-def _scan_targets(graph: CayleyGraph, table: CharacterTable, targets: Sequence[int],
-                  n: int, tol: float) -> tuple[np.ndarray, np.ndarray, str | None]:
-    """(tau, residual, reason) for each central target over the times 2*pi*j/(n*omega).
+def _scan_targets(table: CharacterTable, thetas: np.ndarray, omega: np.ndarray,
+                  z_classes: np.ndarray, n: int, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """(tau, residual), sets x targets, over the times 2*pi*j/(n*omega) of each set.
 
     A transfer to z of order m forces exp(m * tau * theta) = 1, so when m
     divides n, j = 1..n-1 covers every transfer within one period and the
     first time under tol is the minimal one. Where nothing hits, tau is the
-    candidate of least residual; residual is inf where no time can work, and
-    reason says why when that holds for every target.
+    candidate of least residual; residual is inf where no time can work: on
+    a set whose walk is not periodic (only periodic sets are scored), or
+    where a static character separates z from e.
     """
-    tau = np.full(len(targets), np.nan)
-    residual = np.full(len(targets), math.inf)
-    thetas = walk_thetas(table, graph.conn.class_indices)
-    omega, reason = walk_frequency(thetas, table.tolerance)
-    if omega is None:
-        return tau, residual, reason
-    times = 2.0 * math.pi * np.arange(1, n) / (n * omega)
-    waves = np.exp(np.outer(times, thetas))
-    static = np.abs(thetas.imag) <= tol
-    block = max(1, _BLOCK_ENTRIES // max(1, times.size * table.n_chars))
-    for lo in range(0, len(targets), block):
-        z_classes = graph.conj.class_of[np.asarray(targets[lo:lo + block])]
-        ratios = table.values[:, z_classes] / table.degrees[:, None]
-        scores = np.max(np.abs(ratios[None, :, :] - waves[:, :, None]), axis=1)
-        # exp(t * 0) = 1 never matches a ratio != 1, so no time can work.
-        scores[:, np.any((np.abs(ratios - 1.0) > tol) & static[:, None], axis=0)] = math.inf
-        hit = scores < tol
-        pick = np.where(hit.any(axis=0), hit.argmax(axis=0), scores.argmin(axis=0))
-        tau[lo:lo + block] = times[pick]
-        residual[lo:lo + block] = scores[pick, np.arange(pick.size)]
-    return tau, residual, None
+    tau = np.full((len(thetas), len(z_classes)), np.nan)
+    residual = np.full(tau.shape, math.inf)
+    rows = np.flatnonzero(omega > 0)
+    if rows.size == 0 or n < 2:
+        return tau, residual
+    times = 2.0 * math.pi * np.arange(1, n) / (n * omega[rows, None])
+    per_target = (n - 1) * table.n_chars
+    width = max(1, min(len(z_classes), _BLOCK_ENTRIES // per_target))
+    height = max(1, _BLOCK_ENTRIES // (per_target * width))
+    for lo in range(0, rows.size, height):
+        block = rows[lo:lo + height]
+        waves = np.exp(times[lo:lo + height, :, None] * thetas[block, None, :])
+        static = np.abs(thetas[block].imag) <= tol
+        for left in range(0, len(z_classes), width):
+            cols = slice(left, left + width)
+            ratios = table.values[:, z_classes[cols]] / table.degrees[:, None]
+            scores = np.max(np.abs(ratios[None, None] - waves[..., None]), axis=2)
+            # exp(t * 0) = 1 never matches a ratio != 1, so no time can work.
+            dead = (static[:, :, None] & (np.abs(ratios - 1.0) > tol)).any(axis=1)
+            scores[np.broadcast_to(dead[:, None, :], scores.shape)] = math.inf
+            hit = scores < tol
+            pick = np.where(hit.any(axis=1), hit.argmax(axis=1), scores.argmin(axis=1))
+            tau[block, cols] = np.take_along_axis(times[lo:lo + height], pick, axis=1)
+            residual[block, cols] = np.take_along_axis(scores, pick[:, None, :], axis=1)[:, 0]
+    return tau, residual
 
 
 def solve_pst_time(graph: CayleyGraph, table: CharacterTable, z: int,
@@ -210,17 +221,21 @@ def solve_pst_time(graph: CayleyGraph, table: CharacterTable, z: int,
     if z not in graph.conj.center:
         raise InvalidParameterError("target must be central")
     tol = config.residual_tol
+    thetas = walk_thetas(table, [graph.conn.class_indices])
+    omega = walk_frequency(thetas, table.tolerance)
+    if not omega[0] > 0:
+        return SolveOutcome(certificate=None, near_miss_residual=math.inf,
+                            reason=STATIC_WALK if omega[0] == 0 else APERIODIC_WALK)
     if z == g.identity:
-        thetas = walk_thetas(table, graph.conn.class_indices)
-        omega, reason = walk_frequency(thetas, table.tolerance)
-        t = 2.0 * math.pi / omega if omega else math.nan
-        res = residual_at(1.0, thetas, t) if omega else math.inf
+        t = 2.0 * math.pi / float(omega[0])
+        res = residual_at(1.0, thetas[0], t)
     else:
-        taus, residuals, reason = _scan_targets(graph, table, [z], element_order(g, z), tol)
-        t, res = float(taus[0]), float(residuals[0])
+        taus, residuals = _scan_targets(table, thetas, omega, graph.conj.class_of[[z]],
+                                        element_order(g, z), tol)
+        t, res = float(taus[0, 0]), float(residuals[0, 0])
     if math.isinf(res):
         return SolveOutcome(certificate=None, near_miss_residual=res,
-                            reason=reason or "a character separating z from e is static")
+                            reason="a character separating z from e is static")
     if res < tol:
         cert = PSTCertificate(z=z, tau=t, residual=res)
         return SolveOutcome(certificate=cert, near_miss_residual=res, near_miss_time=t)
@@ -242,27 +257,49 @@ class MSTReport:
     certificates: Mapping[int, PSTCertificate]
 
 
-def compute_S_e(graph: CayleyGraph, table: CharacterTable,
-                config: RunConfig = DEFAULT_CONFIG) -> MSTReport:
+def compute_S_e(graph: CayleyGraph | ConnectionStack, table: CharacterTable,
+                config: RunConfig = DEFAULT_CONFIG) -> MSTReport | list[MSTReport]:
     """Solve for every central target and assemble the transfer set.
 
+    A graph gives its report; a stack of connection sets gives one report
+    per row, from one blocked pass over every set: theta for all rows, then
+    the periodicity test, then target scores for the periodic rows only.
     Structural facts are verified, not assumed: the set must be the cyclic
     group generated by the earliest target, its size must lie in {2, 3, 4, 6},
     and each power must transfer at the matching multiple of the minimal time.
     A violation raises InvariantBreachError rather than being repaired.
     """
-    g = graph.group
-    targets = [z for z in graph.conj.center if z != g.identity]
-    taus, residuals, _ = _scan_targets(graph, table, targets,
-                                       graph.conj.center_exponent, config.residual_tol)
-    certificates = {targets[i]: PSTCertificate(z=targets[i], tau=float(taus[i]),
-                                               residual=float(residuals[i]))
-                    for i in np.flatnonzero(residuals < config.residual_tol)}
+    if isinstance(graph, CayleyGraph):
+        return _transfer_reports(graph.conj, table, np.array([graph.conn.class_indices]),
+                                 config)[0]
+    return _transfer_reports(graph.conj, table, graph.classes, config)
 
-    if not certificates:
-        return MSTReport(S_e=(g.identity,), size=1, generator=None,
-                         minimal_time=None, certificates={})
 
+def _transfer_reports(conj: ConjugacyData, table: CharacterTable, classes: np.ndarray,
+                      config: RunConfig) -> list[MSTReport]:
+    g = conj.group
+    tol = config.residual_tol
+    targets = np.array([z for z in conj.center if z != g.identity], dtype=np.int64)
+    thetas = walk_thetas(table, classes)
+    omega = walk_frequency(thetas, table.tolerance)
+    taus, residuals = _scan_targets(table, thetas, omega, conj.class_of[targets],
+                                    conj.center_exponent, tol)
+    hits = residuals < tol
+    no_transfer = MSTReport(S_e=(g.identity,), size=1, generator=None,
+                            minimal_time=None, certificates={})
+    reports = [no_transfer] * len(classes)
+    for row in np.flatnonzero(hits.any(axis=1)):
+        certificates = {int(targets[i]): PSTCertificate(z=int(targets[i]), tau=float(taus[row, i]),
+                                                        residual=float(residuals[row, i]))
+                        for i in np.flatnonzero(hits[row])}
+        reports[row] = _transfer_set(conj, table, classes[row], certificates, tol)
+    return reports
+
+
+def _transfer_set(conj: ConjugacyData, table: CharacterTable, conn_classes: np.ndarray,
+                  certificates: dict[int, PSTCertificate], tol: float) -> MSTReport:
+    """The report of one set with certificates, after its structural checks."""
+    g = conj.group
     generator = min(certificates, key=lambda z: (certificates[z].tau, z))
     tau_min = certificates[generator].tau
     members = tuple(sorted({g.identity, *certificates.keys()}))
@@ -275,7 +312,8 @@ def compute_S_e(graph: CayleyGraph, table: CharacterTable,
         raise InvariantBreachError(f"transfer set size {size} is not in {ALLOWED_MST_SIZES}")
     for n in range(1, size):
         zn = power(g, generator, n)
-        res = check_pst_at(graph, table, zn, n * tau_min, config.residual_tol)
+        res = check_transfer_classes(table, conn_classes, int(conj.class_of[zn]),
+                                     n * tau_min, tol)
         if not res.accepted:
             raise InvariantBreachError(
                 f"power law fails: no transfer to generator^{n} at {n} * tau_min")

@@ -332,50 +332,35 @@ class WreathIndexing:
         return self.encode(WreathElement((g,) * self.n, perm))
 
 
-def _compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
-    """Function composition p after q: (p o q)(i) = p(q(i))."""
-    return tuple(p[q[i]] for i in range(len(p)))
-
-
-def _invert(p: tuple[int, ...]) -> tuple[int, ...]:
-    out = [0] * len(p)
-    for i, v in enumerate(p):
-        out[v] = i
-    return tuple(out)
-
-
 def build_wreath_sym(base: GroupTable, n: int,
                      max_order: int = DEFAULT_MAX_ORDER) -> GroupTable:
     """Wreath product base wr S_n with the place-permutation action.
 
     Product rule: (x; p)(y; q) = (x * (p.y); p o q) where (p.y)_i = y_(p^-1(i)).
+    The base part of (x; p)(y; q) depends on x, y and p only, so mul is
+    filled one left permutation at a time, as a (ranks x ranks) table of base
+    coordinates repeated over the right permutations q.
     """
     wi = WreathIndexing(base, n)
     _check_order_cap(wi.order, max_order)
-    order = wi.order
-    elems = [wi.decode(i) for i in range(order)]
-    coords = np.array([el.coords for el in elems], dtype=np.int64)
-    perm_ids = np.array([wi.perm_rank[el.perm] for el in elems], dtype=np.int64)
-
-    comp = np.zeros((wi.fact, wi.fact), dtype=np.int64)
-    for a, p in enumerate(wi.perms):
-        for b, q in enumerate(wi.perms):
-            comp[a, b] = wi.perm_rank[_compose(p, q)]
-
     weights = base.order ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    ranks = base.order ** n
+    digits = np.arange(ranks, dtype=np.int64)[:, None] // weights % base.order
+    perms = np.array(wi.perms, dtype=np.int64).reshape(wi.fact, n)
+    # Permutations are listed lexicographically, so their base-n keys ascend.
+    keys = n ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    comp = np.searchsorted(perms @ keys, perms[:, perms] @ keys)  # rank of p o q
     bmul = base.mul.astype(np.int64)
-    mul = np.zeros((order, order), dtype=np.int64)
-    for a in range(order):
-        pa = elems[a].perm
-        pinv = _invert(pa)
-        shuffled = coords[:, pinv]
-        prod_coords = bmul[np.asarray(elems[a].coords), shuffled]
-        mul[a] = (prod_coords @ weights) * wi.fact + comp[perm_ids[a], perm_ids]
-
-    labels = []
-    for el in elems:
-        inner = ",".join(base.labels[c] for c in el.coords)
-        labels.append(f"({inner};{_perm_label(el.perm)})")
+    mul = np.empty((ranks, wi.fact, ranks, wi.fact), dtype=np.int32)
+    for a, pinv in enumerate(np.argsort(perms, axis=1)):
+        coords = sum(bmul[digits[:, i, None], digits[None, :, pinv[i]]] * weights[i]
+                     for i in range(n))
+        mul[:, a] = coords[:, :, None] * wi.fact + comp[a]
+    mul = mul.reshape(wi.order, wi.order)
+    perm_labels = [_perm_label(perm) for perm in wi.perms]
+    labels = [f"({','.join(base.labels[c] for c in coords)};{perm_label})"
+              for coords in itertools.product(range(base.order), repeat=n)
+              for perm_label in perm_labels]
     return _finish(mul, labels, GroupSpec("wreath", n=n, base=base.spec))
 
 

@@ -13,14 +13,27 @@ import numpy as np
 import pytest
 
 from caywalk.characters import unit_closure
-from caywalk.engine import NonexistenceWitness
+from caywalk.engine import (
+    ALLOWED_MST_SIZES,
+    APERIODIC_WALK,
+    STATIC_WALK,
+    MSTReport,
+    NonexistenceWitness,
+    PSTCertificate,
+    check_pst_at,
+)
+from caywalk.errors import InvariantBreachError
 from caywalk.groups import (
     ConjugacyData,
     GroupTable,
+    WreathIndexing,
+    _perm_label,
     _word,
     digits_of,
     element_order,
     index_of_digits,
+    power,
+    subgroup_closure,
 )
 
 # Cyclic orders for the differential tests: every order to 64, then prime
@@ -137,6 +150,97 @@ def winding_search_times(graph, table, tol: float = 1e-8,
     return found
 
 
+def itertools_oriented_sets(conj, max_classes=None):
+    """Oriented class unions one tuple at a time, by itertools.
+
+    The earlier body of cayley.enumerate_oriented_class_unions, kept as the
+    reference for its array form: combination-major, then orientation, and
+    a set is kept when it is not larger than its inverted image.
+    """
+    identity_class = int(conj.class_of[conj.group.identity])
+    pairs = []
+    for c in range(len(conj.classes)):
+        cinv = conj.class_inv[c]
+        if c == identity_class or cinv == c or cinv < c:
+            continue
+        pairs.append((c, cinv))
+    cap = len(pairs) if max_classes is None else min(max_classes, len(pairs))
+    for count in range(1, cap + 1):
+        for combo in itertools.combinations(pairs, count):
+            for orientation in itertools.product((0, 1), repeat=count):
+                chosen = tuple(sorted(pair[side] for pair, side in zip(combo, orientation)))
+                inverted = tuple(sorted(conj.class_inv[c] for c in chosen))
+                if chosen <= inverted:
+                    yield chosen
+
+
+def per_set_walk_frequency(thetas, value_tol):
+    """(omega, None) when periodic, else (None, reason): the earlier scalar test."""
+    squares = thetas.imag ** 2
+    nearest = np.rint(squares)
+    if np.any(np.abs(squares - nearest) > value_tol * (1.0 + squares)):
+        return None, APERIODIC_WALK
+    nonzero = {int(n) for n in nearest if n > 0}
+    if not nonzero:
+        return None, STATIC_WALK
+    first = min(nonzero)
+    if any(math.isqrt(n * first) ** 2 != n * first for n in nonzero):
+        return None, APERIODIC_WALK
+    return math.sqrt(math.gcd(*nonzero)), None
+
+
+def per_set_scan_targets(graph, table, targets, n, tol):
+    """(tau, residual, reason) per central target of one set: the earlier scorer."""
+    tau = np.full(len(targets), np.nan)
+    residual = np.full(len(targets), math.inf)
+    idx = np.asarray(graph.conn.class_indices, dtype=np.int64)
+    sums = table.values[:, idx] @ table.class_sizes[idx].astype(np.float64)
+    thetas = (sums - np.conj(sums)) / table.degrees
+    omega, reason = per_set_walk_frequency(thetas, table.tolerance)
+    if omega is None:
+        return tau, residual, reason
+    times = 2.0 * math.pi * np.arange(1, n) / (n * omega)
+    waves = np.exp(np.outer(times, thetas))
+    static = np.abs(thetas.imag) <= tol
+    for i, z in enumerate(targets):
+        ratios = table.values[:, int(graph.conj.class_of[z])] / table.degrees
+        scores = np.max(np.abs(ratios[None, :] - waves), axis=1)
+        if np.any((np.abs(ratios - 1.0) > tol) & static):
+            scores[:] = math.inf
+        hit = np.flatnonzero(scores < tol)
+        pick = hit[0] if hit.size else int(np.argmin(scores))
+        tau[i], residual[i] = times[pick], scores[pick]
+    return tau, residual, None
+
+
+def per_set_compute_S_e(graph, table, tol: float = 1e-8):
+    """The earlier per-set compute_S_e: scan every central target, then the
+    closure, size and power-law checks, with InvariantBreachError on a breach."""
+    g = graph.group
+    targets = [z for z in graph.conj.center if z != g.identity]
+    taus, residuals, _ = per_set_scan_targets(graph, table, targets,
+                                              graph.conj.center_exponent, tol)
+    certificates = {targets[i]: PSTCertificate(z=targets[i], tau=float(taus[i]),
+                                               residual=float(residuals[i]))
+                    for i in np.flatnonzero(residuals < tol)}
+    if not certificates:
+        return MSTReport(S_e=(g.identity,), size=1, generator=None,
+                         minimal_time=None, certificates={})
+    generator = min(certificates, key=lambda z: (certificates[z].tau, z))
+    tau_min = certificates[generator].tau
+    members = tuple(sorted({g.identity, *certificates.keys()}))
+    if members != subgroup_closure(g, [generator]):
+        raise InvariantBreachError(f"transfer set {members} is not cyclic")
+    size = len(members)
+    if size not in ALLOWED_MST_SIZES:
+        raise InvariantBreachError(f"transfer set size {size} is not allowed")
+    for n in range(1, size):
+        if not check_pst_at(graph, table, power(g, generator, n), n * tau_min, tol).accepted:
+            raise InvariantBreachError(f"power law fails at generator^{n}")
+    return MSTReport(S_e=members, size=size, generator=generator,
+                     minimal_time=tau_min, certificates=certificates)
+
+
 def row_loop_stabilizers(table, power_perm, units) -> tuple[tuple[int, ...], ...]:
     """Galois stabilizers tested one row and one unit at a time.
 
@@ -230,6 +334,37 @@ def loop_modular_maximal_cyclic(n: int) -> tuple[np.ndarray, list[str]]:
             j = (j1 + j2) % 2
             mul[2 * i1 + j1, 2 * i2 + j2] = 2 * i + j
     labels = [_word([("x", i), ("sigma", j)]) for i in range(half) for j in range(2)]
+    return mul, labels
+
+
+def loop_wreath_sym(base: GroupTable, n: int) -> tuple[np.ndarray, list[str]]:
+    """mul and labels of base wr S_n, one row at a time.
+
+    The earlier body of groups.build_wreath_sym, kept as the reference for
+    its array form.
+    """
+    wi = WreathIndexing(base, n)
+    order = wi.order
+    elems = [wi.decode(i) for i in range(order)]
+    coords = np.array([el.coords for el in elems], dtype=np.int64)
+    perm_ids = np.array([wi.perm_rank[el.perm] for el in elems], dtype=np.int64)
+    comp = np.zeros((wi.fact, wi.fact), dtype=np.int64)
+    for a, p in enumerate(wi.perms):
+        for b, q in enumerate(wi.perms):
+            comp[a, b] = wi.perm_rank[tuple(p[q[i]] for i in range(n))]
+    weights = base.order ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    bmul = base.mul.astype(np.int64)
+    mul = np.zeros((order, order), dtype=np.int64)
+    for a in range(order):
+        pa = elems[a].perm
+        pinv = [pa.index(i) for i in range(n)]
+        shuffled = coords[:, pinv]
+        prod_coords = bmul[np.asarray(elems[a].coords), shuffled]
+        mul[a] = (prod_coords @ weights) * wi.fact + comp[perm_ids[a], perm_ids]
+    labels = []
+    for el in elems:
+        inner = ",".join(base.labels[c] for c in el.coords)
+        labels.append(f"({inner};{_perm_label(el.perm)})")
     return mul, labels
 
 

@@ -172,12 +172,11 @@ def test_criterion_3_z4_squared_sweep_and_witnesses():
         table = character_table_for(group, conj)
         histogram: dict[int, int] = {}
         tested = 0
-        for conn in enumerate_oriented_class_unions(conj):
-            graph = CayleyGraph(group=group, conj=conj, conn=conn)
-            report = compute_S_e(graph, table)
-            histogram[report.size] = histogram.get(report.size, 0) + 1
-            register("z4sq_sweep", graph, report)
-            tested += 1
+        for stack in enumerate_oriented_class_unions(conj):
+            for i, report in enumerate(compute_S_e(stack, table)):
+                histogram[report.size] = histogram.get(report.size, 0) + 1
+                register("z4sq_sweep", stack.graph(i), report)
+                tested += 1
         assert tested == 364
         assert histogram.get(4, 0) == 0
         assert histogram.get(3, 0) == 0 and histogram.get(6, 0) == 0

@@ -2,8 +2,10 @@
 import numpy as np
 import pytest
 
+from caywalk import cayley
 from caywalk.cayley import (
     CayleyGraph,
+    ConnectionStack,
     adjacency_matrix,
     adjacency_to_csv,
     cayley_graph,
@@ -215,33 +217,62 @@ def test_is_connected():
     assert not is_connected(cyclic_graph(8, [2]))
 
 
+def enumerated_sets(conj, **kwargs) -> list[tuple[int, ...]]:
+    return [tuple(row) for stack in enumerate_oriented_class_unions(conj, **kwargs)
+            for row in stack.classes.tolist()]
+
+
 def test_enumeration_count_cyclic8():
     conj = conjugacy(build_cyclic(8))
-    sets = list(enumerate_oriented_class_unions(conj))
+    sets = enumerated_sets(conj)
     assert len(sets) == 13
-    seen = {s.class_indices for s in sets}
+    seen = set(sets)
     assert len(seen) == 13
     assert (1, 2, 5) in seen
 
 
 def test_enumeration_is_canonical_and_valid():
     conj = conjugacy(build_cyclic(8))
-    for s in enumerate_oriented_class_unions(conj):
-        make_connection_set(conj, s.class_indices)  # must not raise
-        inverted = tuple(sorted(conj.class_inv[c] for c in s.class_indices))
-        assert s.class_indices <= inverted
+    for s in enumerated_sets(conj):
+        make_connection_set(conj, s)  # must not raise
+        inverted = tuple(sorted(conj.class_inv[c] for c in s))
+        assert s <= inverted
 
 
 def test_enumeration_count_z4_squared():
     conj = conjugacy(build_abelian_power(4, 2))
-    sets = list(enumerate_oriented_class_unions(conj))
+    sets = enumerated_sets(conj)
     assert len(sets) == 364
 
 
 def test_enumeration_class_cap():
     conj = conjugacy(build_cyclic(8))
-    sets = list(enumerate_oriented_class_unions(conj, max_classes=1))
-    assert sorted(s.class_indices for s in sets) == [(1,), (2,), (3,)]
+    sets = enumerated_sets(conj, max_classes=1)
+    assert sorted(sets) == [(1,), (2,), (3,)]
+
+
+def test_enumeration_blocks_keep_one_class_count_and_their_bound(monkeypatch):
+    conj = conjugacy(build_abelian_power(4, 2))
+    monkeypatch.setattr(cayley, "_ENUM_BLOCK_SETS", 16)
+    stacks = list(enumerate_oriented_class_unions(conj))
+    counts = [stack.classes.shape[1] for stack in stacks]
+    assert counts == sorted(counts) and set(counts) == {1, 2, 3, 4, 5, 6}
+    assert all(len(s) <= max(16, 2 ** (s.classes.shape[1] - 1)) for s in stacks)
+    assert max(len(s) for s in stacks) == 32  # one combination of six pairs
+    monkeypatch.undo()
+    assert [tuple(r) for s in stacks for r in s.classes.tolist()] == enumerated_sets(conj)
+
+
+@pytest.mark.parametrize("rows, rule", [
+    ([[0, 1]], OrientationError.RULE_IDENTITY),
+    ([[1, 2]], OrientationError.RULE_REAL),  # class 2 is {2}, an involution in Z_4
+    ([[0, 1], [1, 3]], OrientationError.RULE_INVERSE_PAIR),
+])
+def test_connection_stack_checks_the_orientation_rules(rows, rule):
+    conj = conjugacy(build_cyclic(4))
+    with pytest.raises(OrientationError) as info:
+        ConnectionStack(conj=conj, classes=np.array(rows, dtype=np.int64))
+    assert rule in {r for r, _ in info.value.violations}
 
 
 # ---------------------------------------------------------------------------

@@ -50,13 +50,14 @@ def test_abelian_closed_form_z6_values():
     zeta = np.exp(2j * np.pi / 6)
     assert abs(t.values[1, 1] - zeta) < 1e-14
     assert np.allclose(t.values[3], [1, -1, 1, -1, 1, -1])
-    # row v, column w holds the basis vector of zeta^(v*w)
-    assert t.cyclotomic is not None
+    # row v, column w holds the basis vector of zeta^(v*w), derived on request
+    assert t.cyclotomic is None
     for v in range(6):
+        row = t.cyclotomic_row(v)
         for w in range(6):
             want = np.zeros(6, dtype=np.int64)
             want[(v * w) % 6] = 1
-            assert np.array_equal(t.cyclotomic[v, w], want)
+            assert np.array_equal(row[w], want)
 
 
 def test_abelian_closed_form_z3_squared():
@@ -131,7 +132,7 @@ def test_closed_form_accepts_rows_in_any_order():
 
 def test_abelian_build_and_table_peak_memory():
     # Peak traced allocation of the Z_3^6 group and its table, in units of
-    # |G|^2 bytes. The table keeps 16 (complex values) + 3 (one-hot exponents)
+    # |G|^2 bytes. The table keeps 16 (complex values) + 1 (int8 root powers)
     # and the group 4 (int32 mul); digit-vector sums over all pairs and dense
     # Gram checks peaked near 150.
     build_abelian_power(2, 2)
@@ -144,6 +145,22 @@ def test_abelian_build_and_table_peak_memory():
     finally:
         tracemalloc.stop()
     assert peak < 40 * group.order**2
+
+
+def test_cyclic_table_peak_memory_is_quadratic():
+    # Z_512: the table holds 16 r^2 bytes of values and 4 r^2 of int32 root
+    # powers (20.3 r^2 at peak). An eager one-hot of the exponents would
+    # alone take r^3 bytes, 512 r^2 here.
+    abelian_character_table(2, 1)
+    r = 512
+    tracemalloc.start()
+    try:
+        table = abelian_character_table(r, 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * r**2
+    assert table.cyclotomic_row(3)[5].tolist() == [int(k == 15) for k in range(r)]
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,20 @@
 """Criterion, minimal-time solver, transfer-set structure, witnesses, claims."""
+import dataclasses
 import itertools
+import json
 import math
 
 import numpy as np
 import pytest
 
-from caywalk.cayley import CayleyGraph, cayley_graph, enumerate_oriented_class_unions
+from caywalk import cayley, engine
+from caywalk.cayley import (
+    CayleyGraph,
+    cayley_graph,
+    enumerate_oriented_class_unions,
+    is_connected,
+)
+from caywalk.cli import main
 from caywalk.characters import (
     abelian_character_table,
     character_table_for,
@@ -20,6 +29,7 @@ from caywalk.engine import (
     APERIODIC_WALK,
     STATIC_WALK,
     MSTReport,
+    _scan_targets,
     check_imported_claim,
     check_pst_at,
     check_pst_pair,
@@ -48,7 +58,15 @@ from caywalk.groups import (
     index_of_digits,
     parse_group_spec,
 )
-from conftest import row_loop_stabilizers, row_loop_witness, winding_search_times
+from conftest import (
+    itertools_oriented_sets,
+    per_set_compute_S_e,
+    per_set_scan_targets,
+    per_set_walk_frequency,
+    row_loop_stabilizers,
+    row_loop_witness,
+    winding_search_times,
+)
 
 TAU3 = 2 * math.pi / (3 * math.sqrt(3.0))
 
@@ -186,7 +204,7 @@ def test_solver_near_miss_on_cyclic5():
 def test_solver_periodic_miss_keeps_finite_near_miss():
     """Cay(Z_6, {1}) returns at 2pi/sqrt3 but never reaches 2: the best candidate is reported."""
     graph, table = cyclic_setup(6, [1])
-    assert walk_frequency(walk_thetas(table, [1]), table.tolerance)[0] == \
+    assert walk_frequency(walk_thetas(table, [[1]]), table.tolerance)[0] == \
         pytest.approx(math.sqrt(3.0), abs=1e-12)
     out = solve_pst_time(graph, table, 2)
     assert out.certificate is None
@@ -196,13 +214,17 @@ def test_solver_periodic_miss_keeps_finite_near_miss():
 
 
 def test_walk_frequency_verdicts():
-    assert walk_frequency(np.array([0j, 2j, -2j, 4j]), 1e-8) == (2.0, None)
-    omega, reason = walk_frequency(np.array([0j, 3j * math.sqrt(2), -math.sqrt(8) * 1j]), 1e-8)
-    assert omega == pytest.approx(math.sqrt(2.0)) and reason is None
-    # y^2 = 2 and 4 are integers with different squarefree parts
-    assert walk_frequency(np.array([math.sqrt(2) * 1j, 2j]), 1e-8) == (None, APERIODIC_WALK)
-    assert walk_frequency(np.array([math.e * 1j]), 1e-8) == (None, APERIODIC_WALK)
-    assert walk_frequency(np.array([0j, 1e-12j]), 1e-8) == (None, STATIC_WALK)
+    rows = np.zeros((5, 4), dtype=complex)
+    rows[0] = [0j, 2j, -2j, 4j]
+    rows[1, :3] = [0j, 3j * math.sqrt(2), -math.sqrt(8) * 1j]
+    rows[2, :2] = [math.sqrt(2) * 1j, 2j]  # y^2 = 2 and 4: different squarefree parts
+    rows[3, :1] = [math.e * 1j]
+    rows[4, :2] = [0j, 1e-12j]
+    omega = walk_frequency(rows, 1e-8)
+    assert omega[0] == 2.0
+    assert omega[1] == pytest.approx(math.sqrt(2.0))
+    assert np.isnan(omega[2]) and np.isnan(omega[3])  # aperiodic
+    assert omega[4] == 0.0  # static
 
 
 DIFFERENTIAL_GROUPS = ("z4^2", "z:8", "z:9", "z:12", "z:13", "z3^2")
@@ -214,19 +236,119 @@ def test_one_pass_solver_matches_winding_search(spec):
     group = build_group(parse_group_spec(spec))
     conj = conjugacy(group)
     table = character_table_for(group, conj)
-    for conn in enumerate_oriented_class_unions(conj):
-        graph = CayleyGraph(group=group, conj=conj, conn=conn)
-        report = compute_S_e(graph, table)
-        want = winding_search_times(graph, table)
-        assert set(report.certificates) == set(want), conn.class_indices
-        assert report.S_e == tuple(sorted({group.identity, *want}))
-        assert report.size == len(report.S_e)
-        if want:
-            assert report.generator == min(want, key=lambda z: (want[z][0], z))
-        else:
-            assert report.generator is None
-        for z, cert in report.certificates.items():
-            assert cert.tau == pytest.approx(want[z][0], abs=1e-12)
+    for stack in enumerate_oriented_class_unions(conj):
+        for i, report in enumerate(compute_S_e(stack, table)):
+            graph = stack.graph(i)
+            want = winding_search_times(graph, table)
+            assert set(report.certificates) == set(want), graph.conn.class_indices
+            assert report.S_e == tuple(sorted({group.identity, *want}))
+            assert report.size == len(report.S_e)
+            if want:
+                assert report.generator == min(want, key=lambda z: (want[z][0], z))
+            else:
+                assert report.generator is None
+            for z, cert in report.certificates.items():
+                assert cert.tau == pytest.approx(want[z][0], abs=1e-12)
+
+
+BATCH_GROUPS = ("z4^2", "z:8", "z:9", "z:12", "z:13", "z3^2", "m2:5", "es3:1")
+
+
+def assert_reports_equal(got: MSTReport, want: MSTReport, where) -> None:
+    assert (got.S_e, got.size, got.generator) == (want.S_e, want.size, want.generator), where
+    assert got.minimal_time == want.minimal_time, where  # bit-identical, None alike
+    assert set(got.certificates) == set(want.certificates), where
+    for z, cert in got.certificates.items():
+        assert cert.tau == want.certificates[z].tau, where
+        assert abs(cert.residual - want.certificates[z].residual) <= 1e-13, where
+
+
+@pytest.mark.parametrize("spec", BATCH_GROUPS)
+def test_batched_pass_matches_per_set_reference(spec, monkeypatch):
+    """Every oriented set: the blocked pass gives the per-set pass's order,
+    periods, per-target scores and reports."""
+    group = build_group(parse_group_spec(spec))
+    conj = conjugacy(group)
+    table = character_table_for(group, conj)
+    targets = [z for z in conj.center if z != group.identity]
+    monkeypatch.setattr(cayley, "_ENUM_BLOCK_SETS", 64)  # several stacks per class count
+    monkeypatch.setattr(engine, "_BLOCK_ENTRIES", 1 << 10)  # several score blocks per stack
+    stacks = list(enumerate_oriented_class_unions(conj))
+    rows = [tuple(r) for stack in stacks for r in stack.classes.tolist()]
+    assert rows == list(itertools_oriented_sets(conj))
+    for stack in stacks:
+        thetas = walk_thetas(table, stack.classes)
+        omega = walk_frequency(thetas, table.tolerance)
+        taus, residuals = _scan_targets(table, thetas, omega, conj.class_of[targets],
+                                        conj.center_exponent, DEFAULT_CONFIG.residual_tol)
+        reports = compute_S_e(stack, table)
+        for i, report in enumerate(reports):
+            graph = stack.graph(i)
+            where = (spec, graph.conn.class_indices)
+            want_omega, reason = per_set_walk_frequency(thetas[i], table.tolerance)
+            if want_omega is None:
+                assert (omega[i] == 0) == (reason == STATIC_WALK), where
+                assert omega[i] == 0 or np.isnan(omega[i]), where
+            else:
+                assert omega[i] == want_omega, where
+            want_tau, want_res, _ = per_set_scan_targets(graph, table, targets,
+                                                         conj.center_exponent, 1e-8)
+            np.testing.assert_array_equal(taus[i], want_tau, err_msg=str(where))
+            assert np.array_equal(np.isinf(residuals[i]), np.isinf(want_res)), where
+            finite = np.isfinite(want_res)
+            assert np.all(np.abs(residuals[i][finite] - want_res[finite]) <= 1e-13), where
+            assert_reports_equal(report, per_set_compute_S_e(graph, table), where)
+            assert_reports_equal(compute_S_e(graph, table), report, where)
+
+
+def test_batched_pass_keeps_the_power_law_check():
+    """A doctored Z_3 table: target 2 hits at tau_min, so 2 = 1^2 breaks the power law."""
+    group = build_cyclic(3)
+    conj = conjugacy(group)
+    table = abelian_character_table(3, 1)
+    doctored = dataclasses.replace(table, values=table.values[:, [0, 1, 1]])
+    (stack,) = enumerate_oriented_class_unions(conj)
+    assert stack.classes.tolist() == [[1]]
+    with pytest.raises(InvariantBreachError, match="power law"):
+        per_set_compute_S_e(stack.graph(0), doctored)
+    with pytest.raises(InvariantBreachError, match="power law"):
+        compute_S_e(stack, doctored)
+    with pytest.raises(InvariantBreachError, match="power law"):
+        compute_S_e(stack.graph(0), doctored)
+
+
+def reference_sweep(spec: str, max_classes=None, connected_only=False) -> dict:
+    """The sweep document built one set at a time from the reference code."""
+    group = build_group(parse_group_spec(spec))
+    conj = conjugacy(group)
+    table = character_table_for(group, conj)
+    histogram: dict[int, int] = {}
+    certificates = []
+    tested = 0
+    for classes in itertools_oriented_sets(conj, max_classes):
+        graph = cayley_graph(group, conj, classes)
+        if connected_only and not is_connected(graph):
+            continue
+        tested += 1
+        report = per_set_compute_S_e(graph, table)
+        histogram[report.size] = histogram.get(report.size, 0) + 1
+        if report.size > 1:
+            certificates.append({"connection_classes": list(classes), "size": report.size,
+                                 "tau": report.minimal_time, "generator": report.generator})
+    return {"group": group.family_tag, "sets_tested": tested,
+            "histogram": {str(k): histogram[k] for k in sorted(histogram)},
+            "certificates": certificates}
+
+
+@pytest.mark.parametrize("spec, argv, kwargs", [
+    ("z4^2", ["--max-classes", "2"], {"max_classes": 2}),
+    ("z:8", ["--connected-only"], {"connected_only": True}),
+    ("m2:5", ["--limit", "32", "--connected-only", "--max-classes", "3"],
+     {"connected_only": True, "max_classes": 3}),
+])
+def test_sweep_cli_matches_per_set_reference(capsys, spec, argv, kwargs):
+    assert main(["--format", "json", "sweep", "--group", spec, *argv]) == 0
+    assert json.loads(capsys.readouterr().out) == reference_sweep(spec, **kwargs)
 
 
 # ---------------------------------------------------------------------------

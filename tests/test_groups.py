@@ -46,6 +46,7 @@ from conftest import (
     digit_sum_abelian_power,
     loop_extraspecial3,
     loop_modular_maximal_cyclic,
+    loop_wreath_sym,
     orbit_conjugacy,
     permutation_group_table,
 )
@@ -192,6 +193,20 @@ def test_array_constructors_match_double_loops(build, reference, args):
     mul, labels = reference(*args)
     assert np.array_equal(g.mul, mul)
     assert g.labels == tuple(labels)
+
+
+@pytest.mark.parametrize("base_spec", ("z:2", "z:3", "z:4", "z:5", "z:6", "es3:1"))
+def test_wreath_matches_row_loop_reference(base_spec):
+    """Every wreath product over the base up to order 729: the same mul and labels."""
+    base = build_group(parse_group_spec(base_spec))
+    n = 1
+    while base.order ** n * math.factorial(n) <= 729:
+        g = build_wreath_sym(base, n)
+        mul, labels = loop_wreath_sym(base, n)
+        assert np.array_equal(g.mul, mul), (base_spec, n)
+        assert g.labels == tuple(labels), (base_spec, n)
+        n += 1
+    assert n > 1
 
 
 @pytest.mark.parametrize("r", (2, 3, 4))
