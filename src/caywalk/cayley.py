@@ -7,9 +7,10 @@ for the undirected lifting fixture.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -67,13 +68,13 @@ class ConnectionStack:
         class_inv = np.asarray(self.conj.class_inv, dtype=np.int64)
         identity_class = int(self.conj.class_of[self.conj.group.identity])
         violations: list[tuple[str, tuple[int, ...]]] = []
-        for c in np.unique(classes[classes == identity_class]):
-            violations.append((OrientationError.RULE_IDENTITY, (int(c),)))
-        for c in np.unique(classes[class_inv[classes] == classes]):
-            violations.append((OrientationError.RULE_REAL, (int(c),)))
+        for c in sorted(set(classes[classes == identity_class].tolist())):
+            violations.append((OrientationError.RULE_IDENTITY, (c,)))
+        for c in sorted(set(classes[class_inv[classes] == classes].tolist())):
+            violations.append((OrientationError.RULE_REAL, (c,)))
         paired = (classes[:, :, None] == class_inv[classes][:, None, :]).any(axis=2)
-        for c in np.unique(classes[paired & (classes < class_inv[classes])]):
-            violations.append((OrientationError.RULE_INVERSE_PAIR, (int(c), int(class_inv[c]))))
+        for c in sorted(set(classes[paired & (classes < class_inv[classes])].tolist())):
+            violations.append((OrientationError.RULE_INVERSE_PAIR, (c, int(class_inv[c]))))
         if violations:
             raise OrientationError(violations)
 
@@ -208,6 +209,27 @@ def spectrum(graph: CayleyGraph, table: CharacterTable) -> Spectrum:
 
 def is_connected(graph: CayleyGraph) -> bool:
     return len(subgroup_closure(graph.group, graph.conn.elements)) == graph.order
+
+
+def class_union_connectivity(conj: ConjugacyData) -> Callable[[Iterable[int]], bool]:
+    """A test of whether a union of classes (given by index) generates the
+    group, i.e. whether its Cayley graph is connected, for many unions.
+
+    A union generates the join of the normal subgroups its classes generate
+    one at a time, so the answer depends only on which of those subgroups it
+    meets: one closure per class, then one per distinct set of subgroups.
+    """
+    group = conj.group
+    normal = [subgroup_closure(group, cls) for cls in conj.classes]
+    distinct = list(dict.fromkeys(normal))
+    subgroup_of = [distinct.index(h) for h in normal]
+
+    @functools.cache
+    def generates(key: frozenset[int]) -> bool:
+        return len(subgroup_closure(group, set().union(*(distinct[i] for i in key)))) \
+            == group.order
+
+    return lambda classes: generates(frozenset(subgroup_of[c] for c in classes))
 
 
 def enumerate_oriented_class_unions(conj: ConjugacyData,

@@ -23,6 +23,7 @@ from .cayley import (
     adjacency_matrix,
     adjacency_to_csv,
     cayley_graph,
+    class_union_connectivity,
     enumerate_oriented_class_unions,
     graph_to_dot,
     is_connected,
@@ -370,9 +371,10 @@ def cmd_sweep(args: argparse.Namespace, config: RunConfig) -> int:
     histogram: dict[int, int] = {}
     certificates = []
     tested = 0
+    connected = class_union_connectivity(conj) if args.connected_only else None
     for stack in enumerate_oriented_class_unions(conj, max_classes=args.max_classes):
-        if args.connected_only:
-            keep = [is_connected(stack.graph(i)) for i in range(len(stack))]
+        if connected is not None:
+            keep = [connected(row) for row in stack.classes.tolist()]
             stack = ConnectionStack(conj=conj, classes=stack.classes[keep])
         tested += len(stack)
         for classes, report in zip(stack.classes, compute_S_e(stack, table, config)):

@@ -12,7 +12,6 @@ import itertools
 import json
 import math
 import re
-from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -27,13 +26,10 @@ from .errors import (
     SizeLimitError,
 )
 
-# Orders up to this bound get the full associativity scan; larger tables get a
-# seeded spot check (10 * order random triples).
-FULL_ASSOC_LIMIT = 256
-ASSOC_SPOT_FACTOR = 10
-ASSOC_SPOT_SEED = 1729
 # conjugacy forms its conjugation table this many entries (8 MB) at a time.
 _CONJ_BLOCK_ENTRIES = 2**20
+# The associativity test compares row blocks of this many entries at a time.
+_ASSOC_BLOCK_ENTRIES = 2**16
 
 
 @dataclass(frozen=True)
@@ -104,6 +100,14 @@ class GroupTable:
 
 
 def _validate_table(g: GroupTable) -> None:
+    """Check identity, two-sided inverses and associativity exactly.
+
+    Associativity is Light's test (Clifford & Preston, The Algebraic Theory of
+    Semigroups I, 1.2): the s with (x*s)*y == x*(s*y) for all x, y are closed
+    under the product, so it suffices to pass on generators. Each one is the
+    smallest element outside the closure of those before, so in a group it at
+    least doubles the closure. A group table is a Latin square.
+    """
     n = g.order
     mul = g.mul
     if mul.shape != (n, n):
@@ -116,31 +120,22 @@ def _validate_table(g: GroupTable) -> None:
         raise GroupValidationError("table entries out of range")
 
     rng_row = np.arange(n)
-    if not np.array_equal(np.sort(mul, axis=1), np.broadcast_to(rng_row, (n, n))):
-        raise GroupValidationError("rows are not permutations (Latin square fails)")
-    if not np.array_equal(np.sort(mul, axis=0), np.broadcast_to(rng_row[:, None], (n, n))):
-        raise GroupValidationError("columns are not permutations (Latin square fails)")
-
     e = g.identity
     if not np.array_equal(mul[e], rng_row) or not np.array_equal(mul[:, e], rng_row):
         raise GroupValidationError("identity axiom fails")
     if not np.all(mul[rng_row, g.inv] == e) or not np.all(mul[g.inv, rng_row] == e):
         raise GroupValidationError("inverse axiom fails")
 
-    if n <= FULL_ASSOC_LIMIT:
-        # (a*b)*c == a*(b*c) for every triple, checked one slice at a time to
-        # keep memory linear in n^2.
-        for a in range(n):
-            left = mul[mul[a], :]
-            right = mul[a][mul]
-            if not np.array_equal(left, right):
-                raise GroupValidationError(f"associativity fails at a={a}")
-    else:
-        rng = np.random.default_rng(ASSOC_SPOT_SEED)
-        triples = rng.integers(0, n, size=(ASSOC_SPOT_FACTOR * n, 3))
-        a, b, c = triples[:, 0], triples[:, 1], triples[:, 2]
-        if not np.array_equal(mul[mul[a, b], c], mul[a, mul[b, c]]):
-            raise GroupValidationError("associativity fails on spot check")
+    rows = max(1, _ASSOC_BLOCK_ENTRIES // n)
+    gens: list[int] = []
+    while len(closure := subgroup_closure(g, gens)) < n:
+        s = next(i for i, h in enumerate(closure + (n,)) if h != i)  # closure is sorted
+        for lo in range(0, n, rows):
+            # Rows lo.. of (x*s)*y and of x*(s*y), over every y.
+            if not np.array_equal(mul[mul[lo:lo + rows, s]],
+                                  np.take(mul[lo:lo + rows], mul[s], axis=1)):
+                raise GroupValidationError(f"associativity fails at s={s}")
+        gens.append(s)
 
 
 def _finish(mul: np.ndarray, labels: Sequence[str], spec: GroupSpec,
@@ -518,7 +513,7 @@ def conjugacy(group: GroupTable) -> ConjugacyData:
         block = min(2 * block, cap)
 
     # Canonical order: identity singleton first, the rest by minimal element.
-    mins = np.unique(rep)
+    mins = np.flatnonzero(rep == np.arange(n))
     mins = np.concatenate(([e], mins[mins != e]))
     slot = np.empty(n, dtype=np.int64)
     slot[mins] = np.arange(len(mins))
@@ -530,7 +525,7 @@ def conjugacy(group: GroupTable) -> ConjugacyData:
     class_inv = tuple(class_of[inv[mins]].tolist())
     # g is central exactly when its class is {g}.
     center = tuple(np.flatnonzero(sizes[class_of] == 1).tolist())
-    exponent = math.lcm(*np.unique(_element_orders(group)).tolist())
+    exponent = int(np.lcm.reduce(_element_orders(group)))
     return ConjugacyData(group=group, classes=classes, class_of=class_of,
                          class_inv=class_inv, center=center, exponent=exponent)
 
@@ -555,19 +550,22 @@ def _element_orders(group: GroupTable) -> np.ndarray:
 # subgroup machinery
 
 def subgroup_closure(group: GroupTable, generators: Iterable[int]) -> tuple[int, ...]:
-    """Subgroup generated by the given elements (multiplicative closure)."""
-    gens = sorted({int(g) for g in generators})
-    members = {group.identity}
-    frontier = deque([group.identity])
-    mul = group.mul
-    while frontier:
-        g = frontier.popleft()
-        for s in gens:
-            h = int(mul[g, s])
-            if h not in members:
-                members.add(h)
-                frontier.append(h)
-    return tuple(sorted(members))
+    """Subgroup generated by the given elements (multiplicative closure).
+
+    Breadth-first from the identity: each level multiplies the whole frontier
+    by every generator and keeps the products not reached before.
+    """
+    gens = np.array(list(generators), dtype=np.int64)
+    seen = np.zeros(group.order, dtype=bool)
+    seen[group.identity] = True
+    frontier = np.array([group.identity])
+    while frontier.size:
+        fresh = np.zeros_like(seen)
+        fresh[group.mul[frontier[:, None], gens]] = True
+        fresh &= ~seen
+        seen |= fresh
+        frontier = np.flatnonzero(fresh)
+    return tuple(np.flatnonzero(seen).tolist())
 
 
 def derived_series_solvable(group: GroupTable) -> tuple[bool, tuple[int, ...]]:
@@ -579,12 +577,10 @@ def derived_series_solvable(group: GroupTable) -> tuple[bool, tuple[int, ...]]:
     series = [group.order]
     while True:
         h = np.array(current, dtype=np.int64)
-        inv_h = inv[h]
-        comms: set[int] = set()
+        comms = np.zeros(group.order, dtype=bool)
         for a in current:
-            t = mul[mul[np.int64(a), h], inv[a]]
-            comms.update(int(x) for x in mul[t, inv_h])
-        derived = subgroup_closure(group, comms)
+            comms[mul[mul[mul[a, h], inv[a]], inv[h]]] = True  # a h a^-1 h^-1
+        derived = subgroup_closure(group, np.flatnonzero(comms))
         series.append(len(derived))
         if len(derived) == 1:
             return True, tuple(series)

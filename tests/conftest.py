@@ -6,6 +6,7 @@ library results are checked against a second, structurally different route.
 """
 from __future__ import annotations
 
+import collections
 import itertools
 import math
 
@@ -22,7 +23,7 @@ from caywalk.engine import (
     PSTCertificate,
     check_pst_at,
 )
-from caywalk.errors import InvariantBreachError
+from caywalk.errors import GroupValidationError, InvariantBreachError
 from caywalk.groups import (
     ConjugacyData,
     GroupTable,
@@ -416,6 +417,68 @@ def orbit_conjugacy(group: GroupTable) -> ConjugacyData:
         exponent = math.lcm(exponent, element_order(group, g))
     return ConjugacyData(group=group, classes=tuple(classes), class_of=class_of,
                          class_inv=class_inv, center=center, exponent=exponent)
+
+
+def sort_loop_spot_validate(g) -> None:
+    """The earlier body of groups._validate_table, kept as the reference for
+    Light's test: both Latin-square sorts, the group axioms, and associativity
+    over every (a, b, c) up to order 256, above it on 10 * order seeded
+    random triples. g is any object with the GroupTable fields."""
+    n = g.order
+    mul = g.mul
+    if mul.shape != (n, n):
+        raise GroupValidationError(f"table shape {mul.shape} does not match order {n}")
+    if not (0 <= g.identity < n):
+        raise GroupValidationError(f"identity index {g.identity} out of range")
+    if len(g.labels) != n:
+        raise GroupValidationError("label count does not match order")
+    if mul.min() < 0 or mul.max() >= n:
+        raise GroupValidationError("table entries out of range")
+    rng_row = np.arange(n)
+    if not np.array_equal(np.sort(mul, axis=1), np.broadcast_to(rng_row, (n, n))):
+        raise GroupValidationError("rows are not permutations (Latin square fails)")
+    if not np.array_equal(np.sort(mul, axis=0), np.broadcast_to(rng_row[:, None], (n, n))):
+        raise GroupValidationError("columns are not permutations (Latin square fails)")
+    e = g.identity
+    if not np.array_equal(mul[e], rng_row) or not np.array_equal(mul[:, e], rng_row):
+        raise GroupValidationError("identity axiom fails")
+    if not np.all(mul[rng_row, g.inv] == e) or not np.all(mul[g.inv, rng_row] == e):
+        raise GroupValidationError("inverse axiom fails")
+    if n <= 256:
+        for a in range(n):
+            if not np.array_equal(mul[mul[a], :], mul[a][mul]):
+                raise GroupValidationError(f"associativity fails at a={a}")
+    else:
+        triples = np.random.default_rng(1729).integers(0, n, size=(10 * n, 3))
+        a, b, c = triples[:, 0], triples[:, 1], triples[:, 2]
+        if not np.array_equal(mul[mul[a, b], c], mul[a, mul[b, c]]):
+            raise GroupValidationError("associativity fails on spot check")
+
+
+def intercalate_z2_9(rows=(3, 5), cols=(17, 23)) -> np.ndarray:
+    """The table of Z_2^9 (XOR) with the intercalate at two rows and columns
+    swapped, a ^ b == c ^ d: still a Latin square with identity 0 and
+    x*x = 0, but 8,144 of its 512^3 triples are not associative."""
+    (a, b), (c, d) = rows, cols
+    mul = np.bitwise_xor.outer(np.arange(512), np.arange(512))
+    mul[[a, a, b, b], [c, d, c, d]] = mul[[a, a, b, b], [d, c, d, c]]
+    return mul
+
+
+def deque_subgroup_closure(group: GroupTable, generators) -> tuple[int, ...]:
+    """The earlier body of groups.subgroup_closure, kept as the reference for
+    its array form: a breadth-first search one element at a time."""
+    gens = sorted({int(g) for g in generators})
+    members = {group.identity}
+    frontier = collections.deque([group.identity])
+    while frontier:
+        g = frontier.popleft()
+        for s in gens:
+            h = int(group.mul[g, s])
+            if h not in members:
+                members.add(h)
+                frontier.append(h)
+    return tuple(sorted(members))
 
 
 @pytest.fixture(scope="session")

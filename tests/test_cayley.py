@@ -9,6 +9,7 @@ from caywalk.cayley import (
     adjacency_matrix,
     adjacency_to_csv,
     cayley_graph,
+    class_union_connectivity,
     connection_character_sums,
     enumerate_oriented_class_unions,
     graph_to_dot,
@@ -20,7 +21,14 @@ from caywalk.cayley import (
 )
 from caywalk.characters import abelian_character_table, character_table_for
 from caywalk.errors import InconsistencyError, InvalidParameterError, OrientationError
-from caywalk.groups import build_abelian_power, build_cyclic, build_extraspecial3, conjugacy
+from caywalk.groups import (
+    build_abelian_power,
+    build_cyclic,
+    build_extraspecial3,
+    build_group,
+    conjugacy,
+    parse_group_spec,
+)
 from conftest import abelian_residue_counts, idempotent, theta_from_residue_counts
 
 
@@ -220,6 +228,18 @@ def test_is_connected():
 def enumerated_sets(conj, **kwargs) -> list[tuple[int, ...]]:
     return [tuple(row) for stack in enumerate_oriented_class_unions(conj, **kwargs)
             for row in stack.classes.tolist()]
+
+
+@pytest.mark.parametrize("spec", ["z4^2", "z:12", "m2:5", "es3:1", "wreath:z:3:2"])
+def test_class_union_connectivity_matches_is_connected_on_every_set(spec):
+    conj = conjugacy(build_group(parse_group_spec(spec)))
+    connected = class_union_connectivity(conj)
+    seen = set()
+    for stack in enumerate_oriented_class_unions(conj):
+        for i, row in enumerate(stack.classes.tolist()):
+            seen.add(connected(row))
+            assert connected(row) == is_connected(stack.graph(i)), row
+    assert seen == {True, False}
 
 
 def test_enumeration_count_cyclic8():

@@ -1,10 +1,13 @@
 """End-to-end CLI behavior through main(argv): output shapes and exit codes."""
 import json
 import math
+import os
 import pathlib
 import runpy
 import shlex
 import shutil
+import subprocess
+import sys
 from importlib import resources
 
 import numpy as np
@@ -26,6 +29,8 @@ from caywalk.groups import (
     parse_group_spec,
     save_group,
 )
+
+from conftest import intercalate_z2_9
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -126,6 +131,31 @@ def test_group_build_out_after_spec(capsys, tmp_path):
     code, doc = run_json(capsys, ["group", "build", "m2:5", "--out", str(out)])
     assert code == EXIT_OK and doc["saved"] == str(out)
     assert doc["family"] == "m2:5" and json.loads(out.read_text())["order"] == 32
+
+
+def test_group_info_rejects_a_saved_nonassociative_loop(capsys, tmp_path):
+    path = tmp_path / "loop.json"
+    save_group(build_group(parse_group_spec("z2^9")), str(path))
+    doc = json.loads(path.read_text())
+    doc["mul"] = intercalate_z2_9().tolist()
+    path.write_text(json.dumps(doc))
+    assert main(["group", "info", f"file:{path}"]) == EXIT_VALIDATION
+    assert "associativity fails" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["sweep", "--group", "z4^2"],
+                                  ["pst", "mst", "--group", "z3^6",
+                                   "--classes", "1,3,9,27,81,243"]])
+def test_closed_form_commands_import_neither_masked_arrays_nor_random(argv):
+    # numpy.ma costs about 16 ms at first use (np.unique loads it) and
+    # numpy.random about 17 ms; neither is needed by a closed-form verdict.
+    probe = ("import sys, caywalk.cli; code = caywalk.cli.main(sys.argv[1:]); "
+             "print(code, [m for m in ('numpy.ma', 'numpy.random') if m in sys.modules])")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]))
+    proc = subprocess.run([sys.executable, "-c", probe, *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.stdout.splitlines()[-1] == "0 []", proc.stderr
 
 
 def test_group_info_fields(capsys):

@@ -1,12 +1,14 @@
 """Group tables, family constructors, conjugacy machinery, JSON interchange."""
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from caywalk.cayley import enumerate_oriented_class_unions
 from caywalk.errors import (
     GroupValidationError,
     InvalidParameterError,
@@ -43,12 +45,15 @@ from caywalk.groups import (
 from conftest import (
     CYCLIC_ORDERS,
     brute_conjugacy_classes,
+    deque_subgroup_closure,
     digit_sum_abelian_power,
+    intercalate_z2_9,
     loop_extraspecial3,
     loop_modular_maximal_cyclic,
     loop_wreath_sym,
     orbit_conjugacy,
     permutation_group_table,
+    sort_loop_spot_validate,
 )
 
 
@@ -129,6 +134,75 @@ def test_validation_rejects_nonassociative_latin_square():
     with pytest.raises(GroupValidationError):
         GroupTable(order=5, mul=mul, identity=0, inv=inv,
                    labels=g.labels)
+
+
+@pytest.mark.parametrize("rows, cols", [((3, 5), (17, 23)),
+                                        ((66, 67), (193, 192)),    # passes generator 1
+                                        ((421, 485), (128, 192))])  # passes row block 0
+def test_validation_rejects_order_512_intercalate_loops(rows, cols):
+    # Latin loops with identity and inverses that the earlier spot check of
+    # 5,120 random triples accepted.
+    g = build_abelian_power(2, 9)
+    mul = intercalate_z2_9(rows, cols)
+    sort_loop_spot_validate(SimpleNamespace(order=512, mul=mul, identity=0,
+                                            inv=g.inv, labels=g.labels))
+    with pytest.raises(GroupValidationError, match="associativity"):
+        GroupTable(order=512, mul=mul, identity=0, inv=g.inv.copy(), labels=g.labels)
+
+
+def test_light_and_reference_validators_accept_every_family_member():
+    for spec in family_members(729):
+        sort_loop_spot_validate(build_group(parse_group_spec(spec)))
+
+
+def _rejects(validate, table) -> bool:
+    try:
+        validate(table)
+    except GroupValidationError:
+        return True
+    return False
+
+
+@pytest.mark.parametrize("spec", ["z:12", "es3:1", "m2:5", "wreath:z:2:3"])
+def test_light_rejects_exactly_the_corrupted_tables_that_are_not_groups(spec):
+    group = build_group(parse_group_spec(spec))
+    n, e = group.order, group.identity
+    rng = np.random.default_rng(7)
+    rejected = 0
+    for trial in range(300):
+        mul = group.mul.copy()
+        r, c, d = rng.integers(0, n, size=3)
+        if trial % 2:
+            mul[r, c], mul[r, d] = mul[r, d], mul[r, c]
+        else:
+            mul[r, c] = (mul[r, c] + rng.integers(1, n)) % n
+        table = SimpleNamespace(order=n, mul=mul, identity=e,
+                                inv=np.argmax(mul == e, axis=1), labels=group.labels)
+        idx, inv = np.arange(n), table.inv
+        is_group = (np.array_equal(mul[e], idx) and np.array_equal(mul[:, e], idx)
+                    and np.all(mul[idx, inv] == e) and np.all(mul[inv, idx] == e)
+                    and np.array_equal(mul[mul], mul[:, mul]))  # (xy)z == x(yz)
+        light_rejects = _rejects(lambda t: GroupTable(**vars(t)), table)
+        assert light_rejects == (not is_group), (spec, trial)
+        assert light_rejects or not _rejects(sort_loop_spot_validate, table)
+        rejected += light_rejects
+    assert rejected > 250
+
+
+@pytest.mark.parametrize("spec", ["z4^2", "z:12", "m2:5", "es3:1"])
+def test_subgroup_closure_matches_deque_reference_on_every_connection_set(spec):
+    group = build_group(parse_group_spec(spec))
+    conj = conjugacy(group)
+    for stack in enumerate_oriented_class_unions(conj):
+        for row in stack.classes.tolist():
+            gens = [g for c in row for g in conj.classes[c]]
+            assert subgroup_closure(group, gens) == deque_subgroup_closure(group, gens)
+    assert subgroup_closure(group, []) == deque_subgroup_closure(group, []) == (0,)
+
+
+def test_subgroup_closure_follows_a_2047_level_chain():
+    g = build_cyclic(2048)
+    assert subgroup_closure(g, [1]) == deque_subgroup_closure(g, [1]) == tuple(range(2048))
 
 
 def test_extraspecial3_heisenberg():
