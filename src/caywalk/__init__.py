@@ -92,7 +92,6 @@ from .families import (
     shipped_certificates,
     undirected_cycle4_certificate,
     wreath_lift,
-    write_fixture_files,
     z8_certificate,
 )
 from .groups import (

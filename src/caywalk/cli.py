@@ -591,7 +591,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify",
                               help="replay the shipped certificate suite")
     p_verify.add_argument("--fixtures", default=None,
-                          help="directory of fixture JSON (default: shipped)")
+                          help="directory of certificate documents to replay instead of the suite")
     p_verify.add_argument("--import-table", dest="import_table", action="append",
                           help="also check claims in an imported character table")
     p_verify.add_argument("--only", action="append",

@@ -14,11 +14,8 @@ FIDELITY_GAP = 1e-7
 UNITARITY_TOL = 1e-9
 # Skew-symmetry required of adjacency input to the oracle.
 SKEW_TOL = 1e-12
-# Spectral reconstruction and idempotent resolution checks.
+# Spectral reconstruction checks.
 RECONSTRUCTION_TOL = 1e-9
-IDEMPOTENT_TOL = 1e-8
-# Agreement between oracle eigenvalues and character-derived ones.
-EIGENVALUE_TOL = 1e-7
 # Rationality check: denominators up to MAX_DENOMINATOR, matched to RATIONAL_TOL.
 MAX_DENOMINATOR = 10**4
 RATIONAL_TOL = 1e-12

@@ -1,8 +1,9 @@
-"""Connection-set families with certified transfer, plus fixture plumbing.
+"""Connection-set families with certified transfer, the certificate suite,
+and dual verification.
 
 Each constructor returns a FamilyCertificate: a group, a class-closed oriented
 connection set, the claimed target and time, and the claimed transfer-set
-size. Certificates are pinned to JSON fixture files shipped with the package;
+size. shipped_certificates() is the suite `caywalk verify` replays;
 dual_verify replays any certificate through both the character criterion and
 the matrix-exponential oracle.
 """
@@ -10,11 +11,9 @@ from __future__ import annotations
 
 import itertools
 import json
+import pathlib
 from dataclasses import dataclass
-from importlib import resources
 from typing import Sequence
-
-import numpy as np
 
 from .cayley import (
     CayleyGraph,
@@ -57,7 +56,6 @@ from .groups import (
 from .oracle import (
     build_hermitian_operator,
     build_operator,
-    evolve_column,
     fidelity,
     permutation_check,
 )
@@ -67,20 +65,21 @@ Z8_TAU_TAG = "solved:0.7853981633974483"
 
 @dataclass(eq=False)
 class FamilyCertificate:
-    """One claimed transfer instance, self-contained and replayable."""
+    """One claimed transfer instance, self-contained and replayable.
+
+    claimed_size is the whole claim: None for a report-only probe, 1 for a
+    periodic return to the identity (z is then the identity), k >= 2 for a
+    transfer set of size k.
+    """
 
     name: str
-    family: str
     group: GroupTable
     conj: ConjugacyData
     connection_classes: tuple[int, ...]
     z: int
     tau_tag: str
     claimed_size: int | None
-    claims_pst: bool = True
     oriented: bool = True
-    report_only: bool = False
-    notes: str = ""
 
     @property
     def tau(self) -> float:
@@ -126,12 +125,10 @@ def family_z3n(n: int, connection: Sequence) -> FamilyCertificate:
     for w in elements:
         total = [(a + b) % 3 for a, b in zip(total, digits_of(w, 3, n))]
     sigma = index_of_digits(total, 3)
-    claims = sigma != group.identity
     return FamilyCertificate(
-        name=f"z3_{n}", family="cyclic-3-power", group=group, conj=conj,
+        name=f"z3_{n}", group=group, conj=conj,
         connection_classes=classes, z=sigma, tau_tag="2pi/3sqrt3",
-        claimed_size=3 if claims else 1, claims_pst=claims,
-        notes="" if claims else "zero column sum: periodic return only",
+        claimed_size=3 if sigma != group.identity else 1,
     )
 
 
@@ -147,10 +144,9 @@ def family_z4n(n: int, connection: Sequence) -> FamilyCertificate:
     sigma_order_four = any(d % 2 == 1 for d in total)
     target = index_of_digits([(2 * d) % 4 for d in total], 4)
     return FamilyCertificate(
-        name=f"z4_{n}", family="cyclic-4-power", group=group, conj=conj,
+        name=f"z4_{n}", group=group, conj=conj,
         connection_classes=classes, z=target, tau_tag="pi/2",
-        claimed_size=2 if sigma_order_four else 1, claims_pst=sigma_order_four,
-        notes="size-4 transfer sets do not occur on this family",
+        claimed_size=2 if sigma_order_four else 1,
     )
 
 
@@ -180,7 +176,7 @@ def family_extraspecial3(n: int, exponent_type: int = 3,
     classes = _classes_of_elements(conj, sorted(elements))
     return FamilyCertificate(
         name=f"extraspecial3_{group.order}" + ("_exp9" if exponent_type == 9 else ""),
-        family="extraspecial-3", group=group, conj=conj,
+        group=group, conj=conj,
         connection_classes=classes, z=z, tau_tag="2pi/3sqrt3",
         claimed_size=3,
     )
@@ -203,7 +199,7 @@ def family_m2(n: int) -> FamilyCertificate:
     elements.update(elem(4 * k + 1, 0) for k in range(2 ** (n - 3)))
     classes = _classes_of_elements(conj, sorted(elements))
     return FamilyCertificate(
-        name=f"m2_{group.order}", family="modular-2", group=group, conj=conj,
+        name=f"m2_{group.order}", group=group, conj=conj,
         connection_classes=classes, z=z, tau_tag="pi/4", claimed_size=4,
     )
 
@@ -220,9 +216,9 @@ def m2_remark_probe() -> FamilyCertificate:
                 group.index_of("x^5*sigma")]
     classes = _classes_of_elements(conj, elements)
     return FamilyCertificate(
-        name="m2_16_probe", family="modular-2", group=group, conj=conj,
+        name="m2_16_probe", group=group, conj=conj,
         connection_classes=classes, z=group.index_of("x^2"), tau_tag="pi/4",
-        claimed_size=None, report_only=True,
+        claimed_size=None,
     )
 
 
@@ -232,7 +228,7 @@ def z8_certificate() -> FamilyCertificate:
     conj = conjugacy(group)
     classes = _classes_of_elements(conj, [1, 2, 5])
     return FamilyCertificate(
-        name="z8_125", family="cyclic-8", group=group, conj=conj,
+        name="z8_125", group=group, conj=conj,
         connection_classes=classes, z=2, tau_tag=Z8_TAU_TAG, claimed_size=4,
     )
 
@@ -284,11 +280,11 @@ def wreath_lift(base_cert: FamilyCertificate, n: int) -> FamilyCertificate:
     classes = _classes_of_elements(conj, lifted)
     z = wi.diagonal(base_cert.z)
     return FamilyCertificate(
-        name=f"lift_{base_cert.name}_s{n}", family="wreath-lift",
+        name=f"lift_{base_cert.name}_s{n}",
         group=group, conj=conj, connection_classes=classes, z=z,
         tau_tag=base_cert.tau_tag,
-        claimed_size=element_order(group, z) if base_cert.claims_pst else 1,
-        claims_pst=base_cert.claims_pst, oriented=base_cert.oriented,
+        claimed_size=1 if base_cert.claimed_size == 1 else element_order(group, z),
+        oriented=base_cert.oriented,
     )
 
 
@@ -298,51 +294,17 @@ def undirected_cycle4_certificate() -> FamilyCertificate:
     conj = conjugacy(group)
     classes = _classes_of_elements(conj, [1, 3])
     return FamilyCertificate(
-        name="undirected_c4", family="undirected-base", group=group, conj=conj,
+        name="undirected_c4", group=group, conj=conj,
         connection_classes=classes, z=2, tau_tag="pi/2", claimed_size=2,
         oriented=False,
-        notes="oracle-only: the oriented criterion does not apply",
     )
 
 
 # ---------------------------------------------------------------------------
-# fixture files
-
-def certificate_to_fixture(cert: FamilyCertificate) -> dict:
-    return {
-        "name": cert.name,
-        "family": cert.family,
-        "group": str(cert.group.spec),
-        "connection_classes": list(cert.connection_classes),
-        "z": cert.z,
-        "tau": cert.tau_tag,
-        "claimed_size": cert.claimed_size,
-        "claims_pst": cert.claims_pst,
-        "oriented": cert.oriented,
-        "report_only": cert.report_only,
-        "notes": cert.notes,
-    }
-
-
-def fixture_to_certificate(doc: dict) -> FamilyCertificate:
-    if not isinstance(doc.get("group"), str):
-        raise SchemaError(f"fixture {doc.get('name')!r}: group must be a spec string")
-    group = build_group(parse_group_spec(doc["group"]))
-    conj = conjugacy(group)
-    return FamilyCertificate(
-        name=doc["name"], family=doc["family"], group=group, conj=conj,
-        connection_classes=tuple(int(c) for c in doc["connection_classes"]),
-        z=int(doc["z"]), tau_tag=str(doc["tau"]),
-        claimed_size=doc.get("claimed_size"),
-        claims_pst=bool(doc.get("claims_pst", True)),
-        oriented=bool(doc.get("oriented", True)),
-        report_only=bool(doc.get("report_only", False)),
-        notes=doc.get("notes", ""),
-    )
-
+# the certificate suite and --fixtures documents
 
 def shipped_certificates() -> list[FamilyCertificate]:
-    """Rebuild every certificate the fixture files pin, from constructors."""
+    """The certificate suite `caywalk verify` replays, built by the constructors."""
     base_z3 = family_z3n(1, [(1,)])
     base_z4 = family_z4n(1, [(1,)])
     return [
@@ -363,39 +325,42 @@ def shipped_certificates() -> list[FamilyCertificate]:
     ]
 
 
-def load_fixture_documents() -> list[dict]:
-    docs = []
-    root = resources.files(__package__) / "fixtures"
-    for entry in sorted(root.iterdir(), key=lambda p: p.name):
-        if entry.name.endswith(".json"):
-            docs.append(json.loads(entry.read_text(encoding="utf-8")))
-    return docs
+def fixture_to_certificate(doc: dict) -> FamilyCertificate:
+    """Certificate from one `verify --fixtures` document.
+
+    The optional claims_pst and report_only keys must agree with
+    claimed_size; family and notes are ignored.
+    """
+    name = doc.get("name")
+    missing = [key for key in ("name", "group", "connection_classes", "z", "tau",
+                               "claimed_size") if key not in doc]
+    if missing:
+        raise SchemaError(f"fixture {name!r}: missing keys {missing}")
+    if not isinstance(doc["group"], str):
+        raise SchemaError(f"fixture {name!r}: group must be a spec string")
+    size = doc["claimed_size"]
+    if size is not None and (type(size) is not int or size < 1):
+        raise SchemaError(f"fixture {name!r}: claimed_size {size!r} is neither null "
+                          "nor a positive integer")
+    for key, derived in (("claims_pst", size != 1), ("report_only", size is None)):
+        if key in doc and doc[key] != derived:
+            raise SchemaError(f"fixture {name!r}: {key}={doc[key]!r} contradicts "
+                              f"claimed_size={size!r}")
+    group = build_group(parse_group_spec(doc["group"]))
+    return FamilyCertificate(
+        name=doc["name"], group=group, conj=conjugacy(group),
+        connection_classes=tuple(int(c) for c in doc["connection_classes"]),
+        z=int(doc["z"]), tau_tag=str(doc["tau"]), claimed_size=size,
+        oriented=bool(doc.get("oriented", True)),
+    )
 
 
 def load_fixture_certificates(directory: str | None = None) -> list[FamilyCertificate]:
+    """The suite in name order, or the *.json documents of directory in file order."""
     if directory is None:
-        docs = load_fixture_documents()
-    else:
-        import pathlib
-
-        docs = [json.loads(p.read_text(encoding="utf-8"))
-                for p in sorted(pathlib.Path(directory).glob("*.json"))]
-    return [fixture_to_certificate(doc) for doc in docs]
-
-
-def write_fixture_files(directory: str) -> list[str]:
-    """Regenerate the pinned fixture JSON from the constructors."""
-    import pathlib
-
-    out = []
-    root = pathlib.Path(directory)
-    root.mkdir(parents=True, exist_ok=True)
-    for cert in shipped_certificates():
-        path = root / f"{cert.name}.json"
-        path.write_text(json.dumps(certificate_to_fixture(cert), indent=2,
-                                   sort_keys=True) + "\n", encoding="utf-8")
-        out.append(str(path))
-    return out
+        return sorted(shipped_certificates(), key=lambda cert: cert.name)
+    return [fixture_to_certificate(json.loads(p.read_text(encoding="utf-8")))
+            for p in sorted(pathlib.Path(directory).glob("*.json"))]
 
 
 # ---------------------------------------------------------------------------
@@ -420,8 +385,10 @@ def dual_verify(cert: FamilyCertificate,
                 config: RunConfig = DEFAULT_CONFIG) -> DualReport:
     """Replay a certificate through the criterion and (size permitting) the oracle.
 
-    Report-only certificates cannot fail on their claims; they fail only if
-    the criterion and the oracle contradict each other.
+    Both routes test the walk from the identity to cert.z at cert.tau, which
+    for a size-1 claim is the periodic return. Report-only certificates
+    cannot fail on their claims; they fail only if the criterion and the
+    oracle contradict each other.
     """
     messages: list[str] = []
     graph = cert.graph()
@@ -445,77 +412,45 @@ def dual_verify(cert: FamilyCertificate,
 
     table = character_table_for(group, cert.conj, seed=config.seed,
                                 tol=config.value_tol)
-    criterion_residual: float | None = None
-    mst: MSTReport | None = None
+    claimed = cert.claimed_size
+    transfer = claimed is not None and claimed > 1
+    res = check_pst_at(graph, table, cert.z, tau, config.residual_tol)
+    if not res.accepted and claimed is not None:
+        messages.append(
+            f"criterion rejected transfer to {cert.z} at {tau:.12g}"
+            f" (residual {res.residual:.3e})")
+    mst = compute_S_e(graph, table, config)
+    if claimed is not None and mst.size != claimed:
+        messages.append(f"transfer set size {mst.size} != claimed {claimed}")
+    if transfer:
+        if mst.minimal_time is None or abs(mst.minimal_time - tau) > 1e-9:
+            got = "none" if mst.minimal_time is None else f"{mst.minimal_time:.12g}"
+            messages.append(f"minimal time {got} does not match the pinned {tau:.12g}")
+        if not time_rationality_check(tau, mst.size).ok:
+            messages.append("pinned time is not a small rational multiple")
+
     fid: float | None = None
     phase: float | None = None
-    criterion_holds = None
-
-    if cert.claims_pst or cert.report_only:
-        target = cert.z
-        res = check_pst_at(graph, table, target, tau, config.residual_tol)
-        criterion_residual = res.residual
-        criterion_holds = res.accepted
-        if not res.accepted and not cert.report_only:
-            messages.append(
-                f"criterion rejected transfer to {target} at {tau:.12g}"
-                f" (residual {res.residual:.3e})")
-        mst = compute_S_e(graph, table, config)
-        if not cert.report_only:
-            if cert.claimed_size is not None and mst.size != cert.claimed_size:
-                messages.append(f"transfer set size {mst.size} != claimed {cert.claimed_size}")
-            if mst.minimal_time is None or abs(mst.minimal_time - tau) > 1e-9:
-                got = "none" if mst.minimal_time is None else f"{mst.minimal_time:.12g}"
-                messages.append(f"minimal time {got} does not match the pinned {tau:.12g}")
-            rational = time_rationality_check(tau, mst.size)
-            if not rational.ok:
-                messages.append("pinned time is not a small rational multiple")
-    else:
-        # Degenerate claim: the walk returns to the start, nothing transfers.
-        res = check_pst_at(graph, table, group.identity, tau, config.residual_tol)
-        criterion_residual = res.residual
-        criterion_holds = res.accepted
-        if not res.accepted:
-            messages.append(f"no periodic return at {tau:.12g} (residual {res.residual:.3e})")
-        mst = compute_S_e(graph, table, config)
-        if mst.size != 1:
-            messages.append("unexpected transfer despite a degenerate claim")
-
     if run_oracle:
         op = build_operator(adjacency_matrix(graph))
-        if cert.claims_pst or cert.report_only:
-            fid, entry = fidelity(op, tau, group.identity, cert.z)
-            phase = float(entry.real)
-            oracle_holds = fid > 1.0 - config.fidelity_gap and entry.real > 0
-            if cert.report_only:
-                if criterion_holds is not None and oracle_holds != criterion_holds:
-                    messages.append("criterion and oracle disagree on the probe")
-            else:
-                if fid < 1.0 - config.fidelity_gap:
-                    messages.append(f"oracle fidelity {fid:.12f} below threshold")
-                elif entry.real < 0:
-                    messages.append("oracle phase is not +1")
-            if mst is not None and mst.size > 1 and mst.minimal_time is not None:
-                perm = permutation_check(op, mst.minimal_time)
-                if not perm.ok or not perm.fixed_point_free or \
-                        not perm.commutes_with_generator or perm.order != mst.size:
-                    if not cert.report_only:
-                        messages.append("transfer permutation structure check failed")
-        else:
-            col = np.abs(evolve_column(op, tau, group.identity))
-            fid = float(col[group.identity])
-            col[group.identity] = 0.0
-            stray = float(col.max())
-            if fid < 1.0 - config.fidelity_gap:
-                messages.append(f"periodic return fidelity {fid:.12f} below threshold")
-            if stray > 0.999:
-                messages.append(f"unexpected transfer peak {stray:.6f} at a degenerate claim")
+        fid, entry = fidelity(op, tau, group.identity, cert.z)
+        phase = float(entry.real)
+        if claimed is None:
+            if (fid > 1.0 - config.fidelity_gap and phase > 0) != res.accepted:
+                messages.append("criterion and oracle disagree on the probe")
+        elif fid < 1.0 - config.fidelity_gap:
+            messages.append(f"oracle fidelity {fid:.12f} below threshold")
+        elif phase < 0:
+            messages.append("oracle phase is not +1")
+        if transfer and mst.size > 1 and mst.minimal_time is not None:
+            perm = permutation_check(op, mst.minimal_time)
+            if not perm.ok or not perm.fixed_point_free or \
+                    not perm.commutes_with_generator or perm.order != mst.size:
+                messages.append("transfer permutation structure check failed")
 
-    verdict = None
-    if mst is not None:
-        verdict = verdict_document(graph, mst, fid, connected)
-        verdict["name"] = cert.name
+    verdict = verdict_document(graph, mst, fid, connected)
+    verdict["name"] = cert.name
     ok = not messages
     return DualReport(name=cert.name, ok=ok, messages=messages,
-                      criterion_residual=criterion_residual, oracle_fidelity=fid,
+                      criterion_residual=res.residual, oracle_fidelity=fid,
                       phase=phase, mst=mst, connected=connected, verdict=verdict)

@@ -178,8 +178,9 @@ def build_cyclic(r: int, max_order: int = DEFAULT_MAX_ORDER) -> GroupTable:
     if r < 1:
         raise InvalidParameterError("cyclic order must be positive")
     _check_order_cap(r, max_order)
-    idx = np.arange(r)
-    mul = (idx[:, None] + idx[None, :]) % r
+    idx = np.arange(r, dtype=np.int32)
+    mul = idx[:, None] + idx[None, :]
+    np.subtract(mul, r, out=mul, where=mul >= r)
     return _finish(mul, [str(i) for i in range(r)], GroupSpec("cyclic", r=r))
 
 

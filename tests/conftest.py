@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import collections
 import itertools
+import json
 import math
 
 import numpy as np
@@ -40,6 +41,27 @@ from caywalk.groups import (
 # Cyclic orders for the differential tests: every order to 64, then prime
 # powers and products up to 729 (orbit_conjugacy takes O(r^2) Python steps).
 CYCLIC_ORDERS = (*range(1, 65), 81, 100, 121, 125, 128, 243, 256, 343, 360, 512, 625, 729)
+
+# Hand-written `verify --fixtures` documents, one per kind of claim: a
+# transfer set of size 4, a report-only probe, and a periodic return (the
+# zero-sum set {(0,1), (1,1), (2,1)} of Z_3^2). The optional claims_pst and
+# report_only keys, where present, agree with claimed_size; family and notes
+# are ignored by the reader.
+FIXTURE_DOCUMENTS = (
+    {"name": "z8_125", "group": "z:8", "connection_classes": [1, 2, 5], "z": 2,
+     "tau": "solved:0.7853981633974483", "claimed_size": 4, "claims_pst": True,
+     "report_only": False, "oriented": True, "family": "cyclic-8", "notes": ""},
+    {"name": "m2_16_probe", "group": "m2:4", "connection_classes": [3, 4], "z": 4,
+     "tau": "pi/4", "claimed_size": None, "report_only": True},
+    {"name": "z3_2_return", "group": "z3^2", "connection_classes": [1, 4, 7], "z": 0,
+     "tau": "2pi/3sqrt3", "claimed_size": 1, "claims_pst": False},
+)
+
+
+def write_fixture_documents(directory, docs=FIXTURE_DOCUMENTS) -> None:
+    """Write each document to directory/<name>.json."""
+    for doc in docs:
+        (directory / f"{doc['name']}.json").write_text(json.dumps(doc), encoding="utf-8")
 
 
 def permutation_group_table(n: int) -> GroupTable:

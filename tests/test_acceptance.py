@@ -120,7 +120,7 @@ def test_criterion_1_cyclic3_powers_random_sets():
                 cert = family_z3n(n, connection)
                 graph = cert.graph()
                 table = character_table_for(cert.group, cert.conj)
-                if not cert.claims_pst:
+                if cert.claimed_size == 1:
                     continue  # zero sum: nothing is claimed for this draw
                 res = check_pst_at(graph, table, cert.z, TAU3)
                 assert res.accepted and res.residual < RESIDUAL_TOL
@@ -139,7 +139,7 @@ def test_criterion_2_cyclic4_powers_iff():
         # positive direction: odd digit sums, n = 1 and n = 2
         for n, connection in ((1, [(1,)]), (2, [(1, 0), (0, 1)]), (2, [(1, 2)])):
             cert = family_z4n(n, connection)
-            assert cert.claims_pst
+            assert cert.claimed_size == 2
             graph = cert.graph()
             table = character_table_for(cert.group, cert.conj)
             res = check_pst_at(graph, table, cert.z, math.pi / 2)
@@ -154,7 +154,7 @@ def test_criterion_2_cyclic4_powers_iff():
         # itself has an odd sum): order <= 2 sums move nothing at pi/2
         for connection in ([(1, 1), (1, 3)], [(1, 0), (0, 1), (3, 3)]):
             cert = family_z4n(2, connection)
-            assert not cert.claims_pst
+            assert cert.claimed_size == 1
             graph = cert.graph()
             op = build_operator(adjacency_matrix(graph))
             col = np.abs(evolve_column(op, math.pi / 2, cert.group.identity))

@@ -5,10 +5,8 @@ import os
 import pathlib
 import runpy
 import shlex
-import shutil
 import subprocess
 import sys
-from importlib import resources
 
 import numpy as np
 import pytest
@@ -21,7 +19,7 @@ from caywalk.cli import (
     main,
 )
 from caywalk.errors import InvalidParameterError
-from caywalk.families import load_fixture_documents
+from caywalk.families import shipped_certificates
 from caywalk.groups import (
     GroupSpec,
     build_group,
@@ -30,7 +28,7 @@ from caywalk.groups import (
     save_group,
 )
 
-from conftest import intercalate_z2_9
+from conftest import FIXTURE_DOCUMENTS, intercalate_z2_9, write_fixture_documents
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -55,10 +53,10 @@ def readme_commands() -> list[list[str]]:
 
 
 def group_specs_in_use() -> set[str]:
-    """Every group spec the benchmark, the README and the fixtures spell out."""
+    """Every group spec the benchmark, the README and the certificate suite spell out."""
     workloads = runpy.run_path(str(ROOT / "bench" / "workloads.py"))["WORKLOADS"]
     argvs = [list(cmd.args) for cmds in workloads.values() for cmd in cmds]
-    specs = {doc["group"] for doc in load_fixture_documents()}
+    specs = {str(cert.group.spec) for cert in shipped_certificates()}
     for argv in argvs + readme_commands():
         if "--group" in argv:
             specs.add(argv[argv.index("--group") + 1])
@@ -399,30 +397,71 @@ def test_verify_unknown_fixture_name(capsys):
     assert code == EXIT_VALIDATION
 
 
+def test_verify_matches_bench_reference(capsys):
+    """The default suite replays to the benchmark's stored `verify` output:
+    names and order, classes, S_e, size and tau."""
+    check = runpy.run_path(str(ROOT / "bench" / "check.py"))
+    refs = json.loads((ROOT / "bench" / "reference" / "certify.json").read_text(encoding="utf-8"))
+    argv = ["--seed", "42", "--format", "json", "verify"]
+    ref = next(cmd for cmd in refs["commands"] if cmd["argv"] == argv)
+    assert main(argv) == EXIT_OK
+    doc = json.loads(capsys.readouterr().out)
+    assert check["check_verify"](doc, ref["stdout"]) == []
+
+
+def test_verify_fixture_documents_of_each_claim_kind(capsys, tmp_path):
+    write_fixture_documents(tmp_path)
+    code, doc = run_json(capsys, ["verify", "--fixtures", str(tmp_path)])
+    assert code == EXIT_OK and doc["ok"] and doc["failures"] == []
+    got = [(c["name"], c["ok"], c["verdict"]["size"]) for c in doc["certificates"]]
+    assert got == [("m2_16_probe", True, 4), ("z3_2_return", True, 1), ("z8_125", True, 4)]
+
+
+@pytest.mark.parametrize("name,key,value", [("z8_125", "report_only", True),
+                                            ("z8_125", "claims_pst", False),
+                                            ("m2_16_probe", "report_only", False),
+                                            ("z3_2_return", "claims_pst", True)])
+def test_verify_rejects_claim_flag_contradicting_size(capsys, tmp_path, name, key, value):
+    docs = [{**doc, key: value} if doc["name"] == name else doc for doc in FIXTURE_DOCUMENTS]
+    write_fixture_documents(tmp_path, docs)
+    code = main(["verify", "--fixtures", str(tmp_path)])
+    assert code == EXIT_VALIDATION
+    assert f"{key}={value!r} contradicts claimed_size" in capsys.readouterr().err
+
+
 def test_verify_doctored_fixture_fails(capsys, tmp_path):
-    src = resources.files("caywalk") / "fixtures"
-    for entry in src.iterdir():
-        if entry.name.endswith(".json"):
-            shutil.copyfile(str(entry), tmp_path / entry.name)
-    z8 = tmp_path / "z8_125.json"
-    doc = json.loads(z8.read_text())
-    doc["z"] = 4  # true transfer target at pi/4 is 2
-    z8.write_text(json.dumps(doc))
+    # The true transfer target of z8_125 at pi/4 is 2.
+    docs = [{**doc, "z": 4} if doc["name"] == "z8_125" else doc for doc in FIXTURE_DOCUMENTS]
+    write_fixture_documents(tmp_path, docs)
     code = main(["verify", "--fixtures", str(tmp_path)])
     out = capsys.readouterr().out
     assert code == EXIT_VERIFICATION
     assert "FAIL z8_125" in out
+    assert "ok  m2_16_probe" in out and "ok  z3_2_return" in out
 
 
 def test_verify_rejects_fixture_group_dict(capsys, tmp_path):
-    z8 = tmp_path / "z8_125.json"
-    shutil.copyfile(str(resources.files("caywalk") / "fixtures" / "z8_125.json"), z8)
-    doc = json.loads(z8.read_text())
-    doc["group"] = {"family": "cyclic", "r": 8}
-    z8.write_text(json.dumps(doc))
+    doc = {**FIXTURE_DOCUMENTS[0], "group": {"family": "cyclic", "r": 8}}
+    write_fixture_documents(tmp_path, [doc])
     code = main(["verify", "--fixtures", str(tmp_path)])
     assert code == EXIT_VALIDATION
     assert "group must be a spec string" in capsys.readouterr().err
+
+
+def test_verify_rejects_fixture_missing_key(capsys, tmp_path):
+    doc = {key: value for key, value in FIXTURE_DOCUMENTS[0].items() if key != "z"}
+    write_fixture_documents(tmp_path, [doc])
+    code = main(["verify", "--fixtures", str(tmp_path)])
+    assert code == EXIT_VALIDATION
+    assert "missing keys ['z']" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("size", ["4", 0, 2.5, True])
+def test_verify_rejects_fixture_claimed_size_that_is_not_a_size(capsys, tmp_path, size):
+    write_fixture_documents(tmp_path, [{**FIXTURE_DOCUMENTS[0], "claimed_size": size}])
+    code = main(["verify", "--fixtures", str(tmp_path)])
+    assert code == EXIT_VALIDATION
+    assert "is neither null nor a positive integer" in capsys.readouterr().err
 
 
 def exported_table_with_claim(tmp_path, capsys, time_value="2pi/3sqrt3"):

@@ -1,8 +1,6 @@
-"""Certificate families, fixture plumbing, and dual verification."""
-import json
+"""Certificate families, the certificate suite, and dual verification."""
 import math
-import pathlib
-from importlib import resources
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,20 +8,16 @@ import pytest
 from caywalk.config import DEFAULT_CONFIG
 from caywalk.errors import InvalidParameterError
 from caywalk.families import (
-    FamilyCertificate,
-    certificate_to_fixture,
     dual_verify,
     family_extraspecial3,
     family_m2,
     family_z3n,
     family_z4n,
-    fixture_to_certificate,
     load_fixture_certificates,
     m2_remark_probe,
     shipped_certificates,
     undirected_cycle4_certificate,
     wreath_lift,
-    write_fixture_files,
     z8_certificate,
 )
 from caywalk.groups import (
@@ -35,13 +29,7 @@ from caywalk.groups import (
     save_group,
 )
 
-
-def replace(cert, **kw):
-    data = {f: getattr(cert, f) for f in (
-        "name", "family", "group", "conj", "connection_classes", "z", "tau_tag",
-        "claimed_size", "claims_pst", "oriented", "report_only", "notes")}
-    data.update(kw)
-    return FamilyCertificate(**data)
+from conftest import write_fixture_documents
 
 
 # ---------------------------------------------------------------------------
@@ -74,8 +62,8 @@ def test_z3_randomized_sets_verify():
     for connection in random_valid_z3_sets(2, 4, seed=11):
         cert = family_z3n(2, connection)
         sigma = tuple(sum(c[i] for c in connection) % 3 for i in range(2))
-        assert cert.claims_pst == (sigma != (0, 0))
-        if cert.claims_pst:
+        assert (cert.claimed_size == 3) == (sigma != (0, 0))
+        if cert.claimed_size == 3:
             assert tuple(digits_of(cert.z, 3, 2)) == sigma
         report = dual_verify(cert)
         assert report.ok, report.messages
@@ -83,9 +71,8 @@ def test_z3_randomized_sets_verify():
 
 def test_z3_zero_sum_is_periodic_only():
     cert = family_z3n(2, [(0, 1), (1, 1), (2, 1)])
-    assert not cert.claims_pst and cert.claimed_size == 1
+    assert cert.claimed_size == 1
     assert cert.z == cert.group.identity
-    assert "periodic" in cert.notes
     report = dual_verify(cert)
     assert report.ok, report.messages
     assert report.mst.size == 1
@@ -93,16 +80,17 @@ def test_z3_zero_sum_is_periodic_only():
 
 def test_z4_even_sum_is_periodic_only():
     cert = family_z4n(2, [(1, 1), (1, 3)])
-    assert not cert.claims_pst and cert.claimed_size == 1
+    assert cert.claimed_size == 1
     assert cert.z == cert.group.identity  # twice an order-2 sum
     report = dual_verify(cert)
     assert report.ok, report.messages
     assert report.mst.size == 1 and report.oracle_fidelity == pytest.approx(1.0)
+    assert report.phase == pytest.approx(1.0)  # the return carries phase +1
 
 
 def test_z4_odd_sum_transfers():
     cert = family_z4n(1, [(1,)])
-    assert cert.claims_pst and cert.claimed_size == 2 and cert.z == 2
+    assert cert.claimed_size == 2 and cert.z == 2
     report = dual_verify(cert)
     assert report.ok, report.messages
     assert report.mst.S_e == (0, 2)
@@ -155,7 +143,7 @@ def test_m2_rejects_small_n():
 
 def test_report_only_probe():
     cert = m2_remark_probe()
-    assert cert.report_only and cert.claimed_size is None
+    assert cert.claimed_size is None
     report = dual_verify(cert)
     assert report.ok, report.messages
     # observed outcome, recorded rather than claimed: the probe does transfer
@@ -189,7 +177,7 @@ def test_wreath_lift_connectivity_recorded():
 def test_wreath_lift_of_degenerate_base_stays_degenerate():
     base = family_z3n(2, [(0, 1), (1, 1), (2, 1)])
     lifted = wreath_lift(base, 2)
-    assert not lifted.claims_pst and lifted.claimed_size == 1
+    assert lifted.claimed_size == 1
     report = dual_verify(lifted)
     assert report.ok, report.messages
     assert report.mst.size == 1
@@ -218,44 +206,28 @@ def test_z8_solved_tag_matches_quarter_pi():
 
 
 # ---------------------------------------------------------------------------
-# fixtures on disk
-
-
-def test_fixture_files_match_constructors(tmp_path):
-    written = write_fixture_files(str(tmp_path))
-    packaged = resources.files("caywalk") / "fixtures"
-    assert len(written) == 14
-    for path in written:
-        name = pathlib.Path(path).name
-        fresh = pathlib.Path(path).read_text(encoding="utf-8")
-        shipped = (packaged / name).read_text(encoding="utf-8")
-        assert fresh == shipped, f"fixture drift in {name}"
-
-
-def test_fixture_round_trip_preserves_fields():
-    for cert in shipped_certificates():
-        back = fixture_to_certificate(certificate_to_fixture(cert))
-        assert back.name == cert.name
-        assert back.connection_classes == cert.connection_classes
-        assert back.z == cert.z
-        assert back.tau_tag == cert.tau_tag
-        assert back.claims_pst == cert.claims_pst
-        assert back.claimed_size == cert.claimed_size
-        assert back.oriented == cert.oriented
-        assert back.group.spec == cert.group.spec
-        assert np.array_equal(back.group.mul, cert.group.mul)
+# the suite and --fixtures documents
 
 
 def test_load_fixtures_from_directory(tmp_path):
-    write_fixture_files(str(tmp_path))
+    """Hand-written documents read back as the certificates the constructors build."""
+    write_fixture_documents(tmp_path)
     certs = load_fixture_certificates(str(tmp_path))
-    assert len(certs) == 14
-    assert {c.name for c in certs} == {c.name for c in shipped_certificates()}
+    built = [m2_remark_probe(), family_z3n(2, [(0, 1), (1, 1), (2, 1)]), z8_certificate()]
+    assert [c.name for c in certs] == ["m2_16_probe", "z3_2_return", "z8_125"]
+    for cert, want in zip(certs, built):
+        assert cert.connection_classes == want.connection_classes
+        assert (cert.z, cert.tau_tag, cert.claimed_size) == (want.z, want.tau_tag,
+                                                             want.claimed_size)
+        assert cert.oriented and cert.group.spec == want.group.spec
+        assert np.array_equal(cert.group.mul, want.group.mul)
 
 
 def test_load_packaged_fixtures():
+    """With no directory the suite comes from the constructors, in name order."""
     certs = load_fixture_certificates()
     assert len(certs) == 14
+    assert [c.name for c in certs] == sorted(c.name for c in shipped_certificates())
 
 
 def test_group_spec_dispatch(tmp_path):

@@ -83,6 +83,11 @@ def test_cyclic_table():
     assert g.mul[2, 5] == 1
     assert list(g.inv) == [0, 5, 4, 3, 2, 1]
     assert g.label_of(3) == "3" and g.index_of("4") == 4
+    for r in CYCLIC_ORDERS:
+        idx = np.arange(r)
+        mul = build_cyclic(r).mul
+        assert mul.dtype == np.int32
+        assert np.array_equal(mul, (idx[:, None] + idx[None, :]) % r), r
 
 
 def test_cyclic_rejects_bad_order():
