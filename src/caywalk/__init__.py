@@ -15,6 +15,7 @@ from .cayley import (
     adjacency_matrix,
     adjacency_to_csv,
     cayley_graph,
+    check_orientation,
     connection_character_sums,
     enumerate_oriented_class_unions,
     graph_to_dot,

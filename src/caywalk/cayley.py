@@ -51,32 +51,43 @@ class CayleyGraph:
         return self.group.order
 
 
+def check_orientation(class_inv: Sequence[int] | np.ndarray, identity_class: int,
+                      classes: np.ndarray) -> None:
+    """The oriented-set rule on every row of a 2-D array of class indices.
+
+    A row may hold no identity class, no other real class (one equal to its
+    inverse class), and no class together with its inverse class. Raises
+    OrientationError listing every violation, each class once per rule.
+    """
+    class_inv = np.asarray(class_inv, dtype=np.int64)
+    inverses = class_inv[classes]
+    violations: list[tuple[str, tuple[int, ...]]] = []
+    for c in sorted(set(classes[classes == identity_class].tolist())):
+        violations.append((OrientationError.RULE_IDENTITY, (c,)))
+    real = (inverses == classes) & (classes != identity_class)
+    for c in sorted(set(classes[real].tolist())):
+        violations.append((OrientationError.RULE_REAL, (c,)))
+    paired = (classes[:, :, None] == inverses[:, None, :]).any(axis=2)
+    for c in sorted(set(classes[paired & (classes < inverses)].tolist())):
+        violations.append((OrientationError.RULE_INVERSE_PAIR, (c, int(class_inv[c]))))
+    if violations:
+        raise OrientationError(violations)
+
+
 @dataclass(frozen=True, eq=False)
 class ConnectionStack:
     """Oriented connection sets of one group, one row of class indices each.
 
-    Every row is ascending and has the same number of classes. The
-    orientation rules are checked on the whole array: no identity class, no
-    real class, no inverse pair within a row.
+    Every row is ascending and has the same number of classes, and every row
+    passes check_orientation.
     """
 
     conj: ConjugacyData
     classes: np.ndarray
 
     def __post_init__(self) -> None:
-        classes = self.classes
-        class_inv = np.asarray(self.conj.class_inv, dtype=np.int64)
-        identity_class = int(self.conj.class_of[self.conj.group.identity])
-        violations: list[tuple[str, tuple[int, ...]]] = []
-        for c in sorted(set(classes[classes == identity_class].tolist())):
-            violations.append((OrientationError.RULE_IDENTITY, (c,)))
-        for c in sorted(set(classes[class_inv[classes] == classes].tolist())):
-            violations.append((OrientationError.RULE_REAL, (c,)))
-        paired = (classes[:, :, None] == class_inv[classes][:, None, :]).any(axis=2)
-        for c in sorted(set(classes[paired & (classes < class_inv[classes])].tolist())):
-            violations.append((OrientationError.RULE_INVERSE_PAIR, (c, int(class_inv[c]))))
-        if violations:
-            raise OrientationError(violations)
+        conj = self.conj
+        check_orientation(conj.class_inv, int(conj.class_of[conj.group.identity]), self.classes)
 
     def __len__(self) -> int:
         return len(self.classes)
@@ -102,22 +113,7 @@ def _gather(conj: ConjugacyData, class_indices: Iterable[int]) -> tuple[tuple[in
 def make_connection_set(conj: ConjugacyData, class_indices: Iterable[int]) -> ConnectionSet:
     """Oriented connection set from class indices; every violation is collected."""
     idx, elements = _gather(conj, class_indices)
-    chosen = set(idx)
-    violations: list[tuple[str, tuple[int, ...]]] = []
-    identity_class = int(conj.class_of[conj.group.identity])
-    reported_pairs = set()
-    for c in idx:
-        if c == identity_class:
-            violations.append((OrientationError.RULE_IDENTITY, (c,)))
-            continue
-        cinv = conj.class_inv[c]
-        if cinv == c:
-            violations.append((OrientationError.RULE_REAL, (c,)))
-        elif cinv in chosen and (cinv, c) not in reported_pairs:
-            violations.append((OrientationError.RULE_INVERSE_PAIR, (c, cinv)))
-            reported_pairs.add((c, cinv))
-    if violations:
-        raise OrientationError(violations)
+    ConnectionStack(conj=conj, classes=np.array([idx], dtype=np.int64))
     return ConnectionSet(class_indices=idx, elements=elements, oriented=True)
 
 
@@ -168,7 +164,6 @@ class Spectrum:
     """Per-character eigenvalue data of the signed adjacency matrix."""
 
     theta: np.ndarray        # complex, one entry per character
-    char_sums: np.ndarray    # chi(C) = sum over connection elements
 
     @property
     def imag(self) -> np.ndarray:
@@ -188,23 +183,31 @@ def connection_character_sums(table: CharacterTable,
     return np.matmul(np.moveaxis(table.values[:, idx], 0, -2), weights[..., None])[..., 0]
 
 
+def walk_thetas(table: CharacterTable, conn_classes: Sequence[int] | np.ndarray) -> np.ndarray:
+    """theta_chi = (chi(C) - conj chi(C)) / chi(e): the adjacency eigenvalue per character.
+
+    A 2-D stack of connection sets gives one row of thetas per set.
+    """
+    sums = connection_character_sums(table, conn_classes)
+    return (sums - np.conj(sums)) / table.degrees
+
+
 def spectrum(graph: CayleyGraph, table: CharacterTable) -> Spectrum:
-    """theta_chi = (chi(C) - conj chi(C)) / chi(e) for each character row.
+    """walk_thetas of the graph's connection set, checked against the graph.
 
     Purely imaginary by skew symmetry; a real part beyond tolerance means the
     table does not belong to this graph's group.
     """
     if table.n_classes != len(graph.conj.classes):
         raise InconsistencyError("character table and graph disagree on class count")
-    sums = connection_character_sums(table, graph.conn.class_indices)
-    theta = (sums - np.conj(sums)) / table.degrees
+    theta = walk_thetas(table, graph.conn.class_indices)
     scale = max(1.0, float(len(graph.conn)))
     if np.max(np.abs(theta.real)) > table.tolerance * scale:
         raise InconsistencyError("spectrum has a real part; table/graph mismatch")
     trace = np.sum(table.degrees.astype(float) ** 2 * theta)
     if abs(trace) > table.tolerance * graph.order * scale:
         raise InconsistencyError("spectrum trace is nonzero; table/graph mismatch")
-    return Spectrum(theta=theta, char_sums=sums)
+    return Spectrum(theta=theta)
 
 
 def is_connected(graph: CayleyGraph) -> bool:

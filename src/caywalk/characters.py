@@ -215,9 +215,7 @@ def structure_constants(group: GroupTable, conj: ConjugacyData) -> np.ndarray:
 
 
 def character_table_numerical(group: GroupTable, conj: ConjugacyData,
-                              seed: int = DEFAULT_SEED, tol: float = VALUE_TOL,
-                              retries: int = TABLE_RETRIES,
-                              max_classes: int = MAX_TABLE_CLASSES) -> CharacterTable:
+                              seed: int = DEFAULT_SEED, tol: float = VALUE_TOL) -> CharacterTable:
     """Character table via simultaneous eigenvectors of the class matrices.
 
     A random (seeded) real combination of the class multiplication matrices
@@ -226,15 +224,15 @@ def character_table_numerical(group: GroupTable, conj: ConjugacyData,
     retried with fresh coefficients, deterministically in the seed.
     """
     k = len(conj.classes)
-    if k > max_classes:
-        raise SizeLimitError(f"{k} classes exceeds numerical cap {max_classes}")
+    if k > MAX_TABLE_CLASSES:
+        raise SizeLimitError(f"{k} classes exceeds numerical cap {MAX_TABLE_CLASSES}")
     order = group.order
     sizes = conj.sizes
     a = structure_constants(group, conj)
     rng = np.random.default_rng(seed)
 
     last_problem = "no attempt"
-    for _ in range(retries):
+    for _ in range(TABLE_RETRIES):
         coeff = rng.uniform(0.5, 1.5, size=k)
         m = np.tensordot(coeff, a, axes=(0, 0))
         eigvals, eigvecs = np.linalg.eig(m)
@@ -270,7 +268,7 @@ def character_table_numerical(group: GroupTable, conj: ConjugacyData,
                               class_sizes=sizes.copy(), exponent=conj.exponent,
                               provenance=PROVENANCE_NUMERICAL, tolerance=tol)
     raise NumericalFailureError(
-        f"character table did not converge after {retries} attempts: {last_problem}")
+        f"character table did not converge after {TABLE_RETRIES} attempts: {last_problem}")
 
 
 def character_table_for(group: GroupTable, conj: ConjugacyData,

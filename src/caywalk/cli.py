@@ -57,8 +57,6 @@ from .errors import (
     InvalidParameterError,
     InvariantBreachError,
     NumericalFailureError,
-    OrientationError,
-    SchemaError,
     SizeLimitError,
     VerificationFailure,
 )
@@ -88,20 +86,18 @@ DEFAULT_SWEEP_LIMIT = 16
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    cfg = DEFAULT_CONFIG
     updates = {}
     if args.tolerance is not None:
         if args.tolerance <= 0:
             raise InvalidParameterError("tolerance must be positive")
-        updates["value_tol"] = args.tolerance
-        updates["residual_tol"] = args.tolerance
+        updates["tolerance"] = args.tolerance
     for name in ("max_order", "oracle_max_order", "seed"):
         val = getattr(args, name, None)
         if val is not None:
             if name != "seed" and val <= 0:
                 raise InvalidParameterError(f"--{name.replace('_', '-')} must be positive")
             updates[name] = val
-    return cfg.with_updates(**updates) if updates else cfg
+    return DEFAULT_CONFIG.with_updates(**updates)
 
 
 def _load_group(config: RunConfig, spec_text: str):
@@ -222,8 +218,7 @@ def cmd_group(args: argparse.Namespace, config: RunConfig) -> int:
         return EXIT_OK
     # export
     if args.characters:
-        table = character_table_for(group, conj, seed=config.seed,
-                                    tol=config.value_tol)
+        table = character_table_for(group, conj, seed=config.seed, tol=config.tolerance)
         payload = character_table_to_json_str(export_character_table(table, conj))
     else:
         payload = group_to_json_str(group)
@@ -243,8 +238,7 @@ def cmd_pst(args: argparse.Namespace, config: RunConfig) -> int:
     group, conj = _load_group(config, args.group)
 
     if args.pst_cmd == "nonexist":
-        table = character_table_for(group, conj, seed=config.seed,
-                                    tol=config.value_tol)
+        table = character_table_for(group, conj, seed=config.seed, tol=config.tolerance)
         z = _resolve_element(group, args.target)
         galois = galois_stabilizers(table, conj)
         witness = nonexistence_witness(conj, table, galois, z)
@@ -263,13 +257,13 @@ def cmd_pst(args: argparse.Namespace, config: RunConfig) -> int:
     if args.pst_cmd == "oracle":
         return _cmd_pst_oracle(args, config, graph)
 
-    table = character_table_for(group, conj, seed=config.seed, tol=config.value_tol)
+    table = character_table_for(group, conj, seed=config.seed, tol=config.tolerance)
 
     if args.pst_cmd == "check":
         a = _resolve_element(group, args.source) if args.source else group.identity
         b = _resolve_element(group, args.target)
         t = parse_time(args.time)
-        res = check_pst_pair(graph, table, a, b, t, config.residual_tol)
+        res = check_pst_pair(graph, table, a, b, t)
         _emit({"group": group.family_tag, "connection_classes": list(classes),
                "source": a, "target": b, "time": t, "accepted": res.accepted,
                "residual": res.residual, "reason": res.reason}, args.format)
@@ -277,8 +271,7 @@ def cmd_pst(args: argparse.Namespace, config: RunConfig) -> int:
 
     if args.pst_cmd == "solve":
         z = _resolve_element(group, args.target)
-        outcome = solve_pst_time(graph, table, z, config,
-                                 period_mode=args.period)
+        outcome = solve_pst_time(graph, table, z, period_mode=args.period)
         doc = {"group": group.family_tag, "connection_classes": list(classes),
                "target": z, "found": outcome.certificate is not None}
         if outcome.certificate is not None:
@@ -291,7 +284,7 @@ def cmd_pst(args: argparse.Namespace, config: RunConfig) -> int:
         return EXIT_OK
 
     # mst
-    report = compute_S_e(graph, table, config)
+    report = compute_S_e(graph, table)
     oracle_fid = None
     if group.order <= config.oracle_max_order and report.generator is not None:
         op = build_operator(adjacency_matrix(graph))
@@ -367,7 +360,7 @@ def cmd_sweep(args: argparse.Namespace, config: RunConfig) -> int:
         raise SizeLimitError(
             f"group order {group.order} exceeds the sweep limit {limit}; "
             f"raise --limit to allow it")
-    table = character_table_for(group, conj, seed=config.seed, tol=config.value_tol)
+    table = character_table_for(group, conj, seed=config.seed, tol=config.tolerance)
     histogram: dict[int, int] = {}
     certificates = []
     tested = 0
@@ -377,7 +370,7 @@ def cmd_sweep(args: argparse.Namespace, config: RunConfig) -> int:
             keep = [connected(row) for row in stack.classes.tolist()]
             stack = ConnectionStack(conj=conj, classes=stack.classes[keep])
         tested += len(stack)
-        for classes, report in zip(stack.classes, compute_S_e(stack, table, config)):
+        for classes, report in zip(stack.classes, compute_S_e(stack, table)):
             histogram[report.size] = histogram.get(report.size, 0) + 1
             if report.size > 1:
                 certificates.append({
@@ -444,7 +437,7 @@ def cmd_verify(args: argparse.Namespace, config: RunConfig) -> int:
 
     import_docs = []
     for path in args.import_table or []:
-        imported = load_character_table(path, config.value_tol)
+        imported = load_character_table(path, config.tolerance)
         if not imported.claims:
             import_docs.append({"path": path, "claims": [],
                                 "note": "table valid, no claims shipped"})
@@ -453,7 +446,7 @@ def cmd_verify(args: argparse.Namespace, config: RunConfig) -> int:
             continue
         claim_results = []
         for claim in imported.claims:
-            result = check_imported_claim(imported, claim, config.residual_tol)
+            result = check_imported_claim(imported, claim)
             claim_results.append(result)
             if not result["accepted"]:
                 failures.append(f"import:{path}")
@@ -492,8 +485,7 @@ def cmd_graph(args: argparse.Namespace, config: RunConfig) -> int:
            "order": group.order, "connected": is_connected(graph),
            "arcs": len(graph.conn.elements) * group.order}
     if graph.conn.oriented:
-        table = character_table_for(group, conj, seed=config.seed,
-                                    tol=config.value_tol)
+        table = character_table_for(group, conj, seed=config.seed, tol=config.tolerance)
         doc["spectrum"] = spectrum_report(table, spectrum(graph, table))
     _emit(doc, args.format)
     return EXIT_OK
@@ -509,7 +501,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=None,
                         help="RNG seed for numerical character tables (default 42)")
     parser.add_argument("--tolerance", type=float, default=None,
-                        help="override the residual/value tolerance")
+                        help="value equality and criterion residual threshold")
     parser.add_argument("--max-order", dest="max_order", type=int, default=None,
                         help="largest group order any constructor may build")
     parser.add_argument("--oracle-max-order", dest="oracle_max_order", type=int,
@@ -620,8 +612,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = _config_from_args(args)
         return _HANDLERS[args.command](args, config)
-    except (InvalidParameterError, OrientationError, GroupValidationError,
-            SchemaError, CorruptTableError, ValueError, OSError) as exc:
+    except (InvalidParameterError, GroupValidationError, CorruptTableError,
+            ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except (VerificationFailure, InvariantBreachError, InconsistencyError,

@@ -3,25 +3,28 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-# Value-equality tolerance for character tables; orthogonality sums are
-# compared at VALUE_TOL * |G|.
+# Value-equality tolerance for character tables, and the acceptance threshold
+# of the transfer criterion's residual; orthogonality sums are compared at
+# VALUE_TOL * |G|.
 VALUE_TOL = 1e-8
-# Acceptance threshold for the transfer criterion residual.
-RESIDUAL_TOL = 1e-8
 # The oracle certifies transfer when fidelity exceeds 1 - FIDELITY_GAP.
 FIDELITY_GAP = 1e-7
 # exp(tA) must be real and orthogonal to this accuracy.
 UNITARITY_TOL = 1e-9
-# Skew-symmetry required of adjacency input to the oracle.
+# Skew-symmetry (symmetry, for undirected walks) required of oracle input.
 SKEW_TOL = 1e-12
 # Spectral reconstruction checks.
 RECONSTRUCTION_TOL = 1e-9
 # Rationality check: denominators up to MAX_DENOMINATOR, matched to RATIONAL_TOL.
 MAX_DENOMINATOR = 10**4
 RATIONAL_TOL = 1e-12
-# Golden-section refinement tolerance for fidelity maxima.
-SCAN_REFINE_TOL = 1e-10
+# exp(tA) is a permutation matrix when every entry is within this of 0 or 1.
+PERMUTATION_TOL = 1e-8
+# Fidelity scans: grid steps, the fidelity a grid maximum must reach, and the
+# golden-section refinement tolerance of its time.
 SCAN_STEPS = 2000
+SCAN_THRESHOLD = 0.999
+SCAN_REFINE_TOL = 1e-10
 
 DEFAULT_MAX_ORDER = 4096
 # Oracle verification is skipped above this many vertices unless forced.
@@ -36,9 +39,7 @@ TABLE_RETRIES = 8
 class RunConfig:
     """Knobs shared by the engine, the oracle, and the CLI."""
 
-    value_tol: float = VALUE_TOL
-    residual_tol: float = RESIDUAL_TOL
-    fidelity_gap: float = FIDELITY_GAP
+    tolerance: float = VALUE_TOL
     max_order: int = DEFAULT_MAX_ORDER
     oracle_max_order: int = DEFAULT_ORACLE_MAX_ORDER
     seed: int = DEFAULT_SEED

@@ -2,9 +2,10 @@
 
 All tests reduce to one residual: transfer from the identity vertex to a
 central element z at time t holds exactly when every irreducible character
-satisfies chi(z)/chi(e) = exp(t * theta_chi). Everything here consumes only
-character rows, class sizes, and class maps, so imported tables work the same
-as group-backed ones.
+satisfies chi(z)/chi(e) = exp(t * theta_chi), accepted when the residual is
+under the table's own tolerance. Everything here consumes only character
+rows, class sizes, and class maps, so imported tables work the same as
+group-backed ones.
 """
 from __future__ import annotations
 
@@ -15,14 +16,9 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .cayley import CayleyGraph, ConnectionStack, connection_character_sums
+from .cayley import CayleyGraph, ConnectionStack, check_orientation, walk_thetas
 from .characters import CharacterTable, GaloisData, ImportedTable, unit_closure
-from .config import (
-    MAX_DENOMINATOR,
-    RATIONAL_TOL,
-    DEFAULT_CONFIG,
-    RunConfig,
-)
+from .config import MAX_DENOMINATOR, RATIONAL_TOL
 from .errors import (
     InvalidParameterError,
     InvariantBreachError,
@@ -64,15 +60,6 @@ def parse_time(text: str | float) -> float:
 # ---------------------------------------------------------------------------
 # class-level criterion core
 
-def walk_thetas(table: CharacterTable, conn_classes: Sequence[int] | np.ndarray) -> np.ndarray:
-    """theta_chi = (chi(C) - conj chi(C)) / chi(e): the adjacency eigenvalue per character.
-
-    A 2-D stack of connection sets gives one row of thetas per set.
-    """
-    sums = connection_character_sums(table, conn_classes)
-    return (sums - np.conj(sums)) / table.degrees
-
-
 def residual_at(ratios: np.ndarray, thetas: np.ndarray, t: float) -> float:
     return float(np.max(np.abs(ratios - np.exp(t * thetas))))
 
@@ -85,19 +72,17 @@ class CheckResult:
 
 
 def check_transfer_classes(table: CharacterTable, conn_classes: Sequence[int],
-                           z_class: int, t: float,
-                           tol: float = DEFAULT_CONFIG.residual_tol) -> CheckResult:
+                           z_class: int, t: float) -> CheckResult:
     """Criterion evaluated purely on class data (imported tables included)."""
     if int(table.class_sizes[z_class]) != 1:
         return CheckResult(accepted=False, residual=math.inf,
                            reason="target class is not central")
     ratios = table.values[:, z_class] / table.degrees
     res = residual_at(ratios, walk_thetas(table, conn_classes), t)
-    return CheckResult(accepted=res < tol, residual=res)
+    return CheckResult(accepted=res < table.tolerance, residual=res)
 
 
-def check_pst_at(graph: CayleyGraph, table: CharacterTable, z: int, t: float,
-                 tol: float = DEFAULT_CONFIG.residual_tol) -> CheckResult:
+def check_pst_at(graph: CayleyGraph, table: CharacterTable, z: int, t: float) -> CheckResult:
     """Does the walk send the identity vertex exactly to z at time t?"""
     if not (0 <= z < graph.order):
         raise InvalidParameterError(f"element {z} out of range")
@@ -105,15 +90,15 @@ def check_pst_at(graph: CayleyGraph, table: CharacterTable, z: int, t: float,
         return CheckResult(accepted=False, residual=math.inf,
                            reason="target is not central")
     z_class = int(graph.conj.class_of[z])
-    return check_transfer_classes(table, graph.conn.class_indices, z_class, t, tol)
+    return check_transfer_classes(table, graph.conn.class_indices, z_class, t)
 
 
 def check_pst_pair(graph: CayleyGraph, table: CharacterTable, a: int, b: int,
-                   t: float, tol: float = DEFAULT_CONFIG.residual_tol) -> CheckResult:
+                   t: float) -> CheckResult:
     """Transfer a -> b reduces to identity -> b * a^-1 by vertex transitivity."""
     g = graph.group
     z = int(g.mul[b, g.inv[a]])
-    return check_pst_at(graph, table, z, t, tol)
+    return check_pst_at(graph, table, z, t)
 
 
 # ---------------------------------------------------------------------------
@@ -143,7 +128,7 @@ APERIODIC_WALK = "the spectrum is aperiodic, so the walk transfers to no vertex"
 _BLOCK_ENTRIES = 1 << 16
 
 
-def walk_frequency(thetas: np.ndarray, value_tol: float) -> np.ndarray:
+def walk_frequency(thetas: np.ndarray, tol: float) -> np.ndarray:
     """omega per row of thetas: the walk is periodic at e with least period 2*pi/omega.
 
     The y_chi = theta_chi / i are eigenvalues of the Hermitian -iA, hence
@@ -157,7 +142,7 @@ def walk_frequency(thetas: np.ndarray, value_tol: float) -> np.ndarray:
     nearest = np.rint(squares)
     # Lenient on purpose: a spectrum wrongly taken as periodic only adds
     # candidate times, which the residual test still rejects.
-    integral = np.all(np.abs(squares - nearest) <= value_tol * (1.0 + squares), axis=-1)
+    integral = np.all(np.abs(squares - nearest) <= tol * (1.0 + squares), axis=-1)
     ints = nearest.astype(np.int64)
     # n shares first's squarefree part iff n * first is a square; the float
     # root of n * first < 2^63 rounds to the integer root whenever there is one.
@@ -169,16 +154,17 @@ def walk_frequency(thetas: np.ndarray, value_tol: float) -> np.ndarray:
 
 
 def _scan_targets(table: CharacterTable, thetas: np.ndarray, omega: np.ndarray,
-                  z_classes: np.ndarray, n: int, tol: float) -> tuple[np.ndarray, np.ndarray]:
+                  z_classes: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """(tau, residual), sets x targets, over the times 2*pi*j/(n*omega) of each set.
 
     A transfer to z of order m forces exp(m * tau * theta) = 1, so when m
     divides n, j = 1..n-1 covers every transfer within one period and the
-    first time under tol is the minimal one. Where nothing hits, tau is the
-    candidate of least residual; residual is inf where no time can work: on
-    a set whose walk is not periodic (only periodic sets are scored), or
-    where a static character separates z from e.
+    first time under table.tolerance is the minimal one. Where nothing hits,
+    tau is the candidate of least residual; residual is inf where no time
+    can work: on a set whose walk is not periodic (only periodic sets are
+    scored), or where a static character separates z from e.
     """
+    tol = table.tolerance
     tau = np.full((len(thetas), len(z_classes)), np.nan)
     residual = np.full(tau.shape, math.inf)
     rows = np.flatnonzero(omega > 0)
@@ -207,7 +193,6 @@ def _scan_targets(table: CharacterTable, thetas: np.ndarray, omega: np.ndarray,
 
 
 def solve_pst_time(graph: CayleyGraph, table: CharacterTable, z: int,
-                   config: RunConfig = DEFAULT_CONFIG,
                    period_mode: bool = False) -> SolveOutcome:
     """Minimal positive transfer time identity -> z, or a near-miss and a reason.
 
@@ -220,7 +205,6 @@ def solve_pst_time(graph: CayleyGraph, table: CharacterTable, z: int,
         raise InvalidParameterError("z = identity needs period_mode=True")
     if z not in graph.conj.center:
         raise InvalidParameterError("target must be central")
-    tol = config.residual_tol
     thetas = walk_thetas(table, [graph.conn.class_indices])
     omega = walk_frequency(thetas, table.tolerance)
     if not omega[0] > 0:
@@ -231,12 +215,12 @@ def solve_pst_time(graph: CayleyGraph, table: CharacterTable, z: int,
         res = residual_at(1.0, thetas[0], t)
     else:
         taus, residuals = _scan_targets(table, thetas, omega, graph.conj.class_of[[z]],
-                                        element_order(g, z), tol)
+                                        element_order(g, z))
         t, res = float(taus[0, 0]), float(residuals[0, 0])
     if math.isinf(res):
         return SolveOutcome(certificate=None, near_miss_residual=res,
                             reason="a character separating z from e is static")
-    if res < tol:
+    if res < table.tolerance:
         cert = PSTCertificate(z=z, tau=t, residual=res)
         return SolveOutcome(certificate=cert, near_miss_residual=res, near_miss_time=t)
     return SolveOutcome(certificate=None, near_miss_residual=res, near_miss_time=t,
@@ -257,8 +241,8 @@ class MSTReport:
     certificates: Mapping[int, PSTCertificate]
 
 
-def compute_S_e(graph: CayleyGraph | ConnectionStack, table: CharacterTable,
-                config: RunConfig = DEFAULT_CONFIG) -> MSTReport | list[MSTReport]:
+def compute_S_e(graph: CayleyGraph | ConnectionStack,
+                table: CharacterTable) -> MSTReport | list[MSTReport]:
     """Solve for every central target and assemble the transfer set.
 
     A graph gives its report; a stack of connection sets gives one report
@@ -270,21 +254,19 @@ def compute_S_e(graph: CayleyGraph | ConnectionStack, table: CharacterTable,
     A violation raises InvariantBreachError rather than being repaired.
     """
     if isinstance(graph, CayleyGraph):
-        return _transfer_reports(graph.conj, table, np.array([graph.conn.class_indices]),
-                                 config)[0]
-    return _transfer_reports(graph.conj, table, graph.classes, config)
+        return _transfer_reports(graph.conj, table, np.array([graph.conn.class_indices]))[0]
+    return _transfer_reports(graph.conj, table, graph.classes)
 
 
-def _transfer_reports(conj: ConjugacyData, table: CharacterTable, classes: np.ndarray,
-                      config: RunConfig) -> list[MSTReport]:
+def _transfer_reports(conj: ConjugacyData, table: CharacterTable,
+                      classes: np.ndarray) -> list[MSTReport]:
     g = conj.group
-    tol = config.residual_tol
     targets = np.array([z for z in conj.center if z != g.identity], dtype=np.int64)
     thetas = walk_thetas(table, classes)
     omega = walk_frequency(thetas, table.tolerance)
     taus, residuals = _scan_targets(table, thetas, omega, conj.class_of[targets],
-                                    conj.center_exponent, tol)
-    hits = residuals < tol
+                                    conj.center_exponent)
+    hits = residuals < table.tolerance
     no_transfer = MSTReport(S_e=(g.identity,), size=1, generator=None,
                             minimal_time=None, certificates={})
     reports = [no_transfer] * len(classes)
@@ -292,12 +274,12 @@ def _transfer_reports(conj: ConjugacyData, table: CharacterTable, classes: np.nd
         certificates = {int(targets[i]): PSTCertificate(z=int(targets[i]), tau=float(taus[row, i]),
                                                         residual=float(residuals[row, i]))
                         for i in np.flatnonzero(hits[row])}
-        reports[row] = _transfer_set(conj, table, classes[row], certificates, tol)
+        reports[row] = _transfer_set(conj, table, classes[row], certificates)
     return reports
 
 
 def _transfer_set(conj: ConjugacyData, table: CharacterTable, conn_classes: np.ndarray,
-                  certificates: dict[int, PSTCertificate], tol: float) -> MSTReport:
+                  certificates: dict[int, PSTCertificate]) -> MSTReport:
     """The report of one set with certificates, after its structural checks."""
     g = conj.group
     generator = min(certificates, key=lambda z: (certificates[z].tau, z))
@@ -312,8 +294,7 @@ def _transfer_set(conj: ConjugacyData, table: CharacterTable, conn_classes: np.n
         raise InvariantBreachError(f"transfer set size {size} is not in {ALLOWED_MST_SIZES}")
     for n in range(1, size):
         zn = power(g, generator, n)
-        res = check_transfer_classes(table, conn_classes, int(conj.class_of[zn]),
-                                     n * tau_min, tol)
+        res = check_transfer_classes(table, conn_classes, int(conj.class_of[zn]), n * tau_min)
         if not res.accepted:
             raise InvariantBreachError(
                 f"power law fails: no transfer to generator^{n} at {n} * tau_min")
@@ -443,14 +424,13 @@ def solvable_exclusion_report(group: GroupTable) -> SolvableReport:
 # ---------------------------------------------------------------------------
 # imported-table claims
 
-def check_imported_claim(imported: ImportedTable, claim: dict,
-                         tol: float = DEFAULT_CONFIG.residual_tol) -> dict:
+def check_imported_claim(imported: ImportedTable, claim: dict) -> dict:
     """Evaluate one transfer claim shipped inside an imported character table.
 
     Claim schema: {"z_class": int, "time": tag or float,
-    "connection_classes": [int, ...]}. The connection classes are validated
-    as a proper orientation using the inversion power map before the
-    criterion runs.
+    "connection_classes": [int, ...]}. The connection classes must form an
+    oriented set under the inversion power map, with class 0 the identity
+    (OrientationError otherwise), before the criterion runs.
     """
     needed = {"z_class", "time", "connection_classes"}
     if not needed.issubset(claim):
@@ -465,16 +445,9 @@ def check_imported_claim(imported: ImportedTable, claim: dict,
         else tuple(range(n))
     if inv_map is None:
         raise SchemaError("imported table lacks the inversion power map")
-    if 0 in conn:
-        raise InvalidParameterError("claim connection contains the identity class")
-    for c in conn:
-        if inv_map[c] == c:
-            raise InvalidParameterError(f"claim connection class {c} is real")
-        if inv_map[c] in conn:
-            raise InvalidParameterError(
-                f"claim connection contains the inverse pair {c}, {inv_map[c]}")
+    check_orientation(inv_map, 0, np.array([conn]))
     t = parse_time(claim["time"])
-    res = check_transfer_classes(table, conn, z_class, t, tol)
+    res = check_transfer_classes(table, conn, z_class, t)
     return {"z_class": z_class, "time": t, "connection_classes": conn,
             "accepted": res.accepted, "residual": res.residual,
             "reason": res.reason}

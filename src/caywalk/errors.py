@@ -22,7 +22,7 @@ class SchemaError(InvalidParameterError):
     """A JSON document does not match the expected shape."""
 
 
-class OrientationError(CaywalkError):
+class OrientationError(InvalidParameterError):
     """A class selection cannot form an oriented connection set.
 
     Carries one (rule, classes) entry per violation so callers can report

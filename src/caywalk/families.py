@@ -15,15 +15,9 @@ import pathlib
 from dataclasses import dataclass
 from typing import Sequence
 
-from .cayley import (
-    CayleyGraph,
-    adjacency_matrix,
-    is_connected,
-    make_connection_set,
-    make_symmetric_connection_set,
-)
+from .cayley import CayleyGraph, adjacency_matrix, cayley_graph, is_connected
 from .characters import character_table_for
-from .config import DEFAULT_CONFIG, RunConfig
+from .config import DEFAULT_CONFIG, FIDELITY_GAP, RunConfig
 from .engine import (
     MSTReport,
     check_pst_at,
@@ -86,17 +80,14 @@ class FamilyCertificate:
         return parse_time(self.tau_tag)
 
     def graph(self) -> CayleyGraph:
-        maker = make_connection_set if self.oriented else make_symmetric_connection_set
-        return CayleyGraph(group=self.group, conj=self.conj,
-                           conn=maker(self.conj, self.connection_classes))
+        return cayley_graph(self.group, self.conj, self.connection_classes, self.oriented)
 
 
-def _classes_of_elements(conj: ConjugacyData, elements: Sequence[int],
-                         exact: bool = True) -> tuple[int, ...]:
-    """Class indices covering the elements; exact demands a perfect class union."""
+def _classes_of_elements(conj: ConjugacyData, elements: Sequence[int]) -> tuple[int, ...]:
+    """Class indices of the elements, which must form a union of whole classes."""
     classes = tuple(sorted({int(conj.class_of[g]) for g in elements}))
     covered = sorted(g for c in classes for g in conj.classes[c])
-    if exact and covered != sorted(int(g) for g in elements):
+    if covered != sorted(int(g) for g in elements):
         raise InconsistencyError("element set is not a union of conjugacy classes")
     return classes
 
@@ -336,8 +327,17 @@ def fixture_to_certificate(doc: dict) -> FamilyCertificate:
                                "claimed_size") if key not in doc]
     if missing:
         raise SchemaError(f"fixture {name!r}: missing keys {missing}")
-    if not isinstance(doc["group"], str):
-        raise SchemaError(f"fixture {name!r}: group must be a spec string")
+    classes, z, tau = doc["connection_classes"], doc["z"], doc["tau"]
+    oriented = doc.get("oriented", True)
+    for ok, what in ((isinstance(doc["group"], str), "group must be a spec string"),
+                     (isinstance(classes, list) and classes != []
+                      and all(type(c) is int for c in classes),
+                      "connection_classes must be a non-empty list of integers"),
+                     (type(z) is int, "z must be an integer"),
+                     (type(tau) in (str, int, float), "tau must be a string or a number"),
+                     (type(oriented) is bool, "oriented must be a boolean")):
+        if not ok:
+            raise SchemaError(f"fixture {name!r}: {what}")
     size = doc["claimed_size"]
     if size is not None and (type(size) is not int or size < 1):
         raise SchemaError(f"fixture {name!r}: claimed_size {size!r} is neither null "
@@ -349,9 +349,8 @@ def fixture_to_certificate(doc: dict) -> FamilyCertificate:
     group = build_group(parse_group_spec(doc["group"]))
     return FamilyCertificate(
         name=doc["name"], group=group, conj=conjugacy(group),
-        connection_classes=tuple(int(c) for c in doc["connection_classes"]),
-        z=int(doc["z"]), tau_tag=str(doc["tau"]), claimed_size=size,
-        oriented=bool(doc.get("oriented", True)),
+        connection_classes=tuple(classes), z=z, tau_tag=str(tau),
+        claimed_size=size, oriented=oriented,
     )
 
 
@@ -403,23 +402,22 @@ def dual_verify(cert: FamilyCertificate,
         if run_oracle:
             op = build_hermitian_operator(adjacency_matrix(graph))
             fid, entry = fidelity(op, tau, group.identity, cert.z)
-            if fid < 1.0 - config.fidelity_gap:
+            if fid < 1.0 - FIDELITY_GAP:
                 messages.append(f"oracle fidelity {fid:.12f} below threshold")
         ok = not messages
         return DualReport(name=cert.name, ok=ok, messages=messages,
                           criterion_residual=None, oracle_fidelity=fid,
                           phase=None, mst=None, connected=connected, verdict=None)
 
-    table = character_table_for(group, cert.conj, seed=config.seed,
-                                tol=config.value_tol)
+    table = character_table_for(group, cert.conj, seed=config.seed, tol=config.tolerance)
     claimed = cert.claimed_size
     transfer = claimed is not None and claimed > 1
-    res = check_pst_at(graph, table, cert.z, tau, config.residual_tol)
+    res = check_pst_at(graph, table, cert.z, tau)
     if not res.accepted and claimed is not None:
         messages.append(
             f"criterion rejected transfer to {cert.z} at {tau:.12g}"
             f" (residual {res.residual:.3e})")
-    mst = compute_S_e(graph, table, config)
+    mst = compute_S_e(graph, table)
     if claimed is not None and mst.size != claimed:
         messages.append(f"transfer set size {mst.size} != claimed {claimed}")
     if transfer:
@@ -436,9 +434,9 @@ def dual_verify(cert: FamilyCertificate,
         fid, entry = fidelity(op, tau, group.identity, cert.z)
         phase = float(entry.real)
         if claimed is None:
-            if (fid > 1.0 - config.fidelity_gap and phase > 0) != res.accepted:
+            if (fid > 1.0 - FIDELITY_GAP and phase > 0) != res.accepted:
                 messages.append("criterion and oracle disagree on the probe")
-        elif fid < 1.0 - config.fidelity_gap:
+        elif fid < 1.0 - FIDELITY_GAP:
             messages.append(f"oracle fidelity {fid:.12f} below threshold")
         elif phase < 0:
             messages.append("oracle phase is not +1")

@@ -322,10 +322,9 @@ class WreathIndexing:
         coords = digits_of(rank, self.base.order, self.n)
         return WreathElement(coords, self.perms[p])
 
-    def diagonal(self, g: int, perm: tuple[int, ...] | None = None) -> int:
-        """Index of (g, g, ..., g; perm), defaulting to the identity permutation."""
-        perm = perm if perm is not None else tuple(range(self.n))
-        return self.encode(WreathElement((g,) * self.n, perm))
+    def diagonal(self, g: int) -> int:
+        """Index of (g, g, ..., g; identity permutation)."""
+        return self.encode(WreathElement((g,) * self.n, tuple(range(self.n))))
 
 
 def build_wreath_sym(base: GroupTable, n: int,

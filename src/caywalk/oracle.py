@@ -13,9 +13,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import (
+    PERMUTATION_TOL,
     RECONSTRUCTION_TOL,
     SCAN_REFINE_TOL,
     SCAN_STEPS,
+    SCAN_THRESHOLD,
     SKEW_TOL,
     UNITARITY_TOL,
 )
@@ -47,35 +49,31 @@ class WalkOperator:
         return self.matrix.shape[0]
 
 
-def build_operator(a: np.ndarray, skew_tol: float = SKEW_TOL) -> WalkOperator:
+def build_operator(a: np.ndarray) -> WalkOperator:
     """Diagonalize iA for skew-symmetric real A."""
+    return _diagonalize(a, hermitian=False)
+
+
+def build_hermitian_operator(a: np.ndarray) -> WalkOperator:
+    """Diagonalize a real symmetric A for the undirected walk exp(itA)."""
+    return _diagonalize(a, hermitian=True)
+
+
+def _diagonalize(a: np.ndarray, hermitian: bool) -> WalkOperator:
+    """Check A against its mode, then eigh the Hermitian A (hermitian) or iA."""
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise InvalidParameterError("adjacency matrix must be square")
-    if np.max(np.abs(a + a.T)) > skew_tol:
-        raise InvalidParameterError("matrix is not skew-symmetric")
-    herm = 1j * a
+    kind, name = ("symmetric", "A") if hermitian else ("skew-symmetric", "iA")
+    if np.max(np.abs(a - a.T if hermitian else a + a.T)) > SKEW_TOL:
+        raise InvalidParameterError(f"matrix is not {kind}")
+    herm = a if hermitian else 1j * a
     eigenvalues, vectors = np.linalg.eigh(herm)
     recon = (vectors * eigenvalues) @ vectors.conj().T
     if np.max(np.abs(recon - herm)) > RECONSTRUCTION_TOL:
-        raise NumericalFailureError("eigendecomposition failed to reconstruct iA")
+        raise NumericalFailureError(f"eigendecomposition failed to reconstruct {name}")
     return WalkOperator(matrix=a, eigenvalues=eigenvalues, vectors=vectors,
-                        hermitian=False)
-
-
-def build_hermitian_operator(a: np.ndarray, sym_tol: float = SKEW_TOL) -> WalkOperator:
-    """Diagonalize a real symmetric A for the undirected walk exp(itA)."""
-    a = np.asarray(a, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise InvalidParameterError("adjacency matrix must be square")
-    if np.max(np.abs(a - a.T)) > sym_tol:
-        raise InvalidParameterError("matrix is not symmetric")
-    eigenvalues, vectors = np.linalg.eigh(a)
-    recon = (vectors * eigenvalues) @ vectors.conj().T
-    if np.max(np.abs(recon - a)) > RECONSTRUCTION_TOL:
-        raise NumericalFailureError("eigendecomposition failed to reconstruct A")
-    return WalkOperator(matrix=a, eigenvalues=eigenvalues, vectors=vectors,
-                        hermitian=True)
+                        hermitian=hermitian)
 
 
 def _phases(op: WalkOperator, t: float) -> np.ndarray:
@@ -120,7 +118,7 @@ class PermutationReport:
     order: int | None
 
 
-def permutation_check(op: WalkOperator, t: float, tol: float = 1e-8) -> PermutationReport:
+def permutation_check(op: WalkOperator, t: float) -> PermutationReport:
     """Test U(t) against 'permutation matrix with +1 entries'."""
     u = evolve(op, t)
     n = op.order
@@ -130,14 +128,15 @@ def permutation_check(op: WalkOperator, t: float, tol: float = 1e-8) -> Permutat
     chosen = np.abs(u[perm, cols] - 1.0)
     mags[perm, cols] = 0.0
     deviation = max(float(np.max(chosen)), float(np.max(mags)))
-    if deviation > tol or len(set(int(p) for p in perm)) != n:
+    if deviation > PERMUTATION_TOL or len(set(int(p) for p in perm)) != n:
         return PermutationReport(ok=False, permutation=None, max_deviation=float(deviation),
                                  fixed_point_free=False, commutes_with_generator=False,
                                  order=None)
     perm_t = tuple(int(p) for p in perm)
     p_mat = np.zeros((n, n))
     p_mat[perm, cols] = 1.0
-    commutes = bool(np.max(np.abs(p_mat @ op.matrix - op.matrix @ p_mat)) < tol * max(1.0, n))
+    commutes = bool(np.max(np.abs(p_mat @ op.matrix - op.matrix @ p_mat))
+                    < PERMUTATION_TOL * max(1.0, n))
     fixed_free = all(perm_t[a] != a for a in range(n))
     order = math.lcm(*map(len, permutation_cycles(perm_t)))
     return PermutationReport(ok=True, permutation=perm_t, max_deviation=float(deviation),
@@ -179,21 +178,21 @@ def _best_offdiagonal_grid(op: WalkOperator, times: np.ndarray,
     return targets, values
 
 
-def scan_pst(op: WalkOperator, a: int, t_max: float | None = None,
-             steps: int = SCAN_STEPS, threshold: float = 0.999) -> list[ScanHit]:
+def scan_pst(op: WalkOperator, a: int, t_max: float | None = None) -> list[ScanHit]:
     """Grid scan of max off-diagonal fidelity from vertex a, maxima refined.
 
-    Local maxima above the threshold are polished by golden-section search on
-    the continuous fidelity curve; nearby duplicates collapse to the best one.
+    Local maxima of the SCAN_STEPS-step grid above SCAN_THRESHOLD are polished
+    by golden-section search on the continuous fidelity curve; nearby
+    duplicates collapse to the best one.
     """
     if t_max is None:
         t_max = 4 * math.pi
-    grid = np.linspace(0.0, t_max, steps + 1)
+    grid = np.linspace(0.0, t_max, SCAN_STEPS + 1)
     _, values = _best_offdiagonal_grid(op, grid, a)
 
     hits: list[ScanHit] = []
-    for i in range(1, steps):
-        if values[i] < threshold:
+    for i in range(1, SCAN_STEPS):
+        if values[i] < SCAN_THRESHOLD:
             continue
         if values[i] >= values[i - 1] and values[i] >= values[i + 1]:
             lo, hi = float(grid[i - 1]), float(grid[i + 1])
@@ -212,12 +211,12 @@ def scan_pst(op: WalkOperator, a: int, t_max: float | None = None,
     return merged
 
 
-def _golden_max(fn, lo: float, hi: float, tol: float = SCAN_REFINE_TOL) -> float:
+def _golden_max(fn, lo: float, hi: float) -> float:
     phi = (math.sqrt(5.0) - 1.0) / 2.0
     x1 = hi - phi * (hi - lo)
     x2 = lo + phi * (hi - lo)
     f1, f2 = fn(x1), fn(x2)
-    while hi - lo > tol:
+    while hi - lo > SCAN_REFINE_TOL:
         if f1 < f2:
             lo, x1, f1 = x1, x2, f2
             x2 = lo + phi * (hi - lo)

@@ -236,10 +236,11 @@ def per_set_scan_targets(graph, table, targets, n, tol):
     return tau, residual, None
 
 
-def per_set_compute_S_e(graph, table, tol: float = 1e-8):
+def per_set_compute_S_e(graph, table):
     """The earlier per-set compute_S_e: scan every central target, then the
     closure, size and power-law checks, with InvariantBreachError on a breach."""
     g = graph.group
+    tol = table.tolerance
     targets = [z for z in graph.conj.center if z != g.identity]
     taus, residuals, _ = per_set_scan_targets(graph, table, targets,
                                               graph.conj.center_exponent, tol)
@@ -258,7 +259,7 @@ def per_set_compute_S_e(graph, table, tol: float = 1e-8):
     if size not in ALLOWED_MST_SIZES:
         raise InvariantBreachError(f"transfer set size {size} is not allowed")
     for n in range(1, size):
-        if not check_pst_at(graph, table, power(g, generator, n), n * tau_min, tol).accepted:
+        if not check_pst_at(graph, table, power(g, generator, n), n * tau_min).accepted:
             raise InvariantBreachError(f"power law fails at generator^{n}")
     return MSTReport(S_e=members, size=size, generator=generator,
                      minimal_time=tau_min, certificates=certificates)

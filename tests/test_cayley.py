@@ -19,7 +19,13 @@ from caywalk.cayley import (
     spectrum,
     spectrum_report,
 )
-from caywalk.characters import abelian_character_table, character_table_for
+from caywalk.characters import (
+    abelian_character_table,
+    character_table_for,
+    export_character_table,
+    import_character_table,
+)
+from caywalk.engine import check_imported_claim
 from caywalk.errors import InconsistencyError, InvalidParameterError, OrientationError
 from caywalk.groups import (
     build_abelian_power,
@@ -283,16 +289,34 @@ def test_enumeration_blocks_keep_one_class_count_and_their_bound(monkeypatch):
     assert [tuple(r) for s in stacks for r in s.classes.tolist()] == enumerated_sets(conj)
 
 
+def _orientation_violations(check) -> list:
+    with pytest.raises(OrientationError) as info:
+        check()
+    return info.value.violations
+
+
 @pytest.mark.parametrize("rows, rule", [
     ([[0, 1]], OrientationError.RULE_IDENTITY),
     ([[1, 2]], OrientationError.RULE_REAL),  # class 2 is {2}, an involution in Z_4
     ([[0, 1], [1, 3]], OrientationError.RULE_INVERSE_PAIR),
 ])
 def test_connection_stack_checks_the_orientation_rules(rows, rule):
+    """The stack reports the rule, and exactly the violations that
+    make_connection_set and an imported-table claim report row by row."""
     conj = conjugacy(build_cyclic(4))
-    with pytest.raises(OrientationError) as info:
-        ConnectionStack(conj=conj, classes=np.array(rows, dtype=np.int64))
-    assert rule in {r for r, _ in info.value.violations}
+    stack = _orientation_violations(
+        lambda: ConnectionStack(conj=conj, classes=np.array(rows, dtype=np.int64)))
+    assert rule in {r for r, _ in stack}
+    assert (OrientationError.RULE_REAL, (0,)) not in stack  # the identity is not real
+    imported = import_character_table(
+        export_character_table(abelian_character_table(4, 1), conj))
+    per_row = []
+    for row in rows:
+        one = _orientation_violations(lambda: make_connection_set(conj, row))
+        claim = {"z_class": 2, "time": "pi/2", "connection_classes": row}
+        assert _orientation_violations(lambda: check_imported_claim(imported, claim)) == one
+        per_row += one
+    assert sorted(stack) == sorted(per_row)
 
 
 # ---------------------------------------------------------------------------

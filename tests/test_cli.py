@@ -202,6 +202,18 @@ def test_pst_check_accepts(capsys):
     assert doc["accepted"] is True and doc["residual"] < 1e-10
 
 
+@pytest.mark.parametrize("tolerance, accepted", [(None, False), ("1e-5", True)])
+def test_pst_check_residual_threshold_follows_tolerance(capsys, tolerance, accepted):
+    """A time 3e-8 off pi/2 leaves a residual of 2.93e-07: over the default
+    threshold of 1e-8, under --tolerance 1e-5."""
+    flag = ["--tolerance", tolerance] if tolerance else []
+    code = main([*flag, "--format", "json", "pst", "check", "--group", "z:8",
+                 "--classes", "1,2,5", "--target", "4", "--time", "1.5707964"])
+    doc = json.loads(capsys.readouterr().out)
+    assert code == EXIT_OK and doc["accepted"] is accepted
+    assert doc["residual"] == pytest.approx(2.928e-07, rel=1e-3)
+
+
 def test_pst_check_from_shifted_source(capsys):
     code, doc = run_json(capsys, ["pst", "check", "--group", "z:8",
                                   "--classes", "1,2,5", "--source", "3",
@@ -462,6 +474,26 @@ def test_verify_rejects_fixture_claimed_size_that_is_not_a_size(capsys, tmp_path
     code = main(["verify", "--fixtures", str(tmp_path)])
     assert code == EXIT_VALIDATION
     assert "is neither null nor a positive integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("oriented", "false", "oriented must be a boolean"),
+    ("oriented", 0, "oriented must be a boolean"),
+    ("connection_classes", 5, "connection_classes must be a non-empty list of integers"),
+    ("connection_classes", [], "connection_classes must be a non-empty list of integers"),
+    ("connection_classes", ["1", 2], "connection_classes must be a non-empty list of integers"),
+    ("connection_classes", [1.0, 2], "connection_classes must be a non-empty list of integers"),
+    ("z", "2", "z must be an integer"),
+    ("z", 2.0, "z must be an integer"),
+    ("tau", None, "tau must be a string or a number"),
+    ("tau", [0.5], "tau must be a string or a number"),
+    ("tau", True, "tau must be a string or a number"),
+])
+def test_verify_rejects_fixture_field_of_wrong_type(capsys, tmp_path, key, value, message):
+    write_fixture_documents(tmp_path, [{**FIXTURE_DOCUMENTS[0], key: value}])
+    code = main(["verify", "--fixtures", str(tmp_path)])
+    assert code == EXIT_VALIDATION
+    assert message in capsys.readouterr().err
 
 
 def exported_table_with_claim(tmp_path, capsys, time_value="2pi/3sqrt3"):

@@ -24,7 +24,6 @@ from caywalk.characters import (
     import_character_table,
     rational_intersection,
 )
-from caywalk.config import DEFAULT_CONFIG
 from caywalk.engine import (
     APERIODIC_WALK,
     STATIC_WALK,
@@ -280,7 +279,7 @@ def test_batched_pass_matches_per_set_reference(spec, monkeypatch):
         thetas = walk_thetas(table, stack.classes)
         omega = walk_frequency(thetas, table.tolerance)
         taus, residuals = _scan_targets(table, thetas, omega, conj.class_of[targets],
-                                        conj.center_exponent, DEFAULT_CONFIG.residual_tol)
+                                        conj.center_exponent)
         reports = compute_S_e(stack, table)
         for i, report in enumerate(reports):
             graph = stack.graph(i)
