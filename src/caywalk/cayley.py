@@ -298,12 +298,6 @@ def adjacency_to_csv(matrix: np.ndarray) -> str:
 
 
 def spectrum_report(table: CharacterTable, spec: Spectrum) -> list[dict]:
-    out = []
-    for i in range(table.n_chars):
-        out.append({
-            "character": i,
-            "degree": int(table.degrees[i]),
-            "theta_imag": float(spec.theta[i].imag),
-            "multiplicity": int(table.degrees[i]) ** 2,
-        })
-    return out
+    return [{"character": i, "degree": int(table.degrees[i]),
+             "theta_imag": float(spec.theta[i].imag),
+             "multiplicity": int(table.degrees[i]) ** 2} for i in range(table.n_chars)]

@@ -28,6 +28,7 @@ from .errors import (
     NumericalFailureError,
     SchemaError,
     SizeLimitError,
+    require_keys,
 )
 from .groups import ConjugacyData, GroupTable, element_order
 
@@ -191,12 +192,8 @@ def _closed_form_defects(dots: np.ndarray, r: int, n: int) -> list[str]:
 
 
 def _canonical_row_order(values: np.ndarray, degrees: np.ndarray) -> list[int]:
-    keys = []
-    for i in range(values.shape[0]):
-        row = values[i]
-        keys.append((int(degrees[i]),
-                     tuple((round(float(v.real), 6), round(float(v.imag), 6))
-                           for v in row)))
+    keys = [(int(d), tuple((round(float(v.real), 6), round(float(v.imag), 6)) for v in row))
+            for d, row in zip(degrees, values)]
     return sorted(range(values.shape[0]), key=lambda i: keys[i])
 
 
@@ -285,12 +282,7 @@ def character_table_for(group: GroupTable, conj: ConjugacyData,
 def kernel(table: CharacterTable, char_index: int, conj: ConjugacyData) -> tuple[int, ...]:
     """Elements whose class value matches the degree (the character's kernel)."""
     row = table.values[char_index]
-    deg = row[0]
-    kept = [j for j in range(table.n_classes) if abs(row[j] - deg) < table.tolerance]
-    out: list[int] = []
-    for j in kept:
-        out.extend(conj.classes[j])
-    return tuple(sorted(out))
+    return tuple(np.flatnonzero(np.abs(row[conj.class_of] - row[0]) < table.tolerance).tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -431,11 +423,8 @@ def import_character_table(doc: dict, tol: float = VALUE_TOL) -> ImportedTable:
     the power basis of a primitive exponent-th root of unity; the exact form
     wins when both are present.
     """
-    required = {"group_order", "exponent", "class_sizes", "class_rep_orders",
-                "class_power_maps", "characters"}
-    if not isinstance(doc, dict) or not required.issubset(doc):
-        missing = required - set(doc) if isinstance(doc, dict) else required
-        raise SchemaError(f"character table document missing keys: {sorted(missing)}")
+    require_keys(doc, ("characters", "class_power_maps", "class_rep_orders", "class_sizes",
+                       "exponent", "group_order"), "character table document")
 
     order = doc["group_order"]
     m = int(doc["exponent"])

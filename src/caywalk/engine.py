@@ -23,6 +23,8 @@ from .errors import (
     InvalidParameterError,
     InvariantBreachError,
     SchemaError,
+    check_fields,
+    require_keys,
 )
 from .groups import (
     ConjugacyData,
@@ -96,9 +98,7 @@ def check_pst_at(graph: CayleyGraph, table: CharacterTable, z: int, t: float) ->
 def check_pst_pair(graph: CayleyGraph, table: CharacterTable, a: int, b: int,
                    t: float) -> CheckResult:
     """Transfer a -> b reduces to identity -> b * a^-1 by vertex transitivity."""
-    g = graph.group
-    z = int(g.mul[b, g.inv[a]])
-    return check_pst_at(graph, table, z, t)
+    return check_pst_at(graph, table, int(graph.group.mul[b, graph.group.inv[a]]), t)
 
 
 # ---------------------------------------------------------------------------
@@ -123,8 +123,9 @@ class SolveOutcome:
 
 STATIC_WALK = "the walk is static: every eigenvalue is 0"
 APERIODIC_WALK = "the spectrum is aperiodic, so the walk transfers to no vertex"
-# Bound on each (sets x times x characters x targets) score block: 1 MB of
-# complex differences, so scoring many sets at once leaves the peak RSS alone.
+# Bound on the entries of one decoding block of waves, (times x k). A table
+# with k^2 above it is decoded one time at a time, as a vector product, so
+# BLAS packs no copy of values.
 _BLOCK_ENTRIES = 1 << 16
 
 
@@ -153,42 +154,61 @@ def walk_frequency(thetas: np.ndarray, tol: float) -> np.ndarray:
     return np.where(integral & shared, np.sqrt(np.gcd.reduce(ints, axis=-1)), np.nan)
 
 
-def _scan_targets(table: CharacterTable, thetas: np.ndarray, omega: np.ndarray,
-                  z_classes: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(tau, residual), sets x targets, over the times 2*pi*j/(n*omega) of each set.
+def candidate_times(omega: np.ndarray, n: int) -> np.ndarray:
+    """The times 2*pi*j/(n*omega), j = 1..n-1, one row per omega, ascending.
 
     A transfer to z of order m forces exp(m * tau * theta) = 1, so when m
-    divides n, j = 1..n-1 covers every transfer within one period and the
-    first time under table.tolerance is the minimal one. Where nothing hits,
-    tau is the candidate of least residual; residual is inf where no time
-    can work: on a set whose walk is not periodic (only periodic sets are
-    scored), or where a static character separates z from e.
-    """
-    tol = table.tolerance
+    divides n these hold every transfer time within one period."""
+    return 2.0 * math.pi * np.arange(1, n) / (n * omega[:, None])
+
+
+def _residuals(table: CharacterTable, thetas: np.ndarray, z_classes: np.ndarray,
+               waves: np.ndarray) -> np.ndarray:
+    """max_chi |chi(z)/chi(e) - wave_chi| per (thetas, class, waves) row, inf
+    where a static character separates z from e: exp(t * 0) = 1 never
+    matches a ratio != 1, so no time can work."""
+    ratios = table.values[:, z_classes].T / table.degrees
+    scores = np.max(np.abs(ratios - waves), axis=-1)
+    static = np.abs(thetas.imag) <= table.tolerance
+    dead = (static & (np.abs(ratios - 1.0) > table.tolerance)).any(axis=-1)
+    return np.where(dead, math.inf, scores)
+
+
+def _decode_targets(table: CharacterTable, thetas: np.ndarray, omega: np.ndarray,
+                    z_classes: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(tau, residual), sets x targets, of each target's first hit among the
+    candidate times of each periodic set; nan and inf where nothing hits.
+
+    Each time's target is decoded, not scored: with w = exp(tau * theta), a
+    hit at c has |w_chi - chi(c)/chi(e)| < tol for all chi and |w_chi| = 1, so
+    p_c = Re sum_chi chi(e) conj(w_chi) chi(c) >= (1 - tol) sum_chi chi(e)^2 on
+    any table. Only target classes with p_c over half that sum get the
+    residual test: on a valid table one per hit, by column orthogonality."""
     tau = np.full((len(thetas), len(z_classes)), np.nan)
     residual = np.full(tau.shape, math.inf)
     rows = np.flatnonzero(omega > 0)
-    if rows.size == 0 or n < 2:
+    if rows.size == 0 or n < 2 or tau.size == 0:
         return tau, residual
-    times = 2.0 * math.pi * np.arange(1, n) / (n * omega[rows, None])
-    per_target = (n - 1) * table.n_chars
-    width = max(1, min(len(z_classes), _BLOCK_ENTRIES // per_target))
-    height = max(1, _BLOCK_ENTRIES // (per_target * width))
-    for lo in range(0, rows.size, height):
-        block = rows[lo:lo + height]
-        waves = np.exp(times[lo:lo + height, :, None] * thetas[block, None, :])
-        static = np.abs(thetas[block].imag) <= tol
-        for left in range(0, len(z_classes), width):
-            cols = slice(left, left + width)
-            ratios = table.values[:, z_classes[cols]] / table.degrees[:, None]
-            scores = np.max(np.abs(ratios[None, None] - waves[..., None]), axis=2)
-            # exp(t * 0) = 1 never matches a ratio != 1, so no time can work.
-            dead = (static[:, :, None] & (np.abs(ratios - 1.0) > tol)).any(axis=1)
-            scores[np.broadcast_to(dead[:, None, :], scores.shape)] = math.inf
-            hit = scores < tol
-            pick = np.where(hit.any(axis=1), hit.argmax(axis=1), scores.argmin(axis=1))
-            tau[block, cols] = np.take_along_axis(times[lo:lo + height], pick, axis=1)
-            residual[block, cols] = np.take_along_axis(scores, pick[:, None, :], axis=1)[:, 0]
+    slot = np.full(table.n_classes, -1)  # column of each target class in tau
+    slot[z_classes] = np.arange(len(z_classes))
+    floor = 0.5 * float(np.sum(table.degrees.astype(float) ** 2))
+    # (set, time) pairs, times ascending within a set: the first hit is the minimal time.
+    pair_sets = np.repeat(rows, n - 1)
+    pair_times = candidate_times(omega[rows], n).ravel()
+    first = np.full(tau.shape, pair_sets.size)  # pair index of each target's first hit
+    height = _BLOCK_ENTRIES // table.n_classes if table.n_classes ** 2 <= _BLOCK_ENTRIES else 1
+    for lo in range(0, pair_sets.size, height):
+        sets, t = pair_sets[lo:lo + height], pair_times[lo:lo + height]
+        waves = np.exp(t[:, None] * thetas[sets])
+        p = ((table.degrees * waves.conj()) @ table.values).real
+        pair, cls = np.nonzero((p >= floor) & (slot >= 0))
+        res = _residuals(table, thetas[sets[pair]], cls, waves[pair])
+        hit = np.flatnonzero(res < table.tolerance)
+        hit_sets, hit_cols, index = sets[pair[hit]], slot[cls[hit]], lo + pair[hit]
+        np.minimum.at(first, (hit_sets, hit_cols), index)
+        keep = first[hit_sets, hit_cols] == index
+        tau[hit_sets[keep], hit_cols[keep]] = pair_times[index[keep]]
+        residual[hit_sets[keep], hit_cols[keep]] = res[hit[keep]]
     return tau, residual
 
 
@@ -196,9 +216,9 @@ def solve_pst_time(graph: CayleyGraph, table: CharacterTable, z: int,
                    period_mode: bool = False) -> SolveOutcome:
     """Minimal positive transfer time identity -> z, or a near-miss and a reason.
 
-    The single-target view of the pass compute_S_e runs over all central
-    targets. With period_mode and z = identity the result is the walk's least
-    return time 2*pi/omega.
+    Scores z at every candidate time, so that where nothing hits, the
+    near-miss is the candidate of least residual. With period_mode and
+    z = identity the result is the walk's least return time 2*pi/omega.
     """
     g = graph.group
     if z == g.identity and not period_mode:
@@ -214,9 +234,12 @@ def solve_pst_time(graph: CayleyGraph, table: CharacterTable, z: int,
         t = 2.0 * math.pi / float(omega[0])
         res = residual_at(1.0, thetas[0], t)
     else:
-        taus, residuals = _scan_targets(table, thetas, omega, graph.conj.class_of[[z]],
-                                        element_order(g, z))
-        t, res = float(taus[0, 0]), float(residuals[0, 0])
+        times = candidate_times(omega, element_order(g, z))[0]
+        scores = _residuals(table, thetas[0], graph.conj.class_of[[z]],
+                            np.exp(times[:, None] * thetas[0]))
+        hits = np.flatnonzero(scores < table.tolerance)
+        pick = hits[0] if hits.size else int(np.argmin(scores))
+        t, res = float(times[pick]), float(scores[pick])
     if math.isinf(res):
         return SolveOutcome(certificate=None, near_miss_residual=res,
                             reason="a character separating z from e is static")
@@ -264,8 +287,8 @@ def _transfer_reports(conj: ConjugacyData, table: CharacterTable,
     targets = np.array([z for z in conj.center if z != g.identity], dtype=np.int64)
     thetas = walk_thetas(table, classes)
     omega = walk_frequency(thetas, table.tolerance)
-    taus, residuals = _scan_targets(table, thetas, omega, conj.class_of[targets],
-                                    conj.center_exponent)
+    taus, residuals = _decode_targets(table, thetas, omega, conj.class_of[targets],
+                                      conj.center_exponent)
     hits = residuals < table.tolerance
     no_transfer = MSTReport(S_e=(g.identity,), size=1, generator=None,
                             minimal_time=None, certificates={})
@@ -307,23 +330,14 @@ def partition_into_transfer_classes(graph: CayleyGraph,
     """Cosets of the transfer set, or None when there is no transfer at all."""
     if report.size <= 1:
         return None
-    g = graph.group
-    assigned = np.full(g.order, -1, dtype=np.int64)
-    parts: list[tuple[int, ...]] = []
-    members = np.array(report.S_e, dtype=np.int64)
-    for v in range(g.order):
-        if assigned[v] >= 0:
-            continue
-        coset = tuple(sorted(int(g.mul[s, v]) for s in members))
-        idx = len(parts)
-        for u in coset:
-            if assigned[u] >= 0:
-                raise InvariantBreachError("transfer classes do not partition the vertices")
-            assigned[u] = idx
-        parts.append(coset)
-    if any(len(p) != report.size for p in parts):
-        raise InvariantBreachError("transfer classes have unequal sizes")
-    return tuple(parts)
+    order = graph.group.order
+    # Row v is the translate S_e * v, sorted; each is kept at its least element.
+    cosets = np.sort(graph.group.mul[np.array(report.S_e)].T, axis=1)
+    parts = cosets[cosets[:, 0] == np.arange(order)]
+    if parts.shape[1] != report.size or not np.array_equal(np.sort(parts, axis=None),
+                                                           np.arange(order)):
+        raise InvariantBreachError("transfer classes do not partition the vertices")
+    return tuple(map(tuple, parts.tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -382,7 +396,7 @@ def nonexistence_witness_classes(table: CharacterTable, galois: GaloisData,
     in_kernel = np.abs(values[:, z_class] - values[:, 0]) < table.tolerance
     outside = np.flatnonzero(~in_kernel)
     fixes = galois.stabilizer_mask[outside]
-    units = set(galois.units)
+    units = np.array(galois.units)
     covered = {1}
     chosen: list[int] = []
     pos = 0  # position in outside of the next character to keep
@@ -390,10 +404,12 @@ def nonexistence_witness_classes(table: CharacterTable, galois: GaloisData,
         i = int(outside[pos])
         chosen.append(i)
         covered = unit_closure(galois.exponent, covered | set(galois.stabilizers[i]))
-        if covered == units:
+        if len(covered) == len(units):  # a closure of units lies in the units
             return NonexistenceWitness(z=z_label, char_indices=tuple(chosen),
                                        exponent=galois.exponent)
-        fresh = ~np.isin(galois.units, list(covered))
+        in_covered = np.zeros(galois.exponent, dtype=bool)  # by residue mod exponent
+        in_covered[list(covered)] = True
+        fresh = ~in_covered[units]
         hits = np.flatnonzero((fixes[pos + 1:] & fresh).any(axis=1))
         pos = pos + 1 + int(hits[0]) if hits.size else len(outside)
     return None
@@ -403,8 +419,7 @@ def nonexistence_witness(conj: ConjugacyData, table: CharacterTable,
                          galois: GaloisData, z: int) -> NonexistenceWitness | None:
     if z == conj.group.identity:
         return None
-    z_class = int(conj.class_of[z])
-    return nonexistence_witness_classes(table, galois, z_class, z_label=z)
+    return nonexistence_witness_classes(table, galois, int(conj.class_of[z]), z_label=z)
 
 
 @dataclass(frozen=True)
@@ -427,26 +442,29 @@ def solvable_exclusion_report(group: GroupTable) -> SolvableReport:
 def check_imported_claim(imported: ImportedTable, claim: dict) -> dict:
     """Evaluate one transfer claim shipped inside an imported character table.
 
-    Claim schema: {"z_class": int, "time": tag or float,
-    "connection_classes": [int, ...]}. The connection classes must form an
-    oriented set under the inversion power map, with class 0 the identity
-    (OrientationError otherwise), before the criterion runs.
+    Claim schema, type-checked as given: {"z_class": int, "time": tag or
+    number, "connection_classes": [int, ...]}. The connection classes must
+    form an oriented set under the inversion power map, with class 0 the
+    identity (OrientationError otherwise), before the criterion runs.
     """
-    needed = {"z_class", "time", "connection_classes"}
-    if not needed.issubset(claim):
-        raise SchemaError(f"claim missing keys: {sorted(needed - set(claim))}")
+    require_keys(claim, ("connection_classes", "time", "z_class"), "claim")
+    z_class, conn, t = claim["z_class"], claim["connection_classes"], claim["time"]
+    check_fields("claim", (
+        (type(z_class) is int, "z_class must be an integer"),
+        (isinstance(conn, list) and conn != [] and all(type(c) is int for c in conn),
+         "connection_classes must be a non-empty list of integers"),
+        (type(t) in (str, int, float), "time must be a string or a number")))
     table = imported.table
     n = table.n_classes
-    conn = sorted({int(c) for c in claim["connection_classes"]})
-    z_class = int(claim["z_class"])
-    if not conn or any(not 0 <= c < n for c in conn) or not 0 <= z_class < n:
+    conn = sorted(set(conn))
+    if any(not 0 <= c < n for c in conn) or not 0 <= z_class < n:
         raise InvalidParameterError("claim indices out of range")
     inv_map = imported.power_maps.get(table.exponent - 1) if table.exponent > 1 \
         else tuple(range(n))
     if inv_map is None:
         raise SchemaError("imported table lacks the inversion power map")
     check_orientation(inv_map, 0, np.array([conn]))
-    t = parse_time(claim["time"])
+    t = parse_time(t)
     res = check_transfer_classes(table, conn, z_class, t)
     return {"z_class": z_class, "time": t, "connection_classes": conn,
             "accepted": res.accepted, "residual": res.residual,

@@ -22,6 +22,20 @@ class SchemaError(InvalidParameterError):
     """A JSON document does not match the expected shape."""
 
 
+def require_keys(doc, keys, where: str) -> None:
+    """Raise SchemaError unless doc is a dict holding every one of keys."""
+    missing = [key for key in keys if not isinstance(doc, dict) or key not in doc]
+    if missing:
+        raise SchemaError(f"{where}: missing keys {missing}")
+
+
+def check_fields(where: str, checks) -> None:
+    """Raise SchemaError for the first (ok, what) pair of checks that fails."""
+    for ok, what in checks:
+        if not ok:
+            raise SchemaError(f"{where}: {what}")
+
+
 class OrientationError(InvalidParameterError):
     """A class selection cannot form an oriented connection set.
 

@@ -26,7 +26,13 @@ from .engine import (
     time_rationality_check,
     verdict_document,
 )
-from .errors import InconsistencyError, InvalidParameterError, SchemaError
+from .errors import (
+    InconsistencyError,
+    InvalidParameterError,
+    SchemaError,
+    check_fields,
+    require_keys,
+)
 from .groups import (
     ConjugacyData,
     GroupTable,
@@ -93,13 +99,8 @@ def _classes_of_elements(conj: ConjugacyData, elements: Sequence[int]) -> tuple[
 
 
 def _as_indices(connection: Sequence, r: int) -> list[int]:
-    out = []
-    for w in connection:
-        if isinstance(w, (tuple, list)):
-            out.append(index_of_digits(w, r))
-        else:
-            out.append(int(w))
-    return out
+    return [index_of_digits(w, r) if isinstance(w, (tuple, list)) else int(w)
+            for w in connection]
 
 
 def family_z3n(n: int, connection: Sequence) -> FamilyCertificate:
@@ -112,9 +113,7 @@ def family_z3n(n: int, connection: Sequence) -> FamilyCertificate:
     conj = conjugacy(group)
     elements = _as_indices(connection, 3)
     classes = _classes_of_elements(conj, elements)
-    total = [0] * n
-    for w in elements:
-        total = [(a + b) % 3 for a, b in zip(total, digits_of(w, 3, n))]
+    total = [sum(d) % 3 for d in zip(*(digits_of(w, 3, n) for w in elements))]
     sigma = index_of_digits(total, 3)
     return FamilyCertificate(
         name=f"z3_{n}", group=group, conj=conj,
@@ -129,9 +128,7 @@ def family_z4n(n: int, connection: Sequence) -> FamilyCertificate:
     conj = conjugacy(group)
     elements = _as_indices(connection, 4)
     classes = _classes_of_elements(conj, elements)
-    total = [0] * n
-    for w in elements:
-        total = [(a + b) % 4 for a, b in zip(total, digits_of(w, 4, n))]
+    total = [sum(d) % 4 for d in zip(*(digits_of(w, 4, n) for w in elements))]
     sigma_order_four = any(d % 2 == 1 for d in total)
     target = index_of_digits([(2 * d) % 4 for d in total], 4)
     return FamilyCertificate(
@@ -323,21 +320,17 @@ def fixture_to_certificate(doc: dict) -> FamilyCertificate:
     claimed_size; family and notes are ignored.
     """
     name = doc.get("name")
-    missing = [key for key in ("name", "group", "connection_classes", "z", "tau",
-                               "claimed_size") if key not in doc]
-    if missing:
-        raise SchemaError(f"fixture {name!r}: missing keys {missing}")
+    require_keys(doc, ("name", "group", "connection_classes", "z", "tau", "claimed_size"),
+                 f"fixture {name!r}")
     classes, z, tau = doc["connection_classes"], doc["z"], doc["tau"]
     oriented = doc.get("oriented", True)
-    for ok, what in ((isinstance(doc["group"], str), "group must be a spec string"),
-                     (isinstance(classes, list) and classes != []
-                      and all(type(c) is int for c in classes),
-                      "connection_classes must be a non-empty list of integers"),
-                     (type(z) is int, "z must be an integer"),
-                     (type(tau) in (str, int, float), "tau must be a string or a number"),
-                     (type(oriented) is bool, "oriented must be a boolean")):
-        if not ok:
-            raise SchemaError(f"fixture {name!r}: {what}")
+    check_fields(f"fixture {name!r}", (
+        (isinstance(doc["group"], str), "group must be a spec string"),
+        (isinstance(classes, list) and classes != [] and all(type(c) is int for c in classes),
+         "connection_classes must be a non-empty list of integers"),
+        (type(z) is int, "z must be an integer"),
+        (type(tau) in (str, int, float), "tau must be a string or a number"),
+        (type(oriented) is bool, "oriented must be a boolean")))
     size = doc["claimed_size"]
     if size is not None and (type(size) is not int or size < 1):
         raise SchemaError(f"fixture {name!r}: claimed_size {size!r} is neither null "

@@ -24,10 +24,9 @@ from .errors import (
     InvalidParameterError,
     SchemaError,
     SizeLimitError,
+    require_keys,
 )
 
-# conjugacy forms its conjugation table this many entries (8 MB) at a time.
-_CONJ_BLOCK_ENTRIES = 2**20
 # The associativity test compares row blocks of this many entries at a time.
 _ASSOC_BLOCK_ENTRIES = 2**16
 
@@ -77,9 +76,10 @@ class GroupTable:
     inv: np.ndarray
     labels: tuple[str, ...]
     spec: GroupSpec = GroupSpec("custom")
+    generators: tuple[int, ...] = field(init=False, repr=False)  # found by validation
 
     def __post_init__(self):
-        _validate_table(self)
+        object.__setattr__(self, "generators", _validate_table(self))
         self.mul.flags.writeable = False
         self.inv.flags.writeable = False
 
@@ -99,8 +99,9 @@ class GroupTable:
             raise InvalidParameterError(f"no element labeled {label!r}") from None
 
 
-def _validate_table(g: GroupTable) -> None:
-    """Check identity, two-sided inverses and associativity exactly.
+def _validate_table(g: GroupTable) -> tuple[int, ...]:
+    """Check identity, two-sided inverses and associativity exactly; return
+    the generating set the associativity test used.
 
     Associativity is Light's test (Clifford & Preston, The Algebraic Theory of
     Semigroups I, 1.2): the s with (x*s)*y == x*(s*y) for all x, y are closed
@@ -136,6 +137,7 @@ def _validate_table(g: GroupTable) -> None:
                                   np.take(mul[lo:lo + rows], mul[s], axis=1)):
                 raise GroupValidationError(f"associativity fails at s={s}")
         gens.append(s)
+    return tuple(gens)
 
 
 def _finish(mul: np.ndarray, labels: Sequence[str], spec: GroupSpec,
@@ -454,13 +456,10 @@ class ConjugacyData:
     def class_power(self, k: int) -> tuple[int, ...]:
         """Permutation j -> class of g^k for g in class j (depends on k mod exponent)."""
         k = k % self.exponent
-        cached = self._power_cache.get(k)
-        if cached is not None:
-            return cached
-        g = self.group
-        perm = tuple(int(self.class_of[power(g, cls[0], k)]) for cls in self.classes)
-        self._power_cache[k] = perm
-        return perm
+        if k not in self._power_cache:
+            self._power_cache[k] = tuple(int(self.class_of[power(self.group, cls[0], k)])
+                                         for cls in self.classes)
+        return self._power_cache[k]
 
 
 def power(group: GroupTable, g: int, k: int) -> int:
@@ -491,26 +490,22 @@ def element_order(group: GroupTable, g: int) -> int:
 def conjugacy(group: GroupTable) -> ConjugacyData:
     """Conjugacy classes, identity class first, the rest by minimal element.
 
-    Each element's class is named by its smallest conjugate. Row g of the
-    conjugation table, h^-1 g h over all h, lists g's class, so its minimum
-    names every element in it. Rows are formed for a block of still unnamed
-    elements at a time, doubling up to _CONJ_BLOCK_ENTRIES entries, so no
-    |G| x |G| array is held and a group with few classes forms few rows.
+    Each element's class is named by its smallest conjugate. The class of x
+    is its orbit under x -> s^-1 x s for the stored generators s: a component
+    of the graph with those edges. Each round hooks the larger label of each
+    edge's ends onto the smaller, then jumps pointers to the roots, until
+    every edge's ends agree.
     """
     n = group.order
     mul, inv, e = group.mul, group.inv, group.identity
-    rep = np.full(n, -1, dtype=np.int64)
-    pending = np.arange(n)
-    cap = max(1, _CONJ_BLOCK_ENTRIES // n)
-    block = min(64, cap)
-    while pending.size:
-        g = pending[:block]
-        # rows[i, h] = h^-1 * (g[i] * h), all conjugates of g[i].
-        rows = mul[inv[None, :], mul[g]]
-        rep[rows] = rows.min(axis=1)[:, None]
-        pending = pending[block:]
-        pending = pending[rep[pending] < 0]
-        block = min(2 * block, cap)
+    gens = np.array(group.generators, dtype=np.int64)
+    # maps[i, x] = s_i^-1 * (x * s_i): one gather per generator.
+    maps = mul[inv[gens][:, None], mul[:, gens].T]
+    rep = np.arange(n)
+    while not np.array_equal(ends := np.broadcast_to(rep, maps.shape), others := rep[maps]):
+        np.minimum.at(rep, np.maximum(ends, others), np.minimum(ends, others))
+        while not np.array_equal(rep, jumped := rep[rep]):
+            rep = jumped
 
     # Canonical order: identity singleton first, the rest by minimal element.
     mins = np.flatnonzero(rep == np.arange(n))
@@ -607,10 +602,7 @@ def group_to_json_str(group: GroupTable) -> str:
 
 def group_from_json(doc: dict, max_order: int = DEFAULT_MAX_ORDER,
                     spec: GroupSpec = GroupSpec("custom")) -> GroupTable:
-    required = {"order", "identity", "mul", "labels"}
-    if not isinstance(doc, dict) or not required.issubset(doc):
-        missing = required - set(doc) if isinstance(doc, dict) else required
-        raise SchemaError(f"group document missing keys: {sorted(missing)}")
+    require_keys(doc, ("identity", "labels", "mul", "order"), "group document")
     order = doc["order"]
     if not isinstance(order, int) or order < 1:
         raise SchemaError("order must be a positive integer")

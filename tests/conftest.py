@@ -236,6 +236,41 @@ def per_set_scan_targets(graph, table, targets, n, tol):
     return tau, residual, None
 
 
+def blocked_scan_targets(table, thetas, omega, z_classes, n, block_entries=1 << 16):
+    """(tau, residual), sets x targets, over the times 2*pi*j/(n*omega) of each set.
+
+    The engine's earlier multi-target scorer, kept as the reference for
+    engine._decode_targets: every candidate time is scored against every
+    target in (sets x times x characters x targets) blocks. Where nothing hits, tau is
+    the candidate of least residual; residual is inf where no time can work.
+    """
+    tol = table.tolerance
+    tau = np.full((len(thetas), len(z_classes)), np.nan)
+    residual = np.full(tau.shape, math.inf)
+    rows = np.flatnonzero(omega > 0)
+    if rows.size == 0 or n < 2:
+        return tau, residual
+    times = 2.0 * math.pi * np.arange(1, n) / (n * omega[rows, None])
+    per_target = (n - 1) * table.n_chars
+    width = max(1, min(len(z_classes), block_entries // per_target))
+    height = max(1, block_entries // (per_target * width))
+    for lo in range(0, rows.size, height):
+        block = rows[lo:lo + height]
+        waves = np.exp(times[lo:lo + height, :, None] * thetas[block, None, :])
+        static = np.abs(thetas[block].imag) <= tol
+        for left in range(0, len(z_classes), width):
+            cols = slice(left, left + width)
+            ratios = table.values[:, z_classes[cols]] / table.degrees[:, None]
+            scores = np.max(np.abs(ratios[None, None] - waves[..., None]), axis=2)
+            dead = (static[:, :, None] & (np.abs(ratios - 1.0) > tol)).any(axis=1)
+            scores[np.broadcast_to(dead[:, None, :], scores.shape)] = math.inf
+            hit = scores < tol
+            pick = np.where(hit.any(axis=1), hit.argmax(axis=1), scores.argmin(axis=1))
+            tau[block, cols] = np.take_along_axis(times[lo:lo + height], pick, axis=1)
+            residual[block, cols] = np.take_along_axis(scores, pick[:, None, :], axis=1)[:, 0]
+    return tau, residual
+
+
 def per_set_compute_S_e(graph, table):
     """The earlier per-set compute_S_e: scan every central target, then the
     closure, size and power-law checks, with InvariantBreachError on a breach."""
@@ -409,8 +444,8 @@ def digit_sum_abelian_power(r: int, n: int) -> tuple[np.ndarray, list[str]]:
 def orbit_conjugacy(group: GroupTable) -> ConjugacyData:
     """Conjugacy data by enumerating one orbit per unclassified element.
 
-    The earlier body of groups.conjugacy, kept as the reference for its
-    blocked form: a Python loop over orbits, one element order at a time.
+    An early body of groups.conjugacy, kept as a reference for its orbit
+    labelling: a Python loop over orbits, one element order at a time.
     """
     n = group.order
     mul, inv = group.mul, group.inv
@@ -440,6 +475,29 @@ def orbit_conjugacy(group: GroupTable) -> ConjugacyData:
         exponent = math.lcm(exponent, element_order(group, g))
     return ConjugacyData(group=group, classes=tuple(classes), class_of=class_of,
                          class_inv=class_inv, center=center, exponent=exponent)
+
+
+def blocked_row_smallest_conjugates(group: GroupTable, block_entries=2**20) -> np.ndarray:
+    """Each element's smallest conjugate, from rows of the conjugation table.
+
+    The earlier body of groups.conjugacy, kept as the reference for its orbit
+    labelling: row g, h^-1 g h over all h, lists g's class, so its minimum
+    names every element in it; rows are formed for blocks of unnamed elements.
+    """
+    n = group.order
+    mul, inv = group.mul, group.inv
+    rep = np.full(n, -1, dtype=np.int64)
+    pending = np.arange(n)
+    cap = max(1, block_entries // n)
+    block = min(64, cap)
+    while pending.size:
+        g = pending[:block]
+        rows = mul[inv[None, :], mul[g]]
+        rep[rows] = rows.min(axis=1)[:, None]
+        pending = pending[block:]
+        pending = pending[rep[pending] < 0]
+        block = min(2 * block, cap)
+    return rep
 
 
 def sort_loop_spot_validate(g) -> None:

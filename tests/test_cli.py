@@ -534,6 +534,26 @@ def test_verify_import_rejects_false_claim(capsys, tmp_path):
     assert code == EXIT_VERIFICATION
 
 
+@pytest.mark.parametrize("key, value, message", [
+    ("z_class", "2", "z_class must be an integer"),
+    ("z_class", 2.0, "z_class must be an integer"),
+    ("z_class", True, "z_class must be an integer"),
+    ("connection_classes", 5, "connection_classes must be a non-empty list of integers"),
+    ("connection_classes", [], "connection_classes must be a non-empty list of integers"),
+    ("connection_classes", ["1"], "connection_classes must be a non-empty list of integers"),
+    ("time", ["pi/4"], "time must be a string or a number"),
+    ("time", None, "time must be a string or a number"),
+])
+def test_verify_import_rejects_claim_field_of_wrong_type(capsys, tmp_path, key, value, message):
+    path = exported_table_with_claim(tmp_path, capsys)
+    doc = json.loads(path.read_text())
+    doc["pst_claims"][0][key] = value
+    path.write_text(json.dumps(doc))
+    code = main(["verify", "--only", "z3_1", "--import-table", str(path)])
+    assert code == EXIT_VALIDATION
+    assert message in capsys.readouterr().err
+
+
 def test_verify_import_rejects_corrupt_table(capsys, tmp_path):
     path = exported_table_with_claim(tmp_path, capsys)
     doc = json.loads(path.read_text())

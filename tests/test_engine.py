@@ -28,7 +28,7 @@ from caywalk.engine import (
     APERIODIC_WALK,
     STATIC_WALK,
     MSTReport,
-    _scan_targets,
+    _decode_targets,
     check_imported_claim,
     check_pst_at,
     check_pst_pair,
@@ -58,6 +58,7 @@ from caywalk.groups import (
     parse_group_spec,
 )
 from conftest import (
+    blocked_scan_targets,
     itertools_oriented_sets,
     per_set_compute_S_e,
     per_set_scan_targets,
@@ -262,24 +263,38 @@ def assert_reports_equal(got: MSTReport, want: MSTReport, where) -> None:
         assert abs(cert.residual - want.certificates[z].residual) <= 1e-13, where
 
 
+def assert_decoded_hits(table, thetas, omega, z_classes, n, where) -> None:
+    """The decoded pass finds exactly the scorer's hits, with bit-identical
+    taus and residuals, and leaves every other entry nan / inf."""
+    taus, residuals = _decode_targets(table, thetas, omega, z_classes, n)
+    want_tau, want_res = blocked_scan_targets(table, thetas, omega, z_classes, n)
+    hits = want_res < table.tolerance
+    assert np.array_equal(residuals < table.tolerance, hits), where
+    np.testing.assert_array_equal(taus[hits], want_tau[hits], err_msg=str(where))
+    np.testing.assert_array_equal(residuals[hits], want_res[hits], err_msg=str(where))
+    assert np.all(np.isnan(taus[~hits])) and np.all(np.isinf(residuals[~hits])), where
+
+
 @pytest.mark.parametrize("spec", BATCH_GROUPS)
 def test_batched_pass_matches_per_set_reference(spec, monkeypatch):
     """Every oriented set: the blocked pass gives the per-set pass's order,
-    periods, per-target scores and reports."""
+    periods, per-target scores, decoded hits and reports."""
     group = build_group(parse_group_spec(spec))
     conj = conjugacy(group)
     table = character_table_for(group, conj)
     targets = [z for z in conj.center if z != group.identity]
     monkeypatch.setattr(cayley, "_ENUM_BLOCK_SETS", 64)  # several stacks per class count
-    monkeypatch.setattr(engine, "_BLOCK_ENTRIES", 1 << 10)  # several score blocks per stack
+    monkeypatch.setattr(engine, "_BLOCK_ENTRIES", 1 << 10)  # several decoding blocks per stack
     stacks = list(enumerate_oriented_class_unions(conj))
     rows = [tuple(r) for stack in stacks for r in stack.classes.tolist()]
     assert rows == list(itertools_oriented_sets(conj))
     for stack in stacks:
         thetas = walk_thetas(table, stack.classes)
         omega = walk_frequency(thetas, table.tolerance)
-        taus, residuals = _scan_targets(table, thetas, omega, conj.class_of[targets],
-                                        conj.center_exponent)
+        z_classes = conj.class_of[targets]
+        taus, residuals = blocked_scan_targets(table, thetas, omega, z_classes,
+                                               conj.center_exponent, block_entries=1 << 10)
+        assert_decoded_hits(table, thetas, omega, z_classes, conj.center_exponent, spec)
         reports = compute_S_e(stack, table)
         for i, report in enumerate(reports):
             graph = stack.graph(i)
@@ -298,6 +313,54 @@ def test_batched_pass_matches_per_set_reference(spec, monkeypatch):
             assert np.all(np.abs(residuals[i][finite] - want_res[finite]) <= 1e-13), where
             assert_reports_equal(report, per_set_compute_S_e(graph, table), where)
             assert_reports_equal(compute_S_e(graph, table), report, where)
+
+
+@pytest.mark.parametrize("spec, classes", [
+    ("z3^7", [1, 3, 9, 27, 81, 243, 729]), ("z4^5", [1, 4, 16, 64, 256]),
+    ("z3^6", [1, 3, 9, 27, 81, 243]), ("m2:7", [2, 10, 17, 18, 26, 32, 34, 42, 50, 58]),
+    ("es3:2", [1, 3, 5, 11, 29]), ("wreath:z:3:4", [5, 11]),
+])
+def test_decoded_pass_matches_scorer_on_the_largest_members(spec, classes):
+    """The decoded pass finds the multi-target scorer's hits on the largest
+    member of each family, and the solver agrees on every certified target."""
+    group = build_group(parse_group_spec(spec))
+    conj = conjugacy(group)
+    table = character_table_for(group, conj)
+    targets = [z for z in conj.center if z != group.identity]
+    thetas = walk_thetas(table, np.array([classes]))
+    omega = walk_frequency(thetas, table.tolerance)
+    assert omega[0] > 0, spec
+    assert_decoded_hits(table, thetas, omega, conj.class_of[targets],
+                        conj.center_exponent, spec)
+    graph = cayley_graph(group, conj, classes)
+    report = compute_S_e(graph, table)
+    assert report.size > 1, spec
+    for z, cert in report.certificates.items():
+        assert solve_pst_time(graph, table, z).certificate == cert
+
+
+@pytest.mark.parametrize("block_entries", [1 << 16, 1 << 8])
+def test_decoded_pass_keeps_the_first_of_repeated_hits(block_entries, monkeypatch):
+    """Half of each set's omega spans two periods, so every hit recurs one
+    period later; the decoded pass keeps the earlier one, as the scorer does,
+    within a block and across blocks."""
+    monkeypatch.setattr(engine, "_BLOCK_ENTRIES", block_entries)
+    group = build_abelian_power(4, 2)
+    conj = conjugacy(group)
+    table = abelian_character_table(4, 2)
+    z_classes = conj.class_of[[z for z in conj.center if z != group.identity]]
+    found = 0
+    for stack in enumerate_oriented_class_unions(conj):
+        thetas = walk_thetas(table, stack.classes)
+        omega = walk_frequency(thetas, table.tolerance) / 2
+        assert_decoded_hits(table, thetas, omega, z_classes, 8, stack.classes)
+        taus, residuals = _decode_targets(table, thetas, omega, z_classes, 8)
+        hits = residuals < table.tolerance
+        # the true period is 2*pi/(2*omega): every kept hit lies in the first one
+        periods = np.broadcast_to(math.pi / omega[:, None], taus.shape)
+        assert np.all(taus[hits] < periods[hits])
+        found += hits.sum()
+    assert found > 0
 
 
 def test_batched_pass_keeps_the_power_law_check():

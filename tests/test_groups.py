@@ -44,6 +44,7 @@ from caywalk.groups import (
 
 from conftest import (
     CYCLIC_ORDERS,
+    blocked_row_smallest_conjugates,
     brute_conjugacy_classes,
     deque_subgroup_closure,
     digit_sum_abelian_power,
@@ -301,6 +302,8 @@ def test_abelian_power_matches_digit_sum_reference(r):
 
 def assert_same_conjugacy(group: GroupTable) -> None:
     got, want = conjugacy(group), orbit_conjugacy(group)
+    smallest = np.array([cls[0] for cls in got.classes])[got.class_of]
+    assert np.array_equal(smallest, blocked_row_smallest_conjugates(group))
     assert got.classes == want.classes
     assert got.class_of.dtype == want.class_of.dtype
     assert np.array_equal(got.class_of, want.class_of)
@@ -317,6 +320,35 @@ def test_conjugacy_matches_orbit_reference_on_every_family_member():
         group = build_group(parse_group_spec(spec))
         assert group.order <= 729
         assert_same_conjugacy(group)
+
+
+@pytest.mark.parametrize("spec", ["z4^6", "es3:3", "m2:11", "wreath:z:3:4"])
+def test_conjugacy_matches_orbit_reference_at_the_cap(spec):
+    assert_same_conjugacy(build_group(parse_group_spec(spec)))
+
+
+def test_conjugacy_matches_brute_force_on_s5(s5_table):
+    conj = conjugacy(s5_table)
+    brute = brute_conjugacy_classes(s5_table.mul, s5_table.inv)
+    assert sorted(map(sorted, conj.classes)) == sorted(map(sorted, brute))
+    assert_same_conjugacy(s5_table)
+
+
+@pytest.mark.parametrize("spec", ["z:1", "z:12", "z2^9", "z4^6", "es3:2", "es3:1:9",
+                                  "m2:11", "wreath:z:3:4", "wreath:es3:1:1"])
+def test_stored_generators_generate_the_group(spec):
+    g = build_group(parse_group_spec(spec))
+    assert deque_subgroup_closure(g, g.generators) == tuple(range(g.order))
+
+
+def test_stored_generators_of_file_and_custom_tables(tmp_path, s5_table):
+    g = build_group(parse_group_spec("wreath:z:3:2"))
+    path = tmp_path / "g.json"
+    save_group(g, str(path))
+    loaded = build_group(parse_group_spec(f"file:{path}"))
+    assert loaded.generators == g.generators
+    for table in (loaded, s5_table):
+        assert deque_subgroup_closure(table, table.generators) == tuple(range(table.order))
 
 
 @pytest.mark.parametrize("spec", ["wreath:z:2:2", "es3:1:9", "m2:4"])
