@@ -11,19 +11,15 @@ from .cayley import (
     CayleyGraph,
     ConnectionStack,
     ConnectionSet,
-    Spectrum,
     adjacency_matrix,
     adjacency_to_csv,
     cayley_graph,
     check_orientation,
-    connection_character_sums,
     enumerate_oriented_class_unions,
     graph_to_dot,
     is_connected,
     make_connection_set,
     make_symmetric_connection_set,
-    spectrum,
-    spectrum_report,
 )
 from .characters import (
     CharacterTable,
@@ -57,12 +53,15 @@ from .engine import (
     check_pst_pair,
     check_transfer_classes,
     compute_S_e,
+    connection_character_sums,
     nonexistence_witness,
     nonexistence_witness_classes,
     parse_time,
     partition_into_transfer_classes,
     solvable_exclusion_report,
     solve_pst_time,
+    spectrum,
+    spectrum_report,
     time_rationality_check,
     verdict_document,
 )
@@ -110,7 +109,6 @@ from .groups import (
     conjugacy,
     cycle_product,
     derived_series_solvable,
-    element_order,
     group_from_json,
     group_to_json,
     group_to_json_str,

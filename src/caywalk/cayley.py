@@ -14,12 +14,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import (
-    InconsistencyError,
-    InvalidParameterError,
-    OrientationError,
-)
-from .characters import CharacterTable
+from .errors import InvalidParameterError, OrientationError
 from .groups import ConjugacyData, GroupTable, subgroup_closure
 
 # enumerate_oriented_class_unions yields stacks of at most this many sets, so
@@ -159,57 +154,6 @@ def adjacency_matrix(graph: CayleyGraph) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
-class Spectrum:
-    """Per-character eigenvalue data of the signed adjacency matrix."""
-
-    theta: np.ndarray        # complex, one entry per character
-
-    @property
-    def imag(self) -> np.ndarray:
-        return self.theta.imag.copy()
-
-
-def connection_character_sums(table: CharacterTable,
-                              class_indices: Sequence[int] | np.ndarray) -> np.ndarray:
-    """chi(C) per character for one set of class indices, or per row of a 2-D stack.
-
-    A stack is one batched product of its gathered columns with its class
-    sizes: the same matrix-vector product per set as for a single set, so
-    every row's sums agree bit for bit with the single-set call.
-    """
-    idx = np.asarray(class_indices, dtype=np.int64)
-    weights = table.class_sizes[idx].astype(np.float64)
-    return np.matmul(np.moveaxis(table.values[:, idx], 0, -2), weights[..., None])[..., 0]
-
-
-def walk_thetas(table: CharacterTable, conn_classes: Sequence[int] | np.ndarray) -> np.ndarray:
-    """theta_chi = (chi(C) - conj chi(C)) / chi(e): the adjacency eigenvalue per character.
-
-    A 2-D stack of connection sets gives one row of thetas per set.
-    """
-    sums = connection_character_sums(table, conn_classes)
-    return (sums - np.conj(sums)) / table.degrees
-
-
-def spectrum(graph: CayleyGraph, table: CharacterTable) -> Spectrum:
-    """walk_thetas of the graph's connection set, checked against the graph.
-
-    Purely imaginary by skew symmetry; a real part beyond tolerance means the
-    table does not belong to this graph's group.
-    """
-    if table.n_classes != len(graph.conj.classes):
-        raise InconsistencyError("character table and graph disagree on class count")
-    theta = walk_thetas(table, graph.conn.class_indices)
-    scale = max(1.0, float(len(graph.conn)))
-    if np.max(np.abs(theta.real)) > table.tolerance * scale:
-        raise InconsistencyError("spectrum has a real part; table/graph mismatch")
-    trace = np.sum(table.degrees.astype(float) ** 2 * theta)
-    if abs(trace) > table.tolerance * graph.order * scale:
-        raise InconsistencyError("spectrum trace is nonzero; table/graph mismatch")
-    return Spectrum(theta=theta)
-
-
 def is_connected(graph: CayleyGraph) -> bool:
     return len(subgroup_closure(graph.group, graph.conn.elements)) == graph.order
 
@@ -295,9 +239,3 @@ def graph_to_dot(graph: CayleyGraph) -> str:
 def adjacency_to_csv(matrix: np.ndarray) -> str:
     rows = [",".join(str(int(x)) for x in row) for row in matrix]
     return "\n".join(rows) + "\n"
-
-
-def spectrum_report(table: CharacterTable, spec: Spectrum) -> list[dict]:
-    return [{"character": i, "degree": int(table.degrees[i]),
-             "theta_imag": float(spec.theta[i].imag),
-             "multiplicity": int(table.degrees[i]) ** 2} for i in range(table.n_chars)]

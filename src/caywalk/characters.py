@@ -30,7 +30,7 @@ from .errors import (
     SizeLimitError,
     require_keys,
 )
-from .groups import ConjugacyData, GroupTable, element_order
+from .groups import ConjugacyData, GroupTable
 
 PROVENANCE_CLOSED = "closed-form"
 PROVENANCE_NUMERICAL = "numerical"
@@ -393,8 +393,7 @@ class ImportedTable:
 
 
 def export_character_table(table: CharacterTable, conj: ConjugacyData) -> dict:
-    reps = [cls[0] for cls in conj.classes]
-    rep_orders = [element_order(conj.group, rep) for rep in reps]
+    rep_orders = conj.orders[[cls[0] for cls in conj.classes]].tolist()
     power_maps = {str(k): list(conj.class_power(k)) for k in units_mod(table.exponent)}
     characters = []
     for i in range(table.n_chars):

@@ -27,8 +27,6 @@ from .cayley import (
     enumerate_oriented_class_unions,
     graph_to_dot,
     is_connected,
-    spectrum,
-    spectrum_report,
 )
 from .characters import (
     character_table_for,
@@ -47,7 +45,8 @@ from .engine import (
     parse_time,
     solvable_exclusion_report,
     solve_pst_time,
-    time_rationality_check,
+    spectrum,
+    spectrum_report,
     verdict_document,
 )
 from .errors import (
@@ -396,9 +395,9 @@ def _verify_line(rep) -> str:
     if rep.oracle_fidelity is not None:
         parts.append(f"fidelity={rep.oracle_fidelity:.12f}")
     if rep.mst is not None and rep.mst.minimal_time is not None:
-        rational = time_rationality_check(rep.mst.minimal_time, rep.mst.size)
-        if rational.ok:
-            parts.append(f"tau={rational.p}/{rational.q}*{rational.multiplier}")
+        rational = rep.verdict["tau_rational"]
+        if rational["ok"]:
+            parts.append(f"tau={rational['p']}/{rational['q']}*{rational['multiplier']}")
         else:
             parts.append(f"tau={rep.mst.minimal_time:.12g}")
         parts.append(f"size={rep.mst.size}")

@@ -16,10 +16,11 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .cayley import CayleyGraph, ConnectionStack, check_orientation, walk_thetas
+from .cayley import CayleyGraph, ConnectionStack, check_orientation
 from .characters import CharacterTable, GaloisData, ImportedTable, unit_closure
 from .config import MAX_DENOMINATOR, RATIONAL_TOL
 from .errors import (
+    InconsistencyError,
     InvalidParameterError,
     InvariantBreachError,
     SchemaError,
@@ -30,9 +31,7 @@ from .groups import (
     ConjugacyData,
     GroupTable,
     derived_series_solvable,
-    element_order,
     power,
-    subgroup_closure,
 )
 
 ALLOWED_MST_SIZES = (2, 3, 4, 6)
@@ -60,10 +59,58 @@ def parse_time(text: str | float) -> float:
 
 
 # ---------------------------------------------------------------------------
+# spectra of connection sets
+
+def connection_character_sums(table: CharacterTable,
+                              class_indices: Sequence[int] | np.ndarray) -> np.ndarray:
+    """chi(C) per character for one set of class indices, or per row of a 2-D stack.
+
+    A stack is one batched product of its gathered columns with its class
+    sizes: the same matrix-vector product per set as for a single set, so
+    every row's sums agree bit for bit with the single-set call.
+    """
+    idx = np.asarray(class_indices, dtype=np.int64)
+    weights = table.class_sizes[idx].astype(np.float64)
+    return np.matmul(np.moveaxis(table.values[:, idx], 0, -2), weights[..., None])[..., 0]
+
+
+def walk_thetas(table: CharacterTable, conn_classes: Sequence[int] | np.ndarray) -> np.ndarray:
+    """theta_chi = (chi(C) - conj chi(C)) / chi(e): the adjacency eigenvalue per character.
+
+    A 2-D stack of connection sets gives one row of thetas per set.
+    """
+    sums = connection_character_sums(table, conn_classes)
+    return (sums - np.conj(sums)) / table.degrees
+
+
+def spectrum(graph: CayleyGraph, table: CharacterTable) -> np.ndarray:
+    """walk_thetas of the graph's connection set, checked against the graph.
+
+    Purely imaginary by skew symmetry; a real part beyond tolerance means the
+    table does not belong to this graph's group.
+    """
+    if table.n_classes != len(graph.conj.classes):
+        raise InconsistencyError("character table and graph disagree on class count")
+    theta = walk_thetas(table, graph.conn.class_indices)
+    scale = max(1.0, float(len(graph.conn)))
+    if np.max(np.abs(theta.real)) > table.tolerance * scale:
+        raise InconsistencyError("spectrum has a real part; table/graph mismatch")
+    trace = np.sum(table.degrees.astype(float) ** 2 * theta)
+    if abs(trace) > table.tolerance * graph.order * scale:
+        raise InconsistencyError("spectrum trace is nonzero; table/graph mismatch")
+    return theta
+
+
+def spectrum_report(table: CharacterTable, theta: np.ndarray) -> list[dict]:
+    return [{"character": i, "degree": int(table.degrees[i]),
+             "theta_imag": float(theta[i].imag),
+             "multiplicity": int(table.degrees[i]) ** 2} for i in range(table.n_chars)]
+
+
+# ---------------------------------------------------------------------------
 # class-level criterion core
 
-def residual_at(ratios: np.ndarray, thetas: np.ndarray, t: float) -> float:
-    return float(np.max(np.abs(ratios - np.exp(t * thetas))))
+STATIC_SEPARATOR = "a character separating z from e is static"
 
 
 @dataclass(frozen=True)
@@ -79,9 +126,10 @@ def check_transfer_classes(table: CharacterTable, conn_classes: Sequence[int],
     if int(table.class_sizes[z_class]) != 1:
         return CheckResult(accepted=False, residual=math.inf,
                            reason="target class is not central")
-    ratios = table.values[:, z_class] / table.degrees
-    res = residual_at(ratios, walk_thetas(table, conn_classes), t)
-    return CheckResult(accepted=res < table.tolerance, residual=res)
+    thetas = walk_thetas(table, conn_classes)
+    res = float(_residuals(table, thetas, np.array([z_class]), np.exp(t * thetas))[0])
+    return CheckResult(accepted=res < table.tolerance, residual=res,
+                       reason=STATIC_SEPARATOR if math.isinf(res) else None)
 
 
 def check_pst_at(graph: CayleyGraph, table: CharacterTable, z: int, t: float) -> CheckResult:
@@ -231,18 +279,16 @@ def solve_pst_time(graph: CayleyGraph, table: CharacterTable, z: int,
         return SolveOutcome(certificate=None, near_miss_residual=math.inf,
                             reason=STATIC_WALK if omega[0] == 0 else APERIODIC_WALK)
     if z == g.identity:
-        t = 2.0 * math.pi / float(omega[0])
-        res = residual_at(1.0, thetas[0], t)
+        times = 2.0 * math.pi / omega
     else:
-        times = candidate_times(omega, element_order(g, z))[0]
-        scores = _residuals(table, thetas[0], graph.conj.class_of[[z]],
-                            np.exp(times[:, None] * thetas[0]))
-        hits = np.flatnonzero(scores < table.tolerance)
-        pick = hits[0] if hits.size else int(np.argmin(scores))
-        t, res = float(times[pick]), float(scores[pick])
+        times = candidate_times(omega, graph.conj.orders[z])[0]
+    scores = _residuals(table, thetas[0], graph.conj.class_of[[z]],
+                        np.exp(times[:, None] * thetas[0]))
+    hits = np.flatnonzero(scores < table.tolerance)
+    pick = hits[0] if hits.size else int(np.argmin(scores))
+    t, res = float(times[pick]), float(scores[pick])
     if math.isinf(res):
-        return SolveOutcome(certificate=None, near_miss_residual=res,
-                            reason="a character separating z from e is static")
+        return SolveOutcome(certificate=None, near_miss_residual=res, reason=STATIC_SEPARATOR)
     if res < table.tolerance:
         cert = PSTCertificate(z=z, tau=t, residual=res)
         return SolveOutcome(certificate=cert, near_miss_residual=res, near_miss_time=t)
@@ -297,30 +343,34 @@ def _transfer_reports(conj: ConjugacyData, table: CharacterTable,
         certificates = {int(targets[i]): PSTCertificate(z=int(targets[i]), tau=float(taus[row, i]),
                                                         residual=float(residuals[row, i]))
                         for i in np.flatnonzero(hits[row])}
-        reports[row] = _transfer_set(conj, table, classes[row], certificates)
+        reports[row] = _transfer_set(conj, table, thetas[row], certificates)
     return reports
 
 
-def _transfer_set(conj: ConjugacyData, table: CharacterTable, conn_classes: np.ndarray,
+def _transfer_set(conj: ConjugacyData, table: CharacterTable, thetas: np.ndarray,
                   certificates: dict[int, PSTCertificate]) -> MSTReport:
-    """The report of one set with certificates, after its structural checks."""
+    """The report of one set with certificates, after its structural checks;
+    thetas is the set's row of walk_thetas."""
     g = conj.group
     generator = min(certificates, key=lambda z: (certificates[z].tau, z))
     tau_min = certificates[generator].tau
     members = tuple(sorted({g.identity, *certificates.keys()}))
-    expected = subgroup_closure(g, [generator])
+    powers = power(g, generator, np.arange(conj.orders[generator]))
+    expected = tuple(np.sort(powers).tolist())
     if members != expected:
         raise InvariantBreachError(
             f"transfer set {members} is not the cyclic group {expected}")
     size = len(members)
     if size not in ALLOWED_MST_SIZES:
         raise InvariantBreachError(f"transfer set size {size} is not in {ALLOWED_MST_SIZES}")
-    for n in range(1, size):
-        zn = power(g, generator, n)
-        res = check_transfer_classes(table, conn_classes, int(conj.class_of[zn]), n * tau_min)
-        if not res.accepted:
-            raise InvariantBreachError(
-                f"power law fails: no transfer to generator^{n} at {n} * tau_min")
+    # generator^n must transfer at n * tau_min, n = 1..size-1: one residual call.
+    times = np.arange(1, size) * tau_min
+    res = _residuals(table, thetas, conj.class_of[powers[1:]], np.exp(times[:, None] * thetas))
+    failed = np.flatnonzero(~(res < table.tolerance))
+    if failed.size:
+        n = int(failed[0]) + 1
+        raise InvariantBreachError(
+            f"power law fails: no transfer to generator^{n} at {n} * tau_min")
     return MSTReport(S_e=members, size=size, generator=generator,
                      minimal_time=tau_min, certificates=certificates)
 

@@ -47,7 +47,6 @@ from .groups import (
     conjugacy,
     cycle_product,
     digits_of,
-    element_order,
     index_of_digits,
     parse_group_spec,
     permutation_cycles,
@@ -271,7 +270,7 @@ def wreath_lift(base_cert: FamilyCertificate, n: int) -> FamilyCertificate:
         name=f"lift_{base_cert.name}_s{n}",
         group=group, conj=conj, connection_classes=classes, z=z,
         tau_tag=base_cert.tau_tag,
-        claimed_size=1 if base_cert.claimed_size == 1 else element_order(group, z),
+        claimed_size=1 if base_cert.claimed_size == 1 else int(conj.orders[z]),
         oriented=base_cert.oriented,
     )
 

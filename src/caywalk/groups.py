@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import math
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -433,7 +432,8 @@ class ConjugacyData:
     """Conjugacy classes plus the derived maps the engine needs.
 
     Class 0 is always {identity}; the rest are ordered by their minimal
-    element. class_inv[j] is the class of inverses of class j.
+    element. class_inv[j] is the class of inverses of class j, and orders[g]
+    is the order of element g.
     """
 
     group: GroupTable
@@ -441,50 +441,41 @@ class ConjugacyData:
     class_of: np.ndarray
     class_inv: tuple[int, ...]
     center: tuple[int, ...]
-    exponent: int
-    _power_cache: dict[int, tuple[int, ...]] = field(default_factory=dict)
+    orders: np.ndarray
 
     @property
     def sizes(self) -> np.ndarray:
         return np.array([len(c) for c in self.classes], dtype=np.int64)
 
     @cached_property
+    def exponent(self) -> int:
+        """Least common multiple of the element orders."""
+        return int(np.lcm.reduce(self.orders))
+
+    @cached_property
     def center_exponent(self) -> int:
         """Least common multiple of the orders of the central elements."""
-        return math.lcm(*(element_order(self.group, z) for z in self.center))
+        return int(np.lcm.reduce(self.orders[list(self.center)]))
 
     def class_power(self, k: int) -> tuple[int, ...]:
-        """Permutation j -> class of g^k for g in class j (depends on k mod exponent)."""
-        k = k % self.exponent
-        if k not in self._power_cache:
-            self._power_cache[k] = tuple(int(self.class_of[power(self.group, cls[0], k)])
-                                         for cls in self.classes)
-        return self._power_cache[k]
+        """Permutation j -> class of g^k for g in class j."""
+        reps = [cls[0] for cls in self.classes]
+        return tuple(self.class_of[power(self.group, reps, k)].tolist())
 
 
-def power(group: GroupTable, g: int, k: int) -> int:
-    """g^k by repeated squaring on the table."""
-    result = group.identity
-    base = g
-    k = int(k)
-    if k < 0:
-        base = int(group.inv[g])
-        k = -k
-    while k:
-        if k & 1:
-            result = int(group.mul[result, base])
-        base = int(group.mul[base, base])
-        k >>= 1
-    return result
-
-
-def element_order(group: GroupTable, g: int) -> int:
-    cur = g
-    order = 1
-    while cur != group.identity:
-        cur = int(group.mul[cur, g])
-        order += 1
-    return order
+def power(group: GroupTable, g, k):
+    """g^k by repeated squaring on the table, elementwise over the broadcast
+    integer arrays g and k; a negative k powers the inverse. Scalar g and k
+    give an int."""
+    g, k = np.broadcast_arrays(np.asarray(g), np.asarray(k))
+    base = np.where(k < 0, group.inv[g], g)
+    k = np.abs(k)
+    result = np.full(k.shape, group.identity)
+    while k.any():
+        result = np.where(k & 1, group.mul[result, base], result)
+        base = group.mul[base, base]
+        k = k >> 1
+    return int(result) if result.ndim == 0 else result
 
 
 def conjugacy(group: GroupTable) -> ConjugacyData:
@@ -520,9 +511,8 @@ def conjugacy(group: GroupTable) -> ConjugacyData:
     class_inv = tuple(class_of[inv[mins]].tolist())
     # g is central exactly when its class is {g}.
     center = tuple(np.flatnonzero(sizes[class_of] == 1).tolist())
-    exponent = int(np.lcm.reduce(_element_orders(group)))
     return ConjugacyData(group=group, classes=classes, class_of=class_of,
-                         class_inv=class_inv, center=center, exponent=exponent)
+                         class_inv=class_inv, center=center, orders=_element_orders(group))
 
 
 def _element_orders(group: GroupTable) -> np.ndarray:

@@ -133,10 +133,10 @@ def permutation_check(op: WalkOperator, t: float) -> PermutationReport:
                                  fixed_point_free=False, commutes_with_generator=False,
                                  order=None)
     perm_t = tuple(int(p) for p in perm)
-    p_mat = np.zeros((n, n))
-    p_mat[perm, cols] = 1.0
-    commutes = bool(np.max(np.abs(p_mat @ op.matrix - op.matrix @ p_mat))
-                    < PERMUTATION_TOL * max(1.0, n))
+    # With P[perm[j], j] = 1, (P^T A P)[i, j] = A[perm[i], perm[j]], and
+    # P^T A P = A exactly when PA = AP.
+    a = op.matrix
+    commutes = bool(np.max(np.abs(a[np.ix_(perm, perm)] - a)) < PERMUTATION_TOL * max(1.0, n))
     fixed_free = all(perm_t[a] != a for a in range(n))
     order = math.lcm(*map(len, permutation_cycles(perm_t)))
     return PermutationReport(ok=True, permutation=perm_t, max_deviation=float(deviation),

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from caywalk.characters import unit_closure
+from caywalk.config import PERMUTATION_TOL
 from caywalk.engine import (
     ALLOWED_MST_SIZES,
     APERIODIC_WALK,
@@ -32,7 +33,6 @@ from caywalk.groups import (
     _perm_label,
     _word,
     digits_of,
-    element_order,
     index_of_digits,
     power,
     subgroup_closure,
@@ -470,11 +470,23 @@ def orbit_conjugacy(group: GroupTable) -> ConjugacyData:
     class_inv = tuple(int(class_of[group.inv[cls[0]]]) for cls in classes)
     center = tuple(int(g) for g in range(n)
                    if np.array_equal(mul[g], mul[:, g]))
-    exponent = 1
-    for g in range(n):
-        exponent = math.lcm(exponent, element_order(group, g))
+    orders = np.array([element_order(group, g) for g in range(n)])
     return ConjugacyData(group=group, classes=tuple(classes), class_of=class_of,
-                         class_inv=class_inv, center=center, exponent=exponent)
+                         class_inv=class_inv, center=center, orders=orders)
+
+
+def element_order(group: GroupTable, g: int) -> int:
+    """The order of g, by stepping through its powers one product at a time.
+
+    The earlier groups.element_order, kept as the reference for
+    ConjugacyData.orders.
+    """
+    cur = g
+    order = 1
+    while cur != group.identity:
+        cur = group.mul.item(cur, g)
+        order += 1
+    return order
 
 
 def blocked_row_smallest_conjugates(group: GroupTable, block_entries=2**20) -> np.ndarray:
@@ -560,6 +572,19 @@ def deque_subgroup_closure(group: GroupTable, generators) -> tuple[int, ...]:
                 members.add(h)
                 frontier.append(h)
     return tuple(sorted(members))
+
+
+def dense_commutes(permutation, matrix: np.ndarray) -> bool:
+    """Whether PA = AP for the permutation matrix P[permutation[j], j] = 1,
+    by the two dense products, under the oracle's bound.
+
+    The earlier commutation test of oracle.permutation_check, kept as the
+    reference for its index form.
+    """
+    n = len(permutation)
+    p_mat = np.zeros((n, n))
+    p_mat[list(permutation), np.arange(n)] = 1.0
+    return bool(np.max(np.abs(p_mat @ matrix - matrix @ p_mat)) < PERMUTATION_TOL * max(1.0, n))
 
 
 @pytest.fixture(scope="session")

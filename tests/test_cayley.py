@@ -10,14 +10,11 @@ from caywalk.cayley import (
     adjacency_to_csv,
     cayley_graph,
     class_union_connectivity,
-    connection_character_sums,
     enumerate_oriented_class_unions,
     graph_to_dot,
     is_connected,
     make_connection_set,
     make_symmetric_connection_set,
-    spectrum,
-    spectrum_report,
 )
 from caywalk.characters import (
     abelian_character_table,
@@ -25,7 +22,12 @@ from caywalk.characters import (
     export_character_table,
     import_character_table,
 )
-from caywalk.engine import check_imported_claim
+from caywalk.engine import (
+    check_imported_claim,
+    connection_character_sums,
+    spectrum,
+    spectrum_report,
+)
 from caywalk.errors import InconsistencyError, InvalidParameterError, OrientationError
 from caywalk.groups import (
     build_abelian_power,
@@ -147,9 +149,9 @@ def test_spectrum_matches_residue_count_formula():
     spec = spectrum(graph, table)
     for v in range(8):
         counts = abelian_residue_counts(graph.group, graph.conn, [v], 8)
-        assert abs(spec.theta[v] - theta_from_residue_counts(counts, 8)) < 1e-12
+        assert abs(spec[v] - theta_from_residue_counts(counts, 8)) < 1e-12
     # the v = 1 value is 2i(sin 45 + sin 90 + sin 225) = 2i exactly
-    assert abs(spec.theta[1] - 2j) < 1e-12
+    assert abs(spec[1] - 2j) < 1e-12
 
 
 def test_character_sums_direct():
@@ -190,7 +192,7 @@ def test_eigenvalue_multiset_from_degrees():
     spec = spectrum(graph, table)
     predicted = []
     for i in range(table.n_chars):
-        predicted.extend([spec.theta[i].imag] * int(table.degrees[i]) ** 2)
+        predicted.extend([spec[i].imag] * int(table.degrees[i]) ** 2)
     eig = np.linalg.eigvals(adjacency_matrix(graph))
     assert np.max(np.abs(eig.real)) < 1e-9
     assert np.allclose(sorted(eig.imag), sorted(predicted), atol=1e-7)
@@ -207,9 +209,9 @@ def test_idempotents_resolve_adjacency():
         e = idempotent(graph, table, i)
         assert np.max(np.abs(e @ e - e)) < 1e-9           # projector
         assert np.max(np.abs(e - e.conj().T)) < 1e-9       # hermitian
-        assert np.max(np.abs(a @ e - spec.theta[i] * e)) < 1e-8  # eigenspace
+        assert np.max(np.abs(a @ e - spec[i] * e)) < 1e-8  # eigenspace
         total += e
-        rebuilt += spec.theta[i] * e
+        rebuilt += spec[i] * e
     assert np.max(np.abs(total - np.eye(n))) < 1e-9
     assert np.max(np.abs(rebuilt - a)) < 1e-8
 

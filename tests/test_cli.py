@@ -214,6 +214,20 @@ def test_pst_check_residual_threshold_follows_tolerance(capsys, tolerance, accep
     assert doc["residual"] == pytest.approx(2.928e-07, rel=1e-3)
 
 
+def test_pst_check_reports_a_static_separating_character(capsys):
+    """Character 4 of Z_8 has theta 0 on {1, 2, 5} and value -1 at 1, so no
+    time reaches 1: the residual is infinite (null in JSON), with the reason
+    that solve gives."""
+    argv = ["--group", "z:8", "--classes", "1,2,5", "--target", "1"]
+    code, doc = run_json(capsys, ["pst", "check", *argv, "--time", "1.0"])
+    assert code == EXIT_OK and doc["accepted"] is False
+    assert doc["residual"] is None
+    assert doc["reason"] == "a character separating z from e is static"
+    code, solved = run_json(capsys, ["pst", "solve", *argv])
+    assert code == EXIT_OK and solved["found"] is False
+    assert solved["near_miss_residual"] is None and solved["reason"] == doc["reason"]
+
+
 def test_pst_check_from_shifted_source(capsys):
     code, doc = run_json(capsys, ["pst", "check", "--group", "z:8",
                                   "--classes", "1,2,5", "--source", "3",

@@ -29,6 +29,7 @@ from caywalk.engine import (
     STATIC_WALK,
     MSTReport,
     _decode_targets,
+    _residuals,
     check_imported_claim,
     check_pst_at,
     check_pst_pair,
@@ -38,7 +39,6 @@ from caywalk.engine import (
     nonexistence_witness_classes,
     parse_time,
     partition_into_transfer_classes,
-    residual_at,
     solvable_exclusion_report,
     solve_pst_time,
     time_rationality_check,
@@ -135,11 +135,15 @@ def test_pair_check_translates_to_identity():
     assert pair.residual == pytest.approx(direct.residual, abs=1e-15)
 
 
-def test_residual_at_is_max_abs():
-    ratios = np.array([1.0 + 0j, -1.0 + 0j])
+def test_residuals_is_max_abs():
+    """On the table of Z_2, with theta = (0, i): at t = pi both ratios match
+    their waves; at t = 0 the wave of the character -1 misses by 2."""
+    table = abelian_character_table(2, 1)
     thetas = np.array([0.0j, 1.0j])
-    assert residual_at(ratios, thetas, math.pi) == pytest.approx(0.0, abs=1e-12)
-    assert residual_at(ratios, thetas, 0.0) == pytest.approx(2.0)
+    z_class = np.array([1])
+    assert _residuals(table, thetas, z_class, np.exp(math.pi * thetas))[0] == \
+        pytest.approx(0.0, abs=1e-12)
+    assert _residuals(table, thetas, z_class, np.exp(0.0 * thetas))[0] == pytest.approx(2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -377,6 +381,21 @@ def test_batched_pass_keeps_the_power_law_check():
         compute_S_e(stack, doctored)
     with pytest.raises(InvariantBreachError, match="power law"):
         compute_S_e(stack.graph(0), doctored)
+
+
+@pytest.mark.parametrize("r, classes, columns, message", [
+    # Class 3 copies class 2, so 3 hits with 2 at pi/2: {0, 2, 3} is not <2>.
+    (4, [1], [0, 1, 2, 2], r"transfer set \(0, 2, 3\) is not the cyclic group \(0, 2\)$"),
+    # Class 6 copies class 2, so 6 hits at tau_min, not at 3 * tau_min.
+    (8, [1, 2, 5], [0, 1, 2, 3, 4, 5, 2, 7], r"no transfer to generator\^3 at 3 \* tau_min$"),
+])
+def test_doctored_tables_fail_the_structural_checks(r, classes, columns, message):
+    group = build_cyclic(r)
+    conj = conjugacy(group)
+    table = abelian_character_table(r, 1)
+    doctored = dataclasses.replace(table, values=table.values[:, columns])
+    with pytest.raises(InvariantBreachError, match=message):
+        compute_S_e(cayley_graph(group, conj, classes), doctored)
 
 
 def reference_sweep(spec: str, max_classes=None, connected_only=False) -> dict:

@@ -29,7 +29,6 @@ from caywalk.groups import (
     cycle_product,
     derived_series_solvable,
     digits_of,
-    element_order,
     group_from_json,
     group_to_json,
     index_of_digits,
@@ -48,6 +47,7 @@ from conftest import (
     brute_conjugacy_classes,
     deque_subgroup_closure,
     digit_sum_abelian_power,
+    element_order,
     intercalate_z2_9,
     loop_extraspecial3,
     loop_modular_maximal_cyclic,
@@ -441,6 +441,46 @@ def test_power_and_order():
     assert power(g, 5, 0) == 0
     assert power(g, 5, -1) == int(g.inv[5])
     assert power(g, 7, 25) == (7 * 25) % 12
+
+
+@pytest.mark.parametrize("spec", ["z:4096", "z6^3", "es3:3", "es3:1:9", "m2:11",
+                                  "wreath:z:3:4", "file"])
+def test_element_orders_match_stepping_reference(tmp_path, spec):
+    if spec == "file":
+        path = tmp_path / "g.json"
+        save_group(build_group(parse_group_spec("wreath:z:2:3")), str(path))
+        spec = f"file:{path}"
+    group = build_group(parse_group_spec(spec))
+    conj = conjugacy(group)
+    want = [element_order(group, g) for g in range(group.order)]
+    assert conj.orders.tolist() == want
+    assert conj.exponent == math.lcm(*want)
+    assert conj.center_exponent == math.lcm(*(want[z] for z in conj.center))
+
+
+def scalar_power(group: GroupTable, g: int, k: int) -> int:
+    """g^k as |k| products with g, or with g^-1 when k < 0."""
+    step = g if k >= 0 else int(group.inv[g])
+    out = group.identity
+    for _ in range(abs(k)):
+        out = int(group.mul[out, step])
+    return out
+
+
+@pytest.mark.parametrize("spec", ["z:12", "es3:1:9", "m2:5", "wreath:z:3:2"])
+def test_power_matches_scalar_reference_on_random_pairs(spec):
+    group = build_group(parse_group_spec(spec))
+    exponent = conjugacy(group).exponent
+    rng = np.random.default_rng(11)
+    g = rng.integers(0, group.order, size=300)
+    k = rng.integers(-3 * exponent, 3 * exponent + 1, size=300)
+    k[:12] = 0
+    want = [scalar_power(group, int(a), int(b)) for a, b in zip(g, k)]
+    assert (k < 0).any() and (k > exponent).any()
+    assert power(group, g, k).tolist() == want
+    assert power(group, g[0], k).tolist() == [scalar_power(group, int(g[0]), int(b)) for b in k]
+    scalars = [power(group, int(a), int(b)) for a, b in zip(g[:40], k[:40])]
+    assert scalars == want[:40] and all(type(x) is int for x in scalars)
 
 
 def test_subgroup_closure_values():

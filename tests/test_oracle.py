@@ -1,4 +1,5 @@
 """Matrix-exponential oracle, checked against an independent Taylor series."""
+import dataclasses
 import json
 import math
 import pathlib
@@ -11,6 +12,7 @@ from caywalk.cayley import adjacency_matrix, cayley_graph
 from caywalk.cli import EXIT_OK, main
 from caywalk.config import SCAN_STEPS
 from caywalk.errors import InvalidParameterError
+from caywalk.families import shipped_certificates
 from caywalk.groups import (
     build_abelian_power,
     build_cyclic,
@@ -32,7 +34,7 @@ from caywalk.oracle import (
     scan_pst,
 )
 
-from conftest import expm_taylor
+from conftest import dense_commutes, expm_taylor
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 TAU3 = 2 * math.pi / (3 * math.sqrt(3.0))
@@ -146,6 +148,34 @@ def test_permutation_check_identity_at_time_zero():
     rep = permutation_check(op, 0.0)
     assert rep.ok and rep.order == 1 and not rep.fixed_point_free
     assert rep.permutation == tuple(range(8))
+
+
+def test_commutation_matches_dense_reference_on_every_shipped_certificate():
+    """Every oriented certificate's U(tau) is a permutation; the undirected
+    C_4 one transfers with phase -1, so it has none to test."""
+    names = []
+    for cert in shipped_certificates():
+        if not cert.oriented:
+            continue
+        op = build_operator(adjacency_matrix(cert.graph()))
+        rep = permutation_check(op, cert.tau)
+        if rep.ok:
+            assert rep.commutes_with_generator == dense_commutes(rep.permutation, op.matrix)
+            assert rep.commutes_with_generator, cert.name
+            names.append(cert.name)
+    assert len(names) == 13, names
+
+
+def test_permutation_check_sees_a_matrix_that_does_not_commute():
+    """The operator keeps its eigenvectors, so U(pi/4) is still the shift by
+    2, but its matrix is swapped for a random skew matrix."""
+    op = skew_operator(8, [1, 2, 5])
+    raw = np.random.default_rng(5).standard_normal((8, 8))
+    doctored = dataclasses.replace(op, matrix=raw - raw.T)
+    rep = permutation_check(doctored, math.pi / 4)
+    assert rep.ok and rep.permutation == permutation_check(op, math.pi / 4).permutation
+    assert rep.commutes_with_generator is False
+    assert not dense_commutes(rep.permutation, doctored.matrix)
 
 
 def test_scan_finds_cyclic3_time():

@@ -1,4 +1,5 @@
-"""Package metadata: the version string and the exported names."""
+"""Package metadata: the version string, the exported names and the module graph."""
+import ast
 import pathlib
 import re
 import runpy
@@ -45,3 +46,40 @@ def test_bench_tracer_finds_every_traced_name(capsys):
     # The sweep's criterion pass and its enumeration run inside their spans.
     assert {"engine.mst", "cayley.enumerate", "characters.table"} <= {s[0] for s in spans.spans}
     assert spans.counts["cayley.conn_sets"] > 0
+
+
+def package_imports(module: str) -> set[str]:
+    """The caywalk modules that caywalk.<module> imports by name."""
+    tree = ast.parse((ROOT / "src" / "caywalk" / f"{module}.py").read_text(encoding="utf-8"))
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            found.update([node.module] if node.module else [a.name for a in node.names])
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("caywalk"):
+            found.update([node.module.split(".")[1]] if "." in node.module
+                         else [a.name for a in node.names])
+        elif isinstance(node, ast.Import):
+            found.update(a.name.split(".")[1] for a in node.names
+                         if a.name.startswith("caywalk."))
+    return found
+
+
+def reachable_modules(module: str) -> set[str]:
+    """Every caywalk module that importing caywalk.<module> loads by its imports."""
+    seen: set[str] = set()
+    todo = [module]
+    while todo:
+        for dep in package_imports(todo.pop()) - seen:
+            seen.add(dep)
+            todo.append(dep)
+    return seen
+
+
+def test_criterion_and_oracle_routes_stay_independent():
+    """The oracle loads no character theory, and the criterion and the graph
+    layer load no oracle."""
+    assert reachable_modules("engine") >= {"cayley", "characters", "groups"}
+    assert reachable_modules("oracle") & {"characters", "engine", "families"} == set()
+    for module in ("engine", "characters", "cayley"):
+        assert "oracle" not in reachable_modules(module), module
+    assert "characters" not in reachable_modules("cayley")
