@@ -36,46 +36,84 @@ PROVENANCE_CLOSED = "closed-form"
 PROVENANCE_NUMERICAL = "numerical"
 PROVENANCE_IMPORTED = "imported"
 
-# _stabilizers_from compares this many table entries (16 MB) at a time.
-_GALOIS_BLOCK_ENTRIES = 2**20
+# A closed form of at most this many classes keeps its derived values (1 MB
+# at most): one gather or product then beats numpy's FFT over short axes.
+_DENSE_CLASSES = 256
 
 
 @dataclass(eq=False)
 class CharacterTable:
     """Rows are irreducible characters, columns are conjugacy classes.
 
-    Column 0 is the identity class. `cyclotomic`, when present, stores each
-    value exactly as integer coefficients over the power basis of a primitive
-    exponent-th root of unity. `root_powers`, when present, stores each value
-    exactly as the power k of that root it equals (closed-form tables); its
-    coefficients are derived only when asked for, by cyclotomic_row.
+    Column 0 is the identity class. Numerical and imported tables store the
+    k x k values in `dense`; the closed form of Z_r^n stores the k x n base-r
+    `digits` of its rows and columns, (v, w) holding zeta^(v.w mod r) with
+    zeta = exp(2*pi*i/r). `cyclotomic`, when present, stores each value as
+    integer coefficients over the powers of a primitive exponent-th root of 1.
     """
 
-    values: np.ndarray
     degrees: np.ndarray
     class_sizes: np.ndarray
     exponent: int
     provenance: str
     tolerance: float = VALUE_TOL
+    dense: np.ndarray | None = None
+    digits: np.ndarray | None = None
     cyclotomic: np.ndarray | None = None
-    root_powers: np.ndarray | None = None
+
+    @cached_property
+    def _zeta(self) -> np.ndarray:
+        return np.exp(2j * np.pi * np.arange(self.exponent) / self.exponent)
+
+    @cached_property
+    def _held(self) -> np.ndarray | None:
+        """The k x k values kept: stored, derived once, or None (large closed form)."""
+        if self.digits is None or self.n_classes > _DENSE_CLASSES:
+            return self.dense
+        return self._zeta[self.digits @ self.digits.T % self.exponent]
+
+    def columns(self, idx) -> np.ndarray:
+        """values[:, idx] for an integer array idx of any shape, (k, *idx.shape)."""
+        idx = np.asarray(idx, dtype=np.int64)
+        if self._held is not None:
+            return self._held[:, idx]
+        # The columns of the distinct classes in idx, then one gather.
+        slot = np.zeros(self.n_classes, dtype=np.int64)
+        slot[idx] = 1
+        uniq = np.flatnonzero(slot)
+        slot[uniq] = np.arange(uniq.size)
+        return self._zeta[self.digits @ self.digits[uniq].T % self.exponent][:, slot[idx]]
+
+    def products(self, x: np.ndarray) -> np.ndarray:
+        """x @ values for a stack x of row vectors, (..., k). For Z_r^n, this
+        sum_v x_v zeta^(v.w) is r^n times x's inverse DFT over the shape (r,)^n."""
+        if self._held is not None:
+            return x @ self._held
+        n = self.digits.shape[1]
+        grid = x.reshape(*x.shape[:-1], *(self.exponent,) * n)
+        return np.fft.ifftn(grid, axes=tuple(range(-n, 0))).reshape(x.shape) * self.n_chars
+
+    @property
+    def values(self) -> np.ndarray:
+        """The k x k complex table; a large closed form derives it on each call."""
+        return self.columns(np.arange(self.n_classes)) if self._held is None else self._held
 
     def cyclotomic_row(self, i: int) -> np.ndarray | None:
         """Exact coefficients of row i, (classes x exponent), or None if not exact."""
         if self.cyclotomic is not None:
             return self.cyclotomic[i]
-        if self.root_powers is None:
+        if self.digits is None:
             return None
-        powers = self.root_powers[i]
-        return (powers[:, None] == np.arange(self.exponent, dtype=powers.dtype)).view(np.int8)
+        powers = self.digits @ self.digits[i] % self.exponent
+        return (powers[:, None] == np.arange(self.exponent)).view(np.int8)
 
     @property
     def n_chars(self) -> int:
-        return self.values.shape[0]
+        return len(self.degrees)
 
     @property
     def n_classes(self) -> int:
-        return self.values.shape[1]
+        return len(self.class_sizes)
 
     @property
     def group_order(self) -> int:
@@ -110,84 +148,48 @@ def _table_defects(values: np.ndarray, degrees: np.ndarray,
 
 
 def abelian_character_table(r: int, n: int, tol: float = VALUE_TOL) -> CharacterTable:
-    """Closed-form table of Z_r^n.
-
-    Character v sends element w to exp(2*pi*i * (v.w) / r); rows and columns
-    share the digit-vector enumeration of the group elements. The exponents
-    v.w mod r are checked exactly by _closed_form_defects before use.
-    """
+    """Closed-form table of Z_r^n: character v sends w to exp(2*pi*i (v.w) / r),
+    both at the index whose base-r digits they are. character_table_for ties
+    the digits to a group's table (_digit_defects) before use."""
     if r < 1 or n < 1:
         raise InvalidParameterError("need r >= 1 and n >= 1")
     order = r**n
-    dots = _pairing_matrix(r, n)
-    defects = _closed_form_defects(dots, r, n)
-    if defects:
-        raise NumericalFailureError("closed form failed validation: " + "; ".join(defects))
-    zeta = np.exp(2j * np.pi * np.arange(r) / r)
+    places = r ** np.arange(n - 1, -1, -1, dtype=np.int64)
     return CharacterTable(
-        values=zeta[dots],
         degrees=np.ones(order, dtype=np.int64),
         class_sizes=np.ones(order, dtype=np.int64),
         exponent=r,
         provenance=PROVENANCE_CLOSED,
         tolerance=tol,
-        root_powers=dots,
+        digits=np.arange(order, dtype=np.int64)[:, None] // places % r,
     )
 
 
-def _pairing_matrix(r: int, n: int) -> np.ndarray:
-    """D[v, w] = v.w mod r over base-r digit vectors, most significant first.
+def _digit_defects(group: GroupTable, conj: ConjugacyData, digits: np.ndarray,
+                   r: int) -> list[str]:
+    """Exact failures of g -> c(g) = digits[g] as an isomorphism onto Z_r^n.
 
-    Grown one leading digit at a time like groups.build_abelian_power:
-    D[f*m + a, g*m + b] = (f*g + D_m[a, b]) mod r for the r^k = m table D_m.
+    If c(e) = 0 and right multiplication by s_k, the element at index
+    r^(n-1-k), adds e_k to c(g) for every g and k, then c(s_k1 ... s_km) =
+    e_k1 + ... + e_km: c is onto, so one-to-one, and by the associativity
+    _validate_table proved, c(gh) = c(g) + c(h). The rows are then all |G|
+    irreducible characters: a proof in O(n |G|) integer steps, no tolerance.
     """
-    dtype = np.int8 if r <= 64 else np.int32  # f*g + D_m < 2r must fit
-    digit = np.arange(r, dtype=np.int64)
-    step = (np.multiply.outer(digit, digit) % r).astype(dtype)
-    dots = step
-    for _ in range(n - 1):
-        m = dots.shape[0]
-        grown = step[:, None, :, None] + dots[None, :, None, :]
-        grown %= r
-        dots = grown.reshape(m * r, m * r)
-    return dots
-
-
-def _closed_form_defects(dots: np.ndarray, r: int, n: int) -> list[str]:
-    """Exact failures of an exponent matrix as the table of Z_r^n, empty when sound.
-
-    Row v is read as the function w -> dots[v, w] into Z_r. It is a
-    homomorphism when it vanishes at 0 and, for every generator e_k and every
-    g, dots[v, g + e_k] = dots[v, g] + dots[v, e_k] mod r: every element is a
-    sum of generators from 0, so the row is then the homomorphism its
-    generator images define. Rows with pairwise distinct generator images
-    are |G| distinct linear characters of an abelian group of order |G|,
-    which is all of its irreducible characters: the check is a proof, with
-    no tolerance.
-    """
-    order = r**n
-    if dots.shape != (order, order):
-        return [f"shape {dots.shape} is not {order} x {order}"]
-    if dots.min() < 0 or dots.max() >= r:
-        return [f"an exponent lies outside 0..{r - 1}"]
-    if np.any(dots[:, 0] != 0):
-        return ["a row is nonzero at the identity"]
-    if r == 1:
-        return []  # the trivial group: its one row is the trivial character
-    gens = [r ** (n - 1 - k) for k in range(n)]
-    for k, place in enumerate(gens):
-        # Column g + e_k of row v sits one step further along digit k of g.
-        grid = dots.reshape(order, r**k, r, place)
-        diff = np.roll(grid, -1, axis=2).reshape(order, order)
-        diff -= dots
-        diff -= dots[:, place:place + 1]
-        # Every term lies in 0..r-1, so diff = 0 mod r means diff is 0 or -r.
-        if not np.all((diff == 0) | (diff == -r)):
-            return [f"a row is not additive along generator {place}"]
-    images = dots[:, gens].astype(np.int64) @ (r ** np.arange(n - 1, -1, -1, dtype=np.int64))
-    images.sort()
-    if np.any(images[1:] == images[:-1]):
-        return ["two rows agree on every generator"]
+    order, n = digits.shape
+    if order != r**n or group.order != order:
+        return [f"shape {digits.shape} does not fit a group of order {group.order}"]
+    if digits.min() < 0 or digits.max() >= r:
+        return [f"a digit lies outside 0..{r - 1}"]
+    if digits[group.identity].any():
+        return ["the identity's digit vector is nonzero"]
+    if not np.array_equal(conj.class_of, np.arange(order)):
+        return ["the classes are not the elements in index order"]
+    places = r ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    code = digits @ places  # c(g) as a base-r number: one-to-one on digits in 0..r-1
+    for k, place in enumerate(places.tolist() if r > 1 else []):  # Z_1^n is trivial
+        raised = code + np.where(digits[:, k] == r - 1, (1 - r) * place, place)
+        if not np.array_equal(code[group.mul[:, place]], raised):
+            return [f"right multiplication by element {place} does not raise digit {k}"]
     return []
 
 
@@ -261,7 +263,7 @@ def character_table_numerical(group: GroupTable, conj: ConjugacyData,
         if problems:
             last_problem = "; ".join(problems)
             continue
-        return CharacterTable(values=values, degrees=degrees,
+        return CharacterTable(dense=values, degrees=degrees,
                               class_sizes=sizes.copy(), exponent=conj.exponent,
                               provenance=PROVENANCE_NUMERICAL, tolerance=tol)
     raise NumericalFailureError(
@@ -270,18 +272,20 @@ def character_table_numerical(group: GroupTable, conj: ConjugacyData,
 
 def character_table_for(group: GroupTable, conj: ConjugacyData,
                         seed: int = DEFAULT_SEED, tol: float = VALUE_TOL) -> CharacterTable:
-    """Closed form for the cyclic-power families, class algebra otherwise."""
+    """Checked closed form for the cyclic-power families, class algebra otherwise."""
     spec = group.spec
-    if spec.family == "cyclic":
-        return abelian_character_table(spec.r, 1, tol)
-    if spec.family == "abelian":
-        return abelian_character_table(spec.r, spec.n, tol)
-    return character_table_numerical(group, conj, seed=seed, tol=tol)
+    if spec.family not in ("cyclic", "abelian"):
+        return character_table_numerical(group, conj, seed=seed, tol=tol)
+    table = abelian_character_table(spec.r, spec.n if spec.family == "abelian" else 1, tol)
+    defects = _digit_defects(group, conj, table.digits, spec.r)
+    if defects:
+        raise NumericalFailureError("closed form failed validation: " + "; ".join(defects))
+    return table
 
 
 def kernel(table: CharacterTable, char_index: int, conj: ConjugacyData) -> tuple[int, ...]:
     """Elements whose class value matches the degree (the character's kernel)."""
-    row = table.values[char_index]
+    row = table.products(np.eye(1, table.n_chars, char_index))[0]
     return tuple(np.flatnonzero(np.abs(row[conj.class_of] - row[0]) < table.tolerance).tolist())
 
 
@@ -320,21 +324,22 @@ def _stabilizers_from(table: CharacterTable,
                       power_perm: Callable[[int], Sequence[int]],
                       units: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     values = table.values
-    perms = [np.asarray(power_perm(k)) for k in units]
-    fixed = np.empty((table.n_chars, len(units)), dtype=bool)
-    block = max(1, _GALOIS_BLOCK_ENTRIES // table.n_classes)
-    for lo in range(0, table.n_chars, block):
-        rows = values[lo:lo + block]
-        for u, perm in enumerate(perms):
-            drift = np.max(np.abs(rows[:, perm] - rows), axis=1)
-            fixed[lo:lo + block, u] = drift < table.tolerance
+    fixed = np.array([np.max(np.abs(values[:, np.asarray(power_perm(k))] - values), axis=1)
+                      < table.tolerance for k in units]).T
     return tuple(tuple(k for k, f in zip(units, row) if f) for row in fixed.tolist())
 
 
 def galois_stabilizers(table: CharacterTable, conj: ConjugacyData) -> GaloisData:
+    """On a closed form, exactly: unit k fixes row v when (k - 1) v = 0 mod r,
+    that is when the additive order r / gcd(r, v) of v divides k - 1."""
     m = table.exponent
     units = units_mod(m)
-    stabs = _stabilizers_from(table, conj.class_power, units)
+    if table.digits is None:
+        stabs = _stabilizers_from(table, conj.class_power, units)
+    else:
+        orders = (m // np.gcd(np.gcd.reduce(table.digits, axis=1), m)).tolist()
+        stab_of = {d: tuple(k for k in units if (k - 1) % d == 0) for d in set(orders)}
+        stabs = tuple(stab_of[d] for d in orders)
     return GaloisData(exponent=m, units=units, stabilizers=stabs)
 
 
@@ -396,10 +401,11 @@ def export_character_table(table: CharacterTable, conj: ConjugacyData) -> dict:
     rep_orders = conj.orders[[cls[0] for cls in conj.classes]].tolist()
     power_maps = {str(k): list(conj.class_power(k)) for k in units_mod(table.exponent)}
     characters = []
+    values = table.values
     for i in range(table.n_chars):
         entry: dict = {
             "degree": int(table.degrees[i]),
-            "values": [[float(v.real), float(v.imag)] for v in table.values[i]],
+            "values": [[float(v.real), float(v.imag)] for v in values[i]],
         }
         coefficients = table.cyclotomic_row(i)
         if coefficients is not None:
@@ -479,7 +485,7 @@ def import_character_table(doc: dict, tol: float = VALUE_TOL) -> ImportedTable:
         raise CorruptTableError("imported table fails validation: " + "; ".join(defects))
 
     claims = tuple(doc.get("pst_claims", ()))
-    table = CharacterTable(values=values, degrees=degrees, class_sizes=sizes,
+    table = CharacterTable(dense=values, degrees=degrees, class_sizes=sizes,
                            exponent=m, provenance=PROVENANCE_IMPORTED,
                            tolerance=tol, cyclotomic=cyclo)
     return ImportedTable(table=table, rep_orders=rep_orders,

@@ -71,7 +71,7 @@ def connection_character_sums(table: CharacterTable,
     """
     idx = np.asarray(class_indices, dtype=np.int64)
     weights = table.class_sizes[idx].astype(np.float64)
-    return np.matmul(np.moveaxis(table.values[:, idx], 0, -2), weights[..., None])[..., 0]
+    return np.matmul(np.moveaxis(table.columns(idx), 0, -2), weights[..., None])[..., 0]
 
 
 def walk_thetas(table: CharacterTable, conn_classes: Sequence[int] | np.ndarray) -> np.ndarray:
@@ -172,8 +172,8 @@ class SolveOutcome:
 STATIC_WALK = "the walk is static: every eigenvalue is 0"
 APERIODIC_WALK = "the spectrum is aperiodic, so the walk transfers to no vertex"
 # Bound on the entries of one decoding block of waves, (times x k). A table
-# with k^2 above it is decoded one time at a time, as a vector product, so
-# BLAS packs no copy of values.
+# with k^2 above it is decoded one time at a time, as a vector product or
+# one FFT, so BLAS packs no copy of its values.
 _BLOCK_ENTRIES = 1 << 16
 
 
@@ -212,10 +212,10 @@ def candidate_times(omega: np.ndarray, n: int) -> np.ndarray:
 
 def _residuals(table: CharacterTable, thetas: np.ndarray, z_classes: np.ndarray,
                waves: np.ndarray) -> np.ndarray:
-    """max_chi |chi(z)/chi(e) - wave_chi| per (thetas, class, waves) row, inf
-    where a static character separates z from e: exp(t * 0) = 1 never
-    matches a ratio != 1, so no time can work."""
-    ratios = table.values[:, z_classes].T / table.degrees
+    """max_chi |chi(z)/chi(e) - wave_chi| per (thetas, class, waves) row, for
+    classes of any shape; inf where a static character separates z from e:
+    exp(t * 0) = 1 never matches a ratio != 1, so no time can work."""
+    ratios = np.moveaxis(table.columns(z_classes), 0, -1) / table.degrees
     scores = np.max(np.abs(ratios - waves), axis=-1)
     static = np.abs(thetas.imag) <= table.tolerance
     dead = (static & (np.abs(ratios - 1.0) > table.tolerance)).any(axis=-1)
@@ -248,7 +248,7 @@ def _decode_targets(table: CharacterTable, thetas: np.ndarray, omega: np.ndarray
     for lo in range(0, pair_sets.size, height):
         sets, t = pair_sets[lo:lo + height], pair_times[lo:lo + height]
         waves = np.exp(t[:, None] * thetas[sets])
-        p = ((table.degrees * waves.conj()) @ table.values).real
+        p = table.products(table.degrees * waves.conj()).real
         pair, cls = np.nonzero((p >= floor) & (slot >= 0))
         res = _residuals(table, thetas[sets[pair]], cls, waves[pair])
         hit = np.flatnonzero(res < table.tolerance)
@@ -339,40 +339,57 @@ def _transfer_reports(conj: ConjugacyData, table: CharacterTable,
     no_transfer = MSTReport(S_e=(g.identity,), size=1, generator=None,
                             minimal_time=None, certificates={})
     reports = [no_transfer] * len(classes)
-    for row in np.flatnonzero(hits.any(axis=1)):
+    rows = np.flatnonzero(hits.any(axis=1))
+    if rows.size == 0:
+        return reports
+    # The earliest target of each row, the least one among equal times.
+    first = np.argmin(np.where(hits[rows], taus[rows], np.inf), axis=1)
+    generators, tau_min = targets[first], taus[rows, first]
+    _check_transfer_sets(conj, table, thetas[rows], hits[rows], targets, generators, tau_min)
+    for row, generator, tau in zip(rows.tolist(), generators.tolist(), tau_min.tolist()):
         certificates = {int(targets[i]): PSTCertificate(z=int(targets[i]), tau=float(taus[row, i]),
                                                         residual=float(residuals[row, i]))
                         for i in np.flatnonzero(hits[row])}
-        reports[row] = _transfer_set(conj, table, thetas[row], certificates)
+        members = tuple(sorted({g.identity, *certificates}))
+        reports[row] = MSTReport(S_e=members, size=len(members), generator=generator,
+                                 minimal_time=tau, certificates=certificates)
     return reports
 
 
-def _transfer_set(conj: ConjugacyData, table: CharacterTable, thetas: np.ndarray,
-                  certificates: dict[int, PSTCertificate]) -> MSTReport:
-    """The report of one set with certificates, after its structural checks;
-    thetas is the set's row of walk_thetas."""
+def _check_transfer_sets(conj: ConjugacyData, table: CharacterTable, thetas: np.ndarray,
+                         hits: np.ndarray, targets: np.ndarray, generators: np.ndarray,
+                         tau_min: np.ndarray) -> None:
+    """The structural checks of all certifying sets at once, row i of hits, thetas,
+    generators and tau_min for set i; raises at the first failing set and check."""
     g = conj.group
-    generator = min(certificates, key=lambda z: (certificates[z].tau, z))
-    tau_min = certificates[generator].tau
-    members = tuple(sorted({g.identity, *certificates.keys()}))
-    powers = power(g, generator, np.arange(conj.orders[generator]))
-    expected = tuple(np.sort(powers).tolist())
-    if members != expected:
-        raise InvariantBreachError(
-            f"transfer set {members} is not the cyclic group {expected}")
-    size = len(members)
-    if size not in ALLOWED_MST_SIZES:
-        raise InvariantBreachError(f"transfer set size {size} is not in {ALLOWED_MST_SIZES}")
-    # generator^n must transfer at n * tau_min, n = 1..size-1: one residual call.
-    times = np.arange(1, size) * tau_min
-    res = _residuals(table, thetas, conj.class_of[powers[1:]], np.exp(times[:, None] * thetas))
-    failed = np.flatnonzero(~(res < table.tolerance))
-    if failed.size:
-        n = int(failed[0]) + 1
+    orders = conj.orders[generators]
+    powers = power(g, generators[:, None], np.arange(orders.max()))  # wraps past each order
+    in_powers = np.zeros((len(generators), g.order), dtype=bool)
+    np.put_along_axis(in_powers, powers, True, axis=1)
+    not_cyclic = np.any(in_powers[:, targets] != hits, axis=1)
+    sizes = hits.sum(axis=1) + 1
+    bad_size = ~np.isin(sizes, ALLOWED_MST_SIZES)
+    # generator^n must transfer at n * tau_min, n = 1..size-1: one residual
+    # over (sets x n), for the sets that passed the checks above.
+    law = np.flatnonzero(~not_cyclic & ~bad_size)
+    steps = np.arange(1, max(ALLOWED_MST_SIZES))
+    waves = np.exp((steps * tau_min[law, None])[..., None] * thetas[law, None])
+    z_classes = conj.class_of[power(g, generators[law, None], steps)]
+    law_fails = ~(_residuals(table, thetas[law, None], z_classes, waves) < table.tolerance)
+    law_fails &= steps < sizes[law, None]
+    failed = not_cyclic | bad_size
+    failed[law[law_fails.any(axis=1)]] = True
+    i = int(np.argmax(failed))
+    if not_cyclic[i]:
+        members = tuple(sorted({g.identity, *targets[hits[i]].tolist()}))
+        raise InvariantBreachError(f"transfer set {members} is not the cyclic group "
+                                   f"{tuple(np.sort(powers[i, :orders[i]]).tolist())}")
+    if bad_size[i]:
+        raise InvariantBreachError(f"transfer set size {sizes[i]} is not in {ALLOWED_MST_SIZES}")
+    if failed[i]:
+        n = int(np.argmax(law_fails[np.searchsorted(law, i)])) + 1
         raise InvariantBreachError(
             f"power law fails: no transfer to generator^{n} at {n} * tau_min")
-    return MSTReport(S_e=members, size=size, generator=generator,
-                     minimal_time=tau_min, certificates=certificates)
 
 
 def partition_into_transfer_classes(graph: CayleyGraph,
@@ -442,8 +459,8 @@ def nonexistence_witness_classes(table: CharacterTable, galois: GaloisData,
     the first one, then each one whose stabilizer has a unit outside the
     closure of those kept, until that closure is every unit.
     """
-    values = table.values
-    in_kernel = np.abs(values[:, z_class] - values[:, 0]) < table.tolerance
+    cols = table.columns([z_class, 0])
+    in_kernel = np.abs(cols[:, 0] - cols[:, 1]) < table.tolerance
     outside = np.flatnonzero(~in_kernel)
     fixes = galois.stabilizer_mask[outside]
     units = np.array(galois.units)
@@ -534,7 +551,7 @@ def verdict_document(graph: CayleyGraph, report: MSTReport,
                         "p": rational.p, "q": rational.q}
     else:
         rational_doc = None
-    residual = max((c.residual for c in report.certificates.values()), default=0.0)
+    residual = max((c.residual for _, c in report.certificates.items()), default=0.0)
     return {
         "group": graph.group.family_tag,
         "connection_classes": list(graph.conn.class_indices),

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -516,18 +517,18 @@ def conjugacy(group: GroupTable) -> ConjugacyData:
 
 
 def _element_orders(group: GroupTable) -> np.ndarray:
-    """Order of every element, by stepping all powers g^k at once."""
+    """Order of every element, one prime p of |G| at a time: h = g^m, with m
+    the part of |G| prime to p, has the p-part of g's order as its order, so
+    h is raised to its p-th power until it is the identity."""
     n, e = group.order, group.identity
     orders = np.ones(n, dtype=np.int64)
-    pending = np.flatnonzero(np.arange(n) != e)
-    cur = pending.copy()
-    k = 1
-    while pending.size:
-        k += 1
-        cur = group.mul[cur, pending]
-        done = cur == e
-        orders[pending[done]] = k
-        pending, cur = pending[~done], cur[~done]
+    for p in (p for p in range(2, n + 1) if n % p == 0 and all(p % q for q in range(2, p))):
+        h = power(group, np.arange(n), n // math.gcd(n, p**n))
+        pending = np.flatnonzero(h != e)
+        while pending.size:
+            orders[pending] *= p
+            h[pending] = power(group, h[pending], p)
+            pending = pending[h[pending] != e]
     return orders
 
 
@@ -554,24 +555,30 @@ def subgroup_closure(group: GroupTable, generators: Iterable[int]) -> tuple[int,
 
 
 def derived_series_solvable(group: GroupTable) -> tuple[bool, tuple[int, ...]]:
-    """Derived series orders; solvable iff the series reaches the trivial group."""
-    if group.order == 1:
-        return True, (1,)
+    """Derived series orders; solvable iff the series reaches the trivial group.
+
+    H' is the normal closure N in H of the commutators of a generating set S
+    of H (H/N is abelian, as the images of S commute): each commutator or
+    conjugate s^-1 x s (s in S) outside the closure so far becomes one of its
+    generators, at least doubling it. Those generators are the next S."""
     mul, inv = group.mul, group.inv
-    current = tuple(range(group.order))
-    series = [group.order]
-    while True:
-        h = np.array(current, dtype=np.int64)
-        comms = np.zeros(group.order, dtype=bool)
-        for a in current:
-            comms[mul[mul[mul[a, h], inv[a]], inv[h]]] = True  # a h a^-1 h^-1
-        derived = subgroup_closure(group, np.flatnonzero(comms))
-        series.append(len(derived))
-        if len(derived) == 1:
-            return True, tuple(series)
-        if len(derived) == len(current):
-            return False, tuple(series)
-        current = derived
+    gens, series = np.array(group.generators, dtype=np.int64), [group.order]
+    while series[-1] > 1:
+        a, b = gens[:, None], gens[None, :]
+        todo = mul[mul[mul[a, b], inv[a]], inv[b]].ravel().tolist()  # a b a^-1 b^-1
+        inside = np.arange(group.order) == group.identity
+        derived: list[int] = []
+        while todo:
+            x = todo.pop()
+            if not inside[x]:
+                derived.append(x)
+                inside[list(subgroup_closure(group, derived))] = True
+                todo.extend(mul[mul[inv[gens], x], gens].tolist())
+        if inside.sum() == series[-1]:
+            return False, (*series, series[-1])
+        gens = np.array(derived, dtype=np.int64)
+        series.append(int(inside.sum()))
+    return True, tuple(series)
 
 
 # ---------------------------------------------------------------------------

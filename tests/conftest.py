@@ -14,7 +14,7 @@ import math
 import numpy as np
 import pytest
 
-from caywalk.characters import unit_closure
+from caywalk.characters import CharacterTable, unit_closure
 from caywalk.config import PERMUTATION_TOL
 from caywalk.engine import (
     ALLOWED_MST_SIZES,
@@ -150,8 +150,9 @@ def winding_search_times(graph, table, tol: float = 1e-8,
     earliest candidate time whose residual is under tol.
     """
     g = graph.group
+    values = table.values  # a closed form derives it on each read
     idx = np.asarray(graph.conn.class_indices, dtype=np.int64)
-    sums = table.values[:, idx] @ table.class_sizes[idx].astype(np.float64)
+    sums = values[:, idx] @ table.class_sizes[idx].astype(np.float64)
     thetas = (sums - np.conj(sums)) / table.degrees
     static = np.abs(thetas.imag) <= tol
     ref = int(np.argmax(np.abs(thetas.imag)))
@@ -160,7 +161,7 @@ def winding_search_times(graph, table, tol: float = 1e-8,
     for z in graph.conj.center:
         if z == g.identity or np.all(static):
             continue
-        ratios = table.values[:, int(graph.conj.class_of[z])] / table.degrees
+        ratios = values[:, int(graph.conj.class_of[z])] / table.degrees
         if np.any((np.abs(ratios - 1.0) > tol) & static):
             continue
         alpha = float(np.angle(ratios[ref])) % (2.0 * np.pi)
@@ -216,8 +217,9 @@ def per_set_scan_targets(graph, table, targets, n, tol):
     """(tau, residual, reason) per central target of one set: the earlier scorer."""
     tau = np.full(len(targets), np.nan)
     residual = np.full(len(targets), math.inf)
+    values = table.values  # a closed form derives it on each read
     idx = np.asarray(graph.conn.class_indices, dtype=np.int64)
-    sums = table.values[:, idx] @ table.class_sizes[idx].astype(np.float64)
+    sums = values[:, idx] @ table.class_sizes[idx].astype(np.float64)
     thetas = (sums - np.conj(sums)) / table.degrees
     omega, reason = per_set_walk_frequency(thetas, table.tolerance)
     if omega is None:
@@ -226,7 +228,7 @@ def per_set_scan_targets(graph, table, targets, n, tol):
     waves = np.exp(np.outer(times, thetas))
     static = np.abs(thetas.imag) <= tol
     for i, z in enumerate(targets):
-        ratios = table.values[:, int(graph.conj.class_of[z])] / table.degrees
+        ratios = values[:, int(graph.conj.class_of[z])] / table.degrees
         scores = np.max(np.abs(ratios[None, :] - waves), axis=1)
         if np.any((np.abs(ratios - 1.0) > tol) & static):
             scores[:] = math.inf
@@ -251,6 +253,7 @@ def blocked_scan_targets(table, thetas, omega, z_classes, n, block_entries=1 << 
     if rows.size == 0 or n < 2:
         return tau, residual
     times = 2.0 * math.pi * np.arange(1, n) / (n * omega[rows, None])
+    values = table.values  # a closed form derives it on each read
     per_target = (n - 1) * table.n_chars
     width = max(1, min(len(z_classes), block_entries // per_target))
     height = max(1, block_entries // (per_target * width))
@@ -260,7 +263,7 @@ def blocked_scan_targets(table, thetas, omega, z_classes, n, block_entries=1 << 
         static = np.abs(thetas[block].imag) <= tol
         for left in range(0, len(z_classes), width):
             cols = slice(left, left + width)
-            ratios = table.values[:, z_classes[cols]] / table.degrees[:, None]
+            ratios = values[:, z_classes[cols]] / table.degrees[:, None]
             scores = np.max(np.abs(ratios[None, None] - waves[..., None]), axis=2)
             dead = (static[:, :, None] & (np.abs(ratios - 1.0) > tol)).any(axis=1)
             scores[np.broadcast_to(dead[:, None, :], scores.shape)] = math.inf
@@ -585,6 +588,61 @@ def dense_commutes(permutation, matrix: np.ndarray) -> bool:
     p_mat = np.zeros((n, n))
     p_mat[list(permutation), np.arange(n)] = 1.0
     return bool(np.max(np.abs(p_mat @ matrix - matrix @ p_mat)) < PERMUTATION_TOL * max(1.0, n))
+
+
+def pairing_matrix(r: int, n: int) -> np.ndarray:
+    """D[v, w] = v.w mod r over base-r digit vectors, most significant first.
+
+    The earlier characters._pairing_matrix, kept as the dense reference for
+    the digit-vector closed form. Grown one leading digit at a time:
+    D[f*m + a, g*m + b] = (f*g + D_m[a, b]) mod r for the r^k = m table D_m.
+    """
+    dtype = np.int8 if r <= 64 else np.int32  # f*g + D_m < 2r must fit
+    digit = np.arange(r, dtype=np.int64)
+    step = (np.multiply.outer(digit, digit) % r).astype(dtype)
+    dots = step
+    for _ in range(n - 1):
+        m = dots.shape[0]
+        grown = step[:, None, :, None] + dots[None, :, None, :]
+        grown %= r
+        dots = grown.reshape(m * r, m * r)
+    return dots
+
+
+def dense_abelian_table(r: int, n: int, columns=None) -> CharacterTable:
+    """The table of Z_r^n with dense values zeta[pairing_matrix(r, n)], as the
+    closed form held them, optionally with its columns replaced by the given
+    ones (a doctored table)."""
+    values = np.exp(2j * np.pi * np.arange(r) / r)[pairing_matrix(r, n)]
+    if columns is not None:
+        values = values[:, columns]
+    order = r**n
+    return CharacterTable(dense=values, degrees=np.ones(order, dtype=np.int64),
+                          class_sizes=np.ones(order, dtype=np.int64), exponent=r,
+                          provenance="numerical")
+
+
+def brute_derived_series(group: GroupTable) -> tuple[bool, tuple[int, ...]]:
+    """The earlier groups.derived_series_solvable, kept as the reference for
+    the normal-closure form: each term H' is closed from all |H|^2
+    commutators of H."""
+    if group.order == 1:
+        return True, (1,)
+    mul, inv = group.mul, group.inv
+    current = tuple(range(group.order))
+    series = [group.order]
+    while True:
+        h = np.array(current, dtype=np.int64)
+        comms = np.zeros(group.order, dtype=bool)
+        for a in current:
+            comms[mul[mul[mul[a, h], inv[a]], inv[h]]] = True  # a h a^-1 h^-1
+        derived = subgroup_closure(group, np.flatnonzero(comms))
+        series.append(len(derived))
+        if len(derived) == 1:
+            return True, tuple(series)
+        if len(derived) == len(current):
+            return False, tuple(series)
+        current = derived
 
 
 @pytest.fixture(scope="session")

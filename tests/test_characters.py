@@ -1,5 +1,6 @@
 """Character tables: closed form, class-algebra numerics, Galois data, interchange."""
 import copy
+import dataclasses
 import json
 import tracemalloc
 
@@ -9,8 +10,6 @@ import pytest
 from caywalk import characters
 from caywalk.characters import (
     CorruptTableError,
-    _closed_form_defects,
-    _pairing_matrix,
     _table_defects,
     abelian_character_table,
     character_table_for,
@@ -27,9 +26,18 @@ from caywalk.characters import (
     units_mod,
 )
 from caywalk.errors import NumericalFailureError, SchemaError
-from caywalk.groups import build_abelian_power, build_cyclic, build_extraspecial3, conjugacy
+from caywalk.groups import (
+    GroupSpec,
+    GroupTable,
+    build_abelian_power,
+    build_cyclic,
+    build_extraspecial3,
+    build_group,
+    conjugacy,
+    parse_group_spec,
+)
 
-from conftest import CYCLIC_ORDERS, permutation_group_table
+from conftest import CYCLIC_ORDERS, dense_abelian_table, permutation_group_table
 
 
 def rounded_rows(values, places=8):
@@ -88,78 +96,145 @@ def test_closed_form_tables_pass_the_gram_checks():
         assert _table_defects(t.values, t.degrees, t.class_sizes, t.tolerance) == [], (r, n)
 
 
-def corrupt_flip(dots, r):
-    dots = dots.copy()
-    dots[5, 7] = (dots[5, 7] + 1) % r
-    return dots
+def closed_form_group(r: int, n: int):
+    group = build_cyclic(r) if n == 1 else build_abelian_power(r, n)
+    return group, conjugacy(group)
 
 
-def corrupt_duplicate_row(dots, r):
-    dots = dots.copy()
-    dots[4] = dots[3]
-    return dots
+@pytest.mark.parametrize("held", [False, True])
+def test_digit_backend_matches_the_dense_reference(monkeypatch, held):
+    """columns exactly, products to 1e-12 k, the integer Galois rule and the
+    kernels against the dense table the closed form used to store; with no
+    table held (digits and FFT throughout), and with the small ones held."""
+    if not held:
+        monkeypatch.setattr(characters, "_DENSE_CLASSES", 0)
+    rng = np.random.default_rng(5)
+    for r, n in closed_form_shapes(729):
+        group, conj = closed_form_group(r, n)
+        table = character_table_for(group, conj)
+        dense = dense_abelian_table(r, n)
+        k = table.n_chars
+        assert (table._held is not None) == (held and k <= characters._DENSE_CLASSES)
+        assert np.array_equal(table.columns(np.arange(k)), dense.values), (r, n)
+        idx = rng.integers(0, k, size=(3, 4))
+        assert np.array_equal(table.columns(idx), dense.values[:, idx]), (r, n)
+        x = rng.standard_normal((3, k)) + 1j * rng.standard_normal((3, k))
+        assert np.max(np.abs(table.products(x) - x @ dense.values)) < 1e-12 * k, (r, n)
+        # The tolerance route costs k^2 per unit: at most 16 units per table.
+        units = units_mod(r)[::-(-len(units_mod(r)) // 16)]
+        exact = [tuple(u for u in stab if u in units)
+                 for stab in galois_stabilizers(table, conj).stabilizers]
+        assert exact == list(characters._stabilizers_from(dense, conj.class_power, units)), (r, n)
+        for i in sorted({0, 1, k - 1, *rng.integers(0, k, size=4).tolist()}):
+            assert kernel(table, i, conj) == kernel(dense, i, conj), (r, n, i)
+
+
+def corrupt_flip(digits, r):
+    digits = digits.copy()
+    digits[5, -1] = (digits[5, -1] + 1) % r
+    return digits
+
+
+def corrupt_duplicate_row(digits, r):
+    digits = digits.copy()
+    digits[4] = digits[3]
+    return digits
 
 
 @pytest.mark.parametrize("corrupt", [corrupt_flip, corrupt_duplicate_row])
 @pytest.mark.parametrize("r, n", [(3, 2), (2, 4), (4, 3), (5, 2)])
 def test_closed_form_rejects_a_corrupted_exponent_matrix(monkeypatch, corrupt, r, n):
-    sound = _pairing_matrix(r, n)
-    assert _closed_form_defects(sound, r, n) == []
-    monkeypatch.setattr(characters, "_pairing_matrix",
-                        lambda r, n: corrupt(sound, r))
+    # The exponent matrix v.w mod r is now held as its digit vectors.
+    group, conj = closed_form_group(r, n)
+    sound = abelian_character_table(r, n)
+    assert characters._digit_defects(group, conj, sound.digits, r) == []
+    monkeypatch.setattr(characters, "abelian_character_table",
+                        lambda r, n, tol: dataclasses.replace(sound, digits=corrupt(sound.digits, r)))
     with pytest.raises(NumericalFailureError, match="closed form failed validation"):
-        abelian_character_table(r, n)
+        character_table_for(group, conj)
 
 
 def test_closed_form_check_names_each_defect():
-    dots = _pairing_matrix(3, 3)
+    group, conj = closed_form_group(3, 3)
+    digits = abelian_character_table(3, 3).digits
     for words, entry, value in [("outside 0..2", (1, 1), 3),
-                                ("nonzero at the identity", (2, 0), 1),
-                                ("not additive", (7, 13), (dots[7, 13] + 2) % 3)]:
-        bad = dots.copy()
+                                ("identity's digit vector is nonzero", (0, 2), 1),
+                                ("does not raise digit", (7, 1), (digits[7, 1] + 2) % 3)]:
+        bad = digits.copy()
         bad[entry] = value
-        assert words in _closed_form_defects(bad, 3, 3)[0], words
-    assert "agree on every generator" in _closed_form_defects(
-        corrupt_duplicate_row(dots, 3), 3, 3)[0]
-    assert "shape" in _closed_form_defects(dots[:9], 3, 3)[0]
+        assert words in characters._digit_defects(group, conj, bad, 3)[0], words
+    assert "does not raise digit" in characters._digit_defects(
+        group, conj, corrupt_duplicate_row(digits, 3), 3)[0]
+    assert "shape" in characters._digit_defects(group, conj, digits[:9], 3)[0]
 
 
-def test_closed_form_accepts_rows_in_any_order():
-    # The proof needs distinct homomorphisms, not a particular row order.
-    dots = _pairing_matrix(3, 3)
-    assert _closed_form_defects(dots[::-1].copy(), 3, 3) == []
+def doctor_generator_column(mul, places):
+    mul[4, places[0]] = mul[5, places[0]]
+
+
+def swap_generator_columns(mul, places):
+    mul[:, [places[0], places[-1]]] = mul[:, [places[-1], places[0]]]
+
+
+@pytest.mark.parametrize("doctor", [doctor_generator_column, swap_generator_columns])
+@pytest.mark.parametrize("r, n", [(3, 3), (4, 2)])
+def test_closed_form_rejects_a_doctored_group_table(doctor, r, n):
+    """The check reads the group's table, not only the digit vectors."""
+    group, conj = closed_form_group(r, n)
+    mul = group.mul.copy()
+    doctor(mul, [r ** (n - 1 - k) for k in range(n)])
+    doctored = copy.copy(group)
+    object.__setattr__(doctored, "mul", mul)
+    with pytest.raises(NumericalFailureError, match="does not raise digit"):
+        character_table_for(doctored, conj)
+
+
+@pytest.mark.parametrize("built, spec", [
+    ("z:9", GroupSpec("abelian", r=3, n=2)),
+    ("z3^2", GroupSpec("cyclic", r=9)),
+    ("z2^4", GroupSpec("abelian", r=4, n=2)),
+])
+def test_closed_form_rejects_a_valid_group_under_another_spec(built, spec):
+    group = build_group(parse_group_spec(built))
+    relabeled = GroupTable(order=group.order, mul=group.mul, identity=group.identity,
+                           inv=group.inv, labels=group.labels, spec=spec)
+    with pytest.raises(NumericalFailureError, match="does not raise digit"):
+        character_table_for(relabeled, conjugacy(relabeled))
 
 
 def test_abelian_build_and_table_peak_memory():
-    # Peak traced allocation of the Z_3^6 group and its table, in units of
-    # |G|^2 bytes. The table keeps 16 (complex values) + 1 (int8 root powers)
-    # and the group 4 (int32 mul); digit-vector sums over all pairs and dense
-    # Gram checks peaked near 150.
+    # Peak traced allocation of the Z_3^6 group and its checked table, in
+    # units of |G|^2 bytes: the group keeps 4 (int32 mul) and the table no
+    # |G|^2 array at all, so the Z_4^6 table alone peaks under 1 MB.
     build_abelian_power(2, 2)
     abelian_character_table(2, 2)
     tracemalloc.start()
     try:
         group = build_abelian_power(3, 6)
-        abelian_character_table(3, 6)
+        character_table_for(group, conjugacy(group))
         _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        start, _ = tracemalloc.get_traced_memory()
+        abelian_character_table(4, 6)
+        _, table_peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 40 * group.order**2
+    assert peak < 12 * group.order**2
+    assert table_peak - start < 2**20
 
 
-def test_cyclic_table_peak_memory_is_quadratic():
-    # Z_512: the table holds 16 r^2 bytes of values and 4 r^2 of int32 root
-    # powers (20.3 r^2 at peak). An eager one-hot of the exponents would
-    # alone take r^3 bytes, 512 r^2 here.
+def test_cyclic_table_peak_memory_is_linear():
+    # Z_4096: the table holds 4096 one-digit vectors; the k x k complex values
+    # (16 r^2 bytes) and an eager one-hot of the exponents (r^3) are never formed.
     abelian_character_table(2, 1)
-    r = 512
+    r = 4096
     tracemalloc.start()
     try:
         table = abelian_character_table(r, 1)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 32 * r**2
+    assert peak < 2**20
     assert table.cyclotomic_row(3)[5].tolist() == [int(k == 15) for k in range(r)]
 
 

@@ -1,5 +1,4 @@
 """Criterion, minimal-time solver, transfer-set structure, witnesses, claims."""
-import dataclasses
 import itertools
 import json
 import math
@@ -59,6 +58,7 @@ from caywalk.groups import (
 )
 from conftest import (
     blocked_scan_targets,
+    dense_abelian_table,
     itertools_oriented_sets,
     per_set_compute_S_e,
     per_set_scan_targets,
@@ -371,8 +371,7 @@ def test_batched_pass_keeps_the_power_law_check():
     """A doctored Z_3 table: target 2 hits at tau_min, so 2 = 1^2 breaks the power law."""
     group = build_cyclic(3)
     conj = conjugacy(group)
-    table = abelian_character_table(3, 1)
-    doctored = dataclasses.replace(table, values=table.values[:, [0, 1, 1]])
+    doctored = dense_abelian_table(3, 1, columns=[0, 1, 1])
     (stack,) = enumerate_oriented_class_unions(conj)
     assert stack.classes.tolist() == [[1]]
     with pytest.raises(InvariantBreachError, match="power law"):
@@ -392,8 +391,7 @@ def test_batched_pass_keeps_the_power_law_check():
 def test_doctored_tables_fail_the_structural_checks(r, classes, columns, message):
     group = build_cyclic(r)
     conj = conjugacy(group)
-    table = abelian_character_table(r, 1)
-    doctored = dataclasses.replace(table, values=table.values[:, columns])
+    doctored = dense_abelian_table(r, 1, columns=columns)
     with pytest.raises(InvariantBreachError, match=message):
         compute_S_e(cayley_graph(group, conj, classes), doctored)
 

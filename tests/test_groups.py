@@ -17,6 +17,7 @@ from caywalk.errors import (
 )
 from caywalk.groups import (
     GroupTable,
+    _element_orders,
     WreathElement,
     WreathIndexing,
     build_abelian_power,
@@ -45,6 +46,7 @@ from conftest import (
     CYCLIC_ORDERS,
     blocked_row_smallest_conjugates,
     brute_conjugacy_classes,
+    brute_derived_series,
     deque_subgroup_closure,
     digit_sum_abelian_power,
     element_order,
@@ -458,6 +460,13 @@ def test_element_orders_match_stepping_reference(tmp_path, spec):
     assert conj.center_exponent == math.lcm(*(want[z] for z in conj.center))
 
 
+def test_element_orders_by_squaring_match_stepping_on_every_family_member(s3_table, s5_table):
+    for group in [s3_table, s5_table, *(build_group(parse_group_spec(spec))
+                                        for spec in family_members(729))]:
+        want = [element_order(group, g) for g in range(group.order)]
+        assert _element_orders(group).tolist() == want, group.family_tag
+
+
 def scalar_power(group: GroupTable, g: int, k: int) -> int:
     """g^k as |k| products with g, or with g^-1 when k < 0."""
     step = g if k >= 0 else int(group.inv[g])
@@ -497,6 +506,13 @@ def test_derived_series(s3_table, s5_table):
     assert series[-1] == 60  # stalls at the simple alternating subgroup
     assert derived_series_solvable(build_cyclic(1)) == (True, (1,))
     assert derived_series_solvable(build_abelian_power(3, 2))[0]
+
+
+@pytest.mark.parametrize("spec", ["S5", "wreath:z:3:4", "es3:2", "m2:7", "S4", "wreath:z:3:2"])
+def test_derived_series_matches_all_commutators_reference(spec):
+    group = (permutation_group_table(int(spec[1])) if spec.startswith("S")
+             else build_group(parse_group_spec(spec)))
+    assert derived_series_solvable(group) == brute_derived_series(group)
 
 
 def test_permutation_cycles_and_product():

@@ -83,3 +83,12 @@ def test_criterion_and_oracle_routes_stay_independent():
     for module in ("engine", "characters", "cayley"):
         assert "oracle" not in reachable_modules(module), module
     assert "characters" not in reachable_modules("cayley")
+
+
+def test_criterion_reads_no_dense_table():
+    """engine reads character tables only through columns and products, so
+    the criterion cannot quietly rebuild a k x k complex table."""
+    tree = ast.parse((ROOT / "src" / "caywalk" / "engine.py").read_text(encoding="utf-8"))
+    reads = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr in ("values", "dense")]
+    assert reads == []
