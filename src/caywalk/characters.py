@@ -9,10 +9,9 @@ rationality arguments used by the nonexistence machinery.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -28,6 +27,7 @@ from .errors import (
     NumericalFailureError,
     SchemaError,
     SizeLimitError,
+    check_fields,
     require_keys,
 )
 from .groups import ConjugacyData, GroupTable
@@ -293,83 +293,76 @@ def kernel(table: CharacterTable, char_index: int, conj: ConjugacyData) -> tuple
 # Galois action on rows
 
 def units_mod(m: int) -> tuple[int, ...]:
-    if m <= 1:
-        return (1,)
-    return tuple(k for k in range(1, m) if math.gcd(k, m) == 1)
+    """The units mod m as integers 1..m-1; (1,) for m = 1, where 1 is 0 mod 1."""
+    return (1,) if m <= 1 else tuple(np.flatnonzero(unit_mask(m)).tolist())
+
+
+def unit_mask(m: int) -> np.ndarray:
+    """Mask of the residues mod m that are units (for m = 1, the one residue)."""
+    return np.gcd(np.arange(m), m) == 1
 
 
 @dataclass(frozen=True)
 class GaloisData:
-    """Per-character stabilizers inside the unit group mod the exponent.
+    """Per-character stabilizers inside the unit group mod the exponent m.
 
-    stabilizers[i] is the set of units k with chi_i(g^k) = chi_i(g) for all g;
-    the fixed field of that subgroup is the character's field of values.
+    fixes[i, k] is True when the residue k is a unit and chi_i(g^k) = chi_i(g)
+    for all g; the fixed field of row i's stabilizer is the character's field
+    of values. Every unit subgroup here is a mask over the m residues.
     """
 
     exponent: int
-    units: tuple[int, ...]
-    stabilizers: tuple[tuple[int, ...], ...]
+    fixes: np.ndarray
 
-    @cached_property
-    def stabilizer_mask(self) -> np.ndarray:
-        """mask[i, u] is True when units[u] lies in stabilizers[i]."""
-        pos = {k: u for u, k in enumerate(self.units)}
-        mask = np.zeros((len(self.stabilizers), len(self.units)), dtype=bool)
-        for i, stab in enumerate(self.stabilizers):
-            mask[i, [pos[k] for k in stab]] = True
-        return mask
-
-
-def _stabilizers_from(table: CharacterTable,
-                      power_perm: Callable[[int], Sequence[int]],
-                      units: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    values = table.values
-    fixed = np.array([np.max(np.abs(values[:, np.asarray(power_perm(k))] - values), axis=1)
-                      < table.tolerance for k in units]).T
-    return tuple(tuple(k for k, f in zip(units, row) if f) for row in fixed.tolist())
+    @property
+    def units(self) -> np.ndarray:
+        return unit_mask(self.exponent)
 
 
 def galois_stabilizers(table: CharacterTable, conj: ConjugacyData) -> GaloisData:
     """On a closed form, exactly: unit k fixes row v when (k - 1) v = 0 mod r,
     that is when the additive order r / gcd(r, v) of v divides k - 1."""
     m = table.exponent
-    units = units_mod(m)
     if table.digits is None:
-        stabs = _stabilizers_from(table, conj.class_power, units)
-    else:
-        orders = (m // np.gcd(np.gcd.reduce(table.digits, axis=1), m)).tolist()
-        stab_of = {d: tuple(k for k in units if (k - 1) % d == 0) for d in set(orders)}
-        stabs = tuple(stab_of[d] for d in orders)
-    return GaloisData(exponent=m, units=units, stabilizers=stabs)
+        return galois_stabilizers_imported(table, {k: conj.class_power(k) for k in units_mod(m)})
+    orders = m // np.gcd(np.gcd.reduce(table.digits, axis=1), m)
+    distinct, row = np.unique(orders, return_inverse=True)
+    fixes = ((np.arange(m) - 1) % distinct[:, None] == 0) & unit_mask(m)
+    return GaloisData(exponent=m, fixes=fixes[row])
 
 
 def galois_stabilizers_imported(table: CharacterTable,
-                                power_maps: dict[int, tuple[int, ...]]) -> GaloisData:
-    m = table.exponent
-    units = units_mod(m)
-    missing = [k for k in units if k not in power_maps]
+                                power_maps: dict[int, Sequence[int]]) -> GaloisData:
+    """Unit k fixes row i when the row equals itself permuted by k's class power map."""
+    m, values = table.exponent, table.values
+    missing = [k for k in units_mod(m) if k not in power_maps]
     if missing:
         raise SchemaError(f"power maps missing for units {missing}")
-    stabs = _stabilizers_from(table, lambda k: power_maps[k], units)
-    return GaloisData(exponent=m, units=units, stabilizers=stabs)
+    fixes = np.zeros((table.n_chars, m), dtype=bool)
+    for k in units_mod(m):
+        perm = np.asarray(power_maps[k])
+        fixes[:, k % m] = np.max(np.abs(values[:, perm] - values), axis=1) < table.tolerance
+    return GaloisData(exponent=m, fixes=fixes)
 
 
-def unit_closure(m: int, seed: Iterable[int]) -> set[int]:
-    """Multiplicative closure of seed (plus 1) inside the units mod m."""
-    if m <= 2:
-        return {1}
-    out = {1}
-    out.update(k % m for k in seed)
-    grew = True
-    while grew:
-        grew = False
-        for x in list(out):
-            for y in list(out):
-                z = (x * y) % m
-                if z not in out:
-                    out.add(z)
-                    grew = True
-    return out
+def unit_closure(m: int, seeds: Iterable[int], start: np.ndarray | None = None) -> np.ndarray:
+    """Mask of the subgroup of the units mod m generated by seeds and, when
+    given, the subgroup whose mask is start.
+
+    Breadth-first as groups.subgroup_closure: each level multiplies the whole
+    frontier by every seed mod m and keeps the products not reached before.
+    """
+    gens = np.fromiter(seeds, dtype=np.int64) % m
+    seen = np.zeros(m, dtype=bool) if start is None else start.copy()
+    seen[1 % m] = True
+    frontier = np.flatnonzero(seen)
+    while frontier.size:
+        fresh = np.zeros_like(seen)
+        fresh[frontier[:, None] * gens % m] = True
+        fresh &= ~seen
+        seen |= fresh
+        frontier = np.flatnonzero(fresh)
+    return seen
 
 
 def rational_intersection(galois: GaloisData, char_indices: Sequence[int]) -> bool:
@@ -378,10 +371,8 @@ def rational_intersection(galois: GaloisData, char_indices: Sequence[int]) -> bo
     Equivalent statement on the Galois side: the union of their stabilizers
     generates the whole unit group mod the exponent.
     """
-    seed: set[int] = set()
-    for i in char_indices:
-        seed.update(galois.stabilizers[i])
-    return unit_closure(galois.exponent, seed) == set(galois.units)
+    seeds = np.flatnonzero(galois.fixes[list(char_indices)].any(axis=0))
+    return bool(np.array_equal(unit_closure(galois.exponent, seeds), galois.units))
 
 
 # ---------------------------------------------------------------------------
@@ -431,33 +422,32 @@ def import_character_table(doc: dict, tol: float = VALUE_TOL) -> ImportedTable:
     require_keys(doc, ("characters", "class_power_maps", "class_rep_orders", "class_sizes",
                        "exponent", "group_order"), "character table document")
 
-    order = doc["group_order"]
-    m = int(doc["exponent"])
-    if m < 1:
-        raise SchemaError("exponent must be a positive integer")
+    order, m, chars = doc["group_order"], doc["exponent"], doc["characters"]
+    check_fields("character table document", (
+        (type(order) is int, "group_order must be an integer"),
+        (type(m) is int and m >= 1, "exponent must be a positive integer"),
+        *((isinstance(doc[key], list) and all(type(x) is int for x in doc[key]),
+           f"{key} must be a list of integers") for key in ("class_sizes", "class_rep_orders")),
+        (isinstance(chars, list) and all(isinstance(ch, dict) and type(ch.get("degree")) is int
+                                         for ch in chars),
+         "every character needs an integer degree")))
     sizes = np.array(doc["class_sizes"], dtype=np.int64)
-    rep_orders = tuple(int(x) for x in doc["class_rep_orders"])
-    n_classes = len(sizes)
-    if int(sizes.sum()) != order:
-        raise SchemaError("class sizes do not sum to the group order")
-    if len(rep_orders) != n_classes:
-        raise SchemaError("class_rep_orders length mismatch")
-    if sizes[0] != 1 or rep_orders[0] != 1:
-        raise SchemaError("class 0 must be the identity class")
-    if len(doc["characters"]) != n_classes:
-        raise SchemaError(
-            f"{len(doc['characters'])} characters vs {n_classes} classes")
+    rep_orders, n_classes = tuple(doc["class_rep_orders"]), len(sizes)
+    check_fields("character table document", (
+        (int(sizes.sum()) == order, "class sizes do not sum to the group order"),
+        (len(rep_orders) == n_classes, "class_rep_orders length mismatch"),
+        (sizes[:1].tolist() == [1] and rep_orders[:1] == (1,),
+         "class 0 must be the identity class"),
+        (len(chars) == n_classes, f"{len(chars)} characters vs {n_classes} classes")))
 
     zeta = np.exp(2j * np.pi * np.arange(m) / m)
     values = np.zeros((n_classes, n_classes), dtype=np.complex128)
     degrees = np.zeros(n_classes, dtype=np.int64)
     cyclo = None
-    if all("cyclotomic" in ch for ch in doc["characters"]):
+    if all("cyclotomic" in ch for ch in chars):
         cyclo = np.zeros((n_classes, n_classes, m), dtype=np.int64)
-    for i, ch in enumerate(doc["characters"]):
-        if "degree" not in ch:
-            raise SchemaError(f"character {i} missing degree")
-        degrees[i] = int(ch["degree"])
+    for i, ch in enumerate(chars):
+        degrees[i] = ch["degree"]
         if "cyclotomic" in ch:
             coeffs = np.array(ch["cyclotomic"], dtype=np.int64)
             if coeffs.shape != (n_classes, m):

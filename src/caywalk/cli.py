@@ -239,13 +239,11 @@ def cmd_pst(args: argparse.Namespace, config: RunConfig) -> int:
     if args.pst_cmd == "nonexist":
         table = character_table_for(group, conj, seed=config.seed, tol=config.tolerance)
         z = _resolve_element(group, args.target)
-        galois = galois_stabilizers(table, conj)
-        witness = nonexistence_witness(conj, table, galois, z)
+        witness = nonexistence_witness(conj, table, galois_stabilizers(table, conj), z)
         doc = {"group": group.family_tag, "z": z, "z_label": group.label_of(z),
                "witness_found": witness is not None}
         if witness is not None:
-            doc["characters"] = list(witness.char_indices)
-            doc["exponent"] = witness.exponent
+            doc.update(characters=list(witness.char_indices), exponent=witness.exponent)
         _emit(doc, args.format)
         return EXIT_OK
 
@@ -291,13 +289,9 @@ def cmd_pst(args: argparse.Namespace, config: RunConfig) -> int:
                                  report.generator)
     witnesses = []
     if args.witnesses:
-        galois = galois_stabilizers(table, conj)
-        for z in conj.center:
-            if z == group.identity or z in report.S_e:
-                continue
-            w = nonexistence_witness(conj, table, galois, z)
-            if w is not None:
-                witnesses.append(w)
+        excluded = [z for z in conj.center if z not in report.S_e]  # S_e holds the identity
+        found = nonexistence_witness(conj, table, galois_stabilizers(table, conj), excluded)
+        witnesses = [w for w in found if w is not None]
     doc = verdict_document(graph, report, oracle_fid, is_connected(graph),
                            witnesses)
     doc["S_e_labels"] = [group.label_of(z) for z in report.S_e]

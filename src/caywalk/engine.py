@@ -451,42 +451,52 @@ class NonexistenceWitness:
 
 
 def nonexistence_witness_classes(table: CharacterTable, galois: GaloisData,
-                                 z_class: int,
-                                 z_label: int = -1) -> NonexistenceWitness | None:
-    """Greedy witness search on class-level data.
+                                 z_classes: Sequence[int] | np.ndarray,
+                                 z_labels: Sequence[int]) -> list[NonexistenceWitness | None]:
+    """Greedy witness search on class-level data, one result per class.
 
-    Walks the characters whose kernel misses z's class in row order and keeps
-    the first one, then each one whose stabilizer has a unit outside the
-    closure of those kept, until that closure is every unit.
+    For each class, walks the characters whose kernel misses it in row order
+    and keeps the first one, then each one whose stabilizer has a unit outside
+    the closure of those kept, until that closure is every unit. Kernels are
+    read in blocks of columns; closures are memoized, for all classes at once,
+    on the set of distinct stabilizers kept.
     """
-    cols = table.columns([z_class, 0])
-    in_kernel = np.abs(cols[:, 0] - cols[:, 1]) < table.tolerance
-    outside = np.flatnonzero(~in_kernel)
-    fixes = galois.stabilizer_mask[outside]
-    units = np.array(galois.units)
-    covered = {1}
-    chosen: list[int] = []
-    pos = 0  # position in outside of the next character to keep
-    while pos < len(outside):
-        i = int(outside[pos])
-        chosen.append(i)
-        covered = unit_closure(galois.exponent, covered | set(galois.stabilizers[i]))
-        if len(covered) == len(units):  # a closure of units lies in the units
-            return NonexistenceWitness(z=z_label, char_indices=tuple(chosen),
-                                       exponent=galois.exponent)
-        in_covered = np.zeros(galois.exponent, dtype=bool)  # by residue mod exponent
-        in_covered[list(covered)] = True
-        fresh = ~in_covered[units]
-        hits = np.flatnonzero((fixes[pos + 1:] & fresh).any(axis=1))
-        pos = pos + 1 + int(hits[0]) if hits.size else len(outside)
-    return None
+    m, units = galois.exponent, galois.units
+    packed = [row.tobytes() for row in np.packbits(galois.fixes, axis=1)]  # rows as memo keys
+    # stabilizers kept -> (their closure, the rows with a unit outside it)
+    memo = {frozenset(): (unit_closure(m, ()), None)}
+    found: list[NonexistenceWitness | None] = []
+    height = max(1, _BLOCK_ENTRIES // table.n_chars)
+    for lo in range(0, len(z_classes), height):
+        cols = table.columns(z_classes[lo:lo + height])
+        for outside, label in zip(~(np.abs(cols.T - table.degrees) < table.tolerance),
+                                  z_labels[lo:lo + height]):
+            kept, chosen, later, witness = frozenset(), [], np.flatnonzero(outside), None
+            while later.size:
+                i, covered = int(later[0]), memo[kept][0]
+                chosen.append(i)
+                kept = kept | {packed[i]}
+                if kept not in memo:
+                    covered = unit_closure(m, np.flatnonzero(galois.fixes[i] & ~covered), covered)
+                    memo[kept] = covered, (galois.fixes & ~covered).any(axis=1)
+                covered, grows = memo[kept]
+                if np.array_equal(covered, units):
+                    witness = NonexistenceWitness(z=label, char_indices=tuple(chosen), exponent=m)
+                    break
+                later = i + 1 + np.flatnonzero(outside[i + 1:] & grows[i + 1:])
+            found.append(witness)
+    return found
 
 
-def nonexistence_witness(conj: ConjugacyData, table: CharacterTable,
-                         galois: GaloisData, z: int) -> NonexistenceWitness | None:
-    if z == conj.group.identity:
-        return None
-    return nonexistence_witness_classes(table, galois, int(conj.class_of[z]), z_label=z)
+def nonexistence_witness(conj: ConjugacyData, table: CharacterTable, galois: GaloisData,
+                         z: int | Sequence[int] | np.ndarray):
+    """The witness or None for one central element z; a list of them for a
+    list of central elements. The argument covers central targets only."""
+    targets = np.asarray(z, dtype=np.int64).ravel()
+    if np.any(conj.sizes[conj.class_of[targets]] != 1):
+        raise InvalidParameterError("target must be central")
+    found = nonexistence_witness_classes(table, galois, conj.class_of[targets], targets.tolist())
+    return found if np.ndim(z) else found[0]
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ import math
 import numpy as np
 import pytest
 
-from caywalk.characters import CharacterTable, unit_closure
+from caywalk.characters import CharacterTable, units_mod
 from caywalk.config import PERMUTATION_TOL
 from caywalk.engine import (
     ALLOWED_MST_SIZES,
@@ -309,12 +309,40 @@ def row_loop_stabilizers(table, power_perm, units) -> tuple[tuple[int, ...], ...
     The earlier body of characters._stabilizers_from, kept as the reference
     for its blocked form.
     """
+    perms = {k: np.asarray(power_perm(k)) for k in units}
     stabs = []
     for row in table.values:
         stabs.append(tuple(k for k in units
-                           if np.max(np.abs(row[np.asarray(power_perm(k))] - row))
-                           < table.tolerance))
+                           if np.max(np.abs(row[perms[k]] - row)) < table.tolerance))
     return tuple(stabs)
+
+
+def set_unit_closure(m: int, seed) -> set[int]:
+    """Multiplicative closure of seed (plus 1) inside the units mod m.
+
+    The earlier body of characters.unit_closure, one pair of elements at a
+    time, kept as the reference for its breadth-first mask form.
+    """
+    if m <= 2:
+        return {1}
+    out = {1}
+    out.update(k % m for k in seed)
+    grew = True
+    while grew:
+        grew = False
+        for x in list(out):
+            for y in list(out):
+                z = (x * y) % m
+                if z not in out:
+                    out.add(z)
+                    grew = True
+    return out
+
+
+def stabilizer_tuples(galois) -> tuple[tuple[int, ...], ...]:
+    """Each row's stabilizer as the sorted units mod the exponent that fix it."""
+    m = galois.exponent
+    return tuple(tuple(k for k in units_mod(m) if row[k % m]) for row in galois.fixes)
 
 
 def row_loop_witness(table, galois, z_class: int, z_label: int = -1):
@@ -323,17 +351,18 @@ def row_loop_witness(table, galois, z_class: int, z_label: int = -1):
     The earlier body of engine.nonexistence_witness_classes, kept as the
     reference for its masked form.
     """
-    units = set(galois.units)
+    units = set(units_mod(galois.exponent))
+    stabilizers = stabilizer_tuples(galois)
     covered = {1}
     chosen: list[int] = []
     for i, row in enumerate(table.values):
         if abs(row[z_class] - row[0]) < table.tolerance:
             continue
-        stab = set(galois.stabilizers[i])
+        stab = set(stabilizers[i])
         if chosen and stab <= covered:
             continue
         chosen.append(i)
-        covered = unit_closure(galois.exponent, covered | stab)
+        covered = set_unit_closure(galois.exponent, covered | stab)
         if covered == units:
             return NonexistenceWitness(z=z_label, char_indices=tuple(chosen),
                                        exponent=galois.exponent)

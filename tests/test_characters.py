@@ -37,7 +37,14 @@ from caywalk.groups import (
     parse_group_spec,
 )
 
-from conftest import CYCLIC_ORDERS, dense_abelian_table, permutation_group_table
+from conftest import (
+    CYCLIC_ORDERS,
+    dense_abelian_table,
+    permutation_group_table,
+    row_loop_stabilizers,
+    set_unit_closure,
+    stabilizer_tuples,
+)
 
 
 def rounded_rows(values, places=8):
@@ -123,8 +130,8 @@ def test_digit_backend_matches_the_dense_reference(monkeypatch, held):
         # The tolerance route costs k^2 per unit: at most 16 units per table.
         units = units_mod(r)[::-(-len(units_mod(r)) // 16)]
         exact = [tuple(u for u in stab if u in units)
-                 for stab in galois_stabilizers(table, conj).stabilizers]
-        assert exact == list(characters._stabilizers_from(dense, conj.class_power, units)), (r, n)
+                 for stab in stabilizer_tuples(galois_stabilizers(table, conj))]
+        assert exact == list(row_loop_stabilizers(dense, conj.class_power, units)), (r, n)
         for i in sorted({0, 1, k - 1, *rng.integers(0, k, size=4).tolist()}):
             assert kernel(table, i, conj) == kernel(dense, i, conj), (r, n, i)
 
@@ -379,11 +386,12 @@ def test_galois_stabilizers_z6():
     conj = conjugacy(g)
     t = abelian_character_table(6, 1)
     gal = galois_stabilizers(t, conj)
-    assert gal.exponent == 6 and gal.units == (1, 5)
-    assert gal.stabilizers[0] == (1, 5)   # trivial character, rational
-    assert gal.stabilizers[3] == (1, 5)   # order-2 character, values +-1
-    assert gal.stabilizers[1] == (1,)
-    assert gal.stabilizers[2] == (1,)
+    assert gal.exponent == 6 and np.flatnonzero(gal.units).tolist() == [1, 5]
+    stabs = stabilizer_tuples(gal)
+    assert stabs[0] == (1, 5)   # trivial character, rational
+    assert stabs[3] == (1, 5)   # order-2 character, values +-1
+    assert stabs[1] == (1,)
+    assert stabs[2] == (1,)
 
 
 def test_rational_intersection_z6():
@@ -395,6 +403,31 @@ def test_rational_intersection_z6():
     assert rational_intersection(gal, [1]) is False
     assert rational_intersection(gal, [1, 2]) is False
     assert rational_intersection(gal, [0]) is True
+
+
+def test_unit_closure_and_rational_intersection_match_the_set_reference():
+    """Seeded random character subsets of z:128, whose 64 units make a
+    non-cyclic group, against the pairwise closure of the stabilizer union."""
+    g = build_cyclic(128)
+    conj = conjugacy(g)
+    gal = galois_stabilizers(abelian_character_table(128, 1), conj)
+    stabs = stabilizer_tuples(gal)
+    units = set(units_mod(128))
+    rng = np.random.default_rng(13)
+    verdicts = set()
+    for _ in range(60):
+        chars = rng.choice(128, size=rng.integers(1, 5), replace=False).tolist()
+        seed = {k for i in chars for k in stabs[i]}
+        reference = set_unit_closure(128, seed)
+        assert set(np.flatnonzero(characters.unit_closure(128, seed)).tolist()) == reference
+        verdicts.add(rational_intersection(gal, chars))
+        assert rational_intersection(gal, chars) is (reference == units), chars
+    assert verdicts == {False, True}
+    # Started from a subgroup, the closure is the one of the subgroup and the seeds.
+    for a, b in [(5, 127), (3, 17), (65, 63)]:
+        start = characters.unit_closure(128, [a])
+        assert set(np.flatnonzero(characters.unit_closure(128, [b], start)).tolist()) \
+            == set_unit_closure(128, {a, b})
 
 
 def test_rational_intersection_small_exponent_short_circuit():
@@ -499,8 +532,7 @@ def test_import_exact_cyclotomic_document():
     assert abs(imp.table.values[1, 1] - np.exp(2j * np.pi / 3)) < 1e-14
     assert imp.table.cyclotomic is not None
     gal = galois_stabilizers_imported(imp.table, imp.power_maps)
-    assert gal.stabilizers[0] == (1, 2)
-    assert gal.stabilizers[1] == (1,)
+    assert stabilizer_tuples(gal)[:2] == ((1, 2), (1,))
 
 
 def test_imported_galois_requires_all_unit_maps():

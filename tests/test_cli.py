@@ -28,7 +28,12 @@ from caywalk.groups import (
     save_group,
 )
 
-from conftest import FIXTURE_DOCUMENTS, intercalate_z2_9, write_fixture_documents
+from conftest import (
+    FIXTURE_DOCUMENTS,
+    intercalate_z2_9,
+    set_unit_closure,
+    write_fixture_documents,
+)
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -326,6 +331,30 @@ def test_pst_nonexist_no_witness(capsys):
     assert code == EXIT_OK and doc["witness_found"] is False
 
 
+def test_pst_nonexist_refuses_a_non_central_target(capsys):
+    code = main(["pst", "nonexist", "--group", "wreath:z:4:2", "--target", "1"])
+    assert code == EXIT_VALIDATION
+    assert "target must be central" in capsys.readouterr().err
+
+
+def test_pst_mst_witnesses_on_z1024(capsys):
+    """Each odd z is ruled out; z lies outside every chosen kernel (row v's
+    value at z is zeta^(v z), 1 only when 1024 divides v z), and on eight of
+    them the chosen stabilizers generate the units mod 1024."""
+    code, doc = run_json(capsys, ["pst", "mst", "--group", "z:1024", "--classes", "1",
+                                  "--witnesses"])
+    assert code == EXIT_OK
+    witnesses = doc["witnesses"]
+    assert len(witnesses) == 512 and {w["z"] for w in witnesses} == set(range(1, 1024, 2))
+    for w in witnesses:
+        assert all(v * w["z"] % 1024 for v in w["characters"]), w
+    units = set(range(1, 1024, 2))
+    for w in witnesses[::64]:
+        # Unit k fixes row v when (k - 1) v = 0 mod 1024.
+        seed = {k for v in w["characters"] for k in units if (k - 1) * v % 1024 == 0}
+        assert set_unit_closure(1024, seed) == units, w
+
+
 def test_pst_oracle_at_time(capsys):
     code, doc = run_json(capsys, ["pst", "oracle", "--group", "z:8",
                                   "--classes", "1,2,5", "--time", "pi/4"])
@@ -562,6 +591,33 @@ def test_verify_import_rejects_claim_field_of_wrong_type(capsys, tmp_path, key, 
     path = exported_table_with_claim(tmp_path, capsys)
     doc = json.loads(path.read_text())
     doc["pst_claims"][0][key] = value
+    path.write_text(json.dumps(doc))
+    code = main(["verify", "--only", "z3_1", "--import-table", str(path)])
+    assert code == EXIT_VALIDATION
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("spoil, message", [
+    pytest.param(lambda d: d.update(group_order=3.0), "group_order must be an integer",
+                 id="group_order"),
+    pytest.param(lambda d: d.update(exponent=3.7), "exponent must be a positive integer",
+                 id="exponent"),
+    pytest.param(lambda d: d["characters"][1].update(degree=1.9),
+                 "every character needs an integer degree", id="degree"),
+    pytest.param(lambda d: d["class_sizes"].__setitem__(1, 1.0),
+                 "class_sizes must be a list of integers", id="class_sizes"),
+    pytest.param(lambda d: d["class_rep_orders"].__setitem__(2, True),
+                 "class_rep_orders must be a list of integers", id="class_rep_orders"),
+    pytest.param(lambda d: d.update(group_order=0, class_sizes=[], class_rep_orders=[],
+                                    characters=[]),
+                 "class 0 must be the identity class", id="no_classes"),
+])
+def test_verify_import_rejects_table_field_of_wrong_type(capsys, tmp_path, spoil, message):
+    path = tmp_path / "z3.json"
+    code, _ = run_json(capsys, ["group", "export", "--characters", "--out", str(path), "z:3"])
+    assert code == EXIT_OK
+    doc = json.loads(path.read_text())
+    spoil(doc)
     path.write_text(json.dumps(doc))
     code = main(["verify", "--only", "z3_1", "--import-table", str(path)])
     assert code == EXIT_VALIDATION

@@ -22,6 +22,7 @@ from caywalk.characters import (
     galois_stabilizers,
     import_character_table,
     rational_intersection,
+    units_mod,
 )
 from caywalk.engine import (
     APERIODIC_WALK,
@@ -65,6 +66,7 @@ from conftest import (
     per_set_walk_frequency,
     row_loop_stabilizers,
     row_loop_witness,
+    stabilizer_tuples,
     winding_search_times,
 )
 
@@ -537,27 +539,34 @@ def test_witness_forbids_transfer_on_cyclic6():
     # stabilizers jointly generate the full unit group
     for i in w.char_indices:
         assert abs(table.values[i, 3] - table.values[i, 0]) > 0.5
-    assert set(gal.stabilizers[1]) | set(gal.stabilizers[3]) == {1, 5}
+    stabs = stabilizer_tuples(gal)
+    assert set(stabs[1]) | set(stabs[3]) == {1, 5}
 
 
 @pytest.mark.parametrize("spec, some_witness", [
-    ("z:12", True), ("z4^2", True), ("z6^2", True), ("m2:5", True),
+    ("z:2", True), ("z:12", True), ("z:64", True), ("z:128", True),
+    ("z4^2", True), ("z6^2", True), ("m2:5", True),
     ("wreath:z:3:2", True), ("wreath:z:4:2", True),
-    # exponent 3: the only real character is the trivial one
-    ("z3^4", False), ("es3:1", False), ("es3:1:9", False),
+    # the trivial group has no target; exponent 3: the only real character
+    # is the trivial one
+    ("z:1", False), ("z3^4", False), ("es3:1", False), ("es3:1:9", False),
 ])
 def test_witness_search_matches_row_loop_reference(spec, some_witness):
+    """Every class, central or not, in one call of the class-level core; the
+    central targets once more through nonexistence_witness."""
     g = build_group(parse_group_spec(spec))
     conj = conjugacy(g)
     table = character_table_for(g, conj)
     gal = galois_stabilizers(table, conj)
-    assert gal.stabilizers == row_loop_stabilizers(table, conj.class_power, gal.units)
-    found = 0
-    for j in range(table.n_classes):
-        got = nonexistence_witness_classes(table, gal, j, z_label=j)
-        assert got == row_loop_witness(table, gal, j, z_label=j), (spec, j)
-        found += got is not None
-    assert (found > 0) == some_witness
+    assert stabilizer_tuples(gal) == row_loop_stabilizers(table, conj.class_power,
+                                                          units_mod(gal.exponent))
+    classes = np.arange(table.n_classes)
+    got = nonexistence_witness_classes(table, gal, classes, classes.tolist())
+    assert got == [row_loop_witness(table, gal, j, z_label=j) for j in classes], spec
+    assert any(w is not None for w in got) == some_witness
+    central = list(conj.center)
+    assert nonexistence_witness(conj, table, gal, central) == [
+        row_loop_witness(table, gal, int(conj.class_of[z]), z_label=z) for z in central]
 
 
 def test_witness_absent_when_transfer_exists():
@@ -584,6 +593,19 @@ def test_witness_exists_for_order4_target_in_z4_squared():
 def test_witness_none_for_identity():
     g, conj, table, gal = witness_setup(6)
     assert nonexistence_witness(conj, table, gal, 0) is None
+    assert nonexistence_witness(conj, table, gal, []) == []
+
+
+def test_witness_refuses_a_non_central_target():
+    g = build_group(parse_group_spec("wreath:z:4:2"))
+    conj = conjugacy(g)
+    table = character_table_for(g, conj)
+    gal = galois_stabilizers(table, conj)
+    assert 1 not in conj.center
+    with pytest.raises(InvalidParameterError, match="target must be central"):
+        nonexistence_witness(conj, table, gal, 1)
+    with pytest.raises(InvalidParameterError, match="target must be central"):
+        nonexistence_witness(conj, table, gal, [*conj.center, 1])
 
 
 def test_solvable_exclusion(s5_table):

@@ -38,6 +38,8 @@ def test_bench_tracer_finds_every_traced_name(capsys):
         spans = tracer["Tracer"]()
         tracer["install"](spans)
         assert caywalk.cli.main(["sweep", "--group", "z:8"]) == 0
+        assert caywalk.cli.main(["pst", "mst", "--group", "z:6", "--classes", "1",
+                                 "--witnesses"]) == 0
     finally:
         for name, mod in modules.items():
             for attr, value in saved[name].items():
@@ -46,6 +48,8 @@ def test_bench_tracer_finds_every_traced_name(capsys):
     # The sweep's criterion pass and its enumeration run inside their spans.
     assert {"engine.mst", "cayley.enumerate", "characters.table"} <= {s[0] for s in spans.spans}
     assert spans.counts["cayley.conn_sets"] > 0
+    # The witness search over every target of the mst command is one span.
+    assert [s[0] for s in spans.spans].count("engine.witness") == 1
 
 
 def package_imports(module: str) -> set[str]:
