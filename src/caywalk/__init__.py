@@ -10,7 +10,6 @@ from types import ModuleType as _ModuleType
 from .cayley import (
     CayleyGraph,
     ConnectionStack,
-    ConnectionSet,
     adjacency_matrix,
     adjacency_to_csv,
     cayley_graph,
@@ -18,8 +17,6 @@ from .cayley import (
     enumerate_oriented_class_unions,
     graph_to_dot,
     is_connected,
-    make_connection_set,
-    make_symmetric_connection_set,
 )
 from .characters import (
     CharacterTable,

@@ -23,23 +23,25 @@ from .groups import ConjugacyData, GroupTable, subgroup_closure
 _ENUM_BLOCK_SETS = 128
 
 
-@dataclass(frozen=True)
-class ConnectionSet:
-    """A validated class-closed connection set, stored both ways."""
-
-    class_indices: tuple[int, ...]
-    elements: tuple[int, ...]
-    oriented: bool = True
-
-    def __len__(self) -> int:
-        return len(self.elements)
-
-
 @dataclass(frozen=True, eq=False)
 class CayleyGraph:
+    """Cay(group, C) for C the union of the classes at class_indices
+    (ascending); cayley_graph builds one and checks the set's rule."""
+
     group: GroupTable
-    conj: ConjugacyData
-    conn: ConnectionSet
+    class_indices: tuple[int, ...]
+    oriented: bool = True
+
+    @property
+    def conj(self) -> ConjugacyData:
+        return self.group.conj
+
+    @functools.cached_property
+    def elements(self) -> tuple[int, ...]:
+        """The connection set C, ascending."""
+        chosen = np.zeros(len(self.conj.classes), dtype=bool)
+        chosen[list(self.class_indices)] = True
+        return tuple(np.flatnonzero(chosen[self.conj.class_of]).tolist())
 
     @property
     def order(self) -> int:
@@ -88,51 +90,36 @@ class ConnectionStack:
         return len(self.classes)
 
     def graph(self, i: int) -> CayleyGraph:
-        """The Cayley graph of row i, with its connection set built and validated."""
-        conj = self.conj
-        return CayleyGraph(group=conj.group, conj=conj,
-                           conn=make_connection_set(conj, self.classes[i].tolist()))
+        """The Cayley graph of row i."""
+        return cayley_graph(self.conj.group, self.classes[i].tolist())
 
 
-def _gather(conj: ConjugacyData, class_indices: Iterable[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+def cayley_graph(group: GroupTable, class_indices: Iterable[int],
+                 oriented: bool = True) -> CayleyGraph:
+    """The Cayley graph of a union of classes, checked: an oriented set by
+    check_orientation, a symmetric one (an undirected graph) for holding no
+    identity class and each class's inverse class. Every violation is collected.
+    """
     idx = sorted({int(c) for c in class_indices})
+    conj = group.conj
     if not idx:
         raise InvalidParameterError("connection set cannot be empty")
     for c in idx:
         if not (0 <= c < len(conj.classes)):
             raise InvalidParameterError(f"class index {c} out of range")
-    elements = sorted(g for c in idx for g in conj.classes[c])
-    return tuple(idx), tuple(elements)
-
-
-def make_connection_set(conj: ConjugacyData, class_indices: Iterable[int]) -> ConnectionSet:
-    """Oriented connection set from class indices; every violation is collected."""
-    idx, elements = _gather(conj, class_indices)
-    ConnectionStack(conj=conj, classes=np.array([idx], dtype=np.int64))
-    return ConnectionSet(class_indices=idx, elements=elements, oriented=True)
-
-
-def make_symmetric_connection_set(conj: ConjugacyData,
-                                  class_indices: Iterable[int]) -> ConnectionSet:
-    """Inverse-closed connection set (undirected graphs); identity still barred."""
-    idx, elements = _gather(conj, class_indices)
-    chosen = set(idx)
-    violations: list[tuple[str, tuple[int, ...]]] = []
-    identity_class = int(conj.class_of[conj.group.identity])
-    for c in idx:
-        if c == identity_class:
-            violations.append((OrientationError.RULE_IDENTITY, (c,)))
-        elif conj.class_inv[c] not in chosen:
-            violations.append((OrientationError.RULE_INVERSE_PAIR, (c, conj.class_inv[c])))
-    if violations:
-        raise OrientationError(violations)
-    return ConnectionSet(class_indices=idx, elements=elements, oriented=False)
-
-
-def cayley_graph(group: GroupTable, conj: ConjugacyData,
-                 class_indices: Iterable[int], oriented: bool = True) -> CayleyGraph:
-    maker = make_connection_set if oriented else make_symmetric_connection_set
-    return CayleyGraph(group=group, conj=conj, conn=maker(conj, class_indices))
+    identity_class = int(conj.class_of[group.identity])
+    if oriented:
+        check_orientation(conj.class_inv, identity_class, np.array([idx], dtype=np.int64))
+    else:
+        violations: list[tuple[str, tuple[int, ...]]] = []
+        for c in idx:
+            if c == identity_class:
+                violations.append((OrientationError.RULE_IDENTITY, (c,)))
+            elif conj.class_inv[c] not in idx:
+                violations.append((OrientationError.RULE_INVERSE_PAIR, (c, conj.class_inv[c])))
+        if violations:
+            raise OrientationError(violations)
+    return CayleyGraph(group=group, class_indices=tuple(idx), oriented=oriented)
 
 
 def adjacency_matrix(graph: CayleyGraph) -> np.ndarray:
@@ -147,15 +134,15 @@ def adjacency_matrix(graph: CayleyGraph) -> np.ndarray:
     inv = graph.group.inv
     cols = np.arange(n)
     a = np.zeros((n, n), dtype=np.float64)
-    for c in graph.conn.elements:
+    for c in graph.elements:
         a[mul[c, cols], cols] += 1.0
-        if graph.conn.oriented:
+        if graph.oriented:
             a[mul[int(inv[c]), cols], cols] -= 1.0
     return a
 
 
 def is_connected(graph: CayleyGraph) -> bool:
-    return len(subgroup_closure(graph.group, graph.conn.elements)) == graph.order
+    return len(subgroup_closure(graph.group, graph.elements)) == graph.order
 
 
 def class_union_connectivity(conj: ConjugacyData) -> Callable[[Iterable[int]], bool]:
@@ -220,7 +207,7 @@ def enumerate_oriented_class_unions(conj: ConjugacyData,
 # exports
 
 def graph_to_dot(graph: CayleyGraph) -> str:
-    directed = graph.conn.oriented
+    directed = graph.oriented
     lines = ["digraph cayley {" if directed else "graph cayley {"]
     edge = "->" if directed else "--"
     labels = graph.group.labels
@@ -228,7 +215,7 @@ def graph_to_dot(graph: CayleyGraph) -> str:
     for g in range(graph.order):
         lines.append(f'  n{g} [label="{labels[g]}"];')
     for g in range(graph.order):
-        for c in graph.conn.elements:
+        for c in graph.elements:
             h = int(mul[c, g])
             if directed or g < h:
                 lines.append(f"  n{g} {edge} n{h};")

@@ -56,7 +56,6 @@ class CharacterTable:
     class_sizes: np.ndarray
     exponent: int
     provenance: str
-    tolerance: float = VALUE_TOL
     dense: np.ndarray | None = None
     digits: np.ndarray | None = None
     cyclotomic: np.ndarray | None = None
@@ -121,7 +120,7 @@ class CharacterTable:
 
 
 def _table_defects(values: np.ndarray, degrees: np.ndarray,
-                   sizes: np.ndarray, tol: float) -> list[str]:
+                   sizes: np.ndarray) -> list[str]:
     """Internal consistency failures of a candidate table, empty when sound."""
     problems = []
     n_chars, n_classes = values.shape
@@ -131,23 +130,23 @@ def _table_defects(values: np.ndarray, degrees: np.ndarray,
         return problems
     if int((degrees.astype(np.int64) ** 2).sum()) != order:
         problems.append("degree squares do not sum to the group order")
-    if np.max(np.abs(values[:, 0] - degrees)) > tol * max(1, degrees.max()):
+    if np.max(np.abs(values[:, 0] - degrees)) > VALUE_TOL * max(1, degrees.max()):
         problems.append("identity column does not match degrees")
 
     scaled = values * sizes[None, :]
     gram_rows = scaled @ values.conj().T
-    if np.max(np.abs(gram_rows - order * np.eye(n_chars))) > tol * order:
+    if np.max(np.abs(gram_rows - order * np.eye(n_chars))) > VALUE_TOL * order:
         problems.append("row orthogonality fails")
     gram_cols = values.T @ values.conj()
     expected = np.diag(order / sizes.astype(float))
-    if np.max(np.abs(gram_cols - expected)) > tol * order:
+    if np.max(np.abs(gram_cols - expected)) > VALUE_TOL * order:
         problems.append("column orthogonality fails")
-    if np.any(np.abs(values) > degrees[:, None] + tol * max(1, degrees.max())):
+    if np.any(np.abs(values) > degrees[:, None] + VALUE_TOL * max(1, degrees.max())):
         problems.append("a value exceeds its character degree in modulus")
     return problems
 
 
-def abelian_character_table(r: int, n: int, tol: float = VALUE_TOL) -> CharacterTable:
+def abelian_character_table(r: int, n: int) -> CharacterTable:
     """Closed-form table of Z_r^n: character v sends w to exp(2*pi*i (v.w) / r),
     both at the index whose base-r digits they are. character_table_for ties
     the digits to a group's table (_digit_defects) before use."""
@@ -160,13 +159,11 @@ def abelian_character_table(r: int, n: int, tol: float = VALUE_TOL) -> Character
         class_sizes=np.ones(order, dtype=np.int64),
         exponent=r,
         provenance=PROVENANCE_CLOSED,
-        tolerance=tol,
         digits=np.arange(order, dtype=np.int64)[:, None] // places % r,
     )
 
 
-def _digit_defects(group: GroupTable, conj: ConjugacyData, digits: np.ndarray,
-                   r: int) -> list[str]:
+def _digit_defects(group: GroupTable, digits: np.ndarray, r: int) -> list[str]:
     """Exact failures of g -> c(g) = digits[g] as an isomorphism onto Z_r^n.
 
     If c(e) = 0 and right multiplication by s_k, the element at index
@@ -182,7 +179,7 @@ def _digit_defects(group: GroupTable, conj: ConjugacyData, digits: np.ndarray,
         return [f"a digit lies outside 0..{r - 1}"]
     if digits[group.identity].any():
         return ["the identity's digit vector is nonzero"]
-    if not np.array_equal(conj.class_of, np.arange(order)):
+    if not np.array_equal(group.conj.class_of, np.arange(order)):
         return ["the classes are not the elements in index order"]
     places = r ** np.arange(n - 1, -1, -1, dtype=np.int64)
     code = digits @ places  # c(g) as a base-r number: one-to-one on digits in 0..r-1
@@ -193,14 +190,17 @@ def _digit_defects(group: GroupTable, conj: ConjugacyData, digits: np.ndarray,
     return []
 
 
-def _canonical_row_order(values: np.ndarray, degrees: np.ndarray) -> list[int]:
-    keys = [(int(d), tuple((round(float(v.real), 6), round(float(v.imag), 6)) for v in row))
-            for d, row in zip(degrees, values)]
-    return sorted(range(values.shape[0]), key=lambda i: keys[i])
+def _canonical_row_order(values: np.ndarray, degrees: np.ndarray) -> np.ndarray:
+    """Rows by degree, then by the real and imaginary parts of each value in
+    column order, all rounded to 6 decimals; ties keep their order."""
+    rounded = np.round(values, 6)
+    parts = np.stack([rounded.real, rounded.imag], axis=2).reshape(len(values), -1)
+    return np.lexsort(np.vstack([parts.T[::-1], degrees]))  # the last key sorts first
 
 
-def structure_constants(group: GroupTable, conj: ConjugacyData) -> np.ndarray:
+def structure_constants(group: GroupTable) -> np.ndarray:
     """Class-algebra constants a[i, j, l]: K_i * K_j = sum_l a[i,j,l] K_l."""
+    conj = group.conj
     k = len(conj.classes)
     order = group.order
     reps = [cls[0] for cls in conj.classes]
@@ -213,8 +213,7 @@ def structure_constants(group: GroupTable, conj: ConjugacyData) -> np.ndarray:
     return a
 
 
-def character_table_numerical(group: GroupTable, conj: ConjugacyData,
-                              seed: int = DEFAULT_SEED, tol: float = VALUE_TOL) -> CharacterTable:
+def character_table_numerical(group: GroupTable, seed: int = DEFAULT_SEED) -> CharacterTable:
     """Character table via simultaneous eigenvectors of the class matrices.
 
     A random (seeded) real combination of the class multiplication matrices
@@ -222,12 +221,13 @@ def character_table_numerical(group: GroupTable, conj: ConjugacyData,
     characters, from which degrees and values follow. Degenerate draws are
     retried with fresh coefficients, deterministically in the seed.
     """
+    conj = group.conj
     k = len(conj.classes)
     if k > MAX_TABLE_CLASSES:
         raise SizeLimitError(f"{k} classes exceeds numerical cap {MAX_TABLE_CLASSES}")
     order = group.order
     sizes = conj.sizes
-    a = structure_constants(group, conj)
+    a = structure_constants(group)
     rng = np.random.default_rng(seed)
 
     last_problem = "no attempt"
@@ -250,7 +250,8 @@ def character_table_numerical(group: GroupTable, conj: ConjugacyData,
 
         raw_degrees = np.sqrt(order / np.sum(np.abs(omega.T) ** 2 / sizes[None, :], axis=1))
         degrees = np.rint(raw_degrees).astype(np.int64)
-        if np.any(degrees < 1) or np.max(np.abs(raw_degrees - degrees)) > tol * max(1, degrees.max()):
+        if np.any(degrees < 1) or \
+                np.max(np.abs(raw_degrees - degrees)) > VALUE_TOL * max(1, degrees.max()):
             last_problem = "degrees failed to round to integers"
             continue
 
@@ -259,25 +260,24 @@ def character_table_numerical(group: GroupTable, conj: ConjugacyData,
         values = np.ascontiguousarray(values[row_order])
         degrees = degrees[row_order]
 
-        problems = _table_defects(values, degrees, sizes, tol)
+        problems = _table_defects(values, degrees, sizes)
         if problems:
             last_problem = "; ".join(problems)
             continue
         return CharacterTable(dense=values, degrees=degrees,
                               class_sizes=sizes.copy(), exponent=conj.exponent,
-                              provenance=PROVENANCE_NUMERICAL, tolerance=tol)
+                              provenance=PROVENANCE_NUMERICAL)
     raise NumericalFailureError(
         f"character table did not converge after {TABLE_RETRIES} attempts: {last_problem}")
 
 
-def character_table_for(group: GroupTable, conj: ConjugacyData,
-                        seed: int = DEFAULT_SEED, tol: float = VALUE_TOL) -> CharacterTable:
+def character_table_for(group: GroupTable, seed: int = DEFAULT_SEED) -> CharacterTable:
     """Checked closed form for the cyclic-power families, class algebra otherwise."""
     spec = group.spec
     if spec.family not in ("cyclic", "abelian"):
-        return character_table_numerical(group, conj, seed=seed, tol=tol)
-    table = abelian_character_table(spec.r, spec.n if spec.family == "abelian" else 1, tol)
-    defects = _digit_defects(group, conj, table.digits, spec.r)
+        return character_table_numerical(group, seed=seed)
+    table = abelian_character_table(spec.r, spec.n if spec.family == "abelian" else 1)
+    defects = _digit_defects(group, table.digits, spec.r)
     if defects:
         raise NumericalFailureError("closed form failed validation: " + "; ".join(defects))
     return table
@@ -286,7 +286,7 @@ def character_table_for(group: GroupTable, conj: ConjugacyData,
 def kernel(table: CharacterTable, char_index: int, conj: ConjugacyData) -> tuple[int, ...]:
     """Elements whose class value matches the degree (the character's kernel)."""
     row = table.products(np.eye(1, table.n_chars, char_index))[0]
-    return tuple(np.flatnonzero(np.abs(row[conj.class_of] - row[0]) < table.tolerance).tolist())
+    return tuple(np.flatnonzero(np.abs(row[conj.class_of] - row[0]) < VALUE_TOL).tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -341,7 +341,7 @@ def galois_stabilizers_imported(table: CharacterTable,
     fixes = np.zeros((table.n_chars, m), dtype=bool)
     for k in units_mod(m):
         perm = np.asarray(power_maps[k])
-        fixes[:, k % m] = np.max(np.abs(values[:, perm] - values), axis=1) < table.tolerance
+        fixes[:, k % m] = np.max(np.abs(values[:, perm] - values), axis=1) < VALUE_TOL
     return GaloisData(exponent=m, fixes=fixes)
 
 
@@ -412,7 +412,12 @@ def export_character_table(table: CharacterTable, conj: ConjugacyData) -> dict:
     }
 
 
-def import_character_table(doc: dict, tol: float = VALUE_TOL) -> ImportedTable:
+def _int_list(x) -> bool:
+    """True for a JSON list of integers; floats and booleans are not integers."""
+    return isinstance(x, list) and all(type(v) is int for v in x)
+
+
+def import_character_table(doc: dict) -> ImportedTable:
     """Validate and load an externally produced character table.
 
     Values may come as [re, im] pairs or as integer coefficient vectors over
@@ -423,14 +428,17 @@ def import_character_table(doc: dict, tol: float = VALUE_TOL) -> ImportedTable:
                        "exponent", "group_order"), "character table document")
 
     order, m, chars = doc["group_order"], doc["exponent"], doc["characters"]
+    maps = doc["class_power_maps"]
     check_fields("character table document", (
         (type(order) is int, "group_order must be an integer"),
         (type(m) is int and m >= 1, "exponent must be a positive integer"),
-        *((isinstance(doc[key], list) and all(type(x) is int for x in doc[key]),
-           f"{key} must be a list of integers") for key in ("class_sizes", "class_rep_orders")),
+        *((_int_list(doc[key]), f"{key} must be a list of integers")
+          for key in ("class_sizes", "class_rep_orders")),
         (isinstance(chars, list) and all(isinstance(ch, dict) and type(ch.get("degree")) is int
                                          for ch in chars),
-         "every character needs an integer degree")))
+         "every character needs an integer degree"),
+        (isinstance(maps, dict) and all(map(_int_list, maps.values())),
+         "class_power_maps must map each unit to a list of integers")))
     sizes = np.array(doc["class_sizes"], dtype=np.int64)
     rep_orders, n_classes = tuple(doc["class_rep_orders"]), len(sizes)
     check_fields("character table document", (
@@ -438,7 +446,9 @@ def import_character_table(doc: dict, tol: float = VALUE_TOL) -> ImportedTable:
         (len(rep_orders) == n_classes, "class_rep_orders length mismatch"),
         (sizes[:1].tolist() == [1] and rep_orders[:1] == (1,),
          "class 0 must be the identity class"),
-        (len(chars) == n_classes, f"{len(chars)} characters vs {n_classes} classes")))
+        (len(chars) == n_classes, f"{len(chars)} characters vs {n_classes} classes"),
+        (all(isinstance(rows := ch.get("cyclotomic", []), list) and all(map(_int_list, rows))
+             for ch in chars), "cyclotomic coefficients must be lists of integers")))
 
     zeta = np.exp(2j * np.pi * np.arange(m) / m)
     values = np.zeros((n_classes, n_classes), dtype=np.complex128)
@@ -464,27 +474,26 @@ def import_character_table(doc: dict, tol: float = VALUE_TOL) -> ImportedTable:
             raise SchemaError(f"character {i} has neither values nor cyclotomic")
 
     power_maps: dict[int, tuple[int, ...]] = {}
-    for key, perm in doc["class_power_maps"].items():
-        perm_t = tuple(int(x) for x in perm)
+    for key, perm in maps.items():
+        perm_t = tuple(perm)
         if sorted(perm_t) != list(range(n_classes)) or perm_t[0] != 0:
             raise SchemaError(f"power map for k={key} is not a class permutation fixing 0")
         power_maps[int(key)] = perm_t
 
-    defects = _table_defects(values, degrees, sizes, tol)
+    defects = _table_defects(values, degrees, sizes)
     if defects:
         raise CorruptTableError("imported table fails validation: " + "; ".join(defects))
 
     claims = tuple(doc.get("pst_claims", ()))
     table = CharacterTable(dense=values, degrees=degrees, class_sizes=sizes,
-                           exponent=m, provenance=PROVENANCE_IMPORTED,
-                           tolerance=tol, cyclotomic=cyclo)
+                           exponent=m, provenance=PROVENANCE_IMPORTED, cyclotomic=cyclo)
     return ImportedTable(table=table, rep_orders=rep_orders,
                          power_maps=power_maps, claims=claims)
 
 
-def load_character_table(path: str, tol: float = VALUE_TOL) -> ImportedTable:
+def load_character_table(path: str) -> ImportedTable:
     with open(path, "r", encoding="utf-8") as fh:
-        return import_character_table(json.load(fh), tol)
+        return import_character_table(json.load(fh))
 
 
 def character_table_to_json_str(doc: dict) -> str:

@@ -62,7 +62,6 @@ from .errors import (
 from .families import dual_verify, load_fixture_certificates
 from .groups import (
     build_group,
-    conjugacy,
     group_to_json_str,
     parse_group_spec,
     save_group,
@@ -86,10 +85,6 @@ DEFAULT_SWEEP_LIMIT = 16
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
     updates = {}
-    if args.tolerance is not None:
-        if args.tolerance <= 0:
-            raise InvalidParameterError("tolerance must be positive")
-        updates["tolerance"] = args.tolerance
     for name in ("max_order", "oracle_max_order", "seed"):
         val = getattr(args, name, None)
         if val is not None:
@@ -100,12 +95,12 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
 
 
 def _load_group(config: RunConfig, spec_text: str):
-    group = build_group(parse_group_spec(spec_text), config.max_order)
-    return group, conjugacy(group)
+    return build_group(parse_group_spec(spec_text), config.max_order)
 
 
-def _resolve_classes(group, conj, text: str) -> tuple[int, ...]:
+def _resolve_classes(group, text: str) -> tuple[int, ...]:
     """Comma list of class indices (bare integers) or element labels."""
+    conj = group.conj
     out = set()
     for tok in text.split(","):
         tok = tok.strip()
@@ -187,38 +182,38 @@ def _scalar(val) -> str:
 # ---------------------------------------------------------------------------
 # group commands
 
-def _group_summary(group, conj) -> dict:
+def _group_summary(group) -> dict:
     return {
         "family": group.family_tag,
         "order": group.order,
-        "classes": len(conj.classes),
-        "center": len(conj.center),
-        "exponent": conj.exponent,
+        "classes": len(group.conj.classes),
+        "center": len(group.conj.center),
+        "exponent": group.conj.exponent,
     }
 
 
 def cmd_group(args: argparse.Namespace, config: RunConfig) -> int:
-    group, conj = _load_group(config, args.spec)
+    group = _load_group(config, args.spec)
     if args.group_cmd == "build":
-        doc = _group_summary(group, conj)
+        doc = _group_summary(group)
         if args.out:
             save_group(group, args.out)
             doc["saved"] = args.out
         _emit(doc, args.format)
         return EXIT_OK
     if args.group_cmd == "info":
-        doc = _group_summary(group, conj)
+        doc = _group_summary(group)
         report = solvable_exclusion_report(group)
         doc["solvable"] = report.solvable
         doc["derived_series"] = list(report.series)
         doc["excluded_transfer_sizes"] = list(report.excluded_sizes)
-        doc["class_sizes"] = conj.sizes.tolist()
+        doc["class_sizes"] = group.conj.sizes.tolist()
         _emit(doc, args.format)
         return EXIT_OK
     # export
     if args.characters:
-        table = character_table_for(group, conj, seed=config.seed, tol=config.tolerance)
-        payload = character_table_to_json_str(export_character_table(table, conj))
+        table = character_table_for(group, seed=config.seed)
+        payload = character_table_to_json_str(export_character_table(table, group.conj))
     else:
         payload = group_to_json_str(group)
     if args.out:
@@ -234,10 +229,11 @@ def cmd_group(args: argparse.Namespace, config: RunConfig) -> int:
 # pst commands
 
 def cmd_pst(args: argparse.Namespace, config: RunConfig) -> int:
-    group, conj = _load_group(config, args.group)
+    group = _load_group(config, args.group)
+    conj = group.conj
 
     if args.pst_cmd == "nonexist":
-        table = character_table_for(group, conj, seed=config.seed, tol=config.tolerance)
+        table = character_table_for(group, seed=config.seed)
         z = _resolve_element(group, args.target)
         witness = nonexistence_witness(conj, table, galois_stabilizers(table, conj), z)
         doc = {"group": group.family_tag, "z": z, "z_label": group.label_of(z),
@@ -247,14 +243,14 @@ def cmd_pst(args: argparse.Namespace, config: RunConfig) -> int:
         _emit(doc, args.format)
         return EXIT_OK
 
-    classes = _resolve_classes(group, conj, args.classes)
+    classes = _resolve_classes(group, args.classes)
     oriented = not getattr(args, "undirected", False)
-    graph = cayley_graph(group, conj, classes, oriented=oriented)
+    graph = cayley_graph(group, classes, oriented=oriented)
 
     if args.pst_cmd == "oracle":
         return _cmd_pst_oracle(args, config, graph)
 
-    table = character_table_for(group, conj, seed=config.seed, tol=config.tolerance)
+    table = character_table_for(group, seed=config.seed)
 
     if args.pst_cmd == "check":
         a = _resolve_element(group, args.source) if args.source else group.identity
@@ -306,7 +302,7 @@ def _cmd_pst_oracle(args: argparse.Namespace, config: RunConfig, graph) -> int:
             f"group order {group.order} exceeds the oracle cap "
             f"{config.oracle_max_order}; raise --oracle-max-order to override")
     a_mat = adjacency_matrix(graph)
-    build = build_operator if graph.conn.oriented else build_hermitian_operator
+    build = build_operator if graph.oriented else build_hermitian_operator
     op = build(a_mat)
     source = _resolve_element(group, args.source) if args.source else group.identity
 
@@ -347,13 +343,14 @@ def _cmd_pst_oracle(args: argparse.Namespace, config: RunConfig, graph) -> int:
 # sweep
 
 def cmd_sweep(args: argparse.Namespace, config: RunConfig) -> int:
-    group, conj = _load_group(config, args.group)
+    group = _load_group(config, args.group)
     limit = args.limit if args.limit is not None else DEFAULT_SWEEP_LIMIT
     if group.order > limit:
         raise SizeLimitError(
             f"group order {group.order} exceeds the sweep limit {limit}; "
             f"raise --limit to allow it")
-    table = character_table_for(group, conj, seed=config.seed, tol=config.tolerance)
+    conj = group.conj
+    table = character_table_for(group, seed=config.seed)
     histogram: dict[int, int] = {}
     certificates = []
     tested = 0
@@ -430,7 +427,7 @@ def cmd_verify(args: argparse.Namespace, config: RunConfig) -> int:
 
     import_docs = []
     for path in args.import_table or []:
-        imported = load_character_table(path, config.tolerance)
+        imported = load_character_table(path)
         if not imported.claims:
             import_docs.append({"path": path, "claims": [],
                                 "note": "table valid, no claims shipped"})
@@ -465,9 +462,9 @@ def cmd_verify(args: argparse.Namespace, config: RunConfig) -> int:
 # graph exports (dot / csv / spectrum)
 
 def cmd_graph(args: argparse.Namespace, config: RunConfig) -> int:
-    group, conj = _load_group(config, args.group)
-    classes = _resolve_classes(group, conj, args.classes)
-    graph = cayley_graph(group, conj, classes, oriented=not args.undirected)
+    group = _load_group(config, args.group)
+    classes = _resolve_classes(group, args.classes)
+    graph = cayley_graph(group, classes, oriented=not args.undirected)
     if args.format == "dot":
         print(graph_to_dot(graph), end="")
         return EXIT_OK
@@ -476,9 +473,9 @@ def cmd_graph(args: argparse.Namespace, config: RunConfig) -> int:
         return EXIT_OK
     doc = {"group": group.family_tag, "connection_classes": list(classes),
            "order": group.order, "connected": is_connected(graph),
-           "arcs": len(graph.conn.elements) * group.order}
-    if graph.conn.oriented:
-        table = character_table_for(group, conj, seed=config.seed, tol=config.tolerance)
+           "arcs": len(graph.elements) * group.order}
+    if graph.oriented:
+        table = character_table_for(group, seed=config.seed)
         doc["spectrum"] = spectrum_report(table, spectrum(graph, table))
     _emit(doc, args.format)
     return EXIT_OK
@@ -493,8 +490,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="State transfer on oriented normal Cayley graphs.")
     parser.add_argument("--seed", type=int, default=None,
                         help="RNG seed for numerical character tables (default 42)")
-    parser.add_argument("--tolerance", type=float, default=None,
-                        help="value equality and criterion residual threshold")
     parser.add_argument("--max-order", dest="max_order", type=int, default=None,
                         help="largest group order any constructor may build")
     parser.add_argument("--oracle-max-order", dest="oracle_max_order", type=int,

@@ -39,7 +39,6 @@ TABLE_RETRIES = 8
 class RunConfig:
     """Knobs shared by the engine, the oracle, and the CLI."""
 
-    tolerance: float = VALUE_TOL
     max_order: int = DEFAULT_MAX_ORDER
     oracle_max_order: int = DEFAULT_ORACLE_MAX_ORDER
     seed: int = DEFAULT_SEED

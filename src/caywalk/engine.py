@@ -3,9 +3,8 @@
 All tests reduce to one residual: transfer from the identity vertex to a
 central element z at time t holds exactly when every irreducible character
 satisfies chi(z)/chi(e) = exp(t * theta_chi), accepted when the residual is
-under the table's own tolerance. Everything here consumes only character
-rows, class sizes, and class maps, so imported tables work the same as
-group-backed ones.
+under config.VALUE_TOL. Everything here consumes only character rows, class
+sizes, and class maps, so imported tables work the same as group-backed ones.
 """
 from __future__ import annotations
 
@@ -18,7 +17,7 @@ import numpy as np
 
 from .cayley import CayleyGraph, ConnectionStack, check_orientation
 from .characters import CharacterTable, GaloisData, ImportedTable, unit_closure
-from .config import MAX_DENOMINATOR, RATIONAL_TOL
+from .config import MAX_DENOMINATOR, RATIONAL_TOL, VALUE_TOL
 from .errors import (
     InconsistencyError,
     InvalidParameterError,
@@ -91,12 +90,12 @@ def spectrum(graph: CayleyGraph, table: CharacterTable) -> np.ndarray:
     """
     if table.n_classes != len(graph.conj.classes):
         raise InconsistencyError("character table and graph disagree on class count")
-    theta = walk_thetas(table, graph.conn.class_indices)
-    scale = max(1.0, float(len(graph.conn)))
-    if np.max(np.abs(theta.real)) > table.tolerance * scale:
+    theta = walk_thetas(table, graph.class_indices)
+    scale = max(1.0, float(len(graph.elements)))
+    if np.max(np.abs(theta.real)) > VALUE_TOL * scale:
         raise InconsistencyError("spectrum has a real part; table/graph mismatch")
     trace = np.sum(table.degrees.astype(float) ** 2 * theta)
-    if abs(trace) > table.tolerance * graph.order * scale:
+    if abs(trace) > VALUE_TOL * graph.order * scale:
         raise InconsistencyError("spectrum trace is nonzero; table/graph mismatch")
     return theta
 
@@ -128,7 +127,7 @@ def check_transfer_classes(table: CharacterTable, conn_classes: Sequence[int],
                            reason="target class is not central")
     thetas = walk_thetas(table, conn_classes)
     res = float(_residuals(table, thetas, np.array([z_class]), np.exp(t * thetas))[0])
-    return CheckResult(accepted=res < table.tolerance, residual=res,
+    return CheckResult(accepted=res < VALUE_TOL, residual=res,
                        reason=STATIC_SEPARATOR if math.isinf(res) else None)
 
 
@@ -140,7 +139,7 @@ def check_pst_at(graph: CayleyGraph, table: CharacterTable, z: int, t: float) ->
         return CheckResult(accepted=False, residual=math.inf,
                            reason="target is not central")
     z_class = int(graph.conj.class_of[z])
-    return check_transfer_classes(table, graph.conn.class_indices, z_class, t)
+    return check_transfer_classes(table, graph.class_indices, z_class, t)
 
 
 def check_pst_pair(graph: CayleyGraph, table: CharacterTable, a: int, b: int,
@@ -177,7 +176,7 @@ APERIODIC_WALK = "the spectrum is aperiodic, so the walk transfers to no vertex"
 _BLOCK_ENTRIES = 1 << 16
 
 
-def walk_frequency(thetas: np.ndarray, tol: float) -> np.ndarray:
+def walk_frequency(thetas: np.ndarray) -> np.ndarray:
     """omega per row of thetas: the walk is periodic at e with least period 2*pi/omega.
 
     The y_chi = theta_chi / i are eigenvalues of the Hermitian -iA, hence
@@ -191,7 +190,7 @@ def walk_frequency(thetas: np.ndarray, tol: float) -> np.ndarray:
     nearest = np.rint(squares)
     # Lenient on purpose: a spectrum wrongly taken as periodic only adds
     # candidate times, which the residual test still rejects.
-    integral = np.all(np.abs(squares - nearest) <= tol * (1.0 + squares), axis=-1)
+    integral = np.all(np.abs(squares - nearest) <= VALUE_TOL * (1.0 + squares), axis=-1)
     ints = nearest.astype(np.int64)
     # n shares first's squarefree part iff n * first is a square; the float
     # root of n * first < 2^63 rounds to the integer root whenever there is one.
@@ -217,8 +216,8 @@ def _residuals(table: CharacterTable, thetas: np.ndarray, z_classes: np.ndarray,
     exp(t * 0) = 1 never matches a ratio != 1, so no time can work."""
     ratios = np.moveaxis(table.columns(z_classes), 0, -1) / table.degrees
     scores = np.max(np.abs(ratios - waves), axis=-1)
-    static = np.abs(thetas.imag) <= table.tolerance
-    dead = (static & (np.abs(ratios - 1.0) > table.tolerance)).any(axis=-1)
+    static = np.abs(thetas.imag) <= VALUE_TOL
+    dead = (static & (np.abs(ratios - 1.0) > VALUE_TOL)).any(axis=-1)
     return np.where(dead, math.inf, scores)
 
 
@@ -251,7 +250,7 @@ def _decode_targets(table: CharacterTable, thetas: np.ndarray, omega: np.ndarray
         p = table.products(table.degrees * waves.conj()).real
         pair, cls = np.nonzero((p >= floor) & (slot >= 0))
         res = _residuals(table, thetas[sets[pair]], cls, waves[pair])
-        hit = np.flatnonzero(res < table.tolerance)
+        hit = np.flatnonzero(res < VALUE_TOL)
         hit_sets, hit_cols, index = sets[pair[hit]], slot[cls[hit]], lo + pair[hit]
         np.minimum.at(first, (hit_sets, hit_cols), index)
         keep = first[hit_sets, hit_cols] == index
@@ -273,8 +272,8 @@ def solve_pst_time(graph: CayleyGraph, table: CharacterTable, z: int,
         raise InvalidParameterError("z = identity needs period_mode=True")
     if z not in graph.conj.center:
         raise InvalidParameterError("target must be central")
-    thetas = walk_thetas(table, [graph.conn.class_indices])
-    omega = walk_frequency(thetas, table.tolerance)
+    thetas = walk_thetas(table, [graph.class_indices])
+    omega = walk_frequency(thetas)
     if not omega[0] > 0:
         return SolveOutcome(certificate=None, near_miss_residual=math.inf,
                             reason=STATIC_WALK if omega[0] == 0 else APERIODIC_WALK)
@@ -284,12 +283,12 @@ def solve_pst_time(graph: CayleyGraph, table: CharacterTable, z: int,
         times = candidate_times(omega, graph.conj.orders[z])[0]
     scores = _residuals(table, thetas[0], graph.conj.class_of[[z]],
                         np.exp(times[:, None] * thetas[0]))
-    hits = np.flatnonzero(scores < table.tolerance)
+    hits = np.flatnonzero(scores < VALUE_TOL)
     pick = hits[0] if hits.size else int(np.argmin(scores))
     t, res = float(times[pick]), float(scores[pick])
     if math.isinf(res):
         return SolveOutcome(certificate=None, near_miss_residual=res, reason=STATIC_SEPARATOR)
-    if res < table.tolerance:
+    if res < VALUE_TOL:
         cert = PSTCertificate(z=z, tau=t, residual=res)
         return SolveOutcome(certificate=cert, near_miss_residual=res, near_miss_time=t)
     return SolveOutcome(certificate=None, near_miss_residual=res, near_miss_time=t,
@@ -323,7 +322,7 @@ def compute_S_e(graph: CayleyGraph | ConnectionStack,
     A violation raises InvariantBreachError rather than being repaired.
     """
     if isinstance(graph, CayleyGraph):
-        return _transfer_reports(graph.conj, table, np.array([graph.conn.class_indices]))[0]
+        return _transfer_reports(graph.conj, table, np.array([graph.class_indices]))[0]
     return _transfer_reports(graph.conj, table, graph.classes)
 
 
@@ -332,10 +331,10 @@ def _transfer_reports(conj: ConjugacyData, table: CharacterTable,
     g = conj.group
     targets = np.array([z for z in conj.center if z != g.identity], dtype=np.int64)
     thetas = walk_thetas(table, classes)
-    omega = walk_frequency(thetas, table.tolerance)
+    omega = walk_frequency(thetas)
     taus, residuals = _decode_targets(table, thetas, omega, conj.class_of[targets],
                                       conj.center_exponent)
-    hits = residuals < table.tolerance
+    hits = residuals < VALUE_TOL
     no_transfer = MSTReport(S_e=(g.identity,), size=1, generator=None,
                             minimal_time=None, certificates={})
     reports = [no_transfer] * len(classes)
@@ -375,7 +374,7 @@ def _check_transfer_sets(conj: ConjugacyData, table: CharacterTable, thetas: np.
     steps = np.arange(1, max(ALLOWED_MST_SIZES))
     waves = np.exp((steps * tau_min[law, None])[..., None] * thetas[law, None])
     z_classes = conj.class_of[power(g, generators[law, None], steps)]
-    law_fails = ~(_residuals(table, thetas[law, None], z_classes, waves) < table.tolerance)
+    law_fails = ~(_residuals(table, thetas[law, None], z_classes, waves) < VALUE_TOL)
     law_fails &= steps < sizes[law, None]
     failed = not_cyclic | bad_size
     failed[law[law_fails.any(axis=1)]] = True
@@ -469,7 +468,7 @@ def nonexistence_witness_classes(table: CharacterTable, galois: GaloisData,
     height = max(1, _BLOCK_ENTRIES // table.n_chars)
     for lo in range(0, len(z_classes), height):
         cols = table.columns(z_classes[lo:lo + height])
-        for outside, label in zip(~(np.abs(cols.T - table.degrees) < table.tolerance),
+        for outside, label in zip(~(np.abs(cols.T - table.degrees) < VALUE_TOL),
                                   z_labels[lo:lo + height]):
             kept, chosen, later, witness = frozenset(), [], np.flatnonzero(outside), None
             while later.size:
@@ -564,7 +563,7 @@ def verdict_document(graph: CayleyGraph, report: MSTReport,
     residual = max((c.residual for _, c in report.certificates.items()), default=0.0)
     return {
         "group": graph.group.family_tag,
-        "connection_classes": list(graph.conn.class_indices),
+        "connection_classes": list(graph.class_indices),
         "S_e": list(report.S_e),
         "size": report.size,
         "tau": report.minimal_time,

@@ -44,7 +44,6 @@ from .groups import (
     build_group,
     build_modular_maximal_cyclic,
     build_wreath_sym,
-    conjugacy,
     cycle_product,
     digits_of,
     index_of_digits,
@@ -73,7 +72,6 @@ class FamilyCertificate:
 
     name: str
     group: GroupTable
-    conj: ConjugacyData
     connection_classes: tuple[int, ...]
     z: int
     tau_tag: str
@@ -81,15 +79,20 @@ class FamilyCertificate:
     oriented: bool = True
 
     @property
+    def conj(self) -> ConjugacyData:
+        return self.group.conj
+
+    @property
     def tau(self) -> float:
         return parse_time(self.tau_tag)
 
     def graph(self) -> CayleyGraph:
-        return cayley_graph(self.group, self.conj, self.connection_classes, self.oriented)
+        return cayley_graph(self.group, self.connection_classes, self.oriented)
 
 
-def _classes_of_elements(conj: ConjugacyData, elements: Sequence[int]) -> tuple[int, ...]:
+def _classes_of_elements(group: GroupTable, elements: Sequence[int]) -> tuple[int, ...]:
     """Class indices of the elements, which must form a union of whole classes."""
+    conj = group.conj
     classes = tuple(sorted({int(conj.class_of[g]) for g in elements}))
     covered = sorted(g for c in classes for g in conj.classes[c])
     if covered != sorted(int(g) for g in elements):
@@ -109,13 +112,12 @@ def family_z3n(n: int, connection: Sequence) -> FamilyCertificate:
     time 2*pi/(3*sqrt 3); a zero sum degrades the claim to a plain return.
     """
     group = build_abelian_power(3, n)
-    conj = conjugacy(group)
     elements = _as_indices(connection, 3)
-    classes = _classes_of_elements(conj, elements)
+    classes = _classes_of_elements(group, elements)
     total = [sum(d) % 3 for d in zip(*(digits_of(w, 3, n) for w in elements))]
     sigma = index_of_digits(total, 3)
     return FamilyCertificate(
-        name=f"z3_{n}", group=group, conj=conj,
+        name=f"z3_{n}", group=group,
         connection_classes=classes, z=sigma, tau_tag="2pi/3sqrt3",
         claimed_size=3 if sigma != group.identity else 1,
     )
@@ -124,14 +126,13 @@ def family_z3n(n: int, connection: Sequence) -> FamilyCertificate:
 def family_z4n(n: int, connection: Sequence) -> FamilyCertificate:
     """Z_4^n at time pi/2: transfer to twice the connection sum iff it has order 4."""
     group = build_abelian_power(4, n)
-    conj = conjugacy(group)
     elements = _as_indices(connection, 4)
-    classes = _classes_of_elements(conj, elements)
+    classes = _classes_of_elements(group, elements)
     total = [sum(d) % 4 for d in zip(*(digits_of(w, 4, n) for w in elements))]
     sigma_order_four = any(d % 2 == 1 for d in total)
     target = index_of_digits([(2 * d) % 4 for d in total], 4)
     return FamilyCertificate(
-        name=f"z4_{n}", group=group, conj=conj,
+        name=f"z4_{n}", group=group,
         connection_classes=classes, z=target, tau_tag="pi/2",
         claimed_size=2 if sigma_order_four else 1,
     )
@@ -142,8 +143,7 @@ def family_extraspecial3(n: int, exponent_type: int = 3,
     """Extraspecial 3-group: centre preimages of a quotient basis, plus one
     central generator, transfer onto the whole centre at 2*pi/(3*sqrt 3)."""
     group = build_extraspecial3(n, exponent_type)
-    conj = conjugacy(group)
-    z = min(c for c in conj.center if c != group.identity)
+    z = min(c for c in group.conj.center if c != group.identity)
     if basis_elements is None:
         if exponent_type == 9:
             basis_elements = [group.index_of("x"), group.index_of("y")]
@@ -158,13 +158,12 @@ def family_extraspecial3(n: int, exponent_type: int = 3,
 
     elements = set()
     for b in basis_elements:
-        elements.update(conj.classes[int(conj.class_of[b])])
+        elements.update(group.conj.classes[int(group.conj.class_of[b])])
     elements.add(z)
-    classes = _classes_of_elements(conj, sorted(elements))
+    classes = _classes_of_elements(group, sorted(elements))
     return FamilyCertificate(
         name=f"extraspecial3_{group.order}" + ("_exp9" if exponent_type == 9 else ""),
-        group=group, conj=conj,
-        connection_classes=classes, z=z, tau_tag="2pi/3sqrt3",
+        group=group, connection_classes=classes, z=z, tau_tag="2pi/3sqrt3",
         claimed_size=3,
     )
 
@@ -175,7 +174,6 @@ def family_m2(n: int) -> FamilyCertificate:
     if n < 5:
         raise InvalidParameterError("the certified family needs n >= 5")
     group = build_modular_maximal_cyclic(n)
-    conj = conjugacy(group)
     half = 2 ** (n - 1)
 
     def elem(i: int, j: int) -> int:
@@ -184,9 +182,9 @@ def family_m2(n: int) -> FamilyCertificate:
     z = elem(2 ** (n - 3), 0)
     elements = {z, elem(2 ** (n - 4), 1), elem(2 ** (n - 2) + 2 ** (n - 4), 1)}
     elements.update(elem(4 * k + 1, 0) for k in range(2 ** (n - 3)))
-    classes = _classes_of_elements(conj, sorted(elements))
+    classes = _classes_of_elements(group, sorted(elements))
     return FamilyCertificate(
-        name=f"m2_{group.order}", group=group, conj=conj,
+        name=f"m2_{group.order}", group=group,
         connection_classes=classes, z=z, tau_tag="pi/4", claimed_size=4,
     )
 
@@ -198,12 +196,11 @@ def m2_remark_probe() -> FamilyCertificate:
     agree on, with no asserted size.
     """
     group = build_modular_maximal_cyclic(4)
-    conj = conjugacy(group)
     elements = [group.index_of("x^2"), group.index_of("x*sigma"),
                 group.index_of("x^5*sigma")]
-    classes = _classes_of_elements(conj, elements)
+    classes = _classes_of_elements(group, elements)
     return FamilyCertificate(
-        name="m2_16_probe", group=group, conj=conj,
+        name="m2_16_probe", group=group,
         connection_classes=classes, z=group.index_of("x^2"), tau_tag="pi/4",
         claimed_size=None,
     )
@@ -212,10 +209,9 @@ def m2_remark_probe() -> FamilyCertificate:
 def z8_certificate() -> FamilyCertificate:
     """Cay(Z_8, {1, 2, 5}): transfer set {0, 2, 4, 6} with solved minimal time."""
     group = build_cyclic(8)
-    conj = conjugacy(group)
-    classes = _classes_of_elements(conj, [1, 2, 5])
+    classes = _classes_of_elements(group, [1, 2, 5])
     return FamilyCertificate(
-        name="z8_125", group=group, conj=conj,
+        name="z8_125", group=group,
         connection_classes=classes, z=2, tau_tag=Z8_TAU_TAG, claimed_size=4,
     )
 
@@ -259,18 +255,16 @@ def wreath_lift(base_cert: FamilyCertificate, n: int) -> FamilyCertificate:
     if n < 2:
         raise InvalidParameterError("need n >= 2")
     base = base_cert.group
-    base_conn = base_cert.graph().conn
     group = build_wreath_sym(base, n)
     wi = WreathIndexing(base, n)
-    conj = conjugacy(group)
-    lifted = _lift_elements(base, wi, base_conn.elements)
-    classes = _classes_of_elements(conj, lifted)
+    lifted = _lift_elements(base, wi, base_cert.graph().elements)
+    classes = _classes_of_elements(group, lifted)
     z = wi.diagonal(base_cert.z)
     return FamilyCertificate(
         name=f"lift_{base_cert.name}_s{n}",
-        group=group, conj=conj, connection_classes=classes, z=z,
+        group=group, connection_classes=classes, z=z,
         tau_tag=base_cert.tau_tag,
-        claimed_size=1 if base_cert.claimed_size == 1 else int(conj.orders[z]),
+        claimed_size=1 if base_cert.claimed_size == 1 else int(group.conj.orders[z]),
         oriented=base_cert.oriented,
     )
 
@@ -278,10 +272,9 @@ def wreath_lift(base_cert: FamilyCertificate, n: int) -> FamilyCertificate:
 def undirected_cycle4_certificate() -> FamilyCertificate:
     """Undirected 4-cycle as Cay(Z_4, {1, 3}): antipodal transfer at pi/2."""
     group = build_cyclic(4)
-    conj = conjugacy(group)
-    classes = _classes_of_elements(conj, [1, 3])
+    classes = _classes_of_elements(group, [1, 3])
     return FamilyCertificate(
-        name="undirected_c4", group=group, conj=conj,
+        name="undirected_c4", group=group,
         connection_classes=classes, z=2, tau_tag="pi/2", claimed_size=2,
         oriented=False,
     )
@@ -340,7 +333,7 @@ def fixture_to_certificate(doc: dict) -> FamilyCertificate:
                               f"claimed_size={size!r}")
     group = build_group(parse_group_spec(doc["group"]))
     return FamilyCertificate(
-        name=doc["name"], group=group, conj=conjugacy(group),
+        name=doc["name"], group=group,
         connection_classes=tuple(classes), z=z, tau_tag=str(tau),
         claimed_size=size, oriented=oriented,
     )
@@ -401,7 +394,7 @@ def dual_verify(cert: FamilyCertificate,
                           criterion_residual=None, oracle_fidelity=fid,
                           phase=None, mst=None, connected=connected, verdict=None)
 
-    table = character_table_for(group, cert.conj, seed=config.seed, tol=config.tolerance)
+    table = character_table_for(group, seed=config.seed)
     claimed = cert.claimed_size
     transfer = claimed is not None and claimed > 1
     res = check_pst_at(graph, table, cert.z, tau)

@@ -83,6 +83,12 @@ class GroupTable:
         self.mul.flags.writeable = False
         self.inv.flags.writeable = False
 
+    @cached_property
+    def conj(self) -> ConjugacyData:
+        """The group's conjugacy data, computed on first use."""
+        # By its module-level name, so a rebinding (a tracer) sees the call.
+        return conjugacy(self)
+
     @property
     def family_tag(self) -> str:
         """The printed name of the group, rendered from its spec."""
@@ -409,8 +415,7 @@ def cycle_product(base: GroupTable, coords: Sequence[int],
     return prod
 
 
-def wreath_type(el: WreathElement, base: GroupTable,
-                base_conj: "ConjugacyData") -> dict[int, tuple[int, ...]]:
+def wreath_type(el: WreathElement, base: GroupTable) -> dict[int, tuple[int, ...]]:
     """Partition-valued conjugation invariant of a wreath element.
 
     Maps each base conjugacy class to the multiset (sorted descending) of
@@ -420,7 +425,7 @@ def wreath_type(el: WreathElement, base: GroupTable,
     out: dict[int, list[int]] = {}
     for cyc in permutation_cycles(el.perm, include_fixed=True):
         prod = cycle_product(base, el.coords, tuple(i + 1 for i in cyc))
-        out.setdefault(int(base_conj.class_of[prod]), []).append(len(cyc))
+        out.setdefault(int(base.conj.class_of[prod]), []).append(len(cyc))
     return {cls: tuple(sorted(lengths, reverse=True))
             for cls, lengths in out.items()}
 

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from caywalk.characters import CharacterTable, units_mod
-from caywalk.config import PERMUTATION_TOL
+from caywalk.config import PERMUTATION_TOL, VALUE_TOL
 from caywalk.engine import (
     ALLOWED_MST_SIZES,
     APERIODIC_WALK,
@@ -114,12 +114,12 @@ def expm_taylor(m: np.ndarray) -> np.ndarray:
     return out
 
 
-def abelian_residue_counts(group: GroupTable, conn, v, r: int) -> np.ndarray:
+def abelian_residue_counts(group: GroupTable, elements, v, r: int) -> np.ndarray:
     """counts[j] = number of connection elements w with v.w = j (mod r)."""
     n = len(v)
     assert r**n == group.order, "digit shape does not match the group order"
     counts = np.zeros(r, dtype=np.int64)
-    for w in conn.elements:
+    for w in elements:
         dots = sum(int(a) * b for a, b in zip(v, digits_of(w, r, n))) % r
         counts[dots] += 1
     return counts
@@ -151,7 +151,7 @@ def winding_search_times(graph, table, tol: float = 1e-8,
     """
     g = graph.group
     values = table.values  # a closed form derives it on each read
-    idx = np.asarray(graph.conn.class_indices, dtype=np.int64)
+    idx = np.asarray(graph.class_indices, dtype=np.int64)
     sums = values[:, idx] @ table.class_sizes[idx].astype(np.float64)
     thetas = (sums - np.conj(sums)) / table.degrees
     static = np.abs(thetas.imag) <= tol
@@ -218,10 +218,10 @@ def per_set_scan_targets(graph, table, targets, n, tol):
     tau = np.full(len(targets), np.nan)
     residual = np.full(len(targets), math.inf)
     values = table.values  # a closed form derives it on each read
-    idx = np.asarray(graph.conn.class_indices, dtype=np.int64)
+    idx = np.asarray(graph.class_indices, dtype=np.int64)
     sums = values[:, idx] @ table.class_sizes[idx].astype(np.float64)
     thetas = (sums - np.conj(sums)) / table.degrees
-    omega, reason = per_set_walk_frequency(thetas, table.tolerance)
+    omega, reason = per_set_walk_frequency(thetas, VALUE_TOL)
     if omega is None:
         return tau, residual, reason
     times = 2.0 * math.pi * np.arange(1, n) / (n * omega)
@@ -246,7 +246,7 @@ def blocked_scan_targets(table, thetas, omega, z_classes, n, block_entries=1 << 
     target in (sets x times x characters x targets) blocks. Where nothing hits, tau is
     the candidate of least residual; residual is inf where no time can work.
     """
-    tol = table.tolerance
+    tol = VALUE_TOL
     tau = np.full((len(thetas), len(z_classes)), np.nan)
     residual = np.full(tau.shape, math.inf)
     rows = np.flatnonzero(omega > 0)
@@ -278,7 +278,7 @@ def per_set_compute_S_e(graph, table):
     """The earlier per-set compute_S_e: scan every central target, then the
     closure, size and power-law checks, with InvariantBreachError on a breach."""
     g = graph.group
-    tol = table.tolerance
+    tol = VALUE_TOL
     targets = [z for z in graph.conj.center if z != g.identity]
     taus, residuals, _ = per_set_scan_targets(graph, table, targets,
                                               graph.conj.center_exponent, tol)
@@ -313,8 +313,20 @@ def row_loop_stabilizers(table, power_perm, units) -> tuple[tuple[int, ...], ...
     stabs = []
     for row in table.values:
         stabs.append(tuple(k for k in units
-                           if np.max(np.abs(row[perms[k]] - row)) < table.tolerance))
+                           if np.max(np.abs(row[perms[k]] - row)) < VALUE_TOL))
     return tuple(stabs)
+
+
+def rounded_row_order(values: np.ndarray, degrees: np.ndarray) -> list[int]:
+    """Rows by degree, then by each value rounded to 6 decimals, one Python
+    key per row.
+
+    The earlier body of characters._canonical_row_order, kept as the
+    reference for its lexsort form.
+    """
+    keys = [(int(d), tuple((round(float(v.real), 6), round(float(v.imag), 6)) for v in row))
+            for d, row in zip(degrees, values)]
+    return sorted(range(values.shape[0]), key=lambda i: keys[i])
 
 
 def set_unit_closure(m: int, seed) -> set[int]:
@@ -356,7 +368,7 @@ def row_loop_witness(table, galois, z_class: int, z_label: int = -1):
     covered = {1}
     chosen: list[int] = []
     for i, row in enumerate(table.values):
-        if abs(row[z_class] - row[0]) < table.tolerance:
+        if abs(row[z_class] - row[0]) < VALUE_TOL:
             continue
         stab = set(stabilizers[i])
         if chosen and stab <= covered:

@@ -119,7 +119,7 @@ def test_criterion_1_cyclic3_powers_random_sets():
             for connection in random_valid_z3_sets(n, 5, seed=100 + n):
                 cert = family_z3n(n, connection)
                 graph = cert.graph()
-                table = character_table_for(cert.group, cert.conj)
+                table = character_table_for(cert.group)
                 if cert.claimed_size == 1:
                     continue  # zero sum: nothing is claimed for this draw
                 res = check_pst_at(graph, table, cert.z, TAU3)
@@ -141,7 +141,7 @@ def test_criterion_2_cyclic4_powers_iff():
             cert = family_z4n(n, connection)
             assert cert.claimed_size == 2
             graph = cert.graph()
-            table = character_table_for(cert.group, cert.conj)
+            table = character_table_for(cert.group)
             res = check_pst_at(graph, table, cert.z, math.pi / 2)
             assert res.accepted and res.residual < RESIDUAL_TOL
             op = build_operator(adjacency_matrix(graph))
@@ -160,7 +160,7 @@ def test_criterion_2_cyclic4_powers_iff():
             col = np.abs(evolve_column(op, math.pi / 2, cert.group.identity))
             col[cert.group.identity] = 0.0
             assert float(col.max()) < 0.999
-            report = compute_S_e(graph, character_table_for(cert.group, cert.conj))
+            report = compute_S_e(graph, character_table_for(cert.group))
             assert report.size == 1
 
 
@@ -169,7 +169,7 @@ def test_criterion_3_z4_squared_sweep_and_witnesses():
     with criterion(3, title, budget=60.0):
         group = build_abelian_power(4, 2)
         conj = conjugacy(group)
-        table = character_table_for(group, conj)
+        table = character_table_for(group)
         histogram: dict[int, int] = {}
         tested = 0
         for stack in enumerate_oriented_class_unions(conj):
@@ -235,7 +235,7 @@ def test_criterion_6_modular32_and_degree2_characters():
         register(cert.name, cert.graph(), rep.mst)
 
         group, conj = cert.group, cert.conj
-        table = character_table_for(group, conj)
+        table = character_table_for(group)
         z_class = int(conj.class_of[cert.z])
         center = set(conj.center)
         degree2 = [i for i in range(table.n_chars) if table.degrees[i] == 2]
@@ -263,12 +263,10 @@ def test_criterion_7_wreath_lifts_and_type_invariant():
 
         # the partition-valued invariant separates conjugacy classes exactly
         base = build_cyclic(3)
-        base_conj = conjugacy(base)
         small = build_wreath_sym(base, 2)
         wi2 = WreathIndexing(base, 2)
         conj2 = conjugacy(small)
-        types = [wreath_type(wi2.decode(i), base, base_conj)
-                 for i in range(small.order)]
+        types = [wreath_type(wi2.decode(i), base) for i in range(small.order)]
         for g, h in itertools.product(range(small.order), repeat=2):
             assert (types[g] == types[h]) == (conj2.class_of[g] == conj2.class_of[h])
 
@@ -278,8 +276,8 @@ def test_criterion_7_wreath_lifts_and_type_invariant():
         rng = np.random.default_rng(DEFAULT_CONFIG.seed)
         pairs = rng.integers(0, big.order, size=(10_000, 2))
         for g, h in pairs:
-            same_type = (wreath_type(wi3.decode(int(g)), base, base_conj)
-                         == wreath_type(wi3.decode(int(h)), base, base_conj))
+            same_type = (wreath_type(wi3.decode(int(g)), base)
+                         == wreath_type(wi3.decode(int(h)), base))
             assert same_type == (conj3.class_of[g] == conj3.class_of[h])
 
 
@@ -335,7 +333,7 @@ def test_criterion_9_numerical_core_properties():
         # character tables of every fixture group
         for cert in shipped_certificates():
             conj = cert.conj
-            table = character_table_for(cert.group, conj)
+            table = character_table_for(cert.group)
             order = cert.group.order
             assert int((table.degrees**2).sum()) == order, cert.name
             gram_rows = (table.values * conj.sizes[None, :]) @ table.values.conj().T
@@ -347,7 +345,7 @@ def test_criterion_9_numerical_core_properties():
         # numerical route reproduces the closed form on the cyclic powers
         for r, n in ((3, 1), (3, 2), (3, 3), (4, 1), (4, 2), (8, 1)):
             group = build_abelian_power(r, n) if n > 1 else build_cyclic(r)
-            num = character_table_numerical(group, conjugacy(group))
+            num = character_table_numerical(group)
             closed = abelian_character_table(r, n)
             rows_num = {tuple(np.round(row, 8)) for row in num.values}
             rows_closed = {tuple(np.round(row, 8)) for row in closed.values}
@@ -358,7 +356,7 @@ def test_criterion_9_numerical_core_properties():
             if not cert.oriented or cert.group.order > DEFAULT_CONFIG.oracle_max_order:
                 continue
             graph = cert.graph()
-            table = character_table_for(cert.group, cert.conj)
+            table = character_table_for(cert.group)
             spec = spectrum(graph, table)
             predicted = []
             for i in range(table.n_chars):

@@ -13,8 +13,6 @@ from caywalk.cayley import (
     enumerate_oriented_class_unions,
     graph_to_dot,
     is_connected,
-    make_connection_set,
-    make_symmetric_connection_set,
 )
 from caywalk.characters import (
     abelian_character_table,
@@ -41,9 +39,7 @@ from conftest import abelian_residue_counts, idempotent, theta_from_residue_coun
 
 
 def cyclic_graph(r, classes, oriented=True):
-    g = build_cyclic(r)
-    conj = conjugacy(g)
-    return cayley_graph(g, conj, classes, oriented=oriented)
+    return cayley_graph(build_cyclic(r), classes, oriented=oriented)
 
 
 # ---------------------------------------------------------------------------
@@ -51,19 +47,15 @@ def cyclic_graph(r, classes, oriented=True):
 
 
 def test_oriented_set_accepts_half_of_an_inverse_pair():
-    g = build_cyclic(8)
-    conj = conjugacy(g)
-    conn = make_connection_set(conj, [1, 2, 5])
-    assert conn.class_indices == (1, 2, 5)
-    assert conn.elements == (1, 2, 5)
-    assert conn.oriented and len(conn) == 3
+    graph = cayley_graph(build_cyclic(8), [5, 1, 2, 1])
+    assert graph.class_indices == (1, 2, 5)
+    assert graph.elements == (1, 2, 5)
+    assert graph.oriented and graph.conj is graph.group.conj
 
 
 def test_oriented_set_collects_every_violation():
-    g = build_cyclic(8)
-    conj = conjugacy(g)
     with pytest.raises(OrientationError) as exc:
-        make_connection_set(conj, [0, 4, 1, 7])
+        cayley_graph(build_cyclic(8), [0, 4, 1, 7])
     rules = sorted(rule for rule, _ in exc.value.violations)
     assert rules == [
         OrientationError.RULE_IDENTITY,
@@ -77,21 +69,21 @@ def test_oriented_set_collects_every_violation():
 
 
 def test_oriented_set_rejects_empty_and_out_of_range():
-    conj = conjugacy(build_cyclic(8))
+    g = build_cyclic(8)
     with pytest.raises(InvalidParameterError):
-        make_connection_set(conj, [])
+        cayley_graph(g, [])
     with pytest.raises(InvalidParameterError):
-        make_connection_set(conj, [99])
+        cayley_graph(g, [99])
 
 
 def test_symmetric_set_requires_inverse_closure():
-    conj = conjugacy(build_cyclic(8))
-    good = make_symmetric_connection_set(conj, [1, 7])
+    g = build_cyclic(8)
+    good = cayley_graph(g, [1, 7], oriented=False)
     assert good.elements == (1, 7) and not good.oriented
     with pytest.raises(OrientationError):
-        make_symmetric_connection_set(conj, [1])
+        cayley_graph(g, [1], oriented=False)
     with pytest.raises(OrientationError):
-        make_symmetric_connection_set(conj, [0, 1, 7])
+        cayley_graph(g, [0, 1, 7], oriented=False)
 
 
 # ---------------------------------------------------------------------------
@@ -148,7 +140,7 @@ def test_spectrum_matches_residue_count_formula():
     table = abelian_character_table(8, 1)
     spec = spectrum(graph, table)
     for v in range(8):
-        counts = abelian_residue_counts(graph.group, graph.conn, [v], 8)
+        counts = abelian_residue_counts(graph.group, graph.elements, [v], 8)
         assert abs(spec[v] - theta_from_residue_counts(counts, 8)) < 1e-12
     # the v = 1 value is 2i(sin 45 + sin 90 + sin 225) = 2i exactly
     assert abs(spec[1] - 2j) < 1e-12
@@ -157,7 +149,7 @@ def test_spectrum_matches_residue_count_formula():
 def test_character_sums_direct():
     graph = cyclic_graph(8, [1, 2, 5])
     table = abelian_character_table(8, 1)
-    sums = connection_character_sums(table, graph.conn.class_indices)
+    sums = connection_character_sums(table, graph.class_indices)
     zeta = np.exp(2j * np.pi / 8)
     for v in range(8):
         assert abs(sums[v] - (zeta**v + zeta ** (2 * v) + zeta ** (5 * v))) < 1e-12
@@ -181,8 +173,8 @@ def extraspecial_graph():
     g = build_extraspecial3(1)
     conj = conjugacy(g)
     c = first_oriented_class(conj)
-    graph = cayley_graph(g, conj, [c])
-    table = character_table_for(g, conj)
+    graph = cayley_graph(g, [c])
+    table = character_table_for(g)
     return graph, table
 
 
@@ -260,9 +252,10 @@ def test_enumeration_count_cyclic8():
 
 
 def test_enumeration_is_canonical_and_valid():
-    conj = conjugacy(build_cyclic(8))
+    g = build_cyclic(8)
+    conj = g.conj
     for s in enumerated_sets(conj):
-        make_connection_set(conj, s)  # must not raise
+        cayley_graph(g, s)  # must not raise
         inverted = tuple(sorted(conj.class_inv[c] for c in s))
         assert s <= inverted
 
@@ -304,8 +297,9 @@ def _orientation_violations(check) -> list:
 ])
 def test_connection_stack_checks_the_orientation_rules(rows, rule):
     """The stack reports the rule, and exactly the violations that
-    make_connection_set and an imported-table claim report row by row."""
-    conj = conjugacy(build_cyclic(4))
+    cayley_graph and an imported-table claim report row by row."""
+    g = build_cyclic(4)
+    conj = g.conj
     stack = _orientation_violations(
         lambda: ConnectionStack(conj=conj, classes=np.array(rows, dtype=np.int64)))
     assert rule in {r for r, _ in stack}
@@ -314,7 +308,7 @@ def test_connection_stack_checks_the_orientation_rules(rows, rule):
         export_character_table(abelian_character_table(4, 1), conj))
     per_row = []
     for row in rows:
-        one = _orientation_violations(lambda: make_connection_set(conj, row))
+        one = _orientation_violations(lambda: cayley_graph(g, row))
         claim = {"z_class": 2, "time": "pi/2", "connection_classes": row}
         assert _orientation_violations(lambda: check_imported_claim(imported, claim)) == one
         per_row += one

@@ -41,6 +41,7 @@ from conftest import (
     CYCLIC_ORDERS,
     dense_abelian_table,
     permutation_group_table,
+    rounded_row_order,
     row_loop_stabilizers,
     set_unit_closure,
     stabilizer_tuples,
@@ -100,12 +101,11 @@ def test_closed_form_tables_pass_the_gram_checks():
     # still hold on every closed-form table.
     for r, n in closed_form_shapes(729):
         t = abelian_character_table(r, n)
-        assert _table_defects(t.values, t.degrees, t.class_sizes, t.tolerance) == [], (r, n)
+        assert _table_defects(t.values, t.degrees, t.class_sizes) == [], (r, n)
 
 
 def closed_form_group(r: int, n: int):
-    group = build_cyclic(r) if n == 1 else build_abelian_power(r, n)
-    return group, conjugacy(group)
+    return build_cyclic(r) if n == 1 else build_abelian_power(r, n)
 
 
 @pytest.mark.parametrize("held", [False, True])
@@ -117,8 +117,9 @@ def test_digit_backend_matches_the_dense_reference(monkeypatch, held):
         monkeypatch.setattr(characters, "_DENSE_CLASSES", 0)
     rng = np.random.default_rng(5)
     for r, n in closed_form_shapes(729):
-        group, conj = closed_form_group(r, n)
-        table = character_table_for(group, conj)
+        group = closed_form_group(r, n)
+        conj = group.conj
+        table = character_table_for(group)
         dense = dense_abelian_table(r, n)
         k = table.n_chars
         assert (table._held is not None) == (held and k <= characters._DENSE_CLASSES)
@@ -152,27 +153,27 @@ def corrupt_duplicate_row(digits, r):
 @pytest.mark.parametrize("r, n", [(3, 2), (2, 4), (4, 3), (5, 2)])
 def test_closed_form_rejects_a_corrupted_exponent_matrix(monkeypatch, corrupt, r, n):
     # The exponent matrix v.w mod r is now held as its digit vectors.
-    group, conj = closed_form_group(r, n)
+    group = closed_form_group(r, n)
     sound = abelian_character_table(r, n)
-    assert characters._digit_defects(group, conj, sound.digits, r) == []
+    assert characters._digit_defects(group, sound.digits, r) == []
     monkeypatch.setattr(characters, "abelian_character_table",
-                        lambda r, n, tol: dataclasses.replace(sound, digits=corrupt(sound.digits, r)))
+                        lambda r, n: dataclasses.replace(sound, digits=corrupt(sound.digits, r)))
     with pytest.raises(NumericalFailureError, match="closed form failed validation"):
-        character_table_for(group, conj)
+        character_table_for(group)
 
 
 def test_closed_form_check_names_each_defect():
-    group, conj = closed_form_group(3, 3)
+    group = closed_form_group(3, 3)
     digits = abelian_character_table(3, 3).digits
     for words, entry, value in [("outside 0..2", (1, 1), 3),
                                 ("identity's digit vector is nonzero", (0, 2), 1),
                                 ("does not raise digit", (7, 1), (digits[7, 1] + 2) % 3)]:
         bad = digits.copy()
         bad[entry] = value
-        assert words in characters._digit_defects(group, conj, bad, 3)[0], words
+        assert words in characters._digit_defects(group, bad, 3)[0], words
     assert "does not raise digit" in characters._digit_defects(
-        group, conj, corrupt_duplicate_row(digits, 3), 3)[0]
-    assert "shape" in characters._digit_defects(group, conj, digits[:9], 3)[0]
+        group, corrupt_duplicate_row(digits, 3), 3)[0]
+    assert "shape" in characters._digit_defects(group, digits[:9], 3)[0]
 
 
 def doctor_generator_column(mul, places):
@@ -187,13 +188,15 @@ def swap_generator_columns(mul, places):
 @pytest.mark.parametrize("r, n", [(3, 3), (4, 2)])
 def test_closed_form_rejects_a_doctored_group_table(doctor, r, n):
     """The check reads the group's table, not only the digit vectors."""
-    group, conj = closed_form_group(r, n)
+    group = closed_form_group(r, n)
+    sound_conj = group.conj
     mul = group.mul.copy()
     doctor(mul, [r ** (n - 1 - k) for k in range(n)])
     doctored = copy.copy(group)
+    assert doctored.conj is sound_conj  # the copy keeps the sound table's classes
     object.__setattr__(doctored, "mul", mul)
     with pytest.raises(NumericalFailureError, match="does not raise digit"):
-        character_table_for(doctored, conj)
+        character_table_for(doctored)
 
 
 @pytest.mark.parametrize("built, spec", [
@@ -206,7 +209,7 @@ def test_closed_form_rejects_a_valid_group_under_another_spec(built, spec):
     relabeled = GroupTable(order=group.order, mul=group.mul, identity=group.identity,
                            inv=group.inv, labels=group.labels, spec=spec)
     with pytest.raises(NumericalFailureError, match="does not raise digit"):
-        character_table_for(relabeled, conjugacy(relabeled))
+        character_table_for(relabeled)
 
 
 def test_abelian_build_and_table_peak_memory():
@@ -218,7 +221,7 @@ def test_abelian_build_and_table_peak_memory():
     tracemalloc.start()
     try:
         group = build_abelian_power(3, 6)
-        character_table_for(group, conjugacy(group))
+        character_table_for(group)
         _, peak = tracemalloc.get_traced_memory()
         tracemalloc.reset_peak()
         start, _ = tracemalloc.get_traced_memory()
@@ -252,7 +255,7 @@ def test_cyclic_table_peak_memory_is_linear():
 def test_structure_constants_cyclic_convolution():
     g = build_cyclic(4)
     conj = conjugacy(g)
-    a = structure_constants(g, conj)
+    a = structure_constants(g)
     c = conj.class_of
     for i in range(4):
         for j in range(4):
@@ -265,7 +268,7 @@ def test_structure_constants_s3_hand_values(s3_table):
     conj = conjugacy(s3_table)
     by_size = {len(cls): idx for idx, cls in enumerate(conj.classes)}
     e, cyc, trans = by_size[1], by_size[2], by_size[3]
-    a = structure_constants(s3_table, conj)
+    a = structure_constants(s3_table)
     # product of the transposition class with itself: 3 copies of the
     # identity class plus 3 copies of the 3-cycle class
     assert a[trans, trans, e] == 3.0
@@ -275,7 +278,7 @@ def test_structure_constants_s3_hand_values(s3_table):
 
 def test_structure_constants_counting_identity(s3_table):
     conj = conjugacy(s3_table)
-    a = structure_constants(s3_table, conj)
+    a = structure_constants(s3_table)
     sizes = conj.sizes.astype(float)
     k = len(conj.classes)
     for i in range(k):
@@ -289,23 +292,21 @@ def test_structure_constants_counting_identity(s3_table):
 
 def test_numerical_matches_closed_form_z6():
     g = build_cyclic(6)
-    conj = conjugacy(g)
-    num = character_table_numerical(g, conj)
+    num = character_table_numerical(g)
     closed = abelian_character_table(6, 1)
     assert rounded_rows(num.values) == rounded_rows(closed.values)
 
 
 def test_numerical_matches_closed_form_z3_squared():
     g = build_abelian_power(3, 2)
-    conj = conjugacy(g)
-    num = character_table_numerical(g, conj)
+    num = character_table_numerical(g)
     closed = abelian_character_table(3, 2)
     assert rounded_rows(num.values) == rounded_rows(closed.values)
 
 
 def test_numerical_s3_known_table(s3_table):
     conj = conjugacy(s3_table)
-    t = character_table_numerical(s3_table, conj)
+    t = character_table_numerical(s3_table)
     by_size = {len(cls): idx for idx, cls in enumerate(conj.classes)}
     e, cyc, trans = by_size[1], by_size[2], by_size[3]
     rows = {tuple(round(t.values[i, j].real, 8) for j in (e, cyc, trans))
@@ -315,50 +316,60 @@ def test_numerical_s3_known_table(s3_table):
 
 
 def test_numerical_s5_degrees(s5_table):
-    conj = conjugacy(s5_table)
-    t = character_table_numerical(s5_table, conj)
+    t = character_table_numerical(s5_table)
     assert sorted(t.degrees.tolist()) == [1, 1, 4, 4, 5, 5, 6]
     assert int((t.degrees**2).sum()) == 120
 
 
 def test_numerical_extraspecial_degrees():
     g = build_extraspecial3(1)
-    conj = conjugacy(g)
-    t = character_table_numerical(g, conj)
+    t = character_table_numerical(g)
     assert sorted(t.degrees.tolist()) == [1] * 9 + [3, 3]
 
 
 def test_row_orthogonality_direct(s5_table):
     """Recompute the weighted Gram matrix here rather than trusting the builder."""
     conj = conjugacy(s5_table)
-    t = character_table_numerical(s5_table, conj)
+    t = character_table_numerical(s5_table)
     gram = (t.values * conj.sizes[None, :]) @ t.values.conj().T
     assert np.max(np.abs(gram - 120 * np.eye(7))) < 1e-8
 
 
 def test_same_seed_is_bitwise_deterministic():
     g = build_extraspecial3(1)
-    conj = conjugacy(g)
-    a = character_table_numerical(g, conj, seed=7)
-    b = character_table_numerical(g, conj, seed=7)
+    a = character_table_numerical(g, seed=7)
+    b = character_table_numerical(g, seed=7)
     assert np.array_equal(a.values, b.values)
     assert np.array_equal(a.degrees, b.degrees)
 
 
 def test_different_seeds_agree_after_rounding():
     g = build_extraspecial3(1)
-    conj = conjugacy(g)
-    a = character_table_numerical(g, conj, seed=1)
-    b = character_table_numerical(g, conj, seed=2)
+    a = character_table_numerical(g, seed=1)
+    b = character_table_numerical(g, seed=2)
     assert rounded_rows(a.values) == rounded_rows(b.values)
+
+
+@pytest.mark.parametrize("spec", ["es3:1", "es3:1:9", "es3:2", "m2:4", "m2:5", "m2:6",
+                                  "m2:7", "wreath:z:3:2", "wreath:z:3:3", "wreath:z:3:4",
+                                  "wreath:z:4:2", "wreath:z:4:3"])
+def test_canonical_row_order_matches_the_rounded_key_reference(spec):
+    """On every numerical family member of at most 128 classes, with its rows
+    shuffled, the lexsort order is the one-key-per-row sort's permutation."""
+    table = character_table_numerical(build_group(parse_group_spec(spec)))
+    shuffle = np.random.default_rng(3).permutation(table.n_chars)
+    values, degrees = table.values[shuffle], table.degrees[shuffle]
+    order = characters._canonical_row_order(values, degrees)
+    assert order.tolist() == rounded_row_order(values, degrees)
+    assert np.array_equal(values[order], table.values)
 
 
 def test_dispatch_prefers_closed_form():
     g = build_cyclic(6)
-    t = character_table_for(g, conjugacy(g))
+    t = character_table_for(g)
     assert t.provenance == "closed-form"
     h = build_extraspecial3(1)
-    u = character_table_for(h, conjugacy(h))
+    u = character_table_for(h)
     assert u.provenance == "numerical"
 
 
@@ -445,7 +456,7 @@ def test_rational_intersection_small_exponent_short_circuit():
 def exported_extraspecial():
     g = build_extraspecial3(1)
     conj = conjugacy(g)
-    t = character_table_numerical(g, conj)
+    t = character_table_numerical(g)
     return export_character_table(t, conj), t
 
 

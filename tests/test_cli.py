@@ -207,15 +207,13 @@ def test_pst_check_accepts(capsys):
     assert doc["accepted"] is True and doc["residual"] < 1e-10
 
 
-@pytest.mark.parametrize("tolerance, accepted", [(None, False), ("1e-5", True)])
-def test_pst_check_residual_threshold_follows_tolerance(capsys, tolerance, accepted):
-    """A time 3e-8 off pi/2 leaves a residual of 2.93e-07: over the default
-    threshold of 1e-8, under --tolerance 1e-5."""
-    flag = ["--tolerance", tolerance] if tolerance else []
-    code = main([*flag, "--format", "json", "pst", "check", "--group", "z:8",
+def test_pst_check_residual_threshold_is_value_tol(capsys):
+    """A time 3e-8 off pi/2 leaves a residual of 2.93e-07: over the
+    threshold VALUE_TOL = 1e-8."""
+    code = main(["--format", "json", "pst", "check", "--group", "z:8",
                  "--classes", "1,2,5", "--target", "4", "--time", "1.5707964"])
     doc = json.loads(capsys.readouterr().out)
-    assert code == EXIT_OK and doc["accepted"] is accepted
+    assert code == EXIT_OK and doc["accepted"] is False
     assert doc["residual"] == pytest.approx(2.928e-07, rel=1e-3)
 
 
@@ -608,6 +606,14 @@ def test_verify_import_rejects_claim_field_of_wrong_type(capsys, tmp_path, key, 
                  "class_sizes must be a list of integers", id="class_sizes"),
     pytest.param(lambda d: d["class_rep_orders"].__setitem__(2, True),
                  "class_rep_orders must be a list of integers", id="class_rep_orders"),
+    pytest.param(lambda d: d["class_power_maps"].update({"2": [0, 2.9, 1.2]}),
+                 "class_power_maps must map each unit to a list of integers",
+                 id="class_power_maps"),
+    pytest.param(lambda d: d["class_power_maps"].update({"2": [0, 2, True]}),
+                 "class_power_maps must map each unit to a list of integers",
+                 id="class_power_maps_bool"),
+    pytest.param(lambda d: d["characters"][1]["cyclotomic"][1].__setitem__(1, 1.7),
+                 "cyclotomic coefficients must be lists of integers", id="cyclotomic"),
     pytest.param(lambda d: d.update(group_order=0, class_sizes=[], class_rep_orders=[],
                                     characters=[]),
                  "class 0 must be the identity class", id="no_classes"),
@@ -671,10 +677,13 @@ def test_graph_undirected_summary(capsys):
 # global flags and determinism
 
 
-def test_tolerance_must_be_positive(capsys):
-    code = main(["--tolerance", "-1", "pst", "check", "--group", "z:3",
-                 "--classes", "1", "--target", "1", "--time", "0.5"])
-    assert code == EXIT_VALIDATION
+def test_tolerance_flag_is_refused(capsys):
+    """The tolerance is the constant VALUE_TOL: --tolerance is an unknown
+    flag, and argparse exits 2."""
+    with pytest.raises(SystemExit) as exc:
+        main(["--tolerance", "1e-5", "pst", "check", "--group", "z:3",
+              "--classes", "1", "--target", "1", "--time", "0.5"])
+    assert exc.value.code == EXIT_VALIDATION
 
 
 def test_json_output_is_deterministic(capsys):

@@ -24,6 +24,7 @@ from caywalk.characters import (
     rational_intersection,
     units_mod,
 )
+from caywalk.config import VALUE_TOL
 from caywalk.engine import (
     APERIODIC_WALK,
     STATIC_WALK,
@@ -75,8 +76,7 @@ TAU3 = 2 * math.pi / (3 * math.sqrt(3.0))
 
 def cyclic_setup(r, classes):
     g = build_cyclic(r)
-    conj = conjugacy(g)
-    graph = cayley_graph(g, conj, classes)
+    graph = cayley_graph(g, classes)
     return graph, abelian_character_table(r, 1)
 
 
@@ -114,8 +114,8 @@ def test_criterion_rejects_wrong_time():
 def test_criterion_rejects_noncentral_target():
     g = build_extraspecial3(1)
     conj = conjugacy(g)
-    graph = cayley_graph(g, conj, [int(conj.class_of[g.index_of("x1")])])
-    table = character_table_for(g, conj)
+    graph = cayley_graph(g, [int(conj.class_of[g.index_of("x1")])])
+    table = character_table_for(g)
     res = check_pst_at(graph, table, g.index_of("x1"), 1.0)
     assert not res.accepted and res.reason == "target is not central"
     assert res.residual == math.inf
@@ -123,7 +123,7 @@ def test_criterion_rejects_noncentral_target():
 
 def test_criterion_rejects_nonsingleton_class(s3_table):
     conj = conjugacy(s3_table)
-    table = character_table_numerical(s3_table, conj)
+    table = character_table_numerical(s3_table)
     big = next(i for i, c in enumerate(conj.classes) if len(c) == 3)
     res = check_transfer_classes(table, [big], big, 1.0)
     assert not res.accepted and res.reason == "target class is not central"
@@ -170,8 +170,8 @@ def test_solver_cyclic3():
 def test_solver_requires_central_target():
     g = build_extraspecial3(1)
     conj = conjugacy(g)
-    graph = cayley_graph(g, conj, [int(conj.class_of[g.index_of("x1")])])
-    table = character_table_for(g, conj)
+    graph = cayley_graph(g, [int(conj.class_of[g.index_of("x1")])])
+    table = character_table_for(g)
     with pytest.raises(InvalidParameterError):
         solve_pst_time(graph, table, g.index_of("x1"))
 
@@ -191,7 +191,7 @@ def test_solver_rejects_static_separating_character():
     conj = conjugacy(g)
     classes = [int(conj.class_of[index_of_digits([1, 1], 4)]),
                int(conj.class_of[index_of_digits([1, 3], 4)])]
-    graph = cayley_graph(g, conj, classes)
+    graph = cayley_graph(g, classes)
     table = abelian_character_table(4, 2)
     out = solve_pst_time(graph, table, index_of_digits([2, 0], 4))
     assert out.certificate is None
@@ -210,7 +210,7 @@ def test_solver_near_miss_on_cyclic5():
 def test_solver_periodic_miss_keeps_finite_near_miss():
     """Cay(Z_6, {1}) returns at 2pi/sqrt3 but never reaches 2: the best candidate is reported."""
     graph, table = cyclic_setup(6, [1])
-    assert walk_frequency(walk_thetas(table, [[1]]), table.tolerance)[0] == \
+    assert walk_frequency(walk_thetas(table, [[1]]))[0] == \
         pytest.approx(math.sqrt(3.0), abs=1e-12)
     out = solve_pst_time(graph, table, 2)
     assert out.certificate is None
@@ -226,7 +226,7 @@ def test_walk_frequency_verdicts():
     rows[2, :2] = [math.sqrt(2) * 1j, 2j]  # y^2 = 2 and 4: different squarefree parts
     rows[3, :1] = [math.e * 1j]
     rows[4, :2] = [0j, 1e-12j]
-    omega = walk_frequency(rows, 1e-8)
+    omega = walk_frequency(rows)
     assert omega[0] == 2.0
     assert omega[1] == pytest.approx(math.sqrt(2.0))
     assert np.isnan(omega[2]) and np.isnan(omega[3])  # aperiodic
@@ -241,12 +241,12 @@ def test_one_pass_solver_matches_winding_search(spec):
     """Every oriented set: the same transfer set and times as the earlier solver."""
     group = build_group(parse_group_spec(spec))
     conj = conjugacy(group)
-    table = character_table_for(group, conj)
+    table = character_table_for(group)
     for stack in enumerate_oriented_class_unions(conj):
         for i, report in enumerate(compute_S_e(stack, table)):
             graph = stack.graph(i)
             want = winding_search_times(graph, table)
-            assert set(report.certificates) == set(want), graph.conn.class_indices
+            assert set(report.certificates) == set(want), graph.class_indices
             assert report.S_e == tuple(sorted({group.identity, *want}))
             assert report.size == len(report.S_e)
             if want:
@@ -274,8 +274,8 @@ def assert_decoded_hits(table, thetas, omega, z_classes, n, where) -> None:
     taus and residuals, and leaves every other entry nan / inf."""
     taus, residuals = _decode_targets(table, thetas, omega, z_classes, n)
     want_tau, want_res = blocked_scan_targets(table, thetas, omega, z_classes, n)
-    hits = want_res < table.tolerance
-    assert np.array_equal(residuals < table.tolerance, hits), where
+    hits = want_res < VALUE_TOL
+    assert np.array_equal(residuals < VALUE_TOL, hits), where
     np.testing.assert_array_equal(taus[hits], want_tau[hits], err_msg=str(where))
     np.testing.assert_array_equal(residuals[hits], want_res[hits], err_msg=str(where))
     assert np.all(np.isnan(taus[~hits])) and np.all(np.isinf(residuals[~hits])), where
@@ -287,7 +287,7 @@ def test_batched_pass_matches_per_set_reference(spec, monkeypatch):
     periods, per-target scores, decoded hits and reports."""
     group = build_group(parse_group_spec(spec))
     conj = conjugacy(group)
-    table = character_table_for(group, conj)
+    table = character_table_for(group)
     targets = [z for z in conj.center if z != group.identity]
     monkeypatch.setattr(cayley, "_ENUM_BLOCK_SETS", 64)  # several stacks per class count
     monkeypatch.setattr(engine, "_BLOCK_ENTRIES", 1 << 10)  # several decoding blocks per stack
@@ -296,7 +296,7 @@ def test_batched_pass_matches_per_set_reference(spec, monkeypatch):
     assert rows == list(itertools_oriented_sets(conj))
     for stack in stacks:
         thetas = walk_thetas(table, stack.classes)
-        omega = walk_frequency(thetas, table.tolerance)
+        omega = walk_frequency(thetas)
         z_classes = conj.class_of[targets]
         taus, residuals = blocked_scan_targets(table, thetas, omega, z_classes,
                                                conj.center_exponent, block_entries=1 << 10)
@@ -304,8 +304,8 @@ def test_batched_pass_matches_per_set_reference(spec, monkeypatch):
         reports = compute_S_e(stack, table)
         for i, report in enumerate(reports):
             graph = stack.graph(i)
-            where = (spec, graph.conn.class_indices)
-            want_omega, reason = per_set_walk_frequency(thetas[i], table.tolerance)
+            where = (spec, graph.class_indices)
+            want_omega, reason = per_set_walk_frequency(thetas[i], VALUE_TOL)
             if want_omega is None:
                 assert (omega[i] == 0) == (reason == STATIC_WALK), where
                 assert omega[i] == 0 or np.isnan(omega[i]), where
@@ -331,14 +331,14 @@ def test_decoded_pass_matches_scorer_on_the_largest_members(spec, classes):
     member of each family, and the solver agrees on every certified target."""
     group = build_group(parse_group_spec(spec))
     conj = conjugacy(group)
-    table = character_table_for(group, conj)
+    table = character_table_for(group)
     targets = [z for z in conj.center if z != group.identity]
     thetas = walk_thetas(table, np.array([classes]))
-    omega = walk_frequency(thetas, table.tolerance)
+    omega = walk_frequency(thetas)
     assert omega[0] > 0, spec
     assert_decoded_hits(table, thetas, omega, conj.class_of[targets],
                         conj.center_exponent, spec)
-    graph = cayley_graph(group, conj, classes)
+    graph = cayley_graph(group, classes)
     report = compute_S_e(graph, table)
     assert report.size > 1, spec
     for z, cert in report.certificates.items():
@@ -358,10 +358,10 @@ def test_decoded_pass_keeps_the_first_of_repeated_hits(block_entries, monkeypatc
     found = 0
     for stack in enumerate_oriented_class_unions(conj):
         thetas = walk_thetas(table, stack.classes)
-        omega = walk_frequency(thetas, table.tolerance) / 2
+        omega = walk_frequency(thetas) / 2
         assert_decoded_hits(table, thetas, omega, z_classes, 8, stack.classes)
         taus, residuals = _decode_targets(table, thetas, omega, z_classes, 8)
-        hits = residuals < table.tolerance
+        hits = residuals < VALUE_TOL
         # the true period is 2*pi/(2*omega): every kept hit lies in the first one
         periods = np.broadcast_to(math.pi / omega[:, None], taus.shape)
         assert np.all(taus[hits] < periods[hits])
@@ -392,22 +392,21 @@ def test_batched_pass_keeps_the_power_law_check():
 ])
 def test_doctored_tables_fail_the_structural_checks(r, classes, columns, message):
     group = build_cyclic(r)
-    conj = conjugacy(group)
     doctored = dense_abelian_table(r, 1, columns=columns)
     with pytest.raises(InvariantBreachError, match=message):
-        compute_S_e(cayley_graph(group, conj, classes), doctored)
+        compute_S_e(cayley_graph(group, classes), doctored)
 
 
 def reference_sweep(spec: str, max_classes=None, connected_only=False) -> dict:
     """The sweep document built one set at a time from the reference code."""
     group = build_group(parse_group_spec(spec))
     conj = conjugacy(group)
-    table = character_table_for(group, conj)
+    table = character_table_for(group)
     histogram: dict[int, int] = {}
     certificates = []
     tested = 0
     for classes in itertools_oriented_sets(conj, max_classes):
-        graph = cayley_graph(group, conj, classes)
+        graph = cayley_graph(group, classes)
         if connected_only and not is_connected(graph):
             continue
         tested += 1
@@ -452,7 +451,7 @@ def test_transfer_set_trivial_when_no_transfer():
     conj = conjugacy(g)
     classes = [int(conj.class_of[index_of_digits([1, 1], 4)]),
                int(conj.class_of[index_of_digits([1, 3], 4)])]
-    graph = cayley_graph(g, conj, classes)
+    graph = cayley_graph(g, classes)
     report = compute_S_e(graph, abelian_character_table(4, 2))
     assert report.size == 1 and report.S_e == (0,)
     assert report.generator is None and report.minimal_time is None
@@ -470,8 +469,8 @@ def test_transfer_set_trivial_on_centerless_group():
                    labels=tuple(map(str, range(12))))
     conj = conjugacy(g)
     three_cycles = next(i for i, c in enumerate(conj.classes) if len(c) == 4)
-    graph = cayley_graph(g, conj, [three_cycles])
-    report = compute_S_e(graph, character_table_for(g, conj))
+    graph = cayley_graph(g, [three_cycles])
+    report = compute_S_e(graph, character_table_for(g))
     assert report.S_e == (g.identity,) and report.size == 1
 
 
@@ -556,7 +555,7 @@ def test_witness_search_matches_row_loop_reference(spec, some_witness):
     central targets once more through nonexistence_witness."""
     g = build_group(parse_group_spec(spec))
     conj = conjugacy(g)
-    table = character_table_for(g, conj)
+    table = character_table_for(g)
     gal = galois_stabilizers(table, conj)
     assert stabilizer_tuples(gal) == row_loop_stabilizers(table, conj.class_power,
                                                           units_mod(gal.exponent))
@@ -599,7 +598,7 @@ def test_witness_none_for_identity():
 def test_witness_refuses_a_non_central_target():
     g = build_group(parse_group_spec("wreath:z:4:2"))
     conj = conjugacy(g)
-    table = character_table_for(g, conj)
+    table = character_table_for(g)
     gal = galois_stabilizers(table, conj)
     assert 1 not in conj.center
     with pytest.raises(InvalidParameterError, match="target must be central"):
@@ -623,8 +622,8 @@ def test_solvable_exclusion(s5_table):
 def imported_extraspecial():
     g = build_extraspecial3(1)
     conj = conjugacy(g)
-    table = character_table_numerical(g, conj)
-    graph = cayley_graph(g, conj, [int(conj.class_of[g.index_of("x1")]),
+    table = character_table_numerical(g)
+    graph = cayley_graph(g, [int(conj.class_of[g.index_of("x1")]),
                                    int(conj.class_of[g.index_of("y1")]),
                                    int(conj.class_of[g.index_of("z")])])
     out = solve_pst_time(graph, table, g.index_of("z"))
@@ -632,7 +631,7 @@ def imported_extraspecial():
     claim = {
         "z_class": int(conj.class_of[g.index_of("z")]),
         "time": out.certificate.tau,
-        "connection_classes": list(graph.conn.class_indices),
+        "connection_classes": list(graph.class_indices),
     }
     return import_character_table(doc), claim
 
@@ -688,7 +687,7 @@ def test_verdict_document_no_transfer():
     conj = conjugacy(g)
     classes = [int(conj.class_of[index_of_digits([1, 1], 4)]),
                int(conj.class_of[index_of_digits([1, 3], 4)])]
-    graph = cayley_graph(g, conj, classes)
+    graph = cayley_graph(g, classes)
     report = compute_S_e(graph, abelian_character_table(4, 2))
     doc = verdict_document(graph, report, oracle_fidelity=None, connected=True)
     assert doc["size"] == 1 and doc["tau"] is None and doc["tau_rational"] is None

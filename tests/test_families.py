@@ -130,8 +130,7 @@ def test_m2_certificate_structure():
     g = cert.group
     assert g.order == 32
     assert g.label_of(cert.z) == "x^4"
-    conn = cert.graph().conn
-    labels = {g.label_of(e) for e in conn.elements}
+    labels = {g.label_of(e) for e in cert.graph().elements}
     assert labels == {"x^4", "x^2*sigma", "x^10*sigma", "x", "x^5", "x^9", "x^13"}
     assert len(cert.connection_classes) == 4
 
@@ -158,9 +157,9 @@ def test_report_only_probe():
 def test_wreath_lift_element_counts():
     base = family_z3n(1, [(1,)])
     lift2 = wreath_lift(base, 2)
-    assert len(lift2.graph().conn.elements) == 5   # 2 insertions + 3 twists
+    assert len(lift2.graph().elements) == 5   # 2 insertions + 3 twists
     lift3 = wreath_lift(base, 3)
-    assert len(lift3.graph().conn.elements) == 21  # 3 insertions + 2*9 twists
+    assert len(lift3.graph().elements) == 21  # 3 insertions + 2*9 twists
 
 
 def test_wreath_lift_connectivity_recorded():

@@ -402,11 +402,10 @@ def test_wreath_classes_match_brute_force():
 
 def test_wreath_type_invariant_matches_conjugacy():
     base = build_cyclic(3)
-    base_conj = conjugacy(base)
     g = build_wreath_sym(base, 2)
     conj = conjugacy(g)
     wi = WreathIndexing(base, 2)
-    types = [wreath_type(wi.decode(i), base, base_conj) for i in range(g.order)]
+    types = [wreath_type(wi.decode(i), base) for i in range(g.order)]
     for i in range(g.order):
         for j in range(g.order):
             assert (types[i] == types[j]) == (conj.class_of[i] == conj.class_of[j])

@@ -42,17 +42,15 @@ TAU3 = 2 * math.pi / (3 * math.sqrt(3.0))
 
 def skew_operator(r, classes):
     g = build_cyclic(r)
-    conj = conjugacy(g)
-    graph = cayley_graph(g, conj, classes)
+    graph = cayley_graph(g, classes)
     return build_operator(adjacency_matrix(graph))
 
 
 def test_build_rejects_wrong_symmetry():
-    sym = adjacency_matrix(cayley_graph(build_cyclic(4), conjugacy(build_cyclic(4)),
-                                        [1, 3], oriented=False))
+    sym = adjacency_matrix(cayley_graph(build_cyclic(4), [1, 3], oriented=False))
     with pytest.raises(InvalidParameterError):
         build_operator(sym)
-    skew = adjacency_matrix(cayley_graph(build_cyclic(3), conjugacy(build_cyclic(3)), [1]))
+    skew = adjacency_matrix(cayley_graph(build_cyclic(3), [1]))
     with pytest.raises(InvalidParameterError):
         build_hermitian_operator(skew)
     with pytest.raises(InvalidParameterError):
@@ -100,7 +98,7 @@ def test_cyclic3_transfer_value():
 
 def test_hermitian_mode_antipodal_transfer():
     g = build_cyclic(4)
-    graph = cayley_graph(g, conjugacy(g), [1, 3], oriented=False)
+    graph = cayley_graph(g, [1, 3], oriented=False)
     op = build_hermitian_operator(adjacency_matrix(graph))
     mag, entry = fidelity(op, math.pi / 2, 0, 2)
     assert mag == pytest.approx(1.0, abs=1e-12)
@@ -193,7 +191,7 @@ def test_scan_is_silent_without_transfer():
     conj = conjugacy(g)
     classes = [int(conj.class_of[index_of_digits([1, 1], 4)]),
                int(conj.class_of[index_of_digits([1, 3], 4)])]
-    op = build_operator(adjacency_matrix(cayley_graph(g, conj, classes)))
+    op = build_operator(adjacency_matrix(cayley_graph(g, classes)))
     assert scan_pst(op, 0, t_max=2 * math.pi) == []
 
 
@@ -222,7 +220,7 @@ GRID_CASES = [
 @pytest.mark.parametrize("spec, classes, oriented", GRID_CASES)
 def test_blocked_grid_matches_pointwise_scan(spec, classes, oriented):
     g = build_group(parse_group_spec(spec))
-    graph = cayley_graph(g, conjugacy(g), classes, oriented=oriented)
+    graph = cayley_graph(g, classes, oriented=oriented)
     build = build_operator if oriented else build_hermitian_operator
     op = build(adjacency_matrix(graph))
     grid = np.linspace(0.0, 12.6, SCAN_STEPS + 1)

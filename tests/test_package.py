@@ -96,3 +96,55 @@ def test_criterion_reads_no_dense_table():
     reads = [node.lineno for node in ast.walk(tree)
              if isinstance(node, ast.Attribute) and node.attr in ("values", "dense")]
     assert reads == []
+
+
+def _is_group(name: str, annotation) -> bool:
+    return name == "group" or "GroupTable" in (ast.unparse(annotation) if annotation else "")
+
+
+def _is_conj(name: str, annotation) -> bool:
+    return name == "conj" or "ConjugacyData" in (ast.unparse(annotation) if annotation else "")
+
+
+def test_no_signature_or_dataclass_takes_a_group_and_its_conjugacy_data():
+    """A group owns its conjugacy data (GroupTable.conj), so nothing takes
+    or stores both, and nothing can pair a group with another group's classes."""
+    both = []
+    for path in sorted((ROOT / "src" / "caywalk").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                a = node.args
+                pairs = [(x.arg, x.annotation) for x in a.posonlyargs + a.args + a.kwonlyargs]
+            elif isinstance(node, ast.ClassDef) and any(
+                    "dataclass" in ast.unparse(d) for d in node.decorator_list):
+                pairs = [(x.target.id, x.annotation) for x in node.body
+                         if isinstance(x, ast.AnnAssign) and isinstance(x.target, ast.Name)]
+            else:
+                continue
+            if any(_is_group(*p) for p in pairs) and any(_is_conj(*p) for p in pairs):
+                both.append(f"{path.name}:{node.name}")
+    assert both == []
+
+
+def test_a_group_computes_its_conjugacy_data_once(monkeypatch, capsys):
+    """g.conj is cached, and it calls groups.conjugacy by its module-level
+    name, so a rebinding (as bench/tracer.py installs) sees each call."""
+    from caywalk import groups
+    from caywalk.cayley import cayley_graph
+    from caywalk.characters import character_table_for
+    from caywalk.cli import main
+    from caywalk.engine import compute_S_e
+
+    calls = []
+    original = groups.conjugacy
+    monkeypatch.setattr(groups, "conjugacy", lambda g: calls.append(g) or original(g))
+    g = groups.build_group(groups.parse_group_spec("m2:5"))
+    assert g.conj is g.conj and calls == [g]
+    graph = cayley_graph(g, [4, 12])
+    assert graph.conj is g.conj
+    compute_S_e(graph, character_table_for(g))
+    assert calls == [g]
+    calls.clear()
+    assert main(["sweep", "--group", "m2:4", "--limit", "16"]) == 0
+    capsys.readouterr()
+    assert len(calls) == 1
