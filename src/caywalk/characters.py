@@ -417,6 +417,14 @@ def _int_list(x) -> bool:
     return isinstance(x, list) and all(type(v) is int for v in x)
 
 
+def _number_pairs(x) -> bool:
+    """True for a JSON list of [re, im] pairs of numbers; strings and
+    booleans are not numbers."""
+    return isinstance(x, list) and all(
+        isinstance(p, list) and len(p) == 2 and all(type(v) in (int, float) for v in p)
+        for p in x)
+
+
 def import_character_table(doc: dict) -> ImportedTable:
     """Validate and load an externally produced character table.
 
@@ -448,7 +456,10 @@ def import_character_table(doc: dict) -> ImportedTable:
          "class 0 must be the identity class"),
         (len(chars) == n_classes, f"{len(chars)} characters vs {n_classes} classes"),
         (all(isinstance(rows := ch.get("cyclotomic", []), list) and all(map(_int_list, rows))
-             for ch in chars), "cyclotomic coefficients must be lists of integers")))
+             for ch in chars), "cyclotomic coefficients must be lists of integers"),
+        (all(_number_pairs(ch["values"]) for ch in chars
+             if "values" in ch and "cyclotomic" not in ch),
+         "values must be lists of [re, im] number pairs")))
 
     zeta = np.exp(2j * np.pi * np.arange(m) / m)
     values = np.zeros((n_classes, n_classes), dtype=np.complex128)

@@ -291,6 +291,10 @@ def cmd_pst(args: argparse.Namespace, config: RunConfig) -> int:
     doc = verdict_document(graph, report, oracle_fid, is_connected(graph),
                            witnesses)
     doc["S_e_labels"] = [group.label_of(z) for z in report.S_e]
+    if oracle_fid is None:
+        doc["oracle_skipped"] = (
+            f"order {group.order} above --oracle-max-order {config.oracle_max_order}"
+            if group.order > config.oracle_max_order else "size 1: no transfer time to check")
     _emit(doc, args.format)
     return EXIT_OK
 

@@ -472,7 +472,23 @@ class ConjugacyData:
 def power(group: GroupTable, g, k):
     """g^k by repeated squaring on the table, elementwise over the broadcast
     integer arrays g and k; a negative k powers the inverse. Scalar g and k
-    give an int."""
+    give an int.
+
+    A scalar k runs a Python loop over its bits, at most two gathers each,
+    in place of the masked array steps a per-element k needs."""
+    if np.ndim(k) == 0:
+        k = int(k)
+        base = group.inv[g] if k < 0 else np.array(g)
+        result, k = None, abs(k)
+        while k:
+            if k & 1:
+                result = base if result is None else group.mul[result, base]
+            k >>= 1
+            if k:
+                base = group.mul[base, base]
+        if result is None:
+            result = np.full(np.shape(g), group.identity)
+        return int(result) if np.ndim(result) == 0 else result
     g, k = np.broadcast_arrays(np.asarray(g), np.asarray(k))
     base = np.where(k < 0, group.inv[g], g)
     k = np.abs(k)

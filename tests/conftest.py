@@ -15,7 +15,13 @@ import numpy as np
 import pytest
 
 from caywalk.characters import CharacterTable, units_mod
-from caywalk.config import PERMUTATION_TOL, VALUE_TOL
+from caywalk.config import (
+    PERMUTATION_TOL,
+    SCAN_REFINE_TOL,
+    SCAN_STEPS,
+    SCAN_THRESHOLD,
+    VALUE_TOL,
+)
 from caywalk.engine import (
     ALLOWED_MST_SIZES,
     APERIODIC_WALK,
@@ -37,6 +43,7 @@ from caywalk.groups import (
     power,
     subgroup_closure,
 )
+from caywalk.oracle import ScanHit, WalkOperator, _best_offdiagonal_grid, _phases
 
 # Cyclic orders for the differential tests: every order to 64, then prime
 # powers and products up to 729 (orbit_conjugacy takes O(r^2) Python steps).
@@ -112,6 +119,57 @@ def expm_taylor(m: np.ndarray) -> np.ndarray:
     for _ in range(s):
         out = out @ out
     return out
+
+
+def dense_column(op: WalkOperator, t: float, a: int) -> np.ndarray:
+    """Column a of U(t) from the eigendecomposition: the earlier body of
+    oracle.evolve_column, kept as the reference for its Chebyshev form."""
+    return op.vectors @ (_phases(op, t) * np.conj(op.vectors[a, :]))
+
+
+def dense_scan_pst(op: WalkOperator, a: int, t_max: float) -> list[ScanHit]:
+    """The earlier oracle.scan_pst, kept as the reference for its Chebyshev
+    form: the eigendecomposition's fidelity grid, then one golden-section
+    search per local maximum on dense columns."""
+    def best(t):
+        col = np.abs(dense_column(op, t, a))
+        col[a] = -1.0
+        b = int(np.argmax(col))
+        return b, float(col[b])
+
+    def golden_max(fn, lo, hi):
+        phi = (math.sqrt(5.0) - 1.0) / 2.0
+        x1, x2 = hi - phi * (hi - lo), lo + phi * (hi - lo)
+        f1, f2 = fn(x1), fn(x2)
+        while hi - lo > SCAN_REFINE_TOL:
+            if f1 < f2:
+                lo, x1, f1 = x1, x2, f2
+                x2 = lo + phi * (hi - lo)
+                f2 = fn(x2)
+            else:
+                hi, x2, f2 = x2, x1, f1
+                x1 = hi - phi * (hi - lo)
+                f1 = fn(x1)
+        return 0.5 * (lo + hi)
+
+    grid = np.linspace(0.0, t_max, SCAN_STEPS + 1)
+    _, values = _best_offdiagonal_grid(op, grid, a)
+    hits = []
+    for i in range(1, SCAN_STEPS):
+        if values[i] >= SCAN_THRESHOLD and values[i] >= values[i - 1] \
+                and values[i] >= values[i + 1]:
+            t_ref = golden_max(lambda t: best(t)[1], float(grid[i - 1]), float(grid[i + 1]))
+            b, f = best(t_ref)
+            hits.append(ScanHit(time=t_ref, target=b, fidelity=f))
+    hits.sort(key=lambda h: h.time)
+    merged = []
+    for h in hits:
+        if merged and abs(merged[-1].time - h.time) < 1e-6:
+            if h.fidelity > merged[-1].fidelity:
+                merged[-1] = h
+        else:
+            merged.append(h)
+    return merged
 
 
 def abelian_residue_counts(group: GroupTable, elements, v, r: int) -> np.ndarray:

@@ -297,6 +297,18 @@ def test_pst_mst_full_verdict(capsys):
     assert doc["tau_rational"] == {"ok": True, "multiplier": "pi", "p": 1, "q": 4}
     assert doc["oracle_fidelity"] == pytest.approx(1.0, abs=1e-9)
     assert doc["S_e_labels"] == ["0", "2", "4", "6"]
+    assert "oracle_skipped" not in doc
+
+
+@pytest.mark.parametrize("argv, reason", [
+    (["--oracle-max-order", "4", "pst", "mst", "--group", "z:8", "--classes", "1,2,5"],
+     "order 8 above --oracle-max-order 4"),
+    (["pst", "mst", "--group", "z:5", "--classes", "1,2"], "size 1: no transfer time to check"),
+])
+def test_pst_mst_names_why_the_oracle_was_skipped(capsys, argv, reason):
+    code, doc = run_json(capsys, argv)
+    assert code == EXIT_OK
+    assert doc["oracle_fidelity"] is None and doc["oracle_skipped"] == reason
 
 
 def test_pst_mst_by_labels_on_nonabelian(capsys):
@@ -628,6 +640,22 @@ def test_verify_import_rejects_table_field_of_wrong_type(capsys, tmp_path, spoil
     code = main(["verify", "--only", "z3_1", "--import-table", str(path)])
     assert code == EXIT_VALIDATION
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("pair", [["1", "0"], [True, 0.0], [1.0], 1.0])
+def test_verify_import_rejects_values_that_are_not_number_pairs(capsys, tmp_path, pair):
+    """es3:1 exports its numerical table as [re, im] pairs only, so the pairs
+    are what the import reads."""
+    path = tmp_path / "es27.json"
+    code, _ = run_json(capsys, ["group", "export", "--characters", "--out", str(path), "es3:1"])
+    assert code == EXIT_OK
+    doc = json.loads(path.read_text())
+    assert all("cyclotomic" not in ch for ch in doc["characters"])
+    doc["characters"][1]["values"][2] = pair
+    path.write_text(json.dumps(doc))
+    code = main(["verify", "--only", "z3_1", "--import-table", str(path)])
+    assert code == EXIT_VALIDATION
+    assert "values must be lists of [re, im] number pairs" in capsys.readouterr().err
 
 
 def test_verify_import_rejects_corrupt_table(capsys, tmp_path):

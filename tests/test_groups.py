@@ -491,6 +491,23 @@ def test_power_matches_scalar_reference_on_random_pairs(spec):
     assert scalars == want[:40] and all(type(x) is int for x in scalars)
 
 
+@pytest.mark.parametrize("spec", ["z:12", "es3:1:9", "m2:5", "wreath:z:3:2"])
+def test_power_by_a_scalar_exponent_matches_stepping(spec):
+    """The bit loop of a scalar k, on every element at once, for every k
+    within twice the exponent either side of 0."""
+    group = build_group(parse_group_spec(spec))
+    exponent = conjugacy(group).exponent
+    g = np.arange(group.order)
+    for k in range(-2 * exponent - 1, 2 * exponent + 2):
+        want = [scalar_power(group, a, k) for a in range(group.order)]
+        assert power(group, g, k).tolist() == want, k
+        assert power(group, g, np.int64(k)).tolist() == want, k
+        assert power(group, g[5], k) == want[5] and type(power(group, 5, k)) is int
+    once = power(group, g, 1)
+    once[0] = -1
+    assert g[0] == 0  # the result never aliases the argument
+
+
 def test_subgroup_closure_values():
     g = build_cyclic(8)
     assert subgroup_closure(g, [2]) == (0, 2, 4, 6)

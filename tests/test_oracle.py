@@ -1,4 +1,5 @@
-"""Matrix-exponential oracle, checked against an independent Taylor series."""
+"""Matrix-exponential oracle, checked against an independent Taylor series
+and against the eigendecomposition route its Chebyshev expansion replaced."""
 import dataclasses
 import json
 import math
@@ -11,7 +12,7 @@ import pytest
 from caywalk.cayley import adjacency_matrix, cayley_graph
 from caywalk.cli import EXIT_OK, main
 from caywalk.config import SCAN_STEPS
-from caywalk.errors import InvalidParameterError
+from caywalk.errors import InvalidParameterError, NumericalFailureError, SizeLimitError
 from caywalk.families import shipped_certificates
 from caywalk.groups import (
     build_abelian_power,
@@ -22,8 +23,8 @@ from caywalk.groups import (
     parse_group_spec,
 )
 from caywalk.oracle import (
-    _best_offdiagonal,
     _best_offdiagonal_grid,
+    _bessel,
     build_hermitian_operator,
     build_operator,
     evolve,
@@ -34,7 +35,7 @@ from caywalk.oracle import (
     scan_pst,
 )
 
-from conftest import dense_commutes, expm_taylor
+from conftest import dense_column, dense_commutes, dense_scan_pst, expm_taylor
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 TAU3 = 2 * math.pi / (3 * math.sqrt(3.0))
@@ -165,9 +166,11 @@ def test_commutation_matches_dense_reference_on_every_shipped_certificate():
 
 
 def test_permutation_check_sees_a_matrix_that_does_not_commute():
-    """The operator keeps its eigenvectors, so U(pi/4) is still the shift by
-    2, but its matrix is swapped for a random skew matrix."""
+    """The operator keeps its eigenvectors (decomposed before the swap), so
+    U(pi/4) is still the shift by 2, but its matrix is swapped for a random
+    skew matrix."""
     op = skew_operator(8, [1, 2, 5])
+    assert op.vectors is op.spectrum[1]
     raw = np.random.default_rng(5).standard_normal((8, 8))
     doctored = dataclasses.replace(op, matrix=raw - raw.T)
     rep = permutation_check(doctored, math.pi / 4)
@@ -227,12 +230,13 @@ def test_blocked_grid_matches_pointwise_scan(spec, classes, oriented):
     for a in (g.identity, g.order - 1):
         targets, values = _best_offdiagonal_grid(op, grid, a)
         for t, b_grid, f_grid in zip(grid.tolist(), targets.tolist(), values.tolist()):
-            b, f = _best_offdiagonal(op, t, a)
+            mags = np.abs(dense_column(op, t, a))
+            mags[a] = -1.0
+            b = int(np.argmax(mags))
+            f = mags[b]
             assert abs(f_grid - f) <= 1e-12, (spec, a, t)
             if b_grid != b:
                 # Only a near-tie between best and runner-up may pick another target.
-                mags = np.abs(evolve_column(op, t, a))
-                mags[a] = -1.0
                 assert f - np.partition(mags, -2)[-2] <= 1e-9, (spec, a, t)
 
 
@@ -260,3 +264,136 @@ def test_scan_workload_matches_reference_at_its_seed(capsys):
         else:
             problems = check["check_scan"](json.loads(out), ref["stdout"], source)
         assert problems == [], (argv, problems)
+
+
+# ---------------------------------------------------------------------------
+# Chebyshev evolution against the eigendecomposition and the Taylor series
+
+def test_single_states_need_no_eigendecomposition():
+    op = skew_operator(8, [1, 2, 5])
+    fidelity(op, math.pi / 4, 0, 2)
+    scan_pst(op, 0, t_max=1.0)
+    assert op.spectrum is None
+    evolve(op, 0.1)
+    assert op.spectrum is not None
+
+
+def test_rho_is_the_largest_absolute_row_sum_and_bounds_the_spectrum():
+    for cert in shipped_certificates():
+        a = adjacency_matrix(cert.graph())
+        op = (build_operator if cert.oriented else build_hermitian_operator)(a)
+        # Row g holds +1 per arc into g and -1 per arc out of g: 2|C| if oriented.
+        assert op.rho == np.abs(a).sum(axis=1).max()
+        assert op.rho == len(cert.graph().elements) * (2 if cert.oriented else 1)
+        assert np.max(np.abs(op.eigenvalues)) <= op.rho + 1e-12, cert.name
+
+
+def _both_modes(cert):
+    """The certificate's walk in its own mode, and the undirected walk on
+    |A| (the arcs without their orientation) in hermitian mode."""
+    a = adjacency_matrix(cert.graph())
+    if not cert.oriented:
+        return [build_hermitian_operator(a)]
+    return [build_operator(a), build_hermitian_operator(np.abs(a))]
+
+
+def test_chebyshev_matches_eigendecomposition_on_every_shipped_certificate():
+    for cert in shipped_certificates():
+        e = cert.group.identity
+        for op in _both_modes(cert):
+            for t in (cert.tau, 0.37, -1.3):
+                col = evolve_column(op, t, e)
+                assert np.max(np.abs(col - dense_column(op, t, e))) <= 1e-10, (cert.name, t)
+            mag, entry = fidelity(op, cert.tau, e, cert.z)
+            ref = dense_column(op, cert.tau, e)[cert.z]
+            assert abs(entry - ref) <= 1e-10 and abs(mag - abs(ref)) <= 1e-10, cert.name
+
+
+@pytest.mark.parametrize("spec, classes, oriented", [
+    ("z:3", [1], True), ("z:8", [1, 2, 5], True), ("z:4", [1, 3], False), ("z:6", [1, 5], False),
+])
+def test_evolve_column_matches_taylor_series(spec, classes, oriented):
+    g = build_group(parse_group_spec(spec))
+    a = adjacency_matrix(cayley_graph(g, classes, oriented=oriented))
+    op = build_operator(a) if oriented else build_hermitian_operator(a)
+    for t in (0.0, 1e-17, 1e-9, 0.3, -1.7, TAU3, 5.0):
+        direct = expm_taylor((t if oriented else 1j * t) * a)
+        for v in (0, g.order - 1):
+            assert np.max(np.abs(evolve_column(op, t, v) - direct[:, v])) < 1e-11, (spec, t, v)
+
+
+def test_bessel_values_satisfy_their_identities():
+    """Each row sums to 1 as J_0 + 2 sum J_2k, J_k(-w) = (-1)^k J_k(w), and
+    the first values match the power series where it converges fast."""
+    for w in (0.0, 1e-20, 2.5e-16, 1e-6, 0.5, 3.0, 40.0, 151.2):
+        row = np.array(_bessel(w, 240))  # K(151.2) + 10 = 232 terms
+        assert abs(row[0] + 2 * row[2::2].sum() - 1.0) < 1e-14, w
+        assert np.array_equal(np.array(_bessel(-w, 240))[1::2], -row[1::2]), w
+        if w <= 0.5:
+            series = [sum((-1) ** m * (w / 2) ** (2 * m + k) /
+                          (math.factorial(m) * math.factorial(m + k)) for m in range(12))
+                      for k in range(6)]
+            assert np.max(np.abs(row[:6] - series)) < 1e-15, w
+
+
+SCAN_GROUPS = [
+    ("m2:7", [2, 10, 17, 18, 26, 32, 34, 42, 50, 58]),
+    ("wreath:z:3:3", [3, 6]),
+    ("es3:2", [1, 3, 5, 11, 29]),
+    ("z3^6", [1, 3, 9, 27, 81, 243]),
+]
+
+
+@pytest.mark.parametrize("spec, classes", SCAN_GROUPS)
+def test_scan_hits_match_the_dense_scan(spec, classes):
+    """From the sources the benchmark's seeds 42, 7, 1, 100 and 12345 pick:
+    the same targets, fidelities to 1e-12. A hit sits where the curve is flat
+    to first order, so each route's round-off of about 1e-15 in fidelity
+    moves its golden-section time by up to about 1e-8."""
+    g = build_group(parse_group_spec(spec))
+    op = build_operator(adjacency_matrix(cayley_graph(g, classes)))
+    for a in sorted({seed % g.order for seed in (42, 7, 1, 100, 12345)}):
+        hits, ref = scan_pst(op, a, t_max=12.6), dense_scan_pst(op, a, 12.6)
+        assert [h.target for h in hits] == [h.target for h in ref], (spec, a)
+        for h, r in zip(hits, ref):
+            assert abs(h.time - r.time) <= 2e-8, (spec, a, h, r)
+            assert abs(h.fidelity - r.fidelity) <= 1e-12, (spec, a, h, r)
+
+
+def test_hermitian_scan_matches_the_dense_scan():
+    g = build_group(parse_group_spec("z:4"))
+    op = build_hermitian_operator(adjacency_matrix(cayley_graph(g, [1, 3], oriented=False)))
+    hits, ref = scan_pst(op, 1, t_max=12.6), dense_scan_pst(op, 1, 12.6)
+    assert [h.target for h in hits] == [h.target for h in ref] == [3] * 4
+    assert max(abs(h.time - r.time) for h, r in zip(hits, ref)) <= 2e-8
+
+
+def test_norm_check_catches_a_rho_below_the_spectral_norm():
+    """On z:3 the spectral norm is sqrt(3) > rho/2 = 1, so the expansion in
+    A/(rho/2) leaves [-1, 1], where T_k grows like 3.15**k, and the truncated
+    series loses the norm once omega is large enough (here 10 per window)."""
+    op = dataclasses.replace(skew_operator(3, [1]), rho=1.0)
+    with pytest.raises(NumericalFailureError, match="lost the norm"):
+        evolve_column(op, 3 * TAU3, 0)
+    with pytest.raises(NumericalFailureError, match="lost the norm"):
+        scan_pst(op, 0, t_max=100.0)
+    g = build_group(parse_group_spec("es3:2"))
+    op = build_operator(adjacency_matrix(cayley_graph(g, [1, 3, 5, 11, 29])))
+    with pytest.raises(NumericalFailureError, match="lost the norm"):
+        scan_pst(dataclasses.replace(op, rho=op.rho / 2), 0, t_max=12.6)
+
+
+def test_times_that_no_expansion_covers_are_refused():
+    """omega = t*rho up to 2000 is one expansion (past 1418 its term bound
+    overflows a float, so K is found in logarithms); beyond, exit 4."""
+    op = skew_operator(8, [1, 2, 5])
+    t = 1999.0 / op.rho
+    assert np.max(np.abs(evolve_column(op, t, 0) - dense_column(op, t, 0))) < 1e-9
+    with pytest.raises(SizeLimitError):
+        evolve_column(op, 2001.0 / op.rho, 0)
+    with pytest.raises(InvalidParameterError):
+        evolve_column(op, math.nan, 0)
+    with pytest.raises(SizeLimitError):
+        evolve_column(op, 1e9, 0)
+    with pytest.raises(InvalidParameterError):
+        scan_pst(op, 0, t_max=math.inf)
