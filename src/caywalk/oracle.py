@@ -159,9 +159,10 @@ def _bessel(omega: float, count: int) -> list[float]:
     J_1 < _TAIL. A Python loop: numpy pays more per call than one step costs.
     """
     w = abs(omega)
-    top = _terms(w) + 10
+    terms = _terms(w)
+    top = terms + 10
     vals = [0.0] * max(count, top + 2)
-    if top == 11:
+    if terms == 1:
         vals[0] = 1.0
         return vals[:count]
     vals[top] = 1.0
