@@ -495,7 +495,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=None,
                         help="RNG seed for numerical character tables (default 42)")
     parser.add_argument("--max-order", dest="max_order", type=int, default=None,
-                        help="largest group order any constructor may build")
+                        help="largest group order any constructor may build "
+                             "(never more than 65,536)")
     parser.add_argument("--oracle-max-order", dest="oracle_max_order", type=int,
                         default=None,
                         help="largest order the matrix oracle will exponentiate")

@@ -1,10 +1,14 @@
 """Finite groups as explicit multiplication tables.
 
-Every group is a validated Cayley table over elements 0..order-1. Family
-constructors (cyclic powers, extraspecial 3-groups, modular maximal-cyclic
-2-groups, wreath products with the full symmetric group) attach generator-word
-labels and the GroupSpec that rebuilds them. A spec's compact spelling is the
-one group grammar of the CLI, the fixture files and every printed group name.
+Every group is a validated Cayley table over elements 0..order-1, stored as
+uint16: an order-65,536 table already takes 8 GB, so every element index a
+table can hold fits, and larger orders are refused before anything is
+allocated. Family constructors (cyclic powers, extraspecial 3-groups, modular
+maximal-cyclic 2-groups, wreath products with the full symmetric group) write
+uint16 directly, a slice at a time, with no wider |G|^2 temporary; they attach
+generator-word labels and the GroupSpec that rebuilds them. A spec's compact
+spelling is the one group grammar of the CLI, the fixture files and every
+printed group name.
 """
 from __future__ import annotations
 
@@ -27,8 +31,12 @@ from .errors import (
     require_keys,
 )
 
-# The associativity test compares row blocks of this many entries at a time.
-_ASSOC_BLOCK_ENTRIES = 2**16
+# The element type of every table, and the largest order it can index.
+ELEMENT = np.uint16
+MAX_TABLE_ORDER = 2**16
+# Row blocks of this many entries: the associativity test, the inverse search
+# and file loads work through a table one block at a time.
+_BLOCK_ENTRIES = 2**16
 
 
 @dataclass(frozen=True)
@@ -68,7 +76,13 @@ class GroupSpec:
 
 @dataclass(frozen=True, eq=False)
 class GroupTable:
-    """Immutable multiplication table: mul[a, b] is the product a*b."""
+    """Immutable multiplication table: mul[a, b] is the product a*b.
+
+    mul and inv are read-only C-contiguous uint16 arrays, whatever integer
+    arrays they were given as: their shapes and the range 0..order-1 are
+    checked on the values as given, before the cast, so an entry of -1 is
+    refused rather than read as 65,535.
+    """
 
     order: int
     mul: np.ndarray
@@ -79,6 +93,10 @@ class GroupTable:
     generators: tuple[int, ...] = field(init=False, repr=False)  # found by validation
 
     def __post_init__(self):
+        _check_order_cap(self.order)
+        for name, shape in (("mul", (self.order, self.order)), ("inv", (self.order,))):
+            object.__setattr__(self, name, _elements(getattr(self, name), shape,
+                                                     self.order, name))
         object.__setattr__(self, "generators", _validate_table(self))
         self.mul.flags.writeable = False
         self.inv.flags.writeable = False
@@ -105,6 +123,19 @@ class GroupTable:
             raise InvalidParameterError(f"no element labeled {label!r}") from None
 
 
+def _elements(values, shape: tuple[int, ...], order: int, what: str) -> np.ndarray:
+    """values as a C-contiguous uint16 array, once their shape, integer type
+    and range 0..order-1 are checked as given."""
+    values = np.asarray(values)
+    if values.shape != shape:
+        raise GroupValidationError(f"{what} shape {values.shape} does not match order {order}")
+    if values.dtype.kind not in "iu":
+        raise GroupValidationError(f"{what} entries are not integers")
+    if values.size and (values.min() < 0 or values.max() >= order):
+        raise GroupValidationError(f"{what} entries out of range")
+    return np.ascontiguousarray(values, dtype=ELEMENT)
+
+
 def _validate_table(g: GroupTable) -> tuple[int, ...]:
     """Check identity, two-sided inverses and associativity exactly; return
     the generating set the associativity test used.
@@ -117,14 +148,10 @@ def _validate_table(g: GroupTable) -> tuple[int, ...]:
     """
     n = g.order
     mul = g.mul
-    if mul.shape != (n, n):
-        raise GroupValidationError(f"table shape {mul.shape} does not match order {n}")
     if not (0 <= g.identity < n):
         raise GroupValidationError(f"identity index {g.identity} out of range")
     if len(g.labels) != n:
         raise GroupValidationError("label count does not match order")
-    if mul.min() < 0 or mul.max() >= n:
-        raise GroupValidationError("table entries out of range")
 
     rng_row = np.arange(n)
     e = g.identity
@@ -133,7 +160,7 @@ def _validate_table(g: GroupTable) -> tuple[int, ...]:
     if not np.all(mul[rng_row, g.inv] == e) or not np.all(mul[g.inv, rng_row] == e):
         raise GroupValidationError("inverse axiom fails")
 
-    rows = max(1, _ASSOC_BLOCK_ENTRIES // n)
+    rows = max(1, _BLOCK_ENTRIES // n)
     gens: list[int] = []
     while len(closure := subgroup_closure(g, gens)) < n:
         s = next(i for i, h in enumerate(closure + (n,)) if h != i)  # closure is sorted
@@ -148,13 +175,20 @@ def _validate_table(g: GroupTable) -> tuple[int, ...]:
 
 def _finish(mul: np.ndarray, labels: Sequence[str], spec: GroupSpec,
             identity: int = 0) -> GroupTable:
-    mul = np.ascontiguousarray(mul, dtype=np.int32)
-    inv = np.argmax(mul == identity, axis=1).astype(np.int32)
-    return GroupTable(order=mul.shape[0], mul=mul, identity=identity,
+    """The validated group of a product table; each element's inverse is
+    where its row meets the identity, found a block of rows at a time."""
+    n = mul.shape[0]
+    rows = max(1, _BLOCK_ENTRIES // n)
+    inv = np.concatenate([np.argmax(mul[lo:lo + rows] == identity, axis=1)
+                          for lo in range(0, n, rows)])
+    return GroupTable(order=n, mul=mul, identity=identity,
                       inv=inv, labels=tuple(labels), spec=spec)
 
 
-def _check_order_cap(order: int, max_order: int) -> None:
+def _check_order_cap(order: int, max_order: int = MAX_TABLE_ORDER) -> None:
+    if order > MAX_TABLE_ORDER:
+        raise SizeLimitError(f"order {order} exceeds {MAX_TABLE_ORDER}, "
+                             f"the largest a uint16 table can index")
     if order > max_order:
         raise SizeLimitError(f"order {order} exceeds cap {max_order}")
 
@@ -181,35 +215,63 @@ def index_of_digits(vec: Sequence[int], r: int) -> int:
 # ---------------------------------------------------------------------------
 # family constructors
 
+def _cyclic_mul(r: int) -> np.ndarray:
+    """(i + j) mod r as a read-only uint16 view: row i is the window
+    i..i+r-1 of 0..r-1 written twice, so no sum is formed and none can wrap.
+    GroupTable copies it into a contiguous table."""
+    twice = np.tile(np.arange(r, dtype=ELEMENT), 2)
+    return np.lib.stride_tricks.sliding_window_view(twice, r)[:r]
+
+
+def _abelian_mul(r: int, n: int) -> np.ndarray:
+    """Componentwise addition on base-r digit vectors of length n, grown one
+    leading digit at a time: with T the table of the last m = r^k elements,
+    element f*m + a times g*m + b is ((f + g) mod r)*m + T[a, b], written
+    for one left digit f at a time."""
+    step = _cyclic_mul(r)
+    mul = step
+    for _ in range(n - 1):
+        m = mul.shape[0]
+        grown = np.empty((r, m, r, m), dtype=ELEMENT)  # [f, a, g, b]
+        for f in range(r):
+            np.add(mul[:, None, :], step[f, :, None] * m, out=grown[f])
+        mul = grown.reshape(r * m, r * m)
+    return mul
+
+
+def _metacyclic_mul(half: int, k: int, twist: int) -> np.ndarray:
+    """<x, y | x^half = y^k = e, y x y^-1 = x^twist> with x^i y^j at index
+    k*i + j: (x^i y^j)(x^i' y^j') = x^(i + i' twist^j) y^(j + j'), written
+    one left exponent j at a time."""
+    i = np.arange(half)
+    y_part = _cyclic_mul(k)
+    mul = np.empty((half, k, half, k), dtype=ELEMENT)  # [i, j, i', j']
+    x_part = np.empty((half, half), dtype=ELEMENT)
+    for j in range(k):
+        np.add.outer(i.astype(ELEMENT), (i * pow(twist, j, half) % half).astype(ELEMENT),
+                     out=x_part)
+        x_part %= half
+        x_part *= k
+        np.add(x_part[:, :, None], y_part[j], out=mul[:, j])
+    return mul.reshape(half * k, half * k)
+
+
 def build_cyclic(r: int, max_order: int = DEFAULT_MAX_ORDER) -> GroupTable:
     """Cyclic group of order r; element i is labeled str(i)."""
     if r < 1:
         raise InvalidParameterError("cyclic order must be positive")
     _check_order_cap(r, max_order)
-    idx = np.arange(r, dtype=np.int32)
-    mul = idx[:, None] + idx[None, :]
-    np.subtract(mul, r, out=mul, where=mul >= r)
-    return _finish(mul, [str(i) for i in range(r)], GroupSpec("cyclic", r=r))
+    return _finish(_cyclic_mul(r), [str(i) for i in range(r)], GroupSpec("cyclic", r=r))
 
 
 def build_abelian_power(r: int, n: int, max_order: int = DEFAULT_MAX_ORDER) -> GroupTable:
     """Direct power Z_r^n with componentwise addition on digit vectors."""
     if r < 1 or n < 1:
         raise InvalidParameterError("need r >= 1 and n >= 1")
-    order = r**n
-    _check_order_cap(order, max_order)
-    # Grow the table one leading digit at a time: with T the table of the
-    # last m = r^k elements, element f*m + a times g*m + b is
-    # ((f + g) mod r)*m + T[a, b]. The result is the only O(|G|^2) array held.
-    digit = np.arange(r, dtype=np.int32)
-    step = np.add.outer(digit, digit) % r
-    mul = step
-    for _ in range(n - 1):
-        m = mul.shape[0]
-        mul = (step[:, None, :, None] * m + mul[None, :, None, :]).reshape(m * r, m * r)
+    _check_order_cap(r**n, max_order)
     labels = ["(" + ",".join(map(str, v)) + ")"
               for v in itertools.product(range(r), repeat=n)]
-    return _finish(mul, labels, GroupSpec("abelian", r=r, n=n))
+    return _finish(_abelian_mul(r, n), labels, GroupSpec("abelian", r=r, n=n))
 
 
 def _word(parts: list[tuple[str, int]]) -> str:
@@ -240,25 +302,32 @@ def build_extraspecial3(n: int, exponent_type: int = 3,
             raise InvalidParameterError("exponent 9 exists only at order 27 (n = 1)")
         # <x, y | x^9 = y^3 = e, y x y^-1 = x^4>; element x^i y^j at index 3i + j.
         i, j = np.divmod(np.arange(27), 3)
-        twist = 4**j % 9
-        mul = 3 * ((i[:, None] + i[None, :] * twist[:, None]) % 9) \
-            + (j[:, None] + j[None, :]) % 3
         labels = [_word([("x", x), ("y", y)]) for x, y in zip(i.tolist(), j.tolist())]
-        return _finish(mul, labels, GroupSpec("extraspecial3", n=n, exponent=9))
+        return _finish(_metacyclic_mul(9, 3, 4), labels,
+                       GroupSpec("extraspecial3", n=n, exponent=9))
 
     # Heisenberg model: (a, b, c) with a, b in F_3^n, c in F_3 and
     # (a1,b1,c1)(a2,b2,c2) = (a1+a2, b1+b2, c1+c2+a1.b2); element (a, b, c)
     # at index (A*3^n + B)*3 + c, A and B the base-3 numbers of a and b.
+    # The table is written one left A at a time, as the sum of an A' part,
+    # a (B, B') part and a (c, B', c') part.
     m = 3**n
-    ab, c = np.divmod(np.arange(order), 3)
     digits = np.array([digits_of(k, 3, n) for k in range(m)], dtype=np.int64)
-    a, b = digits[ab // m], digits[ab % m]
-    mul = (c[:, None] + c[None, :] + a @ b.T) % 3
-    for k, place in enumerate(3 ** np.arange(n - 1, -1, -1)):
-        mul += (a[:, k, None] + a[None, :, k]) % 3 * (place * 3 * m)
-        mul += (b[:, k, None] + b[None, :, k]) % 3 * (place * 3)
+    add = _abelian_mul(3, n)
+    major, minor = add * (3 * m), add * 3
+    # (c + c' + a.b') mod 3, indexed [A, c, 1, B', c'].
+    c_part = (_cyclic_mul(3)[None, :, None, None, :]
+              + (digits @ digits.T % 3).astype(ELEMENT)[:, None, None, :, None]) % 3
+    mul = np.empty((m, m, 3, m, m, 3), dtype=ELEMENT)  # [A, B, c, A', B', c']
+    for a_left in range(m):
+        np.add(major[a_left, None, None, :, None, None], minor[:, None, None, :, None],
+               out=mul[a_left])
+        mul[a_left] += c_part[a_left]
+    mul = mul.reshape(order, order)
 
     # Normal form x^a y^b z^t with t = c - a.b.
+    ab, c = np.divmod(np.arange(order), 3)
+    a, b = digits[ab // m], digits[ab % m]
     t = (c - np.sum(a * b, axis=1)) % 3
     labels = [_word([(f"x{k + 1}", ai[k]) for k in range(n)]
                     + [(f"y{k + 1}", bi[k]) for k in range(n)] + [("z", ti)])
@@ -276,15 +345,10 @@ def build_modular_maximal_cyclic(n: int, max_order: int = DEFAULT_MAX_ORDER) -> 
         raise InvalidParameterError("need n >= 4")
     order = 2**n
     _check_order_cap(order, max_order)
-    half = 2 ** (n - 1)
-    twist = 2 ** (n - 2) + 1
-
     i, j = np.divmod(np.arange(order), 2)
-    twists = np.where(j == 1, twist, 1)
-    mul = 2 * ((i[:, None] + i[None, :] * twists[:, None]) % half) \
-        + (j[:, None] + j[None, :]) % 2
     labels = [_word([("x", x), ("sigma", s)]) for x, s in zip(i.tolist(), j.tolist())]
-    return _finish(mul, labels, GroupSpec("m2", n=n))
+    return _finish(_metacyclic_mul(order // 2, 2, 2 ** (n - 2) + 1), labels,
+                   GroupSpec("m2", n=n))
 
 
 # ---------------------------------------------------------------------------
@@ -341,24 +405,29 @@ def build_wreath_sym(base: GroupTable, n: int,
 
     Product rule: (x; p)(y; q) = (x * (p.y); p o q) where (p.y)_i = y_(p^-1(i)).
     The base part of (x; p)(y; q) depends on x, y and p only, so mul is
-    filled one left permutation at a time, as a (ranks x ranks) table of base
-    coordinates repeated over the right permutations q.
+    filled one left permutation and one block of left ranks at a time, as a
+    table of base coordinates repeated over the right permutations q.
     """
+    if n < 1:
+        raise InvalidParameterError("need n >= 1")
+    _check_order_cap(base.order**n * math.factorial(n), max_order)
     wi = WreathIndexing(base, n)
-    _check_order_cap(wi.order, max_order)
     weights = base.order ** np.arange(n - 1, -1, -1, dtype=np.int64)
     ranks = base.order ** n
     digits = np.arange(ranks, dtype=np.int64)[:, None] // weights % base.order
     perms = np.array(wi.perms, dtype=np.int64).reshape(wi.fact, n)
     # Permutations are listed lexicographically, so their base-n keys ascend.
     keys = n ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    comp = np.searchsorted(perms @ keys, perms[:, perms] @ keys)  # rank of p o q
-    bmul = base.mul.astype(np.int64)
-    mul = np.empty((ranks, wi.fact, ranks, wi.fact), dtype=np.int32)
+    comp = np.searchsorted(perms @ keys, perms[:, perms] @ keys).astype(ELEMENT)  # p o q
+    mul = np.empty((ranks, wi.fact, ranks, wi.fact), dtype=ELEMENT)
+    rows = max(1, _BLOCK_ENTRIES // ranks)
     for a, pinv in enumerate(np.argsort(perms, axis=1)):
-        coords = sum(bmul[digits[:, i, None], digits[None, :, pinv[i]]] * weights[i]
-                     for i in range(n))
-        mul[:, a] = coords[:, :, None] * wi.fact + comp[a]
+        for lo in range(0, ranks, rows):  # a block of left coordinate ranks
+            left = digits[lo:lo + rows]
+            coords = sum(base.mul[left[:, i, None], digits[None, :, pinv[i]]] * weight
+                         for i, weight in enumerate(weights.tolist()))
+            coords *= wi.fact
+            np.add(coords[:, :, None], comp[a], out=mul[lo:lo + rows, a])
     mul = mul.reshape(wi.order, wi.order)
     perm_labels = [_perm_label(perm) for perm in wi.perms]
     labels = [f"({','.join(base.labels[c] for c in coords)};{perm_label})"
@@ -559,19 +628,34 @@ def _element_orders(group: GroupTable) -> np.ndarray:
 def subgroup_closure(group: GroupTable, generators: Iterable[int]) -> tuple[int, ...]:
     """Subgroup generated by the given elements (multiplicative closure).
 
-    Breadth-first from the identity: each level multiplies the whole frontier
-    by every generator and keeps the products not reached before.
+    The generators are taken in increasing order. One already inside the
+    closure of those before adds nothing; any other at least doubles it, so
+    at most log2 |G| are used. A used generator g brings its repeated squares
+    g^2, g^4, ... as steps, every member reached so far is multiplied by the
+    new steps, and the new elements then grow breadth-first by every step.
+    A set that holds the identity and is closed under the steps is the
+    subgroup they generate, and g^k takes popcount(k) levels: the closure of
+    {1} in Z_4096 takes 12 levels, not 4,095.
     """
-    gens = np.array(list(generators), dtype=np.int64)
+    mul = group.mul
     seen = np.zeros(group.order, dtype=bool)
     seen[group.identity] = True
-    frontier = np.array([group.identity])
-    while frontier.size:
-        fresh = np.zeros_like(seen)
-        fresh[group.mul[frontier[:, None], gens]] = True
-        fresh &= ~seen
-        seen |= fresh
-        frontier = np.flatnonzero(fresh)
+    steps: list[int] = []
+    for g in sorted({int(x) for x in generators}):
+        if seen[g]:
+            continue
+        new: list[int] = []
+        while not seen[g] and g not in new:
+            new.append(g)
+            g = int(mul[g, g])
+        frontier = mul[np.flatnonzero(seen)[:, None], new]
+        steps += new
+        while frontier.size:
+            fresh = np.zeros_like(seen)
+            fresh[frontier] = True
+            fresh &= ~seen
+            seen |= fresh
+            frontier = mul[np.flatnonzero(fresh)[:, None], steps]
     return tuple(np.flatnonzero(seen).tolist())
 
 
@@ -621,17 +705,31 @@ def group_to_json_str(group: GroupTable) -> str:
 def group_from_json(doc: dict, max_order: int = DEFAULT_MAX_ORDER,
                     spec: GroupSpec = GroupSpec("custom")) -> GroupTable:
     require_keys(doc, ("identity", "labels", "mul", "order"), "group document")
-    order = doc["order"]
-    if not isinstance(order, int) or order < 1:
+    order, identity = doc["order"], doc["identity"]
+    if type(order) is not int or order < 1:  # a JSON true is no order
         raise SchemaError("order must be a positive integer")
+    if type(identity) is not int:
+        raise SchemaError("identity must be an integer")
     _check_order_cap(order, max_order)
-    mul = np.array(doc["mul"], dtype=np.int64)
+    rows = doc["mul"]
     labels = [str(x) for x in doc["labels"]]
-    if mul.shape != (order, order):
+    if not isinstance(rows, list) or len(rows) != order:
         raise SchemaError("mul must be an order x order matrix")
     if len(labels) != order:
         raise SchemaError("labels length must equal order")
-    return _finish(mul, labels, spec, identity=int(doc["identity"]))
+    # Read a block of rows at a time, each checked as given before its cast.
+    mul = np.empty((order, order), dtype=ELEMENT)
+    step = max(1, _BLOCK_ENTRIES // order)
+    for lo in range(0, order, step):
+        chunk = rows[lo:lo + step]
+        try:
+            block = np.array(chunk)
+        except ValueError:  # ragged rows
+            block = np.empty(0)
+        if block.shape != (len(chunk), order):
+            raise SchemaError("mul must be an order x order matrix")
+        mul[lo:lo + step] = _elements(block, block.shape, order, "mul")
+    return _finish(mul, labels, spec, identity=identity)
 
 
 def load_group(path: str, max_order: int = DEFAULT_MAX_ORDER) -> GroupTable:

@@ -214,7 +214,7 @@ def test_closed_form_rejects_a_valid_group_under_another_spec(built, spec):
 
 def test_abelian_build_and_table_peak_memory():
     # Peak traced allocation of the Z_3^6 group and its checked table, in
-    # units of |G|^2 bytes: the group keeps 4 (int32 mul) and the table no
+    # units of |G|^2 bytes: the group keeps 2 (uint16 mul) and the table no
     # |G|^2 array at all, so the Z_4^6 table alone peaks under 1 MB.
     build_abelian_power(2, 2)
     abelian_character_table(2, 2)
@@ -229,7 +229,7 @@ def test_abelian_build_and_table_peak_memory():
         _, table_peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 12 * group.order**2
+    assert peak < 4 * group.order**2
     assert table_peak - start < 2**20
 
 

@@ -1,6 +1,7 @@
 """Group tables, family constructors, conjugacy machinery, JSON interchange."""
 import json
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from caywalk.cayley import enumerate_oriented_class_unions
+from caywalk.cli import EXIT_SIZE, EXIT_VALIDATION, main
 from caywalk.errors import (
     GroupValidationError,
     InvalidParameterError,
@@ -17,6 +19,7 @@ from caywalk.errors import (
 )
 from caywalk.groups import (
     GroupTable,
+    _cyclic_mul,
     _element_orders,
     WreathElement,
     WreathIndexing,
@@ -88,9 +91,114 @@ def test_cyclic_table():
     assert g.label_of(3) == "3" and g.index_of("4") == 4
     for r in CYCLIC_ORDERS:
         idx = np.arange(r)
-        mul = build_cyclic(r).mul
-        assert mul.dtype == np.int32
-        assert np.array_equal(mul, (idx[:, None] + idx[None, :]) % r), r
+        assert np.array_equal(build_cyclic(r).mul, (idx[:, None] + idx[None, :]) % r), r
+
+
+def test_cyclic_window_does_not_wrap_at_the_largest_order():
+    # A view over 2 * 65,536 entries: the 8 GB table itself is never formed.
+    r = 2**16
+    mul = _cyclic_mul(r)
+    assert mul.shape == (r, r) and mul.dtype == np.uint16
+    j = np.arange(r)
+    for i in (0, 1, 2**15, r - 1):
+        assert np.array_equal(mul[i], (i + j) % r), i
+
+
+@pytest.mark.parametrize("spec", ["z:12", "z3^4", "es3:2", "es3:1:9", "m2:6",
+                                  "wreath:z:3:2", "wreath:es3:1:1", "file", "custom"])
+def test_every_construction_path_stores_read_only_uint16_tables(tmp_path, spec):
+    if spec == "custom":
+        g = build_cyclic(6)
+        group = GroupTable(order=6, mul=g.mul.astype(np.int64), identity=0,
+                           inv=g.inv.astype(np.int64), labels=g.labels)
+    elif spec == "file":
+        path = tmp_path / "g.json"
+        save_group(build_group(parse_group_spec("wreath:z:2:3")), str(path))
+        group = load_group(str(path))
+    else:
+        group = build_group(parse_group_spec(spec))
+    for table in (group.mul, group.inv):
+        assert table.dtype == np.uint16
+        assert table.flags.c_contiguous and not table.flags.writeable
+    assert np.array_equal(group.mul[np.arange(group.order), group.inv], np.zeros(group.order))
+
+
+@pytest.mark.parametrize("entry", ["minus one", "order"])
+def test_range_is_checked_before_the_uint16_cast(tmp_path, entry):
+    g = build_cyclic(5)
+    bad = -1 if entry == "minus one" else 5
+    mul = g.mul.astype(np.int64)
+    mul[2, 3] = bad
+    with pytest.raises(GroupValidationError, match="mul entries out of range"):
+        GroupTable(order=5, mul=mul, identity=0, inv=g.inv.copy(), labels=g.labels)
+    inv = g.inv.astype(np.int64)
+    inv[1] = bad
+    with pytest.raises(GroupValidationError, match="inv entries out of range"):
+        GroupTable(order=5, mul=g.mul, identity=0, inv=inv, labels=g.labels)
+    doc = group_to_json(g)
+    doc["mul"][2][3] = bad
+    with pytest.raises(GroupValidationError, match="out of range"):
+        group_from_json(doc)
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["group", "info", f"file:{path}"]) == EXIT_VALIDATION
+
+
+@pytest.mark.parametrize("bad", [1.5, "1", None, 2**70])
+def test_file_tables_refuse_entries_that_are_not_integers(bad):
+    doc = group_to_json(build_cyclic(3))
+    doc["mul"][1][2] = bad
+    with pytest.raises(GroupValidationError, match="not integers"):
+        group_from_json(doc)
+
+
+def test_ragged_file_table_is_a_schema_error():
+    doc = group_to_json(build_cyclic(3))
+    doc["mul"][1] = [1, 2]
+    with pytest.raises(SchemaError):
+        group_from_json(doc)
+
+
+@pytest.mark.parametrize("field, value", [("identity", "0"), ("identity", 0.0),
+                                          ("identity", False), ("identity", None),
+                                          ("order", True), ("order", 3.0)])
+def test_file_order_and_identity_must_be_integers(field, value):
+    doc = group_to_json(build_cyclic(1 if field == "order" else 3))
+    doc[field] = value
+    with pytest.raises(SchemaError, match=f"{field} must be"):
+        group_from_json(doc)
+
+
+@pytest.mark.parametrize("spec", ["z:70000", "wreath:z:4:5", "z2^17", "m2:17", "es3:5"])
+def test_orders_past_uint16_are_refused_before_any_allocation(spec):
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeLimitError, match="uint16"):
+            build_group(parse_group_spec(spec), max_order=10**6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+def test_cli_refuses_orders_past_uint16_with_exit_4(capsys):
+    assert main(["--max-order", "1000000", "group", "info", "z:70000"]) == EXIT_SIZE
+    assert "65536" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("spec", ["z:4096", "z3^7", "es3:3", "m2:10", "wreath:z:3:4",
+                                  "wreath:z:32:2"])
+def test_builds_trace_at_most_three_table_sizes(spec):
+    """The uint16 table is 2 |G|^2 bytes; the constructor, the inverse search and
+    the checks together add at most |G|^2 more."""
+    parsed = parse_group_spec(spec)
+    tracemalloc.start()
+    try:
+        group = build_group(parsed)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * group.order**2
 
 
 def test_cyclic_rejects_bad_order():
@@ -206,6 +314,18 @@ def test_subgroup_closure_matches_deque_reference_on_every_connection_set(spec):
             gens = [g for c in row for g in conj.classes[c]]
             assert subgroup_closure(group, gens) == deque_subgroup_closure(group, gens)
     assert subgroup_closure(group, []) == deque_subgroup_closure(group, []) == (0,)
+
+
+def test_subgroup_closure_matches_deque_reference_on_random_generator_subsets(s5_table):
+    rng = np.random.default_rng(2026)
+    groups = [s5_table, *(build_group(parse_group_spec(spec)) for spec in family_members(729))]
+    for group in groups:
+        subsets = [list(group.generators), [int(rng.integers(group.order))]]
+        subsets += [rng.choice(group.order, size=k, replace=False).tolist()
+                    for k in rng.integers(1, min(group.order, 6) + 1, size=4)]
+        for gens in subsets:
+            assert subgroup_closure(group, gens) == deque_subgroup_closure(group, gens), \
+                (group.family_tag, gens)
 
 
 def test_subgroup_closure_follows_a_2047_level_chain():
