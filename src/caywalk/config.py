@@ -30,8 +30,8 @@ DEFAULT_MAX_ORDER = 4096
 # Oracle verification is skipped above this many vertices unless forced.
 DEFAULT_ORACLE_MAX_ORDER = 200
 DEFAULT_SEED = 42
-# Numerical character tables are refused above this many classes.
-MAX_TABLE_CLASSES = 128
+# Numerical character tables are refused above this many classes (m2:12 has 2,560).
+MAX_TABLE_CLASSES = 2560
 TABLE_RETRIES = 8
 
 

@@ -711,12 +711,12 @@ def group_from_json(doc: dict, max_order: int = DEFAULT_MAX_ORDER,
     if type(identity) is not int:
         raise SchemaError("identity must be an integer")
     _check_order_cap(order, max_order)
-    rows = doc["mul"]
-    labels = [str(x) for x in doc["labels"]]
+    rows, labels = doc["mul"], doc["labels"]
     if not isinstance(rows, list) or len(rows) != order:
         raise SchemaError("mul must be an order x order matrix")
-    if len(labels) != order:
-        raise SchemaError("labels length must equal order")
+    if not isinstance(labels, list) or len(labels) != order or \
+            not all(type(x) is str for x in labels):
+        raise SchemaError(f"labels must be a list of {order} strings")
     # Read a block of rows at a time, each checked as given before its cast.
     mul = np.empty((order, order), dtype=ELEMENT)
     step = max(1, _BLOCK_ENTRIES // order)
@@ -728,6 +728,8 @@ def group_from_json(doc: dict, max_order: int = DEFAULT_MAX_ORDER,
             block = np.empty(0)
         if block.shape != (len(chunk), order):
             raise SchemaError("mul must be an order x order matrix")
+        if not set(map(type, itertools.chain.from_iterable(chunk))) <= {int}:
+            raise GroupValidationError("mul entries are not integers")
         mul[lo:lo + step] = _elements(block, block.shape, order, "mul")
     return _finish(mul, labels, spec, identity=identity)
 

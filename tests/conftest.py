@@ -375,6 +375,21 @@ def row_loop_stabilizers(table, power_perm, units) -> tuple[tuple[int, ...], ...
     return tuple(stabs)
 
 
+def structure_constants(group: GroupTable) -> np.ndarray:
+    """Class-algebra constants a[i, j, l]: K_i * K_j = sum_l a[i,j,l] K_l."""
+    conj = group.conj
+    k = len(conj.classes)
+    order = group.order
+    reps = [cls[0] for cls in conj.classes]
+    a = np.zeros((k, k, k), dtype=np.float64)
+    class_of = conj.class_of
+    everyone = np.arange(order)
+    for l, z in enumerate(reps):
+        partner = group.mul[group.inv[everyone], z]
+        np.add.at(a, (class_of, class_of[partner], np.full(order, l)), 1.0)
+    return a
+
+
 def rounded_row_order(values: np.ndarray, degrees: np.ndarray) -> list[int]:
     """Rows by degree, then by each value rounded to 6 decimals, one Python
     key per row.

@@ -22,7 +22,6 @@ from caywalk.characters import (
     kernel,
     load_character_table,
     rational_intersection,
-    structure_constants,
     units_mod,
 )
 from caywalk.errors import NumericalFailureError, SchemaError
@@ -45,6 +44,7 @@ from conftest import (
     row_loop_stabilizers,
     set_unit_closure,
     stabilizer_tuples,
+    structure_constants,
 )
 
 
@@ -284,6 +284,23 @@ def test_structure_constants_counting_identity(s3_table):
     for i in range(k):
         for j in range(k):
             assert sizes[i] * sizes[j] == pytest.approx(float(a[i, j] @ sizes))
+
+
+@pytest.mark.parametrize("spec", ["s3", "s5", "m2:4", "m2:5", "m2:6", "m2:7", "es3:1",
+                                  "es3:1:9", "es3:2", "wreath:z:3:2", "wreath:z:3:3",
+                                  "wreath:z:3:4", "wreath:z:4:2", "wreath:z:4:3"])
+def test_class_combination_is_the_contracted_structure_tensor(spec, request):
+    """Column by column, on the dyadic grid of the seeded draw, the route's
+    M is the reference tensor contracted with the same coefficients, bit
+    for bit."""
+    if spec in ("s3", "s5"):
+        g = request.getfixturevalue(f"{spec}_table")
+    else:
+        g = build_group(parse_group_spec(spec))
+    k = len(g.conj.classes)
+    coeff = np.random.default_rng(42).integers(1 << 20, 3 << 20, size=k) / (1 << 21)
+    want = np.tensordot(coeff, structure_constants(g), axes=(0, 0))
+    assert np.array_equal(characters._class_combination(g, coeff), want)
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ import sys
 import numpy as np
 import pytest
 
+from caywalk import characters
 from caywalk.cli import (
     EXIT_OK,
     EXIT_SIZE,
@@ -19,7 +20,7 @@ from caywalk.cli import (
     main,
 )
 from caywalk.errors import InvalidParameterError
-from caywalk.families import shipped_certificates
+from caywalk.families import family_extraspecial3, family_m2, shipped_certificates
 from caywalk.groups import (
     GroupSpec,
     build_group,
@@ -316,6 +317,29 @@ def test_pst_mst_by_labels_on_nonabelian(capsys):
                                   "--classes", "x1,y1,z"])
     assert code == EXIT_OK and doc["size"] == 3
     assert doc["tau_rational"]["multiplier"] == "pi/sqrt3"
+
+
+@pytest.mark.parametrize("spec, size, tau", [
+    ("es3:3", 3, 2 * math.pi / (3 * math.sqrt(3.0))),
+    ("m2:8", 4, math.pi / 4),
+])
+def test_pst_mst_certifies_family_members_past_128_classes(capsys, spec, size, tau):
+    """es3:3 has 731 classes and m2:8 has 160; both get numerical tables."""
+    cert = family_extraspecial3(3) if spec == "es3:3" else family_m2(8)
+    classes = ",".join(map(str, cert.connection_classes))
+    code, doc = run_json(capsys, ["pst", "mst", "--group", spec, "--classes", classes])
+    assert code == EXIT_OK
+    assert doc["size"] == cert.claimed_size == size and cert.z in doc["S_e"]
+    assert doc["tau"] == pytest.approx(tau, abs=1e-12)
+
+
+def test_pst_mst_refuses_classes_past_the_cap_before_forming_the_matrix(capsys, monkeypatch):
+    formed = []
+    monkeypatch.setattr(characters, "MAX_TABLE_CLASSES", 82)
+    monkeypatch.setattr(characters, "_class_combination", lambda *args: formed.append(args))
+    code = main(["pst", "mst", "--group", "es3:2", "--classes", "1,3,5,11,29"])
+    assert code == EXIT_SIZE and formed == []
+    assert "83 classes exceeds numerical cap 82" in capsys.readouterr().err
 
 
 def test_pst_mst_witnesses(capsys):

@@ -152,6 +152,29 @@ def test_file_tables_refuse_entries_that_are_not_integers(bad):
         group_from_json(doc)
 
 
+def test_file_tables_refuse_a_boolean_of_the_right_value(tmp_path):
+    """In z:3, 2 * 2 = 1, and numpy reads a JSON true among integers as 1."""
+    doc = group_to_json(build_cyclic(3))
+    doc["mul"][2][2] = True
+    with pytest.raises(GroupValidationError, match="not integers"):
+        group_from_json(doc)
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["group", "info", f"file:{path}"]) == EXIT_VALIDATION
+
+
+@pytest.mark.parametrize("labels", ["abc", ["a", "b", 2], {"a": 0, "b": 1, "c": 2},
+                                    ["a", "b"]])
+def test_file_labels_must_be_a_list_of_strings(tmp_path, labels):
+    doc = group_to_json(build_cyclic(3))
+    doc["labels"] = labels
+    with pytest.raises(SchemaError, match="labels must be a list of 3 strings"):
+        group_from_json(doc)
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["group", "info", f"file:{path}"]) == EXIT_VALIDATION
+
+
 def test_ragged_file_table_is_a_schema_error():
     doc = group_to_json(build_cyclic(3))
     doc["mul"][1] = [1, 2]
