@@ -301,6 +301,9 @@ def cmd_pst(args: argparse.Namespace, config: RunConfig) -> int:
 
 def _cmd_pst_oracle(args: argparse.Namespace, config: RunConfig, graph) -> int:
     group = graph.group
+    t_max = args.t_max
+    if t_max is not None and not 0 < t_max < math.inf:  # refuses nan too
+        raise InvalidParameterError("--t-max must be positive and finite")
     if group.order > config.oracle_max_order:
         raise SizeLimitError(
             f"group order {group.order} exceeds the oracle cap "
@@ -311,7 +314,6 @@ def _cmd_pst_oracle(args: argparse.Namespace, config: RunConfig, graph) -> int:
     source = _resolve_element(group, args.source) if args.source else group.identity
 
     if args.scan:
-        t_max = args.t_max
         if args.format == "csv":
             print(fidelity_series_csv(op, source, t_max or 4.0 * np.pi), end="")
             return EXIT_OK
@@ -347,6 +349,8 @@ def _cmd_pst_oracle(args: argparse.Namespace, config: RunConfig, graph) -> int:
 # sweep
 
 def cmd_sweep(args: argparse.Namespace, config: RunConfig) -> int:
+    if args.max_classes is not None and args.max_classes <= 0:
+        raise InvalidParameterError("--max-classes must be positive")
     group = _load_group(config, args.group)
     limit = args.limit if args.limit is not None else DEFAULT_SWEEP_LIMIT
     if group.order > limit:

@@ -426,7 +426,7 @@ def dual_verify(cert: FamilyCertificate,
         elif phase < 0:
             messages.append("oracle phase is not +1")
         if transfer and mst.size > 1 and mst.minimal_time is not None:
-            perm = permutation_check(op, mst.minimal_time)
+            perm = permutation_check(op, mst.minimal_time, group)
             if not perm.ok or not perm.fixed_point_free or \
                     not perm.commutes_with_generator or perm.order != mst.size:
                 messages.append("transfer permutation structure check failed")

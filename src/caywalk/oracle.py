@@ -1,16 +1,17 @@
 """Matrix-exponential oracle for the continuous walk.
 
 Answers fidelity, permutation, and scan queries directly from the matrix,
-sharing no character theory with the criterion path. A single column of
-exp(tA) is a Chebyshev expansion in A (Tal-Ezer & Kosloff, J. Chem. Phys. 81
-(1984) 3967), one product with A per term; the full matrix comes from one
-Hermitian eigendecomposition of iA, computed on first use. A Hermitian mode
-(exp(itA) for symmetric A) covers undirected graphs.
+sharing no character theory with the criterion path. Every answer is a
+Chebyshev expansion of exp(tA) in A (Tal-Ezer & Kosloff, J. Chem. Phys. 81
+(1984) 3967), one product with A per term; a permutation U(t) follows from
+one column, as A commutes with the right translations. Only the CSV grid
+diagonalizes iA, for its t = 0 row. A Hermitian mode (exp(itA) for
+symmetric A) covers undirected graphs.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,13 +25,17 @@ from .config import (
     UNITARITY_TOL,
 )
 from .errors import InvalidParameterError, NumericalFailureError, SizeLimitError
-from .groups import permutation_cycles
+from .groups import GroupTable, permutation_cycles
 
-# Complex entries in one block of the eigendecomposition's fidelity grid
-# (8 MB): the block's time count is this over the group order. At order 729,
-# 2**20 raised the scan's peak RSS by 8 MB; this bound keeps it under the
-# eigendecomposition's peak.
+# Complex entries in one block of the CSV fidelity grid (8 MB): the block's
+# time count is this over the group order. At order 729, 2**20 raised the
+# scan's peak RSS by 8 MB; this bound keeps it under the eigendecomposition's
+# peak.
 _GRID_BLOCK_ENTRIES = 2**19
+# Bytes of Chebyshev basis evolve stores at once (terms x order x columns):
+# a whole eye(n) basis would be K(omega) n^2 8 bytes, hundreds of GB at
+# n = 4096 and omega = 2000.
+_EVOLVE_BASIS_BYTES = 2**24
 # A Chebyshev expansion at omega = t*rho keeps the terms k < K(omega), the
 # first k > omega with (omega/2)**k / k! < _TAIL. |J_k(omega)| is at most
 # that bound, which falls by more than half per term past omega, and every
@@ -44,34 +49,23 @@ _WINDOW_STEPS = 200
 _MAX_OMEGA = 2000.0
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class WalkOperator:
     """A walk generator A with its Chebyshev scale, ready to exponentiate.
 
     evolve and its kin return exp(tA) for a skew-symmetric A, exp(itA) in
     hermitian mode. rho is the largest absolute row sum of A; A is normal,
     so rho bounds its spectral norm and A/rho has its spectrum in [-1, 1]
-    (times i for skew A). The eigendecomposition of iA (of A in hermitian
-    mode) is computed on first use of eigenvalues or vectors and kept in
-    spectrum.
+    (times i for skew A).
     """
 
     matrix: np.ndarray
     rho: float
     hermitian: bool = False
-    spectrum: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False)
 
     @property
     def order(self) -> int:
         return self.matrix.shape[0]
-
-    @property
-    def eigenvalues(self) -> np.ndarray:
-        return _diagonalize(self)[0]
-
-    @property
-    def vectors(self) -> np.ndarray:
-        return _diagonalize(self)[1]
 
 
 def build_operator(a: np.ndarray) -> WalkOperator:
@@ -94,36 +88,6 @@ def _operator(a: np.ndarray, hermitian: bool) -> WalkOperator:
         raise InvalidParameterError(f"matrix is not {kind}")
     return WalkOperator(matrix=a, rho=float(np.max(np.abs(a).sum(axis=1))),
                         hermitian=hermitian)
-
-
-def _diagonalize(op: WalkOperator) -> tuple[np.ndarray, np.ndarray]:
-    """eigh of the Hermitian A (hermitian) or iA, checked by reconstruction."""
-    if op.spectrum is None:
-        herm, name = (op.matrix, "A") if op.hermitian else (1j * op.matrix, "iA")
-        eigenvalues, vectors = np.linalg.eigh(herm)
-        recon = (vectors * eigenvalues) @ vectors.conj().T
-        if np.max(np.abs(recon - herm)) > RECONSTRUCTION_TOL:
-            raise NumericalFailureError(f"eigendecomposition failed to reconstruct {name}")
-        op.spectrum = (eigenvalues, vectors)
-    return op.spectrum
-
-
-def _phases(op: WalkOperator, t: float) -> np.ndarray:
-    sign = 1j if op.hermitian else -1j
-    return np.exp(sign * op.eigenvalues * t)
-
-
-def evolve(op: WalkOperator, t: float, check: bool = True) -> np.ndarray:
-    """Full transition matrix at time t, from the eigendecomposition."""
-    u = (op.vectors * _phases(op, t)) @ op.vectors.conj().T
-    if check:
-        n = op.order
-        defect = np.max(np.abs(u @ u.conj().T - np.eye(n)))
-        if defect > UNITARITY_TOL * max(1.0, math.sqrt(n)):
-            raise NumericalFailureError(f"evolution is not unitary (defect {defect:.2e})")
-        if not op.hermitian and np.max(np.abs(u.imag)) > UNITARITY_TOL * max(1.0, math.sqrt(n)):
-            raise NumericalFailureError("exp(tA) has an imaginary part")
-    return u
 
 
 # ---------------------------------------------------------------------------
@@ -233,6 +197,27 @@ def evolve_column(op: WalkOperator, t: float, a: int) -> np.ndarray:
     return _checked(op, coefficients @ _basis(op, v, count))
 
 
+def evolve(op: WalkOperator, t: float) -> np.ndarray:
+    """Full transition matrix at time t, by the Chebyshev expansion of a
+    block of columns at a time, whose basis holds _EVOLVE_BASIS_BYTES or one
+    column's. U must be unitary, and real (as returned) for a skew A."""
+    n = op.order
+    count = _terms(t * op.rho)
+    coefficients = _coefficients(op, np.array([t * op.rho]), count)[0]
+    width = max(1, _EVOLVE_BASIS_BYTES // (8 * count * n))
+    u = np.empty((n, n), dtype=coefficients.dtype)
+    for lo in range(0, n, width):
+        block = np.eye(n, min(width, n - lo), -lo)  # columns lo, lo + 1, ... of I
+        u[:, lo:lo + width] = np.tensordot(coefficients, _basis(op, block, count), axes=1)
+    bound = UNITARITY_TOL * max(1.0, math.sqrt(n))
+    defect = np.max(np.abs(u @ u.conj().T - np.eye(n)))
+    if defect > bound:
+        raise NumericalFailureError(f"evolution is not unitary (defect {defect:.2e})")
+    if not op.hermitian and np.max(np.abs(u.imag)) > bound:
+        raise NumericalFailureError("exp(tA) has an imaginary part")
+    return u
+
+
 def fidelity(op: WalkOperator, t: float, a: int, b: int) -> tuple[float, complex]:
     """(|U(t)[b,a]|, U(t)[b,a]): transfer magnitude and its phase-bearing entry."""
     col = evolve_column(op, t, a)
@@ -252,30 +237,39 @@ class PermutationReport:
     order: int | None
 
 
-def permutation_check(op: WalkOperator, t: float) -> PermutationReport:
-    """Test U(t) against 'permutation matrix with +1 entries'."""
-    u = evolve(op, t)
-    n = op.order
-    mags = np.abs(u)
-    perm = np.argmax(mags, axis=0)
-    cols = np.arange(n)
-    chosen = np.abs(u[perm, cols] - 1.0)
-    mags[perm, cols] = 0.0
-    deviation = max(float(np.max(chosen)), float(np.max(mags)))
-    if deviation > PERMUTATION_TOL or len(set(int(p) for p in perm)) != n:
-        return PermutationReport(ok=False, permutation=None, max_deviation=float(deviation),
+def permutation_check(op: WalkOperator, t: float, group: GroupTable) -> PermutationReport:
+    """Test U(t) against 'permutation matrix with +1 entries' from one column.
+
+    A must commute, exactly, with the right translation g -> g s by each of
+    Light's generators s of the group (Godsil & Royle, Algebraic Graph
+    Theory, ch. 3), so with every right translation, and so must U(t). Then
+    if U(t) e_e = e_z to within PERMUTATION_TOL, U(t) e_h = e_{zh} for every
+    h: U(t) is left multiplication by z, and its columns permute one set of
+    entries.
+    """
+    a = op.matrix
+    translates = all(np.array_equal(a[np.ix_(r, r)], a)
+                     for r in (group.mul[:, s] for s in group.generators))
+    col = evolve_column(op, t, group.identity)
+    mags = np.abs(col)
+    z = int(np.argmax(mags))
+    chosen = abs(col[z] - 1.0)  # a -1 entry is not a permutation
+    mags[z] = 0.0
+    deviation = max(float(chosen), float(np.max(mags)))
+    if not translates or deviation > PERMUTATION_TOL:
+        return PermutationReport(ok=False, permutation=None, max_deviation=deviation,
                                  fixed_point_free=False, commutes_with_generator=False,
                                  order=None)
-    perm_t = tuple(int(p) for p in perm)
+    perm = group.mul[z].astype(np.intp)
+    perm_t = tuple(perm.tolist())
     # With P[perm[j], j] = 1, (P^T A P)[i, j] = A[perm[i], perm[j]], and
     # P^T A P = A exactly when PA = AP.
-    a = op.matrix
-    commutes = bool(np.max(np.abs(a[np.ix_(perm, perm)] - a)) < PERMUTATION_TOL * max(1.0, n))
-    fixed_free = all(perm_t[a] != a for a in range(n))
+    commutes = bool(np.max(np.abs(a[np.ix_(perm, perm)] - a))
+                    < PERMUTATION_TOL * max(1.0, op.order))
     order = math.lcm(*map(len, permutation_cycles(perm_t)))
-    return PermutationReport(ok=True, permutation=perm_t, max_deviation=float(deviation),
-                             fixed_point_free=fixed_free, commutes_with_generator=commutes,
-                             order=order)
+    return PermutationReport(ok=True, permutation=perm_t, max_deviation=deviation,
+                             fixed_point_free=z != group.identity,
+                             commutes_with_generator=commutes, order=order)
 
 
 @dataclass(frozen=True)
@@ -291,25 +285,6 @@ def _best_offdiagonal(states: np.ndarray, a: int) -> tuple[np.ndarray, np.ndarra
     mags = np.abs(states)
     mags[..., a] = -1.0
     return np.argmax(mags, axis=-1), np.max(mags, axis=-1)
-
-
-def _best_offdiagonal_grid(op: WalkOperator, times: np.ndarray,
-                           a: int) -> tuple[np.ndarray, np.ndarray]:
-    """(targets, fidelities) from vertex a at every time, as arrays, from the
-    eigendecomposition.
-
-    Each block of times is one matrix product (phases * conj(V[a])) @ V.T, so
-    the grid costs a few zgemm calls instead of one zgemv per time.
-    """
-    weights = np.conj(op.vectors[a, :])
-    step = max(1, _GRID_BLOCK_ENTRIES // op.order)
-    targets = np.empty(len(times), dtype=np.int64)
-    values = np.empty(len(times))
-    for lo in range(0, len(times), step):
-        # Row j is U(t_j)[:, a], the state at the block's j-th time.
-        states = (_phases(op, times[lo:lo + step, None]) * weights) @ op.vectors.T
-        targets[lo:lo + step], values[lo:lo + step] = _best_offdiagonal(states, a)
-    return targets, values
 
 
 def scan_pst(op: WalkOperator, a: int, t_max: float | None = None) -> list[ScanHit]:
@@ -401,13 +376,32 @@ def _golden_max(fn, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return 0.5 * (lo + hi)
 
 
+def _eigenpairs(op: WalkOperator) -> tuple[np.ndarray, np.ndarray]:
+    """eigh of the Hermitian A (hermitian) or iA, checked by reconstruction."""
+    herm, name = (op.matrix, "A") if op.hermitian else (1j * op.matrix, "iA")
+    eigenvalues, vectors = np.linalg.eigh(herm)
+    recon = (vectors * eigenvalues) @ vectors.conj().T
+    if np.max(np.abs(recon - herm)) > RECONSTRUCTION_TOL:
+        raise NumericalFailureError(f"eigendecomposition failed to reconstruct {name}")
+    return eigenvalues, vectors
+
+
 def fidelity_series_csv(op: WalkOperator, a: int, t_max: float,
                         steps: int = SCAN_STEPS) -> str:
     """The fidelity grid as CSV, from the eigendecomposition: the reference
-    row at t = 0 names the eigensolver's round-off winner as its target."""
+    row at t = 0 names the eigensolver's round-off winner as its target. Each
+    block of times is one product (phases * conj(V[a])) @ V.T."""
+    eigenvalues, vectors = _eigenpairs(op)
+    sign = 1j if op.hermitian else -1j
+    weights = np.conj(vectors[a, :])
     grid = np.linspace(0.0, t_max, steps + 1)
-    targets, values = _best_offdiagonal_grid(op, grid, a)
+    step = max(1, _GRID_BLOCK_ENTRIES // op.order)
     lines = ["t,fidelity,target"]
-    lines += [f"{t:.12g},{f:.12g},{b}"
-              for t, f, b in zip(grid.tolist(), values.tolist(), targets.tolist())]
+    for lo in range(0, len(grid), step):
+        times = grid[lo:lo + step]
+        # Row j is U(t_j)[:, a], the state at the block's j-th time.
+        states = (np.exp(sign * eigenvalues * times[:, None]) * weights) @ vectors.T
+        targets, values = _best_offdiagonal(states, a)
+        lines += [f"{t:.12g},{f:.12g},{b}"
+                  for t, f, b in zip(times.tolist(), values.tolist(), targets.tolist())]
     return "\n".join(lines) + "\n"

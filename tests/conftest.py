@@ -10,6 +10,7 @@ import collections
 import itertools
 import json
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ import pytest
 from caywalk.characters import CharacterTable, units_mod
 from caywalk.config import (
     PERMUTATION_TOL,
+    RECONSTRUCTION_TOL,
     SCAN_REFINE_TOL,
     SCAN_STEPS,
     SCAN_THRESHOLD,
@@ -40,10 +42,11 @@ from caywalk.groups import (
     _word,
     digits_of,
     index_of_digits,
+    permutation_cycles,
     power,
     subgroup_closure,
 )
-from caywalk.oracle import ScanHit, WalkOperator, _best_offdiagonal_grid, _phases
+from caywalk.oracle import PermutationReport, ScanHit, WalkOperator
 
 # Cyclic orders for the differential tests: every order to 64, then prime
 # powers and products up to 729 (orbit_conjugacy takes O(r^2) Python steps).
@@ -121,10 +124,84 @@ def expm_taylor(m: np.ndarray) -> np.ndarray:
     return out
 
 
+# The dense route the oracle's Chebyshev expansion replaced: one eigh of iA
+# (of A in hermitian mode) per operator, kept here as the reference.
+_SPECTRA: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+# Complex entries in one block of the dense fidelity grid.
+_GRID_BLOCK_ENTRIES = 2**19
+
+
+def dense_spectrum(op: WalkOperator) -> tuple[np.ndarray, np.ndarray]:
+    """(eigenvalues, vectors) of iA (of A in hermitian mode), checked by
+    reconstruction and computed once per operator: the earlier
+    oracle._diagonalize."""
+    if op not in _SPECTRA:
+        herm = op.matrix if op.hermitian else 1j * op.matrix
+        eigenvalues, vectors = np.linalg.eigh(herm)
+        recon = (vectors * eigenvalues) @ vectors.conj().T
+        assert np.max(np.abs(recon - herm)) <= RECONSTRUCTION_TOL
+        _SPECTRA[op] = (eigenvalues, vectors)
+    return _SPECTRA[op]
+
+
+def dense_phases(op: WalkOperator, t) -> np.ndarray:
+    """exp(-i lambda t) on the eigenvalues lambda of iA (exp(i lambda t) on
+    those of A in hermitian mode), for a time or a column of times."""
+    sign = 1j if op.hermitian else -1j
+    return np.exp(sign * dense_spectrum(op)[0] * t)
+
+
+def dense_evolve(op: WalkOperator, t: float) -> np.ndarray:
+    """U(t) from the eigendecomposition: the earlier oracle.evolve."""
+    vectors = dense_spectrum(op)[1]
+    return (vectors * dense_phases(op, t)) @ vectors.conj().T
+
+
 def dense_column(op: WalkOperator, t: float, a: int) -> np.ndarray:
     """Column a of U(t) from the eigendecomposition: the earlier body of
     oracle.evolve_column, kept as the reference for its Chebyshev form."""
-    return op.vectors @ (_phases(op, t) * np.conj(op.vectors[a, :]))
+    vectors = dense_spectrum(op)[1]
+    return vectors @ (dense_phases(op, t) * np.conj(vectors[a, :]))
+
+
+def dense_grid(op: WalkOperator, times: np.ndarray, a: int) -> tuple[np.ndarray, np.ndarray]:
+    """(targets, fidelities) off vertex a at every time, from the
+    eigendecomposition, one block of times per product (phases * conj(V[a]))
+    @ V.T: the earlier oracle._best_offdiagonal_grid."""
+    vectors = dense_spectrum(op)[1]
+    weights = np.conj(vectors[a, :])
+    step = max(1, _GRID_BLOCK_ENTRIES // op.order)
+    targets = np.empty(len(times), dtype=np.int64)
+    values = np.empty(len(times))
+    for lo in range(0, len(times), step):
+        mags = np.abs((dense_phases(op, times[lo:lo + step, None]) * weights) @ vectors.T)
+        mags[:, a] = -1.0
+        targets[lo:lo + step], values[lo:lo + step] = mags.argmax(axis=1), mags.max(axis=1)
+    return targets, values
+
+
+def dense_permutation_check(op: WalkOperator, t: float) -> PermutationReport:
+    """The earlier oracle.permutation_check, on every column of the dense U(t)."""
+    u = dense_evolve(op, t)
+    n = op.order
+    mags = np.abs(u)
+    perm = np.argmax(mags, axis=0)
+    cols = np.arange(n)
+    chosen = np.abs(u[perm, cols] - 1.0)
+    mags[perm, cols] = 0.0
+    deviation = max(float(np.max(chosen)), float(np.max(mags)))
+    if deviation > PERMUTATION_TOL or len(set(int(p) for p in perm)) != n:
+        return PermutationReport(ok=False, permutation=None, max_deviation=float(deviation),
+                                 fixed_point_free=False, commutes_with_generator=False,
+                                 order=None)
+    perm_t = tuple(int(p) for p in perm)
+    a = op.matrix
+    commutes = bool(np.max(np.abs(a[np.ix_(perm, perm)] - a)) < PERMUTATION_TOL * max(1.0, n))
+    fixed_free = all(perm_t[a] != a for a in range(n))
+    order = math.lcm(*map(len, permutation_cycles(perm_t)))
+    return PermutationReport(ok=True, permutation=perm_t, max_deviation=float(deviation),
+                             fixed_point_free=fixed_free, commutes_with_generator=commutes,
+                             order=order)
 
 
 def dense_scan_pst(op: WalkOperator, a: int, t_max: float) -> list[ScanHit]:
@@ -153,7 +230,7 @@ def dense_scan_pst(op: WalkOperator, a: int, t_max: float) -> list[ScanHit]:
         return 0.5 * (lo + hi)
 
     grid = np.linspace(0.0, t_max, SCAN_STEPS + 1)
-    _, values = _best_offdiagonal_grid(op, grid, a)
+    _, values = dense_grid(op, grid, a)
     hits = []
     for i in range(1, SCAN_STEPS):
         if values[i] >= SCAN_THRESHOLD and values[i] >= values[i - 1] \

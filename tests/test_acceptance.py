@@ -61,7 +61,7 @@ from caywalk.groups import (
 )
 from caywalk.oracle import build_operator, evolve, evolve_column, fidelity, permutation_check
 
-from conftest import element_order
+from conftest import dense_spectrum, element_order
 from test_families import random_valid_z3_sets
 
 TAU3 = 2 * math.pi / (3 * math.sqrt(3.0))
@@ -309,7 +309,7 @@ def test_criterion_8_structural_properties_of_all_certificates():
             # permutation of matching order commuting with the generator
             if group.order <= DEFAULT_CONFIG.oracle_max_order:
                 op = build_operator(adjacency_matrix(graph))
-                perm = permutation_check(op, report.minimal_time)
+                perm = permutation_check(op, report.minimal_time, group)
                 assert perm.ok and perm.fixed_point_free, tag
                 assert perm.commutes_with_generator, tag
                 assert perm.order == report.size, tag
@@ -362,11 +362,11 @@ def test_criterion_9_numerical_core_properties():
             for i in range(table.n_chars):
                 predicted.extend([spec[i].imag] * int(table.degrees[i]) ** 2)
             op = build_operator(adjacency_matrix(graph))
-            observed = sorted(-lam for lam in op.eigenvalues)
+            observed = sorted(-lam for lam in dense_spectrum(op)[0])
             assert np.allclose(sorted(predicted), observed, atol=1e-7), cert.name
             # evolution stays real orthogonal
             for t in (0.37, cert.tau):
-                u = evolve(op, t, check=False)
+                u = evolve(op, t)
                 n = cert.group.order
                 assert np.max(np.abs(u.imag)) < 1e-9, cert.name
                 assert np.max(np.abs(u.real @ u.real.T - np.eye(n))) < 1e-9, cert.name

@@ -405,6 +405,18 @@ def test_pst_oracle_scan_csv(capsys):
     assert out.startswith("t,fidelity,target\n")
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("t_max", ["-3", "0", "inf", "nan"])
+def test_pst_oracle_refuses_a_scan_window_that_is_not_positive_and_finite(capsys, fmt, t_max):
+    """A negative window once gave unrefined hits at negative times, and an
+    infinite or nan one nan rows, all with exit 0."""
+    code = main(["--format", fmt, "pst", "oracle", "--group", "z:3", "--classes", "1",
+                 "--scan", "--t-max", t_max])
+    captured = capsys.readouterr()
+    assert code == EXIT_VALIDATION and captured.out == ""
+    assert "--t-max must be positive and finite" in captured.err
+
+
 def test_pst_oracle_requires_time_or_scan(capsys):
     code = main(["pst", "oracle", "--group", "z:8", "--classes", "1,2,5"])
     assert code == EXIT_VALIDATION
@@ -452,6 +464,13 @@ def test_sweep_connected_only(capsys):
     assert doc["sets_tested"] < 13  # {2}, {1,7}-style generators drop out
     winners = {tuple(c["connection_classes"]) for c in doc["certificates"]}
     assert (1, 2, 5) in winners
+
+
+@pytest.mark.parametrize("count", ["0", "-1"])
+def test_sweep_refuses_a_class_count_that_is_not_positive(capsys, count):
+    code = main(["sweep", "--group", "z:8", "--max-classes", count])
+    assert code == EXIT_VALIDATION
+    assert "--max-classes must be positive" in capsys.readouterr().err
 
 
 def test_sweep_refuses_large_group(capsys):

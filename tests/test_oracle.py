@@ -9,9 +9,12 @@ import runpy
 import numpy as np
 import pytest
 
-from caywalk.cayley import adjacency_matrix, cayley_graph
+from caywalk import oracle
+from caywalk.cayley import adjacency_matrix, cayley_graph, enumerate_oriented_class_unions
+from caywalk.characters import character_table_for
 from caywalk.cli import EXIT_OK, main
-from caywalk.config import SCAN_STEPS
+from caywalk.config import PERMUTATION_TOL, SCAN_STEPS
+from caywalk.engine import compute_S_e
 from caywalk.errors import InvalidParameterError, NumericalFailureError, SizeLimitError
 from caywalk.families import shipped_certificates
 from caywalk.groups import (
@@ -23,7 +26,6 @@ from caywalk.groups import (
     parse_group_spec,
 )
 from caywalk.oracle import (
-    _best_offdiagonal_grid,
     _bessel,
     build_hermitian_operator,
     build_operator,
@@ -35,7 +37,15 @@ from caywalk.oracle import (
     scan_pst,
 )
 
-from conftest import dense_column, dense_commutes, dense_scan_pst, expm_taylor
+from conftest import (
+    dense_column,
+    dense_commutes,
+    dense_evolve,
+    dense_permutation_check,
+    dense_scan_pst,
+    dense_spectrum,
+    expm_taylor,
+)
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 TAU3 = 2 * math.pi / (3 * math.sqrt(3.0))
@@ -110,7 +120,7 @@ def test_hermitian_mode_antipodal_transfer():
 
 def test_permutation_check_accepts_transfer_time():
     op = skew_operator(8, [1, 2, 5])
-    rep = permutation_check(op, math.pi / 4)
+    rep = permutation_check(op, math.pi / 4, build_cyclic(8))
     assert rep.ok
     assert rep.fixed_point_free
     assert rep.commutes_with_generator
@@ -127,24 +137,26 @@ def test_permutation_check_accepts_transfer_time():
 
 
 def test_permutation_check_rejects_intermediate_time():
+    """max_deviation is the identity column's, exactly; every column of U
+    deviates alike, since U commutes with the right translations."""
     op = skew_operator(8, [1, 2, 5])
-    rep = permutation_check(op, math.pi / 8)
+    rep = permutation_check(op, math.pi / 8, build_cyclic(8))
     assert not rep.ok and rep.permutation is None
-    # The array form of max_deviation gives the column loop's float exactly.
+
+    def column_deviation(col):
+        col = col.copy()
+        b = int(np.argmax(np.abs(col)))
+        deviation = abs(col[b] - 1.0)
+        col[b] = 0.0
+        return max(deviation, float(np.max(np.abs(col))))
+    assert rep.max_deviation == column_deviation(evolve_column(op, math.pi / 8, 0)) > 1e-3
     u = evolve(op, math.pi / 8)
-    perm = np.argmax(np.abs(u), axis=0)
-    deviation = 0.0
-    for a in range(8):
-        col = u[:, a].copy()
-        deviation = max(deviation, abs(col[perm[a]] - 1.0))
-        col[perm[a]] = 0.0
-        deviation = max(deviation, float(np.max(np.abs(col))))
-    assert rep.max_deviation == deviation > 1e-3
+    assert max(abs(column_deviation(u[:, a]) - rep.max_deviation) for a in range(8)) < 1e-12
 
 
 def test_permutation_check_identity_at_time_zero():
     op = skew_operator(8, [1, 2, 5])
-    rep = permutation_check(op, 0.0)
+    rep = permutation_check(op, 0.0, build_cyclic(8))
     assert rep.ok and rep.order == 1 and not rep.fixed_point_free
     assert rep.permutation == tuple(range(8))
 
@@ -157,7 +169,7 @@ def test_commutation_matches_dense_reference_on_every_shipped_certificate():
         if not cert.oriented:
             continue
         op = build_operator(adjacency_matrix(cert.graph()))
-        rep = permutation_check(op, cert.tau)
+        rep = permutation_check(op, cert.tau, cert.group)
         if rep.ok:
             assert rep.commutes_with_generator == dense_commutes(rep.permutation, op.matrix)
             assert rep.commutes_with_generator, cert.name
@@ -165,18 +177,89 @@ def test_commutation_matches_dense_reference_on_every_shipped_certificate():
     assert len(names) == 13, names
 
 
-def test_permutation_check_sees_a_matrix_that_does_not_commute():
-    """The operator keeps its eigenvectors (decomposed before the swap), so
-    U(pi/4) is still the shift by 2, but its matrix is swapped for a random
-    skew matrix."""
-    op = skew_operator(8, [1, 2, 5])
-    assert op.vectors is op.spectrum[1]
-    raw = np.random.default_rng(5).standard_normal((8, 8))
-    doctored = dataclasses.replace(op, matrix=raw - raw.T)
-    rep = permutation_check(doctored, math.pi / 4)
-    assert rep.ok and rep.permutation == permutation_check(op, math.pi / 4).permutation
-    assert rep.commutes_with_generator is False
-    assert not dense_commutes(rep.permutation, doctored.matrix)
+def _sweep_certificates(spec):
+    """(group, classes, tau_min) of every certifying set in the group's sweep."""
+    g = build_group(parse_group_spec(spec))
+    table = character_table_for(g)
+    return [(g, classes, report.minimal_time)
+            for stack in enumerate_oriented_class_unions(g.conj)
+            for classes, report in zip(stack.classes.tolist(), compute_S_e(stack, table))
+            if report.size > 1]
+
+
+def test_permutation_check_matches_the_dense_check():
+    """On every oriented shipped certificate and every certifying set of the
+    z4^2 and m2:5 sweeps, at tau_min and at the non-transfer time
+    0.37 tau_min, the one-column check agrees with the earlier check on
+    every column of the dense U.
+
+    Every column of U holds the same entries, so the deviations agree unless
+    entries of different value tie for the largest magnitude (z:4 with {1}
+    at pi/4 holds +-1/2); there each dense column's argmax picks one by
+    round-off, and both checks only have to refuse. At tau_min / 2 most sets
+    tie so, at 0.37 tau_min 40 of 391 do."""
+    cases = [(cert.group, cert.connection_classes, cert.tau)
+             for cert in shipped_certificates() if cert.oriented]
+    cases += _sweep_certificates("z4^2") + _sweep_certificates("m2:5")
+    accepted = ties = 0
+    for g, classes, tau in cases:
+        op = build_operator(adjacency_matrix(cayley_graph(g, classes)))
+        for t in (tau, 0.37 * tau):
+            rep, ref = permutation_check(op, t, g), dense_permutation_check(op, t)
+            assert (rep.ok, rep.permutation, rep.fixed_point_free, rep.order,
+                    rep.commutes_with_generator) == (ref.ok, ref.permutation,
+                                                     ref.fixed_point_free, ref.order,
+                                                     ref.commutes_with_generator), (g, classes, t)
+            col = evolve_column(op, t, g.identity)
+            largest = col[np.abs(col) > np.max(np.abs(col)) - 1e-9]
+            if np.ptp(largest) <= 1e-9:
+                assert abs(rep.max_deviation - ref.max_deviation) <= 1e-12, (g, classes, t)
+            else:
+                ties += 1
+                assert min(rep.max_deviation, ref.max_deviation) > PERMUTATION_TOL
+            accepted += rep.ok
+    # U(tau_min) is a permutation on every set.
+    assert accepted == len(cases) == 391 and ties == 40
+
+
+def _moved_arc(a, tail, head, new_head):
+    """A copy of the skew A with the arc tail -> head moved to tail -> new_head."""
+    a = a.copy()
+    sign = a[head, tail]
+    assert sign != 0 and a[new_head, tail] == 0
+    a[head, tail] = a[tail, head] = 0.0
+    a[new_head, tail], a[tail, new_head] = sign, -sign
+    return a
+
+
+def _doctored(name):
+    """(group, A, time) for a matrix that is no longer a Cayley graph's."""
+    if name == "random-skew":
+        raw = np.random.default_rng(5).standard_normal((8, 8))
+        return build_cyclic(8), raw - raw.T, math.pi / 4
+    if name == "one-arc-moved":
+        g = build_cyclic(8)
+        a = adjacency_matrix(cayley_graph(g, [1, 2, 5]))
+        return g, _moved_arc(a, 3, 4, 7), math.pi / 4
+    # Cay(Z_4^2, {(1,0)}) is four directed 4-cycles, the cosets of
+    # {(x, 0)}, and U(pi/2) shifts each by (2,0). An arc moved inside the
+    # coset of (0,1) leaves the identity's column exact, so only the
+    # translation test sees the change.
+    g = build_abelian_power(4, 2)
+    a = adjacency_matrix(cayley_graph(g, [int(g.conj.class_of[index_of_digits([1, 0], 4)])]))
+    tail, head, new_head = (index_of_digits(d, 4) for d in ([0, 1], [1, 1], [2, 1]))
+    return g, _moved_arc(a, tail, head, new_head), math.pi / 2
+
+
+@pytest.mark.parametrize("name", ["random-skew", "one-arc-moved", "arc-moved-off-the-column"])
+def test_permutation_check_refuses_a_matrix_that_does_not_commute(name):
+    g, a, t = _doctored(name)
+    op = build_operator(a)
+    rep = permutation_check(op, t, g)
+    assert not rep.ok and rep.permutation is None and not rep.commutes_with_generator
+    if name == "arc-moved-off-the-column":
+        assert rep.max_deviation < 1e-12  # the one column alone would pass
+        assert not dense_permutation_check(op, t).ok
 
 
 def test_scan_finds_cyclic3_time():
@@ -222,14 +305,18 @@ GRID_CASES = [
 
 @pytest.mark.parametrize("spec, classes, oriented", GRID_CASES)
 def test_blocked_grid_matches_pointwise_scan(spec, classes, oriented):
+    """The CSV's blocked grid against one dense column per time; its 12
+    printed digits keep each fidelity within 5e-13."""
     g = build_group(parse_group_spec(spec))
     graph = cayley_graph(g, classes, oriented=oriented)
     build = build_operator if oriented else build_hermitian_operator
     op = build(adjacency_matrix(graph))
     grid = np.linspace(0.0, 12.6, SCAN_STEPS + 1)
     for a in (g.identity, g.order - 1):
-        targets, values = _best_offdiagonal_grid(op, grid, a)
-        for t, b_grid, f_grid in zip(grid.tolist(), targets.tolist(), values.tolist()):
+        rows = [line.split(",") for line in fidelity_series_csv(op, a, 12.6).split()[1:]]
+        assert [float(t) for t, _, _ in rows] == [float(f"{t:.12g}") for t in grid.tolist()]
+        for t, (_, f_grid, b_grid) in zip(grid.tolist(), rows):
+            f_grid, b_grid = float(f_grid), int(b_grid)
             mags = np.abs(dense_column(op, t, a))
             mags[a] = -1.0
             b = int(np.argmax(mags))
@@ -269,13 +356,38 @@ def test_scan_workload_matches_reference_at_its_seed(capsys):
 # ---------------------------------------------------------------------------
 # Chebyshev evolution against the eigendecomposition and the Taylor series
 
-def test_single_states_need_no_eigendecomposition():
-    op = skew_operator(8, [1, 2, 5])
-    fidelity(op, math.pi / 4, 0, 2)
-    scan_pst(op, 0, t_max=1.0)
-    assert op.spectrum is None
-    evolve(op, 0.1)
-    assert op.spectrum is not None
+def test_only_the_csv_scan_diagonalizes(monkeypatch, capsys):
+    """verify (with its permutation checks), pst mst, a JSON scan and --time
+    run with eigh unavailable; the CSV grid is the one caller left."""
+    def refuse(_):
+        raise RuntimeError("eigh called")
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    walk = ["--group", "z:8", "--classes", "1,2,5"]
+    for argv in (["verify"], ["pst", "mst", *walk], ["pst", "oracle", *walk, "--scan"],
+                 ["pst", "oracle", *walk, "--time", "pi/4"]):
+        assert main(["--format", "json", *argv]) == EXIT_OK, argv
+    with pytest.raises(RuntimeError, match="eigh called"):
+        main(["--format", "csv", "pst", "oracle", *walk, "--scan"])
+
+
+@pytest.mark.parametrize("basis_bytes", [1, 2**12, oracle._EVOLVE_BASIS_BYTES])
+def test_evolve_in_blocks_of_columns_matches_the_dense_route(monkeypatch, basis_bytes):
+    """One, a few or all columns per block; every shipped walk in its mode."""
+    monkeypatch.setattr(oracle, "_EVOLVE_BASIS_BYTES", basis_bytes)
+    for cert in shipped_certificates():
+        a = adjacency_matrix(cert.graph())
+        op = (build_operator if cert.oriented else build_hermitian_operator)(a)
+        for t in (cert.tau, 0.37):
+            u = evolve(op, t)
+            assert np.max(np.abs(u - dense_evolve(op, t))) <= 1e-10, (cert.name, t)
+            assert np.isrealobj(u) == cert.oriented, cert.name
+
+
+def test_evolve_checks_unitarity():
+    """An expansion scaled by a rho below the spectral norm is not unitary."""
+    op = dataclasses.replace(skew_operator(3, [1]), rho=1.0)
+    with pytest.raises(NumericalFailureError, match="not unitary"):
+        evolve(op, 3 * TAU3)
 
 
 def test_rho_is_the_largest_absolute_row_sum_and_bounds_the_spectrum():
@@ -285,7 +397,7 @@ def test_rho_is_the_largest_absolute_row_sum_and_bounds_the_spectrum():
         # Row g holds +1 per arc into g and -1 per arc out of g: 2|C| if oriented.
         assert op.rho == np.abs(a).sum(axis=1).max()
         assert op.rho == len(cert.graph().elements) * (2 if cert.oriented else 1)
-        assert np.max(np.abs(op.eigenvalues)) <= op.rho + 1e-12, cert.name
+        assert np.max(np.abs(dense_spectrum(op)[0])) <= op.rho + 1e-12, cert.name
 
 
 def _both_modes(cert):
