@@ -351,6 +351,8 @@ def _cmd_pst_oracle(args: argparse.Namespace, config: RunConfig, graph) -> int:
 def cmd_sweep(args: argparse.Namespace, config: RunConfig) -> int:
     if args.max_classes is not None and args.max_classes <= 0:
         raise InvalidParameterError("--max-classes must be positive")
+    if args.limit is not None and args.limit <= 0:
+        raise InvalidParameterError("--limit must be positive")
     group = _load_group(config, args.group)
     limit = args.limit if args.limit is not None else DEFAULT_SWEEP_LIMIT
     if group.order > limit:

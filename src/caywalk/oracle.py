@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -43,6 +44,16 @@ _EVOLVE_BASIS_BYTES = 2**24
 _TAIL = 1e-16
 # Grid steps evaluated from one Chebyshev basis in a scan.
 _WINDOW_STEPS = 200
+# A single-vector product gathers the nonzeros of A when every row holds the
+# same d of them and _GATHER_RATIO * d <= n. Measured on a 2-vCPU VM with
+# d-regular circulants, the gather beats a dense matvec from n/d of about 24
+# at orders 192 to 1024 (1.4-3x at n/d = 32, 2.3x on z3^6's 729/12) and
+# loses up to 2.4x at n/d = 9 (es3:2, 243/26) and at order 128 below n/d = 64.
+_GATHER_RATIO = 32
+# Newton steps a scan maximum may take before its refinement counts as failed;
+# safeguarded by bisection, a bracket of two grid steps (12.6e-3 wide at the
+# default window) shrinks below SCAN_REFINE_TOL within 27 halvings.
+_NEWTON_STEPS = 40
 # Largest omega = t*rho one expansion covers. Miller's recurrence from
 # K(omega) + 10 peaks at 4e189 here and overflows past omega = 3300; the
 # basis holds about 1.4 * omega vectors of the group order (16 MB at 729).
@@ -66,6 +77,20 @@ class WalkOperator:
     @property
     def order(self) -> int:
         return self.matrix.shape[0]
+
+    @cached_property
+    def gather(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """(index, value), each (d, n), with row i of A holding value[k, i]
+        at column index[k, i], when every row of A holds the same d nonzeros
+        and _GATHER_RATIO * d <= n; else None. Built on first use."""
+        mask = self.matrix != 0
+        counts = np.count_nonzero(mask, axis=1)
+        d = int(counts[0]) if counts.size else 0
+        if not 0 < _GATHER_RATIO * d <= self.order or np.any(counts != d):
+            return None
+        rows, cols = np.nonzero(mask)  # row-major: d columns per row in turn
+        index = cols.reshape(-1, d).T.copy()
+        return index, self.matrix[rows, cols].reshape(-1, d).T.copy()
 
 
 def build_operator(a: np.ndarray) -> WalkOperator:
@@ -97,11 +122,7 @@ def _terms(omega: float) -> int:
     """K(|omega|): the first k > |omega| with (|omega|/2)**k / k! < _TAIL,
     found in logarithms, as the bound itself overflows past omega = 1418."""
     omega = abs(omega)
-    if not math.isfinite(omega):
-        raise InvalidParameterError(f"walk time gives omega = t*rho = {omega}, not finite")
-    if omega > _MAX_OMEGA:
-        raise SizeLimitError(f"omega = t*rho = {omega:.6g} would need more than "
-                             f"{_MAX_OMEGA:.0f} Chebyshev terms per expansion")
+    _check_omega(omega)
     if omega < 2 * _TAIL:
         return 1
     k = math.floor(omega) + 1
@@ -110,6 +131,31 @@ def _terms(omega: float) -> int:
         k += 1
         log_bound += math.log(omega / (2 * k))
     return k
+
+
+def _check_omega(omega: float) -> None:
+    """Refuse an |omega| that is not finite or that no expansion covers."""
+    if not math.isfinite(omega):
+        raise InvalidParameterError(f"walk time gives omega = t*rho = {omega}, not finite")
+    if omega > _MAX_OMEGA:
+        raise SizeLimitError(f"omega = t*rho = {omega:.6g} would need more than "
+                             f"{_MAX_OMEGA:.0f} Chebyshev terms per expansion")
+
+
+def _term_counts(omegas: np.ndarray) -> np.ndarray:
+    """_terms of every omega at once: the same logarithmic bound, stepped
+    for all omegas together while any is still above _TAIL."""
+    w = np.abs(omegas)
+    _check_omega(float(np.max(w, initial=0.0)))
+    k = np.floor(w) + 1
+    wide = w >= 2 * _TAIL
+    log_factorials = np.array([math.lgamma(j + 1) for j in range(int(np.max(k, initial=1.0)) + 1)])
+    with np.errstate(divide="ignore"):
+        log_bound = k * np.log(w / 2) - log_factorials[k.astype(np.intp)]
+    while (more := wide & (log_bound >= math.log(_TAIL))).any():
+        k[more] += 1
+        log_bound[more] += np.log(w[more] / (2 * k[more]))
+    return np.where(wide, k, 1).astype(np.intp)
 
 
 def _bessel(omega: float, count: int) -> list[float]:
@@ -133,22 +179,51 @@ def _bessel(omega: float, count: int) -> list[float]:
     two_over_w = 2.0 / w
     for k in range(top, 0, -1):
         vals[k - 1] = k * two_over_w * vals[k] - vals[k + 1]
-    scale = 1.0 / (vals[0] + 2.0 * sum(vals[2::2]))
+    total = 0.0  # in order, not by sum(), which compensates from Python 3.12
+    for v in vals[2:top + 1:2]:
+        total += v
+    scale = 1.0 / (vals[0] + 2.0 * total)
     odd = -scale if omega < 0 else scale
     return [v * (odd if k & 1 else scale) for k, v in enumerate(vals[:count])]
+
+
+def _bessel_table(omegas: np.ndarray, count: int) -> np.ndarray:
+    """One row _bessel(omega, count) per omega, bit for bit, from one
+    recurrence over all of them: column j stays 0 above its own K + 10 and
+    starts there, so it does exactly _bessel's arithmetic. For many omegas;
+    one omega costs more here than in _bessel."""
+    w = np.abs(omegas)
+    terms = _term_counts(w)
+    tops = np.where(terms > 1, terms + 10, -1)  # columns with K = 1 never start
+    top = int(np.max(terms)) + 10
+    two_over_w = 2.0 / np.where(terms > 1, w, 1.0)
+    vals = np.zeros((max(count, top + 2), len(w)))
+    for k in range(top, 0, -1):
+        vals[k, tops == k] = 1.0
+        vals[k - 1] = k * two_over_w * vals[k] - vals[k + 1]
+    vals[0, terms == 1] = 1.0
+    total = np.zeros(len(w))
+    for row in vals[2::2]:  # in order, as _bessel adds
+        total += row
+    scale = 1.0 / (vals[0] + 2.0 * total)
+    table = vals[:count] * scale
+    table[1::2] *= np.where(omegas < 0, -1.0, 1.0)
+    return table.T
 
 
 _I_POWERS = np.array([1, 1j, -1, -1j])
 
 
-def _coefficients(op: WalkOperator, omegas: np.ndarray, count: int) -> np.ndarray:
-    """One row c per omega with exp(omega A/rho) v = sum_k c_k P_k v, and in
-    hermitian mode exp(i omega A/rho) v = sum_k c_k T_k v: c_0 = J_0(omega)
-    and c_k = 2 J_k(omega), times i^k in hermitian mode (Jacobi-Anger)."""
-    table = np.array([_bessel(w, count) for w in omegas.tolist()])
-    table[:, 1:] *= 2.0
+def _coefficients(op: WalkOperator, bessel: np.ndarray) -> np.ndarray:
+    """Chebyshev coefficients c from Bessel values J_k(omega) on the last
+    axis, with exp(omega A/rho) v = sum_k c_k P_k v, and in hermitian mode
+    exp(i omega A/rho) v = sum_k c_k T_k v: c_0 = J_0(omega) and
+    c_k = 2 J_k(omega), times i^k in hermitian mode (Jacobi-Anger). Linear
+    in the values, so derivatives in omega map alike."""
+    table = np.array(bessel, dtype=np.float64)
+    table[..., 1:] *= 2.0
     if op.hermitian:
-        return table * _I_POWERS[np.arange(count) % 4]
+        return table * _I_POWERS[np.arange(table.shape[-1]) % 4]
     return table
 
 
@@ -159,9 +234,17 @@ def _basis(op: WalkOperator, v: np.ndarray, count: int) -> np.ndarray:
     P_0 = I, P_1 = A/rho and P_{k+1} = 2(A/rho) P_k + P_{k-1}, so on the
     eigenvalue iy of A/rho, P_k is i^k T_k(y) (Chebyshev's T_k). In hermitian
     mode the terms are T_k(A/rho) v, with T_{k+1} = 2(A/rho) T_k - T_{k-1}.
+    A single vector is multiplied by gathering A's nonzeros where op.gather
+    holds them; a block of columns always by the dense product.
     """
     a = op.matrix
-    if np.iscomplexobj(v):  # in real arithmetic: numpy would copy A to complex
+    gather = op.gather if v.ndim == 1 else None
+    if gather is not None:
+        index, values = gather
+
+        def times(x):
+            return np.add.reduce(values * x[index], axis=0)
+    elif np.iscomplexobj(v):  # in real arithmetic: numpy would copy A to complex
         def times(x):
             return a @ x.real + 1j * (a @ x.imag)
     else:
@@ -193,7 +276,7 @@ def evolve_column(op: WalkOperator, t: float, a: int) -> np.ndarray:
     v = np.zeros(op.order)
     v[a] = 1.0
     count = _terms(t * op.rho)
-    coefficients = _coefficients(op, np.array([t * op.rho]), count)[0]
+    coefficients = _coefficients(op, _bessel(t * op.rho, count))
     return _checked(op, coefficients @ _basis(op, v, count))
 
 
@@ -203,7 +286,7 @@ def evolve(op: WalkOperator, t: float) -> np.ndarray:
     column's. U must be unitary, and real (as returned) for a skew A."""
     n = op.order
     count = _terms(t * op.rho)
-    coefficients = _coefficients(op, np.array([t * op.rho]), count)[0]
+    coefficients = _coefficients(op, _bessel(t * op.rho, count))
     width = max(1, _EVOLVE_BASIS_BYTES // (8 * count * n))
     u = np.empty((n, n), dtype=coefficients.dtype)
     for lo in range(0, n, width):
@@ -251,11 +334,17 @@ def permutation_check(op: WalkOperator, t: float, group: GroupTable) -> Permutat
     translates = all(np.array_equal(a[np.ix_(r, r)], a)
                      for r in (group.mul[:, s] for s in group.generators))
     col = evolve_column(op, t, group.identity)
+    # The distance max(|c_z - 1|, max_{y != z} |c_y|) to each e_z, in O(n):
+    # the largest other magnitude is the largest one, or the second largest
+    # at its own place. The nearest e_z does not depend on the numbering.
     mags = np.abs(col)
-    z = int(np.argmax(mags))
-    chosen = abs(col[z] - 1.0)  # a -1 entry is not a permutation
-    mags[z] = 0.0
-    deviation = max(float(chosen), float(np.max(mags)))
+    first = int(np.argmax(mags))
+    others = np.full(len(col), mags[first])
+    mags[first] = 0.0
+    others[first] = np.max(mags)
+    distances = np.maximum(np.abs(col - 1.0), others)  # a -1 entry is not a permutation
+    z = int(np.argmin(distances))
+    deviation = float(distances[z])
     if not translates or deviation > PERMUTATION_TOL:
         return PermutationReport(ok=False, permutation=None, max_deviation=deviation,
                                  fixed_point_free=False, commutes_with_generator=False,
@@ -292,18 +381,20 @@ def scan_pst(op: WalkOperator, a: int, t_max: float | None = None) -> list[ScanH
 
     The SCAN_STEPS-step grid is evaluated in windows of _WINDOW_STEPS steps:
     one Chebyshev basis at each window's first state, and one coefficient
-    table, the same for every window, for the offsets within it. Local
-    maxima above SCAN_THRESHOLD are polished by golden-section search on the
-    continuous fidelity curve, from a basis at the bracket's left grid state;
-    nearby duplicates collapse to the best one. Every state is norm-checked.
+    table, the same for every window, for the offsets within it. Each local
+    maximum above SCAN_THRESHOLD is refined on the entry of its grid target
+    (_refine), from a basis at the bracket's left grid state, and its state
+    is then evaluated once; nearby duplicates collapse to the best one.
+    Every state is norm-checked.
     """
     if t_max is None:
         t_max = 4 * math.pi
     d_omega = op.rho * t_max / SCAN_STEPS  # omega per grid step
     count = _terms(d_omega * _WINDOW_STEPS)
-    table = _coefficients(op, d_omega * np.arange(_WINDOW_STEPS + 1), count)
+    table = _coefficients(op, _bessel_table(d_omega * np.arange(_WINDOW_STEPS + 1), count))
     grid = np.linspace(0.0, t_max, SCAN_STEPS + 1)
 
+    targets = np.empty(SCAN_STEPS + 1, dtype=np.intp)
     values = np.empty(SCAN_STEPS + 1)
     left = {}  # grid index -> state there, for each rising grid point to its right
     state = np.zeros(op.order)
@@ -311,8 +402,9 @@ def scan_pst(op: WalkOperator, a: int, t_max: float | None = None) -> list[ScanH
     for start in range(0, SCAN_STEPS, _WINDOW_STEPS):
         steps = min(_WINDOW_STEPS, SCAN_STEPS - start)
         states = _checked(op, table[:steps + 1] @ _basis(op, state, count))
-        _, window = _best_offdiagonal(states, a)
-        values[start:start + steps + 1] = window
+        span = slice(start, start + steps + 1)
+        targets[span], values[span] = _best_offdiagonal(states, a)
+        window = values[span]
         rising = (window[1:] >= SCAN_THRESHOLD) & (window[1:] >= window[:-1])
         left.update((start + j, states[j].copy()) for j in np.flatnonzero(rising).tolist())
         state = states[steps]
@@ -323,12 +415,17 @@ def scan_pst(op: WalkOperator, a: int, t_max: float | None = None) -> list[ScanH
     if not peaks.size:
         return []
     lo, hi = grid[peaks - 1], grid[peaks + 1]
-    best = _brackets(op, np.stack([left[i] for i in (peaks - 1).tolist()], axis=1),
-                     lo, float(np.max(hi - lo)), a)
-    times = _golden_max(lambda t: best(t)[1], lo, hi)
-    targets, fids = best(times)
+    count = _terms(float(np.max(hi - lo)) * op.rho)
+    basis = _basis(op, np.stack([left[i] for i in (peaks - 1).tolist()], axis=1), count)
+    offsets = _refine(op, basis[:, targets[peaks], np.arange(peaks.size)],
+                      grid[peaks] - lo, hi - lo)
+    bessel = [_bessel(w, count) for w in (offsets * op.rho).tolist()]
+    states = _checked(op, np.einsum("jk,knj->jn", _coefficients(op, bessel), basis))
+    found, fids = _best_offdiagonal(states, a)
+    if np.any(fids < values[peaks] - 1e-15):
+        raise NumericalFailureError("a refined scan maximum fell below its grid value")
     hits = sorted((ScanHit(time=t, target=b, fidelity=f)
-                   for t, b, f in zip(times.tolist(), targets.tolist(), fids.tolist())),
+                   for t, b, f in zip((lo + offsets).tolist(), found.tolist(), fids.tolist())),
                   key=lambda h: h.time)
 
     merged: list[ScanHit] = []
@@ -341,39 +438,47 @@ def scan_pst(op: WalkOperator, a: int, t_max: float | None = None) -> list[ScanH
     return merged
 
 
-def _brackets(op: WalkOperator, states: np.ndarray, lo: np.ndarray, width: float, a: int):
-    """times -> (targets, fidelities) off vertex a, with times[j] in the
-    bracket [lo[j], lo[j] + width], from the state at lo[j] (column j of
-    states) and one Chebyshev basis there."""
-    count = _terms(width * op.rho)
-    basis = _basis(op, states, count)
+def _refine(op: WalkOperator, rows: np.ndarray, s: np.ndarray, width: np.ndarray) -> np.ndarray:
+    """Offsets in [0, width[j]] where |u_j| peaks, from the first guess s[j],
+    with u_j(s) = sum_k c_k(s rho) rows[k, j] one entry of a bracket's state.
 
-    def best(times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        coefficients = _coefficients(op, (times - lo) * op.rho, count)
-        return _best_offdiagonal(_checked(op, np.einsum("jk,knj->jn", coefficients, basis)), a)
-    return best
-
-
-def _golden_max(fn, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Golden-section search for the maximum of fn on every bracket
-    [lo[j], hi[j]] at once: fn maps one time per bracket to its values. A
-    bracket stops narrowing once it is SCAN_REFINE_TOL wide."""
-    phi = (math.sqrt(5.0) - 1.0) / 2.0
-    x1 = hi - phi * (hi - lo)
-    x2 = lo + phi * (hi - lo)
-    f1, f2 = fn(x1), fn(x2)
-    while (active := hi - lo > SCAN_REFINE_TOL).any():
-        # Where f1 < f2 the maximum lies right of x1 ("up"), else left of x2.
-        up = active & (f1 < f2)
-        down = active & ~(f1 < f2)
-        lo, hi = np.where(up, x1, lo), np.where(down, x2, hi)
-        x1, x2 = np.where(up, x2, x1), np.where(down, x1, x2)
-        f1, f2 = np.where(up, f2, f1), np.where(down, f1, f2)
-        x2 = np.where(up, lo + phi * (hi - lo), x2)
-        x1 = np.where(down, hi - phi * (hi - lo), x1)
-        fresh = fn(np.where(up, x2, x1))
-        f1, f2 = np.where(down, fresh, f1), np.where(up, fresh, f2)
-    return 0.5 * (lo + hi)
+    The peak is the root of g = Re(conj(u) u'), whose slope is
+    g' = |u'|^2 + Re(conj(u) u''). The derivatives come from the same rows:
+    d/ds = rho d/domega, 2 J_k' = J_{k-1} - J_{k+1} and
+    4 J_k'' = J_{k-2} - 2 J_k + J_{k+2}, with J_{-k} = (-1)^k J_k (DLMF
+    10.6.1), so a step costs one Bessel row per bracket and no product with
+    A. Newton's method is safeguarded by bisection on the sign of g whenever
+    a step would leave the bracket known to hold the root, or g' >= 0
+    (Numerical Recipes, sec. 9.4, rtsafe); a bracket is done after a step
+    below SCAN_REFINE_TOL.
+    """
+    count = len(rows)
+    s, below, above = s.copy(), np.zeros_like(s), width.copy()
+    active = np.ones(len(s), dtype=bool)
+    for _ in range(_NEWTON_STEPS):
+        live = np.flatnonzero(active)
+        bessel = np.array([_bessel(w, count + 2) for w in (s[live] * op.rho).tolist()])
+        ext = np.concatenate([bessel[:, 2:0:-1] * [1.0, -1.0], bessel], axis=1)  # from J_{-2}
+        derivatives = np.stack([
+            ext[:, 2:-2],
+            op.rho / 2 * (ext[:, 1:-3] - ext[:, 3:-1]),
+            op.rho ** 2 / 4 * (ext[:, :-4] - 2 * ext[:, 2:-2] + ext[:, 4:]),
+        ])
+        u, du, ddu = np.einsum("ijk,kj->ij", _coefficients(op, derivatives), rows[:, live])
+        g = (np.conj(u) * du).real
+        slope = np.abs(du) ** 2 + (np.conj(u) * ddu).real
+        rising = g > 0
+        below[live] = np.where(rising, s[live], below[live])
+        above[live] = np.where(rising, above[live], s[live])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            newton = s[live] - g / slope
+        inside = (slope < 0) & (newton >= below[live]) & (newton <= above[live])
+        step = np.where(inside, newton, 0.5 * (below[live] + above[live]))
+        active[live] = np.abs(step - s[live]) >= SCAN_REFINE_TOL
+        s[live] = step
+        if not active.any():
+            return s
+    raise NumericalFailureError(f"scan refinement did not settle in {_NEWTON_STEPS} steps")
 
 
 def _eigenpairs(op: WalkOperator) -> tuple[np.ndarray, np.ndarray]:

@@ -204,6 +204,14 @@ def dense_permutation_check(op: WalkOperator, t: float) -> PermutationReport:
                              order=order)
 
 
+def distance_to_a_unit_vector(col: np.ndarray) -> float:
+    """min over z of max(|c_z - 1|, max_{y != z} |c_y|), by trying every z:
+    how far the column is from the nearest e_z."""
+    others = np.tile(np.abs(col), (len(col), 1))
+    np.fill_diagonal(others, 0.0)
+    return float(np.min(np.maximum(np.abs(col - 1.0), others.max(axis=1))))
+
+
 def dense_scan_pst(op: WalkOperator, a: int, t_max: float) -> list[ScanHit]:
     """The earlier oracle.scan_pst, kept as the reference for its Chebyshev
     form: the eigendecomposition's fidelity grid, then one golden-section

@@ -473,6 +473,13 @@ def test_sweep_refuses_a_class_count_that_is_not_positive(capsys, count):
     assert "--max-classes must be positive" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("limit", ["0", "-5"])
+def test_sweep_refuses_a_limit_that_is_not_positive(capsys, limit):
+    code = main(["sweep", "--group", "z:8", "--limit", limit])
+    assert code == EXIT_VALIDATION
+    assert "--limit must be positive" in capsys.readouterr().err
+
+
 def test_sweep_refuses_large_group(capsys):
     code = main(["sweep", "--group", "z:17"])
     assert code == EXIT_SIZE

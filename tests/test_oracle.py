@@ -13,7 +13,7 @@ from caywalk import oracle
 from caywalk.cayley import adjacency_matrix, cayley_graph, enumerate_oriented_class_unions
 from caywalk.characters import character_table_for
 from caywalk.cli import EXIT_OK, main
-from caywalk.config import PERMUTATION_TOL, SCAN_STEPS
+from caywalk.config import SCAN_STEPS
 from caywalk.engine import compute_S_e
 from caywalk.errors import InvalidParameterError, NumericalFailureError, SizeLimitError
 from caywalk.families import shipped_certificates
@@ -26,7 +26,11 @@ from caywalk.groups import (
     parse_group_spec,
 )
 from caywalk.oracle import (
+    _basis,
     _bessel,
+    _bessel_table,
+    _term_counts,
+    _terms,
     build_hermitian_operator,
     build_operator,
     evolve,
@@ -41,9 +45,11 @@ from conftest import (
     dense_column,
     dense_commutes,
     dense_evolve,
+    dense_grid,
     dense_permutation_check,
     dense_scan_pst,
     dense_spectrum,
+    distance_to_a_unit_vector,
     expm_taylor,
 )
 
@@ -136,22 +142,24 @@ def test_permutation_check_accepts_transfer_time():
     assert orbit == {0, 2, 4, 6}
 
 
+def _largest_entry_deviation(col):
+    """max(|c_b - 1|, max_{y != b} |c_y|) at the largest entry b."""
+    col = col.copy()
+    b = int(np.argmax(np.abs(col)))
+    deviation = abs(col[b] - 1.0)
+    col[b] = 0.0
+    return max(deviation, float(np.max(np.abs(col))))
+
+
 def test_permutation_check_rejects_intermediate_time():
     """max_deviation is the identity column's, exactly; every column of U
     deviates alike, since U commutes with the right translations."""
     op = skew_operator(8, [1, 2, 5])
     rep = permutation_check(op, math.pi / 8, build_cyclic(8))
     assert not rep.ok and rep.permutation is None
-
-    def column_deviation(col):
-        col = col.copy()
-        b = int(np.argmax(np.abs(col)))
-        deviation = abs(col[b] - 1.0)
-        col[b] = 0.0
-        return max(deviation, float(np.max(np.abs(col))))
-    assert rep.max_deviation == column_deviation(evolve_column(op, math.pi / 8, 0)) > 1e-3
+    assert rep.max_deviation == _largest_entry_deviation(evolve_column(op, math.pi / 8, 0)) > 1e-3
     u = evolve(op, math.pi / 8)
-    assert max(abs(column_deviation(u[:, a]) - rep.max_deviation) for a in range(8)) < 1e-12
+    assert max(abs(_largest_entry_deviation(u[:, a]) - rep.max_deviation) for a in range(8)) < 1e-12
 
 
 def test_permutation_check_identity_at_time_zero():
@@ -189,37 +197,38 @@ def _sweep_certificates(spec):
 
 def test_permutation_check_matches_the_dense_check():
     """On every oriented shipped certificate and every certifying set of the
-    z4^2 and m2:5 sweeps, at tau_min and at the non-transfer time
-    0.37 tau_min, the one-column check agrees with the earlier check on
-    every column of the dense U.
+    z4^2 and m2:5 sweeps, at tau_min, at tau_min / 2 and at 0.37 tau_min,
+    the one-column check agrees with the earlier check on every column of
+    the dense U.
 
-    Every column of U holds the same entries, so the deviations agree unless
-    entries of different value tie for the largest magnitude (z:4 with {1}
-    at pi/4 holds +-1/2); there each dense column's argmax picks one by
-    round-off, and both checks only have to refuse. At tau_min / 2 most sets
-    tie so, at 0.37 tau_min 40 of 391 do."""
+    Its max_deviation is each dense column's distance to the nearest e_z,
+    to 1e-12, whatever the column: every column of U holds the same entries.
+    That holds where entries of different value tie for the largest
+    magnitude (z:4 with {1} at pi/4 holds +-1/2), as 327 of the 391 sets do
+    at tau_min / 2 and 40 at 0.37 tau_min."""
     cases = [(cert.group, cert.connection_classes, cert.tau)
              for cert in shipped_certificates() if cert.oriented]
     cases += _sweep_certificates("z4^2") + _sweep_certificates("m2:5")
     accepted = ties = 0
     for g, classes, tau in cases:
         op = build_operator(adjacency_matrix(cayley_graph(g, classes)))
-        for t in (tau, 0.37 * tau):
+        for t in (tau, 0.5 * tau, 0.37 * tau):
             rep, ref = permutation_check(op, t, g), dense_permutation_check(op, t)
             assert (rep.ok, rep.permutation, rep.fixed_point_free, rep.order,
                     rep.commutes_with_generator) == (ref.ok, ref.permutation,
                                                      ref.fixed_point_free, ref.order,
                                                      ref.commutes_with_generator), (g, classes, t)
-            col = evolve_column(op, t, g.identity)
-            largest = col[np.abs(col) > np.max(np.abs(col)) - 1e-9]
-            if np.ptp(largest) <= 1e-9:
-                assert abs(rep.max_deviation - ref.max_deviation) <= 1e-12, (g, classes, t)
-            else:
-                ties += 1
-                assert min(rep.max_deviation, ref.max_deviation) > PERMUTATION_TOL
+            u = dense_evolve(op, t).real
+            deviations = [distance_to_a_unit_vector(u[:, h]) for h in range(g.order)]
+            assert max(abs(d - rep.max_deviation) for d in deviations) <= 1e-12, (g, classes, t)
+            if rep.ok:  # the entry nearest 1 is the largest: the earlier value, bit for bit
+                assert rep.max_deviation == _largest_entry_deviation(
+                    evolve_column(op, t, g.identity)), (g, classes, t)
+            largest = u[:, 0][np.abs(u[:, 0]) > np.max(np.abs(u[:, 0])) - 1e-9]
+            ties += np.ptp(largest) > 1e-9
             accepted += rep.ok
     # U(tau_min) is a permutation on every set.
-    assert accepted == len(cases) == 391 and ties == 40
+    assert accepted == len(cases) == 391 and ties == 327 + 40
 
 
 def _moved_arc(a, tail, head, new_head):
@@ -448,6 +457,67 @@ def test_bessel_values_satisfy_their_identities():
             assert np.max(np.abs(row[:6] - series)) < 1e-15, w
 
 
+def test_bessel_table_is_the_scalar_recurrence_bit_for_bit():
+    """One recurrence over many omegas gives _bessel's rows exactly, and the
+    vector term count is _terms: below 2e-16 (K = 1), negative, and up to
+    the 2000 limit."""
+    grids = [
+        np.arange(201) * 0.1512,  # a scan window's offsets
+        np.array([0.0, 1e-20, 1.9e-16, 2e-16, 2.5e-16, -1e-17, -3e-16, -0.7, -40.0]),
+        np.array([1990.0, 1999.5, 2000.0, -2000.0, -1234.5, 1418.3, 3.0]),
+        np.linspace(-60.0, 60.0, 97),
+    ]
+    for omegas in grids:
+        for count in (1, 5, 80):
+            table = _bessel_table(omegas, count)
+            assert np.array_equal(table, np.array([_bessel(w, count) for w in omegas.tolist()]))
+    omegas = np.concatenate([np.geomspace(1e-17, 2000.0, 4001), -np.linspace(0.0, 2000.0, 4001)])
+    assert _term_counts(omegas).tolist() == [_terms(w) for w in omegas.tolist()]
+    with pytest.raises(SizeLimitError):
+        _bessel_table(np.array([1.0, 2000.5]), 4)
+    with pytest.raises(InvalidParameterError):
+        _term_counts(np.array([1.0, math.nan]))
+
+
+GATHER_WALKS = [
+    ("m2:7", [2, 10, 17, 18, 26, 32, 34, 42, 50, 58], True),
+    ("wreath:z:3:3", [3, 6], True),
+    ("es3:2", [1, 3, 5, 11, 29], True),
+    ("z3^6", [1, 3, 9, 27, 81, 243], True),
+    ("z:8", [1, 2, 5], True),
+    ("z:256", [1], True),
+    ("z:256", [1, 255], False),
+    ("z:4", [1, 3], False),
+]
+
+
+def test_gather_product_matches_the_dense_product():
+    """A single vector is multiplied by gathering A's nonzeros exactly when
+    each row holds the same d of them and 32 d <= n: z3^6 (12 of 729) and
+    the cycle on 256 vertices do, m2:7 (38 of 128) and es3:2 (26 of 243) do
+    not. The gathered product and the basis built from it agree with the
+    dense ones to 1e-13, for real and complex vectors."""
+    ops = [(cert.name, op) for cert in shipped_certificates() for op in _both_modes(cert)]
+    for spec, classes, oriented in GATHER_WALKS:
+        g = build_group(parse_group_spec(spec))
+        a = adjacency_matrix(cayley_graph(g, classes, oriented=oriented))
+        ops.append((spec, (build_operator if oriented else build_hermitian_operator)(a)))
+    rng = np.random.default_rng(7)
+    gathered = set()
+    for name, op in ops:
+        if op.gather is None:
+            continue
+        gathered.add(name)
+        index, values = op.gather
+        for x in (rng.standard_normal(op.order),
+                  rng.standard_normal(op.order) + 1j * rng.standard_normal(op.order)):
+            assert np.max(np.abs(np.add.reduce(values * x[index], axis=0)
+                                 - op.matrix @ x)) <= 1e-13, name
+            one, block = _basis(op, x, 9), _basis(op, x[:, None], 9)[..., 0]
+            assert np.max(np.abs(one - block)) <= 1e-13, name
+    assert gathered == {"z3^6", "z:256"}
+
+
 SCAN_GROUPS = [
     ("m2:7", [2, 10, 17, 18, 26, 32, 34, 42, 50, 58]),
     ("wreath:z:3:3", [3, 6]),
@@ -460,8 +530,9 @@ SCAN_GROUPS = [
 def test_scan_hits_match_the_dense_scan(spec, classes):
     """From the sources the benchmark's seeds 42, 7, 1, 100 and 12345 pick:
     the same targets, fidelities to 1e-12. A hit sits where the curve is flat
-    to first order, so each route's round-off of about 1e-15 in fidelity
-    moves its golden-section time by up to about 1e-8."""
+    to first order, so the reference's round-off of about 1e-15 in fidelity
+    moves its golden-section time by up to about 1e-8; the Newton time is
+    exact to round-off."""
     g = build_group(parse_group_spec(spec))
     op = build_operator(adjacency_matrix(cayley_graph(g, classes)))
     for a in sorted({seed % g.order for seed in (42, 7, 1, 100, 12345)}):
@@ -478,6 +549,47 @@ def test_hermitian_scan_matches_the_dense_scan():
     hits, ref = scan_pst(op, 1, t_max=12.6), dense_scan_pst(op, 1, 12.6)
     assert [h.target for h in hits] == [h.target for h in ref] == [3] * 4
     assert max(abs(h.time - r.time) for h, r in zip(hits, ref)) <= 2e-8
+
+
+@pytest.mark.parametrize("spec, classes, oriented, source", [
+    ("z:8", [1, 2, 5], True, 0),
+    ("m2:7", [2, 10, 17, 18, 26, 32, 34, 42, 50, 58], True, 42),
+    ("z:4", [1, 3], False, 1),
+])
+def test_scan_hits_land_on_multiples_of_a_quarter_pi(spec, classes, oriented, source):
+    """These walks transfer at multiples of pi/4 exactly, and a hit's time is
+    the root of the target entry's slope, so it is exact to round-off."""
+    g = build_group(parse_group_spec(spec))
+    a = adjacency_matrix(cayley_graph(g, classes, oriented=oriented))
+    op = (build_operator if oriented else build_hermitian_operator)(a)
+    hits = scan_pst(op, source, t_max=12.6)
+    assert len(hits) >= 4
+    for h in hits:
+        k = round(h.time / (math.pi / 4))
+        assert abs(h.time - k * math.pi / 4) <= 1e-12, (spec, h)
+
+
+@pytest.mark.parametrize("spec, classes", SCAN_GROUPS)
+def test_refined_fidelity_is_never_below_the_grid_peak(spec, classes):
+    """Every hit reads at least the largest fidelity of the grid around it."""
+    g = build_group(parse_group_spec(spec))
+    op = build_operator(adjacency_matrix(cayley_graph(g, classes)))
+    grid = np.linspace(0.0, 12.6, SCAN_STEPS + 1)
+    _, values = dense_grid(op, grid, 0)
+    hits = scan_pst(op, 0, t_max=12.6)
+    assert hits
+    for h in hits:
+        i = int(np.searchsorted(grid, h.time))
+        assert h.fidelity >= np.max(values[i - 1:i + 1]) - 1e-13, (spec, h)
+
+
+def test_a_refinement_off_the_peak_is_refused(monkeypatch):
+    """A refinement that settles at the bracket's left end, below the grid
+    peak, is refused."""
+    op = skew_operator(8, [1, 2, 5])
+    monkeypatch.setattr(oracle, "_refine", lambda op, rows, s, width: 0.0 * s)
+    with pytest.raises(NumericalFailureError, match="below its grid value"):
+        scan_pst(op, 0, t_max=12.6)
 
 
 def test_norm_check_catches_a_rho_below_the_spectral_norm():
