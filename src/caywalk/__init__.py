@@ -32,7 +32,6 @@ from .characters import (
     import_character_table,
     kernel,
     load_character_table,
-    rational_intersection,
     unit_closure,
     units_mod,
 )
@@ -54,7 +53,6 @@ from .engine import (
     nonexistence_witness,
     nonexistence_witness_classes,
     parse_time,
-    partition_into_transfer_classes,
     solvable_exclusion_report,
     solve_pst_time,
     spectrum,
@@ -114,7 +112,6 @@ from .groups import (
     permutation_cycles,
     save_group,
     subgroup_closure,
-    wreath_type,
 )
 from .oracle import (
     PermutationReport,

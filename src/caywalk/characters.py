@@ -9,15 +9,18 @@ rationality arguments used by the nonexistence machinery.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from itertools import islice
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from .config import (
     DEFAULT_SEED,
     MAX_TABLE_CLASSES,
+    SEED_BOUND,
     TABLE_RETRIES,
     VALUE_TOL,
 )
@@ -212,25 +215,46 @@ def _class_combination(group: GroupTable, coeff: np.ndarray) -> np.ndarray:
     return m
 
 
+_MASK64 = (1 << 64) - 1
+
+
+def _splitmix64(seed: int) -> Iterator[int]:
+    """SplitMix64 (Steele, Lea & Flood, OOPSLA 2014): the state steps by the
+    golden-ratio increment, and each output is the state after two
+    xor-shift-multiply rounds and a final xor-shift, all mod 2^64. Plain
+    integer arithmetic, so a seed gives the same stream under any numpy."""
+    state = seed
+    while True:
+        state = (state + 0x9E3779B97F4A7C15) & _MASK64
+        z = ((state ^ state >> 30) * 0xBF58476D1CE4E5B9) & _MASK64
+        z = ((z ^ z >> 27) * 0x94D049BB133111EB) & _MASK64
+        yield z ^ z >> 31
+
+
 def character_table_numerical(group: GroupTable, seed: int = DEFAULT_SEED) -> CharacterTable:
     """Character table via simultaneous eigenvectors of the class matrices.
 
-    A random (seeded) real combination of the class multiplication matrices
+    A seeded real combination of the class multiplication matrices
     generically has simple spectrum; its eigenvectors are the central
-    characters, from which degrees and values follow. Degenerate draws are
-    retried with fresh coefficients, deterministically in the seed.
+    characters, from which degrees and values follow. Each attempt takes the
+    next k draws x of the seed's SplitMix64 stream as the coefficients
+    (2^20 + (x >> 43)) / 2^21, multiples of 2^-21 in [0.5, 1.5), so a
+    degenerate draw is retried deterministically in the seed.
     """
+    seed = operator.index(seed)
+    if not 0 <= seed < SEED_BOUND:
+        raise InvalidParameterError(f"seed {seed} is outside 0..{SEED_BOUND - 1}")
     conj = group.conj
     k = len(conj.classes)
     if k > MAX_TABLE_CLASSES:
         raise SizeLimitError(f"{k} classes exceeds numerical cap {MAX_TABLE_CLASSES}")
     order = group.order
     sizes = conj.sizes
-    rng = np.random.default_rng(seed)
+    stream = _splitmix64(seed)
 
     last_problem = "no attempt"
     for _ in range(TABLE_RETRIES):
-        coeff = rng.integers(1 << 20, 3 << 20, size=k) / (1 << 21)
+        coeff = np.array([(1 << 20) + (x >> 43) for x in islice(stream, k)]) / (1 << 21)
         eigvals, eigvecs = np.linalg.eig(_class_combination(group, coeff))
         scale = max(1.0, float(np.max(np.abs(eigvals))))
         gaps = np.abs(eigvals[:, None] - eigvals[None, :])
@@ -321,7 +345,7 @@ def galois_stabilizers(table: CharacterTable, conj: ConjugacyData) -> GaloisData
     that is when the additive order r / gcd(r, v) of v divides k - 1."""
     m = table.exponent
     if table.digits is None:
-        return galois_stabilizers_imported(table, {k: conj.class_power(k) for k in units_mod(m)})
+        return _galois_walk(table, {k: conj.class_power(k) for k in _unit_generators(m)})
     orders = m // np.gcd(np.gcd.reduce(table.digits, axis=1), m)
     distinct, row = np.unique(orders, return_inverse=True)
     fixes = ((np.arange(m) - 1) % distinct[:, None] == 0) & unit_mask(m)
@@ -330,16 +354,83 @@ def galois_stabilizers(table: CharacterTable, conj: ConjugacyData) -> GaloisData
 
 def galois_stabilizers_imported(table: CharacterTable,
                                 power_maps: dict[int, Sequence[int]]) -> GaloisData:
-    """Unit k fixes row i when the row equals itself permuted by k's class power map."""
-    m, values = table.exponent, table.values
-    missing = [k for k in units_mod(m) if k not in power_maps]
+    """Stabilizers from shipped class power maps, one for every unit mod the
+    exponent; each map must be the composition of the generators' maps."""
+    missing = [k for k in units_mod(table.exponent) if k not in power_maps]
     if missing:
         raise SchemaError(f"power maps missing for units {missing}")
-    fixes = np.zeros((table.n_chars, m), dtype=bool)
-    for k in units_mod(m):
-        perm = np.asarray(power_maps[k])
-        fixes[:, k % m] = np.max(np.abs(values[:, perm] - values), axis=1) < VALUE_TOL
+    return _galois_walk(table, power_maps)
+
+
+def _galois_walk(table: CharacterTable,
+                 power_maps: Mapping[int, Sequence[int]]) -> GaloisData:
+    """Unit u fixes row i when sigma_u(i) = i, sigma_u the permutation of the
+    rows that u's class power map P_u induces: row i composed with P_u is
+    row sigma_u(i).
+
+    Only the generators of the units mod the exponent are matched on the
+    table. Every other unit is reached breadth-first, as in unit_closure,
+    with P_(ug) = P_g o P_u and sigma_(ug) = sigma_g o sigma_u. A map in
+    power_maps for a reached unit must equal the composed one exactly.
+    """
+    m, k = table.exponent, table.n_chars
+    identity = np.arange(k)
+    steps = [(g, g_map, _row_permutation(table.values, g_map))
+             for g in _unit_generators(m) for g_map in [np.asarray(power_maps[g])]]
+    fixes = np.zeros((k, m), dtype=bool)
+    frontier, seen = {1: (identity, identity)}, {1 % m}
+    while frontier:
+        reached = {}
+        for u, (power_map, sigma) in frontier.items():
+            if u in power_maps and not np.array_equal(power_maps[u], power_map):
+                raise SchemaError(f"power map for k={u} is not the composition "
+                                  f"of the maps of the generators {[g for g, *_ in steps]}")
+            fixes[:, u % m] = sigma == identity
+            for g, g_map, g_sigma in steps:
+                if u * g % m not in seen:
+                    seen.add(u * g % m)
+                    reached[u * g % m] = g_map[power_map], g_sigma[sigma]
+        frontier = reached
     return GaloisData(exponent=m, fixes=fixes)
+
+
+def _row_permutation(values: np.ndarray, power_map: np.ndarray) -> np.ndarray:
+    """sigma with values[i, power_map] equal to values[sigma[i]] within
+    VALUE_TOL, entry by entry.
+
+    Candidates come from a generic real key per row, Re(values @ w) with
+    w_c = exp(ic): rows equal within VALUE_TOL have keys within VALUE_TOL * k.
+    Each match is checked on the whole row; where the nearest key is not the
+    match, every row within that slack is tried before the row counts as
+    unmatched.
+    """
+    k = len(values)
+    weights = np.exp(1j * np.arange(k))
+    moved = values[:, power_map]
+    keys, moved_keys = (values @ weights).real, (moved @ weights).real
+    order = np.argsort(keys)
+    lo = np.searchsorted(keys[order], moved_keys - VALUE_TOL * k)
+    hi = np.searchsorted(keys[order], moved_keys + VALUE_TOL * k, side="right")
+    sigma = order[np.minimum(lo, k - 1)]
+    unmatched = np.abs(moved - values[sigma]).max(axis=1) >= VALUE_TOL
+    for i in np.flatnonzero(unmatched):
+        near = [j for j in order[lo[i]:hi[i]] if np.abs(moved[i] - values[j]).max() < VALUE_TOL]
+        if not near:
+            raise NumericalFailureError(
+                f"character {i} composed with a class power map matches no character")
+        sigma[i] = near[0]
+    return sigma
+
+
+def _unit_generators(m: int) -> list[int]:
+    """Generators of the units mod m: each unit, in order, that the ones
+    before it do not generate (at most log2 of their count)."""
+    gens, reached = [], unit_closure(m, ())
+    for u in units_mod(m):
+        if not reached[u % m]:
+            gens.append(u)
+            reached = unit_closure(m, [u], reached)
+    return gens
 
 
 def unit_closure(m: int, seeds: Iterable[int], start: np.ndarray | None = None) -> np.ndarray:
@@ -360,16 +451,6 @@ def unit_closure(m: int, seeds: Iterable[int], start: np.ndarray | None = None) 
         seen |= fresh
         frontier = np.flatnonzero(fresh)
     return seen
-
-
-def rational_intersection(galois: GaloisData, char_indices: Sequence[int]) -> bool:
-    """True when the chosen characters' fields of values intersect in Q.
-
-    Equivalent statement on the Galois side: the union of their stabilizers
-    generates the whole unit group mod the exponent.
-    """
-    seeds = np.flatnonzero(galois.fixes[list(char_indices)].any(axis=0))
-    return bool(np.array_equal(unit_closure(galois.exponent, seeds), galois.units))
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,7 @@ from .characters import (
     galois_stabilizers,
     load_character_table,
 )
-from .config import DEFAULT_CONFIG, RunConfig
+from .config import DEFAULT_CONFIG, SEED_BOUND, RunConfig
 from .engine import (
     TIME_TAGS,
     check_imported_claim,
@@ -88,6 +88,8 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     for name in ("max_order", "oracle_max_order", "seed"):
         val = getattr(args, name, None)
         if val is not None:
+            if name == "seed" and not 0 <= val < SEED_BOUND:
+                raise InvalidParameterError(f"--seed must be an integer in 0..{SEED_BOUND - 1}")
             if name != "seed" and val <= 0:
                 raise InvalidParameterError(f"--{name.replace('_', '-')} must be positive")
             updates[name] = val
@@ -499,7 +501,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="caywalk",
         description="State transfer on oriented normal Cayley graphs.")
     parser.add_argument("--seed", type=int, default=None,
-                        help="RNG seed for numerical character tables (default 42)")
+                        help="seed of the numerical character tables' coefficient "
+                             "stream, 0..2^64-1 (default 42)")
     parser.add_argument("--max-order", dest="max_order", type=int, default=None,
                         help="largest group order any constructor may build "
                              "(never more than 65,536)")

@@ -30,6 +30,8 @@ DEFAULT_MAX_ORDER = 4096
 # Oracle verification is skipped above this many vertices unless forced.
 DEFAULT_ORACLE_MAX_ORDER = 200
 DEFAULT_SEED = 42
+# A seed keys a 64-bit SplitMix64 stream, so it lies in 0..SEED_BOUND - 1.
+SEED_BOUND = 1 << 64
 # Numerical character tables are refused above this many classes (m2:12 has 2,560).
 MAX_TABLE_CLASSES = 2560
 TABLE_RETRIES = 8

@@ -391,21 +391,6 @@ def _check_transfer_sets(conj: ConjugacyData, table: CharacterTable, thetas: np.
             f"power law fails: no transfer to generator^{n} at {n} * tau_min")
 
 
-def partition_into_transfer_classes(graph: CayleyGraph,
-                                    report: MSTReport) -> tuple[tuple[int, ...], ...] | None:
-    """Cosets of the transfer set, or None when there is no transfer at all."""
-    if report.size <= 1:
-        return None
-    order = graph.group.order
-    # Row v is the translate S_e * v, sorted; each is kept at its least element.
-    cosets = np.sort(graph.group.mul[np.array(report.S_e)].T, axis=1)
-    parts = cosets[cosets[:, 0] == np.arange(order)]
-    if parts.shape[1] != report.size or not np.array_equal(np.sort(parts, axis=None),
-                                                           np.arange(order)):
-        raise InvariantBreachError("transfer classes do not partition the vertices")
-    return tuple(map(tuple, parts.tolist()))
-
-
 # ---------------------------------------------------------------------------
 # time arithmetic
 

@@ -484,21 +484,6 @@ def cycle_product(base: GroupTable, coords: Sequence[int],
     return prod
 
 
-def wreath_type(el: WreathElement, base: GroupTable) -> dict[int, tuple[int, ...]]:
-    """Partition-valued conjugation invariant of a wreath element.
-
-    Maps each base conjugacy class to the multiset (sorted descending) of
-    cycle lengths whose forward cycle product lands in that class. Classes
-    receiving nothing are omitted.
-    """
-    out: dict[int, list[int]] = {}
-    for cyc in permutation_cycles(el.perm, include_fixed=True):
-        prod = cycle_product(base, el.coords, tuple(i + 1 for i in cyc))
-        out.setdefault(int(base.conj.class_of[prod]), []).append(len(cyc))
-    return {cls: tuple(sorted(lengths, reverse=True))
-            for cls, lengths in out.items()}
-
-
 # ---------------------------------------------------------------------------
 # conjugacy structure
 

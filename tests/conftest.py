@@ -15,11 +15,11 @@ import weakref
 import numpy as np
 import pytest
 
-from caywalk.characters import CharacterTable, units_mod
+from caywalk import characters
+from caywalk.characters import CharacterTable, GaloisData, unit_closure, units_mod
 from caywalk.config import (
     PERMUTATION_TOL,
     RECONSTRUCTION_TOL,
-    SCAN_REFINE_TOL,
     SCAN_STEPS,
     SCAN_THRESHOLD,
     VALUE_TOL,
@@ -37,9 +37,11 @@ from caywalk.errors import GroupValidationError, InvariantBreachError
 from caywalk.groups import (
     ConjugacyData,
     GroupTable,
+    WreathElement,
     WreathIndexing,
     _perm_label,
     _word,
+    cycle_product,
     digits_of,
     index_of_digits,
     permutation_cycles,
@@ -129,6 +131,8 @@ def expm_taylor(m: np.ndarray) -> np.ndarray:
 _SPECTRA: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 # Complex entries in one block of the dense fidelity grid.
 _GRID_BLOCK_ENTRIES = 2**19
+# Newton steps dense_scan_pst allows one maximum before failing.
+_DENSE_NEWTON_STEPS = 50
 
 
 def dense_spectrum(op: WalkOperator) -> tuple[np.ndarray, np.ndarray]:
@@ -213,37 +217,43 @@ def distance_to_a_unit_vector(col: np.ndarray) -> float:
 
 
 def dense_scan_pst(op: WalkOperator, a: int, t_max: float) -> list[ScanHit]:
-    """The earlier oracle.scan_pst, kept as the reference for its Chebyshev
-    form: the eigendecomposition's fidelity grid, then one golden-section
-    search per local maximum on dense columns."""
+    """oracle.scan_pst on the eigendecomposition, the reference for its
+    Chebyshev form: the fidelity grid, then Newton steps to each local
+    maximum of the grid target's |u| (golden-section search before).
+
+    With u(t) = sum_j w_j exp(r_j t), w_j = V[b, j] conj(V[a, j]) and r_j the
+    phase rate of eigenvalue j, u' and u'' are the sums with r_j and r_j^2
+    as factors. The peak is the root of Re(conj(u) u'), whose slope is
+    |u'|^2 + Re(conj(u) u''); the steps are kept inside the grid bracket.
+    """
+    eigenvalues, vectors = dense_spectrum(op)
+    rates = (1j if op.hermitian else -1j) * eigenvalues
+
     def best(t):
         col = np.abs(dense_column(op, t, a))
         col[a] = -1.0
         b = int(np.argmax(col))
         return b, float(col[b])
 
-    def golden_max(fn, lo, hi):
-        phi = (math.sqrt(5.0) - 1.0) / 2.0
-        x1, x2 = hi - phi * (hi - lo), lo + phi * (hi - lo)
-        f1, f2 = fn(x1), fn(x2)
-        while hi - lo > SCAN_REFINE_TOL:
-            if f1 < f2:
-                lo, x1, f1 = x1, x2, f2
-                x2 = lo + phi * (hi - lo)
-                f2 = fn(x2)
-            else:
-                hi, x2, f2 = x2, x1, f1
-                x1 = hi - phi * (hi - lo)
-                f1 = fn(x1)
-        return 0.5 * (lo + hi)
+    def newton_peak(b, t, lo, hi):
+        weights = vectors[b, :] * np.conj(vectors[a, :])
+        for _ in range(_DENSE_NEWTON_STEPS):
+            terms = weights * np.exp(rates * t)
+            u, du, ddu = terms.sum(), (rates * terms).sum(), (rates ** 2 * terms).sum()
+            step = (np.conj(u) * du).real / (abs(du) ** 2 + (np.conj(u) * ddu).real)
+            t = min(max(t - step, lo), hi)
+            if abs(step) <= 1e-15 * max(1.0, t):
+                return t
+        raise AssertionError(f"no Newton convergence near t = {t}")
 
     grid = np.linspace(0.0, t_max, SCAN_STEPS + 1)
-    _, values = dense_grid(op, grid, a)
+    targets, values = dense_grid(op, grid, a)
     hits = []
     for i in range(1, SCAN_STEPS):
         if values[i] >= SCAN_THRESHOLD and values[i] >= values[i - 1] \
                 and values[i] >= values[i + 1]:
-            t_ref = golden_max(lambda t: best(t)[1], float(grid[i - 1]), float(grid[i + 1]))
+            t_ref = newton_peak(int(targets[i]), float(grid[i]), float(grid[i - 1]),
+                                float(grid[i + 1]))
             b, f = best(t_ref)
             hits.append(ScanHit(time=t_ref, target=b, fidelity=f))
     hits.sort(key=lambda h: h.time)
@@ -458,6 +468,87 @@ def row_loop_stabilizers(table, power_perm, units) -> tuple[tuple[int, ...], ...
         stabs.append(tuple(k for k in units
                            if np.max(np.abs(row[perms[k]] - row)) < VALUE_TOL))
     return tuple(stabs)
+
+
+def per_unit_stabilizers(table, power_maps) -> GaloisData:
+    """Unit k fixes row i when the row equals itself permuted by k's class
+    power map, one whole-table comparison per unit.
+
+    The earlier body of characters.galois_stabilizers_imported, kept as the
+    reference for its walk from the unit group's generators.
+    """
+    m, values = table.exponent, table.values
+    fixes = np.zeros((table.n_chars, m), dtype=bool)
+    for k in units_mod(m):
+        perm = np.asarray(power_maps[k])
+        fixes[:, k % m] = np.max(np.abs(values[:, perm] - values), axis=1) < VALUE_TOL
+    return GaloisData(exponent=m, fixes=fixes)
+
+
+def rational_intersection(galois, char_indices) -> bool:
+    """True when the chosen characters' fields of values intersect in Q: the
+    union of their stabilizers generates the whole unit group mod the exponent.
+
+    Formerly characters.rational_intersection, which nothing in the package
+    called.
+    """
+    seeds = np.flatnonzero(galois.fixes[list(char_indices)].any(axis=0))
+    return bool(np.array_equal(unit_closure(galois.exponent, seeds), galois.units))
+
+
+def partition_into_transfer_classes(graph, report: MSTReport):
+    """Cosets of the transfer set, or None when there is no transfer at all.
+
+    Formerly engine.partition_into_transfer_classes, which nothing in the
+    package called.
+    """
+    if report.size <= 1:
+        return None
+    order = graph.group.order
+    # Row v is the translate S_e * v, sorted; each is kept at its least element.
+    cosets = np.sort(graph.group.mul[np.array(report.S_e)].T, axis=1)
+    parts = cosets[cosets[:, 0] == np.arange(order)]
+    if parts.shape[1] != report.size or not np.array_equal(np.sort(parts, axis=None),
+                                                           np.arange(order)):
+        raise InvariantBreachError("transfer classes do not partition the vertices")
+    return tuple(map(tuple, parts.tolist()))
+
+
+def wreath_type(el: WreathElement, base: GroupTable) -> dict[int, tuple[int, ...]]:
+    """Partition-valued conjugation invariant of a wreath element: each base
+    conjugacy class maps to the cycle lengths, sorted descending, whose
+    forward cycle product lands in it. Classes receiving nothing are omitted.
+
+    Formerly groups.wreath_type, which nothing in the package called.
+    """
+    out: dict[int, list[int]] = {}
+    for cyc in permutation_cycles(el.perm, include_fixed=True):
+        prod = cycle_product(base, el.coords, tuple(i + 1 for i in cyc))
+        out.setdefault(int(base.conj.class_of[prod]), []).append(len(cyc))
+    return {cls: tuple(sorted(lengths, reverse=True))
+            for cls, lengths in out.items()}
+
+
+def numpy_draw_table(group: GroupTable, seed: int) -> CharacterTable:
+    """characters.character_table_numerical with each attempt's coefficients
+    drawn as before the SplitMix64 stream, by
+    np.random.default_rng(seed).integers(2^20, 3 * 2^20, size=k) / 2^21.
+
+    The stream is replaced by one that yields each such integer c as the
+    draw (c - 2^20) << 43, which the table turns back into c / 2^21, so
+    everything after the draw is the package's own code.
+    """
+    k = len(group.conj.classes)
+    rng = np.random.default_rng(seed)
+
+    def numpy_stream(_seed):
+        while True:
+            for c in rng.integers(1 << 20, 3 << 20, size=k).tolist():
+                yield (c - (1 << 20)) << 43
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(characters, "_splitmix64", numpy_stream)
+        return characters.character_table_numerical(group, seed)
 
 
 def structure_constants(group: GroupTable) -> np.ndarray:

@@ -35,7 +35,6 @@ from caywalk.engine import (
     check_pst_at,
     compute_S_e,
     nonexistence_witness,
-    partition_into_transfer_classes,
     solvable_exclusion_report,
     spectrum,
     time_rationality_check,
@@ -57,11 +56,15 @@ from caywalk.groups import (
     build_wreath_sym,
     conjugacy,
     subgroup_closure,
-    wreath_type,
 )
 from caywalk.oracle import build_operator, evolve, evolve_column, fidelity, permutation_check
 
-from conftest import dense_spectrum, element_order
+from conftest import (
+    dense_spectrum,
+    element_order,
+    partition_into_transfer_classes,
+    wreath_type,
+)
 from test_families import random_valid_z3_sets
 
 TAU3 = 2 * math.pi / (3 * math.sqrt(3.0))

@@ -1,6 +1,8 @@
 """Character tables: closed form, class-algebra numerics, Galois data, interchange."""
 import copy
 import dataclasses
+import functools
+import itertools
 import json
 import tracemalloc
 
@@ -21,10 +23,9 @@ from caywalk.characters import (
     import_character_table,
     kernel,
     load_character_table,
-    rational_intersection,
     units_mod,
 )
-from caywalk.errors import NumericalFailureError, SchemaError
+from caywalk.errors import InvalidParameterError, NumericalFailureError, SchemaError
 from caywalk.groups import (
     GroupSpec,
     GroupTable,
@@ -39,13 +40,37 @@ from caywalk.groups import (
 from conftest import (
     CYCLIC_ORDERS,
     dense_abelian_table,
+    numpy_draw_table,
+    per_unit_stabilizers,
     permutation_group_table,
+    rational_intersection,
     rounded_row_order,
     row_loop_stabilizers,
     set_unit_closure,
     stabilizer_tuples,
     structure_constants,
 )
+
+
+# Every group whose numerical table the tests build, and the seeds they use.
+NUMERICAL_TABLES = [
+    *[(spec, 42) for spec in ("s3", "s5", "z:6", "z3^2", "es3:1", "es3:1:9", "es3:2", "es3:3",
+                              "m2:4", "m2:5", "m2:6", "m2:7", "m2:8", "wreath:z:3:2",
+                              "wreath:z:3:3", "wreath:z:3:4", "wreath:z:4:2", "wreath:z:4:3")],
+    ("es3:1", 1), ("es3:1", 2), ("es3:1", 7)]
+
+
+@functools.cache
+def numerical_group(spec: str) -> GroupTable:
+    """s3 and s5 as permutation groups, anything else by its spec."""
+    if spec in ("s3", "s5"):
+        return permutation_group_table(int(spec[1]))
+    return build_group(parse_group_spec(spec))
+
+
+@functools.cache
+def numerical_table(spec: str, seed: int):
+    return character_table_numerical(numerical_group(spec), seed=seed)
 
 
 def rounded_rows(values, places=8):
@@ -381,6 +406,62 @@ def test_canonical_row_order_matches_the_rounded_key_reference(spec):
     assert np.array_equal(values[order], table.values)
 
 
+@pytest.mark.parametrize("spec, seed", NUMERICAL_TABLES)
+def test_stream_table_matches_the_numpy_draw_reference(spec, seed):
+    """The SplitMix64 coefficients give the table the earlier numpy draw
+    gave: the same degrees in the same row order, values within 1e-12.
+
+    es3:3 (731 classes) is the exception: the stream's M has the smaller
+    relative eigenvalue gap there (1.6e-5 against 2.3e-5), and its table lies
+    2.9e-12 from the exact values in Z[omega], where the numpy draw's lies
+    7.3e-13 from them; both are 3,000 times inside VALUE_TOL."""
+    table = numerical_table(spec, seed)
+    reference = numpy_draw_table(numerical_group(spec), seed)
+    assert np.array_equal(table.degrees, reference.degrees)
+    bound = 1e-11 if spec == "es3:3" else 1e-12
+    assert np.max(np.abs(table.values - reference.values)) <= bound
+
+
+def test_the_coefficient_stream_is_pinned(s3_table, monkeypatch):
+    """The stream is SplitMix64 (the published outputs for seeds 0 and
+    1234567), and the first coefficients of seeds 0 and 42 are fixed
+    multiples of 2^-21, so a seed gives the same table under any numpy."""
+    assert list(itertools.islice(characters._splitmix64(0), 3)) == [
+        0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]
+    assert list(itertools.islice(characters._splitmix64(1234567), 5)) == [
+        6457827717110365317, 3203168211198807973, 9817491932198370423,
+        4593380528125082431, 16408922859458223821]
+    drawn = []
+    original = characters._class_combination
+    monkeypatch.setattr(characters, "_class_combination",
+                        lambda g, coeff: drawn.append(coeff) or original(g, coeff))
+    for seed in (0, 42):
+        character_table_numerical(s3_table, seed=seed)
+    assert [(c * (1 << 21)).tolist() for c in drawn] == [[2901013, 1953555, 1104011],
+                                                         [2603750, 1383932, 1632844]]
+
+
+def test_a_retry_takes_the_next_k_draws_of_the_stream(s3_table, monkeypatch):
+    drawn = []
+    original = characters._class_combination
+
+    def degenerate_first(g, coeff):
+        drawn.append(coeff * (1 << 21))
+        return np.eye(len(coeff)) if len(drawn) == 1 else original(g, coeff)
+
+    monkeypatch.setattr(characters, "_class_combination", degenerate_first)
+    table = character_table_numerical(s3_table, seed=0)
+    assert sorted(table.degrees.tolist()) == [1, 1, 2]
+    assert [c.tolist() for c in drawn] == [[2901013, 1953555, 1104011],
+                                           [3084663, 1271601, 1735027]]
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_a_seed_outside_64_bits_is_refused(s3_table, seed):
+    with pytest.raises(InvalidParameterError, match="outside 0..18446744073709551615"):
+        character_table_numerical(s3_table, seed=seed)
+
+
 def test_dispatch_prefers_closed_form():
     g = build_cyclic(6)
     t = character_table_for(g)
@@ -420,6 +501,56 @@ def test_galois_stabilizers_z6():
     assert stabs[3] == (1, 5)   # order-2 character, values +-1
     assert stabs[1] == (1,)
     assert stabs[2] == (1,)
+
+
+@pytest.mark.parametrize("spec", sorted({spec for spec, _ in NUMERICAL_TABLES}))
+def test_galois_walk_matches_the_per_unit_reference(spec):
+    """Walked from the generators of the units, the stabilizers of each
+    numerical table, and of its export read back, are the ones a whole-table
+    comparison per unit finds."""
+    table, conj = numerical_table(spec, 42), numerical_group(spec).conj
+    maps = {k: conj.class_power(k) for k in units_mod(table.exponent)}
+    reference = per_unit_stabilizers(table, maps).fixes
+    assert np.array_equal(galois_stabilizers(table, conj).fixes, reference)
+    imp = import_character_table(export_character_table(table, conj))
+    assert np.array_equal(galois_stabilizers_imported(imp.table, imp.power_maps).fixes,
+                          reference)
+
+
+def test_a_power_map_off_the_generators_composition_is_refused():
+    """m2:5's units mod 16 are generated by 3 and 5; a shipped map for 15
+    with two classes swapped is still a permutation fixing class 0, which the
+    per-unit comparison took without a word."""
+    table, conj = numerical_table("m2:5", 42), numerical_group("m2:5").conj
+    assert characters._unit_generators(16) == [3, 5]
+    doc = export_character_table(table, conj)
+    bad = doc["class_power_maps"]["15"]
+    i, j = 1, next(j for j in range(2, len(bad)) if bad[j] != bad[1])
+    bad[i], bad[j] = bad[j], bad[i]
+    imp = import_character_table(doc)
+    per_unit_stabilizers(imp.table, imp.power_maps)
+    with pytest.raises(SchemaError, match="power map for k=15 is not the composition"):
+        galois_stabilizers_imported(imp.table, imp.power_maps)
+
+
+def test_a_generator_map_that_no_character_follows_is_a_numerical_failure():
+    doc, _ = exported_extraspecial()
+    doc["class_power_maps"]["2"] = [0, *doc["class_power_maps"]["2"][1:][::-1]]
+    imp = import_character_table(doc)
+    with pytest.raises(NumericalFailureError, match="matches no character"):
+        galois_stabilizers_imported(imp.table, imp.power_maps)
+
+
+def test_row_permutation_tries_every_row_within_the_key_slack():
+    """Rows 1 and 3 differ by 5e-8 in one entry: their keys lie within the
+    slack VALUE_TOL * k, the nearer key is the wrong row, and the full-row
+    check finds the right one. Columns swapped, no row matches."""
+    values = np.random.default_rng(0).standard_normal((6, 6)) + 0j
+    values[3] = values[1]
+    values[3, 0] += 5e-8
+    assert characters._row_permutation(values, np.arange(6)).tolist() == list(range(6))
+    with pytest.raises(NumericalFailureError):
+        characters._row_permutation(values, np.array([0, 2, 1, 3, 4, 5]))
 
 
 def test_rational_intersection_z6():
@@ -561,6 +692,7 @@ def test_import_exact_cyclotomic_document():
     assert imp.table.cyclotomic is not None
     gal = galois_stabilizers_imported(imp.table, imp.power_maps)
     assert stabilizer_tuples(gal)[:2] == ((1, 2), (1,))
+    assert np.array_equal(gal.fixes, per_unit_stabilizers(imp.table, imp.power_maps).fixes)
 
 
 def test_imported_galois_requires_all_unit_maps():

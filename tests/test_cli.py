@@ -149,10 +149,16 @@ def test_group_info_rejects_a_saved_nonassociative_loop(capsys, tmp_path):
 
 @pytest.mark.parametrize("argv", [["sweep", "--group", "z4^2"],
                                   ["pst", "mst", "--group", "z3^6",
-                                   "--classes", "1,3,9,27,81,243"]])
-def test_closed_form_commands_import_neither_masked_arrays_nor_random(argv):
-    # numpy.ma costs about 16 ms at first use (np.unique loads it) and
-    # numpy.random about 17 ms; neither is needed by a closed-form verdict.
+                                   "--classes", "1,3,9,27,81,243"],
+                                  ["sweep", "--group", "m2:5", "--limit", "32"],
+                                  ["pst", "mst", "--group", "extraspecial3:2",
+                                   "--classes", "1,3,5,11,29", "--witnesses"],
+                                  ["verify"]])
+def test_commands_import_neither_masked_arrays_nor_random(argv):
+    # numpy.ma costs about 16 ms at first use (np.unique loads it), and
+    # numpy.random 11-15 ms and 6 MB (it loads secrets, hashlib and hmac).
+    # Closed-form verdicts need neither, and numerical tables draw their
+    # coefficients from characters._splitmix64.
     probe = ("import sys, caywalk.cli; code = caywalk.cli.main(sys.argv[1:]); "
              "print(code, [m for m in ('numpy.ma', 'numpy.random') if m in sys.modules])")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -478,6 +484,24 @@ def test_sweep_refuses_a_limit_that_is_not_positive(capsys, limit):
     code = main(["sweep", "--group", "z:8", "--limit", limit])
     assert code == EXIT_VALIDATION
     assert "--limit must be positive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("seed", [str(-1), str(2**64)])
+@pytest.mark.parametrize("argv", [["pst", "mst", "--group", "z:8", "--classes", "1,3"],
+                                  ["sweep", "--group", "z:8"],
+                                  ["group", "info", "z:3"],
+                                  ["verify", "--only", "z8_125"]])
+def test_a_seed_outside_64_bits_is_refused_on_every_command(capsys, seed, argv):
+    """--seed keys a 64-bit stream; out of range it exits 2 before any work,
+    also where no numerical table is built."""
+    assert main(["--seed", seed, *argv]) == EXIT_VALIDATION
+    assert "--seed must be an integer in 0..18446744073709551615" in capsys.readouterr().err
+
+
+def test_the_largest_seed_builds_a_numerical_table(capsys):
+    code, doc = run_json(capsys, ["--seed", str(2**64 - 1), "pst", "mst",
+                                  "--group", "extraspecial3:1", "--classes", "x1,y1,z"])
+    assert code == EXIT_OK and doc["size"] == 3
 
 
 def test_sweep_refuses_large_group(capsys):

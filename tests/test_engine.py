@@ -21,7 +21,6 @@ from caywalk.characters import (
     export_character_table,
     galois_stabilizers,
     import_character_table,
-    rational_intersection,
     units_mod,
 )
 from caywalk.config import VALUE_TOL
@@ -39,7 +38,6 @@ from caywalk.engine import (
     nonexistence_witness,
     nonexistence_witness_classes,
     parse_time,
-    partition_into_transfer_classes,
     solvable_exclusion_report,
     solve_pst_time,
     time_rationality_check,
@@ -62,9 +60,11 @@ from conftest import (
     blocked_scan_targets,
     dense_abelian_table,
     itertools_oriented_sets,
+    partition_into_transfer_classes,
     per_set_compute_S_e,
     per_set_scan_targets,
     per_set_walk_frequency,
+    rational_intersection,
     row_loop_stabilizers,
     row_loop_witness,
     stabilizer_tuples,

@@ -42,7 +42,6 @@ from caywalk.groups import (
     power,
     save_group,
     subgroup_closure,
-    wreath_type,
 )
 
 from conftest import (
@@ -60,6 +59,7 @@ from conftest import (
     orbit_conjugacy,
     permutation_group_table,
     sort_loop_spot_validate,
+    wreath_type,
 )
 
 

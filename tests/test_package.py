@@ -98,6 +98,26 @@ def test_criterion_reads_no_dense_table():
     assert reads == []
 
 
+def test_no_module_names_numpy_random():
+    """Numerical tables draw from characters._splitmix64: numpy.random
+    costs 11-15 ms and 6 MB to import, and numpy keeps no stream stable
+    across its versions."""
+    found = []
+    for path in sorted((ROOT / "src" / "caywalk").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute):
+                names = [ast.unparse(node)]
+            elif isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or "", *(f"{node.module}.{a.name}" for a in node.names)]
+            else:
+                continue
+            if any(n.split(".")[:2] in (["np", "random"], ["numpy", "random"]) for n in names):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
 def _is_group(name: str, annotation) -> bool:
     return name == "group" or "GroupTable" in (ast.unparse(annotation) if annotation else "")
 
