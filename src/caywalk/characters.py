@@ -369,29 +369,48 @@ def _galois_walk(table: CharacterTable,
     row sigma_u(i).
 
     Only the generators of the units mod the exponent are matched on the
-    table. Every other unit is reached breadth-first, as in unit_closure,
-    with P_(ug) = P_g o P_u and sigma_(ug) = sigma_g o sigma_u. A map in
-    power_maps for a reached unit must equal the composed one exactly.
+    table; every other unit's sigma_u is composed along _walk_units, with
+    sigma_(ug) = sigma_g o sigma_u, and so is its P_u, which must equal the
+    map power_maps holds for it, if any (_check_power_maps).
     """
     m, k = table.exponent, table.n_chars
     identity = np.arange(k)
-    steps = [(g, g_map, _row_permutation(table.values, g_map))
-             for g in _unit_generators(m) for g_map in [np.asarray(power_maps[g])]]
+    walk = _walk_units(m, (identity, identity), {
+        g: (g_map, _row_permutation(table.values, g_map))
+        for g in _unit_generators(m) for g_map in [np.asarray(power_maps[g])]})
+    _check_power_maps(walk, power_maps, m)
     fixes = np.zeros((k, m), dtype=bool)
-    frontier, seen = {1: (identity, identity)}, {1 % m}
+    for u, (_, sigma) in walk.items():
+        fixes[:, u % m] = sigma == identity
+    return GaloisData(exponent=m, fixes=fixes)
+
+
+def _walk_units(m: int, start: tuple[np.ndarray, ...],
+                steps: Mapping[int, tuple[np.ndarray, ...]]) -> dict[int, tuple[np.ndarray, ...]]:
+    """Every unit mod m with its permutations, reached breadth-first from 1,
+    which has start, as in unit_closure: steps holds those of each generator
+    g, and u*g gets g's composed after u's, P_g[P_u]."""
+    walk, frontier, seen = {}, {1: start}, {1 % m}
     while frontier:
+        walk.update(frontier)
         reached = {}
-        for u, (power_map, sigma) in frontier.items():
-            if u in power_maps and not np.array_equal(power_maps[u], power_map):
-                raise SchemaError(f"power map for k={u} is not the composition "
-                                  f"of the maps of the generators {[g for g, *_ in steps]}")
-            fixes[:, u % m] = sigma == identity
-            for g, g_map, g_sigma in steps:
+        for u, perms in frontier.items():
+            for g, g_perms in steps.items():
                 if u * g % m not in seen:
                     seen.add(u * g % m)
-                    reached[u * g % m] = g_map[power_map], g_sigma[sigma]
+                    reached[u * g % m] = tuple(q[p] for q, p in zip(g_perms, perms))
         frontier = reached
-    return GaloisData(exponent=m, fixes=fixes)
+    return walk
+
+
+def _check_power_maps(walk: Mapping[int, tuple[np.ndarray, ...]],
+                      power_maps: Mapping[int, Sequence[int]], m: int) -> None:
+    """Every map in power_maps for a unit the walk reached must be the class
+    power map composed there from the generators' maps, P_(ug) = P_g o P_u."""
+    for u, (power_map, *_) in walk.items():
+        if u in power_maps and not np.array_equal(power_maps[u], power_map):
+            raise SchemaError(f"power map for k={u} is not the composition "
+                              f"of the maps of the generators {_unit_generators(m)}")
 
 
 def _row_permutation(values: np.ndarray, power_map: np.ndarray) -> np.ndarray:
@@ -568,6 +587,13 @@ def import_character_table(doc: dict) -> ImportedTable:
         if sorted(perm_t) != list(range(n_classes)) or perm_t[0] != 0:
             raise SchemaError(f"power map for k={key} is not a class permutation fixing 0")
         power_maps[int(key)] = perm_t
+    gens = _unit_generators(m)
+    missing = [g for g in gens if g not in power_maps]
+    if missing:
+        raise SchemaError(f"power maps missing for the unit generators {missing}")
+    _check_power_maps(_walk_units(m, (np.arange(n_classes),),
+                                  {g: (np.asarray(power_maps[g]),) for g in gens}),
+                      power_maps, m)
 
     defects = _table_defects(values, degrees, sizes)
     if defects:

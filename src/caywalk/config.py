@@ -20,8 +20,9 @@ MAX_DENOMINATOR = 10**4
 RATIONAL_TOL = 1e-12
 # exp(tA) is a permutation matrix when every entry is within this of 0 or 1.
 PERMUTATION_TOL = 1e-8
-# Fidelity scans: grid steps, the fidelity a grid maximum must reach, and the
-# Newton step below which the refined time of a maximum counts as settled.
+# Fidelity scans: the csv grid's steps (a JSON scan derives its own from the
+# walk's degree, oracle.scan_pst), the fidelity a grid maximum must reach, and
+# the Newton step below which the refined time of a maximum counts as settled.
 SCAN_STEPS = 2000
 SCAN_THRESHOLD = 0.999
 SCAN_REFINE_TOL = 1e-10

@@ -17,6 +17,7 @@ from functools import cached_property
 import numpy as np
 
 from .config import (
+    FIDELITY_GAP,
     PERMUTATION_TOL,
     RECONSTRUCTION_TOL,
     SCAN_REFINE_TOL,
@@ -42,8 +43,12 @@ _EVOLVE_BASIS_BYTES = 2**24
 # that bound, which falls by more than half per term past omega, and every
 # P_k v has norm at most 1, so the dropped tail has norm below 4 * _TAIL.
 _TAIL = 1e-16
-# Grid steps evaluated from one Chebyshev basis in a scan.
-_WINDOW_STEPS = 200
+# The span of omega = t*rho a scan evaluates from one Chebyshev basis: a
+# window's basis holds about this many vectors plus the expansion's tail, and
+# its steps share one coefficient table. On the benchmark's four JSON scans
+# (in process, 2-vCPU VM) windows of omega 30 to 60 took 50 ms, 15 took 56 ms
+# and 250 took 68 ms.
+_WINDOW_OMEGA = 30.0
 # A single-vector product gathers the nonzeros of A when every row holds the
 # same d of them and _GATHER_RATIO * d <= n. Measured on a 2-vCPU VM with
 # d-regular circulants, the gather beats a dense matvec from n/d of about 24
@@ -91,6 +96,11 @@ class WalkOperator:
         rows, cols = np.nonzero(mask)  # row-major: d columns per row in turn
         index = cols.reshape(-1, d).T.copy()
         return index, self.matrix[rows, cols].reshape(-1, d).T.copy()
+
+    @cached_property
+    def column_norm2(self) -> float:
+        """The largest ||A e_b||^2: the degree of a Cayley graph's walk."""
+        return float(np.max(np.einsum("ij,ij->j", self.matrix, self.matrix)))
 
 
 def build_operator(a: np.ndarray) -> WalkOperator:
@@ -379,35 +389,60 @@ def _best_offdiagonal(states: np.ndarray, a: int) -> tuple[np.ndarray, np.ndarra
 def scan_pst(op: WalkOperator, a: int, t_max: float | None = None) -> list[ScanHit]:
     """Grid scan of max off-diagonal fidelity from vertex a, maxima refined.
 
-    The SCAN_STEPS-step grid is evaluated in windows of _WINDOW_STEPS steps:
-    one Chebyshev basis at each window's first state, and one coefficient
-    table, the same for every window, for the offsets within it. Each local
-    maximum above SCAN_THRESHOLD is refined on the entry of its grid target
+    The grid sees every transfer in [0, t_max] at fidelity 1 - FIDELITY_GAP
+    or more: a grid point within h/2 of it reads at least SCAN_THRESHOLD, so
+    the peak of those grid points is refined, unless it is an end of the
+    grid. Let d = ||A e_b||^2 at most (column_norm2), and U(tau) e_a =
+    c e_b + r with |c| >= 1 - gamma, r orthogonal to e_b. A's eigenvalues
+    are iy (y real in hermitian mode), and e_b has spectral weights w_y with
+    sum w_y y^2 = ||A e_b||^2 <= d, so for |delta| <= h/2, h the grid step,
+        |<e_b, U(delta) e_b>| >= sum w_y cos(delta y) >= 1 - d delta^2 / 2,
+        |<e_b, U(delta) r>| = |<U(-delta) e_b - e_b, r>| <= |delta| sqrt(d) |r|,
+    with |r|^2 = 1 - |c|^2 <= 2 gamma. With x = h sqrt(d) / 2 the grid point
+    nearest tau reads at least
+        (1 - gamma)(1 - x^2 / 2) - x sqrt(2 gamma) >= 1 - (x / sqrt 2 + sqrt gamma)^2,
+    which is SCAN_THRESHOLD = theta whenever x <= sqrt 2 (sqrt(1 - theta) -
+    sqrt gamma), that is for
+        steps >= t_max sqrt(d / 8) / (sqrt(1 - theta) - sqrt gamma):
+    t_max sqrt(d / (8 (1 - theta))) steps, over 1 - sqrt(gamma / (1 - theta))
+    = 0.99 for the slack a hit at 1 - FIDELITY_GAP needs (1 - theta = 1e-3
+    is 10^4 times that gap). A maximum below 1 - d h^2 / 8 that is no
+    transfer can still fall between grid points.
+
+    The grid is evaluated in windows of about _WINDOW_OMEGA of omega: one
+    Chebyshev basis at each window's first state, and one coefficient table,
+    the same for every window, for the offsets within it. Each local maximum
+    above SCAN_THRESHOLD is refined on the entry of its grid target
     (_refine), from a basis at the bracket's left grid state, and its state
     is then evaluated once; nearby duplicates collapse to the best one.
     Every state is norm-checked.
     """
     if t_max is None:
         t_max = 4 * math.pi
-    d_omega = op.rho * t_max / SCAN_STEPS  # omega per grid step
-    count = _terms(d_omega * _WINDOW_STEPS)
-    table = _coefficients(op, _bessel_table(d_omega * np.arange(_WINDOW_STEPS + 1), count))
-    grid = np.linspace(0.0, t_max, SCAN_STEPS + 1)
+    if not 0 < t_max < math.inf:
+        raise InvalidParameterError(f"scan window t_max = {t_max} is not positive and finite")
+    slack = math.sqrt(1.0 - SCAN_THRESHOLD) - math.sqrt(FIDELITY_GAP)
+    steps = max(1, math.ceil(t_max * math.sqrt(op.column_norm2 / 8) / slack))
+    d_omega = op.rho * t_max / steps  # omega per grid step
+    width = min(steps, max(1, int(_WINDOW_OMEGA / d_omega)))  # grid steps per window
+    count = _terms(d_omega * width)
+    table = _coefficients(op, _bessel_table(d_omega * np.arange(width + 1), count))
+    grid = np.linspace(0.0, t_max, steps + 1)
 
-    targets = np.empty(SCAN_STEPS + 1, dtype=np.intp)
-    values = np.empty(SCAN_STEPS + 1)
+    targets = np.empty(steps + 1, dtype=np.intp)
+    values = np.empty(steps + 1)
     left = {}  # grid index -> state there, for each rising grid point to its right
     state = np.zeros(op.order)
     state[a] = 1.0
-    for start in range(0, SCAN_STEPS, _WINDOW_STEPS):
-        steps = min(_WINDOW_STEPS, SCAN_STEPS - start)
-        states = _checked(op, table[:steps + 1] @ _basis(op, state, count))
-        span = slice(start, start + steps + 1)
+    for start in range(0, steps, width):
+        taken = min(width, steps - start)
+        states = _checked(op, table[:taken + 1] @ _basis(op, state, count))
+        span = slice(start, start + taken + 1)
         targets[span], values[span] = _best_offdiagonal(states, a)
         window = values[span]
         rising = (window[1:] >= SCAN_THRESHOLD) & (window[1:] >= window[:-1])
         left.update((start + j, states[j].copy()) for j in np.flatnonzero(rising).tolist())
-        state = states[steps]
+        state = states[taken]
 
     inner = values[1:-1]
     peaks = 1 + np.flatnonzero((inner >= SCAN_THRESHOLD) & (inner >= values[:-2])

@@ -841,6 +841,58 @@ def sort_loop_spot_validate(g) -> None:
             raise GroupValidationError("associativity fails on spot check")
 
 
+def light_validate(g) -> tuple[int, ...]:
+    """The earlier body of groups._validate_table, kept as the reference for
+    its generators and verdict: the group axioms, then Light's test, one
+    |G|^2 pass per generator, each generator the smallest element outside
+    the closure of those before. g is any object with the GroupTable
+    fields; returns the generators."""
+    n = g.order
+    mul = np.asarray(g.mul)
+    rng_row = np.arange(n)
+    e = g.identity
+    if not np.array_equal(mul[e], rng_row) or not np.array_equal(mul[:, e], rng_row):
+        raise GroupValidationError("identity axiom fails")
+    if not np.all(mul[rng_row, g.inv] == e) or not np.all(mul[g.inv, rng_row] == e):
+        raise GroupValidationError("inverse axiom fails")
+    rows = max(1, 2**16 // n)
+    gens: list[int] = []
+    while len(closure := subgroup_closure(g, gens)) < n:
+        s = next(i for i, h in enumerate(closure + (n,)) if h != i)  # closure is sorted
+        for lo in range(0, n, rows):
+            # Rows lo.. of (x*s)*y and of x*(s*y), over every y.
+            if not np.array_equal(mul[mul[lo:lo + rows, s]],
+                                  np.take(mul[lo:lo + rows], mul[s], axis=1)):
+                raise GroupValidationError(f"associativity fails at s={s}")
+        gens.append(s)
+    return tuple(gens)
+
+
+def is_associative(mul: np.ndarray) -> bool:
+    """(x*y)*z == x*(y*z) for every triple, all |G|^3 of them at once."""
+    mul = np.asarray(mul)
+    return bool(np.array_equal(mul[mul], mul[:, mul]))
+
+
+def octonion_unit_loop() -> np.ndarray:
+    """The table of the 16 octonion units +-e_0..+-e_7, +-e_i at index
+    i + 8 (sign -): e_a e_b = e_c = -e_b e_a along each line (a, b, c) of
+    the Fano plane, read cyclically, and e_a^2 = -1. A Moufang loop in which
+    any two elements generate a group, so every check that looks at too few
+    of its triples sees associativity."""
+    lines = [(1, 2, 4), (2, 3, 5), (3, 4, 6), (4, 5, 7), (5, 6, 1), (6, 7, 2), (7, 1, 3)]
+    unit = {(0, a): (0, a) for a in range(8)} | {(a, 0): (0, a) for a in range(8)}
+    unit |= {(a, a): (1, 0) for a in range(1, 8)}
+    for line in lines:
+        for a, b, c in (line, line[1:] + line[:1], line[2:] + line[:2]):
+            unit[a, b], unit[b, a] = (0, c), (1, c)
+    mul = np.empty((16, 16), dtype=np.int64)
+    for x, y in itertools.product(range(16), repeat=2):
+        sign, c = unit[x % 8, y % 8]
+        mul[x, y] = c + 8 * ((sign + x // 8 + y // 8) % 2)
+    return mul
+
+
 def intercalate_z2_9(rows=(3, 5), cols=(17, 23)) -> np.ndarray:
     """The table of Z_2^9 (XOR) with the intercalate at two rows and columns
     swapped, a ^ b == c ^ d: still a Latin square with identity 0 and

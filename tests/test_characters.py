@@ -520,17 +520,28 @@ def test_galois_walk_matches_the_per_unit_reference(spec):
 def test_a_power_map_off_the_generators_composition_is_refused():
     """m2:5's units mod 16 are generated by 3 and 5; a shipped map for 15
     with two classes swapped is still a permutation fixing class 0, which the
-    per-unit comparison took without a word."""
+    per-unit comparison took without a word. The import refuses it, and so
+    does the walk when such a map reaches it directly."""
     table, conj = numerical_table("m2:5", 42), numerical_group("m2:5").conj
     assert characters._unit_generators(16) == [3, 5]
     doc = export_character_table(table, conj)
+    imp = import_character_table(copy.deepcopy(doc))
     bad = doc["class_power_maps"]["15"]
     i, j = 1, next(j for j in range(2, len(bad)) if bad[j] != bad[1])
     bad[i], bad[j] = bad[j], bad[i]
-    imp = import_character_table(doc)
-    per_unit_stabilizers(imp.table, imp.power_maps)
     with pytest.raises(SchemaError, match="power map for k=15 is not the composition"):
-        galois_stabilizers_imported(imp.table, imp.power_maps)
+        import_character_table(doc)
+    maps = {**imp.power_maps, 15: tuple(bad)}
+    per_unit_stabilizers(imp.table, maps)
+    with pytest.raises(SchemaError, match="power map for k=15 is not the composition"):
+        galois_stabilizers_imported(imp.table, maps)
+
+
+def test_the_import_needs_the_maps_of_the_unit_generators():
+    doc, _ = exported_extraspecial()
+    del doc["class_power_maps"]["2"]
+    with pytest.raises(SchemaError, match=r"missing for the unit generators \[2\]"):
+        import_character_table(doc)
 
 
 def test_a_generator_map_that_no_character_follows_is_a_numerical_failure():

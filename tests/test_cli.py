@@ -732,6 +732,24 @@ def test_verify_import_rejects_values_that_are_not_number_pairs(capsys, tmp_path
     assert "values must be lists of [re, im] number pairs" in capsys.readouterr().err
 
 
+def test_verify_import_refuses_a_power_map_off_the_generators_composition(capsys, tmp_path):
+    """The map for 15 (inversion, which orients imported claims) of an m2:5
+    export with two classes swapped is still a permutation fixing class 0;
+    it is not the composition of the maps of 3 and 5, the generators of the
+    units mod 16."""
+    path = tmp_path / "m2_5.json"
+    code, _ = run_json(capsys, ["group", "export", "--characters", "--out", str(path), "m2:5"])
+    assert code == EXIT_OK
+    doc = json.loads(path.read_text())
+    bad = doc["class_power_maps"]["15"]
+    i, j = 1, next(j for j in range(2, len(bad)) if bad[j] != bad[1])
+    bad[i], bad[j] = bad[j], bad[i]
+    path.write_text(json.dumps(doc))
+    code = main(["verify", "--only", "z3_1", "--import-table", str(path)])
+    assert code == EXIT_VALIDATION
+    assert "power map for k=15 is not the composition" in capsys.readouterr().err
+
+
 def test_verify_import_rejects_corrupt_table(capsys, tmp_path):
     path = exported_table_with_claim(tmp_path, capsys)
     doc = json.loads(path.read_text())

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from caywalk import groups
 from caywalk.cayley import enumerate_oriented_class_unions
 from caywalk.cli import EXIT_SIZE, EXIT_VALIDATION, main
 from caywalk.errors import (
@@ -53,9 +54,12 @@ from conftest import (
     digit_sum_abelian_power,
     element_order,
     intercalate_z2_9,
+    is_associative,
+    light_validate,
     loop_extraspecial3,
     loop_modular_maximal_cyclic,
     loop_wreath_sym,
+    octonion_unit_loop,
     orbit_conjugacy,
     permutation_group_table,
     sort_loop_spot_validate,
@@ -300,6 +304,126 @@ def _rejects(validate, table) -> bool:
     except GroupValidationError:
         return True
     return False
+
+
+# Blocks of 2**4 entries send every table with (|T| - 1) |G|^2 above 64, for
+# |T| generators (Z_2^3 and up), down the spanning-tree route of
+# groups._validate_table, in blocks of one row above order 16.
+TREE_BLOCKS = 2**4
+
+
+@pytest.mark.parametrize("block", [groups._BLOCK_ENTRIES, TREE_BLOCKS])
+def test_generators_and_verdict_match_the_light_reference(monkeypatch, block):
+    """Every family member up to order 729 passes, with the generators of
+    Light's test one generator at a time, on the route each block size
+    takes."""
+    monkeypatch.setattr(groups, "_BLOCK_ENTRIES", block)
+    for spec in family_members(729):
+        group = build_group(parse_group_spec(spec))
+        assert groups._validate_table(group) == group.generators == light_validate(group), spec
+
+
+def perturbed_tables(group: GroupTable, rng: np.random.Generator, count: int):
+    """Tables that keep the identity row and column and every x*x^-1 = e:
+    one or two swaps of two entries in a row, or of the four corners of an
+    intercalate (a 2x2 Latin subsquare), off the identity and inverse cells."""
+    n, e, inv = group.order, group.identity, group.inv
+    for trial in range(count):
+        mul = group.mul.astype(np.int64)
+        for _ in range(1 + trial % 2):
+            a, b = rng.choice(np.delete(np.arange(n), e), 2, replace=False)
+            c = int(rng.choice([x for x in range(n) if x != e and inv[x] not in (a, b)]))
+            d = int(np.flatnonzero(mul[b] == mul[a, c])[0]) if trial % 4 < 2 else \
+                int(rng.choice([x for x in range(n) if x not in (e, c) and inv[x] != a]))
+            if trial % 4 < 2:  # an intercalate, when rows a and b hold one
+                if d == e or inv[d] in (a, b) or mul[a, d] != mul[b, c]:
+                    continue
+                mul[[a, a, b, b], [c, d, c, d]] = mul[[a, a, b, b], [d, c, d, c]]
+            else:
+                mul[a, [c, d]] = mul[a, [d, c]]
+        yield mul
+
+
+@pytest.mark.parametrize("block", [groups._BLOCK_ENTRIES, TREE_BLOCKS])
+def test_refusals_match_brute_force_associativity(monkeypatch, block):
+    """Perturbed tables with identity and inverses intact are refused, for
+    associativity, exactly when some triple fails (x*y)*z == x*(y*z)."""
+    monkeypatch.setattr(groups, "_BLOCK_ENTRIES", block)
+    rng = np.random.default_rng(1234)
+    refused = 0
+    for spec in ["z3^2", "z:9", "z2^3", "z4^2", "z:12", "es3:1", "m2:4", "wreath:z:2:2"]:
+        group = build_group(parse_group_spec(spec))
+        for mul in perturbed_tables(group, rng, 60):
+            try:
+                GroupTable(order=group.order, mul=mul, identity=group.identity,
+                           inv=group.inv, labels=group.labels)
+            except GroupValidationError as err:
+                assert "associativity" in str(err) and not is_associative(mul), spec
+                refused += 1
+            else:
+                assert is_associative(mul), spec
+    assert refused > 250
+
+
+@pytest.mark.parametrize("block", [groups._BLOCK_ENTRIES, TREE_BLOCKS])
+def test_the_octonion_unit_loop_is_refused(monkeypatch, block):
+    """Moufang, and any two of its elements generate a group."""
+    monkeypatch.setattr(groups, "_BLOCK_ENTRIES", block)
+    mul = octonion_unit_loop()
+    x, y, z = np.meshgrid(*[np.arange(16)] * 3, indexing="ij")
+    assert np.array_equal(mul[z, mul[x, mul[z, y]]], mul[mul[mul[z, x], z], y])
+    assert not is_associative(mul)
+    inv = np.argmax(mul == 0, axis=1)
+    with pytest.raises(GroupValidationError, match="associativity"):
+        GroupTable(order=16, mul=mul, identity=0, inv=inv, labels=tuple(map(str, range(16))))
+
+
+def z2_cubed_with(changes) -> np.ndarray:
+    mul = build_abelian_power(2, 3).mul.astype(np.int64)
+    for row, col, value in changes:
+        mul[row, col] = value
+    return mul
+
+
+# Z_2^3 with eight entries changed: its spanning tree passes check A, and
+# only check B refuses it.
+PASSES_A_ONLY = [(1, 5, 6), (1, 7, 4), (3, 5, 4), (3, 7, 6),
+                 (5, 1, 6), (5, 3, 4), (7, 1, 4), (7, 3, 6)]
+# Z_2^3 with entries 3*5 and 3*6 swapped: passes check B, and only check A
+# refuses it.
+PASSES_B_ONLY = [(3, 5, 5), (3, 6, 6)]
+
+
+@pytest.mark.parametrize("changes, passing, failing", [
+    (PASSES_A_ONLY, "tree", "steps"), (PASSES_B_ONLY, "steps", "tree")])
+def test_each_half_of_the_tree_check_refuses_a_table_the_other_passes(
+        monkeypatch, changes, passing, failing):
+    mul = z2_cubed_with(changes)
+    assert not is_associative(mul)
+    table = mul.astype(groups.ELEMENT)
+    _, gens, _ = groups._closure(table, 0, None)
+    tree = np.zeros(8, dtype=np.intp)
+    _, _, steps = groups._closure(table, 0, gens, tree)
+    checks = {"tree": lambda: groups._check_edges(table, np.arange(8), tree, steps),
+              "steps": lambda: groups._check_steps(table, gens, steps)}
+    checks[passing]()
+    with pytest.raises(GroupValidationError, match="associativity"):
+        checks[failing]()
+    monkeypatch.setattr(groups, "_BLOCK_ENTRIES", TREE_BLOCKS)
+    with pytest.raises(GroupValidationError, match="associativity"):
+        GroupTable(order=8, mul=mul, identity=0, inv=np.arange(8), labels=tuple("abcdefgh"))
+
+
+def test_a_tree_that_misses_an_element_is_refused(monkeypatch):
+    """A table with identity and two-sided inverses whose generators 1 and 2
+    reach every element breadth-first, while the doubling closure that
+    records the spanning tree misses 4: the tree must reach every element."""
+    mul = np.array([[0, 1, 2, 3, 4], [1, 1, 3, 0, 1], [2, 1, 3, 4, 0],
+                    [3, 0, 0, 1, 3], [4, 2, 0, 2, 1]])
+    monkeypatch.setattr(groups, "_BLOCK_ENTRIES", 4)
+    with pytest.raises(GroupValidationError, match="doubling closure"):
+        GroupTable(order=5, mul=mul, identity=0, inv=np.argmax(mul == 0, axis=1),
+                   labels=tuple("abcde"))
 
 
 @pytest.mark.parametrize("spec", ["z:12", "es3:1", "m2:5", "wreath:z:2:3"])

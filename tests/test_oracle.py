@@ -13,7 +13,7 @@ from caywalk import oracle
 from caywalk.cayley import adjacency_matrix, cayley_graph, enumerate_oriented_class_unions
 from caywalk.characters import character_table_for
 from caywalk.cli import EXIT_OK, main
-from caywalk.config import SCAN_STEPS
+from caywalk.config import FIDELITY_GAP, SCAN_STEPS
 from caywalk.engine import compute_S_e
 from caywalk.errors import InvalidParameterError, NumericalFailureError, SizeLimitError
 from caywalk.families import shipped_certificates
@@ -567,6 +567,30 @@ def test_scan_hits_land_on_multiples_of_a_quarter_pi(spec, classes, oriented, so
     for h in hits:
         k = round(h.time / (math.pi / 4))
         assert abs(h.time - k * math.pi / 4) <= 1e-12, (spec, h)
+
+
+@pytest.mark.parametrize("spec, classes, source", [
+    ("z:8", [1, 2, 5], 0),
+    ("m2:7", [2, 10, 17, 18, 26, 32, 34, 42, 50, 58], 42),
+])
+def test_a_long_scan_reports_every_exact_transfer(spec, classes, source):
+    """Over [0, 100] the hits are exactly the multiples of pi/4 at which the
+    dense column transfers, each within 1e-12. A fixed 2,000-step grid
+    (step 0.05) reported 68 of z:8's 96 and 29 of m2:7's 96: the degree-6
+    and degree-38 walks need steps of 0.037 and 0.015."""
+    g = build_group(parse_group_spec(spec))
+    op = build_operator(adjacency_matrix(cayley_graph(g, classes)))
+    transfers = []
+    for k in range(1, int(100 / (math.pi / 4)) + 1):
+        mags = np.abs(dense_column(op, k * math.pi / 4, source))
+        mags[source] = 0.0
+        if mags.max() >= 1 - FIDELITY_GAP:
+            transfers.append((k, int(np.argmax(mags))))
+    assert len(transfers) == 96
+    hits = scan_pst(op, source, t_max=100.0)
+    assert [(round(h.time / (math.pi / 4)), h.target) for h in hits] == transfers
+    for h in hits:
+        assert abs(h.time - round(h.time / (math.pi / 4)) * math.pi / 4) <= 1e-12, (spec, h)
 
 
 @pytest.mark.parametrize("spec, classes", SCAN_GROUPS)
