@@ -2,15 +2,14 @@
 
 The package certifies perfect and multiple state transfer on such graphs two
 independent ways: a character-theoretic criterion evaluated on exact or
-numerically recovered character tables, and a matrix-exponential oracle on
-the skew-symmetric adjacency matrix.
+numerically recovered character tables, and a matrix-exponential oracle
+whose walk generator is read from the group table.
 """
 from types import ModuleType as _ModuleType
 
 from .cayley import (
     CayleyGraph,
     ConnectionStack,
-    adjacency_matrix,
     adjacency_to_csv,
     cayley_graph,
     check_orientation,

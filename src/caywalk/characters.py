@@ -552,6 +552,8 @@ def import_character_table(doc: dict) -> ImportedTable:
         (sizes[:1].tolist() == [1] and rep_orders[:1] == (1,),
          "class 0 must be the identity class"),
         (len(chars) == n_classes, f"{len(chars)} characters vs {n_classes} classes"),
+        (set(maps) <= set(map(str, units_mod(m))),
+         "class_power_maps keys must be the units 1..exponent-1 in decimal"),
         (all(isinstance(rows := ch.get("cyclotomic", []), list) and all(map(_int_list, rows))
              for ch in chars), "cyclotomic coefficients must be lists of integers"),
         (all(_number_pairs(ch["values"]) for ch in chars

@@ -282,7 +282,7 @@ def cmd_pst(args: argparse.Namespace, config: RunConfig) -> int:
     report = compute_S_e(graph, table)
     oracle_fid = None
     if group.order <= config.oracle_max_order and report.generator is not None:
-        op = build_operator(adjacency_matrix(graph))
+        op = build_operator(group, graph.elements)
         oracle_fid, _ = fidelity(op, report.minimal_time, group.identity,
                                  report.generator)
     witnesses = []
@@ -310,9 +310,7 @@ def _cmd_pst_oracle(args: argparse.Namespace, config: RunConfig, graph) -> int:
         raise SizeLimitError(
             f"group order {group.order} exceeds the oracle cap "
             f"{config.oracle_max_order}; raise --oracle-max-order to override")
-    a_mat = adjacency_matrix(graph)
-    build = build_operator if graph.oriented else build_hermitian_operator
-    op = build(a_mat)
+    op = (build_operator if graph.oriented else build_hermitian_operator)(group, graph.elements)
     source = _resolve_element(group, args.source) if args.source else group.identity
 
     if args.scan:

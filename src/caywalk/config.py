@@ -11,8 +11,6 @@ VALUE_TOL = 1e-8
 FIDELITY_GAP = 1e-7
 # exp(tA) must be real and orthogonal to this accuracy.
 UNITARITY_TOL = 1e-9
-# Skew-symmetry (symmetry, for undirected walks) required of oracle input.
-SKEW_TOL = 1e-12
 # Spectral reconstruction checks.
 RECONSTRUCTION_TOL = 1e-9
 # Rationality check: denominators up to MAX_DENOMINATOR, matched to RATIONAL_TOL.

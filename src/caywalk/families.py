@@ -15,7 +15,7 @@ import pathlib
 from dataclasses import dataclass
 from typing import Sequence
 
-from .cayley import CayleyGraph, adjacency_matrix, cayley_graph, is_connected
+from .cayley import CayleyGraph, cayley_graph, is_connected
 from .characters import character_table_for
 from .config import DEFAULT_CONFIG, FIDELITY_GAP, RunConfig
 from .engine import (
@@ -385,7 +385,7 @@ def dual_verify(cert: FamilyCertificate,
         # Undirected fixtures are oracle territory only.
         fid = phase = None
         if run_oracle:
-            op = build_hermitian_operator(adjacency_matrix(graph))
+            op = build_hermitian_operator(group, graph.elements)
             fid, entry = fidelity(op, tau, group.identity, cert.z)
             if fid < 1.0 - FIDELITY_GAP:
                 messages.append(f"oracle fidelity {fid:.12f} below threshold")
@@ -415,7 +415,7 @@ def dual_verify(cert: FamilyCertificate,
     fid: float | None = None
     phase: float | None = None
     if run_oracle:
-        op = build_operator(adjacency_matrix(graph))
+        op = build_operator(group, graph.elements)
         fid, entry = fidelity(op, tau, group.identity, cert.z)
         phase = float(entry.real)
         if claimed is None:

@@ -1,12 +1,12 @@
 """Matrix-exponential oracle for the continuous walk.
 
-Answers fidelity, permutation, and scan queries directly from the matrix,
-sharing no character theory with the criterion path. Every answer is a
-Chebyshev expansion of exp(tA) in A (Tal-Ezer & Kosloff, J. Chem. Phys. 81
-(1984) 3967), one product with A per term; a permutation U(t) follows from
-one column, as A commutes with the right translations. Only the CSV grid
-diagonalizes iA, for its t = 0 row. A Hermitian mode (exp(itA) for
-symmetric A) covers undirected graphs.
+Answers fidelity, permutation, and scan queries from the group table,
+sharing nothing else with the criterion path. Every answer is a Chebyshev
+expansion of exp(tA) (Tal-Ezer & Kosloff, J. Chem. Phys. 81 (1984) 3967),
+one product with A, 2|C| gathers through rows of the table, per term; a
+permutation U(t) follows from one column, as A commutes with the right
+translations. Only the CSV grid diagonalizes iA, for its t = 0 row. A
+Hermitian mode (exp(itA) for symmetric A) covers undirected graphs.
 """
 from __future__ import annotations
 
@@ -23,17 +23,16 @@ from .config import (
     SCAN_REFINE_TOL,
     SCAN_STEPS,
     SCAN_THRESHOLD,
-    SKEW_TOL,
     UNITARITY_TOL,
 )
 from .errors import InvalidParameterError, NumericalFailureError, SizeLimitError
 from .groups import GroupTable, permutation_cycles
 
-# Complex entries in one block of the CSV fidelity grid (8 MB): the block's
-# time count is this over the group order. At order 729, 2**20 raised the
-# scan's peak RSS by 8 MB; this bound keeps it under the eigendecomposition's
-# peak.
-_GRID_BLOCK_ENTRIES = 2**19
+# Complex entries in one block of the CSV fidelity grid (1 MB): the block's
+# time count is this over the group order. On es3:2 one 2,001-row block
+# (2**19) added 17 MB to the eigendecomposition's peak; this bound keeps the
+# grid's temporaries under it.
+_GRID_BLOCK_ENTRIES = 2**16
 # Bytes of Chebyshev basis evolve stores at once (terms x order x columns):
 # a whole eye(n) basis would be K(omega) n^2 8 bytes, hundreds of GB at
 # n = 4096 and omega = 2000.
@@ -49,11 +48,11 @@ _TAIL = 1e-16
 # (in process, 2-vCPU VM) windows of omega 30 to 60 took 50 ms, 15 took 56 ms
 # and 250 took 68 ms.
 _WINDOW_OMEGA = 30.0
-# A single-vector product gathers the nonzeros of A when every row holds the
-# same d of them and _GATHER_RATIO * d <= n. Measured on a 2-vCPU VM with
-# d-regular circulants, the gather beats a dense matvec from n/d of about 24
-# at orders 192 to 1024 (1.4-3x at n/d = 32, 2.3x on z3^6's 729/12) and
-# loses up to 2.4x at n/d = 9 (es3:2, 243/26) and at order 128 below n/d = 64.
+# Products gather through the d index rows when _GATHER_RATIO * d <= n and
+# multiply by the dense A otherwise. On a 2-vCPU VM the gather beat a dense
+# matvec on d-regular circulants from n/d of about 24 (2.3x on z3^6's 729/12),
+# and gathering every product slowed the scans of m2:7 (n/d = 3.4) from 16 to
+# 35 ms, wreath:z:3:3 from 14 to 47 ms and es3:2 (n/d = 9.3) from 17 to 25 ms.
 _GATHER_RATIO = 32
 # Newton steps a scan maximum may take before its refinement counts as failed;
 # safeguarded by bisection, a bracket of two grid steps (12.6e-3 wide at the
@@ -62,67 +61,65 @@ _NEWTON_STEPS = 40
 # Largest omega = t*rho one expansion covers. Miller's recurrence from
 # K(omega) + 10 peaks at 4e189 here and overflows past omega = 3300; the
 # basis holds about 1.4 * omega vectors of the group order (16 MB at 729).
+# evolve_column splits a longer omega into at most _MAX_PIECES equal pieces.
 _MAX_OMEGA = 2000.0
+_MAX_PIECES = 1000
 
 
 @dataclass(frozen=True, eq=False)
 class WalkOperator:
-    """A walk generator A with its Chebyshev scale, ready to exponentiate.
+    """A Cayley graph's walk generator A as index rows, ready to exponentiate:
+    (Ax)[h] = sum_k sign[k] x[index[k, h]], one row mul[c^-1] (+1, the arc
+    c^-1 h -> h) per element c of C, and in oriented mode one row mul[c] (-1,
+    the arc h -> c h). evolve and its kin return exp(tA), exp(itA) in
+    hermitian mode. Each row of A holds d = len(sign) entries +-1 at distinct
+    places, so rho = d; A is normal, so rho bounds its spectral norm and
+    A/rho has its spectrum in [-1, 1] (times i for skew A)."""
 
-    evolve and its kin return exp(tA) for a skew-symmetric A, exp(itA) in
-    hermitian mode. rho is the largest absolute row sum of A; A is normal,
-    so rho bounds its spectral norm and A/rho has its spectrum in [-1, 1]
-    (times i for skew A).
-    """
-
-    matrix: np.ndarray
+    index: np.ndarray
+    sign: np.ndarray
     rho: float
     hermitian: bool = False
 
     @property
     def order(self) -> int:
-        return self.matrix.shape[0]
+        return self.index.shape[1]
 
     @cached_property
-    def gather(self) -> tuple[np.ndarray, np.ndarray] | None:
-        """(index, value), each (d, n), with row i of A holding value[k, i]
-        at column index[k, i], when every row of A holds the same d nonzeros
-        and _GATHER_RATIO * d <= n; else None. Built on first use."""
-        mask = self.matrix != 0
-        counts = np.count_nonzero(mask, axis=1)
-        d = int(counts[0]) if counts.size else 0
-        if not 0 < _GATHER_RATIO * d <= self.order or np.any(counts != d):
-            return None
-        rows, cols = np.nonzero(mask)  # row-major: d columns per row in turn
-        index = cols.reshape(-1, d).T.copy()
-        return index, self.matrix[rows, cols].reshape(-1, d).T.copy()
-
-    @cached_property
-    def column_norm2(self) -> float:
-        """The largest ||A e_b||^2: the degree of a Cayley graph's walk."""
-        return float(np.max(np.einsum("ij,ij->j", self.matrix, self.matrix)))
+    def dense(self) -> np.ndarray:
+        """A itself, from the index rows: for walks too dense to gather, and
+        for the CSV grid's eigendecomposition."""
+        a = np.zeros((self.order, self.order))
+        for index, sign in zip(self.index, self.sign.tolist()):
+            a[np.arange(self.order), index] += sign
+        return a
 
 
-def build_operator(a: np.ndarray) -> WalkOperator:
-    """The walk exp(tA) of a skew-symmetric real A."""
-    return _operator(a, hermitian=False)
+def build_operator(group: GroupTable, elements: tuple[int, ...]) -> WalkOperator:
+    """The walk exp(tA) of the oriented Cay(group, C): A[cg, g] = 1 = -A[g, cg]."""
+    return _operator(group, elements, hermitian=False)
 
 
-def build_hermitian_operator(a: np.ndarray) -> WalkOperator:
-    """The undirected walk exp(itA) of a real symmetric A."""
-    return _operator(a, hermitian=True)
+def build_hermitian_operator(group: GroupTable, elements: tuple[int, ...]) -> WalkOperator:
+    """The walk exp(itA) of Cay(group, C), C inverse-closed: A[cg, g] = 1."""
+    return _operator(group, elements, hermitian=True)
 
 
-def _operator(a: np.ndarray, hermitian: bool) -> WalkOperator:
-    """Check A against its mode and take its largest absolute row sum."""
-    a = np.asarray(a, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise InvalidParameterError("adjacency matrix must be square")
-    kind = "symmetric" if hermitian else "skew-symmetric"
-    if np.max(np.abs(a - a.T if hermitian else a + a.T)) > SKEW_TOL:
-        raise InvalidParameterError(f"matrix is not {kind}")
-    return WalkOperator(matrix=a, rho=float(np.max(np.abs(a).sum(axis=1))),
-                        hermitian=hermitian)
+def _operator(group: GroupTable, elements: tuple[int, ...], hermitian: bool) -> WalkOperator:
+    """Check C against its mode and take its index rows from the table."""
+    c = np.asarray(elements, dtype=np.intp).reshape(-1)
+    if not c.size or np.any((c < 0) | (c >= group.order)) or np.bincount(c).max() > 1:
+        raise InvalidParameterError("connection set must be distinct elements of the group")
+    member = np.zeros(group.order, dtype=bool)
+    member[c] = True
+    inverses = group.inv[c].astype(np.intp)
+    if not member[inverses].all() if hermitian else member[inverses].any():
+        raise InvalidParameterError("an undirected connection set must hold every inverse "
+                                    "of its elements, an oriented one none")
+    rows = inverses if hermitian else np.concatenate([inverses, c])
+    sign = np.where(np.arange(rows.size) < c.size, 1.0, -1.0)
+    return WalkOperator(index=group.mul[rows].astype(np.intp), sign=sign,
+                        rho=float(rows.size), hermitian=hermitian)
 
 
 # ---------------------------------------------------------------------------
@@ -244,21 +241,17 @@ def _basis(op: WalkOperator, v: np.ndarray, count: int) -> np.ndarray:
     P_0 = I, P_1 = A/rho and P_{k+1} = 2(A/rho) P_k + P_{k-1}, so on the
     eigenvalue iy of A/rho, P_k is i^k T_k(y) (Chebyshev's T_k). In hermitian
     mode the terms are T_k(A/rho) v, with T_{k+1} = 2(A/rho) T_k - T_{k-1}.
-    A single vector is multiplied by gathering A's nonzeros where op.gather
-    holds them; a block of columns always by the dense product.
+    Products gather through op's index rows where _GATHER_RATIO * d <= n,
+    and multiply by its dense A otherwise.
     """
-    a = op.matrix
-    gather = op.gather if v.ndim == 1 else None
-    if gather is not None:
-        index, values = gather
-
+    if _GATHER_RATIO * len(op.sign) <= op.order:
         def times(x):
-            return np.add.reduce(values * x[index], axis=0)
+            return np.tensordot(op.sign, x[op.index], axes=1)
     elif np.iscomplexobj(v):  # in real arithmetic: numpy would copy A to complex
-        def times(x):
+        def times(x, a=op.dense):
             return a @ x.real + 1j * (a @ x.imag)
     else:
-        times = a.__matmul__
+        times = op.dense.__matmul__
     combine = np.subtract if op.hermitian else np.add
     basis = np.empty((count, *v.shape), dtype=v.dtype)
     basis[0] = v
@@ -282,12 +275,20 @@ def _checked(op: WalkOperator, states: np.ndarray) -> np.ndarray:
 
 def evolve_column(op: WalkOperator, t: float, a: int) -> np.ndarray:
     """Column a of the transition matrix (the state started at vertex a),
-    by a Chebyshev expansion; real for a skew-symmetric A."""
+    by a Chebyshev expansion; real for a skew-symmetric A. An omega = t*rho
+    above _MAX_OMEGA is split into equal pieces, each state norm-checked."""
+    omega = t * op.rho
+    pieces = max(1, math.ceil(abs(omega) / _MAX_OMEGA)) if math.isfinite(omega) else 1
+    if pieces > _MAX_PIECES:
+        raise SizeLimitError(f"omega = t*rho = {omega:.6g} would need more than "
+                             f"{_MAX_PIECES} expansions of omega {_MAX_OMEGA:.0f}")
+    count = _terms(omega / pieces)
+    coefficients = _coefficients(op, _bessel(omega / pieces, count))
     v = np.zeros(op.order)
     v[a] = 1.0
-    count = _terms(t * op.rho)
-    coefficients = _coefficients(op, _bessel(t * op.rho, count))
-    return _checked(op, coefficients @ _basis(op, v, count))
+    for _ in range(pieces):
+        v = _checked(op, coefficients @ _basis(op, v, count))
+    return v
 
 
 def evolve(op: WalkOperator, t: float) -> np.ndarray:
@@ -338,11 +339,12 @@ def permutation_check(op: WalkOperator, t: float, group: GroupTable) -> Permutat
     Theory, ch. 3), so with every right translation, and so must U(t). Then
     if U(t) e_e = e_z to within PERMUTATION_TOL, U(t) e_h = e_{zh} for every
     h: U(t) is left multiplication by z, and its columns permute one set of
-    entries.
+    entries. A commutes with R_s when each index row does, index[k, hs] =
+    index[k, h]s: an exact O(d n) test, true of rows ch by associativity.
     """
-    a = op.matrix
-    translates = all(np.array_equal(a[np.ix_(r, r)], a)
-                     for r in (group.mul[:, s] for s in group.generators))
+    index, mul = op.index, group.mul
+    translates = op.order == group.order and all(
+        np.array_equal(index[:, mul[:, s]], mul[index, s]) for s in group.generators)
     col = evolve_column(op, t, group.identity)
     # The distance max(|c_z - 1|, max_{y != z} |c_y|) to each e_z, in O(n):
     # the largest other magnitude is the largest one, or the second largest
@@ -359,12 +361,11 @@ def permutation_check(op: WalkOperator, t: float, group: GroupTable) -> Permutat
         return PermutationReport(ok=False, permutation=None, max_deviation=deviation,
                                  fixed_point_free=False, commutes_with_generator=False,
                                  order=None)
-    perm = group.mul[z].astype(np.intp)
-    perm_t = tuple(perm.tolist())
-    # With P[perm[j], j] = 1, (P^T A P)[i, j] = A[perm[i], perm[j]], and
-    # P^T A P = A exactly when PA = AP.
-    commutes = bool(np.max(np.abs(a[np.ix_(perm, perm)] - a))
-                    < PERMUTATION_TOL * max(1.0, op.order))
+    perm_t = tuple(mul[z].tolist())
+    # Row k is then L_c, c = index[k, e], and L_z^-1 L_c L_z = L_{z^-1 c z}: A
+    # commutes with L_z when conjugation by z permutes its signed elements.
+    c, signed = index[:, group.identity], np.where(op.sign > 0, 0, op.order)
+    commutes = np.array_equal(np.sort(c + signed), np.sort(mul[mul[group.inv[z], c], z] + signed))
     order = math.lcm(*map(len, permutation_cycles(perm_t)))
     return PermutationReport(ok=True, permutation=perm_t, max_deviation=deviation,
                              fixed_point_free=z != group.identity,
@@ -392,10 +393,10 @@ def scan_pst(op: WalkOperator, a: int, t_max: float | None = None) -> list[ScanH
     The grid sees every transfer in [0, t_max] at fidelity 1 - FIDELITY_GAP
     or more: a grid point within h/2 of it reads at least SCAN_THRESHOLD, so
     the peak of those grid points is refined, unless it is an end of the
-    grid. Let d = ||A e_b||^2 at most (column_norm2), and U(tau) e_a =
-    c e_b + r with |c| >= 1 - gamma, r orthogonal to e_b. A's eigenvalues
-    are iy (y real in hermitian mode), and e_b has spectral weights w_y with
-    sum w_y y^2 = ||A e_b||^2 <= d, so for |delta| <= h/2, h the grid step,
+    grid. Let d = len(op.sign) = ||A e_b||^2 (one entry +-1 per index row),
+    and U(tau) e_a = c e_b + r with |c| >= 1 - gamma, r orthogonal to e_b.
+    A's eigenvalues are iy (y real in hermitian mode), and e_b has spectral
+    weights w_y, sum w_y y^2 = d, so for |delta| <= h/2, h the grid step,
         |<e_b, U(delta) e_b>| >= sum w_y cos(delta y) >= 1 - d delta^2 / 2,
         |<e_b, U(delta) r>| = |<U(-delta) e_b - e_b, r>| <= |delta| sqrt(d) |r|,
     with |r|^2 = 1 - |c|^2 <= 2 gamma. With x = h sqrt(d) / 2 the grid point
@@ -422,7 +423,7 @@ def scan_pst(op: WalkOperator, a: int, t_max: float | None = None) -> list[ScanH
     if not 0 < t_max < math.inf:
         raise InvalidParameterError(f"scan window t_max = {t_max} is not positive and finite")
     slack = math.sqrt(1.0 - SCAN_THRESHOLD) - math.sqrt(FIDELITY_GAP)
-    steps = max(1, math.ceil(t_max * math.sqrt(op.column_norm2 / 8) / slack))
+    steps = max(1, math.ceil(t_max * math.sqrt(len(op.sign) / 8) / slack))
     d_omega = op.rho * t_max / steps  # omega per grid step
     width = min(steps, max(1, int(_WINDOW_OMEGA / d_omega)))  # grid steps per window
     count = _terms(d_omega * width)
@@ -518,7 +519,7 @@ def _refine(op: WalkOperator, rows: np.ndarray, s: np.ndarray, width: np.ndarray
 
 def _eigenpairs(op: WalkOperator) -> tuple[np.ndarray, np.ndarray]:
     """eigh of the Hermitian A (hermitian) or iA, checked by reconstruction."""
-    herm, name = (op.matrix, "A") if op.hermitian else (1j * op.matrix, "iA")
+    herm, name = (op.dense, "A") if op.hermitian else (1j * op.dense, "iA")
     eigenvalues, vectors = np.linalg.eigh(herm)
     recon = (vectors * eigenvalues) @ vectors.conj().T
     if np.max(np.abs(recon - herm)) > RECONSTRUCTION_TOL:

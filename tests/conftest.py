@@ -11,11 +11,13 @@ import itertools
 import json
 import math
 import weakref
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
 from caywalk import characters
+from caywalk.cayley import adjacency_matrix
 from caywalk.characters import CharacterTable, GaloisData, unit_closure, units_mod
 from caywalk.config import (
     PERMUTATION_TOL,
@@ -48,7 +50,13 @@ from caywalk.groups import (
     power,
     subgroup_closure,
 )
-from caywalk.oracle import PermutationReport, ScanHit, WalkOperator
+from caywalk.oracle import (
+    PermutationReport,
+    ScanHit,
+    WalkOperator,
+    build_hermitian_operator,
+    build_operator,
+)
 
 # Cyclic orders for the differential tests: every order to 64, then prime
 # powers and products up to 729 (orbit_conjugacy takes O(r^2) Python steps).
@@ -126,8 +134,29 @@ def expm_taylor(m: np.ndarray) -> np.ndarray:
     return out
 
 
+@dataclass(frozen=True, eq=False)
+class DenseWalk:
+    """A walk's dense A from cayley.adjacency_matrix, in its mode: the
+    reference the oracle's index rows are checked against."""
+
+    matrix: np.ndarray
+    hermitian: bool = False
+
+    @property
+    def order(self) -> int:
+        return self.matrix.shape[0]
+
+
+def walk_operators(graph) -> tuple[WalkOperator, DenseWalk]:
+    """The oracle's operator of a graph, in the graph's mode, and the dense
+    reference built from its adjacency matrix."""
+    build = build_operator if graph.oriented else build_hermitian_operator
+    return (build(graph.group, graph.elements),
+            DenseWalk(adjacency_matrix(graph), hermitian=not graph.oriented))
+
+
 # The dense route the oracle's Chebyshev expansion replaced: one eigh of iA
-# (of A in hermitian mode) per operator, kept here as the reference.
+# (of A in hermitian mode) per walk, kept here as the reference.
 _SPECTRA: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 # Complex entries in one block of the dense fidelity grid.
 _GRID_BLOCK_ENTRIES = 2**19
@@ -135,59 +164,59 @@ _GRID_BLOCK_ENTRIES = 2**19
 _DENSE_NEWTON_STEPS = 50
 
 
-def dense_spectrum(op: WalkOperator) -> tuple[np.ndarray, np.ndarray]:
+def dense_spectrum(walk: DenseWalk) -> tuple[np.ndarray, np.ndarray]:
     """(eigenvalues, vectors) of iA (of A in hermitian mode), checked by
-    reconstruction and computed once per operator: the earlier
+    reconstruction and computed once per walk: the earlier
     oracle._diagonalize."""
-    if op not in _SPECTRA:
-        herm = op.matrix if op.hermitian else 1j * op.matrix
+    if walk not in _SPECTRA:
+        herm = walk.matrix if walk.hermitian else 1j * walk.matrix
         eigenvalues, vectors = np.linalg.eigh(herm)
         recon = (vectors * eigenvalues) @ vectors.conj().T
         assert np.max(np.abs(recon - herm)) <= RECONSTRUCTION_TOL
-        _SPECTRA[op] = (eigenvalues, vectors)
-    return _SPECTRA[op]
+        _SPECTRA[walk] = (eigenvalues, vectors)
+    return _SPECTRA[walk]
 
 
-def dense_phases(op: WalkOperator, t) -> np.ndarray:
+def dense_phases(walk: DenseWalk, t) -> np.ndarray:
     """exp(-i lambda t) on the eigenvalues lambda of iA (exp(i lambda t) on
     those of A in hermitian mode), for a time or a column of times."""
-    sign = 1j if op.hermitian else -1j
-    return np.exp(sign * dense_spectrum(op)[0] * t)
+    sign = 1j if walk.hermitian else -1j
+    return np.exp(sign * dense_spectrum(walk)[0] * t)
 
 
-def dense_evolve(op: WalkOperator, t: float) -> np.ndarray:
+def dense_evolve(walk: DenseWalk, t: float) -> np.ndarray:
     """U(t) from the eigendecomposition: the earlier oracle.evolve."""
-    vectors = dense_spectrum(op)[1]
-    return (vectors * dense_phases(op, t)) @ vectors.conj().T
+    vectors = dense_spectrum(walk)[1]
+    return (vectors * dense_phases(walk, t)) @ vectors.conj().T
 
 
-def dense_column(op: WalkOperator, t: float, a: int) -> np.ndarray:
+def dense_column(walk: DenseWalk, t: float, a: int) -> np.ndarray:
     """Column a of U(t) from the eigendecomposition: the earlier body of
     oracle.evolve_column, kept as the reference for its Chebyshev form."""
-    vectors = dense_spectrum(op)[1]
-    return vectors @ (dense_phases(op, t) * np.conj(vectors[a, :]))
+    vectors = dense_spectrum(walk)[1]
+    return vectors @ (dense_phases(walk, t) * np.conj(vectors[a, :]))
 
 
-def dense_grid(op: WalkOperator, times: np.ndarray, a: int) -> tuple[np.ndarray, np.ndarray]:
+def dense_grid(walk: DenseWalk, times: np.ndarray, a: int) -> tuple[np.ndarray, np.ndarray]:
     """(targets, fidelities) off vertex a at every time, from the
     eigendecomposition, one block of times per product (phases * conj(V[a]))
     @ V.T: the earlier oracle._best_offdiagonal_grid."""
-    vectors = dense_spectrum(op)[1]
+    vectors = dense_spectrum(walk)[1]
     weights = np.conj(vectors[a, :])
-    step = max(1, _GRID_BLOCK_ENTRIES // op.order)
+    step = max(1, _GRID_BLOCK_ENTRIES // walk.order)
     targets = np.empty(len(times), dtype=np.int64)
     values = np.empty(len(times))
     for lo in range(0, len(times), step):
-        mags = np.abs((dense_phases(op, times[lo:lo + step, None]) * weights) @ vectors.T)
+        mags = np.abs((dense_phases(walk, times[lo:lo + step, None]) * weights) @ vectors.T)
         mags[:, a] = -1.0
         targets[lo:lo + step], values[lo:lo + step] = mags.argmax(axis=1), mags.max(axis=1)
     return targets, values
 
 
-def dense_permutation_check(op: WalkOperator, t: float) -> PermutationReport:
+def dense_permutation_check(walk: DenseWalk, t: float) -> PermutationReport:
     """The earlier oracle.permutation_check, on every column of the dense U(t)."""
-    u = dense_evolve(op, t)
-    n = op.order
+    u = dense_evolve(walk, t)
+    n = walk.order
     mags = np.abs(u)
     perm = np.argmax(mags, axis=0)
     cols = np.arange(n)
@@ -199,7 +228,7 @@ def dense_permutation_check(op: WalkOperator, t: float) -> PermutationReport:
                                  fixed_point_free=False, commutes_with_generator=False,
                                  order=None)
     perm_t = tuple(int(p) for p in perm)
-    a = op.matrix
+    a = walk.matrix
     commutes = bool(np.max(np.abs(a[np.ix_(perm, perm)] - a)) < PERMUTATION_TOL * max(1.0, n))
     fixed_free = all(perm_t[a] != a for a in range(n))
     order = math.lcm(*map(len, permutation_cycles(perm_t)))
@@ -216,7 +245,7 @@ def distance_to_a_unit_vector(col: np.ndarray) -> float:
     return float(np.min(np.maximum(np.abs(col - 1.0), others.max(axis=1))))
 
 
-def dense_scan_pst(op: WalkOperator, a: int, t_max: float) -> list[ScanHit]:
+def dense_scan_pst(walk: DenseWalk, a: int, t_max: float) -> list[ScanHit]:
     """oracle.scan_pst on the eigendecomposition, the reference for its
     Chebyshev form: the fidelity grid, then Newton steps to each local
     maximum of the grid target's |u| (golden-section search before).
@@ -226,11 +255,11 @@ def dense_scan_pst(op: WalkOperator, a: int, t_max: float) -> list[ScanHit]:
     as factors. The peak is the root of Re(conj(u) u'), whose slope is
     |u'|^2 + Re(conj(u) u''); the steps are kept inside the grid bracket.
     """
-    eigenvalues, vectors = dense_spectrum(op)
-    rates = (1j if op.hermitian else -1j) * eigenvalues
+    eigenvalues, vectors = dense_spectrum(walk)
+    rates = (1j if walk.hermitian else -1j) * eigenvalues
 
     def best(t):
-        col = np.abs(dense_column(op, t, a))
+        col = np.abs(dense_column(walk, t, a))
         col[a] = -1.0
         b = int(np.argmax(col))
         return b, float(col[b])
@@ -247,7 +276,7 @@ def dense_scan_pst(op: WalkOperator, a: int, t_max: float) -> list[ScanHit]:
         raise AssertionError(f"no Newton convergence near t = {t}")
 
     grid = np.linspace(0.0, t_max, SCAN_STEPS + 1)
-    targets, values = dense_grid(op, grid, a)
+    targets, values = dense_grid(walk, grid, a)
     hits = []
     for i in range(1, SCAN_STEPS):
         if values[i] >= SCAN_THRESHOLD and values[i] >= values[i - 1] \

@@ -60,6 +60,7 @@ from caywalk.groups import (
 from caywalk.oracle import build_operator, evolve, evolve_column, fidelity, permutation_check
 
 from conftest import (
+    DenseWalk,
     dense_spectrum,
     element_order,
     partition_into_transfer_classes,
@@ -127,7 +128,7 @@ def test_criterion_1_cyclic3_powers_random_sets():
                     continue  # zero sum: nothing is claimed for this draw
                 res = check_pst_at(graph, table, cert.z, TAU3)
                 assert res.accepted and res.residual < RESIDUAL_TOL
-                op = build_operator(adjacency_matrix(graph))
+                op = build_operator(graph.group, graph.elements)
                 fid, entry = fidelity(op, TAU3, cert.group.identity, cert.z)
                 assert fid > FIDELITY_FLOOR
                 assert entry.real > 0
@@ -147,7 +148,7 @@ def test_criterion_2_cyclic4_powers_iff():
             table = character_table_for(cert.group)
             res = check_pst_at(graph, table, cert.z, math.pi / 2)
             assert res.accepted and res.residual < RESIDUAL_TOL
-            op = build_operator(adjacency_matrix(graph))
+            op = build_operator(graph.group, graph.elements)
             fid, entry = fidelity(op, math.pi / 2, cert.group.identity, cert.z)
             assert fid > FIDELITY_FLOOR and entry.real > 0
             report = compute_S_e(graph, table)
@@ -159,7 +160,7 @@ def test_criterion_2_cyclic4_powers_iff():
             cert = family_z4n(2, connection)
             assert cert.claimed_size == 1
             graph = cert.graph()
-            op = build_operator(adjacency_matrix(graph))
+            op = build_operator(graph.group, graph.elements)
             col = np.abs(evolve_column(op, math.pi / 2, cert.group.identity))
             col[cert.group.identity] = 0.0
             assert float(col.max()) < 0.999
@@ -311,7 +312,7 @@ def test_criterion_8_structural_properties_of_all_certificates():
             # the evolution at the minimal time is a fixed-point-free
             # permutation of matching order commuting with the generator
             if group.order <= DEFAULT_CONFIG.oracle_max_order:
-                op = build_operator(adjacency_matrix(graph))
+                op = build_operator(graph.group, graph.elements)
                 perm = permutation_check(op, report.minimal_time, group)
                 assert perm.ok and perm.fixed_point_free, tag
                 assert perm.commutes_with_generator, tag
@@ -364,8 +365,8 @@ def test_criterion_9_numerical_core_properties():
             predicted = []
             for i in range(table.n_chars):
                 predicted.extend([spec[i].imag] * int(table.degrees[i]) ** 2)
-            op = build_operator(adjacency_matrix(graph))
-            observed = sorted(-lam for lam in dense_spectrum(op)[0])
+            op = build_operator(graph.group, graph.elements)
+            observed = sorted(-lam for lam in dense_spectrum(DenseWalk(adjacency_matrix(graph)))[0])
             assert np.allclose(sorted(predicted), observed, atol=1e-7), cert.name
             # evolution stays real orthogonal
             for t in (0.37, cert.tau):

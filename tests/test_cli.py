@@ -750,6 +750,22 @@ def test_verify_import_refuses_a_power_map_off_the_generators_composition(capsys
     assert "power map for k=15 is not the composition" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key", ["4", "x", "01", "0", "3"])
+def test_verify_import_refuses_a_power_map_key_that_is_no_unit(capsys, tmp_path, key):
+    """A z:3 export's power maps are keyed by the units 1 and 2 mod 3; an
+    extra key "4" (1 mod 3) was accepted, and "x" fell to Python's int()."""
+    path = tmp_path / "z3.json"
+    code, _ = run_json(capsys, ["group", "export", "--characters", "--out", str(path), "z:3"])
+    assert code == EXIT_OK
+    doc = json.loads(path.read_text())
+    doc["class_power_maps"][key] = [0, 2, 1]
+    path.write_text(json.dumps(doc))
+    code = main(["verify", "--only", "z3_1", "--import-table", str(path)])
+    assert code == EXIT_VALIDATION
+    assert "class_power_maps keys must be the units 1..exponent-1 in decimal" \
+        in capsys.readouterr().err
+
+
 def test_verify_import_rejects_corrupt_table(capsys, tmp_path):
     path = exported_table_with_claim(tmp_path, capsys)
     doc = json.loads(path.read_text())

@@ -5,12 +5,13 @@ import json
 import math
 import pathlib
 import runpy
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from caywalk import oracle
-from caywalk.cayley import adjacency_matrix, cayley_graph, enumerate_oriented_class_unions
+from caywalk.cayley import cayley_graph, enumerate_oriented_class_unions
 from caywalk.characters import character_table_for
 from caywalk.cli import EXIT_OK, main
 from caywalk.config import FIDELITY_GAP, SCAN_STEPS
@@ -26,6 +27,7 @@ from caywalk.groups import (
     parse_group_spec,
 )
 from caywalk.oracle import (
+    WalkOperator,
     _basis,
     _bessel,
     _bessel_table,
@@ -42,6 +44,7 @@ from caywalk.oracle import (
 )
 
 from conftest import (
+    DenseWalk,
     dense_column,
     dense_commutes,
     dense_evolve,
@@ -51,6 +54,7 @@ from conftest import (
     dense_spectrum,
     distance_to_a_unit_vector,
     expm_taylor,
+    walk_operators,
 )
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -58,20 +62,21 @@ TAU3 = 2 * math.pi / (3 * math.sqrt(3.0))
 
 
 def skew_operator(r, classes):
-    g = build_cyclic(r)
-    graph = cayley_graph(g, classes)
-    return build_operator(adjacency_matrix(graph))
+    return walk_operators(cayley_graph(build_cyclic(r), classes))[0]
 
 
 def test_build_rejects_wrong_symmetry():
-    sym = adjacency_matrix(cayley_graph(build_cyclic(4), [1, 3], oriented=False))
-    with pytest.raises(InvalidParameterError):
-        build_operator(sym)
-    skew = adjacency_matrix(cayley_graph(build_cyclic(3), [1]))
-    with pytest.raises(InvalidParameterError):
-        build_hermitian_operator(skew)
-    with pytest.raises(InvalidParameterError):
-        build_operator(np.zeros((2, 3)))
+    """An oriented set may hold no element with its inverse (so no identity
+    and no involution); an undirected one must hold every inverse."""
+    z4, z3 = build_cyclic(4), build_cyclic(3)
+    for elements in ([1, 3], [0], [2], [1, 2]):
+        with pytest.raises(InvalidParameterError, match="an oriented one none"):
+            build_operator(z4, elements)
+    with pytest.raises(InvalidParameterError, match="must hold every inverse"):
+        build_hermitian_operator(z3, [1])
+    for elements in ([], [1, 1], [3], [-1]):
+        with pytest.raises(InvalidParameterError, match="distinct elements"):
+            build_operator(z3, elements)
 
 
 def test_evolution_is_real_orthogonal():
@@ -82,9 +87,9 @@ def test_evolution_is_real_orthogonal():
 
 
 def test_evolution_matches_taylor_series():
-    op = skew_operator(3, [1])
+    op, ref = walk_operators(cayley_graph(build_cyclic(3), [1]))
     for t in (0.0, 0.3, 1.7, TAU3):
-        direct = expm_taylor(t * op.matrix)
+        direct = expm_taylor(t * ref.matrix)
         assert np.max(np.abs(evolve(op, t) - direct)) < 1e-9
 
 
@@ -115,12 +120,11 @@ def test_cyclic3_transfer_value():
 
 def test_hermitian_mode_antipodal_transfer():
     g = build_cyclic(4)
-    graph = cayley_graph(g, [1, 3], oriented=False)
-    op = build_hermitian_operator(adjacency_matrix(graph))
+    op, ref = walk_operators(cayley_graph(g, [1, 3], oriented=False))
     mag, entry = fidelity(op, math.pi / 2, 0, 2)
     assert mag == pytest.approx(1.0, abs=1e-12)
     assert entry.real == pytest.approx(-1.0, abs=1e-12)
-    direct = expm_taylor(1j * (math.pi / 2) * op.matrix)
+    direct = expm_taylor(1j * (math.pi / 2) * ref.matrix)
     assert np.max(np.abs(evolve(op, math.pi / 2) - direct)) < 1e-9
 
 
@@ -176,10 +180,10 @@ def test_commutation_matches_dense_reference_on_every_shipped_certificate():
     for cert in shipped_certificates():
         if not cert.oriented:
             continue
-        op = build_operator(adjacency_matrix(cert.graph()))
+        op, ref = walk_operators(cert.graph())
         rep = permutation_check(op, cert.tau, cert.group)
         if rep.ok:
-            assert rep.commutes_with_generator == dense_commutes(rep.permutation, op.matrix)
+            assert rep.commutes_with_generator == dense_commutes(rep.permutation, ref.matrix)
             assert rep.commutes_with_generator, cert.name
             names.append(cert.name)
     assert len(names) == 13, names
@@ -211,14 +215,14 @@ def test_permutation_check_matches_the_dense_check():
     cases += _sweep_certificates("z4^2") + _sweep_certificates("m2:5")
     accepted = ties = 0
     for g, classes, tau in cases:
-        op = build_operator(adjacency_matrix(cayley_graph(g, classes)))
+        op, walk = walk_operators(cayley_graph(g, classes))
         for t in (tau, 0.5 * tau, 0.37 * tau):
-            rep, ref = permutation_check(op, t, g), dense_permutation_check(op, t)
+            rep, ref = permutation_check(op, t, g), dense_permutation_check(walk, t)
             assert (rep.ok, rep.permutation, rep.fixed_point_free, rep.order,
                     rep.commutes_with_generator) == (ref.ok, ref.permutation,
                                                      ref.fixed_point_free, ref.order,
                                                      ref.commutes_with_generator), (g, classes, t)
-            u = dense_evolve(op, t).real
+            u = dense_evolve(walk, t).real
             deviations = [distance_to_a_unit_vector(u[:, h]) for h in range(g.order)]
             assert max(abs(d - rep.max_deviation) for d in deviations) <= 1e-12, (g, classes, t)
             if rep.ok:  # the entry nearest 1 is the largest: the earlier value, bit for bit
@@ -231,44 +235,67 @@ def test_permutation_check_matches_the_dense_check():
     assert accepted == len(cases) == 391 and ties == 327 + 40
 
 
-def _moved_arc(a, tail, head, new_head):
-    """A copy of the skew A with the arc tail -> head moved to tail -> new_head."""
-    a = a.copy()
-    sign = a[head, tail]
-    assert sign != 0 and a[new_head, tail] == 0
-    a[head, tail] = a[tail, head] = 0.0
-    a[new_head, tail], a[tail, new_head] = sign, -sign
-    return a
+def _moved_arc(op, tail, head, new_head):
+    """A copy of the oriented operator with the arc tail -> head moved to
+    tail -> new_head. Its +1 row keeps one entry per vertex, so the arc that
+    ended at new_head moves to end at head; the -1 row stays that row's
+    inverse permutation, so A stays skew."""
+    index, half = op.index.copy(), len(op.sign) // 2
+    k = next(k for k in range(half) if index[k, head] == tail)
+    index[k, [head, new_head]] = index[k, [new_head, head]]
+    index[k + half] = np.argsort(index[k])
+    return dataclasses.replace(op, index=index)
 
 
 def _doctored(name):
-    """(group, A, time) for a matrix that is no longer a Cayley graph's."""
+    """(group, operator, time) for index rows that are no longer a Cayley
+    graph's."""
     if name == "random-skew":
-        raw = np.random.default_rng(5).standard_normal((8, 8))
-        return build_cyclic(8), raw - raw.T, math.pi / 4
+        rng = np.random.default_rng(5)
+        plus = np.stack([rng.permutation(8) for _ in range(3)])
+        return build_cyclic(8), WalkOperator(
+            index=np.concatenate([plus, np.argsort(plus, axis=1)]),
+            sign=np.repeat([1.0, -1.0], 3), rho=6.0), math.pi / 4
     if name == "one-arc-moved":
-        g = build_cyclic(8)
-        a = adjacency_matrix(cayley_graph(g, [1, 2, 5]))
-        return g, _moved_arc(a, 3, 4, 7), math.pi / 4
+        return build_cyclic(8), _moved_arc(skew_operator(8, [1, 2, 5]), 3, 4, 7), math.pi / 4
     # Cay(Z_4^2, {(1,0)}) is four directed 4-cycles, the cosets of
     # {(x, 0)}, and U(pi/2) shifts each by (2,0). An arc moved inside the
     # coset of (0,1) leaves the identity's column exact, so only the
     # translation test sees the change.
     g = build_abelian_power(4, 2)
-    a = adjacency_matrix(cayley_graph(g, [int(g.conj.class_of[index_of_digits([1, 0], 4)])]))
+    op = walk_operators(cayley_graph(g, [int(g.conj.class_of[index_of_digits([1, 0], 4)])]))[0]
     tail, head, new_head = (index_of_digits(d, 4) for d in ([0, 1], [1, 1], [2, 1]))
-    return g, _moved_arc(a, tail, head, new_head), math.pi / 2
+    return g, _moved_arc(op, tail, head, new_head), math.pi / 2
 
 
 @pytest.mark.parametrize("name", ["random-skew", "one-arc-moved", "arc-moved-off-the-column"])
 def test_permutation_check_refuses_a_matrix_that_does_not_commute(name):
-    g, a, t = _doctored(name)
-    op = build_operator(a)
+    g, op, t = _doctored(name)
+    assert np.array_equal(op.dense, -op.dense.T)
     rep = permutation_check(op, t, g)
     assert not rep.ok and rep.permutation is None and not rep.commutes_with_generator
     if name == "arc-moved-off-the-column":
         assert rep.max_deviation < 1e-12  # the one column alone would pass
-        assert not dense_permutation_check(op, t).ok
+        assert not dense_permutation_check(DenseWalk(op.dense), t).ok
+
+
+def test_permutation_check_refuses_rows_of_right_multiplications():
+    """On a nonabelian class union C, the rows h -> h c^-1 and h -> h c sum
+    to the same A as the left multiplications, so U(tau) is the same
+    permutation; but no such row commutes with the right translations, so
+    the exact test refuses them."""
+    certs = [c for c in shipped_certificates() if c.group.family_tag in ("m2:5", "es3:1")]
+    assert len(certs) == 2
+    for cert in certs:
+        op, ref = walk_operators(cert.graph())
+        g = cert.group
+        assert permutation_check(op, cert.tau, g).ok
+        elements = np.array(cert.graph().elements)
+        right = dataclasses.replace(op, index=np.concatenate(
+            [g.mul[:, g.inv[elements]].T, g.mul[:, elements].T]).astype(np.intp))
+        assert np.array_equal(right.dense, ref.matrix) and not np.array_equal(right.index, op.index)
+        rep = permutation_check(right, cert.tau, g)
+        assert not rep.ok and rep.permutation is None, cert.name
 
 
 def test_scan_finds_cyclic3_time():
@@ -286,7 +313,7 @@ def test_scan_is_silent_without_transfer():
     conj = conjugacy(g)
     classes = [int(conj.class_of[index_of_digits([1, 1], 4)]),
                int(conj.class_of[index_of_digits([1, 3], 4)])]
-    op = build_operator(adjacency_matrix(cayley_graph(g, classes)))
+    op = build_operator(g, cayley_graph(g, classes).elements)
     assert scan_pst(op, 0, t_max=2 * math.pi) == []
 
 
@@ -317,16 +344,14 @@ def test_blocked_grid_matches_pointwise_scan(spec, classes, oriented):
     """The CSV's blocked grid against one dense column per time; its 12
     printed digits keep each fidelity within 5e-13."""
     g = build_group(parse_group_spec(spec))
-    graph = cayley_graph(g, classes, oriented=oriented)
-    build = build_operator if oriented else build_hermitian_operator
-    op = build(adjacency_matrix(graph))
+    op, ref = walk_operators(cayley_graph(g, classes, oriented=oriented))
     grid = np.linspace(0.0, 12.6, SCAN_STEPS + 1)
     for a in (g.identity, g.order - 1):
         rows = [line.split(",") for line in fidelity_series_csv(op, a, 12.6).split()[1:]]
         assert [float(t) for t, _, _ in rows] == [float(f"{t:.12g}") for t in grid.tolist()]
         for t, (_, f_grid, b_grid) in zip(grid.tolist(), rows):
             f_grid, b_grid = float(f_grid), int(b_grid)
-            mags = np.abs(dense_column(op, t, a))
+            mags = np.abs(dense_column(ref, t, a))
             mags[a] = -1.0
             b = int(np.argmax(mags))
             f = mags[b]
@@ -384,11 +409,10 @@ def test_evolve_in_blocks_of_columns_matches_the_dense_route(monkeypatch, basis_
     """One, a few or all columns per block; every shipped walk in its mode."""
     monkeypatch.setattr(oracle, "_EVOLVE_BASIS_BYTES", basis_bytes)
     for cert in shipped_certificates():
-        a = adjacency_matrix(cert.graph())
-        op = (build_operator if cert.oriented else build_hermitian_operator)(a)
+        op, ref = walk_operators(cert.graph())
         for t in (cert.tau, 0.37):
             u = evolve(op, t)
-            assert np.max(np.abs(u - dense_evolve(op, t))) <= 1e-10, (cert.name, t)
+            assert np.max(np.abs(u - dense_evolve(ref, t))) <= 1e-10, (cert.name, t)
             assert np.isrealobj(u) == cert.oriented, cert.name
 
 
@@ -401,32 +425,37 @@ def test_evolve_checks_unitarity():
 
 def test_rho_is_the_largest_absolute_row_sum_and_bounds_the_spectrum():
     for cert in shipped_certificates():
-        a = adjacency_matrix(cert.graph())
-        op = (build_operator if cert.oriented else build_hermitian_operator)(a)
+        op, ref = walk_operators(cert.graph())
         # Row g holds +1 per arc into g and -1 per arc out of g: 2|C| if oriented.
-        assert op.rho == np.abs(a).sum(axis=1).max()
+        assert op.rho == np.abs(ref.matrix).sum(axis=1).max()
         assert op.rho == len(cert.graph().elements) * (2 if cert.oriented else 1)
-        assert np.max(np.abs(dense_spectrum(op)[0])) <= op.rho + 1e-12, cert.name
+        assert np.max(np.abs(dense_spectrum(ref)[0])) <= op.rho + 1e-12, cert.name
 
 
-def _both_modes(cert):
-    """The certificate's walk in its own mode, and the undirected walk on
-    |A| (the arcs without their orientation) in hermitian mode."""
-    a = adjacency_matrix(cert.graph())
-    if not cert.oriented:
-        return [build_hermitian_operator(a)]
-    return [build_operator(a), build_hermitian_operator(np.abs(a))]
+def _both_modes(graph):
+    """(operator, dense reference) of the walk in its own mode, and of the
+    undirected walk on |A| (the arcs without their orientation) in
+    hermitian mode."""
+    if not graph.oriented:
+        return [walk_operators(graph)]
+    inverse = graph.conj.class_inv
+    undirected = cayley_graph(graph.group, [*graph.class_indices,
+                                            *(inverse[c] for c in graph.class_indices)],
+                              oriented=False)
+    pairs = [walk_operators(graph), walk_operators(undirected)]
+    assert np.array_equal(pairs[1][1].matrix, np.abs(pairs[0][1].matrix))
+    return pairs
 
 
 def test_chebyshev_matches_eigendecomposition_on_every_shipped_certificate():
     for cert in shipped_certificates():
         e = cert.group.identity
-        for op in _both_modes(cert):
+        for op, walk in _both_modes(cert.graph()):
             for t in (cert.tau, 0.37, -1.3):
                 col = evolve_column(op, t, e)
-                assert np.max(np.abs(col - dense_column(op, t, e))) <= 1e-10, (cert.name, t)
+                assert np.max(np.abs(col - dense_column(walk, t, e))) <= 1e-10, (cert.name, t)
             mag, entry = fidelity(op, cert.tau, e, cert.z)
-            ref = dense_column(op, cert.tau, e)[cert.z]
+            ref = dense_column(walk, cert.tau, e)[cert.z]
             assert abs(entry - ref) <= 1e-10 and abs(mag - abs(ref)) <= 1e-10, cert.name
 
 
@@ -435,10 +464,9 @@ def test_chebyshev_matches_eigendecomposition_on_every_shipped_certificate():
 ])
 def test_evolve_column_matches_taylor_series(spec, classes, oriented):
     g = build_group(parse_group_spec(spec))
-    a = adjacency_matrix(cayley_graph(g, classes, oriented=oriented))
-    op = build_operator(a) if oriented else build_hermitian_operator(a)
+    op, ref = walk_operators(cayley_graph(g, classes, oriented=oriented))
     for t in (0.0, 1e-17, 1e-9, 0.3, -1.7, TAU3, 5.0):
-        direct = expm_taylor((t if oriented else 1j * t) * a)
+        direct = expm_taylor((t if oriented else 1j * t) * ref.matrix)
         for v in (0, g.order - 1):
             assert np.max(np.abs(evolve_column(op, t, v) - direct[:, v])) < 1e-11, (spec, t, v)
 
@@ -491,31 +519,31 @@ GATHER_WALKS = [
 ]
 
 
-def test_gather_product_matches_the_dense_product():
-    """A single vector is multiplied by gathering A's nonzeros exactly when
-    each row holds the same d of them and 32 d <= n: z3^6 (12 of 729) and
-    the cycle on 256 vertices do, m2:7 (38 of 128) and es3:2 (26 of 243) do
-    not. The gathered product and the basis built from it agree with the
-    dense ones to 1e-13, for real and complex vectors."""
-    ops = [(cert.name, op) for cert in shipped_certificates() for op in _both_modes(cert)]
+def test_gather_product_matches_the_dense_product(monkeypatch):
+    """Products gather through the index rows exactly when 32 d <= n: z3^6
+    (12 of 729) and the cycle on 256 vertices do, m2:7 (38 of 128) and es3:2
+    (26 of 243) do not, and multiply by the dense A built from the rows,
+    which is the adjacency matrix exactly. On every walk, gathered and dense
+    products agree with the adjacency product to 1e-13, and so do the bases
+    built from them, for real and complex vectors and blocks of them."""
+    walks = [(cert.name, pair) for cert in shipped_certificates()
+             for pair in _both_modes(cert.graph())]
     for spec, classes, oriented in GATHER_WALKS:
         g = build_group(parse_group_spec(spec))
-        a = adjacency_matrix(cayley_graph(g, classes, oriented=oriented))
-        ops.append((spec, (build_operator if oriented else build_hermitian_operator)(a)))
+        walks.append((spec, walk_operators(cayley_graph(g, classes, oriented=oriented))))
+    assert {name for name, (op, _) in walks
+            if oracle._GATHER_RATIO * len(op.sign) <= op.order} == {"z3^6", "z:256"}
     rng = np.random.default_rng(7)
-    gathered = set()
-    for name, op in ops:
-        if op.gather is None:
-            continue
-        gathered.add(name)
-        index, values = op.gather
-        for x in (rng.standard_normal(op.order),
-                  rng.standard_normal(op.order) + 1j * rng.standard_normal(op.order)):
-            assert np.max(np.abs(np.add.reduce(values * x[index], axis=0)
-                                 - op.matrix @ x)) <= 1e-13, name
-            one, block = _basis(op, x, 9), _basis(op, x[:, None], 9)[..., 0]
-            assert np.max(np.abs(one - block)) <= 1e-13, name
-    assert gathered == {"z3^6", "z:256"}
+    for name, (op, ref) in walks:
+        assert np.array_equal(op.dense, ref.matrix), name
+        x = rng.standard_normal((op.order, 2)) + 1j * rng.standard_normal((op.order, 2))
+        for v in (x[:, 0].real.copy(), x[:, 0], x):
+            bases = []
+            for ratio in (0, op.order + 1):  # every product gathered, then none
+                monkeypatch.setattr(oracle, "_GATHER_RATIO", ratio)
+                bases.append(_basis(op, v, 9))
+            assert np.max(np.abs(bases[0][1] * op.rho - ref.matrix @ v)) <= 1e-13, name
+            assert np.max(np.abs(bases[0] - bases[1])) <= 1e-13, name
 
 
 SCAN_GROUPS = [
@@ -534,9 +562,9 @@ def test_scan_hits_match_the_dense_scan(spec, classes):
     the eigendecomposition's u, u' and u'', so the times agree to round-off
     (5.3e-15 measured), where a golden-section reference was up to 1e-8 off."""
     g = build_group(parse_group_spec(spec))
-    op = build_operator(adjacency_matrix(cayley_graph(g, classes)))
+    op, walk = walk_operators(cayley_graph(g, classes))
     for a in sorted({seed % g.order for seed in (42, 7, 1, 100, 12345)}):
-        hits, ref = scan_pst(op, a, t_max=12.6), dense_scan_pst(op, a, 12.6)
+        hits, ref = scan_pst(op, a, t_max=12.6), dense_scan_pst(walk, a, 12.6)
         assert [h.target for h in hits] == [h.target for h in ref], (spec, a)
         for h, r in zip(hits, ref):
             assert abs(h.time - r.time) <= 1e-12, (spec, a, h, r)
@@ -545,8 +573,8 @@ def test_scan_hits_match_the_dense_scan(spec, classes):
 
 def test_hermitian_scan_matches_the_dense_scan():
     g = build_group(parse_group_spec("z:4"))
-    op = build_hermitian_operator(adjacency_matrix(cayley_graph(g, [1, 3], oriented=False)))
-    hits, ref = scan_pst(op, 1, t_max=12.6), dense_scan_pst(op, 1, 12.6)
+    op, walk = walk_operators(cayley_graph(g, [1, 3], oriented=False))
+    hits, ref = scan_pst(op, 1, t_max=12.6), dense_scan_pst(walk, 1, 12.6)
     assert [h.target for h in hits] == [h.target for h in ref] == [3] * 4
     assert max(abs(h.time - r.time) for h, r in zip(hits, ref)) <= 1e-12
 
@@ -560,8 +588,7 @@ def test_scan_hits_land_on_multiples_of_a_quarter_pi(spec, classes, oriented, so
     """These walks transfer at multiples of pi/4 exactly, and a hit's time is
     the root of the target entry's slope, so it is exact to round-off."""
     g = build_group(parse_group_spec(spec))
-    a = adjacency_matrix(cayley_graph(g, classes, oriented=oriented))
-    op = (build_operator if oriented else build_hermitian_operator)(a)
+    op = walk_operators(cayley_graph(g, classes, oriented=oriented))[0]
     hits = scan_pst(op, source, t_max=12.6)
     assert len(hits) >= 4
     for h in hits:
@@ -579,10 +606,10 @@ def test_a_long_scan_reports_every_exact_transfer(spec, classes, source):
     (step 0.05) reported 68 of z:8's 96 and 29 of m2:7's 96: the degree-6
     and degree-38 walks need steps of 0.037 and 0.015."""
     g = build_group(parse_group_spec(spec))
-    op = build_operator(adjacency_matrix(cayley_graph(g, classes)))
+    op, ref = walk_operators(cayley_graph(g, classes))
     transfers = []
     for k in range(1, int(100 / (math.pi / 4)) + 1):
-        mags = np.abs(dense_column(op, k * math.pi / 4, source))
+        mags = np.abs(dense_column(ref, k * math.pi / 4, source))
         mags[source] = 0.0
         if mags.max() >= 1 - FIDELITY_GAP:
             transfers.append((k, int(np.argmax(mags))))
@@ -597,9 +624,9 @@ def test_a_long_scan_reports_every_exact_transfer(spec, classes, source):
 def test_refined_fidelity_is_never_below_the_grid_peak(spec, classes):
     """Every hit reads at least the largest fidelity of the grid around it."""
     g = build_group(parse_group_spec(spec))
-    op = build_operator(adjacency_matrix(cayley_graph(g, classes)))
+    op, ref = walk_operators(cayley_graph(g, classes))
     grid = np.linspace(0.0, 12.6, SCAN_STEPS + 1)
-    _, values = dense_grid(op, grid, 0)
+    _, values = dense_grid(ref, grid, 0)
     hits = scan_pst(op, 0, t_max=12.6)
     assert hits
     for h in hits:
@@ -626,22 +653,73 @@ def test_norm_check_catches_a_rho_below_the_spectral_norm():
     with pytest.raises(NumericalFailureError, match="lost the norm"):
         scan_pst(op, 0, t_max=100.0)
     g = build_group(parse_group_spec("es3:2"))
-    op = build_operator(adjacency_matrix(cayley_graph(g, [1, 3, 5, 11, 29])))
+    op = build_operator(g, cayley_graph(g, [1, 3, 5, 11, 29]).elements)
     with pytest.raises(NumericalFailureError, match="lost the norm"):
         scan_pst(dataclasses.replace(op, rho=op.rho / 2), 0, t_max=12.6)
 
 
 def test_times_that_no_expansion_covers_are_refused():
     """omega = t*rho up to 2000 is one expansion (past 1418 its term bound
-    overflows a float, so K is found in logarithms); beyond, exit 4."""
-    op = skew_operator(8, [1, 2, 5])
+    overflows a float, so K is found in logarithms); evolve_column chains up
+    to 1000 such pieces, and beyond that exits 4."""
+    op, ref = walk_operators(cayley_graph(build_cyclic(8), [1, 2, 5]))
     t = 1999.0 / op.rho
-    assert np.max(np.abs(evolve_column(op, t, 0) - dense_column(op, t, 0))) < 1e-9
+    assert np.max(np.abs(evolve_column(op, t, 0) - dense_column(ref, t, 0))) < 1e-9
     with pytest.raises(SizeLimitError):
-        evolve_column(op, 2001.0 / op.rho, 0)
+        evolve_column(op, 2000.0 * 1000.5 / op.rho, 0)
     with pytest.raises(InvalidParameterError):
         evolve_column(op, math.nan, 0)
+    with pytest.raises(InvalidParameterError):
+        evolve_column(op, math.inf, 0)
     with pytest.raises(SizeLimitError):
         evolve_column(op, 1e9, 0)
     with pytest.raises(InvalidParameterError):
         scan_pst(op, 0, t_max=math.inf)
+
+
+def test_a_long_time_is_split_into_pieces(capsys):
+    """omega = t*rho past 2000 is split into ceil(omega / 2000) equal
+    pieces, each norm-checked: at omega = 5000 (three pieces) the column of
+    z:8 {1, 2, 5} matches the dense reference to 1e-10, and pst oracle
+    --time reads it (it exited 4)."""
+    op, ref = walk_operators(cayley_graph(build_cyclic(8), [1, 2, 5]))
+    t = 5000.0 / op.rho
+    col = evolve_column(op, t, 0)
+    assert np.max(np.abs(col - dense_column(ref, t, 0))) <= 1e-10
+    code = main(["--format", "json", "pst", "oracle", "--group", "z:8", "--classes", "1,2,5",
+                 "--time", repr(t), "--target", "3"])
+    doc = json.loads(capsys.readouterr().out)
+    assert code == EXIT_OK and doc["entry"] == [float(col[3]), 0.0]
+
+
+@pytest.mark.parametrize("spec, classes, t", [
+    ("z:4096", [1], 1.0),
+    ("z4^6", [1, 4, 16, 64, 256, 1024], math.pi / 2),
+])
+def test_the_operator_and_one_column_stay_small(spec, classes, t):
+    """At order 4096 a dense A alone is 128 MB; the index rows and one
+    evolved column peak below 8 MB (0.9 and 2.8 MB measured)."""
+    g = build_group(parse_group_spec(spec))
+    elements = cayley_graph(g, classes).elements
+    tracemalloc.start()
+    try:
+        evolve_column(build_operator(g, elements), t, g.identity)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20, peak
+
+
+def test_columns_match_the_dense_reference_on_every_shipped_and_scanned_walk():
+    """The index rows against the adjacency matrix, in both modes, on every
+    shipped certificate's walk and every benchmark scan's walk: a row with
+    its sign flipped, or a row of right multiplications, shows here."""
+    graphs = [cert.graph() for cert in shipped_certificates()]
+    graphs += [cayley_graph(build_group(parse_group_spec(spec)), classes)
+               for spec, classes in SCAN_GROUPS]
+    for graph in graphs:
+        e = graph.group.identity
+        for op, ref in _both_modes(graph):
+            for t in (0.37, 1.3):
+                col = evolve_column(op, t, e)
+                assert np.max(np.abs(col - dense_column(ref, t, e))) <= 1e-13, (graph, t)

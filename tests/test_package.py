@@ -89,6 +89,25 @@ def test_criterion_and_oracle_routes_stay_independent():
     assert "characters" not in reachable_modules("cayley")
 
 
+def test_no_oracle_path_builds_a_dense_walk_matrix():
+    """The oracle takes its operator from the group table: oracle.py imports
+    nothing from cayley, and adjacency_matrix is named only where it is
+    defined and in the graph command's CSV export."""
+    assert "cayley" not in package_imports("oracle")
+    found = set()
+    for path in sorted((ROOT / "src" / "caywalk").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            name = (node.id if isinstance(node, ast.Name) else
+                    node.attr if isinstance(node, ast.Attribute) else
+                    node.name if isinstance(node, (ast.alias, ast.FunctionDef)) else None)
+            if name == "adjacency_matrix":
+                top = next(s for s in tree.body if s.lineno <= node.lineno <= s.end_lineno)
+                found.add((path.name, getattr(top, "name", type(top).__name__)))
+    assert found == {("cayley.py", "adjacency_matrix"), ("cli.py", "ImportFrom"),
+                     ("cli.py", "cmd_graph")}
+
+
 def test_criterion_reads_no_dense_table():
     """engine reads character tables only through columns and products, so
     the criterion cannot quietly rebuild a k x k complex table."""
