@@ -130,14 +130,13 @@ def adjacency_matrix(graph: CayleyGraph) -> np.ndarray:
     the result is the usual 0/1 adjacency matrix.
     """
     n = graph.order
-    mul = graph.group.mul
-    inv = graph.group.inv
+    group = graph.group
     cols = np.arange(n)
     a = np.zeros((n, n), dtype=np.float64)
     for c in graph.elements:
-        a[mul[c, cols], cols] += 1.0
+        a[group.multiply(c, cols), cols] += 1.0
         if graph.oriented:
-            a[mul[int(inv[c]), cols], cols] -= 1.0
+            a[group.multiply(group.inv[c], cols), cols] -= 1.0
     return a
 
 
@@ -211,14 +210,11 @@ def graph_to_dot(graph: CayleyGraph) -> str:
     lines = ["digraph cayley {" if directed else "graph cayley {"]
     edge = "->" if directed else "--"
     labels = graph.group.labels
-    mul = graph.group.mul
+    heads = graph.group.multiply(np.array(graph.elements), np.arange(graph.order)[:, None])
     for g in range(graph.order):
         lines.append(f'  n{g} [label="{labels[g]}"];')
-    for g in range(graph.order):
-        for c in graph.elements:
-            h = int(mul[c, g])
-            if directed or g < h:
-                lines.append(f"  n{g} {edge} n{h};")
+    for g, row in enumerate(heads.tolist()):
+        lines += [f"  n{g} {edge} n{h};" for h in row if directed or g < h]
     lines.append("}")
     return "\n".join(lines)
 

@@ -42,6 +42,9 @@ PROVENANCE_IMPORTED = "imported"
 # A closed form of at most this many classes keeps its derived values (1 MB
 # at most): one gather or product then beats numpy's FFT over short axes.
 _DENSE_CLASSES = 256
+# The class algebra's products are formed this many at a time, so that a
+# law's temporaries stay near 1 MB (wreath:z:3:4: 6.3 MB at 2^17).
+_COMBINATION_ENTRIES = 2**14
 
 
 @dataclass(eq=False)
@@ -171,9 +174,10 @@ def _digit_defects(group: GroupTable, digits: np.ndarray, r: int) -> list[str]:
 
     If c(e) = 0 and right multiplication by s_k, the element at index
     r^(n-1-k), adds e_k to c(g) for every g and k, then c(s_k1 ... s_km) =
-    e_k1 + ... + e_km: c is onto, so one-to-one, and by the associativity
-    _validate_table proved, c(gh) = c(g) + c(h). The rows are then all |G|
-    irreducible characters: a proof in O(n |G|) integer steps, no tolerance.
+    e_k1 + ... + e_km: c is onto, so one-to-one, and by associativity (the
+    law's formula, or the validation of a table), c(gh) = c(g) + c(h). The
+    rows are then all |G| irreducible characters: a proof in O(n |G|)
+    integer steps, no tolerance.
     """
     order, n = digits.shape
     if order != r**n or group.order != order:
@@ -186,10 +190,15 @@ def _digit_defects(group: GroupTable, digits: np.ndarray, r: int) -> list[str]:
         return ["the classes are not the elements in index order"]
     places = r ** np.arange(n - 1, -1, -1, dtype=np.int64)
     code = digits @ places  # c(g) as a base-r number: one-to-one on digits in 0..r-1
-    for k, place in enumerate(places.tolist() if r > 1 else []):  # Z_1^n is trivial
-        raised = code + np.where(digits[:, k] == r - 1, (1 - r) * place, place)
-        if not np.array_equal(code[group.mul[:, place]], raised):
-            return [f"right multiplication by element {place} does not raise digit {k}"]
+    if r == 1:  # Z_1^n is trivial
+        return []
+    # [g, k]: c(g s_k) from one product, against c(g) with digit k raised
+    moved = code[group.multiply(np.arange(order)[:, None], places)]
+    raised = code[:, None] + np.where(digits == r - 1, (1 - r) * places, places)
+    bad = np.flatnonzero((moved != raised).any(axis=0))
+    if bad.size:
+        k = int(bad[0])
+        return [f"right multiplication by element {places[k]} does not raise digit {k}"]
     return []
 
 
@@ -202,16 +211,24 @@ def _canonical_row_order(values: np.ndarray, degrees: np.ndarray) -> np.ndarray:
 
 
 def _class_combination(group: GroupTable, coeff: np.ndarray) -> np.ndarray:
-    """M = sum_i coeff[i] M_i over the class matrices, a column at a time: column l
-    bins coeff[class(x)] by the class of x^-1 z_l, z_l representing class l. For
-    coeff in 2^-21 Z below 1.5, every partial sum is exact, whatever the order."""
+    """M = sum_i coeff[i] M_i over the class matrices: column l bins coeff[class(x)]
+    by the class of x^-1 z_l, z_l representing class l, from one product of
+    every x^-1 with a block of representatives, at most _COMBINATION_ENTRIES
+    products a block. For coeff in 2^-21 Z below 1.5, every partial sum is
+    exact, whatever the order."""
     conj = group.conj
     k = len(conj.classes)
+    reps = np.array([cls[0] for cls in conj.classes])
     weights = coeff[conj.class_of]
+    width = max(1, _COMBINATION_ENTRIES // group.order)
     m = np.empty((k, k))
-    for l, cls in enumerate(conj.classes):
-        partner = conj.class_of[group.mul[group.inv, cls[0]]]
-        m[:, l] = np.bincount(partner, weights=weights, minlength=k)
+    for lo in range(0, k, width):
+        block = reps[lo:lo + width]
+        # partner[x, j] is the class c of x^-1 z_(lo+j), binned at c*len(block) + j.
+        partner = conj.class_of[group.multiply(group.inv[:, None], block)]
+        cells = (partner * len(block) + np.arange(len(block))).ravel()
+        m[:, lo:lo + width] = np.bincount(cells, weights=np.repeat(weights, len(block)),
+                                          minlength=k * len(block)).reshape(k, -1)
     return m
 
 

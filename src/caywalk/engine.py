@@ -145,7 +145,7 @@ def check_pst_at(graph: CayleyGraph, table: CharacterTable, z: int, t: float) ->
 def check_pst_pair(graph: CayleyGraph, table: CharacterTable, a: int, b: int,
                    t: float) -> CheckResult:
     """Transfer a -> b reduces to identity -> b * a^-1 by vertex transitivity."""
-    return check_pst_at(graph, table, int(graph.group.mul[b, graph.group.inv[a]]), t)
+    return check_pst_at(graph, table, int(graph.group.multiply(b, graph.group.inv[a])), t)
 
 
 # ---------------------------------------------------------------------------

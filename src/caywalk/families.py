@@ -54,6 +54,7 @@ from .groups import (
 from .oracle import (
     build_hermitian_operator,
     build_operator,
+    evolve_column,
     fidelity,
     permutation_check,
 )
@@ -416,8 +417,11 @@ def dual_verify(cert: FamilyCertificate,
     phase: float | None = None
     if run_oracle:
         op = build_operator(group, graph.elements)
-        fid, entry = fidelity(op, tau, group.identity, cert.z)
-        phase = float(entry.real)
+        # One column at the pinned time serves the fidelity and the
+        # permutation check: tau is the minimal time, checked above to 1e-9.
+        col = evolve_column(op, tau, group.identity)
+        entry = complex(col[cert.z])
+        fid, phase = abs(entry), entry.real
         if claimed is None:
             if (fid > 1.0 - FIDELITY_GAP and phase > 0) != res.accepted:
                 messages.append("criterion and oracle disagree on the probe")
@@ -426,7 +430,7 @@ def dual_verify(cert: FamilyCertificate,
         elif phase < 0:
             messages.append("oracle phase is not +1")
         if transfer and mst.size > 1 and mst.minimal_time is not None:
-            perm = permutation_check(op, mst.minimal_time, group)
+            perm = permutation_check(op, col, group)
             if not perm.ok or not perm.fixed_point_free or \
                     not perm.commutes_with_generator or perm.order != mst.size:
                 messages.append("transfer permutation structure check failed")

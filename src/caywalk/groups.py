@@ -1,14 +1,15 @@
-"""Finite groups as explicit multiplication tables.
+"""Finite groups on the elements 0..order-1, with one product: multiply.
 
-Every group is a validated Cayley table over elements 0..order-1, stored as
-uint16: an order-65,536 table already takes 8 GB, so every element index a
-table can hold fits, and larger orders are refused before anything is
-allocated. Family constructors (cyclic powers, extraspecial 3-groups, modular
-maximal-cyclic 2-groups, wreath products with the full symmetric group) write
-uint16 directly, a slice at a time, with no wider |G|^2 temporary; they attach
-generator-word labels and the GroupSpec that rebuilds them. A spec's compact
-spelling is the one group grammar of the CLI, the fixture files and every
-printed group name.
+A group holds a law or a table. Every family spec (cyclic and abelian
+powers, extraspecial 3-groups, modular maximal-cyclic 2-groups, wreath
+products with the full symmetric group) is a law: a formula on element
+indices over broadcast arrays, with its inverses and each element's
+generator-word label, so nothing of size |G|^2 is stored. file: and custom
+groups are tables, validated in full and stored as uint16: an order-65,536
+table already takes 8 GB, so every element index a table can hold fits, and
+larger orders are refused, for laws too, before anything is allocated. A
+spec's compact spelling is the one group grammar of the CLI, the fixture
+files and every printed group name.
 """
 from __future__ import annotations
 
@@ -17,7 +18,7 @@ import json
 import math
 import re
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
@@ -36,8 +37,18 @@ from .errors import (
 ELEMENT = np.uint16
 MAX_TABLE_ORDER = 2**16
 # Row blocks of this many entries: the associativity test, the inverse search
-# and file loads work through a table one block at a time.
+# and file loads work one block at a time.
 _BLOCK_ENTRIES = 2**16
+# A law writes its table out in blocks of this many entries, whose int32
+# temporaries stay in cache (z4^6: 0.31 s against 0.47 s in blocks of 2^16).
+_LAW_BLOCK_ENTRIES = 2**14
+# A law computes in int32: every index and every intermediate value of the
+# family laws stays below 2^31 at orders up to MAX_TABLE_ORDER.
+_LAW_INT = np.int32
+# A law of at most this order gathers from its table (8 KB at most), written
+# out on first use: on arrays this small one gather costs about a tenth of a
+# law's dozen numpy calls (a subgroup closure of m2:5, 47 against 143 us).
+_LAW_TABLE_ORDER = 64
 
 
 @dataclass(frozen=True)
@@ -75,32 +86,62 @@ class GroupSpec:
         return fam
 
 
-@dataclass(frozen=True, eq=False)
 class GroupTable:
-    """Immutable multiplication table: mul[a, b] is the product a*b.
+    """An immutable group on 0..order-1; multiply(a, b) is the product a*b.
 
-    mul and inv are read-only C-contiguous uint16 arrays, whatever integer
-    arrays they were given as: their shapes and the range 0..order-1 are
-    checked on the values as given, before the cast, so an entry of -1 is
-    refused rather than read as 65,535.
+    From a table, GroupTable(order, mul, identity, inv, labels) stores mul
+    and inv as read-only C-contiguous uint16 arrays, their shapes and range
+    0..order-1 checked on the values as given, before the cast (so -1 is
+    refused, not read as 65,535), then validates it in full. From a law,
+    GroupTable(order, spec=..., law=...) stores the law and its inv, identity
+    0, and checks identity and inverses through the law in O(|G|); the tests
+    check each law's formula entry for entry against table references. A
+    law writes mul out, and renders labels, only on first use; one of order
+    at most _LAW_TABLE_ORDER then gathers its products from mul.
     """
 
-    order: int
-    mul: np.ndarray
-    identity: int
-    inv: np.ndarray
-    labels: tuple[str, ...]
-    spec: GroupSpec = GroupSpec("custom")
-    generators: tuple[int, ...] = field(init=False, repr=False)  # found by validation
-
-    def __post_init__(self):
-        _check_order_cap(self.order)
-        for name, shape in (("mul", (self.order, self.order)), ("inv", (self.order,))):
-            object.__setattr__(self, name, _elements(getattr(self, name), shape,
-                                                     self.order, name))
-        object.__setattr__(self, "generators", _validate_table(self))
-        self.mul.flags.writeable = False
+    def __init__(self, order: int, mul=None, identity: int = 0, inv=None,
+                 labels: Sequence[str] = (), spec: GroupSpec = GroupSpec("custom"),
+                 law=None):
+        _check_order_cap(order)
+        fields = vars(self)  # set once here; __setattr__ refuses later changes
+        fields.update(order=order, identity=identity, spec=spec, _law=law,
+                      _gather=law is None or order <= _LAW_TABLE_ORDER)
+        if law is None:
+            fields.update(mul=_elements(mul, (order, order), order, "mul"),
+                          inv=_elements(inv, (order,), order, "inv"), labels=tuple(labels))
+            fields["generators"] = _validate_table(self)
+            self.mul.flags.writeable = False
+        else:
+            fields["inv"] = _elements(law.inverse(np.arange(order)), (order,), order, "inv")
+            _check_axioms(self)
+            fields["generators"] = tuple(_closure(self, None)[1])
         self.inv.flags.writeable = False
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"a GroupTable is immutable: cannot set {name}")
+
+    def multiply(self, a, b):
+        """The products a*b elementwise over the broadcast integer arrays (or
+        ints) a and b: a gather from a table (a small law's too), else the
+        law's formula."""
+        if self._gather:
+            return self.mul[a, b]
+        return self._law.multiply(np.asarray(a, dtype=_LAW_INT), np.asarray(b, dtype=_LAW_INT))
+
+    @cached_property
+    def mul(self) -> np.ndarray:
+        """The read-only uint16 table mul[a, b] = a*b: a table's own, or a
+        law's, written a block of rows at a time on first use, each block's
+        range checked before the cast."""
+        n = self.order
+        mul = np.empty((n, n), dtype=ELEMENT)
+        rows, everyone = max(1, _LAW_BLOCK_ENTRIES // n), np.arange(n, dtype=_LAW_INT)
+        for lo in range(0, n, rows):
+            block = self._law.multiply(everyone[lo:lo + rows, None], everyone)
+            mul[lo:lo + rows] = _elements(block, block.shape, n, "mul")
+        mul.flags.writeable = False
+        return mul
 
     @cached_property
     def conj(self) -> ConjugacyData:
@@ -108,13 +149,18 @@ class GroupTable:
         # By its module-level name, so a rebinding (a tracer) sees the call.
         return conjugacy(self)
 
+    @cached_property
+    def labels(self) -> tuple[str, ...]:
+        """Every element's label: a table's as given, a law's rendered on first use."""
+        return tuple(map(self.label_of, range(self.order)))
+
     @property
     def family_tag(self) -> str:
         """The printed name of the group, rendered from its spec."""
         return str(self.spec)
 
     def label_of(self, g: int) -> str:
-        return self.labels[g]
+        return self.labels[g] if self._law is None else self._law.label(int(g))
 
     def index_of(self, label: str) -> int:
         """Element index for a label; raises if the label is unknown."""
@@ -169,22 +215,16 @@ def _validate_table(g: GroupTable) -> tuple[int, ...]:
     """
     n = g.order
     mul = g.mul
-    if not (0 <= g.identity < n):
-        raise GroupValidationError(f"identity index {g.identity} out of range")
     if len(g.labels) != n:
         raise GroupValidationError("label count does not match order")
+    _check_axioms(g)
 
     rng_row = np.arange(n)
     e = g.identity
-    if (mul[e] != rng_row).any() or (mul[:, e] != rng_row).any():
-        raise GroupValidationError("identity axiom fails")
-    if (mul[rng_row, g.inv] != e).any() or (mul[g.inv, rng_row] != e).any():
-        raise GroupValidationError("inverse axiom fails")
-
-    _, gens, _ = _closure(mul, e, None)
+    _, gens, _ = _closure(g, None)
     if (len(gens) - 1) * n * n > 4 * _BLOCK_ENTRIES:
         tree = np.full(n, e * n + e)  # the identity's edge e = e*e holds by its axiom
-        reached, _, steps = _closure(mul, e, gens, tree)
+        reached, _, steps = _closure(g, gens, tree)
         if not reached.all():  # in a group both closures are the whole group
             raise GroupValidationError("associativity fails: the doubling closure of the "
                                        "generators misses elements the first one reached")
@@ -194,6 +234,17 @@ def _validate_table(g: GroupTable) -> tuple[int, ...]:
         steps = np.array(gens, dtype=np.intp)
         _check_edges(mul, mul[:, steps].T.ravel(), (steps[:, None] * n + rng_row).ravel(), gens)
     return tuple(gens)
+
+
+def _check_axioms(g: GroupTable) -> None:
+    """The identity and two-sided inverse axioms, through the product."""
+    everyone, e = np.arange(g.order), g.identity
+    if not (0 <= e < g.order):
+        raise GroupValidationError(f"identity index {e} out of range")
+    if (g.multiply(e, everyone) != everyone).any() or (g.multiply(everyone, e) != everyone).any():
+        raise GroupValidationError("identity axiom fails")
+    if (g.multiply(everyone, g.inv) != e).any() or (g.multiply(g.inv, everyone) != e).any():
+        raise GroupValidationError("inverse axiom fails")
 
 
 def _check_edges(mul: np.ndarray, child: np.ndarray, edge: np.ndarray,
@@ -297,47 +348,95 @@ def index_of_digits(vec: Sequence[int], r: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# family constructors
+# family laws: multiply and inverse take broadcast int32 arrays, label one int
 
-def _cyclic_mul(r: int) -> np.ndarray:
-    """(i + j) mod r as a read-only uint16 view: row i is the window
-    i..i+r-1 of 0..r-1 written twice, so no sum is formed and none can wrap.
-    GroupTable copies it into a contiguous table."""
-    twice = np.tile(np.arange(r, dtype=ELEMENT), 2)
-    return np.lib.stride_tricks.sliding_window_view(twice, r)[:r]
+# numpy's floor division by a scalar runs about twice as fast as its remainder.
+def _mod(x, m: int):
+    return x - x // m * m
 
 
-def _abelian_mul(r: int, n: int) -> np.ndarray:
-    """Componentwise addition on base-r digit vectors of length n, grown one
-    leading digit at a time: with T the table of the last m = r^k elements,
-    element f*m + a times g*m + b is ((f + g) mod r)*m + T[a, b], written
-    for one left digit f at a time."""
-    step = _cyclic_mul(r)
-    mul = step
-    for _ in range(n - 1):
-        m = mul.shape[0]
-        grown = np.empty((r, m, r, m), dtype=ELEMENT)  # [f, a, g, b]
-        for f in range(r):
-            np.add(mul[:, None, :], step[f, :, None] * m, out=grown[f])
-        mul = grown.reshape(r * m, r * m)
-    return mul
+def _divmod(x, m: int):
+    q = x // m
+    return q, x - q * m
 
 
-def _metacyclic_mul(half: int, k: int, twist: int) -> np.ndarray:
+class _DigitLaw:
+    """Z_r^n on base-r digit vectors, most significant first: digits add mod
+    r. Digit k of a // r^k is its last digit, so (a // w + b // w) % r is
+    the sum of the digits at place w. Z_r itself labels i as str(i)."""
+
+    def __init__(self, r: int, n: int, cyclic: bool = False):
+        self.r, self.n, self.cyclic = r, n, cyclic
+        self.places = [r**k for k in range(1, n)]
+
+    def multiply(self, a, b):
+        out = _mod(a + b, self.r)
+        for w in self.places:
+            out = out + _mod(a // w + b // w, self.r) * w
+        return out
+
+    def inverse(self, g):
+        out = _mod(-g, self.r)
+        for w in self.places:
+            out = out + _mod(-(g // w), self.r) * w
+        return out
+
+    def label(self, g: int) -> str:
+        return str(g) if self.cyclic else f"({','.join(map(str, digits_of(g, self.r, self.n)))})"
+
+
+class _HeisenbergLaw:
+    """The extraspecial 3-group of exponent 3 as the Heisenberg group: (a, b, c)
+    with a, b in F_3^n and c in F_3, at index (A*3^n + B)*3 + c for A and B
+    the base-3 numbers of a and b; (a, b, c)(a', b', c') = (a + a', b + b',
+    c + c' + a.b'), so (a, b, c)^-1 = (-a, -b, a.b - c)."""
+
+    def __init__(self, n: int):
+        self.n, self.m = n, 3**n
+        self.pairs = _DigitLaw(3, 2 * n)  # (a, b) as the 2n digits A*3^n + B
+
+    def _dot(self, a, b):
+        """a.b for the base-3 numbers a and b of n digits (not reduced mod 3)."""
+        return sum(_mod(a // 3**k, 3) * _mod(b // 3**k, 3) for k in range(self.n))
+
+    def multiply(self, a, b):
+        (ab, c), (ab2, c2) = _divmod(a, 3), _divmod(b, 3)
+        c = c + c2 + self._dot(ab // self.m, _mod(ab2, self.m))
+        return self.pairs.multiply(ab, ab2) * 3 + _mod(c, 3)
+
+    def inverse(self, g):
+        ab, c = _divmod(g, 3)
+        return self.pairs.inverse(ab) * 3 + _mod(self._dot(ab // self.m, _mod(ab, self.m)) - c, 3)
+
+    def label(self, g: int) -> str:
+        """The normal form x^a y^b z^t, t = c - a.b."""
+        ab, c = divmod(g, 3)
+        a, b = (digits_of(x, 3, self.n) for x in divmod(ab, self.m))
+        t = (c - sum(x * y for x, y in zip(a, b))) % 3
+        return _word([(f"x{k + 1}", a[k]) for k in range(self.n)]
+                     + [(f"y{k + 1}", b[k]) for k in range(self.n)] + [("z", t)])
+
+
+class _MetacyclicLaw:
     """<x, y | x^half = y^k = e, y x y^-1 = x^twist> with x^i y^j at index
-    k*i + j: (x^i y^j)(x^i' y^j') = x^(i + i' twist^j) y^(j + j'), written
-    one left exponent j at a time."""
-    i = np.arange(half)
-    y_part = _cyclic_mul(k)
-    mul = np.empty((half, k, half, k), dtype=ELEMENT)  # [i, j, i', j']
-    x_part = np.empty((half, half), dtype=ELEMENT)
-    for j in range(k):
-        np.add.outer(i.astype(ELEMENT), (i * pow(twist, j, half) % half).astype(ELEMENT),
-                     out=x_part)
-        x_part %= half
-        x_part *= k
-        np.add(x_part[:, :, None], y_part[j], out=mul[:, j])
-    return mul.reshape(half * k, half * k)
+    k*i + j: (x^i y^j)(x^i' y^j') = x^(i + i' twist^j) y^(j + j'), and
+    (x^i y^j)^-1 = x^(-i twist^j') y^j' for j' = -j mod k (twist^k = 1 mod half)."""
+
+    def __init__(self, half: int, k: int, twist: int, y_name: str):
+        self.half, self.k, self.y_name = half, k, y_name
+        self.twists = np.array([pow(twist, j, half) for j in range(k)], dtype=_LAW_INT)
+
+    def multiply(self, a, b):
+        (i, j), (i2, j2) = _divmod(a, self.k), _divmod(b, self.k)
+        return _mod(i + i2 * self.twists[j], self.half) * self.k + _mod(j + j2, self.k)
+
+    def inverse(self, g):
+        i, j = _divmod(g, self.k)
+        j = _mod(-j, self.k)
+        return _mod(-i * self.twists[j], self.half) * self.k + j
+
+    def label(self, g: int) -> str:
+        return _word(list(zip(("x", self.y_name), divmod(g, self.k))))
 
 
 def build_cyclic(r: int, max_order: int = DEFAULT_MAX_ORDER) -> GroupTable:
@@ -345,7 +444,7 @@ def build_cyclic(r: int, max_order: int = DEFAULT_MAX_ORDER) -> GroupTable:
     if r < 1:
         raise InvalidParameterError("cyclic order must be positive")
     _check_order_cap(r, max_order)
-    return _finish(_cyclic_mul(r), [str(i) for i in range(r)], GroupSpec("cyclic", r=r))
+    return GroupTable(r, spec=GroupSpec("cyclic", r=r), law=_DigitLaw(r, 1, cyclic=True))
 
 
 def build_abelian_power(r: int, n: int, max_order: int = DEFAULT_MAX_ORDER) -> GroupTable:
@@ -353,9 +452,7 @@ def build_abelian_power(r: int, n: int, max_order: int = DEFAULT_MAX_ORDER) -> G
     if r < 1 or n < 1:
         raise InvalidParameterError("need r >= 1 and n >= 1")
     _check_order_cap(r**n, max_order)
-    labels = ["(" + ",".join(map(str, v)) + ")"
-              for v in itertools.product(range(r), repeat=n)]
-    return _finish(_abelian_mul(r, n), labels, GroupSpec("abelian", r=r, n=n))
+    return GroupTable(r**n, spec=GroupSpec("abelian", r=r, n=n), law=_DigitLaw(r, n))
 
 
 def _word(parts: list[tuple[str, int]]) -> str:
@@ -372,7 +469,8 @@ def build_extraspecial3(n: int, exponent_type: int = 3,
     """Extraspecial 3-group of order 3^(2n+1).
 
     exponent_type 3 is the generalized Heisenberg group over F_3 (any n);
-    exponent_type 9 is the modular group of order 27 and needs n = 1.
+    exponent_type 9 is the modular group <x, y | x^9 = y^3 = e,
+    y x y^-1 = x^4> of order 27, x^i y^j at index 3i + j, and needs n = 1.
     """
     if n < 1:
         raise InvalidParameterError("need n >= 1")
@@ -380,43 +478,11 @@ def build_extraspecial3(n: int, exponent_type: int = 3,
         raise InvalidParameterError("exponent_type must be 3 or 9")
     order = 3 ** (2 * n + 1)
     _check_order_cap(order, max_order)
-
-    if exponent_type == 9:
-        if n != 1:
-            raise InvalidParameterError("exponent 9 exists only at order 27 (n = 1)")
-        # <x, y | x^9 = y^3 = e, y x y^-1 = x^4>; element x^i y^j at index 3i + j.
-        i, j = np.divmod(np.arange(27), 3)
-        labels = [_word([("x", x), ("y", y)]) for x, y in zip(i.tolist(), j.tolist())]
-        return _finish(_metacyclic_mul(9, 3, 4), labels,
-                       GroupSpec("extraspecial3", n=n, exponent=9))
-
-    # Heisenberg model: (a, b, c) with a, b in F_3^n, c in F_3 and
-    # (a1,b1,c1)(a2,b2,c2) = (a1+a2, b1+b2, c1+c2+a1.b2); element (a, b, c)
-    # at index (A*3^n + B)*3 + c, A and B the base-3 numbers of a and b.
-    # The table is written one left A at a time, as the sum of an A' part,
-    # a (B, B') part and a (c, B', c') part.
-    m = 3**n
-    digits = np.array([digits_of(k, 3, n) for k in range(m)], dtype=np.int64)
-    add = _abelian_mul(3, n)
-    major, minor = add * (3 * m), add * 3
-    # (c + c' + a.b') mod 3, indexed [A, c, 1, B', c'].
-    c_part = (_cyclic_mul(3)[None, :, None, None, :]
-              + (digits @ digits.T % 3).astype(ELEMENT)[:, None, None, :, None]) % 3
-    mul = np.empty((m, m, 3, m, m, 3), dtype=ELEMENT)  # [A, B, c, A', B', c']
-    for a_left in range(m):
-        np.add(major[a_left, None, None, :, None, None], minor[:, None, None, :, None],
-               out=mul[a_left])
-        mul[a_left] += c_part[a_left]
-    mul = mul.reshape(order, order)
-
-    # Normal form x^a y^b z^t with t = c - a.b.
-    ab, c = np.divmod(np.arange(order), 3)
-    a, b = digits[ab // m], digits[ab % m]
-    t = (c - np.sum(a * b, axis=1)) % 3
-    labels = [_word([(f"x{k + 1}", ai[k]) for k in range(n)]
-                    + [(f"y{k + 1}", bi[k]) for k in range(n)] + [("z", ti)])
-              for ai, bi, ti in zip(a.tolist(), b.tolist(), t.tolist())]
-    return _finish(mul, labels, GroupSpec("extraspecial3", n=n))
+    if exponent_type == 9 and n != 1:
+        raise InvalidParameterError("exponent 9 exists only at order 27 (n = 1)")
+    law = _MetacyclicLaw(9, 3, 4, "y") if exponent_type == 9 else _HeisenbergLaw(n)
+    return GroupTable(order, spec=GroupSpec("extraspecial3", n=n, exponent=exponent_type),
+                      law=law)
 
 
 def build_modular_maximal_cyclic(n: int, max_order: int = DEFAULT_MAX_ORDER) -> GroupTable:
@@ -429,10 +495,8 @@ def build_modular_maximal_cyclic(n: int, max_order: int = DEFAULT_MAX_ORDER) -> 
         raise InvalidParameterError("need n >= 4")
     order = 2**n
     _check_order_cap(order, max_order)
-    i, j = np.divmod(np.arange(order), 2)
-    labels = [_word([("x", x), ("sigma", s)]) for x, s in zip(i.tolist(), j.tolist())]
-    return _finish(_metacyclic_mul(order // 2, 2, 2 ** (n - 2) + 1), labels,
-                   GroupSpec("m2", n=n))
+    return GroupTable(order, spec=GroupSpec("m2", n=n),
+                      law=_MetacyclicLaw(order // 2, 2, 2 ** (n - 2) + 1, "sigma"))
 
 
 # ---------------------------------------------------------------------------
@@ -450,10 +514,13 @@ class WreathElement:
 
 
 class WreathIndexing:
-    """Bijection between wreath elements and indices 0..order-1.
+    """Bijection between wreath elements and indices 0..order-1, and the
+    wreath product's law on those indices.
 
     Index layout is mixed-radix: base coords are the major digits (coordinate 0
     most significant), the permutation's lexicographic rank is the minor digit.
+    Product rule: (x; p)(y; q) = (x * (p.y); p o q) where (p.y)_i = y_(p^-1(i)),
+    so (x; p)^-1 = (p^-1.x^-1; p^-1), x^-1 taken coordinatewise.
     """
 
     def __init__(self, base: GroupTable, n: int):
@@ -466,12 +533,21 @@ class WreathIndexing:
         self.perm_rank = {p: i for i, p in enumerate(self.perms)}
         self.fact = len(self.perms)
         self.order = base.order**n * self.fact
+        self.weights = base.order ** np.arange(n - 1, -1, -1, dtype=_LAW_INT)
+        perms = np.array(self.perms, dtype=np.int64).reshape(self.fact, n)
+        # Permutations are listed lexicographically, so their base-n keys ascend.
+        keys = n ** np.arange(n - 1, -1, -1, dtype=np.int64)
+        self.compose = np.searchsorted(perms @ keys, perms[:, perms] @ keys).astype(_LAW_INT)
+        preimage = np.argsort(perms, axis=1)
+        self.inverse_rank = np.searchsorted(perms @ keys, preimage @ keys).astype(_LAW_INT)
+        # coords[rank] are the base coordinates of a coordinate rank, and
+        # shift[p, rank of y] is the rank of p.y.
+        self.coords = np.arange(base.order**n, dtype=_LAW_INT)[:, None] // self.weights
+        self.coords %= base.order
+        self.shift = np.ascontiguousarray((self.coords[:, preimage] @ self.weights).T)
 
     def encode(self, el: WreathElement) -> int:
-        rank = 0
-        for c in el.coords:
-            rank = rank * self.base.order + c
-        return rank * self.fact + self.perm_rank[el.perm]
+        return int(np.dot(el.coords, self.weights)) * self.fact + self.perm_rank[el.perm]
 
     def decode(self, idx: int) -> WreathElement:
         rank, p = divmod(idx, self.fact)
@@ -482,42 +558,31 @@ class WreathIndexing:
         """Index of (g, g, ..., g; identity permutation)."""
         return self.encode(WreathElement((g,) * self.n, tuple(range(self.n))))
 
+    def multiply(self, a, b):
+        (ra, p), (rb, q) = _divmod(a, self.fact), _divmod(b, self.fact)
+        coords = self.base.multiply(self.coords[ra], self.coords[self.shift[p, rb]])
+        return np.asarray(coords, dtype=_LAW_INT) @ self.weights * self.fact + self.compose[p, q]
+
+    def inverse(self, g):
+        rank, p = _divmod(g, self.fact)
+        p = self.inverse_rank[p]
+        coords = self.base.inv[self.coords[rank]].astype(_LAW_INT)
+        return self.shift[p, coords @ self.weights] * self.fact + p
+
+    def label(self, g: int) -> str:
+        el = self.decode(g)
+        return f"({','.join(map(self.base.label_of, el.coords))};{_perm_label(el.perm)})"
+
 
 def build_wreath_sym(base: GroupTable, n: int,
                      max_order: int = DEFAULT_MAX_ORDER) -> GroupTable:
-    """Wreath product base wr S_n with the place-permutation action.
-
-    Product rule: (x; p)(y; q) = (x * (p.y); p o q) where (p.y)_i = y_(p^-1(i)).
-    The base part of (x; p)(y; q) depends on x, y and p only, so mul is
-    filled one left permutation and one block of left ranks at a time, as a
-    table of base coordinates repeated over the right permutations q.
-    """
+    """Wreath product base wr S_n with the place-permutation action, its law
+    the WreathIndexing of base and n."""
     if n < 1:
         raise InvalidParameterError("need n >= 1")
     _check_order_cap(base.order**n * math.factorial(n), max_order)
-    wi = WreathIndexing(base, n)
-    weights = base.order ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    ranks = base.order ** n
-    digits = np.arange(ranks, dtype=np.int64)[:, None] // weights % base.order
-    perms = np.array(wi.perms, dtype=np.int64).reshape(wi.fact, n)
-    # Permutations are listed lexicographically, so their base-n keys ascend.
-    keys = n ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    comp = np.searchsorted(perms @ keys, perms[:, perms] @ keys).astype(ELEMENT)  # p o q
-    mul = np.empty((ranks, wi.fact, ranks, wi.fact), dtype=ELEMENT)
-    rows = max(1, _BLOCK_ENTRIES // ranks)
-    for a, pinv in enumerate(np.argsort(perms, axis=1)):
-        for lo in range(0, ranks, rows):  # a block of left coordinate ranks
-            left = digits[lo:lo + rows]
-            coords = sum(base.mul[left[:, i, None], digits[None, :, pinv[i]]] * weight
-                         for i, weight in enumerate(weights.tolist()))
-            coords *= wi.fact
-            np.add(coords[:, :, None], comp[a], out=mul[lo:lo + rows, a])
-    mul = mul.reshape(wi.order, wi.order)
-    perm_labels = [_perm_label(perm) for perm in wi.perms]
-    labels = [f"({','.join(base.labels[c] for c in coords)};{perm_label})"
-              for coords in itertools.product(range(base.order), repeat=n)
-              for perm_label in perm_labels]
-    return _finish(mul, labels, GroupSpec("wreath", n=n, base=base.spec))
+    law = WreathIndexing(base, n)
+    return GroupTable(law.order, spec=GroupSpec("wreath", n=n, base=base.spec), law=law)
 
 
 def _perm_label(perm: tuple[int, ...]) -> str:
@@ -564,7 +629,7 @@ def cycle_product(base: GroupTable, coords: Sequence[int],
     ordered = zero_based[pivot:] + zero_based[:pivot]
     prod = coords[ordered[0]]
     for pos in reversed(ordered[1:]):
-        prod = int(base.mul[prod, coords[pos]])
+        prod = int(base.multiply(prod, coords[pos]))
     return prod
 
 
@@ -612,18 +677,19 @@ def power(group: GroupTable, g, k):
     integer arrays g and k; a negative k powers the inverse. Scalar g and k
     give an int.
 
-    A scalar k runs a Python loop over its bits, at most two gathers each,
+    A scalar k runs a Python loop over its bits, at most two products each,
     in place of the masked array steps a per-element k needs."""
+    multiply = group.multiply
     if np.ndim(k) == 0:
         k = int(k)
         base = group.inv[g] if k < 0 else np.array(g)
         result, k = None, abs(k)
         while k:
             if k & 1:
-                result = base if result is None else group.mul[result, base]
+                result = base if result is None else multiply(result, base)
             k >>= 1
             if k:
-                base = group.mul[base, base]
+                base = multiply(base, base)
         if result is None:
             result = np.full(np.shape(g), group.identity)
         return int(result) if np.ndim(result) == 0 else result
@@ -632,8 +698,8 @@ def power(group: GroupTable, g, k):
     k = np.abs(k)
     result = np.full(k.shape, group.identity)
     while k.any():
-        result = np.where(k & 1, group.mul[result, base], result)
-        base = group.mul[base, base]
+        result = np.where(k & 1, multiply(result, base), result)
+        base = multiply(base, base)
         k = k >> 1
     return int(result) if result.ndim == 0 else result
 
@@ -648,10 +714,10 @@ def conjugacy(group: GroupTable) -> ConjugacyData:
     every edge's ends agree.
     """
     n = group.order
-    mul, inv, e = group.mul, group.inv, group.identity
+    inv, e = group.inv, group.identity
     gens = np.array(group.generators, dtype=np.int64)
-    # maps[i, x] = s_i^-1 * (x * s_i): one gather per generator.
-    maps = mul[inv[gens][:, None], mul[:, gens].T]
+    # maps[i, x] = s_i^-1 * (x * s_i)
+    maps = group.multiply(inv[gens][:, None], group.multiply(np.arange(n), gens[:, None]))
     rep = np.arange(n)
     while not np.array_equal(ends := np.broadcast_to(rep, maps.shape), others := rep[maps]):
         np.minimum.at(rep, np.maximum(ends, others), np.minimum(ends, others))
@@ -671,18 +737,21 @@ def conjugacy(group: GroupTable) -> ConjugacyData:
     class_inv = tuple(class_of[inv[mins]].tolist())
     # g is central exactly when its class is {g}.
     center = tuple(np.flatnonzero(sizes[class_of] == 1).tolist())
-    return ConjugacyData(group=group, classes=classes, class_of=class_of,
-                         class_inv=class_inv, center=center, orders=_element_orders(group))
+    # Conjugates share their order, so only the classes' minima are powered.
+    return ConjugacyData(group=group, classes=classes, class_of=class_of, class_inv=class_inv,
+                         center=center, orders=_element_orders(group, mins)[class_of])
 
 
-def _element_orders(group: GroupTable) -> np.ndarray:
-    """Order of every element, one prime p of |G| at a time: h = g^m, with m
-    the part of |G| prime to p, has the p-part of g's order as its order, so
-    h is raised to its p-th power until it is the identity."""
+def _element_orders(group: GroupTable, elements: np.ndarray | None = None) -> np.ndarray:
+    """Order of each of elements (by default every element), one prime p of
+    |G| at a time: h = g^m, with m the part of |G| prime to p, has the
+    p-part of g's order as its order, so h is raised to its p-th power until
+    it is the identity."""
     n, e = group.order, group.identity
-    orders = np.ones(n, dtype=np.int64)
+    elements = np.arange(n) if elements is None else np.asarray(elements)
+    orders = np.ones(len(elements), dtype=np.int64)
     for p in (p for p in range(2, n + 1) if n % p == 0 and all(p % q for q in range(2, p))):
-        h = power(group, np.arange(n), n // math.gcd(n, p**n))
+        h = power(group, elements, n // math.gcd(n, p**n))
         pending = np.flatnonzero(h != e)
         while pending.size:
             orders[pending] *= p
@@ -696,11 +765,11 @@ def _element_orders(group: GroupTable) -> np.ndarray:
 
 def subgroup_closure(group: GroupTable, generators: Iterable[int]) -> tuple[int, ...]:
     """Subgroup generated by the given elements (multiplicative closure)."""
-    seen, *_ = _closure(group.mul, group.identity, generators)
+    seen, *_ = _closure(group, generators)
     return tuple(np.flatnonzero(seen).tolist())
 
 
-def _closure(mul: np.ndarray, identity: int, generators: Iterable[int] | None,
+def _closure(group: GroupTable, generators: Iterable[int] | None,
              tree: np.ndarray | None = None) -> tuple[np.ndarray, list[int], list[int]]:
     """(mask of the members, generators used, steps) of the breadth-first
     closure from the identity.
@@ -724,15 +793,15 @@ def _closure(mul: np.ndarray, identity: int, generators: Iterable[int] | None,
     where the group allows (Z_4096: 0..2^k-1 times 2^k), and _check_edges
     reads them as slices.
     """
-    n = len(mul)
+    n, multiply = group.order, group.multiply
     seen = np.zeros(n, dtype=bool)
-    seen[identity] = True
+    seen[group.identity] = True
     size = 1
     edges = None if tree is None else np.empty(n, dtype=np.intp)
 
     def grow(rows: np.ndarray, cols: list[int]) -> np.ndarray:
         """Multiply rows by cols; mark and return the products not seen."""
-        products = mul[rows[:, None], cols]
+        products = multiply(rows[:, None], cols)
         fresh = np.zeros_like(seen)
         fresh[products] = True
         fresh[seen] = False
@@ -757,12 +826,12 @@ def _closure(mul: np.ndarray, identity: int, generators: Iterable[int] | None,
             while not seen[g]:  # e*g = g, so each turn adds at least g
                 added.append(grow(seen.nonzero()[0], [g]))
                 steps.append(g)
-                g = int(mul[g, g])
+                g = int(multiply(g, g))
         else:
             new: list[int] = []
             while not seen[g] and g not in new:
                 new.append(g)
-                g = int(mul[g, g])
+                g = int(multiply(g, g))
             added = [grow(seen.nonzero()[0], new)]
             steps += new
         frontier = np.concatenate(added)
@@ -780,11 +849,11 @@ def derived_series_solvable(group: GroupTable) -> tuple[bool, tuple[int, ...]]:
     of H (H/N is abelian, as the images of S commute): each commutator or
     conjugate s^-1 x s (s in S) outside the closure so far becomes one of its
     generators, at least doubling it. Those generators are the next S."""
-    mul, inv = group.mul, group.inv
+    m, inv = group.multiply, group.inv
     gens, series = np.array(group.generators, dtype=np.int64), [group.order]
     while series[-1] > 1:
         a, b = gens[:, None], gens[None, :]
-        todo = mul[mul[mul[a, b], inv[a]], inv[b]].ravel().tolist()  # a b a^-1 b^-1
+        todo = m(m(m(a, b), inv[a]), inv[b]).ravel().tolist()  # a b a^-1 b^-1
         inside = np.arange(group.order) == group.identity
         derived: list[int] = []
         while todo:
@@ -792,7 +861,7 @@ def derived_series_solvable(group: GroupTable) -> tuple[bool, tuple[int, ...]]:
             if not inside[x]:
                 derived.append(x)
                 inside[list(subgroup_closure(group, derived))] = True
-                todo.extend(mul[mul[inv[gens], x], gens].tolist())
+                todo.extend(m(m(inv[gens], x), gens).tolist())
         if inside.sum() == series[-1]:
             return False, (*series, series[-1])
         gens = np.array(derived, dtype=np.int64)

@@ -118,7 +118,8 @@ def _operator(group: GroupTable, elements: tuple[int, ...], hermitian: bool) -> 
                                     "of its elements, an oriented one none")
     rows = inverses if hermitian else np.concatenate([inverses, c])
     sign = np.where(np.arange(rows.size) < c.size, 1.0, -1.0)
-    return WalkOperator(index=group.mul[rows].astype(np.intp), sign=sign,
+    index = group.multiply(rows[:, None], np.arange(group.order))
+    return WalkOperator(index=np.asarray(index, dtype=np.intp), sign=sign,
                         rho=float(rows.size), hermitian=hermitian)
 
 
@@ -331,21 +332,22 @@ class PermutationReport:
     order: int | None
 
 
-def permutation_check(op: WalkOperator, t: float, group: GroupTable) -> PermutationReport:
-    """Test U(t) against 'permutation matrix with +1 entries' from one column.
+def permutation_check(op: WalkOperator, col: np.ndarray, group: GroupTable) -> PermutationReport:
+    """Test U(t) against 'permutation matrix with +1 entries' from its
+    identity column col = U(t) e_e (evolve_column).
 
     A must commute, exactly, with the right translation g -> g s by each of
-    Light's generators s of the group (Godsil & Royle, Algebraic Graph
+    the stored generators s of the group (Godsil & Royle, Algebraic Graph
     Theory, ch. 3), so with every right translation, and so must U(t). Then
     if U(t) e_e = e_z to within PERMUTATION_TOL, U(t) e_h = e_{zh} for every
     h: U(t) is left multiplication by z, and its columns permute one set of
     entries. A commutes with R_s when each index row does, index[k, hs] =
     index[k, h]s: an exact O(d n) test, true of rows ch by associativity.
     """
-    index, mul = op.index, group.mul
+    index, multiply, everyone = op.index, group.multiply, np.arange(op.order)
     translates = op.order == group.order and all(
-        np.array_equal(index[:, mul[:, s]], mul[index, s]) for s in group.generators)
-    col = evolve_column(op, t, group.identity)
+        np.array_equal(index[:, multiply(everyone, s)], multiply(index, s))
+        for s in group.generators)
     # The distance max(|c_z - 1|, max_{y != z} |c_y|) to each e_z, in O(n):
     # the largest other magnitude is the largest one, or the second largest
     # at its own place. The nearest e_z does not depend on the numbering.
@@ -361,11 +363,12 @@ def permutation_check(op: WalkOperator, t: float, group: GroupTable) -> Permutat
         return PermutationReport(ok=False, permutation=None, max_deviation=deviation,
                                  fixed_point_free=False, commutes_with_generator=False,
                                  order=None)
-    perm_t = tuple(mul[z].tolist())
+    perm_t = tuple(multiply(z, everyone).tolist())
     # Row k is then L_c, c = index[k, e], and L_z^-1 L_c L_z = L_{z^-1 c z}: A
     # commutes with L_z when conjugation by z permutes its signed elements.
     c, signed = index[:, group.identity], np.where(op.sign > 0, 0, op.order)
-    commutes = np.array_equal(np.sort(c + signed), np.sort(mul[mul[group.inv[z], c], z] + signed))
+    commutes = np.array_equal(np.sort(c + signed),
+                              np.sort(multiply(multiply(group.inv[z], c), z) + signed))
     order = math.lcm(*map(len, permutation_cycles(perm_t)))
     return PermutationReport(ok=True, permutation=perm_t, max_deviation=deviation,
                              fixed_point_free=z != group.identity,

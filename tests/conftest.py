@@ -38,9 +38,11 @@ from caywalk.engine import (
 from caywalk.errors import GroupValidationError, InvariantBreachError
 from caywalk.groups import (
     ConjugacyData,
+    GroupSpec,
     GroupTable,
     WreathElement,
     WreathIndexing,
+    _finish,
     _perm_label,
     _word,
     cycle_product,
@@ -589,8 +591,9 @@ def structure_constants(group: GroupTable) -> np.ndarray:
     a = np.zeros((k, k, k), dtype=np.float64)
     class_of = conj.class_of
     everyone = np.arange(order)
+    mul = group.mul
     for l, z in enumerate(reps):
-        partner = group.mul[group.inv[everyone], z]
+        partner = mul[group.inv[everyone], z]
         np.add.at(a, (class_of, class_of[partner], np.full(order, l)), 1.0)
     return a
 
@@ -763,6 +766,130 @@ def digit_sum_abelian_power(r: int, n: int) -> tuple[np.ndarray, list[str]]:
     return sums @ weights, labels
 
 
+# ---------------------------------------------------------------------------
+# table references: the family constructors' earlier table writers, each
+# writing uint16 a slice at a time, kept as the references for the laws
+
+def window_cyclic_mul(r: int) -> np.ndarray:
+    """(i + j) mod r as a read-only uint16 view: row i is the window
+    i..i+r-1 of 0..r-1 written twice, so no sum is formed and none can wrap."""
+    twice = np.tile(np.arange(r, dtype=np.uint16), 2)
+    return np.lib.stride_tricks.sliding_window_view(twice, r)[:r]
+
+
+def grown_abelian_mul(r: int, n: int) -> np.ndarray:
+    """Componentwise addition on base-r digit vectors of length n, grown one
+    leading digit at a time: with T the table of the last m = r^k elements,
+    element f*m + a times g*m + b is ((f + g) mod r)*m + T[a, b], written
+    for one left digit f at a time."""
+    step = window_cyclic_mul(r)
+    mul = step
+    for _ in range(n - 1):
+        m = mul.shape[0]
+        grown = np.empty((r, m, r, m), dtype=np.uint16)  # [f, a, g, b]
+        for f in range(r):
+            np.add(mul[:, None, :], step[f, :, None] * m, out=grown[f])
+        mul = grown.reshape(r * m, r * m)
+    return mul
+
+
+def metacyclic_mul(half: int, k: int, twist: int) -> np.ndarray:
+    """<x, y | x^half = y^k = e, y x y^-1 = x^twist> with x^i y^j at index
+    k*i + j: (x^i y^j)(x^i' y^j') = x^(i + i' twist^j) y^(j + j'), written
+    one left exponent j at a time."""
+    i = np.arange(half)
+    y_part = window_cyclic_mul(k)
+    mul = np.empty((half, k, half, k), dtype=np.uint16)  # [i, j, i', j']
+    x_part = np.empty((half, half), dtype=np.uint16)
+    for j in range(k):
+        np.add.outer(i.astype(np.uint16), (i * pow(twist, j, half) % half).astype(np.uint16),
+                     out=x_part)
+        x_part %= half
+        x_part *= k
+        np.add(x_part[:, :, None], y_part[j], out=mul[:, j])
+    return mul.reshape(half * k, half * k)
+
+
+def sliced_heisenberg_mul(n: int) -> tuple[np.ndarray, list[str]]:
+    """(mul, labels) of the Heisenberg model of es3:n: (a, b, c) with
+    (a1,b1,c1)(a2,b2,c2) = (a1+a2, b1+b2, c1+c2+a1.b2) at index
+    (A*3^n + B)*3 + c, written one left A at a time as the sum of an A'
+    part, a (B, B') part and a (c, B', c') part; labels in the normal form
+    x^a y^b z^t, t = c - a.b."""
+    m, order = 3**n, 3 ** (2 * n + 1)
+    digits = np.array([digits_of(k, 3, n) for k in range(m)], dtype=np.int64)
+    add = grown_abelian_mul(3, n)
+    major, minor = add * (3 * m), add * 3
+    # (c + c' + a.b') mod 3, indexed [A, c, 1, B', c'].
+    c_part = (window_cyclic_mul(3)[None, :, None, None, :]
+              + (digits @ digits.T % 3).astype(np.uint16)[:, None, None, :, None]) % 3
+    mul = np.empty((m, m, 3, m, m, 3), dtype=np.uint16)  # [A, B, c, A', B', c']
+    for a_left in range(m):
+        np.add(major[a_left, None, None, :, None, None], minor[:, None, None, :, None],
+               out=mul[a_left])
+        mul[a_left] += c_part[a_left]
+    ab, c = np.divmod(np.arange(order), 3)
+    a, b = digits[ab // m], digits[ab % m]
+    t = (c - np.sum(a * b, axis=1)) % 3
+    labels = [_word([(f"x{k + 1}", ai[k]) for k in range(n)]
+                    + [(f"y{k + 1}", bi[k]) for k in range(n)] + [("z", ti)])
+              for ai, bi, ti in zip(a.tolist(), b.tolist(), t.tolist())]
+    return mul.reshape(order, order), labels
+
+
+def blocked_wreath_mul(base: GroupTable, n: int) -> tuple[np.ndarray, list[str]]:
+    """(mul, labels) of base wr S_n: the base part of (x; p)(y; q) depends on
+    x, y and p only, so mul is filled one left permutation and one block of
+    left ranks at a time, as a table of base coordinates repeated over the
+    right permutations q."""
+    wi = WreathIndexing(base, n)
+    weights = base.order ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    ranks = base.order ** n
+    digits = np.arange(ranks, dtype=np.int64)[:, None] // weights % base.order
+    perms = np.array(wi.perms, dtype=np.int64).reshape(wi.fact, n)
+    keys = n ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    comp = np.searchsorted(perms @ keys, perms[:, perms] @ keys).astype(np.uint16)  # p o q
+    mul = np.empty((ranks, wi.fact, ranks, wi.fact), dtype=np.uint16)
+    rows = max(1, 2**16 // ranks)
+    base_mul = base.mul
+    for a, pinv in enumerate(np.argsort(perms, axis=1)):
+        for lo in range(0, ranks, rows):  # a block of left coordinate ranks
+            left = digits[lo:lo + rows]
+            coords = sum(base_mul[left[:, i, None], digits[None, :, pinv[i]]] * weight
+                         for i, weight in enumerate(weights.tolist()))
+            coords *= wi.fact
+            np.add(coords[:, :, None], comp[a], out=mul[lo:lo + rows, a])
+    perm_labels = [_perm_label(perm) for perm in wi.perms]
+    labels = [f"({','.join(base.labels[c] for c in coords)};{perm_label})"
+              for coords in itertools.product(range(base.order), repeat=n)
+              for perm_label in perm_labels]
+    return mul.reshape(wi.order, wi.order), labels
+
+
+def reference_group(spec: GroupSpec) -> GroupTable:
+    """The group a family spec names, from the table writers above, through
+    the table backend (inverse search and full validation)."""
+    fam = spec.family
+    if fam == "cyclic":
+        mul, labels = window_cyclic_mul(spec.r), [str(i) for i in range(spec.r)]
+    elif fam == "abelian":
+        mul = grown_abelian_mul(spec.r, spec.n)
+        labels = ["(" + ",".join(map(str, v)) + ")"
+                  for v in itertools.product(range(spec.r), repeat=spec.n)]
+    elif fam == "extraspecial3" and spec.exponent == 9:
+        mul = metacyclic_mul(9, 3, 4)
+        labels = [_word([("x", x), ("y", y)]) for x in range(9) for y in range(3)]
+    elif fam == "extraspecial3":
+        mul, labels = sliced_heisenberg_mul(spec.n)
+    elif fam == "m2":
+        mul = metacyclic_mul(2 ** (spec.n - 1), 2, 2 ** (spec.n - 2) + 1)
+        labels = [_word([("x", x), ("sigma", s)]) for x in range(2 ** (spec.n - 1))
+                  for s in range(2)]
+    else:
+        mul, labels = blocked_wreath_mul(reference_group(spec.base), spec.n)
+    return _finish(mul, labels, spec)
+
+
 def orbit_conjugacy(group: GroupTable) -> ConjugacyData:
     """Conjugacy data by enumerating one orbit per unclassified element.
 
@@ -805,8 +932,9 @@ def element_order(group: GroupTable, g: int) -> int:
     """
     cur = g
     order = 1
+    mul = group.mul
     while cur != group.identity:
-        cur = group.mul.item(cur, g)
+        cur = mul.item(cur, g)
         order += 1
     return order
 
@@ -938,10 +1066,11 @@ def deque_subgroup_closure(group: GroupTable, generators) -> tuple[int, ...]:
     gens = sorted({int(g) for g in generators})
     members = {group.identity}
     frontier = collections.deque([group.identity])
+    mul = group.mul
     while frontier:
         g = frontier.popleft()
         for s in gens:
-            h = int(group.mul[g, s])
+            h = int(mul[g, s])
             if h not in members:
                 members.add(h)
                 frontier.append(h)

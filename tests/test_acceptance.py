@@ -300,7 +300,7 @@ def test_criterion_8_structural_properties_of_all_certificates():
             assert set(subgroup_closure(group, [report.generator])) == members, tag
             for a in members:
                 for b in members:
-                    assert int(group.mul[a, b]) in members, tag
+                    assert int(group.multiply(a, b)) in members, tag
             # size restriction, sharpened on solvable groups
             assert report.size in {2, 3, 4, 6}, tag
             solvable = solvable_cache.get(group.family_tag)
@@ -313,7 +313,8 @@ def test_criterion_8_structural_properties_of_all_certificates():
             # permutation of matching order commuting with the generator
             if group.order <= DEFAULT_CONFIG.oracle_max_order:
                 op = build_operator(graph.group, graph.elements)
-                perm = permutation_check(op, report.minimal_time, group)
+                perm = permutation_check(op, evolve_column(op, report.minimal_time, group.identity),
+                                         group)
                 assert perm.ok and perm.fixed_point_free, tag
                 assert perm.commutes_with_generator, tag
                 assert perm.order == report.size, tag

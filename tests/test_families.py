@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from caywalk import families, oracle
 from caywalk.config import DEFAULT_CONFIG
 from caywalk.errors import InvalidParameterError
 from caywalk.families import (
@@ -271,3 +272,26 @@ def test_dual_verify_skips_oracle_above_cap():
     report = dual_verify(cert, small_cap)
     assert report.ok, report.messages
     assert report.oracle_fidelity is None  # criterion ran alone
+
+
+def test_each_oriented_transfer_certificate_evolves_one_column(monkeypatch):
+    """The oracle's fidelity and its permutation check read one column,
+    evolved at the pinned time."""
+    calls = []
+    evolve_column = oracle.evolve_column
+
+    def counted(op, t, a):
+        calls.append((t, a))
+        return evolve_column(op, t, a)
+
+    monkeypatch.setattr(oracle, "evolve_column", counted)
+    monkeypatch.setattr(families, "evolve_column", counted)
+    checked = 0
+    for cert in shipped_certificates():
+        if cert.oriented and (cert.claimed_size or 0) > 1 and \
+                cert.group.order <= DEFAULT_CONFIG.oracle_max_order:
+            calls.clear()
+            assert dual_verify(cert).ok, cert.name
+            assert calls == [(cert.tau, cert.group.identity)], cert.name
+            checked += 1
+    assert checked == 11

@@ -20,7 +20,6 @@ from caywalk.errors import (
 )
 from caywalk.groups import (
     GroupTable,
-    _cyclic_mul,
     _element_orders,
     WreathElement,
     WreathIndexing,
@@ -62,7 +61,9 @@ from conftest import (
     octonion_unit_loop,
     orbit_conjugacy,
     permutation_group_table,
+    reference_group,
     sort_loop_spot_validate,
+    window_cyclic_mul,
     wreath_type,
 )
 
@@ -98,13 +99,18 @@ def test_cyclic_table():
         assert np.array_equal(build_cyclic(r).mul, (idx[:, None] + idx[None, :]) % r), r
 
 
-def test_cyclic_window_does_not_wrap_at_the_largest_order():
-    # A view over 2 * 65,536 entries: the 8 GB table itself is never formed.
+def test_cyclic_law_does_not_wrap_at_the_largest_order():
+    # uint16 indices near 2**16 are summed without wrapping, by the law (in
+    # int32) and by the window reference (a view over 2 * 65,536 entries,
+    # never the 8 GB table).
     r = 2**16
-    mul = _cyclic_mul(r)
+    g = build_cyclic(r, max_order=r)
+    mul = window_cyclic_mul(r)
     assert mul.shape == (r, r) and mul.dtype == np.uint16
     j = np.arange(r)
+    assert np.array_equal(g.inv, -j % r)
     for i in (0, 1, 2**15, r - 1):
+        assert np.array_equal(g.multiply(np.uint16(i), j.astype(np.uint16)), (i + j) % r), i
         assert np.array_equal(mul[i], (i + j) % r), i
 
 
@@ -216,16 +222,33 @@ def test_cli_refuses_orders_past_uint16_with_exit_4(capsys):
 @pytest.mark.parametrize("spec", ["z:4096", "z3^7", "es3:3", "m2:10", "wreath:z:3:4",
                                   "wreath:z:32:2"])
 def test_builds_trace_at_most_three_table_sizes(spec):
-    """The uint16 table is 2 |G|^2 bytes; the constructor, the inverse search and
-    the checks together add at most |G|^2 more."""
-    parsed = parse_group_spec(spec)
+    """On the table backend (file: and custom groups) the uint16 table is
+    2 |G|^2 bytes; the inverse search and the checks together add at most
+    |G|^2 more. The table is written out of the law before tracing starts."""
+    law = build_group(parse_group_spec(spec))
+    mul, labels = law.mul, law.labels
     tracemalloc.start()
     try:
-        group = build_group(parsed)
+        group = groups._finish(mul, labels, law.spec)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 3 * group.order**2
+    assert group.generators == law.generators
+    assert 2 * group.order**2 + peak <= 3 * group.order**2
+
+
+@pytest.mark.parametrize("spec", ["z3^7", "wreath:z:3:4"])
+def test_law_groups_build_and_classify_without_a_table(spec):
+    """A law stores inv and no table: the build plus the conjugacy data trace
+    under 2 MB, where the 2,187 x 2,187 uint16 table alone is 9.6 MB."""
+    parsed = parse_group_spec(spec)
+    tracemalloc.start()
+    try:
+        build_group(parsed).conj
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
 
 
 def test_cyclic_rejects_bad_order():
@@ -401,9 +424,10 @@ def test_each_half_of_the_tree_check_refuses_a_table_the_other_passes(
     mul = z2_cubed_with(changes)
     assert not is_associative(mul)
     table = mul.astype(groups.ELEMENT)
-    _, gens, _ = groups._closure(table, 0, None)
+    loop = SimpleNamespace(order=8, identity=0, multiply=lambda a, b: table[a, b])
+    _, gens, _ = groups._closure(loop, None)
     tree = np.zeros(8, dtype=np.intp)
-    _, _, steps = groups._closure(table, 0, gens, tree)
+    _, _, steps = groups._closure(loop, gens, tree)
     checks = {"tree": lambda: groups._check_edges(table, np.arange(8), tree, steps),
               "steps": lambda: groups._check_steps(table, gens, steps)}
     checks[passing]()
@@ -567,6 +591,37 @@ def test_abelian_power_matches_digit_sum_reference(r):
         assert np.array_equal(g.mul, mul), (r, n)
         assert g.labels == tuple(labels), (r, n)
         n += 1
+
+
+# Family members above order 729 that the benchmark, the fixtures and the
+# tests build.
+LARGE_MEMBERS = ["z:1024", "z:2048", "z:4096", "z4^5", "z4^6", "z3^7", "es3:3", "m2:10",
+                 "m2:11", "wreath:z:3:4", "wreath:z:32:2", "wreath:es3:1:2"]
+
+
+def assert_law_matches_its_table_reference(spec: str) -> GroupTable:
+    """The law's table, inverses, generators and labels equal those of the
+    earlier table writer, run through the table backend's validation."""
+    law, ref = build_group(parse_group_spec(spec)), reference_group(parse_group_spec(spec))
+    assert np.array_equal(law.mul, ref.mul), spec
+    assert np.array_equal(law.inv, ref.inv), spec
+    assert law.generators == ref.generators, spec
+    assert law.labels == ref.labels and [law.label_of(g) for g in range(law.order)] == \
+        list(ref.labels), spec
+    return law
+
+
+def test_laws_match_the_table_writers_on_every_family_member():
+    """Up to order 729; test_generators_and_verdict_match_the_light_reference
+    runs _validate_table on each law's table."""
+    for spec in family_members(729):
+        assert_law_matches_its_table_reference(spec)
+
+
+@pytest.mark.parametrize("spec", LARGE_MEMBERS)
+def test_laws_match_the_table_writers_above_order_729(spec):
+    law = assert_law_matches_its_table_reference(spec)
+    assert groups._validate_table(law) == law.generators
 
 
 def assert_same_conjugacy(group: GroupTable) -> None:
@@ -737,8 +792,9 @@ def scalar_power(group: GroupTable, g: int, k: int) -> int:
     """g^k as |k| products with g, or with g^-1 when k < 0."""
     step = g if k >= 0 else int(group.inv[g])
     out = group.identity
+    mul = group.mul
     for _ in range(abs(k)):
-        out = int(group.mul[out, step])
+        out = int(mul[out, step])
     return out
 
 

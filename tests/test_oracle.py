@@ -130,7 +130,8 @@ def test_hermitian_mode_antipodal_transfer():
 
 def test_permutation_check_accepts_transfer_time():
     op = skew_operator(8, [1, 2, 5])
-    rep = permutation_check(op, math.pi / 4, build_cyclic(8))
+    g = build_cyclic(8)
+    rep = permutation_check(op, evolve_column(op, math.pi / 4, g.identity), g)
     assert rep.ok
     assert rep.fixed_point_free
     assert rep.commutes_with_generator
@@ -159,7 +160,8 @@ def test_permutation_check_rejects_intermediate_time():
     """max_deviation is the identity column's, exactly; every column of U
     deviates alike, since U commutes with the right translations."""
     op = skew_operator(8, [1, 2, 5])
-    rep = permutation_check(op, math.pi / 8, build_cyclic(8))
+    g = build_cyclic(8)
+    rep = permutation_check(op, evolve_column(op, math.pi / 8, g.identity), g)
     assert not rep.ok and rep.permutation is None
     assert rep.max_deviation == _largest_entry_deviation(evolve_column(op, math.pi / 8, 0)) > 1e-3
     u = evolve(op, math.pi / 8)
@@ -168,7 +170,8 @@ def test_permutation_check_rejects_intermediate_time():
 
 def test_permutation_check_identity_at_time_zero():
     op = skew_operator(8, [1, 2, 5])
-    rep = permutation_check(op, 0.0, build_cyclic(8))
+    g = build_cyclic(8)
+    rep = permutation_check(op, evolve_column(op, 0.0, g.identity), g)
     assert rep.ok and rep.order == 1 and not rep.fixed_point_free
     assert rep.permutation == tuple(range(8))
 
@@ -181,7 +184,7 @@ def test_commutation_matches_dense_reference_on_every_shipped_certificate():
         if not cert.oriented:
             continue
         op, ref = walk_operators(cert.graph())
-        rep = permutation_check(op, cert.tau, cert.group)
+        rep = permutation_check(op, evolve_column(op, cert.tau, cert.group.identity), cert.group)
         if rep.ok:
             assert rep.commutes_with_generator == dense_commutes(rep.permutation, ref.matrix)
             assert rep.commutes_with_generator, cert.name
@@ -217,7 +220,8 @@ def test_permutation_check_matches_the_dense_check():
     for g, classes, tau in cases:
         op, walk = walk_operators(cayley_graph(g, classes))
         for t in (tau, 0.5 * tau, 0.37 * tau):
-            rep, ref = permutation_check(op, t, g), dense_permutation_check(walk, t)
+            rep = permutation_check(op, evolve_column(op, t, g.identity), g)
+            ref = dense_permutation_check(walk, t)
             assert (rep.ok, rep.permutation, rep.fixed_point_free, rep.order,
                     rep.commutes_with_generator) == (ref.ok, ref.permutation,
                                                      ref.fixed_point_free, ref.order,
@@ -272,7 +276,7 @@ def _doctored(name):
 def test_permutation_check_refuses_a_matrix_that_does_not_commute(name):
     g, op, t = _doctored(name)
     assert np.array_equal(op.dense, -op.dense.T)
-    rep = permutation_check(op, t, g)
+    rep = permutation_check(op, evolve_column(op, t, g.identity), g)
     assert not rep.ok and rep.permutation is None and not rep.commutes_with_generator
     if name == "arc-moved-off-the-column":
         assert rep.max_deviation < 1e-12  # the one column alone would pass
@@ -289,12 +293,12 @@ def test_permutation_check_refuses_rows_of_right_multiplications():
     for cert in certs:
         op, ref = walk_operators(cert.graph())
         g = cert.group
-        assert permutation_check(op, cert.tau, g).ok
+        assert permutation_check(op, evolve_column(op, cert.tau, g.identity), g).ok
         elements = np.array(cert.graph().elements)
         right = dataclasses.replace(op, index=np.concatenate(
             [g.mul[:, g.inv[elements]].T, g.mul[:, elements].T]).astype(np.intp))
         assert np.array_equal(right.dense, ref.matrix) and not np.array_equal(right.index, op.index)
-        rep = permutation_check(right, cert.tau, g)
+        rep = permutation_check(right, evolve_column(right, cert.tau, g.identity), g)
         assert not rep.ok and rep.permutation is None, cert.name
 
 

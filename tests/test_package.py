@@ -1,8 +1,10 @@
 """Package metadata: the version string, the exported names and the module graph."""
 import ast
+import os
 import pathlib
 import re
 import runpy
+import subprocess
 import sys
 import types
 
@@ -19,17 +21,34 @@ def test_version_matches_pyproject_and_all_exports_no_submodules():
     assert {"GroupSpec", "build_group", "parse_group_spec", "compute_S_e"} <= set(exported)
 
 
+# Run in a fresh interpreter: in the test process other test modules have
+# already imported every caywalk module, whatever caywalk.cli imports.
+TRACED_NAMES_CHECK = """
+import runpy, sys
+import caywalk.cli
+tracer = runpy.run_path(sys.argv[1])
+names = [(module, name) for module, name, _ in tracer["SPANS"]]
+names += [tracer["ENUMERATE"][:2], ("characters", "character_table_numerical"),
+          ("engine", "verdict_document")]
+print([(module, name) for module, name in names
+       if not callable(getattr(sys.modules.get(f"caywalk.{module}"), name, None))])
+"""
+
+
 def test_bench_tracer_finds_every_traced_name(capsys):
     """bench/tracer.py wraps caywalk's functions by name once caywalk.cli is
     imported; a renamed or lazily imported one would end every traced run."""
     import caywalk.cli
 
+    source = str(pathlib.Path(caywalk.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+        source, os.environ.get("PYTHONPATH")])))
+    fresh = subprocess.run([sys.executable, "-c", TRACED_NAMES_CHECK,
+                            str(ROOT / "bench" / "tracer.py")],
+                           capture_output=True, text=True, env=env, timeout=120)
+    assert (fresh.returncode, fresh.stdout) == (0, "[]\n"), fresh.stderr
+
     tracer = runpy.run_path(str(ROOT / "bench" / "tracer.py"))
-    names = [(module, name) for module, name, _ in tracer["SPANS"]]
-    names += [tracer["ENUMERATE"][:2], ("characters", "character_table_numerical"),
-              ("engine", "verdict_document")]
-    for module, name in names:
-        assert callable(getattr(sys.modules.get(f"caywalk.{module}"), name, None)), (module, name)
 
     modules = {name: mod for name, mod in sys.modules.items()
                if name == "caywalk" or name.startswith("caywalk.")}
@@ -106,6 +125,22 @@ def test_no_oracle_path_builds_a_dense_walk_matrix():
                 found.add((path.name, getattr(top, "name", type(top).__name__)))
     assert found == {("cayley.py", "adjacency_matrix"), ("cli.py", "ImportFrom"),
                      ("cli.py", "cmd_graph")}
+
+
+def test_only_the_export_and_the_table_backend_read_mul():
+    """Every product goes through GroupTable.multiply: no module outside
+    groups.py reads .mul, and inside it only the JSON export, the table
+    validation and GroupTable's own gather (tables, and laws of small
+    order) do."""
+    found = set()
+    for path in sorted((ROOT / "src" / "caywalk").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr == "mul":
+                top = next(s for s in tree.body if s.lineno <= node.lineno <= s.end_lineno)
+                found.add((path.name, top.name))
+    assert found == {("groups.py", "GroupTable"), ("groups.py", "_validate_table"),
+                     ("groups.py", "group_to_json")}
 
 
 def test_criterion_reads_no_dense_table():
