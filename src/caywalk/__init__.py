@@ -104,7 +104,6 @@ from .groups import (
     cycle_product,
     derived_series_solvable,
     group_from_json,
-    group_to_json,
     group_to_json_str,
     load_group,
     parse_group_spec,

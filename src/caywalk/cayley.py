@@ -212,7 +212,8 @@ def graph_to_dot(graph: CayleyGraph) -> str:
     labels = graph.group.labels
     heads = graph.group.multiply(np.array(graph.elements), np.arange(graph.order)[:, None])
     for g in range(graph.order):
-        lines.append(f'  n{g} [label="{labels[g]}"];')
+        label = labels[g].replace("\\", "\\\\").replace('"', '\\"')  # a DOT quoted string
+        lines.append(f'  n{g} [label="{label}"];')
     for g, row in enumerate(heads.tolist()):
         lines += [f"  n{g} {edge} n{h};" for h in row if directed or g < h]
     lines.append("}")

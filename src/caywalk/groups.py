@@ -5,19 +5,20 @@ powers, extraspecial 3-groups, modular maximal-cyclic 2-groups, wreath
 products with the full symmetric group) is a law: a formula on element
 indices over broadcast arrays, with its inverses and each element's
 generator-word label, so nothing of size |G|^2 is stored. file: and custom
-groups are tables, validated in full and stored as uint16: an order-65,536
-table already takes 8 GB, so every element index a table can hold fits, and
+groups are tables, checked exactly (the axioms, then Light's associativity
+test on their generators) and stored as uint16: an order-65,536 table
+already takes 8 GB, so every element index a table can hold fits, and
 larger orders are refused, for laws too, before anything is allocated. A
 spec's compact spelling is the one group grammar of the CLI, the fixture
 files and every printed group name.
 """
 from __future__ import annotations
 
+import io
 import itertools
 import json
 import math
 import re
-from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -185,54 +186,30 @@ def _elements(values, shape: tuple[int, ...], order: int, what: str) -> np.ndarr
 
 def _validate_table(g: GroupTable) -> tuple[int, ...]:
     """Check identity, two-sided inverses and associativity exactly; return
-    the generators the associativity check used, each the smallest element
-    outside the closure of those before (_closure).
+    the generators of Light's test, each the smallest element outside the
+    closure of those before (_closure).
 
-    Associativity rests on Light's lemma (Clifford & Preston, The Algebraic
-    Theory of Semigroups I, 1.2): the a with (x*a)*y == x*(a*y) for all x, y
-    are closed under the product, and so are the a with
-    (x*y)*a == x*(y*a) for all x, y. Both checks below read rows of
-    products h*y == p*(s*y) for edges h = p*s, s a step (a generator or one
-    of its repeated squares), in _check_edges.
-    - Light's test: the edges x -> x*g for every x and generator g, |T| |G|^2
-      reads for |T| generators. The generators pass it, so all their
-      products do. It runs where it reads at most four _check_edges blocks
-      more than check A below, (|T| - 1) |G|^2 <= 2^18 (so always with one
-      generator): there the tree's second closure, check B and extra calls
-      cost more than the reads they save.
-    - Otherwise A. the edges of a spanning tree (a second closure, refused
-      if it misses an element) that reaches each element h as h = p*s from
-      an element p reached before it, so by induction from L_e = id each
-      left translation L_h is a product of the L_s; and
-      B. t*(y*s) == (t*y)*s for every generator s, step t and y
-      (_check_steps), so the right translation R_s commutes with every L_t,
-      hence with every L_h: (x*y)*s == x*(y*s) for all x, y. For two such a
-      and b, z*(a*b) == (z*a)*b, so R_(a*b) = R_b R_a commutes with every
-      L_x: the repeated squares pass too, and then every h = p*s along the
-      tree. That is |G|^2 + |T| |S| |G| reads for |S| steps.
-    With identity and inverses an associative table is a group (a Latin
-    square).
+    Light's lemma (Clifford & Preston, The Algebraic Theory of Semigroups I,
+    1.2): the a with (x*a)*y == x*(a*y) for all x, y are closed under the
+    product. _closure reaches every element from the identity, which
+    passes, by products with generators and their repeated squares, so it is
+    enough that each generator s passes:
+    rows (x*s)*y == x*(s*y) over every y, a block of _BLOCK_ENTRIES entries
+    at a time, |T| |G|^2 reads for |T| generators. With identity and
+    inverses an associative table is a group (a Latin square).
     """
     n = g.order
     mul = g.mul
     if len(g.labels) != n:
         raise GroupValidationError("label count does not match order")
     _check_axioms(g)
-
-    rng_row = np.arange(n)
-    e = g.identity
-    _, gens, _ = _closure(g, None)
-    if (len(gens) - 1) * n * n > 4 * _BLOCK_ENTRIES:
-        tree = np.full(n, e * n + e)  # the identity's edge e = e*e holds by its axiom
-        reached, _, steps = _closure(g, gens, tree)
-        if not reached.all():  # in a group both closures are the whole group
-            raise GroupValidationError("associativity fails: the doubling closure of the "
-                                       "generators misses elements the first one reached")
-        _check_edges(mul, rng_row, tree, steps)
-        _check_steps(mul, gens, steps)
-    elif gens:
-        steps = np.array(gens, dtype=np.intp)
-        _check_edges(mul, mul[:, steps].T.ravel(), (steps[:, None] * n + rng_row).ravel(), gens)
+    _, gens = _closure(g, None)
+    rows = max(1, _BLOCK_ENTRIES // n)
+    for s in gens:
+        for lo in range(0, n, rows):
+            if not np.array_equal(mul[mul[lo:lo + rows, s]],
+                                  np.take(mul[lo:lo + rows], mul[s], axis=1)):
+                raise GroupValidationError(f"associativity fails at s={s}")
     return tuple(gens)
 
 
@@ -245,67 +222,6 @@ def _check_axioms(g: GroupTable) -> None:
         raise GroupValidationError("identity axiom fails")
     if (g.multiply(everyone, g.inv) != e).any() or (g.multiply(g.inv, everyone) != e).any():
         raise GroupValidationError("inverse axiom fails")
-
-
-def _check_edges(mul: np.ndarray, child: np.ndarray, edge: np.ndarray,
-                 steps: Sequence[int]) -> None:
-    """Refuse the table unless row child[i] of mul is row p taken at the
-    columns of row s, for every edge[i] = s*|G| + p, s among steps.
-
-    Edges whose rows hold at most a quarter block of _BLOCK_ENTRIES entries
-    are read at once, through one flat index per entry (8 bytes each, so no
-    more than a block's; about twice the cost per entry of a shared column
-    map, and far fewer calls). More go one step at a time, in blocks of at
-    most _BLOCK_ENTRIES entries that share the step's column map, and a
-    block whose rows run consecutively (Light's parents x, and the doublings
-    of _closure, make long runs) is read as a slice, not gathered.
-    """
-    n = len(mul)
-    step, parent = np.divmod(edge, n)
-    if 4 * len(edge) * n <= _BLOCK_ENTRIES:
-        _check_rows(mul[child], mul.take(parent[:, None] * n + mul[step]), child, parent, step)
-        return
-    rows = max(1, _BLOCK_ENTRIES // n)
-
-    def rows_of(x, stops, lo, hi):
-        """mul[x[lo:hi]]: a slice when no stop j (x[j + 1] != x[j] + 1) has
-        lo <= j < hi - 1."""
-        if bisect_left(stops, lo) == bisect_left(stops, hi - 1):
-            return mul[x[lo]:x[lo] + hi - lo]
-        return mul[x[lo:hi]]
-
-    for s in steps:
-        at = (step == s).nonzero()[0]
-        h, p = child[at], parent[at]
-        h_stops, p_stops = (np.flatnonzero(np.diff(x) != 1).tolist() for x in (h, p))
-        for lo in range(0, len(at), rows):
-            hi = min(lo + rows, len(at))
-            right = np.take(rows_of(p, p_stops, lo, hi), mul[s], axis=1)
-            _check_rows(rows_of(h, h_stops, lo, hi), right, h[lo:hi], p[lo:hi], s)
-
-
-def _check_rows(left: np.ndarray, right: np.ndarray, h, p, s) -> None:
-    """Refuse the table unless rows h of mul (left) equal the products
-    p*(s*y) (right)."""
-    if (left != right).any():
-        i = (left != right).any(axis=1).nonzero()[0][0]
-        raise GroupValidationError(f"associativity fails at {h[i]} = "
-                                   f"{p[i]}*{np.broadcast_to(s, len(h))[i]}")
-
-
-def _check_steps(mul: np.ndarray, generators: Sequence[int], steps: Sequence[int]) -> None:
-    """Check B: t*(y*s) == (t*y)*s for every generator s, step t and y, a
-    block of steps t at a time."""
-    n = len(mul)
-    right = np.ascontiguousarray(mul[:, generators].T)  # right[i, y] = y*s_i
-    per = max(1, _BLOCK_ENTRIES // (len(generators) * n))
-    for lo in range(0, len(steps), per):
-        left = mul[steps[lo:lo + per]]  # left[j, y] = t_j*y
-        # [j, i, y]: t_j*(y*s_i) against (t_j*y)*s_i
-        if (np.take(left, right, axis=1) != np.take(right, left, axis=1).swapaxes(0, 1)).any():
-            raise GroupValidationError("associativity fails: right multiplication by a "
-                                       "generator does not commute with left "
-                                       "multiplication by a step")
 
 
 def _finish(mul: np.ndarray, labels: Sequence[str], spec: GroupSpec,
@@ -765,14 +681,14 @@ def _element_orders(group: GroupTable, elements: np.ndarray | None = None) -> np
 
 def subgroup_closure(group: GroupTable, generators: Iterable[int]) -> tuple[int, ...]:
     """Subgroup generated by the given elements (multiplicative closure)."""
-    seen, *_ = _closure(group, generators)
+    seen, _ = _closure(group, generators)
     return tuple(np.flatnonzero(seen).tolist())
 
 
-def _closure(group: GroupTable, generators: Iterable[int] | None,
-             tree: np.ndarray | None = None) -> tuple[np.ndarray, list[int], list[int]]:
-    """(mask of the members, generators used, steps) of the breadth-first
-    closure from the identity.
+def _closure(group: GroupTable,
+             generators: Iterable[int] | None) -> tuple[np.ndarray, list[int]]:
+    """(mask of the members, generators used) of the breadth-first closure
+    from the identity.
 
     The generators are taken in increasing order, None meaning every
     element. One already inside the closure of those before adds nothing;
@@ -780,24 +696,16 @@ def _closure(group: GroupTable, generators: Iterable[int] | None,
     None each is the smallest element outside the closure so far. A used
     generator g brings its repeated squares g^2, g^4, ... as steps, every
     member reached so far is multiplied by the new steps, and the new
-    elements then grow breadth-first by every step. A set that holds the
-    identity and is closed under the steps is the subgroup they generate,
-    and g^k takes popcount(k) levels: the closure of {1} in Z_4096 takes 12
-    levels, not 4,095.
-
-    With tree, an array of |G| integers, each new member h gets tree[h] =
-    s*|G| + p for one member p reached before it and one step s with
-    h = p*s. The members are then multiplied by one new step at a time,
-    those of g's repeated squares that lie outside the closure when their
-    turn comes, so that each step's edges run through consecutive rows
-    where the group allows (Z_4096: 0..2^k-1 times 2^k), and _check_edges
-    reads them as slices.
+    elements then grow breadth-first by every step. So each member is the
+    identity or p*s for a member p reached before it and a step s. A set
+    that holds the identity and is closed under the steps is the subgroup
+    they generate, and g^k takes popcount(k) levels: the closure of {1} in
+    Z_4096 takes 12 levels, not 4,095.
     """
     n, multiply = group.order, group.multiply
     seen = np.zeros(n, dtype=bool)
     seen[group.identity] = True
     size = 1
-    edges = None if tree is None else np.empty(n, dtype=np.intp)
 
     def grow(rows: np.ndarray, cols: list[int]) -> np.ndarray:
         """Multiply rows by cols; mark and return the products not seen."""
@@ -807,9 +715,6 @@ def _closure(group: GroupTable, generators: Iterable[int] | None,
         fresh[seen] = False
         new = fresh.nonzero()[0]
         seen[new] = True
-        if tree is not None:
-            edges[products] = rows[:, None] + np.multiply(n, cols)  # one per product
-            tree[new] = edges[new]
         return new
 
     pending = None if generators is None else iter(sorted({int(x) for x in generators}))
@@ -821,25 +726,17 @@ def _closure(group: GroupTable, generators: Iterable[int] | None,
         if g is None:
             break
         used.append(g)
-        if tree is not None:
-            added = []
-            while not seen[g]:  # e*g = g, so each turn adds at least g
-                added.append(grow(seen.nonzero()[0], [g]))
-                steps.append(g)
-                g = int(multiply(g, g))
-        else:
-            new: list[int] = []
-            while not seen[g] and g not in new:
-                new.append(g)
-                g = int(multiply(g, g))
-            added = [grow(seen.nonzero()[0], new)]
-            steps += new
-        frontier = np.concatenate(added)
+        new: list[int] = []
+        while not seen[g] and g not in new:
+            new.append(g)
+            g = int(multiply(g, g))
+        frontier = grow(seen.nonzero()[0], new)
+        steps += new
         size += len(frontier)
         while frontier.size and size < n:
             frontier = grow(frontier, steps)
             size += len(frontier)
-    return seen, used, steps
+    return seen, used
 
 
 def derived_series_solvable(group: GroupTable) -> tuple[bool, tuple[int, ...]]:
@@ -872,17 +769,30 @@ def derived_series_solvable(group: GroupTable) -> tuple[bool, tuple[int, ...]]:
 # ---------------------------------------------------------------------------
 # JSON interchange
 
-def group_to_json(group: GroupTable) -> dict:
-    return {
-        "order": group.order,
-        "identity": group.identity,
-        "mul": group.mul.tolist(),
-        "labels": list(group.labels),
-    }
-
-
 def group_to_json_str(group: GroupTable) -> str:
-    return json.dumps(group_to_json(group), sort_keys=True, separators=(",", ":"))
+    out = io.StringIO()
+    _write_group(group, out)
+    return out.getvalue()
+
+
+def _write_group(group: GroupTable, fh) -> None:
+    """Write the group document, the text of json.dumps({"identity",
+    "labels", "mul", "order"}, sort_keys=True, separators=(",", ":")), to
+    the text file fh. mul goes a block of rows at a time as the bytes of
+    each entry's text, NUL-padded to one width ("7," or, at the end of a
+    row, "7],["), with the padding dropped: no entry becomes a Python int."""
+    n = group.order
+    fh.write(f'{{"identity":{group.identity},"labels":')
+    fh.write(json.dumps(list(group.labels), separators=(",", ":")))
+    fh.write(',"mul":[[')
+    cells = np.array([f"{i}," for i in range(n)] + [f"{i}],[" for i in range(n)], dtype=bytes)
+    row_end = np.zeros(n, dtype=np.intp)
+    row_end[-1] = n
+    rows = max(1, _BLOCK_ENTRIES // n)
+    for lo in range(0, n, rows):
+        text = cells[group.mul[lo:lo + rows] + row_end].tobytes().replace(b"\0", b"").decode()
+        fh.write(text if lo + rows < n else text[:-2] + "]")
+    fh.write(f',"order":{n}}}')
 
 
 def group_from_json(doc: dict, max_order: int = DEFAULT_MAX_ORDER,
@@ -900,6 +810,8 @@ def group_from_json(doc: dict, max_order: int = DEFAULT_MAX_ORDER,
     if not isinstance(labels, list) or len(labels) != order or \
             not all(type(x) is str for x in labels):
         raise SchemaError(f"labels must be a list of {order} strings")
+    if len(set(labels)) != order:  # index_of would resolve a repeat to its first
+        raise SchemaError("labels must be distinct")
     # Read a block of rows at a time, each checked as given before its cast.
     mul = np.empty((order, order), dtype=ELEMENT)
     step = max(1, _BLOCK_ENTRIES // order)
@@ -926,7 +838,7 @@ def load_group(path: str, max_order: int = DEFAULT_MAX_ORDER) -> GroupTable:
 
 def save_group(group: GroupTable, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(group_to_json_str(group))
+        _write_group(group, fh)
 
 
 # ---------------------------------------------------------------------------

@@ -998,6 +998,18 @@ def sort_loop_spot_validate(g) -> None:
             raise GroupValidationError("associativity fails on spot check")
 
 
+def group_to_json(group: GroupTable) -> dict:
+    """The earlier body of the group export, kept as the reference for
+    groups.group_to_json_str: the document as one dict, |G|^2 Python ints in
+    mul."""
+    return {
+        "order": group.order,
+        "identity": group.identity,
+        "mul": group.mul.tolist(),
+        "labels": list(group.labels),
+    }
+
+
 def light_validate(g) -> tuple[int, ...]:
     """The earlier body of groups._validate_table, kept as the reference for
     its generators and verdict: the group axioms, then Light's test, one

@@ -28,6 +28,7 @@ from caywalk.engine import (
 )
 from caywalk.errors import InconsistencyError, InvalidParameterError, OrientationError
 from caywalk.groups import (
+    GroupTable,
     build_abelian_power,
     build_cyclic,
     build_extraspecial3,
@@ -335,6 +336,20 @@ def test_dot_output_undirected_no_duplicate_edges():
     assert dot.startswith("graph")
     assert dot.count("n0 -- n1") == 1
     assert "n1 -- n0" not in dot
+
+
+def test_dot_labels_are_escaped_quoted_strings():
+    """A file: table's labels may hold quotes and backslashes; each label
+    stays one DOT quoted string. Family labels hold neither, so their
+    output is unchanged."""
+    z3 = build_cyclic(3)
+    group = GroupTable(order=3, mul=z3.mul, identity=0, inv=z3.inv,
+                       labels=("e", 'x"];evil', "a\\b"))
+    dot = graph_to_dot(cayley_graph(group, [1]))
+    assert dot.splitlines()[2] == '  n1 [label="x\\"];evil"];'
+    assert dot.splitlines()[3] == '  n2 [label="a\\\\b"];'
+    assert graph_to_dot(cyclic_graph(3, [1])).splitlines()[1:4] == \
+        ['  n0 [label="0"];', '  n1 [label="1"];', '  n2 [label="2"];']
 
 
 def test_csv_output_exact():

@@ -34,7 +34,7 @@ from caywalk.groups import (
     derived_series_solvable,
     digits_of,
     group_from_json,
-    group_to_json,
+    group_to_json_str,
     index_of_digits,
     load_group,
     parse_group_spec,
@@ -52,6 +52,7 @@ from conftest import (
     deque_subgroup_closure,
     digit_sum_abelian_power,
     element_order,
+    group_to_json,
     intercalate_z2_9,
     is_associative,
     light_validate,
@@ -185,6 +186,22 @@ def test_file_labels_must_be_a_list_of_strings(tmp_path, labels):
     assert main(["group", "info", f"file:{path}"]) == EXIT_VALIDATION
 
 
+def test_file_labels_must_be_distinct(tmp_path, capsys):
+    """A repeated label would resolve to its first element: --classes a
+    would quietly name the identity."""
+    doc = group_to_json(build_cyclic(3))
+    doc["labels"] = ["a", "a", "b"]
+    with pytest.raises(SchemaError, match="labels must be distinct"):
+        group_from_json(doc)
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    for argv in (["pst", "mst", "--group", f"file:{path}", "--classes", "1"],
+                 ["pst", "check", "--group", f"file:{path}", "--classes", "a",
+                  "--target", "b", "--time", "1"]):
+        assert main(argv) == EXIT_VALIDATION, argv
+    assert "labels must be distinct" in capsys.readouterr().err
+
+
 def test_ragged_file_table_is_a_schema_error():
     doc = group_to_json(build_cyclic(3))
     doc["mul"][1] = [1, 2]
@@ -288,6 +305,19 @@ def test_validation_rejects_broken_latin_square():
                    labels=g.labels)
 
 
+@pytest.mark.parametrize("mul, identity, inv, message", [
+    (np.tile(np.arange(3), (3, 1)), 0, [0, 0, 0], "identity axiom fails"),  # x*y = y
+    (np.add.outer(np.arange(3), np.arange(3)) % 3, 0, [0, 1, 2], "inverse axiom fails"),
+    (np.multiply.outer(np.arange(4), np.arange(4)) % 4, 1, [0, 1, 2, 3], "inverse axiom fails")],
+    ids=["right_zero", "z3_inverses_wrong", "z4_times_monoid"])
+def test_associative_tables_that_are_not_groups_are_refused(mul, identity, inv, message):
+    """Light's test passes each table; only the axioms refuse it."""
+    assert is_associative(mul)
+    with pytest.raises(GroupValidationError, match=message):
+        GroupTable(order=len(mul), mul=mul, identity=identity, inv=inv,
+                   labels=tuple("abcd"[:len(mul)]))
+
+
 def test_validation_rejects_nonassociative_latin_square():
     # Swapping a 2x2 block of Z_5 keeps the Latin property and the identity
     # row/column but breaks associativity (or the inverse axiom): either way
@@ -329,17 +359,15 @@ def _rejects(validate, table) -> bool:
     return False
 
 
-# Blocks of 2**4 entries send every table with (|T| - 1) |G|^2 above 64, for
-# |T| generators (Z_2^3 and up), down the spanning-tree route of
-# groups._validate_table, in blocks of one row above order 16.
-TREE_BLOCKS = 2**4
+# Blocks of 2**4 entries: one row a block above order 16, so Light's test
+# crosses a block boundary between any two rows.
+SMALL_BLOCKS = 2**4
 
 
-@pytest.mark.parametrize("block", [groups._BLOCK_ENTRIES, TREE_BLOCKS])
+@pytest.mark.parametrize("block", [groups._BLOCK_ENTRIES, SMALL_BLOCKS])
 def test_generators_and_verdict_match_the_light_reference(monkeypatch, block):
     """Every family member up to order 729 passes, with the generators of
-    Light's test one generator at a time, on the route each block size
-    takes."""
+    Light's test one generator at a time, at each block size."""
     monkeypatch.setattr(groups, "_BLOCK_ENTRIES", block)
     for spec in family_members(729):
         group = build_group(parse_group_spec(spec))
@@ -367,7 +395,7 @@ def perturbed_tables(group: GroupTable, rng: np.random.Generator, count: int):
         yield mul
 
 
-@pytest.mark.parametrize("block", [groups._BLOCK_ENTRIES, TREE_BLOCKS])
+@pytest.mark.parametrize("block", [groups._BLOCK_ENTRIES, SMALL_BLOCKS])
 def test_refusals_match_brute_force_associativity(monkeypatch, block):
     """Perturbed tables with identity and inverses intact are refused, for
     associativity, exactly when some triple fails (x*y)*z == x*(y*z)."""
@@ -388,7 +416,7 @@ def test_refusals_match_brute_force_associativity(monkeypatch, block):
     assert refused > 250
 
 
-@pytest.mark.parametrize("block", [groups._BLOCK_ENTRIES, TREE_BLOCKS])
+@pytest.mark.parametrize("block", [groups._BLOCK_ENTRIES, SMALL_BLOCKS])
 def test_the_octonion_unit_loop_is_refused(monkeypatch, block):
     """Moufang, and any two of its elements generate a group."""
     monkeypatch.setattr(groups, "_BLOCK_ENTRIES", block)
@@ -408,46 +436,55 @@ def z2_cubed_with(changes) -> np.ndarray:
     return mul
 
 
-# Z_2^3 with eight entries changed: its spanning tree passes check A, and
-# only check B refuses it.
+# Non-associative Z_2^3 tables with identity and inverses intact, each
+# passing one half of an earlier spanning-tree check: eight entries changed
+# pass its tree's edges (check A), and entries 3*5 and 3*6 swapped pass the
+# generators' commutation with its steps (check B).
 PASSES_A_ONLY = [(1, 5, 6), (1, 7, 4), (3, 5, 4), (3, 7, 6),
                  (5, 1, 6), (5, 3, 4), (7, 1, 4), (7, 3, 6)]
-# Z_2^3 with entries 3*5 and 3*6 swapped: passes check B, and only check A
-# refuses it.
 PASSES_B_ONLY = [(3, 5, 5), (3, 6, 6)]
+# Identity and two-sided inverses on 5 elements, and 1*1 = 1: the same
+# check's doubling closure of the generators 1 and 2 missed element 4.
+ORDER_5_LOOP = [[0, 1, 2, 3, 4], [1, 1, 3, 0, 1], [2, 1, 3, 4, 0],
+                [3, 0, 0, 1, 3], [4, 2, 0, 2, 1]]
 
 
-@pytest.mark.parametrize("changes, passing, failing", [
-    (PASSES_A_ONLY, "tree", "steps"), (PASSES_B_ONLY, "steps", "tree")])
-def test_each_half_of_the_tree_check_refuses_a_table_the_other_passes(
-        monkeypatch, changes, passing, failing):
-    mul = z2_cubed_with(changes)
+@pytest.mark.parametrize("block", [groups._BLOCK_ENTRIES, SMALL_BLOCKS])
+@pytest.mark.parametrize("mul, message", [
+    (z2_cubed_with(PASSES_A_ONLY), "associativity"),
+    (z2_cubed_with(PASSES_B_ONLY), "associativity"),
+    (np.array(ORDER_5_LOOP), "associativity fails at s=1")], ids=["a_only", "b_only", "order_5"])
+def test_light_refuses_tables_that_pass_half_a_tree_check(monkeypatch, mul, message, block):
+    """Each table passed one half of a spanning-tree check (a tree's edges, or
+    generators commuting with its steps); Light's test on the generators
+    refuses all three."""
     assert not is_associative(mul)
-    table = mul.astype(groups.ELEMENT)
-    loop = SimpleNamespace(order=8, identity=0, multiply=lambda a, b: table[a, b])
-    _, gens, _ = groups._closure(loop, None)
-    tree = np.zeros(8, dtype=np.intp)
-    _, _, steps = groups._closure(loop, gens, tree)
-    checks = {"tree": lambda: groups._check_edges(table, np.arange(8), tree, steps),
-              "steps": lambda: groups._check_steps(table, gens, steps)}
-    checks[passing]()
-    with pytest.raises(GroupValidationError, match="associativity"):
-        checks[failing]()
-    monkeypatch.setattr(groups, "_BLOCK_ENTRIES", TREE_BLOCKS)
-    with pytest.raises(GroupValidationError, match="associativity"):
-        GroupTable(order=8, mul=mul, identity=0, inv=np.arange(8), labels=tuple("abcdefgh"))
+    monkeypatch.setattr(groups, "_BLOCK_ENTRIES", block)
+    n = len(mul)
+    with pytest.raises(GroupValidationError, match=message):
+        GroupTable(order=n, mul=mul, identity=0, inv=np.argmax(mul == 0, axis=1),
+                   labels=tuple("abcdefgh"[:n]))
 
 
-def test_a_tree_that_misses_an_element_is_refused(monkeypatch):
-    """A table with identity and two-sided inverses whose generators 1 and 2
-    reach every element breadth-first, while the doubling closure that
-    records the spanning tree misses 4: the tree must reach every element."""
-    mul = np.array([[0, 1, 2, 3, 4], [1, 1, 3, 0, 1], [2, 1, 3, 4, 0],
-                    [3, 0, 0, 1, 3], [4, 2, 0, 2, 1]])
-    monkeypatch.setattr(groups, "_BLOCK_ENTRIES", 4)
-    with pytest.raises(GroupValidationError, match="doubling closure"):
-        GroupTable(order=5, mul=mul, identity=0, inv=np.argmax(mul == 0, axis=1),
-                   labels=tuple("abcde"))
+def test_a_defect_seen_only_in_the_last_row_block_is_refused():
+    """Z_256 x Z_2 (element 2i + j) with the intercalate at rows 510, 511 and
+    columns 16, 17 swapped: a Latin loop with identity and inverses. Of its
+    generators 1 and 2, 1 passes Light's test, and the rows
+    (x*2)*y == x*(2*y) fail only for x in 508..511, all in the last block
+    of 128 rows."""
+    (i, j), (i2, j2) = divmod(np.arange(512)[:, None], 2), divmod(np.arange(512), 2)
+    group = (i + i2) % 256 * 2 + (j ^ j2)
+    mul = group.copy()
+    mul[[510, 510, 511, 511], [16, 17, 16, 17]] = group[[510, 510, 511, 511], [17, 16, 17, 16]]
+    inv = np.argmax(mul == 0, axis=1)
+    assert np.array_equal(inv, np.argmax(group == 0, axis=1))
+    assert groups._BLOCK_ENTRIES // 512 == 128
+    for s, failing in [(1, []), (2, [508, 509, 510, 511])]:
+        assert np.flatnonzero((mul[mul[:, s]] != mul[:, mul[s]]).any(axis=1)).tolist() == failing
+    labels = tuple(map(str, range(512)))
+    assert GroupTable(order=512, mul=group, identity=0, inv=inv, labels=labels).generators == (1, 2)
+    with pytest.raises(GroupValidationError, match="associativity fails at s=2"):
+        GroupTable(order=512, mul=mul, identity=0, inv=inv, labels=labels)
 
 
 @pytest.mark.parametrize("spec", ["z:12", "es3:1", "m2:5", "wreath:z:2:3"])
@@ -621,7 +658,7 @@ def test_laws_match_the_table_writers_on_every_family_member():
 @pytest.mark.parametrize("spec", LARGE_MEMBERS)
 def test_laws_match_the_table_writers_above_order_729(spec):
     law = assert_law_matches_its_table_reference(spec)
-    assert groups._validate_table(law) == law.generators
+    assert groups._validate_table(law) == law.generators == light_validate(law)
 
 
 def assert_same_conjugacy(group: GroupTable) -> None:
@@ -873,6 +910,43 @@ def test_group_json_roundtrip(tmp_path):
     assert np.array_equal(loaded.mul, g.mul)
     assert loaded.labels == g.labels
     assert loaded.identity == g.identity
+
+
+def test_group_export_writes_the_bytes_of_the_reference_document(tmp_path):
+    """Every family member up to order 729, and a file: table relabelled
+    with quotes, backslashes and non-ASCII text, written a block of rows at
+    a time, as one json.dumps of the whole document would write it."""
+    def reference(group):
+        return json.dumps(group_to_json(group), sort_keys=True, separators=(",", ":"))
+
+    for spec in family_members(729):
+        group = build_group(parse_group_spec(spec))
+        assert group_to_json_str(group) == reference(group), spec
+    doc = group_to_json(build_group(parse_group_spec("wreath:z:2:3")))
+    doc["labels"] = [f'"{x}"\\\u00e9' for x in doc["labels"]]
+    path = tmp_path / "relabelled.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    relabelled = build_group(parse_group_spec(f"file:{path}"))
+    saved = tmp_path / "saved.json"
+    save_group(relabelled, str(saved))
+    assert saved.read_text(encoding="utf-8") == group_to_json_str(relabelled) == \
+        reference(relabelled)
+    assert json.loads(saved.read_text(encoding="utf-8")) == doc
+
+
+def test_group_export_holds_no_table_of_python_ints():
+    """z3^7 is 21.5 MB of JSON; a document of |G|^2 Python ints peaked at
+    217 MB. The table is written out of the law before tracing starts."""
+    group = build_abelian_power(3, 7)
+    group.mul
+    tracemalloc.start()
+    try:
+        text = group_to_json_str(group)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(text) > 20 * 10**6
+    assert peak <= 48 * 10**6
 
 
 def test_group_json_schema_errors():

@@ -129,7 +129,7 @@ def test_no_oracle_path_builds_a_dense_walk_matrix():
 
 def test_only_the_export_and_the_table_backend_read_mul():
     """Every product goes through GroupTable.multiply: no module outside
-    groups.py reads .mul, and inside it only the JSON export, the table
+    groups.py reads .mul, and inside it only the JSON writer, the table
     validation and GroupTable's own gather (tables, and laws of small
     order) do."""
     found = set()
@@ -140,7 +140,7 @@ def test_only_the_export_and_the_table_backend_read_mul():
                 top = next(s for s in tree.body if s.lineno <= node.lineno <= s.end_lineno)
                 found.add((path.name, top.name))
     assert found == {("groups.py", "GroupTable"), ("groups.py", "_validate_table"),
-                     ("groups.py", "group_to_json")}
+                     ("groups.py", "_write_group")}
 
 
 def test_criterion_reads_no_dense_table():
