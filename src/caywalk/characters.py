@@ -321,12 +321,6 @@ def character_table_for(group: GroupTable, seed: int = DEFAULT_SEED) -> Characte
     return table
 
 
-def kernel(table: CharacterTable, char_index: int, conj: ConjugacyData) -> tuple[int, ...]:
-    """Elements whose class value matches the degree (the character's kernel)."""
-    row = table.products(np.eye(1, table.n_chars, char_index))[0]
-    return tuple(np.flatnonzero(np.abs(row[conj.class_of] - row[0]) < VALUE_TOL).tolist())
-
-
 # ---------------------------------------------------------------------------
 # Galois action on rows
 
@@ -369,65 +363,56 @@ def galois_stabilizers(table: CharacterTable, conj: ConjugacyData) -> GaloisData
     return GaloisData(exponent=m, fixes=fixes[row])
 
 
-def galois_stabilizers_imported(table: CharacterTable,
-                                power_maps: dict[int, Sequence[int]]) -> GaloisData:
-    """Stabilizers from shipped class power maps, one for every unit mod the
-    exponent; each map must be the composition of the generators' maps."""
-    missing = [k for k in units_mod(table.exponent) if k not in power_maps]
-    if missing:
-        raise SchemaError(f"power maps missing for units {missing}")
-    return _galois_walk(table, power_maps)
-
-
 def _galois_walk(table: CharacterTable,
-                 power_maps: Mapping[int, Sequence[int]]) -> GaloisData:
+                 generator_maps: Mapping[int, Sequence[int]]) -> GaloisData:
     """Unit u fixes row i when sigma_u(i) = i, sigma_u the permutation of the
     rows that u's class power map P_u induces: row i composed with P_u is
     row sigma_u(i).
 
-    Only the generators of the units mod the exponent are matched on the
-    table; every other unit's sigma_u is composed along _walk_units, with
-    sigma_(ug) = sigma_g o sigma_u, and so is its P_u, which must equal the
-    map power_maps holds for it, if any (_check_power_maps).
+    generator_maps holds P_g for each generator g of the units mod the
+    exponent; only those are matched on the table, and every other unit's
+    sigma_u is composed along _walk_units, with sigma_(ug) = sigma_g o sigma_u.
     """
     m, k = table.exponent, table.n_chars
     identity = np.arange(k)
-    walk = _walk_units(m, (identity, identity), {
-        g: (g_map, _row_permutation(table.values, g_map))
-        for g in _unit_generators(m) for g_map in [np.asarray(power_maps[g])]})
-    _check_power_maps(walk, power_maps, m)
+    walk = _walk_units(m, identity, {g: _row_permutation(table.values, np.asarray(g_map))
+                                     for g, g_map in generator_maps.items()})
     fixes = np.zeros((k, m), dtype=bool)
-    for u, (_, sigma) in walk.items():
+    for u, sigma in walk.items():
         fixes[:, u % m] = sigma == identity
     return GaloisData(exponent=m, fixes=fixes)
 
 
-def _walk_units(m: int, start: tuple[np.ndarray, ...],
-                steps: Mapping[int, tuple[np.ndarray, ...]]) -> dict[int, tuple[np.ndarray, ...]]:
-    """Every unit mod m with its permutations, reached breadth-first from 1,
-    which has start, as in unit_closure: steps holds those of each generator
+def _walk_units(m: int, start: np.ndarray,
+                steps: Mapping[int, np.ndarray]) -> dict[int, np.ndarray]:
+    """Every unit mod m with its permutation, reached breadth-first from 1,
+    which has start, as in unit_closure: steps holds that of each generator
     g, and u*g gets g's composed after u's, P_g[P_u]."""
     walk, frontier, seen = {}, {1: start}, {1 % m}
     while frontier:
         walk.update(frontier)
         reached = {}
-        for u, perms in frontier.items():
-            for g, g_perms in steps.items():
+        for u, perm in frontier.items():
+            for g, g_perm in steps.items():
                 if u * g % m not in seen:
                     seen.add(u * g % m)
-                    reached[u * g % m] = tuple(q[p] for q, p in zip(g_perms, perms))
+                    reached[u * g % m] = g_perm[perm]
         frontier = reached
     return walk
 
 
-def _check_power_maps(walk: Mapping[int, tuple[np.ndarray, ...]],
-                      power_maps: Mapping[int, Sequence[int]], m: int) -> None:
-    """Every map in power_maps for a unit the walk reached must be the class
-    power map composed there from the generators' maps, P_(ug) = P_g o P_u."""
-    for u, (power_map, *_) in walk.items():
+def _check_power_maps(power_maps: Mapping[int, Sequence[int]], m: int, n_classes: int) -> None:
+    """power_maps must hold the maps of the generators of the units mod m,
+    and every map in it must be their composition, P_(ug) = P_g o P_u."""
+    gens = _unit_generators(m)
+    missing = [g for g in gens if g not in power_maps]
+    if missing:
+        raise SchemaError(f"power maps missing for the unit generators {missing}")
+    walk = _walk_units(m, np.arange(n_classes), {g: np.asarray(power_maps[g]) for g in gens})
+    for u, power_map in walk.items():
         if u in power_maps and not np.array_equal(power_maps[u], power_map):
             raise SchemaError(f"power map for k={u} is not the composition "
-                              f"of the maps of the generators {_unit_generators(m)}")
+                              f"of the maps of the generators {gens}")
 
 
 def _row_permutation(values: np.ndarray, power_map: np.ndarray) -> np.ndarray:
@@ -606,13 +591,7 @@ def import_character_table(doc: dict) -> ImportedTable:
         if sorted(perm_t) != list(range(n_classes)) or perm_t[0] != 0:
             raise SchemaError(f"power map for k={key} is not a class permutation fixing 0")
         power_maps[int(key)] = perm_t
-    gens = _unit_generators(m)
-    missing = [g for g in gens if g not in power_maps]
-    if missing:
-        raise SchemaError(f"power maps missing for the unit generators {missing}")
-    _check_power_maps(_walk_units(m, (np.arange(n_classes),),
-                                  {g: (np.asarray(power_maps[g]),) for g in gens}),
-                      power_maps, m)
+    _check_power_maps(power_maps, m, n_classes)
 
     defects = _table_defects(values, degrees, sizes)
     if defects:
@@ -628,7 +607,3 @@ def import_character_table(doc: dict) -> ImportedTable:
 def load_character_table(path: str) -> ImportedTable:
     with open(path, "r", encoding="utf-8") as fh:
         return import_character_table(json.load(fh))
-
-
-def character_table_to_json_str(doc: dict) -> str:
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"))

@@ -11,6 +11,7 @@ Exit codes: 0 success, 2 validation error, 3 verification failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import re
@@ -30,7 +31,6 @@ from .cayley import (
 )
 from .characters import (
     character_table_for,
-    character_table_to_json_str,
     export_character_table,
     galois_stabilizers,
     load_character_table,
@@ -60,12 +60,7 @@ from .errors import (
     VerificationFailure,
 )
 from .families import dual_verify, load_fixture_certificates
-from .groups import (
-    build_group,
-    group_to_json_str,
-    parse_group_spec,
-    save_group,
-)
+from .groups import _write_group, build_group, parse_group_spec, save_group
 from .oracle import (
     build_hermitian_operator,
     build_operator,
@@ -212,18 +207,19 @@ def cmd_group(args: argparse.Namespace, config: RunConfig) -> int:
         doc["class_sizes"] = group.conj.sizes.tolist()
         _emit(doc, args.format)
         return EXIT_OK
-    # export
+    # export: the document goes straight to its stream, never whole as one string
     if args.characters:
-        table = character_table_for(group, seed=config.seed)
-        payload = character_table_to_json_str(export_character_table(table, group.conj))
+        doc = export_character_table(character_table_for(group, seed=config.seed), group.conj)
+        write = functools.partial(json.dump, doc, sort_keys=True, separators=(",", ":"))
     else:
-        payload = group_to_json_str(group)
+        write = functools.partial(_write_group, group)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(payload)
+            write(fh)
         _emit({"saved": args.out}, args.format)
     else:
-        print(payload)
+        write(sys.stdout)
+        print()
     return EXIT_OK
 
 

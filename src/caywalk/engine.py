@@ -44,17 +44,16 @@ TIME_TAGS = {
 
 
 def parse_time(text: str | float) -> float:
-    """A transfer time from a symbolic tag, a solved:<float> tag, or a float."""
-    if isinstance(text, (int, float)):
-        return float(text)
+    """A finite transfer time from a symbolic tag, a solved:<float> tag, or a float."""
     if text in TIME_TAGS:
         return TIME_TAGS[text]
-    if text.startswith("solved:"):
-        return float(text.split(":", 1)[1])
     try:
-        return float(text)
+        t = float(text.removeprefix("solved:") if isinstance(text, str) else text)
     except ValueError:
         raise InvalidParameterError(f"unrecognized time {text!r}") from None
+    if not math.isfinite(t):
+        raise InvalidParameterError(f"time {text!r} is not finite")
+    return t
 
 
 # ---------------------------------------------------------------------------

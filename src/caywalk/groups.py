@@ -14,7 +14,6 @@ files and every printed group name.
 """
 from __future__ import annotations
 
-import io
 import itertools
 import json
 import math
@@ -768,12 +767,6 @@ def derived_series_solvable(group: GroupTable) -> tuple[bool, tuple[int, ...]]:
 
 # ---------------------------------------------------------------------------
 # JSON interchange
-
-def group_to_json_str(group: GroupTable) -> str:
-    out = io.StringIO()
-    _write_group(group, out)
-    return out.getvalue()
-
 
 def _write_group(group: GroupTable, fh) -> None:
     """Write the group document, the text of json.dumps({"identity",

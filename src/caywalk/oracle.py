@@ -64,6 +64,11 @@ _NEWTON_STEPS = 40
 # evolve_column splits a longer omega into at most _MAX_PIECES equal pieces.
 _MAX_OMEGA = 2000.0
 _MAX_PIECES = 1000
+# Grid steps a JSON scan may take: its grid, targets and fidelities hold
+# steps + 1 entries each, and time and memory grow linearly with them. Just
+# under the limit (z:8 {1,2,5}, t_max 37,905) a whole pst oracle --scan run
+# took 5.2-5.5 s at a peak RSS of 158 MB (2-vCPU VM).
+SCAN_MAX_STEPS = 2**20
 
 
 @dataclass(frozen=True, eq=False)
@@ -427,6 +432,9 @@ def scan_pst(op: WalkOperator, a: int, t_max: float | None = None) -> list[ScanH
         raise InvalidParameterError(f"scan window t_max = {t_max} is not positive and finite")
     slack = math.sqrt(1.0 - SCAN_THRESHOLD) - math.sqrt(FIDELITY_GAP)
     steps = max(1, math.ceil(t_max * math.sqrt(len(op.sign) / 8) / slack))
+    if steps > SCAN_MAX_STEPS:
+        raise SizeLimitError(f"scan window t_max = {t_max} needs {steps} grid steps, "
+                             f"over the limit {SCAN_MAX_STEPS}")
     d_omega = op.rho * t_max / steps  # omega per grid step
     width = min(steps, max(1, int(_WINDOW_OMEGA / d_omega)))  # grid steps per window
     count = _terms(d_omega * width)

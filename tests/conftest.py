@@ -35,7 +35,7 @@ from caywalk.engine import (
     PSTCertificate,
     check_pst_at,
 )
-from caywalk.errors import GroupValidationError, InvariantBreachError
+from caywalk.errors import GroupValidationError, InvariantBreachError, SchemaError
 from caywalk.groups import (
     ConjugacyData,
     GroupSpec,
@@ -514,6 +514,32 @@ def per_unit_stabilizers(table, power_maps) -> GaloisData:
         perm = np.asarray(power_maps[k])
         fixes[:, k % m] = np.max(np.abs(values[:, perm] - values), axis=1) < VALUE_TOL
     return GaloisData(exponent=m, fixes=fixes)
+
+
+def galois_stabilizers_imported(table, power_maps) -> GaloisData:
+    """Stabilizers from shipped class power maps, one for every unit mod the
+    exponent; each map must be the composition of the generators' maps.
+
+    Formerly characters.galois_stabilizers_imported, which nothing in the
+    package called: the import's composition check, then the walk that
+    galois_stabilizers takes from the generators' maps.
+    """
+    m = table.exponent
+    missing = [k for k in units_mod(m) if k not in power_maps]
+    if missing:
+        raise SchemaError(f"power maps missing for units {missing}")
+    characters._check_power_maps(power_maps, m, table.n_classes)
+    return characters._galois_walk(
+        table, {g: power_maps[g] for g in characters._unit_generators(m)})
+
+
+def kernel(table, char_index: int, conj) -> tuple[int, ...]:
+    """Elements whose class value matches the degree (the character's kernel).
+
+    Formerly characters.kernel, which only the tests called.
+    """
+    row = table.products(np.eye(1, table.n_chars, char_index))[0]
+    return tuple(np.flatnonzero(np.abs(row[conj.class_of] - row[0]) < VALUE_TOL).tolist())
 
 
 def rational_intersection(galois, char_indices) -> bool:

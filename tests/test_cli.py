@@ -7,6 +7,7 @@ import runpy
 import shlex
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from caywalk.cli import (
     EXIT_VERIFICATION,
     main,
 )
+from caywalk.config import FIDELITY_GAP, SCAN_THRESHOLD
 from caywalk.errors import InvalidParameterError
 from caywalk.families import family_extraspecial3, family_m2, shipped_certificates
 from caywalk.groups import (
@@ -28,9 +30,11 @@ from caywalk.groups import (
     parse_group_spec,
     save_group,
 )
+from caywalk.oracle import SCAN_MAX_STEPS
 
 from conftest import (
     FIXTURE_DOCUMENTS,
+    group_to_json,
     intercalate_z2_9,
     set_unit_closure,
     write_fixture_documents,
@@ -190,11 +194,23 @@ def test_group_export_characters_round_trip(capsys, tmp_path):
     assert doc["group_order"] == 27 and len(doc["characters"]) == 11
 
 
-def test_group_export_to_stdout(capsys):
+def test_group_export_to_stdout(capsys, tmp_path):
+    """stdout takes the compact document and a newline, --out the document
+    alone: the group as json.dumps would write it, and its character table."""
     code = main(["group", "export", "z:4"])
     out = capsys.readouterr().out
     assert code == EXIT_OK
     assert json.loads(out)["order"] == 4
+    assert out == json.dumps(group_to_json(build_group(parse_group_spec("z:4"))),
+                             sort_keys=True, separators=(",", ":")) + "\n"
+    assert main(["group", "export", "--out", str(tmp_path / "g.json"), "z:4"]) == EXIT_OK
+    assert main(["group", "export", "--characters", "z:4"]) == EXIT_OK
+    table = capsys.readouterr().out.splitlines()[-1]
+    assert main(["group", "export", "--characters", "--out", str(tmp_path / "t.json"),
+                 "z:4"]) == EXIT_OK
+    assert (tmp_path / "g.json").read_text(encoding="utf-8") + "\n" == out
+    assert (tmp_path / "t.json").read_text(encoding="utf-8") == table == \
+        json.dumps(json.loads(table), sort_keys=True, separators=(",", ":"))
 
 
 def test_readme_commands_run(capsys, tmp_path, monkeypatch):
@@ -425,6 +441,42 @@ def test_pst_oracle_refuses_a_scan_window_that_is_not_positive_and_finite(capsys
     captured = capsys.readouterr()
     assert code == EXIT_VALIDATION and captured.out == ""
     assert "--t-max must be positive and finite" in captured.err
+
+
+@pytest.mark.parametrize("route, value", [
+    ("check", "inf"), ("check", "nan"), ("check", "solved:nan"),
+    ("claim", math.inf), ("claim", "solved:nan")])
+def test_a_time_that_is_not_finite_is_refused(capsys, tmp_path, route, value):
+    """pst check once answered "accepted": false, "residual": null with
+    exit 0 (and, at inf, two numpy RuntimeWarnings); an imported claim with
+    "time": Infinity, which json.loads reads, failed verification."""
+    if route == "check":
+        argv = ["pst", "check", "--group", "z:8", "--classes", "1,2,5", "--target", "4",
+                "--time", value]
+    else:
+        path = exported_table_with_claim(tmp_path, capsys, time_value=value)
+        argv = ["verify", "--only", "z3_1", "--import-table", str(path)]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == EXIT_VALIDATION
+    assert "is not finite" in captured.err
+    if route == "check":
+        assert captured.out == ""
+
+
+def test_pst_oracle_refuses_a_scan_grid_over_the_step_limit(capsys):
+    """Time and memory grow linearly with a JSON scan's grid (1.3 s and
+    64 MB at t_max 10^4 on z:8), so t_max 10^7 would ask for tens of GB.
+    One step over the limit is refused before anything is allocated."""
+    slack = math.sqrt(1 - SCAN_THRESHOLD) - math.sqrt(FIDELITY_GAP)
+    t_max = (SCAN_MAX_STEPS + 0.5) * slack / math.sqrt(6 / 8)  # degree 6
+    start = time.perf_counter()
+    code = main(["pst", "oracle", "--group", "z:8", "--classes", "1,2,5", "--scan",
+                 "--t-max", repr(t_max)])
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert code == EXIT_SIZE and captured.out == ""
+    assert f"needs {SCAN_MAX_STEPS + 1} grid steps" in captured.err
 
 
 def test_pst_oracle_requires_time_or_scan(capsys):

@@ -1,4 +1,4 @@
-"""Package metadata: the version string, the exported names and the module graph."""
+"""Package metadata: the version string and the module graph."""
 import ast
 import os
 import pathlib
@@ -6,19 +6,47 @@ import re
 import runpy
 import subprocess
 import sys
-import types
 
 import caywalk
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
-def test_version_matches_pyproject_and_all_exports_no_submodules():
+def test_version_matches_pyproject():
     pyproject = (ROOT / "pyproject.toml").read_text()
     assert caywalk.__version__ == re.search(r'^version = "([^"]+)"', pyproject, re.M)[1]
-    exported = {name: getattr(caywalk, name) for name in caywalk.__all__}
-    assert [n for n, v in exported.items() if isinstance(v, types.ModuleType)] == []
-    assert {"GroupSpec", "build_group", "parse_group_spec", "compute_S_e"} <= set(exported)
+
+
+def _fresh(code: str, *args: str) -> subprocess.CompletedProcess:
+    """Run code in a fresh interpreter that finds caywalk where this one does."""
+    source = str(pathlib.Path(caywalk.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+        source, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", code, *args],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
+# Prints the caywalk modules that importing caywalk.<argv[1]> loads.
+LOADED_MODULES_CHECK = """
+import importlib, sys
+importlib.import_module("caywalk." + sys.argv[1])
+print(sorted(name for name in sys.modules if name.split(".")[0] == "caywalk"))
+"""
+
+
+def test_criterion_and_oracle_routes_load_apart():
+    """At run time, not only by their import statements: the package root
+    imports nothing, so the oracle loads no character theory and the
+    criterion and the graph layer load no oracle."""
+    def loaded(module):
+        fresh = _fresh(LOADED_MODULES_CHECK, module)
+        assert fresh.returncode == 0, fresh.stderr
+        return set(ast.literal_eval(fresh.stdout))
+
+    assert loaded("oracle") == {"caywalk", "caywalk.oracle", "caywalk.groups",
+                                "caywalk.config", "caywalk.errors"}
+    for module in ("engine", "characters", "cayley"):
+        assert loaded(module) & {"caywalk.oracle", "caywalk.families"} == set(), module
 
 
 # Run in a fresh interpreter: in the test process other test modules have
@@ -40,12 +68,7 @@ def test_bench_tracer_finds_every_traced_name(capsys):
     imported; a renamed or lazily imported one would end every traced run."""
     import caywalk.cli
 
-    source = str(pathlib.Path(caywalk.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
-        source, os.environ.get("PYTHONPATH")])))
-    fresh = subprocess.run([sys.executable, "-c", TRACED_NAMES_CHECK,
-                            str(ROOT / "bench" / "tracer.py")],
-                           capture_output=True, text=True, env=env, timeout=120)
+    fresh = _fresh(TRACED_NAMES_CHECK, str(ROOT / "bench" / "tracer.py"))
     assert (fresh.returncode, fresh.stdout) == (0, "[]\n"), fresh.stderr
 
     tracer = runpy.run_path(str(ROOT / "bench" / "tracer.py"))
