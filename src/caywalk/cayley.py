@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -165,6 +166,21 @@ def class_union_connectivity(conj: ConjugacyData) -> Callable[[Iterable[int]], b
     return lambda classes: generates(frozenset(subgroup_of[c] for c in classes))
 
 
+def _inverse_pairs(conj: ConjugacyData) -> np.ndarray:
+    """(c, class of c's inverses) for each class c below its inverse class."""
+    identity_class = int(conj.class_of[conj.group.identity])
+    return np.array([(c, cinv) for c, cinv in enumerate(conj.class_inv)
+                     if c != identity_class and c < cinv], dtype=np.int64).reshape(-1, 2)
+
+
+def count_oriented_class_unions(conj: ConjugacyData, max_classes: int | None = None) -> int:
+    """How many sets enumerate_oriented_class_unions yields: sum over c up to
+    the cap of C(P, c) 2^(c - 1) for P inverse pairs, (3^P - 1) / 2 uncapped."""
+    pairs = len(_inverse_pairs(conj))
+    cap = pairs if max_classes is None else min(max_classes, pairs)
+    return sum(math.comb(pairs, c) << (c - 1) for c in range(1, cap + 1))
+
+
 def enumerate_oriented_class_unions(conj: ConjugacyData,
                                     max_classes: int | None = None) -> Iterator[ConnectionStack]:
     """All valid oriented connection sets, one representative per global inversion.
@@ -177,10 +193,8 @@ def enumerate_oriented_class_unions(conj: ConjugacyData,
     order, in stacks of one class count and at most _ENUM_BLOCK_SETS rows (or
     one combination's sets, when those are more).
     """
-    identity_class = int(conj.class_of[conj.group.identity])
     class_inv = np.asarray(conj.class_inv, dtype=np.int64)
-    pairs = np.array([(c, cinv) for c, cinv in enumerate(conj.class_inv)
-                      if c != identity_class and c < cinv], dtype=np.int64).reshape(-1, 2)
+    pairs = _inverse_pairs(conj)
     cap = len(pairs) if max_classes is None else min(max_classes, len(pairs))
 
     for count in range(1, cap + 1):

@@ -1,24 +1,29 @@
 """Complex irreducible character tables.
 
-Three sources feed the same CharacterTable shape: a closed form for powers of
-cyclic groups, a seeded class-algebra computation for everything else, and a
-JSON import path for tables produced outside the package. Galois stabilizers
-of rows (as subgroups of the units mod the group exponent) support the
-rationality arguments used by the nonexistence machinery.
+Three sources feed the same CharacterTable shape: closed forms for powers of
+cyclic groups and for the Heisenberg and metacyclic laws (es3, m2), a seeded
+class-algebra computation for everything else, and a JSON import path for
+tables produced outside the package. Galois stabilizers of rows (as subgroups
+of the units mod the group exponent) support the rationality arguments used
+by the nonexistence machinery.
 """
 from __future__ import annotations
 
+import dataclasses
+import functools
 import json
+import math
 import operator
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from .config import (
     DEFAULT_SEED,
+    MAX_FORM_BYTES,
     MAX_TABLE_CLASSES,
     SEED_BOUND,
     TABLE_RETRIES,
@@ -33,7 +38,7 @@ from .errors import (
     check_fields,
     require_keys,
 )
-from .groups import ConjugacyData, GroupTable
+from .groups import ConjugacyData, GroupTable, _HeisenbergLaw, family_law
 
 PROVENANCE_CLOSED = "closed-form"
 PROVENANCE_NUMERICAL = "numerical"
@@ -54,8 +59,11 @@ class CharacterTable:
     Column 0 is the identity class. Numerical and imported tables store the
     k x k values in `dense`; the closed form of Z_r^n stores the k x n base-r
     `digits` of its rows and columns, (v, w) holding zeta^(v.w mod r) with
-    zeta = exp(2*pi*i/r). `cyclotomic`, when present, stores each value as
-    integer coefficients over the powers of a primitive exponent-th root of 1.
+    zeta = exp(2*pi*i/r). The closed forms of es3 and m2 keep their
+    MonomialForm in `form`, and up to _DENSE_CLASSES classes its values in
+    `dense` too, rows in _canonical_row_order. `cyclotomic`, when present,
+    stores each value as integer coefficients over the powers of a primitive
+    exponent-th root of 1.
     """
 
     degrees: np.ndarray
@@ -65,6 +73,7 @@ class CharacterTable:
     dense: np.ndarray | None = None
     digits: np.ndarray | None = None
     cyclotomic: np.ndarray | None = None
+    form: MonomialForm | None = None
 
     @cached_property
     def _zeta(self) -> np.ndarray:
@@ -87,6 +96,8 @@ class CharacterTable:
         slot[idx] = 1
         uniq = np.flatnonzero(slot)
         slot[uniq] = np.arange(uniq.size)
+        if self.form is not None:
+            return self.form.columns(uniq)[:, slot[idx]]
         return self._zeta[self.digits @ self.digits[uniq].T % self.exponent][:, slot[idx]]
 
     def products(self, x: np.ndarray) -> np.ndarray:
@@ -94,6 +105,8 @@ class CharacterTable:
         sum_v x_v zeta^(v.w) is r^n times x's inverse DFT over the shape (r,)^n."""
         if self._held is not None:
             return x @ self._held
+        if self.form is not None:
+            return self.form.products(x)
         n = self.digits.shape[1]
         grid = x.reshape(*x.shape[:-1], *(self.exponent,) * n)
         return np.fft.ifftn(grid, axes=tuple(range(-n, 0))).reshape(x.shape) * self.n_chars
@@ -102,6 +115,14 @@ class CharacterTable:
     def values(self) -> np.ndarray:
         """The k x k complex table; a large closed form derives it on each call."""
         return self.columns(np.arange(self.n_classes)) if self._held is None else self._held
+
+    def value_rows(self, lo: int, hi: int) -> np.ndarray:
+        """values[lo:hi], entry for entry, without deriving the other rows."""
+        if self._held is not None:
+            return self._held[lo:hi]
+        if self.form is not None:
+            return self.form.columns(np.arange(self.n_classes), lo, hi)
+        return self._zeta[self.digits[lo:hi] @ self.digits.T % self.exponent]
 
     def cyclotomic_row(self, i: int) -> np.ndarray | None:
         """Exact coefficients of row i, (classes x exponent), or None if not exact."""
@@ -200,6 +221,221 @@ def _digit_defects(group: GroupTable, digits: np.ndarray, r: int) -> list[str]:
         k = int(bad[0])
         return [f"right multiplication by element {places[k]} does not raise digit {k}"]
     return []
+
+
+def _places(radices: np.ndarray) -> np.ndarray:
+    """Mixed-radix place values, most significant first: digits d have the code d @ places."""
+    return np.cumprod(np.r_[1, radices[:0:-1]])[::-1]
+
+
+@dataclass(eq=False)
+class MonomialForm:
+    """The closed form of a group whose characters are linear or vanish off
+    a cyclic normal subgroup A = <x> of order `modulus` N.
+
+    Linear row v, a digit vector over the `radices` r_l of G/G', sends g to
+    exp(2 pi i sum_l v_l q_l / r_l), q the digits of g's image in G/G'.
+    Nonlinear row m sends x^i to scale * sum_(tau in twists)
+    exp(2 pi i m tau i / N) and every element off A to 0. Column c reads
+    its class's representative z: cols[c] = q(z), and coords[c] = i for
+    z = x^i, -1 off A. `exponent`, the group's, is a multiple of each r_l
+    and of N, so every value is a sum of powers of exp(2 pi i / exponent).
+    """
+
+    exponent: int
+    radices: np.ndarray
+    rows: np.ndarray
+    labels: np.ndarray
+    modulus: int
+    twists: np.ndarray
+    scale: int
+    cols: np.ndarray
+    coords: np.ndarray
+
+    @cached_property
+    def _zeta(self) -> np.ndarray:
+        return np.exp(2j * np.pi * np.arange(self.exponent) / self.exponent)
+
+    @property
+    def degrees(self) -> np.ndarray:
+        return np.r_[np.ones(len(self.rows), dtype=np.int64),
+                     np.full(len(self.labels), self.scale * len(self.twists))]
+
+    def columns(self, classes: np.ndarray, lo: int = 0, hi: int | None = None) -> np.ndarray:
+        """values[lo:hi, classes] for a 1-D array of class indices."""
+        m, n, size = self.exponent, self.modulus, len(self.rows)
+        hi = size + len(self.labels) if hi is None else hi
+        linear = (self.rows[lo:hi] * (m // self.radices)) @ self.cols[classes].T % m
+        i = self.coords[classes]
+        labels = self.labels[max(lo - size, 0):max(hi - size, 0)]
+        powers = labels[:, None, None] * self.twists[:, None] * i % n * (m // n)
+        return np.concatenate([self._zeta[linear],
+                               self.scale * self._zeta[powers].sum(axis=1) * (i >= 0)])
+
+    def products(self, x: np.ndarray) -> np.ndarray:
+        """x @ values, (..., k). The linear rows' sum is |G/G'| times x's
+        inverse DFT over the shape of the radices, read at each class's q;
+        the others' is N * scale times the inverse DFT of x_m spread over
+        the residues m*tau, read at each class's i."""
+        lead, size, n = x.shape[:-1], len(self.rows), self.modulus
+        grid = np.zeros((*lead, size), dtype=complex)
+        grid[..., self.rows @ _places(self.radices)] = x[..., :size]
+        axes = tuple(range(-len(self.radices), 0))
+        linear = np.fft.ifftn(grid.reshape(*lead, *self.radices), axes=axes).reshape(grid.shape)
+        out = linear[..., self.cols @ _places(self.radices)] * size
+        spread = np.zeros((*lead, n), dtype=complex)
+        for tau in self.twists.tolist():
+            spread[..., self.labels * tau % n] += x[..., size:]
+        on = np.flatnonzero(self.coords >= 0)
+        out[..., on] += np.fft.ifft(spread, axis=-1)[..., self.coords[on]] * (n * self.scale)
+        return out
+
+    def fixes(self) -> np.ndarray:
+        """GaloisData.fixes, exactly: the unit u fixes a linear row when the
+        row's additive order divides u - 1, and nonlinear row m when u*m lies
+        in m's orbit {m tau}, whose least member each label is."""
+        m, n = self.exponent, self.modulus
+        u = np.arange(m)
+        orders = np.lcm.reduce(self.radices // np.gcd(self.rows, self.radices), axis=1)
+        seen = np.bincount(orders) > 0  # the distinct orders, without np.unique (numpy.ma)
+        divides = (u - 1) % np.flatnonzero(seen)[:, None] == 0
+        least = (np.arange(n)[:, None] * self.twists % n).min(axis=1)
+        return np.concatenate([divides[np.cumsum(seen)[orders] - 1],
+                               least[self.labels[:, None] * u % n] == self.labels[:, None]]
+                              ) & unit_mask(m)
+
+
+class _LawCoordinates(NamedTuple):
+    """What a closed form reads of its law: its order, G/G' = prod Z_r
+    (radices), the code q(g) @ places of each element's image there, x at
+    index `stride` with x^i at stride * i (i < modulus), the multipliers of
+    x under conjugation, and the nonlinear degree over their number."""
+
+    order: int
+    radices: np.ndarray
+    codes: np.ndarray
+    stride: int
+    modulus: int
+    twists: np.ndarray
+    scale: int
+
+
+def _law_coordinates(law, order: int) -> _LawCoordinates:
+    """The Heisenberg law keeps (a, b, c) at index 3 * code(a, b) + c: q reads
+    the 2n digits of (a, b), and A is the centre {(0, 0, c)}, indices 0..2.
+    The metacyclic law keeps x^i y^j at index k i + j: G' = <x^(t - 1)>, so
+    q = (i mod d, j) with d = gcd(t - 1, N), and A = <x>, x at index k."""
+    g = np.arange(order)
+    if isinstance(law, _HeisenbergLaw):
+        return _LawCoordinates(3 * law.m**2, np.full(2 * law.n, 3), g // 3, 1, 3,
+                               np.ones(1, np.int64), law.m)
+    n, k, twists = law.half, law.k, law.twists.astype(np.int64)
+    d = math.gcd(int(twists[1]) - 1, n)  # twists[q] = t^q
+    i, j = divmod(g, k)
+    return _LawCoordinates(n * k, np.array([d, k]), i % d * k + j, k, n, twists, 1)
+
+
+def _full_orbit_minima(n: int, twists: np.ndarray) -> np.ndarray:
+    """Mask of the nonzero residues mod n that are the least of an orbit
+    {m tau mod n} with len(twists) members: the labels of the nonlinear rows."""
+    orbits = np.arange(n)[:, None] * twists % n
+    full = (np.diff(np.sort(orbits, axis=1), axis=1) != 0).all(axis=1)
+    return full & (orbits.min(axis=1) == np.arange(n)) & (np.arange(n) != 0)
+
+
+def _monomial_form(group: GroupTable, law: _LawCoordinates) -> MonomialForm:
+    """The form in structural order: linear rows by code, then labels ascending."""
+    places = _places(law.radices)
+    reps = np.array([cls[0] for cls in group.conj.classes])
+    on = (reps % law.stride == 0) & (reps < law.stride * law.modulus)
+    return MonomialForm(exponent=group.conj.exponent, radices=law.radices,
+                        rows=np.arange(int(np.prod(law.radices)))[:, None] // places % law.radices,
+                        labels=np.flatnonzero(_full_orbit_minima(law.modulus, law.twists)),
+                        modulus=law.modulus, twists=law.twists, scale=law.scale,
+                        cols=law.codes[reps, None] // places % law.radices,
+                        coords=np.where(on, reps // law.stride, -1))
+
+
+def _monomial_defects(group: GroupTable, law: _LawCoordinates, form: MonomialForm) -> list[str]:
+    """Exact failures of form as the character table of group, in
+    O(|T| |G|) integer steps for the group's generators T.
+
+    On a group of the law's order, q(e) = 0 and q(g s) = q(g) + q(s) for
+    every g and each s in T make q a homomorphism (as in _digit_defects),
+    onto by its formula, so the rows, the |G/G'| distinct digit vectors,
+    are distinct linear characters. x^i at index stride * i, for i mod N,
+    make A = <x> cyclic of order N. Heisenberg: A (indices 0..2) lies in
+    ker q, which has 3 elements, so A = ker q is normal, hence central in
+    a 3-group; the 3^2n + 2 classes then leave the elements off A in
+    classes of 3, a coset of A each, so by column orthogonality a nonlinear
+    character vanishes there and is chi(1) exp(2 pi i m c / 3) on A, with
+    chi(1)^2 = 3^2n from <chi, chi> = 1. Metacyclic: A lies in the kernel
+    of q's last digit j, of order |G|/k = N, so A is normal, and y (index
+    1, j = 1) conjugates x to x^t: a label's orbit {m t^q} of k members
+    induces an irreducible character with the form's values, distinct
+    orbits distinct characters (Isaacs, Character Theory of Finite Groups,
+    6.11). Row count k and the degrees' squares summing to |G| then make
+    the rows every irreducible character.
+    """
+    conj, order, n = group.conj, group.order, law.modulus
+    places, size = _places(law.radices), int(np.prod(law.radices))
+    if order != law.order:
+        return [f"a group of order {order} does not fit a law of order {law.order}"]
+    if group.identity != 0:
+        return ["the identity is not element 0"]
+    digits = law.codes[:, None] // places % law.radices
+    for s in group.generators:
+        moved = law.codes[group.multiply(np.arange(order), s)]
+        if (moved != (digits + digits[s]) % law.radices @ places).any():
+            return [f"right multiplication by element {s} does not add its image in G/G'"]
+    cyclic = law.stride * np.arange(n)
+    if cyclic[-1] >= order or (group.multiply(cyclic, law.stride) != np.roll(cyclic, -1)).any():
+        return [f"the element at index {law.stride} does not step through the multiples "
+                f"of {law.stride} below {law.stride * n}"]
+    if len(law.twists) > 1 and group.multiply(group.multiply(1, law.stride), group.inv[1]) \
+            != law.stride * int(law.twists[1]):
+        return [f"y x y^-1 is not x^{law.twists[1]}"]
+    problems = []
+    rows = form.rows
+    if rows.shape != (size, len(law.radices)) or (rows < 0).any() or (rows >= law.radices).any() \
+            or not np.array_equal(np.sort(rows @ places), np.arange(size)):
+        problems.append("the linear rows are not the characters of G/G'")
+    labels = form.labels
+    if (labels < 0).any() or (labels >= n).any() or (np.diff(np.sort(labels)) == 0).any() \
+            or not _full_orbit_minima(n, law.twists)[labels % n].all():
+        problems.append("a nonlinear row's label is not the least of a full orbit")
+    if len(rows) + len(labels) != len(conj.classes):
+        problems.append(f"{len(rows) + len(labels)} rows for {len(conj.classes)} classes")
+    if int((form.degrees ** 2).sum()) != order:
+        problems.append("degree squares do not sum to the group order")
+    return problems
+
+
+def _monomial_table(group: GroupTable) -> CharacterTable:
+    """The checked closed form of an es3 or m2 group: with its values held
+    in _canonical_row_order up to _DENSE_CLASSES classes, the form alone
+    above (linear rows by code, then nonlinear rows by label)."""
+    law = _law_coordinates(family_law(group.spec), group.order)
+    k, size, digits = len(group.conj.classes), int(np.prod(law.radices)), len(law.radices)
+    stored = 8 * (size * digits + k * (digits + 1) + max(k - size, 0)) \
+        + (16 * k * k if k <= _DENSE_CLASSES else 0)
+    if stored > MAX_FORM_BYTES:
+        raise SizeLimitError(f"the closed form of {k} classes would store {stored} bytes, "
+                             f"over the limit {MAX_FORM_BYTES}")
+    form = _monomial_form(group, law)
+    defects = _monomial_defects(group, law, form)
+    if defects:
+        raise NumericalFailureError("closed form failed validation: " + "; ".join(defects))
+    table = CharacterTable(degrees=form.degrees, class_sizes=group.conj.sizes,
+                           exponent=form.exponent, provenance=PROVENANCE_CLOSED, form=form)
+    if k > _DENSE_CLASSES:
+        return table
+    values = form.columns(np.arange(k))
+    order = _canonical_row_order(values, table.degrees)  # degree 1 first: linear rows stay first
+    form = dataclasses.replace(form, rows=form.rows[order[:size]],
+                               labels=form.labels[order[size:] - size])
+    return dataclasses.replace(table, degrees=table.degrees[order], form=form,
+                               dense=np.ascontiguousarray(values[order]))
 
 
 def _canonical_row_order(values: np.ndarray, degrees: np.ndarray) -> np.ndarray:
@@ -310,8 +546,11 @@ def character_table_numerical(group: GroupTable, seed: int = DEFAULT_SEED) -> Ch
 
 
 def character_table_for(group: GroupTable, seed: int = DEFAULT_SEED) -> CharacterTable:
-    """Checked closed form for the cyclic-power families, class algebra otherwise."""
+    """Checked closed form for the cyclic-power, es3 and m2 families, class
+    algebra otherwise (wreath and file groups)."""
     spec = group.spec
+    if spec.family in ("extraspecial3", "m2"):
+        return _monomial_table(group)
     if spec.family not in ("cyclic", "abelian"):
         return character_table_numerical(group, seed=seed)
     table = abelian_character_table(spec.r, spec.n if spec.family == "abelian" else 1)
@@ -353,8 +592,11 @@ class GaloisData:
 
 def galois_stabilizers(table: CharacterTable, conj: ConjugacyData) -> GaloisData:
     """On a closed form, exactly: unit k fixes row v when (k - 1) v = 0 mod r,
-    that is when the additive order r / gcd(r, v) of v divides k - 1."""
+    that is when the additive order r / gcd(r, v) of v divides k - 1 (for
+    es3 and m2, MonomialForm.fixes)."""
     m = table.exponent
+    if table.form is not None:
+        return GaloisData(exponent=m, fixes=table.form.fixes())
     if table.digits is None:
         return _galois_walk(table, {k: conj.class_power(k) for k in _unit_generators(m)})
     orders = m // np.gcd(np.gcd.reduce(table.digits, axis=1), m)
@@ -487,28 +729,51 @@ class ImportedTable:
     claims: tuple[dict, ...] = ()
 
 
-def export_character_table(table: CharacterTable, conj: ConjugacyData) -> dict:
-    rep_orders = conj.orders[[cls[0] for cls in conj.classes]].tolist()
-    power_maps = {str(k): list(conj.class_power(k)) for k in units_mod(table.exponent)}
-    characters = []
-    values = table.values
-    for i in range(table.n_chars):
-        entry: dict = {
-            "degree": int(table.degrees[i]),
-            "values": [[float(v.real), float(v.imag)] for v in values[i]],
-        }
+# Entries per block of rows a character-table export converts to Python
+# numbers and writes at once, a row's values and cyclotomic coefficients
+# counted as (exponent + 1) per class.
+_EXPORT_ENTRIES = 2**14
+
+
+def _character_entries(table: CharacterTable, lo: int, hi: int) -> list[dict]:
+    """The export's entries of characters lo..hi-1."""
+    entries = []
+    for i, row in enumerate(table.value_rows(lo, hi).tolist(), start=lo):
+        entry: dict = {"degree": int(table.degrees[i]), "values": [[v.real, v.imag] for v in row]}
         coefficients = table.cyclotomic_row(i)
         if coefficients is not None:
             entry["cyclotomic"] = coefficients.tolist()
-        characters.append(entry)
+        entries.append(entry)
+    return entries
+
+
+def _export_header(table: CharacterTable, conj: ConjugacyData) -> dict:
+    """The export document but its characters."""
     return {
         "group_order": table.group_order,
         "exponent": table.exponent,
         "class_sizes": [int(s) for s in table.class_sizes],
-        "class_rep_orders": rep_orders,
-        "class_power_maps": power_maps,
-        "characters": characters,
+        "class_rep_orders": conj.orders[[cls[0] for cls in conj.classes]].tolist(),
+        "class_power_maps": {str(k): list(conj.class_power(k))
+                             for k in units_mod(table.exponent)},
     }
+
+
+def export_character_table(table: CharacterTable, conj: ConjugacyData) -> dict:
+    return {**_export_header(table, conj),
+            "characters": _character_entries(table, 0, table.n_chars)}
+
+
+def write_character_table(table: CharacterTable, conj: ConjugacyData, fh) -> None:
+    """Write the text of json.dumps(export_character_table(table, conj),
+    sort_keys=True, separators=(",", ":")) to the text file fh, its
+    characters (the first key) a block of rows at a time."""
+    dump = functools.partial(json.dumps, sort_keys=True, separators=(",", ":"))
+    fh.write('{"characters":[')
+    height = max(1, _EXPORT_ENTRIES // (table.n_classes * (table.exponent + 1)))
+    for lo in range(0, table.n_chars, height):
+        fh.write(("," if lo else "") + ",".join(map(dump, _character_entries(table, lo, lo + height))))
+    fh.write("]," + dump(_export_header(table, conj))[1:])
 
 
 def _int_list(x) -> bool:

@@ -6,7 +6,7 @@ set of a small group, and replay the shipped certificate suite. All output is
 deterministic for a fixed seed; --format json emits sorted keys.
 
 Exit codes: 0 success, 2 validation error, 3 verification failure,
-4 size-limit refusal.
+4 size-limit refusal, 141 (128 + SIGPIPE) when stdout was closed.
 """
 from __future__ import annotations
 
@@ -14,6 +14,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import re
 import sys
 
@@ -25,17 +26,24 @@ from .cayley import (
     adjacency_to_csv,
     cayley_graph,
     class_union_connectivity,
+    count_oriented_class_unions,
     enumerate_oriented_class_unions,
     graph_to_dot,
     is_connected,
 )
 from .characters import (
     character_table_for,
-    export_character_table,
     galois_stabilizers,
     load_character_table,
+    write_character_table,
 )
-from .config import DEFAULT_CONFIG, SEED_BOUND, RunConfig
+from .config import (
+    DEFAULT_CONFIG,
+    MAX_CSV_VERTICES,
+    MAX_SWEEP_SETS,
+    SEED_BOUND,
+    RunConfig,
+)
 from .engine import (
     TIME_TAGS,
     check_imported_claim,
@@ -74,6 +82,7 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_VERIFICATION = 3
 EXIT_SIZE = 4
+EXIT_BROKEN_PIPE = 141
 
 DEFAULT_SWEEP_LIMIT = 16
 
@@ -209,8 +218,8 @@ def cmd_group(args: argparse.Namespace, config: RunConfig) -> int:
         return EXIT_OK
     # export: the document goes straight to its stream, never whole as one string
     if args.characters:
-        doc = export_character_table(character_table_for(group, seed=config.seed), group.conj)
-        write = functools.partial(json.dump, doc, sort_keys=True, separators=(",", ":"))
+        table = character_table_for(group, seed=config.seed)
+        write = functools.partial(write_character_table, table, group.conj)
     else:
         write = functools.partial(_write_group, group)
     if args.out:
@@ -356,6 +365,10 @@ def cmd_sweep(args: argparse.Namespace, config: RunConfig) -> int:
             f"group order {group.order} exceeds the sweep limit {limit}; "
             f"raise --limit to allow it")
     conj = group.conj
+    total = count_oriented_class_unions(conj, args.max_classes)
+    if total > MAX_SWEEP_SETS:
+        raise SizeLimitError(f"{total} connection sets exceed the sweep bound {MAX_SWEEP_SETS}; "
+                             f"cap the classes per set with --max-classes")
     table = character_table_for(group, seed=config.seed)
     histogram: dict[int, int] = {}
     certificates = []
@@ -469,6 +482,9 @@ def cmd_verify(args: argparse.Namespace, config: RunConfig) -> int:
 
 def cmd_graph(args: argparse.Namespace, config: RunConfig) -> int:
     group = _load_group(config, args.group)
+    if args.format == "csv" and group.order > MAX_CSV_VERTICES:
+        raise SizeLimitError(f"a csv adjacency matrix of {group.order} vertices exceeds "
+                             f"the limit {MAX_CSV_VERTICES}")
     classes = _resolve_classes(group, args.classes)
     graph = cayley_graph(group, classes, oriented=not args.undirected)
     if args.format == "dot":
@@ -607,7 +623,14 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         config = _config_from_args(args)
-        return _HANDLERS[args.command](args, config)
+        code = _HANDLERS[args.command](args, config)
+        sys.stdout.flush()  # a reader that went away shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # Nothing more goes to the closed stdout, and its pending bytes go to
+        # devnull so that the interpreter's flush at exit does not raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except (InvalidParameterError, GroupValidationError, CorruptTableError,
             ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -26,6 +26,12 @@ SCAN_THRESHOLD = 0.999
 SCAN_REFINE_TOL = 1e-10
 
 DEFAULT_MAX_ORDER = 4096
+# graph --format csv writes a dense n x n matrix: refused above this many
+# vertices (z4^6, 4,096: 33.6 MB of text at a 255 MB peak RSS).
+MAX_CSV_VERTICES = 4096
+# A sweep keeps a certificate per transferring set: refused above this many
+# connection sets (the full z3^3 sweep has 797,161).
+MAX_SWEEP_SETS = 2**20
 # Oracle verification is skipped above this many vertices unless forced.
 DEFAULT_ORACLE_MAX_ORDER = 200
 DEFAULT_SEED = 42
@@ -33,6 +39,9 @@ DEFAULT_SEED = 42
 SEED_BOUND = 1 << 64
 # Numerical character tables are refused above this many classes (m2:12 has 2,560).
 MAX_TABLE_CLASSES = 2560
+# A closed form that would store more bytes than this is refused; es3:4 stores
+# 0.9 MB and m2:16, the largest admissible, 1.6 MB.
+MAX_FORM_BYTES = 2**24
 TABLE_RETRIES = 8
 
 

@@ -395,9 +395,8 @@ def build_extraspecial3(n: int, exponent_type: int = 3,
     _check_order_cap(order, max_order)
     if exponent_type == 9 and n != 1:
         raise InvalidParameterError("exponent 9 exists only at order 27 (n = 1)")
-    law = _MetacyclicLaw(9, 3, 4, "y") if exponent_type == 9 else _HeisenbergLaw(n)
-    return GroupTable(order, spec=GroupSpec("extraspecial3", n=n, exponent=exponent_type),
-                      law=law)
+    spec = GroupSpec("extraspecial3", n=n, exponent=exponent_type)
+    return GroupTable(order, spec=spec, law=family_law(spec))
 
 
 def build_modular_maximal_cyclic(n: int, max_order: int = DEFAULT_MAX_ORDER) -> GroupTable:
@@ -410,8 +409,17 @@ def build_modular_maximal_cyclic(n: int, max_order: int = DEFAULT_MAX_ORDER) -> 
         raise InvalidParameterError("need n >= 4")
     order = 2**n
     _check_order_cap(order, max_order)
-    return GroupTable(order, spec=GroupSpec("m2", n=n),
-                      law=_MetacyclicLaw(order // 2, 2, 2 ** (n - 2) + 1, "sigma"))
+    spec = GroupSpec("m2", n=n)
+    return GroupTable(order, spec=spec, law=family_law(spec))
+
+
+def family_law(spec: GroupSpec):
+    """The law an extraspecial3 or m2 spec names, its parameters as given:
+    the one source of the constructors' laws and of their closed-form
+    character tables."""
+    if spec.family == "m2":
+        return _MetacyclicLaw(2 ** (spec.n - 1), 2, 2 ** (spec.n - 2) + 1, "sigma")
+    return _MetacyclicLaw(9, 3, 4, "y") if spec.exponent == 9 else _HeisenbergLaw(spec.n)
 
 
 # ---------------------------------------------------------------------------

@@ -69,6 +69,11 @@ _MAX_PIECES = 1000
 # under the limit (z:8 {1,2,5}, t_max 37,905) a whole pst oracle --scan run
 # took 5.2-5.5 s at a peak RSS of 158 MB (2-vCPU VM).
 SCAN_MAX_STEPS = 2**20
+# Grid maxima a scan refines at once, as soon as that many are known: one
+# block's basis holds terms x order x this many entries, and a maximum's left
+# grid state is dropped once it is refined, so memory does not grow with the
+# hit count (the benchmark's scans have at most 12 hits: one block each).
+_REFINE_PEAKS = 64
 
 
 @dataclass(frozen=True, eq=False)
@@ -423,7 +428,8 @@ def scan_pst(op: WalkOperator, a: int, t_max: float | None = None) -> list[ScanH
     the same for every window, for the offsets within it. Each local maximum
     above SCAN_THRESHOLD is refined on the entry of its grid target
     (_refine), from a basis at the bracket's left grid state, and its state
-    is then evaluated once; nearby duplicates collapse to the best one.
+    is then evaluated once (_refine_peaks, _REFINE_PEAKS maxima at a time
+    as the grid advances); nearby duplicates collapse to the best one.
     Every state is norm-checked.
     """
     if t_max is None:
@@ -444,6 +450,8 @@ def scan_pst(op: WalkOperator, a: int, t_max: float | None = None) -> list[ScanH
     targets = np.empty(steps + 1, dtype=np.intp)
     values = np.empty(steps + 1)
     left = {}  # grid index -> state there, for each rising grid point to its right
+    pending: list[int] = []  # grid maxima not yet refined
+    hits: list[ScanHit] = []
     state = np.zeros(op.order)
     state[a] = 1.0
     for start in range(0, steps, width):
@@ -455,25 +463,20 @@ def scan_pst(op: WalkOperator, a: int, t_max: float | None = None) -> list[ScanH
         rising = (window[1:] >= SCAN_THRESHOLD) & (window[1:] >= window[:-1])
         left.update((start + j, states[j].copy()) for j in np.flatnonzero(rising).tolist())
         state = states[taken]
-
-    inner = values[1:-1]
-    peaks = 1 + np.flatnonzero((inner >= SCAN_THRESHOLD) & (inner >= values[:-2])
-                               & (inner >= values[2:]))
-    if not peaks.size:
-        return []
-    lo, hi = grid[peaks - 1], grid[peaks + 1]
-    count = _terms(float(np.max(hi - lo)) * op.rho)
-    basis = _basis(op, np.stack([left[i] for i in (peaks - 1).tolist()], axis=1), count)
-    offsets = _refine(op, basis[:, targets[peaks], np.arange(peaks.size)],
-                      grid[peaks] - lo, hi - lo)
-    bessel = [_bessel(w, count) for w in (offsets * op.rho).tolist()]
-    states = _checked(op, np.einsum("jk,knj->jn", _coefficients(op, bessel), basis))
-    found, fids = _best_offdiagonal(states, a)
-    if np.any(fids < values[peaks] - 1e-15):
-        raise NumericalFailureError("a refined scan maximum fell below its grid value")
-    hits = sorted((ScanHit(time=t, target=b, fidelity=f)
-                   for t, b, f in zip((lo + offsets).tolist(), found.tolist(), fids.tolist())),
-                  key=lambda h: h.time)
+        # Grid points lo .. start + taken - 1 now have both neighbours.
+        lo = max(start, 1)
+        inner = values[lo:start + taken]
+        pending += (lo + np.flatnonzero(
+            (inner >= SCAN_THRESHOLD) & (inner >= values[lo - 1:start + taken - 1])
+            & (inner >= values[lo + 1:start + taken + 1]))).tolist()
+        wanted = {i - 1 for i in pending} | {start + taken - 1}
+        left = {i: v for i, v in left.items() if i in wanted}
+        last = start + taken == steps
+        while len(pending) >= _REFINE_PEAKS or (last and pending):
+            block, pending = np.array(pending[:_REFINE_PEAKS]), pending[_REFINE_PEAKS:]
+            hits += _refine_peaks(op, a, grid, targets[block], values[block],
+                                  [left.pop(i) for i in (block - 1).tolist()], block)
+    hits.sort(key=lambda h: h.time)
 
     merged: list[ScanHit] = []
     for h in hits:
@@ -483,6 +486,24 @@ def scan_pst(op: WalkOperator, a: int, t_max: float | None = None) -> list[ScanH
         else:
             merged.append(h)
     return merged
+
+
+def _refine_peaks(op: WalkOperator, a: int, grid: np.ndarray, targets: np.ndarray,
+                  values: np.ndarray, lefts: list[np.ndarray], peaks: np.ndarray) -> list[ScanHit]:
+    """The hits of the grid maxima at the indices peaks, whose grid targets
+    and fidelities are targets and values and whose left grid states are
+    lefts: each refined on its target's entry, then evaluated once."""
+    lo, hi = grid[peaks - 1], grid[peaks + 1]
+    count = _terms(float(np.max(hi - lo)) * op.rho)
+    basis = _basis(op, np.stack(lefts, axis=1), count)
+    offsets = _refine(op, basis[:, targets, np.arange(peaks.size)], grid[peaks] - lo, hi - lo)
+    bessel = [_bessel(w, count) for w in (offsets * op.rho).tolist()]
+    states = _checked(op, np.einsum("jk,knj->jn", _coefficients(op, bessel), basis))
+    found, fids = _best_offdiagonal(states, a)
+    if np.any(fids < values - 1e-15):
+        raise NumericalFailureError("a refined scan maximum fell below its grid value")
+    return [ScanHit(time=t, target=b, fidelity=f)
+            for t, b, f in zip((lo + offsets).tolist(), found.tolist(), fids.tolist())]
 
 
 def _refine(op: WalkOperator, rows: np.ndarray, s: np.ndarray, width: np.ndarray) -> np.ndarray:

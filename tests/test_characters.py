@@ -2,6 +2,7 @@
 import copy
 import dataclasses
 import functools
+import io
 import itertools
 import json
 import tracemalloc
@@ -22,7 +23,12 @@ from caywalk.characters import (
     load_character_table,
     units_mod,
 )
-from caywalk.errors import InvalidParameterError, NumericalFailureError, SchemaError
+from caywalk.errors import (
+    InvalidParameterError,
+    NumericalFailureError,
+    SchemaError,
+    SizeLimitError,
+)
 from caywalk.groups import (
     GroupSpec,
     GroupTable,
@@ -31,6 +37,7 @@ from caywalk.groups import (
     build_extraspecial3,
     build_group,
     conjugacy,
+    family_law,
     parse_group_spec,
 )
 
@@ -274,6 +281,153 @@ def test_cyclic_table_peak_memory_is_linear():
 
 
 # ---------------------------------------------------------------------------
+# Closed forms of the Heisenberg and metacyclic laws (es3, m2)
+
+MONOMIAL_SPECS = ["es3:1", "es3:1:9", "es3:2", "es3:3", *(f"m2:{n}" for n in range(4, 12))]
+
+
+@pytest.mark.parametrize("spec", MONOMIAL_SPECS)
+def test_monomial_closed_form_matches_the_numerical_table(spec):
+    """Every es3 and m2 member of at most 1,280 classes: after
+    _canonical_row_order, the closed form's rows are the numerical table's,
+    same degrees, values within 1e-11; tables of at most _DENSE_CLASSES
+    classes hold them in that order already."""
+    group = numerical_group(spec)
+    table = character_table_for(group)
+    reference = numerical_table(spec, 42) if spec in dict(NUMERICAL_TABLES) \
+        else character_table_numerical(group)
+    assert table.provenance == "closed-form" and table.form is not None
+    values = table.values
+    order = characters._canonical_row_order(values, table.degrees)
+    if table.n_classes <= characters._DENSE_CLASSES:
+        assert order.tolist() == list(range(table.n_chars))
+    assert np.array_equal(table.degrees[order], reference.degrees)
+    assert np.max(np.abs(values[order] - reference.values)) <= 1e-11
+
+
+@pytest.mark.parametrize("spec", ["es3:1", "es3:1:9", "es3:2", "m2:4", "m2:7", "m2:8"])
+def test_structured_form_reads_the_held_values(monkeypatch, spec):
+    """With no values held, columns are the held table's exactly and
+    products within 1e-12 k."""
+    held = character_table_for(numerical_group(spec))
+    monkeypatch.setattr(characters, "_DENSE_CLASSES", 0)
+    form = character_table_for(numerical_group(spec))
+    assert form._held is None
+    values = held.values
+    order = characters._canonical_row_order(form.values, form.degrees)
+    assert np.array_equal(form.values[order], values)
+    rng = np.random.default_rng(7)
+    k = held.n_chars
+    idx = rng.integers(0, k, size=(2, 5))
+    assert np.array_equal(form.columns(idx)[order], values[:, idx])
+    x = rng.standard_normal((3, k)) + 1j * rng.standard_normal((3, k))
+    assert np.max(np.abs(form.products(x[:, np.argsort(order)]) - x @ values)) < 1e-12 * k
+
+
+@pytest.mark.parametrize("spec", [s for s in MONOMIAL_SPECS
+                                  if len(numerical_group(s).conj.classes) <= 320])
+def test_monomial_galois_rule_matches_the_walk(spec):
+    """The exact stabilizers (additive order, orbit membership) are those
+    _galois_walk finds on the same values, for every member of at most 320
+    classes."""
+    group = numerical_group(spec)
+    table, conj = character_table_for(group), group.conj
+    maps = {g: conj.class_power(g) for g in characters._unit_generators(table.exponent)}
+    assert np.array_equal(galois_stabilizers(table, conj).fixes,
+                          characters._galois_walk(table, maps).fixes)
+
+
+def metacyclic_twist_one(spec):
+    law = family_law(spec)
+    return type(law)(law.half, law.k, 1, "sigma")
+
+
+def induced_row_of_a_fixed_label(form):
+    labels = form.labels.copy()
+    labels[0] = form.modulus // 2  # (N / 2)(t - 1) = 0 mod N for m2
+    return dataclasses.replace(form, labels=labels)
+
+
+def linear_row_off_by_one(form):
+    rows = form.rows.copy()
+    rows[5, 0] = (rows[5, 0] + 1) % form.radices[0]
+    return dataclasses.replace(form, rows=rows)
+
+
+@pytest.mark.parametrize("spec, law, corrupt, words", [
+    ("m2:5", None, induced_row_of_a_fixed_label, "not the least of a full orbit"),
+    ("m2:5", metacyclic_twist_one, None, "does not add its image"),
+    ("m2:5", None, linear_row_off_by_one, "linear rows are not the characters"),
+    ("es3:2", None, linear_row_off_by_one, "linear rows are not the characters"),
+])
+def test_monomial_closed_form_rejects_a_mutation(monkeypatch, spec, law, corrupt, words):
+    group = numerical_group(spec)
+    if law is not None:
+        monkeypatch.setattr(characters, "family_law", law)
+    if corrupt is not None:
+        sound = characters._monomial_form
+        monkeypatch.setattr(characters, "_monomial_form", lambda g, c: corrupt(sound(g, c)))
+    with pytest.raises(NumericalFailureError, match=f"closed form failed validation: .*{words}"):
+        character_table_for(group)
+
+
+def test_a_twist_of_one_fails_the_conjugation_check_too():
+    """t = 1 read with the true quotient still meets y x y^-1 = x^t."""
+    group = numerical_group("m2:5")
+    true = characters._law_coordinates(characters.family_law(group.spec), group.order)
+    fake = true._replace(twists=np.ones_like(true.twists))
+    form = characters._monomial_form(group, fake)
+    assert form.labels.size == 0
+    assert characters._monomial_defects(group, fake, form) == ["y x y^-1 is not x^1"]
+
+
+@pytest.mark.parametrize("built, spec, words", [
+    ("es3:1:9", GroupSpec("extraspecial3", n=1), "does not add its image"),
+    ("es3:1", GroupSpec("extraspecial3", n=1, exponent=9), "does not add its image"),
+    ("m2:5", GroupSpec("extraspecial3", n=1, exponent=9), "order 32 does not fit a law of order 27"),
+    ("z:27", GroupSpec("extraspecial3", n=1), "does not add its image"),
+    ("z3^3", GroupSpec("extraspecial3", n=1), "11 rows for 27 classes"),
+])
+def test_monomial_closed_form_rejects_a_valid_group_under_another_spec(built, spec, words):
+    """The es3:1 form on the es3:1:9 table, and three more such mismatches."""
+    group = build_group(parse_group_spec(built))
+    relabeled = GroupTable(order=group.order, mul=group.mul, identity=group.identity,
+                           inv=group.inv, labels=group.labels, spec=spec)
+    with pytest.raises(NumericalFailureError, match=words):
+        character_table_for(relabeled)
+
+
+def test_monomial_closed_form_rejects_a_doctored_group_table():
+    """Two generator columns of es3:1 swapped: still a table the check reads
+    through multiply, and no longer the Heisenberg law."""
+    group = numerical_group("es3:1")
+    mul = group.mul.copy()
+    mul[:, [3, 9]] = mul[:, [9, 3]]
+    doctored = copy.copy(group)
+    object.__setattr__(doctored, "mul", mul)
+    object.__setattr__(doctored, "_law", None)
+    with pytest.raises(NumericalFailureError, match="closed form failed validation"):
+        character_table_for(doctored)
+
+
+def test_a_closed_form_over_the_byte_limit_is_refused_before_it_is_built(monkeypatch):
+    built, sound = [], characters._monomial_form
+    monkeypatch.setattr(characters, "MAX_FORM_BYTES", 10_000)
+    monkeypatch.setattr(characters, "_monomial_form", lambda *args: built.append(args) or sound(*args))
+    character_table_for(numerical_group("es3:1"))  # 11 classes: 2,408 bytes
+    with pytest.raises(SizeLimitError, match="would store 116152 bytes, over the limit 10000"):
+        character_table_for(numerical_group("es3:2"))
+    assert len(built) == 1
+
+
+@pytest.mark.parametrize("spec", ["es3:1", "es3:2", "m2:5", "m2:9", "es3:3"])
+def test_monomial_tables_never_build_a_numerical_table(monkeypatch, spec):
+    monkeypatch.setattr(characters, "character_table_numerical",
+                        lambda *args, **kwargs: pytest.fail("numerical table built"))
+    assert character_table_for(numerical_group(spec)).provenance == "closed-form"
+
+
+# ---------------------------------------------------------------------------
 # Structure constants
 
 
@@ -466,8 +620,9 @@ def test_dispatch_prefers_closed_form():
     g = build_cyclic(6)
     t = character_table_for(g)
     assert t.provenance == "closed-form"
-    h = build_extraspecial3(1)
-    u = character_table_for(h)
+    for spec in ("es3:1", "es3:1:9", "m2:4"):
+        assert character_table_for(build_group(parse_group_spec(spec))).provenance == "closed-form"
+    u = character_table_for(build_group(parse_group_spec("wreath:z:3:2")))
     assert u.provenance == "numerical"
 
 
@@ -727,6 +882,21 @@ def test_load_character_table_from_disk(tmp_path):
     path.write_text(json.dumps(doc), encoding="utf-8")
     imp = load_character_table(str(path))
     assert np.max(np.abs(imp.table.values - t.values)) < 1e-10
+
+
+@pytest.mark.parametrize("held", [True, False])
+@pytest.mark.parametrize("spec", ["z:8", "m2:5", "es3:2"])
+def test_character_export_streams_the_bytes_of_json_dumps(monkeypatch, spec, held):
+    """Written a row or a few at a time, from held values, digits or a form."""
+    if not held:
+        monkeypatch.setattr(characters, "_DENSE_CLASSES", 0)
+    monkeypatch.setattr(characters, "_EXPORT_ENTRIES", 500)
+    group = build_group(parse_group_spec(spec))
+    table = character_table_for(group)
+    out = io.StringIO()
+    characters.write_character_table(table, group.conj, out)
+    assert out.getvalue() == json.dumps(export_character_table(table, group.conj),
+                                        sort_keys=True, separators=(",", ":"))
 
 
 def test_json_string_is_deterministic():

@@ -8,11 +8,12 @@ import shlex
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from caywalk import characters
+from caywalk import characters, cli
 from caywalk.cli import (
     EXIT_OK,
     EXIT_SIZE,
@@ -169,9 +170,7 @@ def test_commands_import_neither_masked_arrays_nor_random(argv):
     # coefficients from characters._splitmix64.
     probe = ("import sys, caywalk.cli; code = caywalk.cli.main(sys.argv[1:]); "
              "print(code, [m for m in ('numpy.ma', 'numpy.random') if m in sys.modules])")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]))
-    proc = subprocess.run([sys.executable, "-c", probe, *argv], env=env,
+    proc = subprocess.run([sys.executable, "-c", probe, *argv], env=child_env(),
                           capture_output=True, text=True, timeout=120)
     assert proc.stdout.splitlines()[-1] == "0 []", proc.stderr
 
@@ -183,6 +182,22 @@ def test_group_info_fields(capsys):
     assert doc["derived_series"] == [6, 1]
     assert doc["excluded_transfer_sizes"] == [6]
     assert doc["class_sizes"] == [1] * 6
+
+
+def test_character_export_holds_one_block_of_rows(capsys, tmp_path):
+    """z:64's export (0.7 MB, 64 x 64 x 64 cyclotomic coefficients) traced
+    3.4 MB built whole before json.dump; written a block of rows at a time,
+    0.8 MB."""
+    path = tmp_path / "z64.json"
+    tracemalloc.start()
+    try:
+        assert main(["group", "export", "--characters", "--out", str(path), "z:64"]) == EXIT_OK
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert len(json.loads(path.read_text())["characters"]) == 64
+    assert peak <= 2 * 10**6
 
 
 def test_group_export_characters_round_trip(capsys, tmp_path):
@@ -350,7 +365,8 @@ def test_pst_mst_by_labels_on_nonabelian(capsys):
     ("m2:8", 4, math.pi / 4),
 ])
 def test_pst_mst_certifies_family_members_past_128_classes(capsys, spec, size, tau):
-    """es3:3 has 731 classes and m2:8 has 160; both get numerical tables."""
+    """es3:3 has 731 classes and m2:8 has 160; both get closed forms, es3:3
+    the structured one."""
     cert = family_extraspecial3(3) if spec == "es3:3" else family_m2(8)
     classes = ",".join(map(str, cert.connection_classes))
     code, doc = run_json(capsys, ["pst", "mst", "--group", spec, "--classes", classes])
@@ -359,13 +375,41 @@ def test_pst_mst_certifies_family_members_past_128_classes(capsys, spec, size, t
     assert doc["tau"] == pytest.approx(tau, abs=1e-12)
 
 
+def child_env() -> dict:
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]))
+
+
+@pytest.mark.parametrize("argv, size", [
+    (["--max-order", "65536", "pst", "mst", "--group", "m2:12", "--classes", "2"], 1),
+    (["--max-order", "20000", "pst", "mst", "--group", "es3:4", "--classes", "1"], 3),
+])
+def test_the_largest_es3_and_m2_members_get_a_verdict(argv, size):
+    """m2:12 (2,560 classes) and es3:4 (6,563, over the numerical cap) take
+    their closed forms: a verdict in under 1 s and 150 MB, interpreter start
+    and import included."""
+    # VmHWM, the peak RSS of this process image: ru_maxrss would also count
+    # the pytest process it was forked from.
+    probe = ("import sys, caywalk.cli; code = caywalk.cli.main(sys.argv[1:]); "
+             "print(code, next(line.split()[1] for line in open('/proc/self/status') "
+             "if line.startswith('VmHWM')))")
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-c", probe, "--format", "json", *argv],
+                          env=child_env(), capture_output=True, text=True, timeout=120)
+    elapsed = time.perf_counter() - start
+    text, last = proc.stdout.rstrip().rsplit("\n", 1)
+    code, rss_kb = map(int, last.split())
+    assert code == EXIT_OK and json.loads(text)["size"] == size, proc.stderr
+    assert elapsed < 1.0 and rss_kb < 150 * 1024, (elapsed, rss_kb)
+
+
 def test_pst_mst_refuses_classes_past_the_cap_before_forming_the_matrix(capsys, monkeypatch):
     formed = []
-    monkeypatch.setattr(characters, "MAX_TABLE_CLASSES", 82)
+    monkeypatch.setattr(characters, "MAX_TABLE_CLASSES", 21)
     monkeypatch.setattr(characters, "_class_combination", lambda *args: formed.append(args))
-    code = main(["pst", "mst", "--group", "es3:2", "--classes", "1,3,5,11,29"])
+    code = main(["pst", "mst", "--group", "wreath:z:3:3", "--classes", "3,6"])
     assert code == EXIT_SIZE and formed == []
-    assert "83 classes exceeds numerical cap 82" in capsys.readouterr().err
+    assert "22 classes exceeds numerical cap 21" in capsys.readouterr().err
 
 
 def test_pst_mst_witnesses(capsys):
@@ -556,8 +600,49 @@ def test_a_seed_outside_64_bits_is_refused_on_every_command(capsys, seed, argv):
 
 def test_the_largest_seed_builds_a_numerical_table(capsys):
     code, doc = run_json(capsys, ["--seed", str(2**64 - 1), "pst", "mst",
-                                  "--group", "extraspecial3:1", "--classes", "x1,y1,z"])
+                                  "--group", "wreath:z:3:3", "--classes", "3,6"])
     assert code == EXIT_OK and doc["size"] == 3
+
+
+def test_sweep_refuses_too_many_sets_before_the_table(capsys, monkeypatch):
+    """z:64 has 31 inverse pairs: (3^31 - 1) / 2 oriented sets, about
+    3.1 x 10^14, are refused at once; two classes per set give 961."""
+    monkeypatch.setattr(cli, "character_table_for", lambda *args, **kwargs: pytest.fail("built"))
+    start = time.perf_counter()
+    assert main(["sweep", "--group", "z:64", "--limit", "64"]) == EXIT_SIZE
+    assert time.perf_counter() - start < 0.5
+    assert f"{(3**31 - 1) // 2} connection sets exceed the sweep bound 1048576" \
+        in capsys.readouterr().err
+    monkeypatch.undo()
+    code, doc = run_json(capsys, ["sweep", "--group", "z:64", "--limit", "64",
+                                  "--max-classes", "2"])
+    assert code == EXIT_OK and doc["sets_tested"] == 961
+
+
+def test_graph_csv_refuses_a_matrix_over_the_vertex_limit(capsys, monkeypatch):
+    start = time.perf_counter()
+    assert main(["--max-order", "65536", "--format", "csv", "graph", "--group", "z:65536",
+                 "--classes", "1"]) == EXIT_SIZE
+    assert time.perf_counter() - start < 0.5
+    assert "65536 vertices exceeds the limit 4096" in capsys.readouterr().err
+    monkeypatch.setattr(cli, "MAX_CSV_VERTICES", 8)
+    assert main(["--format", "csv", "graph", "--group", "z:8", "--classes", "1"]) == EXIT_OK
+    assert capsys.readouterr().out.count("\n") == 8
+    assert main(["--format", "csv", "graph", "--group", "z:9", "--classes", "1"]) == EXIT_SIZE
+
+
+def test_a_closed_stdout_exits_141_in_silence():
+    """The reader is gone before the first byte: no error message, exit
+    128 + SIGPIPE, and nothing raised again at interpreter exit."""
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "caywalk.cli", "--format", "json",
+                               "sweep", "--group", "z4^2"], stdout=write,
+                              stderr=subprocess.PIPE, env=child_env(), timeout=60)
+    finally:
+        os.close(write)
+    assert proc.returncode == 141 and proc.stderr == b""
 
 
 def test_sweep_refuses_large_group(capsys):
@@ -774,7 +859,7 @@ def test_verify_import_rejects_table_field_of_wrong_type(capsys, tmp_path, spoil
 
 @pytest.mark.parametrize("pair", [["1", "0"], [True, 0.0], [1.0], 1.0])
 def test_verify_import_rejects_values_that_are_not_number_pairs(capsys, tmp_path, pair):
-    """es3:1 exports its numerical table as [re, im] pairs only, so the pairs
+    """es3:1 exports its closed form as [re, im] pairs only, so the pairs
     are what the import reads."""
     path = tmp_path / "es27.json"
     code, _ = run_json(capsys, ["group", "export", "--characters", "--out", str(path), "es3:1"])
