@@ -278,11 +278,12 @@ class MonomialForm:
         the others' is N * scale times the inverse DFT of x_m spread over
         the residues m*tau, read at each class's i."""
         lead, size, n = x.shape[:-1], len(self.rows), self.modulus
+        places = _places(self.radices)
         grid = np.zeros((*lead, size), dtype=complex)
-        grid[..., self.rows @ _places(self.radices)] = x[..., :size]
+        grid[..., self.rows @ places] = x[..., :size]
         axes = tuple(range(-len(self.radices), 0))
         linear = np.fft.ifftn(grid.reshape(*lead, *self.radices), axes=axes).reshape(grid.shape)
-        out = linear[..., self.cols @ _places(self.radices)] * size
+        out = linear[..., self.cols @ places] * size
         spread = np.zeros((*lead, n), dtype=complex)
         for tau in self.twists.tolist():
             spread[..., self.labels * tau % n] += x[..., size:]
