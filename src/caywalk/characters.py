@@ -2,7 +2,7 @@
 
 Three sources feed the same CharacterTable shape: closed forms for powers of
 cyclic groups and for the Heisenberg and metacyclic laws (es3, m2), a seeded
-class-algebra computation for everything else, and a JSON import path for
+class-algebra computation for everything else, and caywalk.interchange for
 tables produced outside the package. Galois stabilizers of rows (as subgroups
 of the units mod the group exponent) support the rationality arguments used
 by the nonexistence machinery.
@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import json
 import math
 import operator
 from dataclasses import dataclass
@@ -30,13 +29,10 @@ from .config import (
     VALUE_TOL,
 )
 from .errors import (
-    CorruptTableError,
     InvalidParameterError,
     NumericalFailureError,
     SchemaError,
     SizeLimitError,
-    check_fields,
-    require_keys,
 )
 from .groups import ConjugacyData, GroupTable, _HeisenbergLaw, family_law
 
@@ -76,15 +72,23 @@ class CharacterTable:
     form: MonomialForm | None = None
 
     @cached_property
-    def _zeta(self) -> np.ndarray:
-        return np.exp(2j * np.pi * np.arange(self.exponent) / self.exponent)
-
-    @cached_property
     def _held(self) -> np.ndarray | None:
         """The k x k values kept: stored, derived once, or None (large closed form)."""
         if self.digits is None or self.n_classes > _DENSE_CLASSES:
             return self.dense
-        return self._zeta[self.digits @ self.digits.T % self.exponent]
+        return roots_of_unity(self.exponent)[self.digits @ self.digits.T % self.exponent]
+
+    def misses(self, classes: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """(len(classes), len(rows)) mask of chi_i(c) != chi_i(1): row i's kernel
+        misses class c. Exact on a closed form, where it is a nonzero exponent
+        of the root of unity (row v misses class w of Z_r^n when v.w != 0 mod
+        r); within VALUE_TOL on numerical and imported tables."""
+        if self.form is not None:
+            return self.form.misses(classes, rows)
+        if self.digits is not None:
+            r = np.full(self.digits.shape[1], self.exponent)
+            return _exponents(self.digits[classes], self.digits[rows], r) != 0
+        return ~(np.abs(self._held[np.ix_(rows, classes)].T - self.degrees[rows]) < VALUE_TOL)
 
     def columns(self, idx) -> np.ndarray:
         """values[:, idx] for an integer array idx of any shape, (k, *idx.shape)."""
@@ -98,7 +102,8 @@ class CharacterTable:
         slot[uniq] = np.arange(uniq.size)
         if self.form is not None:
             return self.form.columns(uniq)[:, slot[idx]]
-        return self._zeta[self.digits @ self.digits[uniq].T % self.exponent][:, slot[idx]]
+        zeta = roots_of_unity(self.exponent)
+        return zeta[self.digits @ self.digits[uniq].T % self.exponent][:, slot[idx]]
 
     def products(self, x: np.ndarray) -> np.ndarray:
         """x @ values for a stack x of row vectors, (..., k). For Z_r^n, this
@@ -122,7 +127,7 @@ class CharacterTable:
             return self._held[lo:hi]
         if self.form is not None:
             return self.form.columns(np.arange(self.n_classes), lo, hi)
-        return self._zeta[self.digits[lo:hi] @ self.digits.T % self.exponent]
+        return roots_of_unity(self.exponent)[self.digits[lo:hi] @ self.digits.T % self.exponent]
 
     def cyclotomic_row(self, i: int) -> np.ndarray | None:
         """Exact coefficients of row i, (classes x exponent), or None if not exact."""
@@ -223,6 +228,45 @@ def _digit_defects(group: GroupTable, digits: np.ndarray, r: int) -> list[str]:
     return []
 
 
+@functools.cache
+def roots_of_unity(m: int) -> np.ndarray:
+    """exp(2 pi i j / m) for j = 0..m-1, one read-only array per m that every
+    table of exponent m shares. Exact where the value is: 1, i, -1 and -i
+    are exact, and so are the symmetries of the circle that m admits:
+    root m - j is the conjugate of root j, root m/2 - j minus it, and root
+    m/4 - j i times it, bit for bit. Values that are real or imaginary by
+    symmetry then sum to an exact 0 in the other part. Each j is folded to
+    the angle it mirrors, up to a quarter turn, whose cosine and sine give
+    its parts; when 4 divides m the sine is the cosine of the complement."""
+    j = np.arange(m)
+    upper = np.minimum(j, m - j)
+    first = np.minimum(upper, m // 2 - upper) if m % 2 == 0 else upper
+    angle = 2 * np.pi * np.arange(first.max() + 1) / m
+    cos, sin = np.cos(angle), np.sin(angle)
+    if m % 4 == 0:
+        cos[-1] = 0.0
+        sin = cos[::-1]
+    re, im = cos[first], sin[first]  # 0.0 - x negates without a -0.0
+    roots = np.where(first < upper, 0.0 - re, re) + 1j * np.where(upper < j, 0.0 - im, im)
+    roots.flags.writeable = False
+    return roots
+
+
+def _exponents(q: np.ndarray, v: np.ndarray, radices: np.ndarray) -> np.ndarray:
+    """sum_l q_l v_l L / r_l mod L, L = lcm(radices), for digit vectors q
+    (T, n) and v (c, n): (T, c), the exponent of exp(2 pi i / L) that linear
+    character v takes at q. Integer broadcasts only: the sum is held in the
+    narrowest signed type for n L, int8 or int16 on every admissible group,
+    each digit's products in the narrowest for (r_l - 1)^2."""
+    lcm = int(np.lcm.reduce(radices))
+    out = np.zeros((len(q), len(v)), dtype=np.min_scalar_type(-len(radices) * lcm - 1))
+    for l, r in enumerate(radices.tolist()):
+        wide = np.promote_types(out.dtype, np.min_scalar_type(-(r - 1) ** 2 - 1))
+        term = np.multiply.outer(q[:, l].astype(wide), v[:, l].astype(wide)) % r * (lcm // r)
+        np.add(out, term, out=out, casting="unsafe")  # each term is below L
+    return out % lcm
+
+
 def _places(radices: np.ndarray) -> np.ndarray:
     """Mixed-radix place values, most significant first: digits d have the code d @ places."""
     return np.cumprod(np.r_[1, radices[:0:-1]])[::-1]
@@ -252,10 +296,6 @@ class MonomialForm:
     cols: np.ndarray
     coords: np.ndarray
 
-    @cached_property
-    def _zeta(self) -> np.ndarray:
-        return np.exp(2j * np.pi * np.arange(self.exponent) / self.exponent)
-
     @property
     def degrees(self) -> np.ndarray:
         return np.r_[np.ones(len(self.rows), dtype=np.int64),
@@ -269,8 +309,8 @@ class MonomialForm:
         i = self.coords[classes]
         labels = self.labels[max(lo - size, 0):max(hi - size, 0)]
         powers = labels[:, None, None] * self.twists[:, None] * i % n * (m // n)
-        return np.concatenate([self._zeta[linear],
-                               self.scale * self._zeta[powers].sum(axis=1) * (i >= 0)])
+        zeta = roots_of_unity(m)
+        return np.concatenate([zeta[linear], self.scale * zeta[powers].sum(axis=1) * (i >= 0)])
 
     def products(self, x: np.ndarray) -> np.ndarray:
         """x @ values, (..., k). The linear rows' sum is |G/G'| times x's
@@ -291,19 +331,30 @@ class MonomialForm:
         out[..., on] += np.fft.ifft(spread, axis=-1)[..., self.coords[on]] * (n * self.scale)
         return out
 
-    def fixes(self) -> np.ndarray:
-        """GaloisData.fixes, exactly: the unit u fixes a linear row when the
-        row's additive order divides u - 1, and nonlinear row m when u*m lies
-        in m's orbit {m tau}, whose least member each label is."""
+    def misses(self, classes: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """CharacterTable.misses, exactly: a linear row misses a class when
+        its exponent is nonzero, nonlinear row m misses x^i when
+        m i != 0 mod N and every class off A."""
+        size, i = len(self.rows), self.coords[classes]
+        linear = rows < size
+        out = np.empty((len(classes), len(rows)), dtype=bool)
+        out[:, linear] = _exponents(self.cols[classes], self.rows[rows[linear]], self.radices) != 0
+        labels = self.labels[rows[~linear] - size, None]
+        on_a = _exponents(np.maximum(i, 0)[:, None], labels, np.array([self.modulus])) != 0
+        out[:, ~linear] = on_a | (i < 0)[:, None]
+        return out
+
+    def stabilizers(self) -> GaloisData:
+        """GaloisData, exactly: the unit u fixes a linear row when the row's
+        additive order o divides u - 1, and nonlinear row m when u*m lies in
+        m's orbit {m tau}, that is when u mod N/g lies in {tau mod N/g},
+        g = gcd(m, N)."""
         m, n = self.exponent, self.modulus
-        u = np.arange(m)
         orders = np.lcm.reduce(self.radices // np.gcd(self.rows, self.radices), axis=1)
-        seen = np.bincount(orders) > 0  # the distinct orders, without np.unique (numpy.ma)
-        divides = (u - 1) % np.flatnonzero(seen)[:, None] == 0
-        least = (np.arange(n)[:, None] * self.twists % n).min(axis=1)
-        return np.concatenate([divides[np.cumsum(seen)[orders] - 1],
-                               least[self.labels[:, None] * u % n] == self.labels[:, None]]
-                              ) & unit_mask(m)
+        linear, row = _residue_stabilizers(m, orders, np.ones(1, dtype=np.int64))
+        orbits, label = _residue_stabilizers(m, n // np.gcd(self.labels, n), self.twists)
+        return GaloisData.from_masks(m, np.concatenate([linear, orbits]),
+                                     np.r_[row, len(linear) + label])
 
 
 class _LawCoordinates(NamedTuple):
@@ -578,32 +629,58 @@ def unit_mask(m: int) -> np.ndarray:
 class GaloisData:
     """Per-character stabilizers inside the unit group mod the exponent m.
 
-    fixes[i, k] is True when the residue k is a unit and chi_i(g^k) = chi_i(g)
-    for all g; the fixed field of row i's stabilizer is the character's field
-    of values. Every unit subgroup here is a mask over the m residues.
+    Each distinct stabilizer is held once, as a mask over the m residues, in
+    stabilizers; row i's is stabilizers[row_stabilizer[i]]. The residue k
+    lies in it when k is a unit and chi_i(g^k) = chi_i(g) for all g; the
+    fixed field of row i's stabilizer is the character's field of values.
     """
 
     exponent: int
-    fixes: np.ndarray
+    stabilizers: np.ndarray
+    row_stabilizer: np.ndarray
+
+    @classmethod
+    def from_masks(cls, exponent: int, masks: np.ndarray,
+                   ids: np.ndarray | None = None) -> GaloisData:
+        """Row i's stabilizer is masks[ids[i]] (masks[i] without ids); equal
+        masks are kept once."""
+        keys: dict[bytes, int] = {}
+        index = np.array([keys.setdefault(mask.tobytes(), len(keys)) for mask in masks],
+                         dtype=np.int64)
+        return cls(exponent=exponent, stabilizers=masks[np.unique(index, return_index=True)[1]],
+                   row_stabilizer=index if ids is None else index[ids])
+
+    @property
+    def fixes(self) -> np.ndarray:
+        """The (rows x residues) mask of every row's stabilizer."""
+        return self.stabilizers[self.row_stabilizer]
 
     @property
     def units(self) -> np.ndarray:
         return unit_mask(self.exponent)
 
 
+def _residue_stabilizers(m: int, periods: np.ndarray,
+                         twists: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(masks, ids) of rows that the unit u fixes when u mod p lies in
+    {tau mod p : tau in twists}, p the row's period: one mask per distinct
+    period. A linear row's period is its additive order, its twists (1,)."""
+    distinct, ids = np.unique(periods, return_inverse=True)
+    p = distinct[:, None, None]
+    return (np.arange(m)[:, None] % p == twists % p).any(axis=2) & unit_mask(m), ids
+
+
 def galois_stabilizers(table: CharacterTable, conj: ConjugacyData) -> GaloisData:
     """On a closed form, exactly: unit k fixes row v when (k - 1) v = 0 mod r,
     that is when the additive order r / gcd(r, v) of v divides k - 1 (for
-    es3 and m2, MonomialForm.fixes)."""
+    es3 and m2, MonomialForm.stabilizers); by _galois_walk otherwise."""
     m = table.exponent
     if table.form is not None:
-        return GaloisData(exponent=m, fixes=table.form.fixes())
+        return table.form.stabilizers()
     if table.digits is None:
         return _galois_walk(table, {k: conj.class_power(k) for k in _unit_generators(m)})
     orders = m // np.gcd(np.gcd.reduce(table.digits, axis=1), m)
-    distinct, row = np.unique(orders, return_inverse=True)
-    fixes = ((np.arange(m) - 1) % distinct[:, None] == 0) & unit_mask(m)
-    return GaloisData(exponent=m, fixes=fixes[row])
+    return GaloisData.from_masks(m, *_residue_stabilizers(m, orders, np.ones(1, dtype=np.int64)))
 
 
 def _galois_walk(table: CharacterTable,
@@ -623,7 +700,7 @@ def _galois_walk(table: CharacterTable,
     fixes = np.zeros((k, m), dtype=bool)
     for u, sigma in walk.items():
         fixes[:, u % m] = sigma == identity
-    return GaloisData(exponent=m, fixes=fixes)
+    return GaloisData.from_masks(m, fixes)
 
 
 def _walk_units(m: int, start: np.ndarray,
@@ -715,161 +792,3 @@ def unit_closure(m: int, seeds: Iterable[int], start: np.ndarray | None = None) 
         seen |= fresh
         frontier = np.flatnonzero(fresh)
     return seen
-
-
-# ---------------------------------------------------------------------------
-# JSON interchange
-
-@dataclass(eq=False)
-class ImportedTable:
-    """A character table plus the class bookkeeping shipped alongside it."""
-
-    table: CharacterTable
-    rep_orders: tuple[int, ...]
-    power_maps: dict[int, tuple[int, ...]]
-    claims: tuple[dict, ...] = ()
-
-
-# Entries per block of rows a character-table export converts to Python
-# numbers and writes at once, a row's values and cyclotomic coefficients
-# counted as (exponent + 1) per class.
-_EXPORT_ENTRIES = 2**14
-
-
-def _character_entries(table: CharacterTable, lo: int, hi: int) -> list[dict]:
-    """The export's entries of characters lo..hi-1."""
-    entries = []
-    for i, row in enumerate(table.value_rows(lo, hi).tolist(), start=lo):
-        entry: dict = {"degree": int(table.degrees[i]), "values": [[v.real, v.imag] for v in row]}
-        coefficients = table.cyclotomic_row(i)
-        if coefficients is not None:
-            entry["cyclotomic"] = coefficients.tolist()
-        entries.append(entry)
-    return entries
-
-
-def _export_header(table: CharacterTable, conj: ConjugacyData) -> dict:
-    """The export document but its characters."""
-    return {
-        "group_order": table.group_order,
-        "exponent": table.exponent,
-        "class_sizes": [int(s) for s in table.class_sizes],
-        "class_rep_orders": conj.orders[[cls[0] for cls in conj.classes]].tolist(),
-        "class_power_maps": {str(k): list(conj.class_power(k))
-                             for k in units_mod(table.exponent)},
-    }
-
-
-def export_character_table(table: CharacterTable, conj: ConjugacyData) -> dict:
-    return {**_export_header(table, conj),
-            "characters": _character_entries(table, 0, table.n_chars)}
-
-
-def write_character_table(table: CharacterTable, conj: ConjugacyData, fh) -> None:
-    """Write the text of json.dumps(export_character_table(table, conj),
-    sort_keys=True, separators=(",", ":")) to the text file fh, its
-    characters (the first key) a block of rows at a time."""
-    dump = functools.partial(json.dumps, sort_keys=True, separators=(",", ":"))
-    fh.write('{"characters":[')
-    height = max(1, _EXPORT_ENTRIES // (table.n_classes * (table.exponent + 1)))
-    for lo in range(0, table.n_chars, height):
-        fh.write(("," if lo else "") + ",".join(map(dump, _character_entries(table, lo, lo + height))))
-    fh.write("]," + dump(_export_header(table, conj))[1:])
-
-
-def _int_list(x) -> bool:
-    """True for a JSON list of integers; floats and booleans are not integers."""
-    return isinstance(x, list) and all(type(v) is int for v in x)
-
-
-def _number_pairs(x) -> bool:
-    """True for a JSON list of [re, im] pairs of numbers; strings and
-    booleans are not numbers."""
-    return isinstance(x, list) and all(
-        isinstance(p, list) and len(p) == 2 and all(type(v) in (int, float) for v in p)
-        for p in x)
-
-
-def import_character_table(doc: dict) -> ImportedTable:
-    """Validate and load an externally produced character table.
-
-    Values may come as [re, im] pairs or as integer coefficient vectors over
-    the power basis of a primitive exponent-th root of unity; the exact form
-    wins when both are present.
-    """
-    require_keys(doc, ("characters", "class_power_maps", "class_rep_orders", "class_sizes",
-                       "exponent", "group_order"), "character table document")
-
-    order, m, chars = doc["group_order"], doc["exponent"], doc["characters"]
-    maps = doc["class_power_maps"]
-    check_fields("character table document", (
-        (type(order) is int, "group_order must be an integer"),
-        (type(m) is int and m >= 1, "exponent must be a positive integer"),
-        *((_int_list(doc[key]), f"{key} must be a list of integers")
-          for key in ("class_sizes", "class_rep_orders")),
-        (isinstance(chars, list) and all(isinstance(ch, dict) and type(ch.get("degree")) is int
-                                         for ch in chars),
-         "every character needs an integer degree"),
-        (isinstance(maps, dict) and all(map(_int_list, maps.values())),
-         "class_power_maps must map each unit to a list of integers")))
-    sizes = np.array(doc["class_sizes"], dtype=np.int64)
-    rep_orders, n_classes = tuple(doc["class_rep_orders"]), len(sizes)
-    check_fields("character table document", (
-        (int(sizes.sum()) == order, "class sizes do not sum to the group order"),
-        (len(rep_orders) == n_classes, "class_rep_orders length mismatch"),
-        (sizes[:1].tolist() == [1] and rep_orders[:1] == (1,),
-         "class 0 must be the identity class"),
-        (len(chars) == n_classes, f"{len(chars)} characters vs {n_classes} classes"),
-        (set(maps) <= set(map(str, units_mod(m))),
-         "class_power_maps keys must be the units 1..exponent-1 in decimal"),
-        (all(isinstance(rows := ch.get("cyclotomic", []), list) and all(map(_int_list, rows))
-             for ch in chars), "cyclotomic coefficients must be lists of integers"),
-        (all(_number_pairs(ch["values"]) for ch in chars
-             if "values" in ch and "cyclotomic" not in ch),
-         "values must be lists of [re, im] number pairs")))
-
-    zeta = np.exp(2j * np.pi * np.arange(m) / m)
-    values = np.zeros((n_classes, n_classes), dtype=np.complex128)
-    degrees = np.zeros(n_classes, dtype=np.int64)
-    cyclo = None
-    if all("cyclotomic" in ch for ch in chars):
-        cyclo = np.zeros((n_classes, n_classes, m), dtype=np.int64)
-    for i, ch in enumerate(chars):
-        degrees[i] = ch["degree"]
-        if "cyclotomic" in ch:
-            coeffs = np.array(ch["cyclotomic"], dtype=np.int64)
-            if coeffs.shape != (n_classes, m):
-                raise SchemaError(f"character {i} cyclotomic shape mismatch")
-            values[i] = coeffs @ zeta
-            if cyclo is not None:
-                cyclo[i] = coeffs
-        elif "values" in ch:
-            pairs = np.array(ch["values"], dtype=np.float64)
-            if pairs.shape != (n_classes, 2):
-                raise SchemaError(f"character {i} values shape mismatch")
-            values[i] = pairs[:, 0] + 1j * pairs[:, 1]
-        else:
-            raise SchemaError(f"character {i} has neither values nor cyclotomic")
-
-    power_maps: dict[int, tuple[int, ...]] = {}
-    for key, perm in maps.items():
-        perm_t = tuple(perm)
-        if sorted(perm_t) != list(range(n_classes)) or perm_t[0] != 0:
-            raise SchemaError(f"power map for k={key} is not a class permutation fixing 0")
-        power_maps[int(key)] = perm_t
-    _check_power_maps(power_maps, m, n_classes)
-
-    defects = _table_defects(values, degrees, sizes)
-    if defects:
-        raise CorruptTableError("imported table fails validation: " + "; ".join(defects))
-
-    claims = tuple(doc.get("pst_claims", ()))
-    table = CharacterTable(dense=values, degrees=degrees, class_sizes=sizes,
-                           exponent=m, provenance=PROVENANCE_IMPORTED, cyclotomic=cyclo)
-    return ImportedTable(table=table, rep_orders=rep_orders,
-                         power_maps=power_maps, claims=claims)
-
-
-def load_character_table(path: str) -> ImportedTable:
-    with open(path, "r", encoding="utf-8") as fh:
-        return import_character_table(json.load(fh))

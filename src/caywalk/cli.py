@@ -31,12 +31,7 @@ from .cayley import (
     graph_to_dot,
     is_connected,
 )
-from .characters import (
-    character_table_for,
-    galois_stabilizers,
-    load_character_table,
-    write_character_table,
-)
+from .characters import character_table_for, galois_stabilizers
 from .config import (
     DEFAULT_CONFIG,
     MAX_CSV_VERTICES,
@@ -69,6 +64,7 @@ from .errors import (
 )
 from .families import dual_verify, load_fixture_certificates
 from .groups import _write_group, build_group, parse_group_spec, save_group
+from .interchange import load_character_table, write_character_table
 from .oracle import (
     build_hermitian_operator,
     build_operator,

@@ -11,12 +11,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
 from .cayley import CayleyGraph, ConnectionStack, check_orientation
-from .characters import CharacterTable, GaloisData, ImportedTable, unit_closure
+from .characters import CharacterTable, GaloisData, unit_closure
 from .config import MAX_DENOMINATOR, RATIONAL_TOL, VALUE_TOL
 from .errors import (
     InconsistencyError,
@@ -32,6 +32,9 @@ from .groups import (
     derived_series_solvable,
     power,
 )
+
+if TYPE_CHECKING:
+    from .interchange import ImportedTable
 
 ALLOWED_MST_SIZES = (2, 3, 4, 6)
 
@@ -263,7 +266,9 @@ def solve_pst_time(graph: CayleyGraph, table: CharacterTable, z: int,
     """Minimal positive transfer time identity -> z, or a near-miss and a reason.
 
     Scores z at every candidate time, so that where nothing hits, the
-    near-miss is the candidate of least residual. With period_mode and
+    near-miss is the candidate of least residual: the earliest of those
+    within VALUE_TOL of it, so that residuals equal but for rounding do not
+    pick the time by their last bits. With period_mode and
     z = identity the result is the walk's least return time 2*pi/omega.
     """
     g = graph.group
@@ -283,7 +288,7 @@ def solve_pst_time(graph: CayleyGraph, table: CharacterTable, z: int,
     scores = _residuals(table, thetas[0], graph.conj.class_of[[z]],
                         np.exp(times[:, None] * thetas[0]))
     hits = np.flatnonzero(scores < VALUE_TOL)
-    pick = hits[0] if hits.size else int(np.argmin(scores))
+    pick = hits[0] if hits.size else int(np.argmax(scores <= scores.min() + VALUE_TOL))
     t, res = float(times[pick]), float(scores[pick])
     if math.isinf(res):
         return SolveOutcome(certificate=None, near_miss_residual=res, reason=STATIC_SEPARATOR)
@@ -438,37 +443,72 @@ def nonexistence_witness_classes(table: CharacterTable, galois: GaloisData,
                                  z_labels: Sequence[int]) -> list[NonexistenceWitness | None]:
     """Greedy witness search on class-level data, one result per class.
 
-    For each class, walks the characters whose kernel misses it in row order
-    and keeps the first one, then each one whose stabilizer has a unit outside
-    the closure of those kept, until that closure is every unit. Kernels are
-    read in blocks of columns; closures are memoized, for all classes at once,
-    on the set of distinct stabilizers kept.
+    For each class, keeps the first character whose kernel misses it, then
+    each later one that misses it and whose stabilizer has a unit outside
+    the closure of those kept, until that closure is every unit. A kept
+    stabilizer never grows the closure again, and the closure only grows,
+    so each pick is the least, over the stabilizers that would grow the
+    closure so far, of the first row with that stabilizer that misses the
+    class (_first_misses): no later row of such a stabilizer was passed
+    over, or it would have been picked before. Every class carries a state,
+    the id of the stabilizers it kept; each step from a state by a
+    stabilizer id, its closure and the stabilizers that would grow it, is
+    computed once for all classes, and one masked minimum over (classes x
+    stabilizers) gives every class its next pick.
     """
-    m, units = galois.exponent, galois.units
-    packed = [row.tobytes() for row in np.packbits(galois.fixes, axis=1)]  # rows as memo keys
-    # stabilizers kept -> (their closure, the rows with a unit outside it)
-    memo = {frozenset(): (unit_closure(m, ()), None)}
-    found: list[NonexistenceWitness | None] = []
-    height = max(1, _BLOCK_ENTRIES // table.n_chars)
-    for lo in range(0, len(z_classes), height):
-        cols = table.columns(z_classes[lo:lo + height])
-        for outside, label in zip(~(np.abs(cols.T - table.degrees) < VALUE_TOL),
-                                  z_labels[lo:lo + height]):
-            kept, chosen, later, witness = frozenset(), [], np.flatnonzero(outside), None
-            while later.size:
-                i, covered = int(later[0]), memo[kept][0]
-                chosen.append(i)
-                kept = kept | {packed[i]}
-                if kept not in memo:
-                    covered = unit_closure(m, np.flatnonzero(galois.fixes[i] & ~covered), covered)
-                    memo[kept] = covered, (galois.fixes & ~covered).any(axis=1)
-                covered, grows = memo[kept]
-                if np.array_equal(covered, units):
-                    witness = NonexistenceWitness(z=label, char_indices=tuple(chosen), exponent=m)
-                    break
-                later = i + 1 + np.flatnonzero(outside[i + 1:] & grows[i + 1:])
-            found.append(witness)
-    return found
+    z_classes = np.asarray(z_classes, dtype=np.int64)
+    m, k, n_stabs = galois.exponent, table.n_chars, len(galois.stabilizers)
+    first = _first_misses(table, z_classes, galois.row_stabilizer, n_stabs)
+    # State 0 keeps nothing and admits every row: the first pick is the first miss.
+    closure, grows, whole = [unit_closure(m, ())], [np.ones(n_stabs, dtype=bool)], [False]
+    steps: dict[int, int] = {}  # state * n_stabs + stabilizer id -> the state after
+    state = np.zeros(len(z_classes), dtype=np.int64)
+    chosen = np.full((len(z_classes), n_stabs), -1)  # at most one pick per stabilizer id
+    live = np.arange(len(z_classes))
+    for n in range(n_stabs):
+        pick = np.where(np.array(grows)[state[live]], first[live], k).min(axis=1)
+        live, pick = live[pick < k], pick[pick < k]
+        chosen[live, n] = pick
+        pairs, slot = np.unique(state[live] * n_stabs + galois.row_stabilizer[pick],
+                                return_inverse=True)
+        for pair in pairs.tolist():
+            if pair not in steps:
+                before, stab = closure[pair // n_stabs], galois.stabilizers[pair % n_stabs]
+                covered = unit_closure(m, np.flatnonzero(stab & ~before), before)
+                steps[pair] = len(closure)
+                closure.append(covered)
+                grows.append((galois.stabilizers & ~covered).any(axis=1))
+                whole.append(bool(np.array_equal(covered, galois.units)))
+        state[live] = np.array([steps[pair] for pair in pairs.tolist()], dtype=np.int64)[slot]
+        live = live[~np.array(whole)[state[live]]]
+    return [NonexistenceWitness(z=label, char_indices=tuple(i for i in row if i >= 0), exponent=m)
+            if hit else None
+            for label, row, hit in zip(z_labels, chosen.tolist(), np.array(whole)[state].tolist())]
+
+
+# Entries of one kernel block, (classes x rows): 1 MB of int32 products at
+# most on a closed form, 4 MB of complex values on a numerical table.
+_MISS_ENTRIES = 1 << 18
+
+
+def _first_misses(table: CharacterTable, z_classes: np.ndarray, row_stabilizer: np.ndarray,
+                  n_stabs: int) -> np.ndarray:
+    """(classes x stabilizer ids): the first row with each id, in row order,
+    whose kernel misses each class; n_chars where none does. The rows of an
+    id are read in blocks of at most _MISS_ENTRIES entries, and a class
+    leaves an id's scan at its first miss."""
+    first = np.full((len(z_classes), n_stabs), table.n_chars)
+    members = np.argsort(row_stabilizer, kind="stable")
+    bounds = np.cumsum(np.bincount(row_stabilizer, minlength=n_stabs))[:-1]
+    for stab, rows in enumerate(np.split(members, bounds)):
+        pending, lo = np.arange(len(z_classes)), 0
+        while pending.size and lo < rows.size:
+            block = rows[lo:lo + max(1, _MISS_ENTRIES // pending.size)]
+            miss = table.misses(z_classes[pending], block)
+            hit = miss.any(axis=1)
+            first[pending[hit], stab] = block[miss.argmax(axis=1)[hit]]
+            pending, lo = pending[~hit], lo + block.size
+    return first
 
 
 def nonexistence_witness(conj: ConjugacyData, table: CharacterTable, galois: GaloisData,

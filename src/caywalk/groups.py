@@ -654,8 +654,8 @@ def conjugacy(group: GroupTable) -> ConjugacyData:
     slot[mins] = np.arange(len(mins))
     class_of = slot[rep]
     sizes = np.bincount(class_of)
-    members = np.split(np.argsort(class_of, kind="stable"), np.cumsum(sizes)[:-1])
-    classes = tuple(tuple(part.tolist()) for part in members)
+    members, bounds = np.argsort(class_of, kind="stable").tolist(), np.cumsum(sizes).tolist()
+    classes = tuple(tuple(members[lo:hi]) for lo, hi in zip([0, *bounds], bounds))
 
     class_inv = tuple(class_of[inv[mins]].tolist())
     # g is central exactly when its class is {g}.

@@ -513,7 +513,30 @@ def per_unit_stabilizers(table, power_maps) -> GaloisData:
     for k in units_mod(m):
         perm = np.asarray(power_maps[k])
         fixes[:, k % m] = np.max(np.abs(values[:, perm] - values), axis=1) < VALUE_TOL
-    return GaloisData(exponent=m, fixes=fixes)
+    return GaloisData.from_masks(m, fixes)
+
+
+def order_rule_fixes(table) -> np.ndarray:
+    """The (rows x residues) stabilizer mask of a closed form, one mask per
+    row: unit u fixes a linear row when its additive order divides u - 1,
+    and nonlinear row m when u*m lies in m's orbit, whose least member each
+    label is.
+
+    The earlier bodies of characters.galois_stabilizers (digits) and
+    MonomialForm.fixes, kept as the reference for the stabilizers held once
+    per distinct mask.
+    """
+    m = table.exponent
+    u = np.arange(m)
+    if table.form is None:
+        orders = m // np.gcd(np.gcd.reduce(table.digits, axis=1), m)
+        return ((u - 1) % orders[:, None] == 0) & characters.unit_mask(m)
+    form, n = table.form, table.form.modulus
+    orders = np.lcm.reduce(form.radices // np.gcd(form.rows, form.radices), axis=1)
+    least = (np.arange(n)[:, None] * form.twists % n).min(axis=1)
+    return np.concatenate([(u - 1) % orders[:, None] == 0,
+                           least[form.labels[:, None] * u % n] == form.labels[:, None]]
+                          ) & characters.unit_mask(m)
 
 
 def galois_stabilizers_imported(table, power_maps) -> GaloisData:
@@ -664,28 +687,33 @@ def stabilizer_tuples(galois) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(k for k in units_mod(m) if row[k % m]) for row in galois.fixes)
 
 
-def row_loop_witness(table, galois, z_class: int, z_label: int = -1):
-    """Greedy nonexistence witness with one kernel test per row.
+def row_loop_witnesses(table, galois, z_classes, z_labels):
+    """Greedy nonexistence witnesses with one kernel test per row, one class
+    at a time.
 
     The earlier body of engine.nonexistence_witness_classes, kept as the
-    reference for its masked form.
+    reference for its masked form; the values and the stabilizers are read
+    once for all classes.
     """
     units = set(units_mod(galois.exponent))
-    stabilizers = stabilizer_tuples(galois)
-    covered = {1}
-    chosen: list[int] = []
-    for i, row in enumerate(table.values):
-        if abs(row[z_class] - row[0]) < VALUE_TOL:
-            continue
-        stab = set(stabilizers[i])
-        if chosen and stab <= covered:
-            continue
-        chosen.append(i)
-        covered = set_unit_closure(galois.exponent, covered | stab)
-        if covered == units:
-            return NonexistenceWitness(z=z_label, char_indices=tuple(chosen),
-                                       exponent=galois.exponent)
-    return None
+    stabilizers = [set(stab) for stab in stabilizer_tuples(galois)]
+    values = table.values
+    found = []
+    for z_class, z_label in zip(z_classes, z_labels):
+        covered, chosen, witness = {1}, [], None
+        for i, row in enumerate(values):
+            if abs(row[z_class] - row[0]) < VALUE_TOL:
+                continue
+            if chosen and stabilizers[i] <= covered:
+                continue
+            chosen.append(i)
+            covered = set_unit_closure(galois.exponent, covered | stabilizers[i])
+            if covered == units:
+                witness = NonexistenceWitness(z=z_label, char_indices=tuple(chosen),
+                                              exponent=galois.exponent)
+                break
+        found.append(witness)
+    return found
 
 
 def loop_extraspecial3(n: int, exponent_type: int = 3) -> tuple[np.ndarray, list[str]]:
@@ -1149,9 +1177,9 @@ def pairing_matrix(r: int, n: int) -> np.ndarray:
 
 def dense_abelian_table(r: int, n: int, columns=None) -> CharacterTable:
     """The table of Z_r^n with dense values zeta[pairing_matrix(r, n)], as the
-    closed form held them, optionally with its columns replaced by the given
-    ones (a doctored table)."""
-    values = np.exp(2j * np.pi * np.arange(r) / r)[pairing_matrix(r, n)]
+    closed form held them, zeta the package's shared root table, optionally
+    with its columns replaced by the given ones (a doctored table)."""
+    values = characters.roots_of_unity(r)[pairing_matrix(r, n)]
     if columns is not None:
         values = values[:, columns]
     order = r**n

@@ -24,10 +24,7 @@ from caywalk.characters import (
     abelian_character_table,
     character_table_for,
     character_table_numerical,
-    export_character_table,
     galois_stabilizers,
-    import_character_table,
-    load_character_table,
 )
 from caywalk.config import DEFAULT_CONFIG
 from caywalk.engine import (
@@ -56,6 +53,11 @@ from caywalk.groups import (
     build_wreath_sym,
     conjugacy,
     subgroup_closure,
+)
+from caywalk.interchange import (
+    export_character_table,
+    import_character_table,
+    load_character_table,
 )
 from caywalk.oracle import build_operator, evolve, evolve_column, fidelity, permutation_check
 

@@ -17,8 +17,6 @@ from caywalk.cayley import (
 from caywalk.characters import (
     abelian_character_table,
     character_table_for,
-    export_character_table,
-    import_character_table,
 )
 from caywalk.engine import (
     check_imported_claim,
@@ -36,6 +34,7 @@ from caywalk.groups import (
     conjugacy,
     parse_group_spec,
 )
+from caywalk.interchange import export_character_table, import_character_table
 from conftest import abelian_residue_counts, idempotent, theta_from_residue_counts
 
 

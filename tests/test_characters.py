@@ -10,20 +10,19 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from caywalk import characters
+from caywalk import characters, interchange
 from caywalk.characters import (
-    CorruptTableError,
+    GaloisData,
     _table_defects,
     abelian_character_table,
     character_table_for,
     character_table_numerical,
-    export_character_table,
     galois_stabilizers,
-    import_character_table,
-    load_character_table,
     units_mod,
 )
+from caywalk.config import VALUE_TOL
 from caywalk.errors import (
+    CorruptTableError,
     InvalidParameterError,
     NumericalFailureError,
     SchemaError,
@@ -40,6 +39,11 @@ from caywalk.groups import (
     family_law,
     parse_group_spec,
 )
+from caywalk.interchange import (
+    export_character_table,
+    import_character_table,
+    load_character_table,
+)
 
 from conftest import (
     CYCLIC_ORDERS,
@@ -47,6 +51,7 @@ from conftest import (
     galois_stabilizers_imported,
     kernel,
     numpy_draw_table,
+    order_rule_fixes,
     per_unit_stabilizers,
     permutation_group_table,
     rational_intersection,
@@ -166,6 +171,70 @@ def test_digit_backend_matches_the_dense_reference(monkeypatch, held):
         assert exact == list(row_loop_stabilizers(dense, conj.class_power, units)), (r, n)
         for i in sorted({0, 1, k - 1, *rng.integers(0, k, size=4).tolist()}):
             assert kernel(table, i, conj) == kernel(dense, i, conj), (r, n, i)
+
+
+def closed_form_members(max_order: int) -> list[GroupTable]:
+    """Every closed-form family member up to max_order the tests cover:
+    cyclic groups and powers, then the es3 and m2 members."""
+    return [*(closed_form_group(r, n) for r, n in closed_form_shapes(max_order)),
+            *(g for g in map(numerical_group, MONOMIAL_SPECS) if g.order <= max_order)]
+
+
+def test_exact_kernels_match_the_tolerance_test():
+    """On every class of every closed-form member up to order 729, rows and
+    classes in a seeded order: the exact kernel is the VALUE_TOL test on the
+    table's values, and a dense copy of the values reads the same."""
+    rng = np.random.default_rng(28)
+    for group in closed_form_members(729):
+        table = character_table_for(group)
+        k = table.n_chars
+        rows, classes = rng.permutation(k), rng.permutation(k)
+        values = table.values
+        reference = ~(np.abs(values[rows][:, classes].T - table.degrees[rows]) < VALUE_TOL)
+        assert np.array_equal(table.misses(classes, rows), reference), group.family_tag
+        dense = dataclasses.replace(table, dense=values, digits=None, form=None)
+        assert np.array_equal(dense.misses(classes, rows), reference), group.family_tag
+
+
+def test_distinct_stabilizers_expand_to_the_order_rule():
+    """Held once per distinct mask, the stabilizers of every closed-form
+    member up to order 729 expand to the per-row masks of the order rule
+    (imported tables: test_galois_walk_matches_the_per_unit_reference)."""
+    for group in closed_form_members(729):
+        table = character_table_for(group)
+        gal = galois_stabilizers(table, group.conj)
+        assert np.array_equal(gal.fixes, order_rule_fixes(table)), group.family_tag
+        assert len({mask.tobytes() for mask in gal.stabilizers}) == len(gal.stabilizers)
+        assert np.array_equal(np.unique(gal.row_stabilizer), np.arange(len(gal.stabilizers)))
+    masks, ids = np.array([[0, 1, 0, 0, 0, 1], [0, 1, 0, 0, 0, 0], [0, 1, 0, 0, 0, 1]],
+                          dtype=bool), np.array([2, 1, 0, 1])
+    merged = GaloisData.from_masks(6, masks, ids)
+    assert np.array_equal(merged.fixes, masks[ids]) and len(merged.stabilizers) == 2
+
+
+def test_one_root_table_exact_at_the_quarter_points():
+    """Every table of an exponent reads the same roots: 1, i, -1, -i
+    exactly, no negative zero, the symmetries of the circle that m admits
+    bit for bit, and the rest within 2e-15 of exp(2 pi i j / m) as numpy
+    computes it, whose error grows with the angle."""
+    for m in (*range(1, 70), 243, 256, 360, 4096):
+        roots = characters.roots_of_unity(m)
+        j = np.arange(m)
+        assert roots is characters.roots_of_unity(m) and not roots.flags.writeable
+        assert np.max(np.abs(roots - np.exp(2j * np.pi * j / m))) < 2e-15, m
+        parts = np.r_[roots.real, roots.imag]
+        assert not np.signbit(parts[parts == 0]).any(), m
+        assert np.array_equal(roots[(m - j) % m], roots.conj()), m
+        quarters = {0: 1}
+        if m % 2 == 0:
+            assert np.array_equal(roots[(m // 2 - j) % m], 0.0 - roots.conj()), m
+            quarters[m // 2] = -1
+        if m % 4 == 0:
+            assert np.array_equal(roots[(m // 4 - j) % m], 1j * roots.conj()), m
+            quarters.update({m // 4: 1j, 3 * m // 4: -1j})
+        assert all(roots[q] == v for q, v in quarters.items()), m
+    table = character_table_for(numerical_group("m2:5"))
+    assert np.isin(table.values[table.degrees == 1], characters.roots_of_unity(16)).all()
 
 
 def corrupt_flip(digits, r):
@@ -668,8 +737,9 @@ def test_galois_walk_matches_the_per_unit_reference(spec):
     reference = per_unit_stabilizers(table, maps).fixes
     assert np.array_equal(galois_stabilizers(table, conj).fixes, reference)
     imp = import_character_table(export_character_table(table, conj))
-    assert np.array_equal(galois_stabilizers_imported(imp.table, imp.power_maps).fixes,
-                          reference)
+    gal = galois_stabilizers_imported(imp.table, imp.power_maps)
+    assert np.array_equal(gal.fixes, reference)
+    assert len({mask.tobytes() for mask in gal.stabilizers}) == len(gal.stabilizers)
 
 
 def test_a_power_map_off_the_generators_composition_is_refused():
@@ -890,11 +960,11 @@ def test_character_export_streams_the_bytes_of_json_dumps(monkeypatch, spec, hel
     """Written a row or a few at a time, from held values, digits or a form."""
     if not held:
         monkeypatch.setattr(characters, "_DENSE_CLASSES", 0)
-    monkeypatch.setattr(characters, "_EXPORT_ENTRIES", 500)
+    monkeypatch.setattr(interchange, "_EXPORT_ENTRIES", 500)
     group = build_group(parse_group_spec(spec))
     table = character_table_for(group)
     out = io.StringIO()
-    characters.write_character_table(table, group.conj, out)
+    interchange.write_character_table(table, group.conj, out)
     assert out.getvalue() == json.dumps(export_character_table(table, group.conj),
                                         sort_keys=True, separators=(",", ":"))
 

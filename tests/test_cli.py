@@ -771,7 +771,7 @@ def exported_table_with_claim(tmp_path, capsys, time_value="2pi/3sqrt3"):
     assert code == EXIT_OK
     doc = json.loads(path.read_text())
     # identify the centre class (size 1, rep of order 3) and two non-real classes
-    from caywalk.characters import import_character_table
+    from caywalk.interchange import import_character_table
 
     imported = import_character_table(doc)
     inv_map = imported.power_maps[2]
@@ -941,6 +941,15 @@ def test_graph_summary_with_spectrum(capsys):
     assert code == EXIT_OK
     assert doc["connected"] is True and doc["arcs"] == 24
     assert sum(r["multiplicity"] for r in doc["spectrum"]) == 8
+
+
+def test_graph_spectrum_reads_exact_zeros_on_a_closed_form(capsys):
+    """m2:5's class 2 gives characters whose eigenvalue is 0: read from the
+    shared root table, the conjugate values cancel exactly and print 0.0."""
+    code, doc = run_json(capsys, ["graph", "--group", "m2:5", "--classes", "2"])
+    assert code == EXIT_OK
+    thetas = [r["theta_imag"] for r in doc["spectrum"]]
+    assert 0.0 in thetas and all(t == 0.0 or abs(t) > 1 for t in thetas), thetas
 
 
 def test_graph_undirected_summary(capsys):

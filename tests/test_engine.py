@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from caywalk import cayley, engine
+from caywalk import cayley, characters, engine, groups
 from caywalk.cayley import (
     CayleyGraph,
     cayley_graph,
@@ -18,9 +18,7 @@ from caywalk.characters import (
     abelian_character_table,
     character_table_for,
     character_table_numerical,
-    export_character_table,
     galois_stabilizers,
-    import_character_table,
     units_mod,
 )
 from caywalk.config import VALUE_TOL
@@ -56,6 +54,7 @@ from caywalk.groups import (
     index_of_digits,
     parse_group_spec,
 )
+from caywalk.interchange import export_character_table, import_character_table
 from conftest import (
     blocked_scan_targets,
     dense_abelian_table,
@@ -66,7 +65,7 @@ from conftest import (
     per_set_walk_frequency,
     rational_intersection,
     row_loop_stabilizers,
-    row_loop_witness,
+    row_loop_witnesses,
     stabilizer_tuples,
     winding_search_times,
 )
@@ -542,30 +541,61 @@ def test_witness_forbids_transfer_on_cyclic6():
     assert set(stabs[1]) | set(stabs[3]) == {1, 5}
 
 
+# The largest abelian members: their every class is a central target.
+CENTRAL_ONLY = {"z4^5", "z3^6"}
+
+
 @pytest.mark.parametrize("spec, some_witness", [
     ("z:2", True), ("z:12", True), ("z:64", True), ("z:128", True),
-    ("z4^2", True), ("z6^2", True), ("m2:5", True),
-    ("wreath:z:3:2", True), ("wreath:z:4:2", True),
+    ("z4^2", True), ("z6^2", True), ("m2:5", True), ("m2:7", True), ("m2:9", True),
+    ("wreath:z:3:2", True), ("wreath:z:4:2", True), ("wreath:z:3:4", True), ("z4^5", True),
     # the trivial group has no target; exponent 3: the only real character
     # is the trivial one
     ("z:1", False), ("z3^4", False), ("es3:1", False), ("es3:1:9", False),
+    ("es3:2", False), ("es3:3", False), ("z3^6", False),
 ])
 def test_witness_search_matches_row_loop_reference(spec, some_witness):
-    """Every class, central or not, in one call of the class-level core; the
-    central targets once more through nonexistence_witness."""
+    """The central targets through nonexistence_witness; every class,
+    central or not, in one call of the class-level core, but for
+    CENTRAL_ONLY."""
     g = build_group(parse_group_spec(spec))
     conj = conjugacy(g)
     table = character_table_for(g)
     gal = galois_stabilizers(table, conj)
     assert stabilizer_tuples(gal) == row_loop_stabilizers(table, conj.class_power,
                                                           units_mod(gal.exponent))
-    classes = np.arange(table.n_classes)
-    got = nonexistence_witness_classes(table, gal, classes, classes.tolist())
-    assert got == [row_loop_witness(table, gal, j, z_label=j) for j in classes], spec
-    assert any(w is not None for w in got) == some_witness
     central = list(conj.center)
-    assert nonexistence_witness(conj, table, gal, central) == [
-        row_loop_witness(table, gal, int(conj.class_of[z]), z_label=z) for z in central]
+    got = nonexistence_witness(conj, table, gal, central)
+    assert got == row_loop_witnesses(table, gal, conj.class_of[central], central), spec
+    if spec not in CENTRAL_ONLY:
+        classes = np.arange(table.n_classes)
+        got = nonexistence_witness_classes(table, gal, classes, classes.tolist())
+        assert got == row_loop_witnesses(table, gal, classes, classes.tolist()), spec
+    assert any(w is not None for w in got) == some_witness
+
+
+def test_witness_search_on_a_metacyclic_law_beyond_the_families(monkeypatch):
+    """Z_7 x| Z_3 with y x y^-1 = x^2, read through the metacyclic closed
+    form: its induced rows' stabilizer {u : u mod 7 in {1, 2, 4}} is none
+    of the linear rows', unlike on every es3 and m2 member. The exact rule
+    expands to the walk's masks, the exact kernels to the tolerance test,
+    and the witnesses to the row loop's, on every class."""
+    law = groups._MetacyclicLaw(7, 3, 2, "y")
+    monkeypatch.setattr(characters, "family_law", lambda spec: law)
+    group = GroupTable(21, spec=groups.GroupSpec("m2", n=5), law=law)
+    table, conj = character_table_for(group), group.conj
+    assert table.form is not None and table.degrees.tolist() == [1, 1, 1, 3, 3]
+    gal = galois_stabilizers(table, conj)
+    maps = {g: conj.class_power(g) for g in characters._unit_generators(table.exponent)}
+    assert np.array_equal(gal.fixes, characters._galois_walk(table, maps).fixes)
+    fixes = gal.fixes
+    assert not any(np.array_equal(fixes[3], row) for row in fixes[:3])
+    classes = np.arange(table.n_classes)
+    reference = ~(np.abs(table.values.T - table.degrees) < VALUE_TOL)
+    assert np.array_equal(table.misses(classes, classes), reference)
+    got = nonexistence_witness_classes(table, gal, classes, classes.tolist())
+    assert got == row_loop_witnesses(table, gal, classes, classes.tolist())
+    assert any(w is not None for w in got)
 
 
 def test_witness_absent_when_transfer_exists():

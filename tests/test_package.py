@@ -125,8 +125,9 @@ def test_criterion_and_oracle_routes_stay_independent():
     """The oracle loads no character theory, and the criterion and the graph
     layer load no oracle."""
     assert reachable_modules("engine") >= {"cayley", "characters", "groups"}
-    assert reachable_modules("oracle") & {"characters", "engine", "families"} == set()
-    for module in ("engine", "characters", "cayley"):
+    assert reachable_modules("oracle") & {"characters", "engine", "families",
+                                          "interchange"} == set()
+    for module in ("engine", "characters", "cayley", "interchange"):
         assert "oracle" not in reachable_modules(module), module
     assert "characters" not in reachable_modules("cayley")
 
